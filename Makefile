@@ -15,9 +15,14 @@ verify: build test
 # path shares evaluators across scheduler workers and the experiment lab
 # fans trials across cores, so racy regressions must fail loudly. The
 # one-iteration bench pass exercises the benchmark bodies (also under
-# -race) without paying for steady-state timing.
+# -race) without paying for steady-state timing. The harness under
+# benchmark/ is a module of its own, outside ./...: vetting and testing it
+# here makes a core/service signature drift that breaks it fail CI rather
+# than the next benchmark run.
 ci:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 	$(MAKE) faults-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) overload-smoke

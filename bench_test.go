@@ -11,19 +11,16 @@ package cbes_test
 // cmd/experiments, not by these benchmarks.
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"cbes"
-	"cbes/internal/anneal"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/core"
 	"cbes/internal/experiments"
 	"cbes/internal/monitor"
-	"cbes/internal/raceflag"
 	"cbes/internal/schedule"
 	"cbes/internal/workloads"
 )
@@ -337,124 +334,4 @@ func BenchmarkSASchedulingFast(b *testing.B) {
 		}
 		return d.Evaluations
 	})
-}
-
-// BenchmarkSASchedulingPredictBaseline is the pre-fast-path configuration
-// for comparison: the same annealing schedule and effort, but every
-// proposal is a mapping clone scored by a full Predict call — what
-// saSchedule did before the scorer existed. The fast path must beat its
-// evals/s by ≥5× (checked by TestFastPathSpeedupTarget, asserted here only
-// as a reported metric).
-func BenchmarkSASchedulingPredictBaseline(b *testing.B) {
-	sys, prog := systemForBench(b)
-	eval, err := sys.Evaluator(prog.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
-	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
-	saThroughput(b, func(seed int64) int {
-		return saPredictBaseline(b, eval, snap, pool, seed)
-	})
-}
-
-// saPredictBaseline runs one Predict-scored SA restart sequence matching
-// the legacy scheduler: 4 restarts, 1000 evaluations each, clone-based
-// neighbor proposals. Returns total evaluations performed.
-func saPredictBaseline(tb testing.TB, eval *core.Evaluator, snap *monitor.Snapshot, pool []int, seed int64) int {
-	energy := func(m core.Mapping) float64 {
-		p, err := eval.Predict(m, snap)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return p.Seconds
-	}
-	total := 0
-	for r := 0; r < 4; r++ {
-		rng := rand.New(rand.NewSource(seed + int64(1000*r)))
-		init := make(core.Mapping, eval.Prof.Ranks)
-		used := map[int]int{}
-		for i := range init {
-			for {
-				n := pool[rng.Intn(len(pool))]
-				if used[n] < 1 {
-					init[i] = n
-					used[n]++
-					break
-				}
-			}
-		}
-		_, _, st := anneal.Minimize(anneal.Config{
-			Seed:           seed + int64(1000*r) + 1,
-			MaxEvaluations: 1000,
-		}, init, energy, func(m core.Mapping, rng *rand.Rand) core.Mapping {
-			nm := m.Clone()
-			if rng.Intn(2) == 0 && len(nm) >= 2 {
-				i, j := rng.Intn(len(nm)), rng.Intn(len(nm))
-				nm[i], nm[j] = nm[j], nm[i]
-				return nm
-			}
-			u := nm.Multiplicity()
-			i := rng.Intn(len(nm))
-			for a := 0; a < 8*len(pool); a++ {
-				n := pool[rng.Intn(len(pool))]
-				if n != nm[i] && u[n] < 1 {
-					nm[i] = n
-					break
-				}
-			}
-			return nm
-		})
-		total += st.Evaluations
-	}
-	return total
-}
-
-// TestFastPathSpeedupTarget asserts the headline claim: SA scheduling on
-// Orange Grove achieves several times the energy-evaluation throughput of
-// the Predict-per-proposal baseline. The measured gap is ~5× — it was over
-// an order of magnitude before the topology's path-signature cache sped up
-// Predict itself — so the floor is a conservative 3×.
-func TestFastPathSpeedupTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	if raceflag.Enabled {
-		t.Skip("race instrumentation penalizes the two paths unevenly; ratio is meaningless")
-	}
-	b := &testing.B{}
-	sys, prog := systemForBench(b)
-	eval, err := sys.Evaluator(prog.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
-	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
-
-	rate := func(run func(seed int64) int) float64 {
-		// Warm up once, then time a few decisions.
-		run(0)
-		evals := 0
-		start := time.Now()
-		for s := int64(1); s <= 3; s++ {
-			evals += run(s)
-		}
-		return float64(evals) / time.Since(start).Seconds()
-	}
-	fast := rate(func(seed int64) int {
-		d, err := schedule.SimulatedAnnealing(&schedule.Request{
-			Eval: eval, Snap: snap, Pool: pool, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Evaluations
-	})
-	baseline := rate(func(seed int64) int {
-		return saPredictBaseline(t, eval, snap, pool, seed)
-	})
-	if fast < 3*baseline {
-		t.Fatalf("fast path %.0f evals/s < 3x baseline %.0f evals/s", fast, baseline)
-	}
-	t.Logf("fast %.0f evals/s, baseline %.0f evals/s (%.1fx)", fast, baseline, fast/baseline)
 }

@@ -20,11 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cbes/internal/cluster"
@@ -55,22 +51,6 @@ func checkNodesUp(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) 
 		}
 	}
 	return anyStale, nil
-}
-
-// degradedSnapshot substitutes profile-only fallback values for every
-// stale (HealthSuspect) node of snap: nominal CPU availability and an idle
-// NIC, i.e. the prediction degrades to what the profile alone supports
-// rather than trusting forecasts past their TTL. The input is not
-// modified.
-func degradedSnapshot(snap *monitor.Snapshot) *monitor.Snapshot {
-	c := snap.Clone()
-	for i, h := range c.Health {
-		if h == monitor.HealthSuspect {
-			c.AvailCPU[i] = 1.0
-			c.NICUtil[i] = 0.0
-		}
-	}
-	return c
 }
 
 // Mapping assigns each application rank (index) to a cluster node (value) —
@@ -153,11 +133,22 @@ type Prediction struct {
 	Brownout bool
 }
 
+// Estimate is the part of a Prediction that service replies read: the
+// total, the first segment's critical rank, and the degraded-mode markers —
+// Prediction minus the per-segment, per-process breakdown.
+type Estimate struct {
+	Seconds    float64 // Σ over segments of S_M, equal to Prediction.Seconds
+	Critical   int     // critical rank of the first segment; -1 when there is none
+	Degraded   bool    // as Prediction.Degraded
+	StaleNodes []int   // as Prediction.StaleNodes
+	Brownout   bool    // as Prediction.Brownout
+}
+
 // Evaluator predicts execution times for mappings of one profiled
 // application on one calibrated cluster. It is the core CBES module that
 // serves mapping-comparison requests.
 //
-// An Evaluator is safe for concurrent use: Predict, Energy, and Compare may
+// An Evaluator is safe for concurrent use: Predict, Estimate, and Energy may
 // be called from multiple goroutines, and each Scorer drawn from it carries
 // its own scratch state. Do not copy an Evaluator after first use (derive
 // the NCS variant with CommBlind instead).
@@ -173,7 +164,7 @@ type Evaluator struct {
 
 	mu     sync.Mutex // guards lazy fastIx construction
 	fastIx *fastIndex
-	pool   sync.Pool // *Scorer arena for Energy
+	pool   sync.Pool // *Scorer arenas for Energy, Estimate, and Predict
 
 	nominalOnce sync.Once
 	nominal     *monitor.Snapshot // lazily-built brownout view (see PredictBrownout)
@@ -225,58 +216,45 @@ func NewEvaluator(topo *cluster.Topology, model *netmodel.Model, prof *profile.P
 	return e, nil
 }
 
+// Estimate evaluates mapping m under the resource conditions of snap and
+// returns what a service reply reads of the prediction. It runs the Scorer
+// kernel on a pooled arena and, on a snapshot with no stale mapped node,
+// does not allocate.
+func (e *Evaluator) Estimate(m Mapping, snap *monitor.Snapshot) (Estimate, error) {
+	defer observePredict(time.Now())
+	s := e.pooledScorer()
+	defer e.pool.Put(s)
+	anyStale, err := s.prime(m, snap)
+	if err != nil {
+		return Estimate{}, err
+	}
+	est := Estimate{Seconds: s.total, Critical: -1}
+	if len(s.segMax) > 0 {
+		est.Critical = s.critical(0)
+	}
+	if anyStale {
+		est.Degraded, est.StaleNodes = true, s.staleNodes(snap)
+		metricDegradedPredicts.Inc()
+	}
+	return est, nil
+}
+
 // Predict evaluates mapping m under the resource conditions of snap and
-// returns the execution-time prediction.
+// returns the execution-time prediction with its per-segment, per-process
+// breakdown: the same kernel evaluation as Estimate and Energy, followed by
+// a detail pass that copies the scorer's terms out.
 func (e *Evaluator) Predict(m Mapping, snap *monitor.Snapshot) (*Prediction, error) {
-	start := time.Now()
-	defer func() {
-		metricPredicts.Inc()
-		metricPredictSeconds.Observe(time.Since(start).Seconds())
-	}()
-	if len(m) != e.Prof.Ranks {
-		return nil, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), e.Prof.Ranks)
-	}
-	if err := m.Validate(e.Topo); err != nil {
-		return nil, err
-	}
-	anyStale, err := checkNodesUp(m, snap)
+	defer observePredict(time.Now())
+	s := e.pooledScorer()
+	defer e.pool.Put(s)
+	anyStale, err := s.prime(m, snap)
 	if err != nil {
 		return nil, err
 	}
-	mult := m.Multiplicity()
-	pred := &Prediction{Mapping: m.Clone()}
+	pred := &Prediction{Mapping: m.Clone(), Seconds: s.total, Segments: s.detail()}
 	if anyStale {
-		// Degraded mode: evaluate against the profile-only fallback view.
-		snap = degradedSnapshot(snap)
-		pred.Degraded = true
-		seen := map[int]bool{}
-		for _, n := range m {
-			if !seen[n] && snap.HealthOf(n) == monitor.HealthSuspect {
-				seen[n] = true
-				pred.StaleNodes = append(pred.StaleNodes, n)
-			}
-		}
-		sort.Ints(pred.StaleNodes)
+		pred.Degraded, pred.StaleNodes = true, s.staleNodes(snap)
 		metricDegradedPredicts.Inc()
-	}
-	for _, seg := range e.Prof.Segments {
-		se := SegmentEstimate{Name: seg.Name, Critical: -1}
-		for i := range seg.Procs {
-			pp := &seg.Procs[i]
-			node := m[pp.Rank]
-			est := ProcEstimate{Rank: pp.Rank}
-			est.R = e.computeTerm(pp, node, mult[node], snap)
-			if !e.IgnoreComm {
-				est.C = e.commTerm(pp, m, snap)
-			}
-			se.Procs = append(se.Procs, est)
-			if t := est.Total(); se.Critical < 0 || t > se.Seconds {
-				se.Seconds = t
-				se.Critical = pp.Rank
-			}
-		}
-		pred.Seconds += se.Seconds
-		pred.Segments = append(pred.Segments, se)
 	}
 	return pred, nil
 }
@@ -359,115 +337,4 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 	}
 	metricBrownoutPredicts.Inc()
 	return pred, nil
-}
-
-// computeTerm is R_i of eq. 5.
-func (e *Evaluator) computeTerm(pp *profile.ProcProfile, node, coLocated int, snap *monitor.Snapshot) float64 {
-	n := e.Topo.Node(node)
-	speed, ok := e.Prof.ArchSpeed[n.Arch]
-	if !ok || speed <= 0 {
-		// Fall back to the architecture's nominal speed when the profile
-		// lacks a measurement (should not happen with bench-built profiles).
-		speed = n.Speed
-	}
-	acpu := snap.AvailCPU[node]
-	if coLocated > 1 {
-		share := float64(n.CPUs) / float64(coLocated)
-		if share < 1 {
-			acpu *= share
-		}
-	}
-	if acpu < 0.01 {
-		acpu = 0.01
-	}
-	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
-}
-
-// commTerm is C_i = λ_i · Θ_i (eqs. 6 and 8), with Lc the load-adjusted
-// latency estimate of the network model.
-func (e *Evaluator) commTerm(pp *profile.ProcProfile, m Mapping, snap *monitor.Snapshot) float64 {
-	if pp.Lambda == 0 {
-		return 0
-	}
-	theta := profile.Theta(pp, m, func(src, dst int, size int64) float64 {
-		return e.Model.Latency(src, dst, size, snap)
-	})
-	return theta * pp.Lambda
-}
-
-// compareParallelThreshold is the batch size above which Compare fans out
-// to a worker pool; smaller batches are not worth the goroutine overhead.
-const compareParallelThreshold = 4
-
-// Compare evaluates a batch of candidate mappings (a mapping-comparison
-// request from an external client such as a scheduler) and returns the
-// predictions in the same order plus the index of the fastest. Large
-// batches are evaluated concurrently by a bounded worker pool; the result
-// is identical to the sequential evaluation.
-func (e *Evaluator) Compare(ms []Mapping, snap *monitor.Snapshot) ([]*Prediction, int, error) {
-	if len(ms) == 0 {
-		return nil, -1, fmt.Errorf("core: no mappings to compare")
-	}
-	metricCompares.Inc()
-	metricCompareMappings.Add(uint64(len(ms)))
-	preds := make([]*Prediction, len(ms))
-	if workers := boundedWorkers(len(ms)); workers > 1 && len(ms) >= compareParallelThreshold {
-		errs := make([]error, len(ms))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ms) {
-						return
-					}
-					preds[i], errs[i] = e.Predict(ms[i], snap)
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, -1, err
-			}
-		}
-	} else {
-		for i, m := range ms {
-			p, err := e.Predict(m, snap)
-			if err != nil {
-				return nil, -1, err
-			}
-			preds[i] = p
-		}
-	}
-	// NaN-aware best selection: a NaN prediction (corrupt profile or model)
-	// must never win by making every comparison false.
-	best := -1
-	for i, p := range preds {
-		if math.IsNaN(p.Seconds) {
-			continue
-		}
-		if best < 0 || p.Seconds < preds[best].Seconds {
-			best = i
-		}
-	}
-	if best < 0 {
-		best = 0 // every candidate NaN: keep the legacy fallback
-	}
-	return preds, best, nil
-}
-
-// boundedWorkers sizes a worker pool for n independent evaluations.
-func boundedWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

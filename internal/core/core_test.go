@@ -278,25 +278,6 @@ func TestNewEvaluatorChecks(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	f := newFixture(t, []int{0, 1})
-	snap := monitor.IdleSnapshot(f.topo.NumNodes())
-	ms := []Mapping{{0, 4}, {0, 1}, {4, 5}}
-	preds, best, err := f.eval.Compare(ms, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 3 {
-		t.Fatal("wrong prediction count")
-	}
-	if best != 1 {
-		t.Fatalf("best = %d (%v), want 1 (same-switch Alphas)", best, preds[best].Seconds)
-	}
-	if _, _, err := f.eval.Compare(nil, snap); err == nil {
-		t.Fatal("empty compare should error")
-	}
-}
-
 func TestExplain(t *testing.T) {
 	f := newFixture(t, []int{0, 1})
 	snap := monitor.IdleSnapshot(f.topo.NumNodes())
@@ -410,62 +391,6 @@ func BenchmarkPredict(b *testing.B) {
 		if _, err := eval.Predict(Mapping{i % 8, (i + 3) % 8}, snap); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestCompareSkipsNaNPredictions(t *testing.T) {
-	// Regression: best-mapping selection used "candidate < best", which a
-	// NaN prediction (e.g. a corrupt availability reading) never satisfies,
-	// so a NaN candidate in slot 0 won the whole comparison.
-	f := newFixture(t, []int{0, 1})
-	snap := monitor.IdleSnapshot(f.topo.NumNodes())
-	snap.AvailCPU[2] = math.NaN()
-	ms := []Mapping{{2, 3}, {0, 1}, {2, 1}}
-	preds, best, err := f.eval.Compare(ms, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(preds[0].Seconds) || !math.IsNaN(preds[2].Seconds) {
-		t.Fatalf("expected NaN predictions for node-2 mappings: %v, %v",
-			preds[0].Seconds, preds[2].Seconds)
-	}
-	if best != 1 {
-		t.Fatalf("best = %d (%.6g), want the only finite candidate 1", best, preds[best].Seconds)
-	}
-}
-
-func TestCompareParallelMatchesSequential(t *testing.T) {
-	// Large batches fan out to a worker pool; result order and best index
-	// must match the sequential path.
-	f := newFixture(t, []int{0, 1})
-	snap := monitor.IdleSnapshot(f.topo.NumNodes())
-	var ms []Mapping
-	for a := 0; a < f.topo.NumNodes(); a++ {
-		for b := 0; b < f.topo.NumNodes(); b++ {
-			if a != b {
-				ms = append(ms, Mapping{a, b})
-			}
-		}
-	}
-	preds, best, err := f.eval.Compare(ms, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBest := -1
-	for i, m := range ms {
-		p, err := f.eval.Predict(m, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Seconds != preds[i].Seconds {
-			t.Fatalf("mapping %v: parallel %v != sequential %v", m, preds[i].Seconds, p.Seconds)
-		}
-		if wantBest < 0 || p.Seconds < preds[wantBest].Seconds {
-			wantBest = i
-		}
-	}
-	if best != wantBest {
-		t.Fatalf("best = %d, want %d", best, wantBest)
 	}
 }
 

@@ -1,7 +1,9 @@
-// Fast-path mapping evaluation: an allocation-free scoring routine
-// (Scorer.Energy, identical to Predict(...).Seconds) plus incremental
-// delta-evaluation of typed moves (Scorer.Apply/Undo), the throughput
-// engine behind the CS/NCS/GA schedulers.
+// The evaluation kernel: the one implementation of eqs. 4-8. Scorer.Energy
+// scores a mapping without allocating and primes incremental
+// delta-evaluation of typed moves (Scorer.Apply/Undo), the throughput engine
+// behind the CS/NCS/GA schedulers; Evaluator.Estimate and Evaluator.Predict
+// are the same evaluation on a pooled scorer, Predict followed by a detail
+// pass that copies the per-process terms out.
 //
 // The evaluator precomputes, once per (topology, model, profile) triple:
 //
@@ -22,9 +24,12 @@
 // nodes — and rebuilds the total from per-segment maxima, so the running
 // energy is always bit-identical to a fresh full evaluation.
 //
-// Invariants (checked by TestFastPathEquivalence and FuzzEnergyDelta):
+// Invariants, checked by TestFastPathEquivalence and FuzzEnergyDelta against
+// oraclePredict — the segment-by-segment walk over Model.Latency that the
+// kernel replaced, kept in oracle_test.go as an independent reference:
 //
-//	Scorer.Energy(m, snap)      == Predict(m, snap).Seconds   (exactly)
+//	Energy(m, snap), Estimate(m, snap), Predict(m, snap)
+//	                            == oraclePredict(m, snap)     (every field, exactly)
 //	Scorer.Apply(mv); EnergyNow == Energy(moved m, snap)      (exactly)
 //	Scorer.Undo() restores the pre-Apply state                (exactly)
 package core
@@ -62,7 +67,7 @@ type fastIndex struct {
 	topo     *cluster.Topology
 	speed    []float64 // per node: profile speed with nominal fallback
 	cpus     []int     // per node: CPU count
-	// flat is every segment's ProcProfile in Predict iteration order;
+	// flat is every segment's ProcProfile in profile order;
 	// segOff[s] is the first flat index of segment s (len = segments+1).
 	flat   []*profile.ProcProfile
 	segOff []int
@@ -182,13 +187,13 @@ type frame struct {
 // undo. A Scorer is NOT safe for concurrent use; create one per goroutine
 // (the Evaluator itself is shareable).
 type Scorer struct {
-	e    *Evaluator
-	ix   *fastIndex
-	snap *monitor.Snapshot
+	e  *Evaluator
+	ix *fastIndex
 	// avail/nic are the effective per-node resource views: the snapshot's
-	// forecasts with profile-only fallback values substituted for stale
-	// (HealthSuspect) nodes — the same degraded-mode rule Predict applies,
-	// so the fast path stays bit-identical to the full evaluation.
+	// forecasts with profile-only fallback values (nominal CPU availability,
+	// idle NIC) substituted for stale (HealthSuspect) nodes, so a degraded
+	// prediction rests on what the profile alone supports rather than on
+	// forecasts past their TTL.
 	avail []float64
 	nic   []float64
 
@@ -230,10 +235,9 @@ func (e *Evaluator) Scorer() *Scorer {
 }
 
 // loadSnapshot fills the scorer's effective resource views from snap,
-// applying the degraded-mode substitution for stale nodes (cf.
-// degradedSnapshot). O(nodes), allocation-free.
+// applying the degraded-mode substitution for stale nodes. O(nodes),
+// allocation-free.
 func (s *Scorer) loadSnapshot(snap *monitor.Snapshot) {
-	s.snap = snap
 	copy(s.avail, snap.AvailCPU)
 	copy(s.nic, snap.NICUtil)
 	for i, h := range snap.Health {
@@ -245,18 +249,28 @@ func (s *Scorer) loadSnapshot(snap *monitor.Snapshot) {
 }
 
 // Energy fully evaluates mapping m under snap, primes the scorer's
-// incremental state with it, and returns the predicted execution time. The
-// result equals Predict(m, snap).Seconds exactly. Any pending undo history
-// is discarded.
+// incremental state with it, and returns the predicted execution time. Any
+// pending undo history is discarded.
 func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
+	if _, err := s.prime(m, snap); err != nil {
+		return 0, err
+	}
+	return s.total, nil
+}
+
+// prime is the full evaluation behind Energy, Estimate, and Predict: it
+// validates m, loads snap, and scores every entry, leaving the terms in
+// r/c, the per-segment maxima in segMax, and their sum in total. anyStale
+// reports that a mapped node is HealthSuspect (the degraded-mode trigger).
+func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) {
 	if len(m) != s.e.Prof.Ranks {
-		return 0, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), s.e.Prof.Ranks)
+		return false, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), s.e.Prof.Ranks)
 	}
 	if err := m.Validate(s.e.Topo); err != nil {
-		return 0, err
+		return false, err
 	}
-	if _, err := checkNodesUp(m, snap); err != nil {
-		return 0, err
+	if anyStale, err = checkNodesUp(m, snap); err != nil {
+		return false, err
 	}
 	s.loadSnapshot(snap)
 	copy(s.m, m)
@@ -277,7 +291,49 @@ func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
 	s.depth = 0
 	s.primed = true
 	metricEnergyFull.Inc()
-	return s.total, nil
+	return anyStale, nil
+}
+
+// critical returns i_M of segment seg: the rank of the entry attaining the
+// segment maximum, or -1 for a segment without entries.
+func (s *Scorer) critical(seg int) int {
+	at, _ := s.segmentPeak(seg)
+	if at < 0 {
+		return -1
+	}
+	return s.ix.flat[at].Rank
+}
+
+// staleNodes lists the HealthSuspect nodes of snap that the primed mapping
+// uses, in ascending node order.
+func (s *Scorer) staleNodes(snap *monitor.Snapshot) []int {
+	var stale []int
+	for n, h := range snap.Health {
+		if h == monitor.HealthSuspect && s.mult[n] > 0 {
+			stale = append(stale, n)
+		}
+	}
+	return stale
+}
+
+// detail copies the primed state out as Prediction.Segments: one
+// []ProcEstimate backing array sliced per segment.
+func (s *Scorer) detail() []SegmentEstimate {
+	procs := make([]ProcEstimate, len(s.ix.flat))
+	for f, pp := range s.ix.flat {
+		procs[f] = ProcEstimate{Rank: pp.Rank, R: s.r[f], C: s.c[f]}
+	}
+	segs := make([]SegmentEstimate, len(s.segMax))
+	for seg := range segs {
+		lo, hi := s.ix.segOff[seg], s.ix.segOff[seg+1]
+		segs[seg] = SegmentEstimate{
+			Name:     s.e.Prof.Segments[seg].Name,
+			Seconds:  s.segMax[seg],
+			Critical: s.critical(seg),
+			Procs:    procs[lo:hi:hi],
+		}
+	}
+	return segs
 }
 
 // EnergyNow returns the energy of the scorer's current state.
@@ -341,11 +397,6 @@ func (s *Scorer) Apply(mv Move) float64 {
 	s.rescoreTouched(fr)
 	return s.total
 }
-
-// EnergyDelta is Apply under the name the scheduling layers use when they
-// care about the resulting energy rather than the state mutation; the move
-// stays applied until Undo.
-func (s *Scorer) EnergyDelta(mv Move) float64 { return s.Apply(mv) }
 
 // Undo reverts the most recent un-undone Apply. Applies form a stack, so
 // recursive searches (the exhaustive walk) can unwind arbitrarily deep.
@@ -460,20 +511,27 @@ func (s *Scorer) segmentOf(f int32) int {
 	return lo
 }
 
-// segmentMax scans one segment's totals in entry order, replicating the
-// strictly-greater selection Predict uses (first entry wins ties).
+// segmentMax is S_M of eq. 4 for one segment (0 for one without entries).
 func (s *Scorer) segmentMax(seg int) float64 {
+	_, max := s.segmentPeak(seg)
+	return max
+}
+
+// segmentPeak scans one segment's totals in entry order with a
+// strictly-greater selection, so the first entry wins ties; it returns the
+// flat index of the winner and its total, or (-1, 0) without entries.
+func (s *Scorer) segmentPeak(seg int) (at int, max float64) {
 	lo, hi := s.ix.segOff[seg], s.ix.segOff[seg+1]
 	if lo == hi {
-		return 0
+		return -1, 0
 	}
-	max := s.r[lo] + s.c[lo]
+	at, max = lo, s.r[lo]+s.c[lo]
 	for f := lo + 1; f < hi; f++ {
 		if t := s.r[f] + s.c[f]; t > max {
-			max = t
+			at, max = f, t
 		}
 	}
-	return max
+	return at, max
 }
 
 func (s *Scorer) sumSegments() float64 {
@@ -484,8 +542,7 @@ func (s *Scorer) sumSegments() float64 {
 	return total
 }
 
-// computeR is eq. 5 on precomputed tables — the same arithmetic as
-// Evaluator.computeTerm.
+// computeR is R_i of eq. 5 on precomputed tables.
 func (s *Scorer) computeR(f int32) float64 {
 	pp := s.ix.flat[f]
 	node := s.m[pp.Rank]
@@ -503,8 +560,9 @@ func (s *Scorer) computeR(f int32) float64 {
 	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
 }
 
-// computeC is eqs. 6 and 8 on the dense class table — the same arithmetic
-// and accumulation order as Evaluator.commTerm/profile.Theta.
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the dense class table, Lc
+// being the load-adjusted latency estimate of the network model; it
+// accumulates in profile.Theta's order (receives, then sends).
 func (s *Scorer) computeC(f int32) float64 {
 	if s.e.IgnoreComm {
 		return 0
@@ -539,16 +597,21 @@ func (s *Scorer) latency(src, dst int, size int64) float64 {
 	return c.Latency(size, s.avail[src], s.avail[dst], s.nic[src], s.nic[dst])
 }
 
-// Energy is the allocation-free counterpart of Predict(m, snap).Seconds:
-// it scores the mapping through a pooled scratch arena and returns only
-// the total. The evaluator stays shareable — concurrent callers draw
-// distinct scorers from the pool.
+// Energy scores the mapping through a pooled scratch arena and returns only
+// the total, without allocating. The evaluator stays shareable — concurrent
+// callers draw distinct scorers from the pool.
 func (e *Evaluator) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
-	s, _ := e.pool.Get().(*Scorer)
-	if s == nil {
-		s = e.Scorer()
-	}
+	s := e.pooledScorer()
 	en, err := s.Energy(m, snap)
 	e.pool.Put(s)
 	return en, err
+}
+
+// pooledScorer draws a scratch scorer from the evaluator's pool; the caller
+// returns it with e.pool.Put.
+func (e *Evaluator) pooledScorer() *Scorer {
+	if s, _ := e.pool.Get().(*Scorer); s != nil {
+		return s
+	}
+	return e.Scorer()
 }

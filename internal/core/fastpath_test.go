@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"cbes/internal/cluster"
 	"cbes/internal/monitor"
 	"cbes/internal/profile"
+	"cbes/internal/raceflag"
 	"cbes/internal/trace"
 )
 
@@ -19,8 +21,14 @@ import (
 // so the fast path is exercised on shapes far beyond the paper testbeds.
 func syntheticEvaluator(t testing.TB, seed int64) (*Evaluator, *rand.Rand) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
 	topo := cluster.NewRandom(seed, cluster.RandomSpec{MaxSwitches: 3, MaxNodesPerSwitch: 4})
+	return syntheticEvaluatorOn(t, topo, seed)
+}
+
+// syntheticEvaluatorOn is syntheticEvaluator over a given topology.
+func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Evaluator, *rand.Rand) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	model := bench.Calibrate(topo, bench.Options{Reps: 2, Sizes: []int64{64, 4 << 10}, SkipLoadFit: rng.Intn(2) == 0})
 
 	n := topo.NumNodes()
@@ -98,49 +106,135 @@ func randomValidMapping(ranks, nodes int, rng *rand.Rand) Mapping {
 	return m
 }
 
-func assertClose(t *testing.T, got, want float64, what string) {
+// randomHealth marks roughly a fifth of snap's nodes suspect and, when
+// withDown is set, a tenth down.
+func randomHealth(snap *monitor.Snapshot, rng *rand.Rand, withDown bool) *monitor.Snapshot {
+	snap.Health = make([]monitor.Health, len(snap.AvailCPU))
+	for i := range snap.Health {
+		switch p := rng.Float64(); {
+		case p < 0.2:
+			snap.Health[i] = monitor.HealthSuspect
+		case p < 0.3 && withDown:
+			snap.Health[i] = monitor.HealthDown
+			snap.AvailCPU[i] = 0
+		}
+	}
+	return snap
+}
+
+// same is bit-for-bit float equality, NaN matching NaN.
+func same(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// assertMatchesOracle checks the production entry points — Energy on sc
+// and pooled, Estimate, and Predict — against oraclePredict for one mapping:
+// every field exactly, or the same error.
+func assertMatchesOracle(t testing.TB, e *Evaluator, sc *Scorer, m Mapping, snap *monitor.Snapshot, what string) {
 	t.Helper()
-	tol := 1e-12 * math.Max(1, math.Abs(want))
-	if diff := math.Abs(got - want); diff > tol || math.IsNaN(got) != math.IsNaN(want) {
-		t.Fatalf("%s: fast %v != predict %v (diff %g)", what, got, want, diff)
+	want, werr := oraclePredict(e, m, snap)
+	en, nerr := sc.Energy(m, snap)
+	pen, pnerr := e.Energy(m, snap)
+	est, eerr := e.Estimate(m, snap)
+	pred, perr := e.Predict(m, snap)
+	if werr != nil {
+		for name, err := range map[string]error{"Energy": nerr, "pooled Energy": pnerr, "Estimate": eerr, "Predict": perr} {
+			if err == nil || err.Error() != werr.Error() {
+				t.Fatalf("%s: %s error %v, oracle error %v", what, name, err, werr)
+			}
+		}
+		return
+	}
+	if nerr != nil || pnerr != nil || eerr != nil || perr != nil {
+		t.Fatalf("%s: errors %v / %v / %v / %v, oracle succeeded", what, nerr, pnerr, eerr, perr)
+	}
+	if !same(en, want.Seconds) || !same(pen, want.Seconds) {
+		t.Fatalf("%s: Energy %v, pooled %v != oracle %v", what, en, pen, want.Seconds)
+	}
+	wantEst := Estimate{Seconds: want.Seconds, Critical: -1, Degraded: want.Degraded, StaleNodes: want.StaleNodes}
+	if len(want.Segments) > 0 {
+		wantEst.Critical = want.Segments[0].Critical
+	}
+	if !same(est.Seconds, wantEst.Seconds) || est.Critical != wantEst.Critical || est.Degraded != wantEst.Degraded ||
+		!reflect.DeepEqual(est.StaleNodes, wantEst.StaleNodes) || est.Brownout {
+		t.Fatalf("%s: Estimate %+v != oracle %+v", what, est, wantEst)
+	}
+	if !pred.Mapping.Equal(want.Mapping) || !same(pred.Seconds, want.Seconds) || pred.Degraded != want.Degraded ||
+		!reflect.DeepEqual(pred.StaleNodes, want.StaleNodes) || pred.Brownout || len(pred.Segments) != len(want.Segments) {
+		t.Fatalf("%s: Predict %+v != oracle %+v", what, pred, want)
+	}
+	for si, ws := range want.Segments {
+		gs := pred.Segments[si]
+		if gs.Name != ws.Name || !same(gs.Seconds, ws.Seconds) || gs.Critical != ws.Critical || len(gs.Procs) != len(ws.Procs) {
+			t.Fatalf("%s segment %d: Predict %+v != oracle %+v", what, si, gs, ws)
+		}
+		for pi, wp := range ws.Procs {
+			if gp := gs.Procs[pi]; gp.Rank != wp.Rank || !same(gp.R, wp.R) || !same(gp.C, wp.C) {
+				t.Fatalf("%s segment %d proc %d: Predict %+v != oracle %+v", what, si, pi, gp, wp)
+			}
+		}
 	}
 }
 
-// TestFastPathEquivalence: Energy ≡ Predict(...).Seconds over randomized
-// topologies, profiles, snapshots, and mappings — the acceptance-criteria
-// cross-check (run under -race in CI).
+// TestFastPathEquivalence: Energy, Estimate, and Predict ≡ the oracle over
+// randomized topologies (and one structured, algebraically routed one),
+// profiles, mappings, and healthy / suspect-node / down-node snapshots, with
+// and without the communication term (run under -race in CI).
 func TestFastPathEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
+	fat, err := cluster.FromSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 13; seed++ {
 		eval, rng := syntheticEvaluator(t, seed)
-		n := eval.Topo.NumNodes()
-		snap := randomSnapshot(n, rng)
-		sc := eval.Scorer()
-		for trial := 0; trial < 25; trial++ {
-			m := randomValidMapping(eval.Prof.Ranks, n, rng)
-			pred, err := eval.Predict(m, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sc.Energy(m, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertClose(t, got, pred.Seconds, fmt.Sprintf("seed %d trial %d", seed, trial))
-			// The pooled Evaluator.Energy front-end agrees too.
-			got2, err := eval.Energy(m, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertClose(t, got2, pred.Seconds, "pooled Energy")
+		if seed == 12 {
+			eval, rng = syntheticEvaluatorOn(t, fat, seed)
 		}
+		n := eval.Topo.NumNodes()
+		snaps := []struct {
+			kind string
+			snap *monitor.Snapshot
+		}{
+			{"healthy", randomSnapshot(n, rng)},
+			{"suspect", randomHealth(randomSnapshot(n, rng), rng, false)},
+			{"down", randomHealth(randomSnapshot(n, rng), rng, true)},
+		}
+		for _, e := range []*Evaluator{eval, eval.CommBlind()} {
+			sc := e.Scorer()
+			for _, sn := range snaps {
+				snap := sn.snap
+				for trial := 0; trial < 25; trial++ {
+					m := randomValidMapping(e.Prof.Ranks, n, rng)
+					what := fmt.Sprintf("seed %d %s blind=%v trial %d", seed, sn.kind, e.IgnoreComm, trial)
+					assertMatchesOracle(t, e, sc, m, snap, what)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateDoesNotAllocate: the service's miss path pays no allocation
+// for an evaluation on a healthy snapshot.
+func TestEstimateDoesNotAllocate(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	eval, rng := syntheticEvaluator(t, 5)
+	n := eval.Topo.NumNodes()
+	snap := randomSnapshot(n, rng)
+	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := eval.Estimate(m, snap); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Estimate allocates %v times per call on a healthy snapshot, want 0", avg)
 	}
 }
 
 // TestEnergyDeltaNoDrift walks long random move/swap sequences (the classic
 // incremental-evaluator failure mode) and checks after every Apply that the
-// running energy matches a fresh full prediction, that Undo restores the
-// previous energy exactly, and that unwinding the whole journal returns to
-// the initial state.
+// running energy matches the oracle's prediction of the moved mapping, that
+// Undo restores the previous energy exactly, and that unwinding the whole
+// journal returns to the initial state.
 func TestEnergyDeltaNoDrift(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		eval, rng := syntheticEvaluator(t, 100+seed)
@@ -164,11 +258,13 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 			before := sc.EnergyNow()
 			got := sc.Apply(mv)
 			applied++
-			pred, err := eval.Predict(sc.Current(), snap)
+			want, err := oraclePredict(eval, sc.Current(), snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertClose(t, got, pred.Seconds, fmt.Sprintf("seed %d step %d apply", seed, step))
+			if !same(got, want.Seconds) {
+				t.Fatalf("seed %d step %d apply: delta %v != oracle %v", seed, step, got, want.Seconds)
+			}
 			if got != sc.EnergyNow() {
 				t.Fatal("Apply return disagrees with EnergyNow")
 			}
@@ -176,13 +272,17 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				sc.Undo()
 				applied--
-				assertClose(t, sc.EnergyNow(), before, fmt.Sprintf("seed %d step %d undo", seed, step))
+				if !same(sc.EnergyNow(), before) {
+					t.Fatalf("seed %d step %d undo: %v != %v", seed, step, sc.EnergyNow(), before)
+				}
 			}
 		}
 		for ; applied > 0; applied-- {
 			sc.Undo()
 		}
-		assertClose(t, sc.EnergyNow(), e0, fmt.Sprintf("seed %d full unwind", seed))
+		if !same(sc.EnergyNow(), e0) {
+			t.Fatalf("seed %d full unwind: %v != %v", seed, sc.EnergyNow(), e0)
+		}
 		if !sc.Current().Equal(m) {
 			t.Fatalf("seed %d: unwound mapping %v != initial %v", seed, sc.Current(), m)
 		}
@@ -190,27 +290,21 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 }
 
 // TestCommBlindFastPath: the NCS evaluator derived with CommBlind matches
-// its own Predict, stays below the full prediction, and shares the index.
+// the comm-blind oracle, stays below the full prediction, and shares the
+// index.
 func TestCommBlindFastPath(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 7)
 	blind := eval.CommBlind()
-	if !blind.IgnoreComm || eval.IgnoreComm {
-		t.Fatal("CommBlind flags wrong")
+	if !blind.IgnoreComm || eval.IgnoreComm || blind.fastIx != eval.fastIx {
+		t.Fatal("CommBlind flags or index sharing wrong")
 	}
 	n := eval.Topo.NumNodes()
 	snap := randomSnapshot(n, rng)
 	sc := blind.Scorer()
 	for trial := 0; trial < 20; trial++ {
 		m := randomValidMapping(eval.Prof.Ranks, n, rng)
-		pred, err := blind.Predict(m, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sc.Energy(m, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertClose(t, got, pred.Seconds, "comm-blind energy")
+		assertMatchesOracle(t, blind, sc, m, snap, "comm-blind")
+		got := sc.EnergyNow()
 		full, err := eval.Energy(m, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +338,7 @@ func TestScorerRejectsInvalid(t *testing.T) {
 }
 
 // TestEvaluatorConcurrentUse hammers a shared evaluator from several
-// goroutines mixing Predict, pooled Energy, and per-goroutine scorers — the
+// goroutines mixing Predict, Estimate, pooled Energy, and per-goroutine scorers — the
 // shareability contract the parallel schedulers rely on (meaningful under
 // -race).
 func TestEvaluatorConcurrentUse(t *testing.T) {
@@ -255,7 +349,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 	want := make([]float64, len(ms))
 	for i := range ms {
 		ms[i] = randomValidMapping(eval.Prof.Ranks, n, rng)
-		p, err := eval.Predict(ms[i], snap)
+		p, err := oraclePredict(eval, ms[i], snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +364,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 			for i, m := range ms {
 				var got float64
 				var err error
-				switch (i + w) % 3 {
+				switch (i + w) % 4 {
 				case 0:
 					var p *Prediction
 					p, err = eval.Predict(m, snap)
@@ -278,6 +372,10 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 						got = p.Seconds
 					}
 				case 1:
+					var est Estimate
+					est, err = eval.Estimate(m, snap)
+					got = est.Seconds
+				case 2:
 					got, err = eval.Energy(m, snap)
 				default:
 					got, err = sc.Energy(m, snap)
@@ -290,38 +388,38 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Parallel Compare agrees with the precomputed minimum.
-	preds, best, err := eval.Compare(ms, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBest := 0
-	for i := range want {
-		if want[i] < want[wantBest] {
-			wantBest = i
-		}
-	}
-	if best != wantBest || preds[best].Seconds != want[wantBest] {
-		t.Fatalf("Compare best %d (%v), want %d (%v)", best, preds[best].Seconds, wantBest, want[wantBest])
-	}
 }
 
-// FuzzEnergyDelta drives the incremental evaluator with fuzz-derived move
-// sequences on a fixed synthetic fixture, cross-checking every step against
-// a fresh Predict.
+// FuzzEnergyDelta drives the evaluator with fuzz-derived mappings and move
+// sequences on a fixed synthetic fixture. mapSeed also picks the snapshot
+// (healthy, suspect-node, down-node) and whether the communication term is
+// on; the starting and final mappings are checked field by field against
+// the oracle through all three entry points, and every step's running
+// energy against the oracle's total.
 func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(2), []byte{0xff, 0x80, 0x01, 0x40, 0x7f})
 	f.Add(int64(3), []byte{})
+	f.Add(int64(4), []byte{9, 200, 31, 7})
+	f.Add(int64(5), []byte{1, 1})
+	f.Add(int64(6), []byte{2, 3, 77, 5, 128, 64})
 	eval, rng := syntheticEvaluator(f, 42)
 	n := eval.Topo.NumNodes()
 	ranks := eval.Prof.Ranks
-	snap := randomSnapshot(n, rng)
+	snaps := []*monitor.Snapshot{
+		randomSnapshot(n, rng),
+		randomHealth(randomSnapshot(n, rng), rng, false),
+		randomHealth(randomSnapshot(n, rng), rng, true),
+	}
+	evals := []*Evaluator{eval, eval.CommBlind()}
 	f.Fuzz(func(t *testing.T, mapSeed int64, moves []byte) {
-		sc := eval.Scorer()
+		pick := uint64(mapSeed)
+		e, snap := evals[pick%2], snaps[pick/2%3]
+		sc := e.Scorer()
 		m := randomValidMapping(ranks, n, rand.New(rand.NewSource(mapSeed)))
-		if _, err := sc.Energy(m, snap); err != nil {
-			t.Fatal(err)
+		assertMatchesOracle(t, e, sc, m, snap, "start")
+		if _, _, down := snap.HealthCounts(); down > 0 {
+			return // Apply does not re-check health: schedulers filter down nodes from the pool
 		}
 		if len(moves) > 64 {
 			moves = moves[:64]
@@ -335,13 +433,14 @@ func FuzzEnergyDelta(f *testing.F) {
 				mv = Move{Rank: (a >> 1) % ranks, To: b % n}
 			}
 			got := sc.Apply(mv)
-			pred, err := eval.Predict(sc.Current(), snap)
+			want, err := oraclePredict(e, sc.Current(), snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diff := math.Abs(got - pred.Seconds); diff > 1e-12*math.Max(1, math.Abs(pred.Seconds)) {
-				t.Fatalf("move %d: fast %v != predict %v", i/2, got, pred.Seconds)
+			if !same(got, want.Seconds) {
+				t.Fatalf("move %d: delta %v != oracle %v", i/2, got, want.Seconds)
 			}
 		}
+		assertMatchesOracle(t, e, e.Scorer(), sc.Current(), snap, "end")
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -85,9 +86,9 @@ func TestPredictDegradesOnStaleNode(t *testing.T) {
 	}
 }
 
-// TestScorerMatchesPredictUnderFaults extends the fast-path equivalence
-// invariant to degraded snapshots: Energy must equal Predict.Seconds
-// exactly even when some nodes are suspect.
+// TestScorerMatchesPredictUnderFaults extends the equivalence invariant to
+// degraded snapshots on the calibrated fixture: Energy, Estimate, and
+// Predict must equal the oracle exactly even when some nodes are suspect.
 func TestScorerMatchesPredictUnderFaults(t *testing.T) {
 	f := newFixture(t, []int{0, 1})
 	snap := healthSnap(f.topo.NumNodes(), map[int]monitor.Health{
@@ -100,27 +101,8 @@ func TestScorerMatchesPredictUnderFaults(t *testing.T) {
 	snap.AvailCPU[6] = 0.1
 
 	sc := f.eval.Scorer()
-	for _, m := range []Mapping{{0, 1}, {1, 6}, {2, 3}, {6, 6}, {0, 7}} {
-		pred, err := f.eval.Predict(m, snap)
-		if err != nil {
-			t.Fatalf("Predict(%v): %v", m, err)
-		}
-		got, err := sc.Energy(m, snap)
-		if err != nil {
-			t.Fatalf("Energy(%v): %v", m, err)
-		}
-		if got != pred.Seconds {
-			t.Fatalf("Energy(%v) = %v, Predict = %v (must be bit-identical)", m, got, pred.Seconds)
-		}
-	}
-}
-
-func TestCompareSurfacesNodeDown(t *testing.T) {
-	f := newFixture(t, []int{0, 1})
-	snap := healthSnap(f.topo.NumNodes(), map[int]monitor.Health{3: monitor.HealthDown})
-	_, _, err := f.eval.Compare([]Mapping{{0, 1}, {2, 3}}, snap)
-	if !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("Compare with a down-node candidate: err = %v, want ErrNodeDown", err)
+	for _, m := range []Mapping{{0, 1}, {1, 6}, {2, 3}, {6, 6}, {0, 7}, {5, 1}} {
+		assertMatchesOracle(t, f.eval, sc, m, snap, fmt.Sprint(m))
 	}
 }
 

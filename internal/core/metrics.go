@@ -5,30 +5,28 @@
 // evaluations that cost hundreds of ns to µs each.
 package core
 
-import "cbes/internal/obs"
+import (
+	"time"
+
+	"cbes/internal/obs"
+)
 
 var (
-	// Full prediction path (Predict — allocation-heavy, RPC-facing).
+	// RPC-facing prediction path (Estimate, and Predict with its breakdown).
 	metricPredicts = obs.Default().Counter(
-		"cbes_core_predict_total", "Full Predict evaluations (eq. 4 with breakdown).")
+		"cbes_core_predict_total", "Estimate and Predict evaluations (eq. 4).")
 	metricPredictSeconds = obs.Default().Histogram(
-		"cbes_core_predict_seconds", "Latency of full Predict evaluations.", nil)
+		"cbes_core_predict_seconds", "Latency of Estimate and Predict evaluations.", nil)
 
-	// Scorer fast path (Energy/Apply/Undo — the scheduler hot loop).
+	// Scorer kernel (full evaluation, then Apply/Undo — the scheduler hot loop).
 	metricEnergyFull = obs.Default().Counter(
-		"cbes_core_energy_evals_total", "Full allocation-free Scorer.Energy evaluations.")
+		"cbes_core_energy_evals_total", "Full Scorer evaluations (Energy, Estimate, Predict).")
 	metricEnergyDelta = obs.Default().Counter(
 		"cbes_core_delta_evals_total", "Incremental Scorer.Apply delta evaluations.")
 	metricUndos = obs.Default().Counter(
 		"cbes_core_undo_total", "Scorer.Undo reversions (rejected proposals).")
 	metricDeltaTouched = obs.Default().Counter(
 		"cbes_core_delta_terms_rescored_total", "Per-(segment,proc) terms rescored by Apply.")
-
-	// Batch comparison requests (the paper's mapping-comparison operation).
-	metricCompares = obs.Default().Counter(
-		"cbes_core_compare_total", "Compare batch requests.")
-	metricCompareMappings = obs.Default().Counter(
-		"cbes_core_compare_mappings_total", "Candidate mappings evaluated by Compare batches.")
 
 	// Evaluator construction (index precomputation).
 	metricEvaluators = obs.Default().Counter(
@@ -47,3 +45,9 @@ var (
 		"cbes_core_predict_brownout_total",
 		"Predictions served from the profile-only brownout fast path under load shedding.")
 )
+
+// observePredict records one Estimate or Predict evaluation begun at start.
+func observePredict(start time.Time) {
+	metricPredicts.Inc()
+	metricPredictSeconds.Observe(time.Since(start).Seconds())
+}

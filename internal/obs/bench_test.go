@@ -8,8 +8,8 @@ import (
 // The acceptance bar for instrumenting the fast path (ISSUE 3): an
 // enabled counter increment — and a disabled (nil) one — must cost
 // < 25 ns/op, so per-Apply accounting cannot measurably dent the ~90×
-// evals/s gain of the PR 1 fast path (whose own floor is guarded by
-// TestFastPathSpeedupTarget in the root bench_test.go).
+// evals/s gain of the PR 1 fast path (tracked by
+// BenchmarkSASchedulingFast in the root bench_test.go).
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")

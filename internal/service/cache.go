@@ -29,13 +29,14 @@ var (
 // CacheSize zero.
 const DefaultCacheSize = 4096
 
-// predCache is a bounded LRU cache of *core.Prediction keyed by
-// (application, mapping signature, snapshot epoch). The epoch inside the
-// key is the invalidation mechanism: any state transition bumps the
-// monitor epoch, so stale entries become unreachable instantly — they
-// can never be returned for a newer epoch — and are recycled by LRU
-// pressure rather than swept. Cached predictions are shared read-only
-// across requests; callers must copy anything they intend to modify.
+// predCache is a bounded LRU cache of core.Estimate — what a reply reads
+// of a prediction, not its per-process breakdown — keyed by (application,
+// mapping signature, snapshot epoch). The epoch inside the key is the
+// invalidation mechanism: any state transition bumps the monitor epoch,
+// so stale entries become unreachable instantly — they can never be
+// returned for a newer epoch — and are recycled by LRU pressure rather
+// than swept. An estimate's StaleNodes backing array is shared read-only
+// across requests; callers must copy it before handing it on.
 type predCache struct {
 	mu  sync.Mutex
 	cap int
@@ -48,8 +49,8 @@ type predCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	pred *core.Prediction
+	key string
+	est core.Estimate
 }
 
 // newPredCache builds a cache bounded to capacity entries (min 1).
@@ -68,8 +69,8 @@ func newBrownCache(capacity int) *predCache {
 	return c
 }
 
-// get returns the cached prediction for key, refreshing its recency.
-func (c *predCache) get(key string) (*core.Prediction, bool) {
+// get returns the cached estimate for key, refreshing its recency.
+func (c *predCache) get(key string) (core.Estimate, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byK[key]
@@ -77,26 +78,26 @@ func (c *predCache) get(key string) (*core.Prediction, bool) {
 		if !c.silent {
 			cacheMisses.Inc()
 		}
-		return nil, false
+		return core.Estimate{}, false
 	}
 	c.ll.MoveToFront(el)
 	if !c.silent {
 		cacheHits.Inc()
 	}
-	return el.Value.(*cacheEntry).pred, true
+	return el.Value.(*cacheEntry).est, true
 }
 
-// put inserts (or refreshes) a prediction, evicting the LRU tail past
+// put inserts (or refreshes) an estimate, evicting the LRU tail past
 // capacity.
-func (c *predCache) put(key string, pred *core.Prediction) {
+func (c *predCache) put(key string, est core.Estimate) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byK[key]; ok {
-		el.Value.(*cacheEntry).pred = pred
+		el.Value.(*cacheEntry).est = est
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byK[key] = c.ll.PushFront(&cacheEntry{key: key, pred: pred})
+	c.byK[key] = c.ll.PushFront(&cacheEntry{key: key, est: est})
 	for c.ll.Len() > c.cap {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
@@ -131,106 +132,79 @@ func predKey(app string, mapping []int, epoch uint64) string {
 	return string(buf)
 }
 
-// predictCached serves one prediction through the cache: a hit returns
-// the shared cached prediction, a miss evaluates and fills; the second
-// return value reports which happened (feeding the decision record's
-// cache outcome). The caller supplies the view so the epoch in the key
-// matches the snapshot being evaluated against, and a context whose
-// active span parents the lookup/evaluation spans. With the cache
-// disabled (nil) it degenerates to a plain (unspanned) Predict.
-func (s *Server) predictCached(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping) (*core.Prediction, bool, error) {
-	if s.cache == nil {
-		pred, err := eval.Predict(m, v.snap)
-		return pred, false, err
-	}
-	span, ctx := obs.StartSpan(ctx, "cache.lookup")
-	key := predKey(app, m, v.epoch)
-	if pred, ok := s.cache.get(key); ok {
-		span.Attr("hit", true).End()
-		return pred, true, nil
-	}
-	span.Attr("hit", false)
-	pspan, _ := obs.StartSpan(ctx, "core.predict")
-	pred, err := eval.Predict(m, v.snap)
-	if err != nil {
-		pspan.Error(err).End()
-		span.Error(err).End()
-		return nil, false, err
-	}
-	pspan.End()
-	s.cache.put(key, pred)
-	span.End()
-	return pred, false, nil
-}
-
-// predictAdmitted is predictCached with admission control on the
-// compute path (DESIGN.md §15): an epoch-cache hit is served without
-// touching the limiter — the cached answer IS the full answer, so the
-// cheap class degenerates to free — while a miss must win an
-// expensive-class slot before evaluating. shed=true (with no prediction
-// and no error) reports that the limiter refused the compute; the
-// caller falls back to the brownout path. With no limiter installed it
-// degenerates to predictCached exactly.
-func (s *Server) predictAdmitted(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping) (pred *core.Prediction, hit, shed bool, err error) {
-	if s.lim == nil {
-		pred, hit, err = s.predictCached(ctx, v, app, eval, m)
-		return pred, hit, false, err
-	}
+// estimate serves one prediction through the cache: a hit returns the
+// cached estimate, a miss evaluates and fills; hit reports which happened
+// (feeding the decision record's cache outcome). The caller supplies the
+// view so the epoch in the key matches the snapshot being evaluated
+// against, and a context whose active span parents the lookup/evaluation
+// spans. With the cache disabled (nil) every call is a miss.
+//
+// admit puts admission control on the compute path (DESIGN.md §15): a hit
+// is served without touching the limiter — the cached answer IS the full
+// answer, so the cheap class degenerates to free — while a miss must win
+// an expensive-class slot before evaluating. shed=true (with no estimate
+// and no error) reports that the limiter refused the compute; the caller
+// falls back to the brownout path. Callers that already hold a slot for
+// the whole request (Compare, Schedule) pass admit=false.
+func (s *Server) estimate(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping, admit bool) (est core.Estimate, hit, shed bool, err error) {
 	span, ctx := obs.StartSpan(ctx, "cache.lookup")
 	key := ""
 	if s.cache != nil {
 		key = predKey(app, m, v.epoch)
-		if pred, ok := s.cache.get(key); ok {
+		if est, hit = s.cache.get(key); hit {
 			span.Attr("hit", true).End()
-			return pred, true, false, nil
+			return est, true, false, nil
 		}
 	}
 	span.Attr("hit", false)
-	tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
-	if aerr != nil {
-		span.Attr("shed", true).End()
-		if errors.Is(aerr, admission.ErrShed) {
-			return nil, false, true, nil
+	if admit && s.lim != nil {
+		tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
+		if aerr != nil {
+			span.Attr("shed", true).End()
+			if errors.Is(aerr, admission.ErrShed) {
+				return core.Estimate{}, false, true, nil
+			}
+			return core.Estimate{}, false, false, aerr
 		}
-		return nil, false, false, aerr
+		defer s.lim.Release(tk)
 	}
-	defer s.lim.Release(tk)
 	pspan, _ := obs.StartSpan(ctx, "core.predict")
-	pred, err = eval.Predict(m, v.snap)
+	est, err = eval.Estimate(m, v.snap)
 	if err != nil {
 		pspan.Error(err).End()
 		span.Error(err).End()
-		return nil, false, false, err
+		return core.Estimate{}, false, false, err
 	}
 	pspan.End()
 	if s.cache != nil {
-		s.cache.put(key, pred)
+		s.cache.put(key, est)
 	}
 	span.End()
-	return pred, false, false, nil
+	return est, false, false, nil
 }
 
-// predictBrownoutCached serves one profile-only brownout prediction
-// through the metric-silent brownout cache. The key is epoch-less:
-// brownout answers depend only on profile + topology, so repeats are
-// free for the process lifetime — that cacheability is what lets a
-// saturated server keep answering at all. A cache miss computes under a
-// cheap-class admission slot (the serial brownout lane); when even that
-// lane is busy the request finally sheds with ErrShed.
-func (s *Server) predictBrownoutCached(ctx context.Context, eval *core.Evaluator, app string, m core.Mapping) (*core.Prediction, error) {
+// brownoutEstimate serves one profile-only brownout prediction through
+// the metric-silent brownout cache. The key is epoch-less: brownout
+// answers depend only on profile + topology, so repeats are free for the
+// process lifetime — that cacheability is what lets a saturated server
+// keep answering at all. A cache miss computes under a cheap-class
+// admission slot (the serial brownout lane); when even that lane is busy
+// the request finally sheds with ErrShed.
+func (s *Server) brownoutEstimate(ctx context.Context, eval *core.Evaluator, app string, m core.Mapping) (core.Estimate, error) {
 	key := predKey(app, m, 0)
-	if pred, ok := s.brown.get(key); ok {
-		return pred, nil
+	if est, ok := s.brown.get(key); ok {
+		return est, nil
 	}
 	tk, aerr := s.lim.Acquire(ctx, admission.Cheap)
 	if aerr != nil {
-		return nil, aerr
+		return core.Estimate{}, aerr
 	}
 	defer s.lim.Release(tk)
 	pred, err := eval.PredictBrownout(m)
 	if err != nil {
-		return nil, err
+		return core.Estimate{}, err
 	}
-	s.brown.put(key, pred)
-	return pred, nil
+	est := core.Estimate{Seconds: pred.Seconds, Critical: -1, Brownout: true}
+	s.brown.put(key, est)
+	return est, nil
 }

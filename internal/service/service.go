@@ -197,7 +197,7 @@ func (s *Server) intercept(method string, meta TraceMeta, fn func(ctx context.Co
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	span, ctx, cancel := startRPCSpan(method, meta)
 	defer cancel()
@@ -282,7 +282,7 @@ func (s *Server) interceptRead(method string, meta TraceMeta, fn func(ctx contex
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	span, ctx, cancel := startRPCSpan(method, meta)
 	defer cancel()
@@ -577,8 +577,11 @@ type Server struct {
 	// (see intercept).
 	lock    chan struct{}
 	timeout time.Duration
-	// inflight tracks requests (not connections) for shutdown draining.
-	inflight sync.WaitGroup
+	// inflight counts requests (not connections) for shutdown draining.
+	// A counter polled by the drain rather than a WaitGroup: connections
+	// stay open while draining, so a request may start after the count
+	// has reached zero, which WaitGroup's reuse rule turns into a panic.
+	inflight atomic.Int64
 	// view is the epoch-stamped immutable state the read path runs
 	// against; the writer republishes it after every mutation.
 	view atomic.Pointer[view]
@@ -660,13 +663,14 @@ func (s *Server) SetSingleLock(on bool) {
 	}
 }
 
-// fillDegraded copies a prediction's degraded-mode markers into reply
-// fields. The StaleNodes copy matters: cached predictions are shared
-// read-only across requests and net/rpc encodes replies concurrently.
-func fillDegraded(pred *core.Prediction, degraded *bool, stale *[]int) {
-	*degraded = pred.Degraded
-	if len(pred.StaleNodes) > 0 {
-		*stale = append([]int(nil), pred.StaleNodes...)
+// fillDegraded copies an estimate's degraded-mode markers into reply
+// fields. The StaleNodes copy matters: a cached estimate's backing array
+// is shared read-only across requests and net/rpc encodes replies
+// concurrently.
+func fillDegraded(est core.Estimate, degraded *bool, stale *[]int) {
+	*degraded = est.Degraded
+	if len(est.StaleNodes) > 0 {
+		*stale = append([]int(nil), est.StaleNodes...)
 	}
 }
 
@@ -713,7 +717,7 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 		if err != nil {
 			return err
 		}
-		pred, hit, shed, err := s.predictAdmitted(ctx, v, args.App, eval, core.Mapping(args.Mapping))
+		est, hit, shed, err := s.estimate(ctx, v, args.App, eval, core.Mapping(args.Mapping), true)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
@@ -726,33 +730,28 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 			// answer from the profile-only fast path — a labeled cheaper
 			// answer instead of a rejection (DESIGN.md §15).
 			d.Shed = true
-			pred, err = s.predictBrownoutCached(ctx, eval, args.App, core.Mapping(args.Mapping))
+			est, err = s.brownoutEstimate(ctx, eval, args.App, core.Mapping(args.Mapping))
 			if err != nil {
 				return err
 			}
 			d.Brownout = true
 			brownoutServed.Inc()
-			reply.TraceID = d.TraceID
-			reply.Seconds = pred.Seconds
-			if len(pred.Segments) > 0 {
-				reply.Critical = pred.Segments[0].Critical
-			}
-			reply.Brownout = true
-			d.Mapping = args.Mapping
-			d.Predicted = pred.Seconds
-			return nil
 		}
 		reply.TraceID = d.TraceID
-		reply.Seconds = pred.Seconds
-		if len(pred.Segments) > 0 {
-			reply.Critical = pred.Segments[0].Critical
+		reply.Seconds = est.Seconds
+		if est.Critical >= 0 { // the brownout sketch names no critical rank
+			reply.Critical = est.Critical
 		}
-		fillDegraded(pred, &reply.Degraded, &reply.StaleNodes)
-		id, k := s.beginPrediction(ctx, v, args.App, "", args.Mapping, pred.Seconds, pred.Degraded)
+		reply.Brownout = est.Brownout
+		d.Mapping = args.Mapping
+		d.Predicted = est.Seconds
+		if est.Brownout {
+			return nil // never registered with the ledger: its bias would feed calibration
+		}
+		fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
+		id, k := s.beginPrediction(ctx, v, args.App, "", args.Mapping, est.Seconds, est.Degraded)
 		reply.PredictionID = id
 		fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-		d.Mapping = args.Mapping
-		d.Predicted = pred.Seconds
 		d.PredictionID = id
 		d.Degraded, d.StaleNodes = reply.Degraded, reply.StaleNodes
 		return nil
@@ -768,7 +767,10 @@ func (s *Server) record(d *obs.Decision, err error) {
 	s.rec.Record(*d)
 }
 
-// Explain predicts one mapping and returns the per-process breakdown.
+// Explain predicts one mapping and returns the per-process breakdown. It
+// is the only consumer of that detail, so it evaluates afresh rather than
+// have the cache hold a breakdown per entry; its Seconds equals what
+// Evaluate serves for the same mapping and epoch, cached or not.
 func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 	return s.interceptRead("Explain", args.TraceMeta, func(ctx context.Context) (err error) {
 		v := s.view.Load()
@@ -781,11 +783,7 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 		if err != nil {
 			return err
 		}
-		pred, hit, err := s.predictCached(ctx, v, args.App, eval, core.Mapping(args.Mapping))
-		d.CacheLookups = 1
-		if hit {
-			d.CacheHits = 1
-		}
+		pred, err := eval.Predict(core.Mapping(args.Mapping), v.snap)
 		if err != nil {
 			return err
 		}
@@ -837,12 +835,11 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 		reply.StaleNodes = make([][]int, len(args.Mappings))
 		reply.PredictionIDs = make([]string, len(args.Mappings))
 		keys := make([]accuracy.Key, len(args.Mappings))
-		// NaN-aware best selection, mirroring core.Evaluator.Compare: a NaN
-		// prediction (corrupt profile or model) must never win by making
-		// every comparison false.
+		// NaN-aware best selection: a NaN prediction (corrupt profile or
+		// model) must never win by making every comparison false.
 		best := -1
 		for i, m := range args.Mappings {
-			pred, hit, err := s.predictCached(ctx, v, args.App, eval, core.Mapping(m))
+			est, hit, _, err := s.estimate(ctx, v, args.App, eval, core.Mapping(m), false)
 			d.CacheLookups++
 			if hit {
 				d.CacheHits++
@@ -850,13 +847,13 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 			if err != nil {
 				return err
 			}
-			reply.Seconds[i] = pred.Seconds
-			fillDegraded(pred, &reply.Degraded[i], &reply.StaleNodes[i])
-			reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, args.App, "", m, pred.Seconds, pred.Degraded)
-			if math.IsNaN(pred.Seconds) {
+			reply.Seconds[i] = est.Seconds
+			fillDegraded(est, &reply.Degraded[i], &reply.StaleNodes[i])
+			reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, args.App, "", m, est.Seconds, est.Degraded)
+			if math.IsNaN(est.Seconds) {
 				continue
 			}
-			if best < 0 || pred.Seconds < reply.Seconds[best] {
+			if best < 0 || est.Seconds < reply.Seconds[best] {
 				best = i
 			}
 		}
@@ -888,15 +885,15 @@ func (s *Server) brownoutCompare(ctx context.Context, d *obs.Decision, eval *cor
 	reply.PredictionIDs = nil // no ledger registration under brownout
 	best := -1
 	for i, m := range args.Mappings {
-		pred, err := s.predictBrownoutCached(ctx, eval, args.App, core.Mapping(m))
+		est, err := s.brownoutEstimate(ctx, eval, args.App, core.Mapping(m))
 		if err != nil {
 			return err
 		}
-		reply.Seconds[i] = pred.Seconds
-		if math.IsNaN(pred.Seconds) {
+		reply.Seconds[i] = est.Seconds
+		if math.IsNaN(est.Seconds) {
 			continue
 		}
-		if best < 0 || pred.Seconds < reply.Seconds[best] {
+		if best < 0 || est.Seconds < reply.Seconds[best] {
 			best = i
 		}
 	}
@@ -1007,8 +1004,10 @@ func scheduleKey(epoch uint64, args *ScheduleArgs) string {
 
 // scheduleOn runs one scheduling search against a view and fills the
 // reply, including the degraded-prediction markers for the chosen
-// mapping (a cache hit in the common case — the search just evaluated
-// it).
+// mapping. The search scores through its own Scorers and never fills the
+// cache, so this lookup misses unless an earlier request evaluated the
+// same mapping in this epoch; the miss costs one allocation-free
+// Estimate, taken under the slot Schedule already holds.
 func (s *Server) scheduleOn(ctx context.Context, v *view, args *ScheduleArgs, reply *ScheduleReply) (err error) {
 	d := obs.Decision{
 		TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
@@ -1030,8 +1029,8 @@ func (s *Server) scheduleOn(ctx context.Context, v *view, args *ScheduleArgs, re
 	reply.Evaluations = dec.Evaluations
 	reply.SchedulerMillis = dec.SchedulerTime.Milliseconds()
 	reply.SchedulerMicros = dec.SchedulerTime.Microseconds()
-	if pred, hit, err := s.predictCached(ctx, v, args.App, eval, dec.Mapping); err == nil {
-		fillDegraded(pred, &reply.Degraded, &reply.StaleNodes)
+	if est, hit, _, err := s.estimate(ctx, v, args.App, eval, dec.Mapping, false); err == nil {
+		fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
@@ -1148,7 +1147,7 @@ func (s *Server) Metrics(args *MetricsArgs, reply *MetricsReply) error {
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
 	defer rpcInflight.Add(-1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	defer func() {
 		rpcRequests.With("Metrics").Inc()
@@ -1303,16 +1302,16 @@ func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 	}
 
 	// Drain: in-flight requests get DrainTimeout to finish...
-	done := make(chan struct{})
-	go func() { impl.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
+	deadline := time.Now().Add(opts.DrainTimeout)
+	for impl.inflight.Load() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if impl.inflight.Load() == 0 {
 		// ...and their replies a moment to flush before we cut the wire. A
 		// reply racing the close is retried by the client (methods retried
 		// are idempotent), so this grace is a latency nicety, not a
 		// correctness requirement.
 		time.Sleep(20 * time.Millisecond)
-	case <-time.After(opts.DrainTimeout):
 	}
 	connMu.Lock()
 	for c := range conns {
