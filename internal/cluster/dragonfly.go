@@ -203,22 +203,23 @@ func NewDragonfly(spec DragonflySpec) *Topology {
 		archs:    defaultArchTable(ai),
 		alg:      r,
 	}
+	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
 	for gi := 0; gi < g; gi++ {
 		for ri := 0; ri < a; ri++ {
 			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: fmt.Sprintf("df-g%d-r%d", gi, ri), Ports: p + a - 1 + h, Class: "dfly"})
+				Name: names.s("df-g").d(gi).s("-r").d(ri).end(), Ports: p + a - 1 + h, Class: "dfly"})
 		}
 	}
 	// Nodes and NIC links first: link ID == node ID.
 	for id := 0; id < n; id++ {
 		sw := id / p
 		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: fmt.Sprintf("df-n%04d", id),
+		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("df-n").d4(id).end(),
 			Arch: info.Arch, Switch: sw, Speed: info.Speed, CPUs: info.CPUs})
 		t.Links = append(t.Links, Link{ID: id,
 			A: Device{DevNode, id}, B: Device{DevSwitch, sw},
 			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: fmt.Sprintf("df-n%04d<->r%d", id, sw)})
+			Name: names.s("df-n").d4(id).s("<->r").d(sw).end()})
 	}
 	// Intra-group all-to-all local links in triIdx order.
 	for gi := 0; gi < g; gi++ {
@@ -227,7 +228,7 @@ func NewDragonfly(spec DragonflySpec) *Topology {
 				t.Links = append(t.Links, Link{ID: len(t.Links),
 					A: Device{DevSwitch, gi*a + i}, B: Device{DevSwitch, gi*a + j},
 					Bandwidth: spec.LocalBandwidth, Latency: spec.LocalLatency,
-					Name: fmt.Sprintf("df-local-g%d-%d-%d", gi, i, j)})
+					Name: names.s("df-local-g").d(gi).s("-").d(i).s("-").d(j).end()})
 			}
 		}
 	}
@@ -239,7 +240,7 @@ func NewDragonfly(spec DragonflySpec) *Topology {
 			t.Links = append(t.Links, Link{ID: len(t.Links),
 				A: Device{DevSwitch, swA}, B: Device{DevSwitch, swB},
 				Bandwidth: spec.GlobalBandwidth, Latency: spec.GlobalLatency,
-				Name: fmt.Sprintf("df-global-g%d-g%d", gi, gj)})
+				Name: names.s("df-global-g").d(gi).s("-g").d(gj).end()})
 		}
 	}
 	t.classSigs = r.grid.signatures(func(w *sigWriter, shape int) {

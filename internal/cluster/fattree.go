@@ -141,35 +141,36 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 		archs:    defaultArchTable(ai),
 		alg:      r,
 	}
+	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
 	// Switches: edges, aggs, cores — IDs match the router arithmetic.
 	for p := 0; p < k; p++ {
 		for e := 0; e < h; e++ {
 			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: fmt.Sprintf("ft-edge-p%d-e%d", p, e), Ports: k, Class: "ftree-edge"})
+				Name: names.s("ft-edge-p").d(p).s("-e").d(e).end(), Ports: k, Class: "ftree-edge"})
 		}
 	}
 	for p := 0; p < k; p++ {
 		for a := 0; a < h; a++ {
 			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: fmt.Sprintf("ft-agg-p%d-a%d", p, a), Ports: k, Class: "ftree-agg"})
+				Name: names.s("ft-agg-p").d(p).s("-a").d(a).end(), Ports: k, Class: "ftree-agg"})
 		}
 	}
 	for a := 0; a < h; a++ {
 		for j := 0; j < h; j++ {
 			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: fmt.Sprintf("ft-core-a%d-j%d", a, j), Ports: k, Class: "ftree-core"})
+				Name: names.s("ft-core-a").d(a).s("-j").d(j).end(), Ports: k, Class: "ftree-core"})
 		}
 	}
 	// Nodes and their NIC links first, so link ID == node ID.
 	for id := 0; id < n; id++ {
 		sw := id / h // edge(p,e) == global edge index
 		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: fmt.Sprintf("ft-n%04d", id),
+		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("ft-n").d4(id).end(),
 			Arch: info.Arch, Switch: sw, Speed: info.Speed, CPUs: info.CPUs})
 		t.Links = append(t.Links, Link{ID: id,
 			A: Device{DevNode, id}, B: Device{DevSwitch, sw},
 			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: fmt.Sprintf("ft-n%04d<->edge%d", id, sw)})
+			Name: names.s("ft-n").d4(id).s("<->edge").d(sw).end()})
 	}
 	// Edge–agg links: (p·h+e)·h + a relative to eaBase.
 	for p := 0; p < k; p++ {
@@ -179,7 +180,7 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 				t.Links = append(t.Links, Link{ID: len(t.Links),
 					A: Device{DevSwitch, edge}, B: Device{DevSwitch, agg},
 					Bandwidth: spec.UpBandwidth, Latency: spec.UpLatency,
-					Name: fmt.Sprintf("ft-ea-p%d-e%d-a%d", p, e, a)})
+					Name: names.s("ft-ea-p").d(p).s("-e").d(e).s("-a").d(a).end()})
 			}
 		}
 	}
@@ -191,7 +192,7 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 				t.Links = append(t.Links, Link{ID: len(t.Links),
 					A: Device{DevSwitch, agg}, B: Device{DevSwitch, core},
 					Bandwidth: spec.UpBandwidth, Latency: spec.UpLatency,
-					Name: fmt.Sprintf("ft-ac-p%d-a%d-j%d", p, a, j)})
+					Name: names.s("ft-ac-p").d(p).s("-a").d(a).s("-j").d(j).end()})
 			}
 		}
 	}

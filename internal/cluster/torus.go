@@ -208,18 +208,19 @@ func NewTorus(spec TorusSpec) *Topology {
 		archs:    defaultArchTable(ai),
 		alg:      r,
 	}
+	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
 	// One switch per node, sharing the node's ID and coordinates.
 	for id := 0; id < n; id++ {
 		x, y, z := r.coords(id)
 		t.Switches = append(t.Switches, Switch{ID: id,
-			Name: fmt.Sprintf("tor-sw-%d-%d-%d", x, y, z), Ports: 7, Class: "torus"})
+			Name: names.s("tor-sw-").d(x).s("-").d(y).s("-").d(z).end(), Ports: 7, Class: "torus"})
 		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: fmt.Sprintf("tor-n%04d", id),
+		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("tor-n").d4(id).end(),
 			Arch: info.Arch, Switch: id, Speed: info.Speed, CPUs: info.CPUs})
 		t.Links = append(t.Links, Link{ID: id,
 			A: Device{DevNode, id}, B: Device{DevSwitch, id},
 			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: fmt.Sprintf("tor-n%04d<->sw", id)})
+			Name: names.s("tor-n").d4(id).s("<->sw").end()})
 	}
 	ring := func(dim string, count int, at func(i, a, b int) (lo, hi int)) {
 		for i := 0; i < count; i++ {
@@ -233,7 +234,7 @@ func NewTorus(spec TorusSpec) *Topology {
 						t.Links = append(t.Links, Link{ID: len(t.Links),
 							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
 							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: fmt.Sprintf("tor-x%d-y%d-z%d", i, yy, zz)})
+							Name: names.s("tor-x").d(i).s("-y").d(yy).s("-z").d(zz).end()})
 					}
 				}
 			case "y":
@@ -243,7 +244,7 @@ func NewTorus(spec TorusSpec) *Topology {
 						t.Links = append(t.Links, Link{ID: len(t.Links),
 							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
 							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: fmt.Sprintf("tor-y%d-x%d-z%d", i, xx, zz)})
+							Name: names.s("tor-y").d(i).s("-x").d(xx).s("-z").d(zz).end()})
 					}
 				}
 			case "z":
@@ -253,7 +254,7 @@ func NewTorus(spec TorusSpec) *Topology {
 						t.Links = append(t.Links, Link{ID: len(t.Links),
 							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
 							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: fmt.Sprintf("tor-z%d-x%d-y%d", i, xx, yy)})
+							Name: names.s("tor-z").d(i).s("-x").d(xx).s("-y").d(yy).end()})
 					}
 				}
 			}

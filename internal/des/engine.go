@@ -12,7 +12,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -81,33 +80,67 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is still pending in the queue.
 func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 }
 
-type eventHeap []*Event
+// before is the queue order: time, then scheduling sequence. Sequence numbers
+// are unique, so the order is total and independent of the heap's layout.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventQueue is a binary min-heap on Event.before. Sifting moves a hole
+// instead of swapping, and every move stamps the event's index in place.
+type eventQueue []*Event
+
+// up places ev at or above the hole i.
+func (q eventQueue) up(ev *Event, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	ev.index = i
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down places ev at or below the hole i.
+func (q eventQueue) down(ev *Event, i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(ev) {
+			break
+		}
+		q[i] = q[child]
+		q[i].index = i
+		i = child
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// remove takes the event at index i out of the queue; the last event fills
+// the hole and sinks or rises to its place.
+func (q *eventQueue) remove(i int) {
+	old := *q
+	n := len(old) - 1
+	old[i].index = -1
+	last := old[n]
+	old[n] = nil
+	*q = old[:n]
+	if i < n {
+		q.down(last, i)
+		if last.index == i {
+			q.up(last, i)
+		}
+	}
 }
 
 // Engine is a discrete-event simulation kernel. It is not safe for
@@ -115,12 +148,13 @@ func (h *eventHeap) Pop() any {
 // concurrent but are interleaved one at a time by the engine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
 	seq     uint64
 	running bool
 	procs   int // live simulated processes (diagnostics)
-	live    map[*Proc]struct{}
 	events  uint64
+	// Live processes in spawn order (Proc.prev/next); Shutdown's kill order.
+	liveHead, liveTail *Proc
 	// free is the event free list: fired and cancelled events are recycled
 	// here instead of being released to the garbage collector. The list is
 	// bounded by the maximum number of simultaneously pending events, and
@@ -245,8 +279,8 @@ func (e *Engine) push(ev *Event, at Time) {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	ev.index = -1
-	heap.Push(&e.queue, ev)
+	e.queue = append(e.queue, ev)
+	e.queue.up(ev, len(e.queue)-1)
 }
 
 // Cancel removes a pending event from the queue. Cancelling an event that
@@ -255,7 +289,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev.index)
 	e.recycle(ev)
 }
 
@@ -276,7 +310,7 @@ func (e *Engine) step(limit Time) bool {
 	if next.at > limit {
 		return false
 	}
-	heap.Pop(&e.queue)
+	e.queue.remove(0)
 	if next.at > e.now {
 		e.now = next.at
 	}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -296,4 +297,53 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkProcToProcSwitch measures the nested case: one process unparks
+// another inline and gets control back when it parks again — two switches
+// per iteration, neither through the event loop.
+func BenchmarkProcToProcSwitch(b *testing.B) {
+	e := NewEngine()
+	pong := e.Spawn("pong", func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Unpark()
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Shutdown()
+}
+
+// BenchmarkEventQueueHold is the hold model: with a fixed number of events
+// pending, pop the earliest and schedule one more at a random distance.
+func BenchmarkEventQueueHold(b *testing.B) {
+	for _, pending := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]Time, 1<<12)
+			for i := range delays {
+				delays[i] = Time(1+rng.Intn(1000)) * Microsecond
+			}
+			k := 0
+			var hold func()
+			hold = func() {
+				k++
+				e.Schedule(delays[k%len(delays)], hold)
+			}
+			for i := 0; i < pending; i++ {
+				e.Schedule(delays[i%len(delays)], hold)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step(MaxTime)
+			}
+		})
+	}
 }

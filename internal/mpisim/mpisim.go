@@ -116,7 +116,7 @@ func eagerArrived(a any) {
 // only then is the message announced in the inbox.
 func rtsArrived(a any) {
 	m := a.(*message)
-	m.peer.inbox[m.src] = append(m.peer.inbox[m.src], m)
+	m.peer.enqueue(m)
 	m.peer.tryWake(m.src)
 }
 
@@ -138,8 +138,38 @@ type Rank struct {
 	rate float64
 	ai   cluster.ArchInfo
 
-	inbox   [][]*message // arrived/announced messages, indexed by source rank
-	waitSrc int          // source a pending Recv waits on, -1 if none
+	inbox   []srcQueue // arrived/announced messages, one queue per source heard from
+	waitSrc int        // source a pending Recv waits on, -1 if none
+}
+
+// srcQueue holds the messages from one source in send order.
+type srcQueue struct {
+	src int
+	q   []*message
+}
+
+// from returns the queue of messages from src, or nil if src has not been
+// heard from. A rank hears from few sources (4 in a 256-rank halo), so the
+// inbox is a short slice scanned linearly, not a table of every rank. The
+// pointer is good only until the rank next blocks: an arrival from a new
+// source may grow the slice meanwhile.
+func (r *Rank) from(src int) *srcQueue {
+	for i := range r.inbox {
+		if r.inbox[i].src == src {
+			return &r.inbox[i]
+		}
+	}
+	return nil
+}
+
+// enqueue appends m to the queue of its source, first contact adding one.
+func (r *Rank) enqueue(m *message) {
+	sq := r.from(m.src)
+	if sq == nil {
+		r.inbox = append(r.inbox, srcQueue{src: m.src})
+		sq = &r.inbox[len(r.inbox)-1]
+	}
+	sq.q = append(sq.q, m)
 }
 
 // Launch creates a world for body on the given mapping (rank -> node) and
@@ -184,7 +214,6 @@ func Launch(vc *vcluster.Cluster, net *simnet.Network, mapping []int, body func(
 			cpu:     vc.CPU(node),
 			rate:    n.Speed * eff,
 			ai:      vc.Topo.ArchInfo(n.Arch),
-			inbox:   make([][]*message, len(mapping)),
 			waitSrc: -1,
 		}
 		w.ranks[i] = r
@@ -321,7 +350,7 @@ func (r *Rank) Send(dst int, size int64) {
 
 	if size <= r.w.opts.eager() {
 		r.w.net.DeliverArg(r.node, peer.node, size, eagerArrived, m)
-		peer.inbox[r.id] = append(peer.inbox[r.id], m)
+		peer.enqueue(m)
 		r.w.rec.SetState(r.id, trace.StateRun)
 		return
 	}
@@ -350,12 +379,15 @@ func (r *Rank) Recv(src int) int64 {
 	if src == r.id {
 		panic("mpisim: recv from self")
 	}
+	if src < 0 || src >= len(r.w.ranks) {
+		panic(fmt.Sprintf("mpisim: recv from invalid rank %d", src))
+	}
 	for {
-		q := r.inbox[src]
-		if len(q) > 0 {
-			m := q[0]
+		// Looked up afresh each time round: see Rank.from.
+		if sq := r.from(src); sq != nil && len(sq.q) > 0 {
+			m := sq.q[0]
 			if m.rendezvous {
-				r.inbox[src] = q[1:]
+				sq.q = sq.q[1:]
 				r.pullRendezvous(m)
 				size := m.size
 				freeMsg(m)
@@ -364,7 +396,7 @@ func (r *Rank) Recv(src int) int64 {
 				return size
 			}
 			if m.arrived {
-				r.inbox[src] = q[1:]
+				sq.q = sq.q[1:]
 				size := m.size
 				freeMsg(m)
 				r.overhead(r.ai.RecvOverhead)

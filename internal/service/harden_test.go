@@ -13,6 +13,7 @@ import (
 	"cbes"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
+	"cbes/internal/des"
 	"cbes/internal/workloads"
 )
 
@@ -42,6 +43,35 @@ func TestInterceptRecoversPanic(t *testing.T) {
 	// The engine lock must have been released: the next request runs.
 	if err := s.intercept("After", TraceMeta{}, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("request after recovered panic: %v", err)
+	}
+}
+
+// TestAdvanceRecoversProcessPanic: a simulated process (a rank, a monitor
+// daemon) that panics while Advance steps the engine fails that one request.
+// The panic surfaces from RunUntil on the handler's goroutine, where the
+// recovery above sees it; raised on a goroutine of the process's own it
+// would have ended the daemon.
+func TestAdvanceRecoversProcessPanic(t *testing.T) {
+	sys, _ := newSys(t)
+	s := NewServer(sys)
+	start := sys.Eng.Now()
+	sys.Eng.Spawn("poisoned", func(p *des.Proc) {
+		p.Sleep(des.Second)
+		panic("daemon failed")
+	})
+	err := s.Advance(&AdvanceArgs{Seconds: 2}, &AdvanceReply{})
+	if err == nil {
+		t.Fatal("Advance over a panicking process returned nil")
+	}
+	if got := err.Error(); !strings.Contains(got, "recovered panic") || !strings.Contains(got, "daemon failed") {
+		t.Fatalf("panic error = %q", got)
+	}
+	var reply AdvanceReply
+	if err := s.Advance(&AdvanceArgs{Seconds: 2}, &reply); err != nil {
+		t.Fatalf("Advance after a recovered process panic: %v", err)
+	}
+	if want := (start + 3*des.Second).Seconds(); reply.SimSeconds != want {
+		t.Fatalf("clock at %v s after the panic at +1 s and 2 s more, want %v", reply.SimSeconds, want)
 	}
 }
 
