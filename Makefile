@@ -23,7 +23,6 @@ ci:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	$(MAKE) faults-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) overload-smoke
 	$(GO) test -race -timeout 45m ./...
@@ -85,9 +84,10 @@ obs-smoke:
 overload-smoke:
 	sh scripts/overload_smoke.sh
 
-# Fast cross-layer fault gate: the fault-injection, health, degraded-mode,
-# and service-hardening tests across every affected package, in short mode
-# under the race detector. Quick signal before ci's full race suite.
+# Fast cross-layer fault pass for local use: the fault-injection, health,
+# degraded-mode, and service-hardening tests across every affected
+# package, in short mode under the race detector. Not a ci step — ci's
+# full -race ./... pass runs every one of these tests.
 faults-smoke:
 	$(GO) test -short -race -timeout 10m \
 		-run 'Fault|Crash|Degrade|Sensor|Stall|Health|Stale|Down|Infeasible|Evacuat|NoNoise|Busy|Panic|Retr|Drain|Soak|MaxClients|Probe|Readyz|Injector|RandomSchedule' \

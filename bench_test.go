@@ -258,46 +258,63 @@ func BenchmarkProfilePipeline(b *testing.B) {
 
 // --- fast-path benchmarks -------------------------------------------------
 
+var (
+	benchLUOnce sync.Once
+	benchLU     workloads.Program
+)
+
+// forEachKernelApp runs body as one sub-benchmark per application the
+// kernel benches cover: Aztec(8), their original subject, and LU.A.8, the
+// application sched_grove schedules.
+func forEachKernelApp(b *testing.B, body func(b *testing.B, sys *cbes.System, prog workloads.Program, eval *core.Evaluator)) {
+	sys, aztec := systemForBench(b)
+	benchLUOnce.Do(func() {
+		benchLU = workloads.LU(workloads.ClassA, 8)
+		sys.MustProfile(benchLU, sys.Topo.NodesByArch(cluster.ArchAlpha))
+	})
+	for _, prog := range []workloads.Program{aztec, benchLU} {
+		eval, err := sys.Evaluator(prog.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(prog.Name, func(b *testing.B) { body(b, sys, prog, eval) })
+	}
+}
+
 // BenchmarkEnergyFastPath measures the allocation-free full evaluation
 // (Scorer.Energy) on the same workload as BenchmarkMappingEvaluation.
 func BenchmarkEnergyFastPath(b *testing.B) {
-	sys, prog := systemForBench(b)
-	eval, err := sys.Evaluator(prog.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
-	m := core.Mapping(sys.Topo.NodesByArch(cluster.ArchAlpha))
-	sc := eval.Scorer()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.Energy(m, snap); err != nil {
-			b.Fatal(err)
+	forEachKernelApp(b, func(b *testing.B, sys *cbes.System, _ workloads.Program, eval *core.Evaluator) {
+		snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
+		m := core.Mapping(sys.Topo.NodesByArch(cluster.ArchAlpha))
+		sc := eval.Scorer()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sc.Energy(m, snap); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkEnergyDelta measures incremental re-scoring of single moves —
 // the per-proposal cost the SA scheduler actually pays.
 func BenchmarkEnergyDelta(b *testing.B) {
-	sys, prog := systemForBench(b)
-	eval, err := sys.Evaluator(prog.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
-	pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
-	m := make(core.Mapping, prog.Ranks)
-	copy(m, pool)
-	sc := eval.Scorer()
-	if _, err := sc.Energy(m, snap); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Apply(core.Move{Rank: i % prog.Ranks, To: pool[i%len(pool)]})
-		sc.Undo()
-	}
+	forEachKernelApp(b, func(b *testing.B, sys *cbes.System, prog workloads.Program, eval *core.Evaluator) {
+		snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
+		pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
+		m := make(core.Mapping, prog.Ranks)
+		copy(m, pool)
+		sc := eval.Scorer()
+		if _, err := sc.Energy(m, snap); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.Apply(core.Move{Rank: i % prog.Ranks, To: pool[i%len(pool)]})
+			sc.Undo()
+		}
+	})
 }
 
 // saThroughput times full SA scheduling decisions and reports energy
@@ -318,20 +335,17 @@ func saThroughput(b *testing.B, run func(seed int64) int) {
 // BenchmarkSASchedulingFast is a full CS scheduling decision on Orange
 // Grove via the incremental fast path (the production configuration).
 func BenchmarkSASchedulingFast(b *testing.B) {
-	sys, prog := systemForBench(b)
-	eval, err := sys.Evaluator(prog.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
-	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
-	saThroughput(b, func(seed int64) int {
-		d, err := schedule.SimulatedAnnealing(&schedule.Request{
-			Eval: eval, Snap: snap, Pool: pool, Seed: seed,
+	forEachKernelApp(b, func(b *testing.B, sys *cbes.System, _ workloads.Program, eval *core.Evaluator) {
+		pool := sys.Pool(cluster.ArchAlpha, cluster.ArchIntel, cluster.ArchSPARC)
+		snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
+		saThroughput(b, func(seed int64) int {
+			d, err := schedule.SimulatedAnnealing(&schedule.Request{
+				Eval: eval, Snap: snap, Pool: pool, Seed: seed,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return d.Evaluations
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d.Evaluations
 	})
 }

@@ -273,10 +273,15 @@ type Ledger struct {
 	cfg Config
 	seq atomic.Uint64
 
-	mu       sync.Mutex
-	pending  map[string]Prediction
-	fifo     []string // pending IDs in admission order (eviction ring)
-	fifoNext int
+	mu sync.Mutex
+	// ring holds the pending predictions in admission order (the eviction
+	// ring; a free slot has an empty ID); pending maps each pending ID to
+	// its slot. Begin rebuilds pending once per turn of the ring: Go's map
+	// keeps deleted keys' slots and grows to make room, so an index
+	// churned forever creeps to several times its live size.
+	ring     []Prediction
+	ringNext int
+	pending  map[string]int32
 
 	samples  []Sample // joined-pair ring for the CSV export
 	sampNext int
@@ -307,8 +312,8 @@ func New(cfg Config) *Ledger {
 	cfg = cfg.withDefaults()
 	return &Ledger{
 		cfg:     cfg,
-		pending: make(map[string]Prediction, cfg.PendingCap),
-		fifo:    make([]string, cfg.PendingCap),
+		ring:    make([]Prediction, cfg.PendingCap),
+		pending: make(map[string]int32, cfg.PendingCap),
 		samples: make([]Sample, cfg.SampleCap),
 		buckets: map[Key]*bucket{},
 		window:  make([]float64, cfg.DriftWindow),
@@ -363,18 +368,26 @@ func (l *Ledger) Begin(p Prediction) string {
 		p.ID = l.nextID()
 	}
 	l.mu.Lock()
-	if old := l.fifo[l.fifoNext]; old != "" {
-		if _, live := l.pending[old]; live {
-			delete(l.pending, old)
-			l.expired++
-			if l == defaultLedger {
-				mExpired.Inc()
+	if old := l.ring[l.ringNext].ID; old != "" {
+		delete(l.pending, old)
+		l.expired++
+		if l == defaultLedger {
+			mExpired.Inc()
+		}
+	}
+	if j, dup := l.pending[p.ID]; dup {
+		l.ring[j] = Prediction{} // a re-issued ID replaces its pending prediction
+	}
+	l.ring[l.ringNext] = p
+	l.pending[p.ID] = int32(l.ringNext)
+	if l.ringNext = (l.ringNext + 1) % len(l.ring); l.ringNext == 0 {
+		clear(l.pending)
+		for j := range l.ring {
+			if id := l.ring[j].ID; id != "" {
+				l.pending[id] = int32(j)
 			}
 		}
 	}
-	l.fifo[l.fifoNext] = p.ID
-	l.fifoNext = (l.fifoNext + 1) % len(l.fifo)
-	l.pending[p.ID] = p
 	l.predictions++
 	pendingN := len(l.pending)
 	l.mu.Unlock()
@@ -404,7 +417,7 @@ func (l *Ledger) Report(id string, actualSeconds float64) (Sample, error) {
 		return Sample{}, fmt.Errorf("accuracy: actual seconds must be positive and finite, got %v", actualSeconds)
 	}
 	l.mu.Lock()
-	p, live := l.pending[id]
+	j, live := l.pending[id]
 	if !live {
 		l.outcomes++
 		l.unmatched++
@@ -415,6 +428,8 @@ func (l *Ledger) Report(id string, actualSeconds float64) (Sample, error) {
 		}
 		return Sample{}, fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
+	p := l.ring[j]
+	l.ring[j] = Prediction{}
 	delete(l.pending, id)
 	l.outcomes++
 	s := l.joinLocked(p, actualSeconds)

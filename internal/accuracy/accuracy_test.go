@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -78,6 +79,47 @@ func TestPendingEviction(t *testing.T) {
 	}
 	if st := l.Status(); st.Expired != 2 || st.Joined != 4 {
 		t.Fatalf("expired=%d joined=%d, want 2/4", st.Expired, st.Joined)
+	}
+}
+
+// TestPendingReissuedID: Begin with an ID that is still pending replaces
+// that prediction; the ID joins once, and evicting the replaced slot later
+// neither drops the new prediction nor counts an expiry.
+func TestPendingReissuedID(t *testing.T) {
+	l := New(Config{PendingCap: 3})
+	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 10})
+	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 20})
+	l.Begin(Prediction{App: "lu", Predicted: 10})
+	l.Begin(Prediction{App: "lu", Predicted: 10}) // reuses the first slot
+	s, err := l.Report("x", 20)
+	if err != nil || s.Predicted != 20 {
+		t.Fatalf("re-issued id joined %+v, %v; want the second prediction", s, err)
+	}
+	if st := l.Status(); st.Expired != 0 || st.Pending != 2 {
+		t.Fatalf("expired=%d pending=%d, want 0/2", st.Expired, st.Pending)
+	}
+}
+
+// TestPendingFootprintFlat: the pending store's memory does not grow with
+// the number of predictions that have passed through it. (Go's map keeps
+// deleted keys' slots until it grows; the ledger rebuilds its index once
+// per turn of the ring.)
+func TestPendingFootprintFlat(t *testing.T) {
+	l := New(Config{})
+	heapAfter := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			l.Begin(Prediction{App: "lu", Predicted: 10})
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	warm := heapAfter(100_000)
+	churned := heapAfter(1_900_000) // the parent's map had grown by half by now
+	runtime.KeepAlive(l)
+	if churned > warm+256<<10 {
+		t.Fatalf("heap %d kB after 2M predictions, %d kB after 100k", churned>>10, warm>>10)
 	}
 }
 

@@ -11,6 +11,10 @@
 //     topology's flat pair→ID table when it stores one), so the hot loop
 //     never rebuilds path signatures or hashes map keys — and never
 //     allocates O(nodes²) state on structured topologies;
+//   - one Lc table row per (path class, distinct message size) holding the
+//     curve value and its wire part, and each message group's index among
+//     the distinct sizes, so a latency is a table read plus the load
+//     terms — no curve search;
 //   - per-node resolved compute speeds and CPU counts (no ArchSpeed map
 //     lookups);
 //   - per-rank communication dependents: the profile entries whose Θ term
@@ -19,8 +23,9 @@
 // A Scorer then carries the mutable scratch state for one mapping: flat
 // per-(segment,proc) R and C terms, per-node multiplicities, per-segment
 // maxima, and an undo journal. Applying a Move re-scores only the entries
-// whose inputs changed — the moved rank(s), their communication peers, and
-// (for capacity-changing moves) the ranks co-located on the two affected
+// whose inputs changed — the moved rank(s), their communication peers
+// (not under IgnoreComm, where every C term is zero), and (for
+// capacity-changing moves) the ranks co-located on the two affected
 // nodes — and rebuilds the total from per-segment maxima, so the running
 // energy is always bit-identical to a fresh full evaluation.
 //
@@ -41,6 +46,7 @@ import (
 	"cbes/internal/monitor"
 	"cbes/internal/netmodel"
 	"cbes/internal/profile"
+	"cbes/internal/trace"
 )
 
 // Move is a typed mapping perturbation for the delta fast path. A zero
@@ -71,6 +77,21 @@ type fastIndex struct {
 	// segOff[s] is the first flat index of segment s (len = segments+1).
 	flat   []*profile.ProcProfile
 	segOff []int
+	// sizeOf holds, for every entry's message groups in the order Θ
+	// accumulates them (receives, then sends), the index of the group's
+	// size among the profile's distinct message sizes; entry f's run
+	// starts at sizeOf[grpOff[f]]. Peers and counts are read from the
+	// profile's own groups: copying them would add 12 B per group to every
+	// evaluator's live heap.
+	grpOff []int32
+	sizeOf []int32
+	// Lc tables: row id·sizes+k holds class id's Curve.At at distinct size k
+	// (lat) and its wire part At − Base (wire); csend/crecv are the class's
+	// load coefficients. O(classes × sizes); uncalibrated classes keep
+	// zero rows and are caught by the nil check on classes.
+	sizes        int
+	lat, wire    []float64
+	csend, crecv []float64
 	// own[r] lists the flat entries belonging to rank r (one per segment
 	// the rank appears in). commDeps[r] lists every flat entry whose C
 	// term reads m[r]: r's own entries plus entries of ranks whose
@@ -105,7 +126,33 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	for r := range depSet {
 		depSet[r] = map[int32]struct{}{}
 	}
-	ix.segOff = append(ix.segOff, 0)
+	entries, groups := 0, 0
+	for _, seg := range e.Prof.Segments {
+		entries += len(seg.Procs)
+		for i := range seg.Procs {
+			groups += len(seg.Procs[i].Recvs) + len(seg.Procs[i].Sends)
+		}
+	}
+	ix.flat = make([]*profile.ProcProfile, 0, entries)
+	ix.segOff = make([]int, 1, len(e.Prof.Segments)+1)
+	ix.grpOff = make([]int32, 0, entries)
+	ix.sizeOf = make([]int32, 0, groups)
+	sizeIdx := map[int64]int32{}
+	var sizes []int64
+	addGroups := func(f int32, gs []trace.MsgGroup) {
+		for _, g := range gs {
+			if g.Peer >= 0 && g.Peer < ranks {
+				depSet[g.Peer][f] = struct{}{}
+			}
+			k, ok := sizeIdx[g.Size]
+			if !ok {
+				k = int32(len(sizes))
+				sizeIdx[g.Size] = k
+				sizes = append(sizes, g.Size)
+			}
+			ix.sizeOf = append(ix.sizeOf, k)
+		}
+	}
 	for si := range e.Prof.Segments {
 		seg := &e.Prof.Segments[si]
 		for pi := range seg.Procs {
@@ -116,18 +163,28 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				ix.own[pp.Rank] = append(ix.own[pp.Rank], f)
 				depSet[pp.Rank][f] = struct{}{}
 			}
-			for _, g := range pp.Recvs {
-				if g.Peer >= 0 && g.Peer < ranks {
-					depSet[g.Peer][f] = struct{}{}
-				}
-			}
-			for _, g := range pp.Sends {
-				if g.Peer >= 0 && g.Peer < ranks {
-					depSet[g.Peer][f] = struct{}{}
-				}
-			}
+			ix.grpOff = append(ix.grpOff, int32(len(ix.sizeOf)))
+			addGroups(f, pp.Recvs)
+			addGroups(f, pp.Sends)
 		}
 		ix.segOff = append(ix.segOff, len(ix.flat))
+	}
+	nc := len(ix.classes)
+	ix.sizes = len(sizes)
+	ix.lat = make([]float64, nc*len(sizes))
+	ix.wire = make([]float64, nc*len(sizes))
+	ix.csend = make([]float64, nc)
+	ix.crecv = make([]float64, nc)
+	for id, c := range ix.classes {
+		if c == nil {
+			continue
+		}
+		ix.csend[id], ix.crecv[id] = c.CSend, c.CRecv
+		for k, size := range sizes {
+			at := c.Curve.At(size)
+			ix.lat[id*len(sizes)+k] = at
+			ix.wire[id*len(sizes)+k] = at - c.Curve.Base()
+		}
 	}
 	for r := 0; r < ranks; r++ {
 		deps := make([]int32, 0, len(depSet[r]))
@@ -212,6 +269,11 @@ type Scorer struct {
 	seenSeg   []uint32
 	epoch     uint32
 	touched   []int32
+
+	// Apply, Undo and rescored-term counts not yet added to the
+	// process-wide series: counting here keeps parallel searches off
+	// shared atomics per move. prime and Publish flush them.
+	nDelta, nUndo, nTouched uint64
 }
 
 // Scorer returns a fresh scorer for this evaluator. The scorer reuses its
@@ -291,7 +353,26 @@ func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err er
 	s.depth = 0
 	s.primed = true
 	metricEnergyFull.Inc()
+	s.Publish()
 	return anyStale, nil
+}
+
+// Publish adds the scorer's locally counted Apply, Undo and rescored-term
+// events to the process-wide series and resets the local counts. Every
+// full evaluation publishes; a search calls it when it ends.
+func (s *Scorer) Publish() {
+	if s.nDelta != 0 {
+		metricEnergyDelta.Add(s.nDelta)
+		s.nDelta = 0
+	}
+	if s.nUndo != 0 {
+		metricUndos.Add(s.nUndo)
+		s.nUndo = 0
+	}
+	if s.nTouched != 0 {
+		metricDeltaTouched.Add(s.nTouched)
+		s.nTouched = 0
+	}
 }
 
 // critical returns i_M of segment seg: the rank of the entry attaining the
@@ -355,8 +436,11 @@ func (s *Scorer) Apply(mv Move) float64 {
 	if !s.primed {
 		panic("core: Scorer.Apply before Energy")
 	}
-	metricEnergyDelta.Inc()
+	s.nDelta++
 	fr := s.pushFrame(mv)
+	// Under IgnoreComm every C term is zero, so only R terms can change:
+	// the communication dependents are left out of the touch set.
+	comm := !s.e.IgnoreComm
 	if mv.Swap {
 		if mv.A == mv.B || s.m[mv.A] == s.m[mv.B] {
 			fr.noop = true
@@ -367,8 +451,10 @@ func (s *Scorer) Apply(mv Move) float64 {
 		// A swap preserves per-node multiplicities: only the two ranks'
 		// own terms and their communication dependents change.
 		s.beginTouch()
-		s.touchList(s.ix.commDeps[mv.A])
-		s.touchList(s.ix.commDeps[mv.B])
+		if comm {
+			s.touchList(s.ix.commDeps[mv.A])
+			s.touchList(s.ix.commDeps[mv.B])
+		}
 		s.touchList(s.ix.own[mv.A])
 		s.touchList(s.ix.own[mv.B])
 	} else {
@@ -385,9 +471,12 @@ func (s *Scorer) Apply(mv Move) float64 {
 		s.mult[from]--
 		s.mult[mv.To]++
 		s.beginTouch()
-		s.touchList(s.ix.commDeps[mv.Rank])
+		if comm {
+			s.touchList(s.ix.commDeps[mv.Rank])
+		}
 		// Multiplicity changed on both nodes: every rank now (or formerly)
-		// co-located there sees a different ACPU share in eq. 5.
+		// co-located there — the moved rank included — sees a different
+		// ACPU share in eq. 5.
 		for rank, node := range s.m {
 			if node == from || node == mv.To {
 				s.touchList(s.ix.own[rank])
@@ -404,7 +493,7 @@ func (s *Scorer) Undo() {
 	if s.depth == 0 {
 		panic("core: Scorer.Undo with empty journal")
 	}
-	metricUndos.Inc()
+	s.nUndo++
 	s.depth--
 	fr := &s.frames[s.depth]
 	if fr.noop {
@@ -480,7 +569,7 @@ func (s *Scorer) touchList(fs []int32) {
 // belong to, and rebuilds the total as the fresh segment sum — the same
 // summation order as Predict, keeping the running energy bit-identical.
 func (s *Scorer) rescoreTouched(fr *frame) {
-	metricDeltaTouched.Add(uint64(len(s.touched)))
+	s.nTouched += uint64(len(s.touched))
 	for _, f := range s.touched {
 		fr.terms = append(fr.terms, savedTerm{f: f, r: s.r[f], c: s.c[f]})
 		s.r[f] = s.computeR(f)
@@ -560,9 +649,9 @@ func (s *Scorer) computeR(f int32) float64 {
 	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
 }
 
-// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the dense class table, Lc
-// being the load-adjusted latency estimate of the network model; it
-// accumulates in profile.Theta's order (receives, then sends).
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the Lc tables, Lc being
+// the load-adjusted latency estimate of the network model; it accumulates
+// in profile.Theta's order (receives, then sends).
 func (s *Scorer) computeC(f int32) float64 {
 	if s.e.IgnoreComm {
 		return 0
@@ -572,29 +661,45 @@ func (s *Scorer) computeC(f int32) float64 {
 		return 0
 	}
 	my := s.m[pp.Rank]
+	k := s.ix.sizeOf[s.ix.grpOff[f]:]
 	theta := 0.0
-	for _, g := range pp.Recvs {
-		theta += float64(g.Count) * s.latency(s.m[g.Peer], my, g.Size)
+	for i, g := range pp.Recvs {
+		theta += float64(g.Count) * s.latency(s.m[g.Peer], my, k[i])
 	}
-	for _, g := range pp.Sends {
-		theta += float64(g.Count) * s.latency(my, s.m[g.Peer], g.Size)
+	k = k[len(pp.Recvs):]
+	for i, g := range pp.Sends {
+		theta += float64(g.Count) * s.latency(my, s.m[g.Peer], k[i])
 	}
 	return theta * pp.Lambda
 }
 
-func (s *Scorer) latency(src, dst int, size int64) float64 {
+// latency is Lc(src, dst, size k) read off the class's table row: the same
+// operations in the same order as netmodel.Class.Latency, so every value is
+// bit-identical to the model's, without re-deriving Curve.At per call.
+func (s *Scorer) latency(src, dst int, k int32) float64 {
+	ix := s.ix
 	var id int
-	if tbl := s.ix.classTbl; tbl != nil {
-		id = int(tbl[src*s.ix.nodes+dst])
+	if tbl := ix.classTbl; tbl != nil {
+		id = int(tbl[src*ix.nodes+dst])
 	} else {
-		id = s.ix.topo.ClassID(src, dst)
+		id = ix.topo.ClassID(src, dst)
 	}
-	c := s.ix.classes[id]
-	if c == nil {
+	if ix.classes[id] == nil {
 		// Same failure mode as Model.Latency on an uncalibrated pair.
 		panic(fmt.Sprintf("netmodel: no calibration for pair (%d,%d)", src, dst))
 	}
-	return c.Latency(size, s.avail[src], s.avail[dst], s.nic[src], s.nic[dst])
+	row := id*ix.sizes + int(k)
+	l := ix.lat[row]
+	if a := s.avail[src]; a > 0 && a < 1 {
+		l += ix.csend[id] * (1/a - 1)
+	}
+	if a := s.avail[dst]; a > 0 && a < 1 {
+		l += ix.crecv[id] * (1/a - 1)
+	}
+	if wire := ix.wire[row]; wire > 0 {
+		l += wire * (netmodel.QueueFactor(s.nic[src]) + netmodel.QueueFactor(s.nic[dst]))
+	}
+	return l
 }
 
 // Energy scores the mapping through a pooled scratch arena and returns only

@@ -5,12 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/monitor"
+	"cbes/internal/netmodel"
+	"cbes/internal/obs"
 	"cbes/internal/profile"
 	"cbes/internal/raceflag"
 	"cbes/internal/trace"
@@ -30,6 +33,12 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	model := bench.Calibrate(topo, bench.Options{Reps: 2, Sizes: []int64{64, 4 << 10}, SkipLoadFit: rng.Intn(2) == 0})
+	// Calibration fits one load coefficient for both ends of a path; make
+	// the receive side differ so a send/receive mix-up cannot hide.
+	for sig, c := range model.Classes {
+		c.CRecv = 2*c.CSend + 1e-6
+		model.SetClass(sig, c)
+	}
 
 	n := topo.NumNodes()
 	ranks := 2 + rng.Intn(6)
@@ -67,12 +76,12 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 			}
 			for g := rng.Intn(3); g > 0; g-- {
 				pp.Sends = append(pp.Sends, trace.MsgGroup{
-					Peer: rng.Intn(ranks), Size: 64 << rng.Intn(7), Count: 1 + rng.Intn(20),
+					Peer: rng.Intn(ranks), Size: randomMsgSize(rng), Count: 1 + rng.Intn(20),
 				})
 			}
 			for g := rng.Intn(3); g > 0; g-- {
 				pp.Recvs = append(pp.Recvs, trace.MsgGroup{
-					Peer: rng.Intn(ranks), Size: 64 << rng.Intn(7), Count: 1 + rng.Intn(20),
+					Peer: rng.Intn(ranks), Size: randomMsgSize(rng), Count: 1 + rng.Intn(20),
 				})
 			}
 			sp.Procs = append(sp.Procs, pp)
@@ -89,11 +98,35 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 	return eval, rng
 }
 
+// randomMsgSize draws a message size from 1 B to 32 kB: below the first
+// (64 B) and above the last (4 kB) point of the synthetic calibration, so
+// the Lc tables see the curve's clamp and its extrapolation too.
+func randomMsgSize(rng *rand.Rand) int64 { return 1 << rng.Intn(16) }
+
+// randomSnapshot draws per-node forecasts, with the edges of the latency
+// model's branches mixed in: CPU availability of 0, exactly 1 and above 1
+// (no load term), NIC utilization of 0 and above the 0.9 queueing cap.
 func randomSnapshot(n int, rng *rand.Rand) *monitor.Snapshot {
 	s := monitor.IdleSnapshot(n)
 	for i := 0; i < n; i++ {
-		s.AvailCPU[i] = 0.05 + 0.95*rng.Float64()
-		s.NICUtil[i] = 0.95 * rng.Float64()
+		switch rng.Intn(8) {
+		case 0:
+			s.AvailCPU[i] = 0
+		case 1:
+			s.AvailCPU[i] = 1
+		case 2:
+			s.AvailCPU[i] = 1 + rng.Float64()
+		default:
+			s.AvailCPU[i] = 0.05 + 0.95*rng.Float64()
+		}
+		switch rng.Intn(6) {
+		case 0:
+			s.NICUtil[i] = 0
+		case 1:
+			s.NICUtil[i] = 0.9 + 0.5*rng.Float64()
+		default:
+			s.NICUtil[i] = 0.95 * rng.Float64()
+		}
 	}
 	return s
 }
@@ -249,14 +282,8 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 		}
 		var applied int
 		for step := 0; step < 120; step++ {
-			var mv Move
-			if rng.Intn(2) == 0 && ranks >= 2 {
-				mv = Move{Swap: true, A: rng.Intn(ranks), B: rng.Intn(ranks)}
-			} else {
-				mv = Move{Rank: rng.Intn(ranks), To: rng.Intn(n)}
-			}
 			before := sc.EnergyNow()
-			got := sc.Apply(mv)
+			got := sc.Apply(randomMove(rng, ranks, n))
 			applied++
 			want, err := oraclePredict(eval, sc.Current(), snap)
 			if err != nil {
@@ -311,6 +338,147 @@ func TestCommBlindFastPath(t *testing.T) {
 		}
 		if got > full {
 			t.Fatalf("comm-blind energy %v above full %v", got, full)
+		}
+	}
+}
+
+// randomMove draws a swap or a single-rank move, degenerate ones included.
+func randomMove(rng *rand.Rand, ranks, nodes int) Move {
+	if rng.Intn(2) == 0 && ranks >= 2 {
+		return Move{Swap: true, A: rng.Intn(ranks), B: rng.Intn(ranks)}
+	}
+	return Move{Rank: rng.Intn(ranks), To: rng.Intn(nodes)}
+}
+
+// TestCommBlindDeltaMatchesFresh: under IgnoreComm, Apply re-scores only
+// the moved ranks' and the co-located entries, so after any random
+// Apply/Undo/Commit sequence the running NCS energy must still equal a
+// fresh CommBlind evaluation of the current mapping, exactly.
+func TestCommBlindDeltaMatchesFresh(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		eval, rng := syntheticEvaluator(t, 200+seed)
+		blind := eval.CommBlind()
+		n, ranks := eval.Topo.NumNodes(), eval.Prof.Ranks
+		snap := randomSnapshot(n, rng)
+		sc := blind.Scorer()
+		if _, err := sc.Energy(randomValidMapping(ranks, n, rng), snap); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 200; step++ {
+			sc.Apply(randomMove(rng, ranks, n))
+			switch rng.Intn(3) {
+			case 0:
+				sc.Undo()
+			case 1:
+				sc.Commit()
+			}
+			want, err := blind.Energy(sc.Current(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(sc.EnergyNow(), want) {
+				t.Fatalf("seed %d step %d: NCS delta %v != fresh %v", seed, step, sc.EnergyNow(), want)
+			}
+		}
+	}
+}
+
+// TestUncalibratedClassPanics: a mapping that sends across a path class the
+// model never calibrated fails the way Model.Latency does — a panic naming
+// the pair — even though the kernel reads Lc from its tables.
+func TestUncalibratedClassPanics(t *testing.T) {
+	eval, _ := syntheticEvaluator(t, 9)
+	var src *profile.ProcProfile
+	var peer int
+	for _, pp := range eval.fast().flat {
+		for _, g := range pp.Sends {
+			if pp.Lambda != 0 && g.Peer != pp.Rank {
+				src, peer = pp, g.Peer
+			}
+		}
+	}
+	if src == nil {
+		t.Fatal("fixture has no communicating entry")
+	}
+	missing := eval.Topo.PathSignature(0, 1)
+	model := netmodel.New(eval.Topo)
+	for sig, c := range eval.Model.Classes {
+		if sig != missing {
+			model.SetClass(sig, c)
+		}
+	}
+	e, err := NewEvaluator(eval.Topo, model, eval.Prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make(Mapping, eval.Prof.Ranks)
+	m[peer] = 1 // every other rank, src.Rank included, on node 0
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "netmodel: no calibration for pair") {
+			t.Fatalf("panic %q, want netmodel: no calibration for pair ...", msg)
+		}
+	}()
+	e.Energy(m, monitor.IdleSnapshot(eval.Topo.NumNodes()))
+	t.Fatal("Energy over an uncalibrated class did not panic")
+}
+
+// TestScorerCountsPublishedExactly: Apply, Undo and rescored-term counts
+// kept in each scorer reach the process-wide series exactly — through the
+// next full evaluation or an explicit Publish — with several scorers
+// counting concurrently, as parallel SA restarts do.
+func TestScorerCountsPublishedExactly(t *testing.T) {
+	eval, rng := syntheticEvaluator(t, 21)
+	n, ranks := eval.Topo.NumNodes(), eval.Prof.Ranks
+	snap := randomSnapshot(n, rng)
+	series := []*obs.Counter{metricEnergyDelta, metricUndos, metricDeltaTouched}
+	var before [3]uint64
+	for i, c := range series {
+		before[i] = c.Value()
+	}
+	want := make([][3]uint64, 4)
+	var wg sync.WaitGroup
+	for w := range want {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			sc := eval.Scorer()
+			if _, err := sc.Energy(randomValidMapping(ranks, n, rng), snap); err != nil {
+				t.Error(err)
+				return
+			}
+			for step := 0; step < 400; step++ {
+				sc.Apply(randomMove(rng, ranks, n))
+				want[w][0]++
+				if !sc.frames[sc.depth-1].noop {
+					want[w][2] += uint64(len(sc.touched))
+				}
+				switch rng.Intn(3) {
+				case 0:
+					sc.Undo()
+					want[w][1]++
+				case 1:
+					sc.Commit()
+				}
+				if step == 200 { // a re-prime publishes what is pending
+					if _, err := sc.Energy(sc.Current().Clone(), snap); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			sc.Publish()
+		}(w)
+	}
+	wg.Wait()
+	for i, c := range series {
+		total := uint64(0)
+		for w := range want {
+			total += want[w][i]
+		}
+		if got := c.Value() - before[i]; got != total {
+			t.Errorf("series %d: published %d, scorers counted %d", i, got, total)
 		}
 	}
 }
@@ -443,4 +611,27 @@ func FuzzEnergyDelta(f *testing.F) {
 		}
 		assertMatchesOracle(t, e, e.Scorer(), sc.Current(), snap, "end")
 	})
+}
+
+// BenchmarkScorerEnergyFatTree5k guards prime at 5k nodes: a full Energy on
+// fattree:28 (5 488 nodes, algebraic routing) pays the O(nodes) snapshot
+// load and multiplicity reset around scoring a handful of ranks, so any
+// per-node work added to prime shows here first.
+func BenchmarkScorerEnergyFatTree5k(b *testing.B) {
+	topo, err := cluster.FromSpec("fattree:28")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval, rng := syntheticEvaluatorOn(b, topo, 1)
+	n := topo.NumNodes()
+	snap := randomSnapshot(n, rng)
+	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	sc := eval.Scorer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Energy(m, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

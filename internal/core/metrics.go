@@ -1,8 +1,8 @@
 // Observability for the mapping-evaluation core. Every metric here is a
-// pre-resolved atomic from internal/obs, so the instrumentation cost on
-// the fast path is one uncontended atomic add per event (~single-digit
-// ns, guarded by TestCounterCostBudget in internal/obs) against delta
-// evaluations that cost hundreds of ns to µs each.
+// pre-resolved atomic from internal/obs. The per-move scorer series
+// (Apply, Undo, rescored terms) are counted in the Scorer and added here
+// by Scorer.Publish — on every full evaluation and when a search ends —
+// so parallel SA restarts do not contend on a shared cache line per move.
 package core
 
 import (

@@ -205,7 +205,15 @@ func (m *Model) ClassesByID() []*Class {
 	return t
 }
 
-func queueFactor(u float64) float64 {
+// queueFactor is QueueFactor under the name Class.Latency calls; that
+// method stays as it is because the core tests' oracle is built on it.
+func queueFactor(u float64) float64 { return QueueFactor(u) }
+
+// QueueFactor is q(u) of the package comment: the queueing inflation of
+// the wire part of Lc at NIC utilization u, capped at u = maxNICUtil.
+// Callers that tabulate L0 themselves (the core kernel) apply it exactly as
+// Class.Latency does.
+func QueueFactor(u float64) float64 {
 	if u <= 0 {
 		return 0
 	}

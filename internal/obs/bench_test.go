@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"cbes/internal/raceflag"
 )
 
 // The acceptance bar for instrumenting the fast path (ISSUE 3): an
@@ -84,7 +86,7 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 // Skipped under -race (atomic instrumentation inflates every op) and
 // -short (timing-sensitive).
 func TestCounterCostBudget(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing guard skipped under the race detector")
 	}
 	if testing.Short() {

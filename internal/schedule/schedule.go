@@ -181,8 +181,19 @@ func (r *Request) validate() error {
 		return fmt.Errorf("schedule: pool capacity %d < %d ranks: %w",
 			len(r.Pool)*r.slots(), r.ranks(), ErrInfeasible)
 	}
+	nodes := r.Eval.Topo.NumNodes()
+	for _, n := range r.Pool {
+		if n < 0 || n >= nodes {
+			return fmt.Errorf("schedule: pool node %d outside the topology's %d nodes", n, nodes)
+		}
+	}
 	return nil
 }
+
+// loads returns a zeroed node-indexed rank-count buffer for one search.
+// The capacity helpers below leave it zeroed again when they return, so a
+// search allocates it once however many mappings it draws or repairs.
+func (r *Request) loads() []int { return make([]int, r.Eval.Topo.NumNodes()) }
 
 // prepare validates the request and removes down nodes from the pool (a
 // scheduler must never place work on a crashed node, and the energy
@@ -243,11 +254,18 @@ type Decision struct {
 	SchedulerTime time.Duration
 }
 
-// randomMapping draws a uniformly random valid mapping.
-func randomMapping(req *Request, rng *rand.Rand) core.Mapping {
+// release zeroes the counts m added to used (see Request.loads).
+func release(used []int, m core.Mapping) {
+	for _, n := range m {
+		used[n] = 0
+	}
+}
+
+// randomMapping draws a uniformly random valid mapping; used is the
+// search's zeroed load buffer.
+func randomMapping(req *Request, rng *rand.Rand, used []int) core.Mapping {
 	slots := req.slots()
 	m := make(core.Mapping, req.ranks())
-	used := map[int]int{}
 	for i := range m {
 		for {
 			n := req.Pool[rng.Intn(len(req.Pool))]
@@ -258,47 +276,53 @@ func randomMapping(req *Request, rng *rand.Rand) core.Mapping {
 			}
 		}
 	}
+	release(used, m)
 	return m
 }
 
-// neighbor proposes a small random modification of a mapping: either move
-// one rank to a node with free capacity, or swap the nodes of two ranks.
-// It is the mapping-copying mutation operator of the GA scheduler; SA
-// proposes the equivalent typed moves through proposeMove instead.
-func neighbor(req *Request, m core.Mapping, rng *rand.Rand) core.Mapping {
+// neighbor perturbs a mapping in place: it either moves one rank to a node
+// with free capacity or swaps the nodes of two ranks. It is the GA
+// scheduler's mutation operator, applied to a child crossover just built;
+// SA proposes the equivalent typed moves through proposeMove instead. used
+// is the search's zeroed load buffer.
+func neighbor(req *Request, m core.Mapping, rng *rand.Rand, used []int) core.Mapping {
 	slots := req.slots()
-	nm := m.Clone()
 	if rng.Intn(2) == 0 && len(m) >= 2 {
 		// Swap two ranks — retrying past degenerate pairs (same rank or
 		// same node) that would produce an identical mapping and waste an
 		// energy evaluation.
 		for attempt := 0; attempt < 8; attempt++ {
-			i, j := rng.Intn(len(nm)), rng.Intn(len(nm))
-			if i == j || nm[i] == nm[j] {
+			i, j := rng.Intn(len(m)), rng.Intn(len(m))
+			if i == j || m[i] == m[j] {
 				continue
 			}
-			nm[i], nm[j] = nm[j], nm[i]
-			return nm
+			m[i], m[j] = m[j], m[i]
+			return m
 		}
 		// Every sampled swap was degenerate (e.g. all ranks co-located):
 		// fall through to a move.
 	}
-	// Move one rank to a node with spare capacity.
-	used := nm.Multiplicity()
-	i := rng.Intn(len(nm))
+	// Move one rank to a node with spare capacity; a saturated pool leaves
+	// the mapping unchanged (swap next time).
+	for _, n := range m {
+		used[n]++
+	}
+	i := rng.Intn(len(m))
+	to := m[i]
 	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
-		n := req.Pool[rng.Intn(len(req.Pool))]
-		if n != nm[i] && used[n] < slots {
-			nm[i] = n
-			return nm
+		if n := req.Pool[rng.Intn(len(req.Pool))]; n != m[i] && used[n] < slots {
+			to = n
+			break
 		}
 	}
-	return nm // saturated pool: fall back to unchanged (swap next time)
+	release(used, m)
+	m[i] = to
+	return m
 }
 
 // proposeMove draws a typed move for the incremental SA fast path: the
 // same proposal distribution as neighbor, but expressed as a core.Move
-// against the scorer's current state instead of a fresh mapping copy.
+// against the scorer's current state instead of an edit of a mapping.
 // ok=false means no non-degenerate move was found (saturated pool).
 func proposeMove(req *Request, sc *core.Scorer, rng *rand.Rand) (core.Move, bool) {
 	m := sc.Current()
@@ -340,13 +364,14 @@ func Random(req *Request) (d *Decision, err error) {
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(req.Seed))
-	m := randomMapping(req, rng)
+	used := req.loads()
+	m := randomMapping(req, rng, used)
 	for attempts := 0; req.Constraint != nil && !req.Constraint(m); attempts++ {
 		if attempts > 10000 {
 			metricConstraintFailures.Inc()
 			return nil, fmt.Errorf("schedule: constraint unsatisfiable by random sampling")
 		}
-		m = randomMapping(req, rng)
+		m = randomMapping(req, rng, used)
 	}
 	d = &Decision{
 		Mapping:       m,
@@ -377,8 +402,9 @@ type saResult struct {
 // is immutable, so concurrent child creation is safe).
 func saRestart(ctx context.Context, req *Request, sign float64, seed int64, budget int) saResult {
 	rng := rand.New(rand.NewSource(seed))
-	initial := randomMapping(req, rng)
+	initial := randomMapping(req, rng, req.loads())
 	sc := req.Eval.Scorer()
+	defer sc.Publish()
 	raw, err := sc.Energy(initial, req.Snap)
 	if err != nil {
 		return saResult{err: err}
@@ -576,8 +602,8 @@ func Genetic(req *Request) (d *Decision, err error) {
 		sign = -1.0
 	}
 	slots := req.slots()
+	used := req.loads()
 	repair := func(m core.Mapping, rng *rand.Rand) core.Mapping {
-		used := map[int]int{}
 		for i, n := range m {
 			if used[n] >= slots {
 				for {
@@ -591,9 +617,10 @@ func Genetic(req *Request) (d *Decision, err error) {
 			}
 			used[n]++
 		}
+		release(used, m)
 		return m
 	}
-	sc := req.Eval.Scorer()
+	sc := req.Eval.Scorer() // Energy only: each fitness call publishes its own counts
 	fitness := func(m core.Mapping) float64 {
 		e, err := sc.Energy(m, req.Snap)
 		if err != nil {
@@ -610,7 +637,7 @@ func Genetic(req *Request) (d *Decision, err error) {
 		MaxEvaluations: req.effort(),
 		Ctx:            ctx,
 	}, genetic.Ops[core.Mapping]{
-		NewIndividual: func(rng *rand.Rand) core.Mapping { return randomMapping(req, rng) },
+		NewIndividual: func(rng *rand.Rand) core.Mapping { return randomMapping(req, rng, used) },
 		Fitness:       fitness,
 		Crossover: func(a, b core.Mapping, rng *rand.Rand) core.Mapping {
 			child := a.Clone()
@@ -622,7 +649,7 @@ func Genetic(req *Request) (d *Decision, err error) {
 			return repair(child, rng)
 		},
 		Mutate: func(m core.Mapping, rng *rand.Rand) core.Mapping {
-			return neighbor(req, m, rng)
+			return neighbor(req, m, rng, used)
 		},
 	})
 	if st.Cancelled {
@@ -658,6 +685,7 @@ func Exhaustive(req *Request) (d *Decision, err error) {
 	start := time.Now()
 	slots := req.slots()
 	sc := req.Eval.Scorer()
+	defer sc.Publish()
 	m := make(core.Mapping, req.ranks())
 	for i := range m {
 		m[i] = req.Pool[0]
@@ -671,7 +699,7 @@ func Exhaustive(req *Request) (d *Decision, err error) {
 		bestE = math.Inf(-1)
 	}
 	evals := 0
-	used := make(map[int]int)
+	used := req.loads()
 	done := ctx.Done()
 	cancelled := false
 	visits := 0

@@ -11,6 +11,7 @@ import (
 	"cbes/internal/des"
 	"cbes/internal/monitor"
 	"cbes/internal/mpisim"
+	"cbes/internal/obs"
 	"cbes/internal/profile"
 	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
@@ -422,6 +423,100 @@ func TestSAPredictedMatchesFullEvaluation(t *testing.T) {
 	}
 }
 
+// kernelCounts reads the scorer series: full evaluations, Apply, Undo and
+// rescored terms.
+func kernelCounts() [4]uint64 {
+	var c [4]uint64
+	for i, name := range []string{"cbes_core_energy_evals_total", "cbes_core_delta_evals_total",
+		"cbes_core_undo_total", "cbes_core_delta_terms_rescored_total"} {
+		c[i] = obs.Default().Counter(name, "").Value()
+	}
+	return c
+}
+
+// countsOf is what run added to the scorer series.
+func countsOf(run func()) [4]uint64 {
+	before := kernelCounts()
+	run()
+	after := kernelCounts()
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
+// TestSearchCountersExact: scorers count Apply, Undo and rescored terms
+// locally and publish when a search ends, so once a decision returns the
+// series hold every call — none lost to an unpublished scorer.
+func TestSearchCountersExact(t *testing.T) {
+	f := newFixture(t)
+	pool := []int{0, 1, 2, 3}
+
+	// Exhaustive over 4 ranks on 4 one-slot nodes: one Apply and one Undo
+	// per tree node below the root, 4 + 4·3 + 4·3·2 + 4! = 64 of each.
+	var ex *Decision
+	got := countsOf(func() {
+		var err error
+		if ex, err = Exhaustive(f.request(pool, 1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got[0] != 1 || got[1] != 64 || got[2] != 64 || ex.Evaluations != 24 {
+		t.Fatalf("exhaustive: counts %v (full, apply, undo, terms), %d evaluations", got, ex.Evaluations)
+	}
+	// The same walk driven by hand on a fresh scorer rescores the same terms.
+	replay := countsOf(func() {
+		sc := f.eval.Scorer()
+		if _, err := sc.Energy(core.Mapping{0, 0, 0, 0}, f.snap); err != nil {
+			t.Fatal(err)
+		}
+		used := map[int]bool{}
+		var walk func(rank int)
+		walk = func(rank int) {
+			for _, n := range pool {
+				if rank == 4 || used[n] {
+					continue
+				}
+				used[n] = true
+				sc.Apply(core.Move{Rank: rank, To: n})
+				walk(rank + 1)
+				sc.Undo()
+				used[n] = false
+			}
+		}
+		walk(0)
+		sc.Publish()
+	})
+	if replay != got {
+		t.Fatalf("exhaustive counts %v, hand-driven walk %v", got, replay)
+	}
+
+	// SA: every evaluation after a restart's initial one is an Apply, and
+	// the parallel restarts lose nothing against a serial run.
+	for name, run := range map[string]func(*Request) (*Decision, error){
+		"cs": SimulatedAnnealing, "ncs": SimulatedAnnealingNoComm,
+	} {
+		req := f.request(allNodes(f), 5)
+		req.Effort, req.Restarts = 600, 4
+		var d *Decision
+		par := countsOf(func() {
+			var err error
+			if d, err = run(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		prev := runtime.GOMAXPROCS(1)
+		ser := countsOf(func() { _, _ = run(req) })
+		runtime.GOMAXPROCS(prev)
+		if par != ser {
+			t.Fatalf("%s: parallel counts %v, serial %v", name, par, ser)
+		}
+		if par[1] != uint64(d.Evaluations-req.Restarts) || par[2] == 0 || par[2] >= par[1] || par[3] == 0 {
+			t.Fatalf("%s: counts %v (full, apply, undo, terms) for %d evaluations", name, par, d.Evaluations)
+		}
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	f := newFixture(t)
 	if _, err := Random(&Request{Eval: f.eval, Snap: f.snap}); err == nil {
@@ -432,6 +527,15 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if _, err := Random(f.request([]int{0, 1}, 1)); err == nil {
 		t.Fatal("insufficient capacity should error")
+	}
+	for _, bad := range []int{-1, f.topo.NumNodes()} {
+		for name, run := range map[string]func(*Request) (*Decision, error){
+			"rs": Random, "cs": SimulatedAnnealing, "ga": Genetic, "exhaustive": Exhaustive,
+		} {
+			if _, err := run(f.request([]int{0, 1, 2, bad}, 1)); err == nil {
+				t.Fatalf("%s: pool node %d outside the topology accepted", name, bad)
+			}
+		}
 	}
 }
 
