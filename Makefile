@@ -95,6 +95,9 @@ faults-smoke:
 		./internal/monitor/ ./internal/core/ ./internal/schedule/ \
 		./internal/remap/ ./internal/service/ ./internal/obs/
 
-# Short fuzz pass over the delta-evaluation invariants.
+# Short fuzz passes: the delta-evaluation invariants, and topology specs
+# as hostile input (an error or a valid topology, never a panic or a
+# multi-MB build).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/

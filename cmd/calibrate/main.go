@@ -42,7 +42,7 @@ func main() {
 	}
 
 	fmt.Printf("calibrating %s (%d nodes, %d switches)...\n",
-		topo.Name, topo.NumNodes(), len(topo.Switches))
+		topo.Name, topo.NumNodes(), topo.NumSwitches())
 	start := time.Now()
 	model := bench.Calibrate(topo, bench.Options{AllPairs: *allPairs})
 	fmt.Printf("calibration done in %.1fs (host time): %d path classes\n",

@@ -111,8 +111,8 @@ func run() error {
 	// (structured 1k/5k topologies). Visible via /debug/vars and /metrics.
 	reg := obs.Default()
 	reg.Gauge("cbes_topology_nodes", "Nodes in the simulated topology").Set(float64(topo.NumNodes()))
-	reg.Gauge("cbes_topology_switches", "Switches in the simulated topology").Set(float64(len(topo.Switches)))
-	reg.Gauge("cbes_topology_links", "Links in the simulated topology").Set(float64(len(topo.Links)))
+	reg.Gauge("cbes_topology_switches", "Switches in the simulated topology").Set(float64(topo.NumSwitches()))
+	reg.Gauge("cbes_topology_links", "Links in the simulated topology").Set(float64(topo.NumLinks()))
 	routeTable := 0.0
 	if topo.RouteMemoryMode() == "table" {
 		routeTable = 1

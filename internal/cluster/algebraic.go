@@ -1,14 +1,17 @@
 package cluster
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+
+	"cbes/internal/des"
 )
 
-// Algebraic routing: structured topologies (fat tree, torus, dragonfly)
-// compute routes arithmetically from node coordinates instead of storing
-// an all-pairs table. A 5k-node fat tree holds O(N) link metadata and a
-// few hundred interned class signatures — no O(N²) state of any kind.
+// Algebraic topologies: structured topologies (fat tree, torus, dragonfly)
+// compute routes, and their node, switch and link records and names,
+// arithmetically from coordinates instead of storing tables. A 5k-node fat
+// tree holds a few dozen interned class signatures and nothing per node,
+// per link or per pair.
 //
 // Each router must honour the same contracts the table router does:
 //
@@ -25,6 +28,42 @@ type algRouter interface {
 	hops(src, dst int) int
 	// classID returns the interned path-class ID of the ordered pair.
 	classID(src, dst int) int
+
+	// The records, names and indexes invert the ID layout written in each
+	// router's comment; nicLayout supplies the node-side half.
+	numNodes() int
+	numSwitches() int
+	numLinks() int
+	node(id int) Node
+	sw(id int) Switch
+	link(id int) Link
+	nodeName(id int) string
+	switchName(id int) string
+	linkName(id int) string
+}
+
+// nicLayout is the part of the ID layout the three structured builders
+// share: node id hangs off edge switch id/perSwitch through the NIC link
+// numbered id, and architectures follow the pattern by node ID.
+type nicLayout struct {
+	n         int // node count, and so the first fabric link ID
+	perSwitch int // nodes per edge switch
+	ai        *archIndexer
+	bandwidth float64 // NIC link
+	latency   des.Time
+}
+
+func (l *nicLayout) numNodes() int { return l.n }
+
+func (l *nicLayout) node(id int) Node {
+	info := l.ai.info[l.ai.index(id)]
+	return Node{ID: id, Arch: info.Arch, Switch: id / l.perSwitch, Speed: info.Speed, CPUs: info.CPUs}
+}
+
+// nicLink is link id < n: node id's cable to its edge switch.
+func (l *nicLayout) nicLink(id int) Link {
+	return Link{ID: id, A: Device{DevNode, id}, B: Device{DevSwitch, id / l.perSwitch},
+		Bandwidth: l.bandwidth, Latency: l.latency}
 }
 
 // sigWriter builds path-signature strings with the exact grammar of
@@ -39,18 +78,24 @@ func (w *sigWriter) start(a Arch) { w.sb.WriteString(string(a)) }
 
 // hopSwitch records a link whose far end is a switch of the given class.
 func (w *sigWriter) hopSwitch(bandwidth float64, class string) {
-	fmt.Fprintf(&w.sb, "|%.0fMb", bandwidth*8/1e6)
-	w.sb.WriteString("|" + class)
+	w.hopNode(bandwidth)
+	w.sb.WriteByte('|')
+	w.sb.WriteString(class)
 }
 
-// hopNode records a link whose far end is a node.
+// hopNode records a link whose far end is a node, its bandwidth spelled
+// as fmt's %.0f in Mb/s.
 func (w *sigWriter) hopNode(bandwidth float64) {
-	fmt.Fprintf(&w.sb, "|%.0fMb", bandwidth*8/1e6)
+	var num [32]byte
+	w.sb.WriteByte('|')
+	w.sb.Write(strconv.AppendFloat(num[:0], bandwidth*8/1e6, 'f', 0, 64))
+	w.sb.WriteString("Mb")
 }
 
 // end terminates the signature at a node of architecture a.
 func (w *sigWriter) end(a Arch) string {
-	w.sb.WriteString("|" + string(a))
+	w.sb.WriteByte('|')
+	w.sb.WriteString(string(a))
 	return w.sb.String()
 }
 
@@ -63,9 +108,10 @@ func loopSignature(a Arch) string { return "loop|" + string(a) }
 // ratios) pattern list by node ID; the index space is the deduplicated
 // arch list in pattern order.
 type archIndexer struct {
-	pattern []Arch  // arch per node ID modulo len(pattern)
-	archs   []Arch  // deduplicated, in first-appearance order
-	idx     []uint8 // pattern position -> archs position
+	pattern []Arch     // arch per node ID modulo len(pattern)
+	archs   []Arch     // deduplicated, in first-appearance order
+	info    []ArchInfo // default characteristics, parallel to archs
+	idx     []uint8    // pattern position -> archs position
 }
 
 func newArchIndexer(pattern []Arch) *archIndexer {
@@ -80,6 +126,7 @@ func newArchIndexer(pattern []Arch) *archIndexer {
 			p = uint8(len(ai.archs))
 			pos[a] = p
 			ai.archs = append(ai.archs, a)
+			ai.info = append(ai.info, DefaultArchInfo(a))
 		}
 		ai.idx[i] = p
 	}
@@ -122,37 +169,45 @@ func (g *shapeGrid) id(shape, src, dst int) int {
 // numClasses is the dense ID-space size.
 func (g *shapeGrid) numClasses() int { return g.shapes * g.ai.count() * g.ai.count() }
 
-// signatures builds the per-class signature table: sig(shape, si, di)
-// must append the interior of the signature (everything between the start
-// arch and the end arch) to w. Shape 0 is always the loopback class.
+// signatures builds the per-class signature table: sig(w, shape) must
+// append the interior of the signature (everything between the start arch
+// and the end arch) to w. Shape 0 is always the loopback class. Each
+// shape's interior is spelled once and the table is copied into a single
+// buffer of exactly its size: a torus has one shape per hop distance, so
+// a wide mixed-architecture one carries megabytes of signatures.
 func (g *shapeGrid) signatures(sig func(w *sigWriter, shape int)) []string {
 	a := g.ai.count()
+	var mids sigWriter
+	ends := make([]int, g.shapes)
+	for shape := 1; shape < g.shapes; shape++ {
+		sig(&mids, shape)
+		ends[shape] = mids.sb.Len()
+	}
+	interiors := mids.sb.String()
+	archBytes := 0
+	for _, arch := range g.ai.archs {
+		archBytes += len(arch)
+	}
+	var w strings.Builder
+	w.Grow(len("loop|")*a + archBytes + // the loopback diagonal
+		a*a*(len(interiors)+g.shapes-1) + 2*a*archBytes*(g.shapes-1))
+	spelled := func(from int) string { return w.String()[from:] }
 	sigs := make([]string, g.numClasses())
-	for shape := 0; shape < g.shapes; shape++ {
+	for si, arch := range g.ai.archs {
+		from := w.Len()
+		w.WriteString(loopSignature(arch))
+		sigs[si*a+si] = spelled(from) // off-diagonal loop slots cover no pairs; leave them ""
+	}
+	for shape := 1; shape < g.shapes; shape++ {
+		mid := interiors[ends[shape-1]:ends[shape]]
 		g.ai.pairClasses(func(si, di int) {
-			id := (shape*a+si)*a + di
-			if shape == 0 {
-				if si == di {
-					sigs[id] = loopSignature(g.ai.archs[si])
-				}
-				// Off-diagonal loop slots cover no pairs; leave them "".
-				return
-			}
-			var w sigWriter
-			w.start(g.ai.archs[si])
-			sig(&w, shape)
-			sigs[id] = w.end(g.ai.archs[di])
+			from := w.Len()
+			w.WriteString(string(g.ai.archs[si]))
+			w.WriteString(mid)
+			w.WriteByte('|')
+			w.WriteString(string(g.ai.archs[di]))
+			sigs[(shape*a+si)*a+di] = spelled(from)
 		})
 	}
 	return sigs
-}
-
-// defaultArchTable returns the arch info map structured builders install
-// (the default table for every architecture in the pattern).
-func defaultArchTable(ai *archIndexer) map[Arch]ArchInfo {
-	m := map[Arch]ArchInfo{}
-	for _, a := range ai.archs {
-		m[a] = DefaultArchInfo(a)
-	}
-	return m
 }

@@ -28,10 +28,10 @@ var smallStructured = func() map[string]*Topology {
 // node+switch fabric graph — the reference the algebraic routers must
 // match (fat tree, torus) or bound (dragonfly minimal routing).
 func bfsDistances(t *Topology, src int) []int {
-	nv := len(t.Nodes) + len(t.Switches)
-	type edge struct{ to int }
+	nv := t.NumNodes() + t.NumSwitches()
 	adj := make([][]int, nv)
-	for _, l := range t.Links {
+	for id := 0; id < t.NumLinks(); id++ {
+		l := t.Link(id)
 		a, z := vertexID(t, l.A), vertexID(t, l.B)
 		adj[a] = append(adj[a], z)
 		adj[z] = append(adj[z], a)
@@ -53,7 +53,7 @@ func bfsDistances(t *Topology, src int) []int {
 			}
 		}
 	}
-	return dist[:len(t.Nodes)]
+	return dist[:t.NumNodes()]
 }
 
 // TestAlgebraicPathsWellFormed checks, for every ordered pair of every
@@ -62,7 +62,7 @@ func bfsDistances(t *Topology, src int) []int {
 // path, and that AppendPath reuses the caller's buffer.
 func TestAlgebraicPathsWellFormed(t *testing.T) {
 	for name, topo := range smallStructured {
-		if !topo.AlgebraicRoutes() {
+		if topo.RouteMemoryMode() != "algebraic" {
 			t.Fatalf("%s: expected algebraic routing", name)
 		}
 		if err := topo.Validate(); err != nil {
@@ -177,10 +177,10 @@ func TestFatTreeShape(t *testing.T) {
 		if got := topo.NumNodes(); got != tc.nodes {
 			t.Fatalf("k=%d: %d nodes, want %d", tc.k, got, tc.nodes)
 		}
-		if got := len(topo.Switches); got != tc.switches {
+		if got := topo.NumSwitches(); got != tc.switches {
 			t.Fatalf("k=%d: %d switches, want %d", tc.k, got, tc.switches)
 		}
-		if got := len(topo.Links); got != tc.links {
+		if got := topo.NumLinks(); got != tc.links {
 			t.Fatalf("k=%d: %d links, want %d", tc.k, got, tc.links)
 		}
 		// Same-edge pairs: 2 hops; cross-pod pairs: 6.
@@ -205,7 +205,7 @@ func TestTorusShape(t *testing.T) {
 		t.Fatalf("4x4x4 torus has %d nodes, want 64", got)
 	}
 	// 3 dimensions × 64 ring links + 64 NICs.
-	if got := len(topo.Links); got != 64+3*64 {
+	if got := topo.NumLinks(); got != 64+3*64 {
 		t.Fatalf("4x4x4 torus has %d links, want %d", got, 64+3*64)
 	}
 	// Antipodal pair: 2+2+2 ring hops + 2 NIC hops.
@@ -225,12 +225,12 @@ func TestDragonflyShape(t *testing.T) {
 	if got := topo.NumNodes(); got != 72 {
 		t.Fatalf("dragonfly has %d nodes, want 72", got)
 	}
-	if got := len(topo.Switches); got != 36 {
+	if got := topo.NumSwitches(); got != 36 {
 		t.Fatalf("dragonfly has %d routers, want 36", got)
 	}
 	// 72 NIC + 9 groups × C(4,2) local + C(9,2) global.
 	want := 72 + 9*6 + 36
-	if got := len(topo.Links); got != want {
+	if got := topo.NumLinks(); got != want {
 		t.Fatalf("dragonfly has %d links, want %d", got, want)
 	}
 	// Same router: 2 hops.
@@ -272,7 +272,7 @@ func TestPrecomputedIndexes(t *testing.T) {
 			t.Fatalf("%s: NodesByArch union %d nodes, want %d", name, total, topo.NumNodes())
 		}
 		// NodesOnSwitch matches the node records.
-		for sw := range topo.Switches {
+		for sw := 0; sw < topo.NumSwitches(); sw++ {
 			for _, id := range topo.NodesOnSwitch(sw) {
 				if topo.Node(id).Switch != sw {
 					t.Fatalf("%s: node %d on switch %d per index, record says %d", name, id, sw, topo.Node(id).Switch)
@@ -285,7 +285,7 @@ func TestPrecomputedIndexes(t *testing.T) {
 			if lid < 0 {
 				t.Fatalf("%s: node %d has no edge link", name, id)
 			}
-			l := topo.Links[lid]
+			l := topo.Link(lid)
 			dev := Device{DevNode, id}
 			if l.A != dev && l.B != dev {
 				t.Fatalf("%s: EdgeLink(%d) = %d not incident to the node", name, id, lid)
@@ -349,7 +349,7 @@ func TestAlgebraicTopologyNoRouteTable(t *testing.T) {
 	if grove.routes == nil || grove.ClassIDTable() == nil {
 		t.Fatal("grove lost its table routing")
 	}
-	if grove.AlgebraicRoutes() {
+	if grove.RouteMemoryMode() != "table" {
 		t.Fatal("grove should not be algebraic")
 	}
 }

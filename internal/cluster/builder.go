@@ -9,11 +9,12 @@ import (
 // Builder assembles a Topology incrementally. Build precomputes shortest
 // (fewest-hop) routes between all node pairs and freezes the result.
 type Builder struct {
-	name     string
-	nodes    []Node
-	switches []Switch
-	links    []Link
-	archs    map[Arch]ArchInfo
+	name                              string
+	nodes                             []Node
+	switches                          []Switch
+	links                             []Link
+	nodeNames, switchNames, linkNames []string
+	archs                             map[Arch]ArchInfo
 }
 
 // NewBuilder starts an empty topology with the default architecture table.
@@ -32,7 +33,8 @@ func (b *Builder) SetArchInfo(ai ArchInfo) { b.archs[ai.Arch] = ai }
 // Switch adds a switch and returns its ID.
 func (b *Builder) Switch(name, class string, ports int) int {
 	id := len(b.switches)
-	b.switches = append(b.switches, Switch{ID: id, Name: name, Ports: ports, Class: class})
+	b.switches = append(b.switches, Switch{ID: id, Ports: ports, Class: class})
+	b.switchNames = append(b.switchNames, name)
 	return id
 }
 
@@ -44,7 +46,8 @@ func (b *Builder) Node(name string, a Arch, sw int, bw float64, lat des.Time) in
 		ai = DefaultArchInfo(a)
 	}
 	id := len(b.nodes)
-	b.nodes = append(b.nodes, Node{ID: id, Name: name, Arch: a, Switch: sw, Speed: ai.Speed, CPUs: ai.CPUs})
+	b.nodes = append(b.nodes, Node{ID: id, Arch: a, Switch: sw, Speed: ai.Speed, CPUs: ai.CPUs})
+	b.nodeNames = append(b.nodeNames, name)
 	b.addLink(fmt.Sprintf("%s<->%s", name, b.switchName(sw)),
 		Device{DevNode, id}, Device{DevSwitch, sw}, bw, lat)
 	return id
@@ -61,14 +64,15 @@ func (b *Builder) switchName(sw int) string {
 	if sw < 0 || sw >= len(b.switches) {
 		return fmt.Sprintf("?sw%d", sw)
 	}
-	return b.switches[sw].Name
+	return b.switchNames[sw]
 }
 
 func (b *Builder) addLink(name string, a, z Device, bw float64, lat des.Time) {
 	if bw <= 0 {
 		panic("cluster: link bandwidth must be positive")
 	}
-	b.links = append(b.links, Link{ID: len(b.links), A: a, B: z, Bandwidth: bw, Latency: lat, Name: name})
+	b.links = append(b.links, Link{ID: len(b.links), A: a, B: z, Bandwidth: bw, Latency: lat})
+	b.linkNames = append(b.linkNames, name)
 }
 
 // Build freezes the topology and computes all-pairs shortest routing.
@@ -76,15 +80,18 @@ func (b *Builder) addLink(name string, a, z Device, bw float64, lat des.Time) {
 // deterministically by link insertion order.
 func (b *Builder) Build() *Topology {
 	t := &Topology{
-		Name:     b.name,
-		Nodes:    append([]Node(nil), b.nodes...),
-		Switches: append([]Switch(nil), b.switches...),
-		Links:    append([]Link(nil), b.links...),
-		archs:    b.archs,
+		Name:        b.name,
+		archs:       b.archs,
+		nodes:       append([]Node(nil), b.nodes...),
+		switches:    append([]Switch(nil), b.switches...),
+		links:       append([]Link(nil), b.links...),
+		nodeNames:   append([]string(nil), b.nodeNames...),
+		switchNames: append([]string(nil), b.switchNames...),
+		linkNames:   append([]string(nil), b.linkNames...),
 	}
 	t.routes = computeRoutes(t)
 	t.internTable()
-	t.buildIndexes()
+	t.indexEdgeLinks()
 	return t
 }
 
@@ -94,21 +101,21 @@ func vertexID(t *Topology, d Device) int {
 	if d.Kind == DevNode {
 		return d.Index
 	}
-	return len(t.Nodes) + d.Index
+	return t.NumNodes() + d.Index
 }
 
 func computeRoutes(t *Topology) [][][]int {
-	nv := len(t.Nodes) + len(t.Switches)
+	nv := len(t.nodes) + len(t.switches)
 	// adjacency: vertex -> (link, neighbour vertex)
 	type edge struct{ link, to int }
 	adj := make([][]edge, nv)
-	for _, l := range t.Links {
+	for _, l := range t.links {
 		a, z := vertexID(t, l.A), vertexID(t, l.B)
 		adj[a] = append(adj[a], edge{l.ID, z})
 		adj[z] = append(adj[z], edge{l.ID, a})
 	}
-	routes := make([][][]int, len(t.Nodes))
-	for src := range t.Nodes {
+	routes := make([][][]int, len(t.nodes))
+	for src := range t.nodes {
 		// BFS from src over the fabric graph.
 		prevLink := make([]int, nv)
 		prevVert := make([]int, nv)
@@ -131,8 +138,8 @@ func computeRoutes(t *Topology) [][][]int {
 				queue = append(queue, e.to)
 			}
 		}
-		routes[src] = make([][]int, len(t.Nodes))
-		for dst := range t.Nodes {
+		routes[src] = make([][]int, len(t.nodes))
+		for dst := range t.nodes {
 			if dst == src {
 				routes[src][dst] = []int{}
 				continue

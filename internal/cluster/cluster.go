@@ -13,7 +13,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cbes/internal/des"
 )
@@ -61,20 +61,20 @@ func DefaultArchInfo(a Arch) ArchInfo {
 	}
 }
 
-// Node is one cluster machine.
+// Node is one cluster machine. Its name is not part of the record
+// (Topology.NodeName spells it), so Topology.Node never allocates.
 type Node struct {
 	ID     int     // dense index, 0..N-1
-	Name   string  // e.g. "centurion-a07"
 	Arch   Arch    // hardware architecture
 	Switch int     // edge switch the node's NIC connects to
 	Speed  float64 // relative compute speed (copied from ArchInfo, overridable)
 	CPUs   int     // processors
 }
 
-// Switch is a network switch (or a stack functioning as one).
+// Switch is a network switch (or a stack functioning as one); its name is
+// Topology.SwitchName.
 type Switch struct {
 	ID    int
-	Name  string
 	Ports int
 	Class string // e.g. "3com-100", "3com-1200", "dlink-100"; part of path signatures
 }
@@ -101,13 +101,13 @@ func (d Device) String() string {
 	return fmt.Sprintf("switch%d", d.Index)
 }
 
-// Link is an undirected full-duplex cable between two devices.
+// Link is an undirected full-duplex cable between two devices; its name is
+// Topology.LinkName.
 type Link struct {
 	ID        int
 	A, B      Device
 	Bandwidth float64  // bytes per second per direction
 	Latency   des.Time // propagation + store-and-forward latency per traversal
-	Name      string
 }
 
 // Bandwidth constants in bytes/second.
@@ -118,45 +118,67 @@ const (
 
 // Topology is an immutable cluster description with node-to-node routing.
 //
-// Routing comes in two flavours. Small irregular topologies (the 2005
-// testbeds, Builder-assembled test fabrics) carry a precomputed all-pairs
-// route table — O(N²·hops) memory, fine below a few hundred nodes. The
-// structured builders (NewFatTree, NewTorus, NewDragonfly) install an
-// algebraic router instead: paths are computed on demand from node
-// coordinates in O(hops), so a 5k-node fat tree stores no route table at
-// all.
+// It comes in two flavours. Small irregular topologies (the 2005
+// testbeds, Builder-assembled test fabrics) store their node, switch and
+// link records and a precomputed all-pairs route table — O(N²·hops)
+// memory, fine below a few hundred nodes. The structured builders
+// (NewFatTree, NewTorus, NewDragonfly) install an algebraic router
+// instead: records, names and paths are computed on demand from
+// coordinates, so a 5k-node fat tree stores no per-node, per-link or
+// per-pair state at all.
 //
 // Either way, every ordered pair belongs to an interned path class: a
 // dense integer ID (ClassID) whose signature string (ClassSignature) is
 // the PathSignature the latency model is keyed by. Hot paths carry the
 // int; the string exists once per class, not once per pair.
 type Topology struct {
-	Name     string
-	Nodes    []Node
-	Switches []Switch
-	Links    []Link
-	archs    map[Arch]ArchInfo
-	// routes[src][dst] is the ordered list of link IDs a message traverses
-	// (table-routed topologies only; nil when alg is set).
-	routes [][][]int
-	// alg computes routes and class IDs arithmetically from coordinates
-	// (structured topologies only; nil when routes is set).
+	Name string
+	// alg computes records, names, routes and class IDs arithmetically
+	// from coordinates (structured topologies only; nil for Builder
+	// topologies, which fill the fields after classSigs instead).
 	alg algRouter
-	// classIDs maps src*N+dst to a path-class ID for table-routed
-	// topologies (int32: 4 bytes/pair instead of a route slice per pair).
-	classIDs []int32
 	// classSigs[id] is the signature string of path class id, for both
-	// routing modes.
+	// flavours.
 	classSigs []string
-	// Precomputed Build-time indexes (satellite of the 5k scaling work:
-	// scheduler pool filtering used to scan all nodes per call).
-	byArch   map[Arch][]int
-	bySwitch [][]int
-	edgeLink []int32 // node -> NIC link ID, -1 if none
+
+	archs                             map[Arch]ArchInfo // nil: the defaults
+	nodes                             []Node
+	switches                          []Switch
+	links                             []Link
+	nodeNames, switchNames, linkNames []string
+	// routes[src][dst] is the ordered list of link IDs a message traverses.
+	routes [][][]int
+	// classIDs maps src*N+dst to a path-class ID (int32: 4 bytes/pair
+	// instead of a route slice per pair).
+	classIDs []int32
+	// edgeLink[node] is the node's NIC link ID, -1 if none.
+	edgeLink []int32
 }
 
 // NumNodes reports the number of nodes.
-func (t *Topology) NumNodes() int { return len(t.Nodes) }
+func (t *Topology) NumNodes() int {
+	if t.alg != nil {
+		return t.alg.numNodes()
+	}
+	return len(t.nodes)
+}
+
+// NumSwitches reports the number of switches.
+func (t *Topology) NumSwitches() int {
+	if t.alg != nil {
+		return t.alg.numSwitches()
+	}
+	return len(t.switches)
+}
+
+// NumLinks reports the number of links; valid link IDs are
+// 0..NumLinks()-1.
+func (t *Topology) NumLinks() int {
+	if t.alg != nil {
+		return t.alg.numLinks()
+	}
+	return len(t.links)
+}
 
 // ArchInfo returns the architecture characteristics table entry for a.
 func (t *Topology) ArchInfo(a Arch) ArchInfo {
@@ -168,19 +190,61 @@ func (t *Topology) ArchInfo(a Arch) ArchInfo {
 }
 
 // Node returns the node with the given ID.
-func (t *Topology) Node(id int) *Node { return &t.Nodes[id] }
+func (t *Topology) Node(id int) Node {
+	if t.alg != nil {
+		return t.alg.node(id)
+	}
+	return t.nodes[id]
+}
+
+// Switch returns the switch with the given ID.
+func (t *Topology) Switch(id int) Switch {
+	if t.alg != nil {
+		return t.alg.sw(id)
+	}
+	return t.switches[id]
+}
+
+// Link returns the link with the given ID.
+func (t *Topology) Link(id int) Link {
+	if t.alg != nil {
+		return t.alg.link(id)
+	}
+	return t.links[id]
+}
 
 // NodeName returns the node's name, or "node<id>" out of range.
 func (t *Topology) NodeName(id int) string {
-	if id < 0 || id >= len(t.Nodes) {
+	switch {
+	case id < 0 || id >= t.NumNodes():
 		return fmt.Sprintf("node%d", id)
+	case t.alg != nil:
+		return t.alg.nodeName(id)
 	}
-	return t.Nodes[id].Name
+	return t.nodeNames[id]
 }
 
-// AlgebraicRoutes reports whether routes are computed on demand from
-// coordinates (structured topologies) instead of a stored table.
-func (t *Topology) AlgebraicRoutes() bool { return t.alg != nil }
+// SwitchName returns the switch's name, or "switch<id>" out of range.
+func (t *Topology) SwitchName(id int) string {
+	switch {
+	case id < 0 || id >= t.NumSwitches():
+		return fmt.Sprintf("switch%d", id)
+	case t.alg != nil:
+		return t.alg.switchName(id)
+	}
+	return t.switchNames[id]
+}
+
+// LinkName returns the link's name, or "link<id>" out of range.
+func (t *Topology) LinkName(id int) string {
+	switch {
+	case id < 0 || id >= t.NumLinks():
+		return fmt.Sprintf("link%d", id)
+	case t.alg != nil:
+		return t.alg.linkName(id)
+	}
+	return t.linkNames[id]
+}
 
 // RouteMemoryMode names the routing storage strategy: "table" for the
 // precomputed all-pairs table, "algebraic" for on-demand coordinate
@@ -231,7 +295,7 @@ func (t *Topology) NumClasses() int { return len(t.classSigs) }
 // instead of building signature strings.
 func (t *Topology) ClassID(src, dst int) int {
 	if t.classIDs != nil {
-		return int(t.classIDs[src*len(t.Nodes)+dst])
+		return int(t.classIDs[src*len(t.nodes)+dst])
 	}
 	return t.alg.classID(src, dst)
 }
@@ -250,98 +314,78 @@ func (t *Topology) ClassSignature(id int) string { return t.classSigs[id] }
 // same no-load latency curve; this is the basis of the paper's O(N)
 // resource-availability approximation.
 func (t *Topology) PathSignature(src, dst int) string {
-	if t.classSigs != nil {
-		return t.classSigs[t.ClassID(src, dst)]
-	}
-	return t.pathSignature(src, dst)
+	return t.classSigs[t.ClassID(src, dst)]
 }
 
 // pathSignature computes the signature by walking the route; Build interns
-// the result per class, the fallback above serves hand-literal topologies.
+// the result per class, and the routers' tests hold their interned
+// signatures against it.
 func (t *Topology) pathSignature(src, dst int) string {
 	if src == dst {
-		return "loop|" + string(t.Nodes[src].Arch)
+		return loopSignature(t.Node(src).Arch)
 	}
 	var w sigWriter
-	w.start(t.Nodes[src].Arch)
+	w.start(t.Node(src).Arch)
 	at := Device{DevNode, src}
 	for _, lid := range t.Path(src, dst) {
-		l := t.Links[lid]
+		l := t.Link(lid)
 		far := l.B
 		if far == at {
 			far = l.A
 		}
 		if far.Kind == DevSwitch {
-			w.hopSwitch(l.Bandwidth, t.Switches[far.Index].Class)
+			w.hopSwitch(l.Bandwidth, t.Switch(far.Index).Class)
 		} else {
 			w.hopNode(l.Bandwidth)
 		}
 		at = far
 	}
-	return w.end(t.Nodes[dst].Arch)
+	return w.end(t.Node(dst).Arch)
 }
 
 // NodesByArch returns the IDs of all nodes of the given architecture, in
-// increasing ID order. Built topologies serve a precomputed index; the
-// returned slice is a copy the caller may mutate.
+// increasing ID order.
 func (t *Topology) NodesByArch(a Arch) []int {
-	if t.byArch != nil {
-		return append([]int(nil), t.byArch[a]...)
-	}
-	var ids []int
-	for _, n := range t.Nodes {
-		if n.Arch == a {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids
+	return t.nodesWhere(func(n Node) bool { return n.Arch == a })
 }
 
 // NodesOnSwitch returns the IDs of all nodes attached to the given edge
-// switch, in increasing ID order. Built topologies serve a precomputed
-// index; the returned slice is a copy the caller may mutate.
+// switch, in increasing ID order.
 func (t *Topology) NodesOnSwitch(sw int) []int {
-	if t.bySwitch != nil {
-		if sw < 0 || sw >= len(t.bySwitch) {
-			return nil
-		}
-		return append([]int(nil), t.bySwitch[sw]...)
-	}
+	return t.nodesWhere(func(n Node) bool { return n.Switch == sw })
+}
+
+// nodesWhere scans the node records in ID order. No caller is hot enough
+// to pay for an index (pools and zones are built once per system).
+func (t *Topology) nodesWhere(keep func(Node) bool) []int {
 	var ids []int
-	for _, n := range t.Nodes {
-		if n.Switch == sw {
-			ids = append(ids, n.ID)
+	for id := 0; id < t.NumNodes(); id++ {
+		if keep(t.Node(id)) {
+			ids = append(ids, id)
 		}
 	}
 	return ids
 }
 
 // EdgeLink returns the ID of the link connecting node id to its edge
-// switch (its NIC cable), or -1 if the node has no link.
+// switch (its NIC cable), or -1 if the node has no link. Every structured
+// builder numbers a node's NIC link with the node's own ID.
 func (t *Topology) EdgeLink(node int) int {
-	if t.edgeLink != nil {
-		return int(t.edgeLink[node])
+	if t.alg != nil {
+		return node
 	}
-	dev := Device{DevNode, node}
-	for _, l := range t.Links {
-		if l.A == dev || l.B == dev {
-			return l.ID
-		}
-	}
-	return -1
+	return int(t.edgeLink[node])
 }
 
 // Archs returns the distinct architectures present, sorted by name.
 func (t *Topology) Archs() []Arch {
-	seen := map[Arch]bool{}
-	for _, n := range t.Nodes {
-		seen[n.Arch] = true
-	}
 	var out []Arch
-	for a := range seen {
-		out = append(out, a)
+	for id := 0; id < t.NumNodes(); id++ {
+		if a := t.Node(id).Arch; !slices.Contains(out, a) {
+			out = append(out, a)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -351,19 +395,21 @@ func (t *Topology) Archs() []Arch {
 // construction guarantees connectivity — spot-check a bounded sample of
 // pairs for route well-formedness so Validate stays O(N) at 5k nodes.
 func (t *Topology) Validate() error {
-	for _, n := range t.Nodes {
-		if n.Switch < 0 || n.Switch >= len(t.Switches) {
-			return fmt.Errorf("cluster: node %d references missing switch %d", n.ID, n.Switch)
+	n, switches := t.NumNodes(), t.NumSwitches()
+	for id := 0; id < n; id++ {
+		nd := t.Node(id)
+		if nd.Switch < 0 || nd.Switch >= switches {
+			return fmt.Errorf("cluster: node %d references missing switch %d", id, nd.Switch)
 		}
-		if n.CPUs <= 0 || n.Speed <= 0 {
-			return fmt.Errorf("cluster: node %d has invalid CPUs/Speed", n.ID)
+		if nd.CPUs <= 0 || nd.Speed <= 0 {
+			return fmt.Errorf("cluster: node %d has invalid CPUs/Speed", id)
 		}
 	}
 	if t.alg != nil {
 		return t.validateAlgebraic()
 	}
-	for i := range t.Nodes {
-		for j := range t.Nodes {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if i != j && t.routes[i][j] == nil {
 				return fmt.Errorf("cluster: no route between node %d and node %d", i, j)
 			}
@@ -376,7 +422,7 @@ func (t *Topology) Validate() error {
 // ordered pairs the path must start at src's NIC, end at dst's NIC, and
 // chain device-connected links.
 func (t *Topology) validateAlgebraic() error {
-	n := len(t.Nodes)
+	n := t.NumNodes()
 	stride := n/64 + 1
 	var buf []int
 	for i := 0; i < n; i += stride {
@@ -398,17 +444,17 @@ func (t *Topology) validateAlgebraic() error {
 func (t *Topology) checkPath(path []int, src, dst int) error {
 	at := Device{DevNode, src}
 	for _, lid := range path {
-		if lid < 0 || lid >= len(t.Links) {
+		if lid < 0 || lid >= t.NumLinks() {
 			return fmt.Errorf("cluster: route %d->%d references missing link %d", src, dst, lid)
 		}
-		l := &t.Links[lid]
+		l := t.Link(lid)
 		switch at {
 		case l.A:
 			at = l.B
 		case l.B:
 			at = l.A
 		default:
-			return fmt.Errorf("cluster: route %d->%d broken at link %d (%s): not incident to %s", src, dst, lid, l.Name, at)
+			return fmt.Errorf("cluster: route %d->%d broken at link %d (%s): not incident to %s", src, dst, lid, t.LinkName(lid), at)
 		}
 	}
 	if want := (Device{DevNode, dst}); at != want {
@@ -422,7 +468,7 @@ func (t *Topology) checkPath(path []int, src, dst int) error {
 // row-major order (the order bench.Calibrate picks class representatives
 // in, so calibration output is unchanged by the interning).
 func (t *Topology) internTable() {
-	n := len(t.Nodes)
+	n := len(t.nodes)
 	t.classIDs = make([]int32, n*n)
 	bySig := map[string]int32{}
 	for src := 0; src < n; src++ {
@@ -439,24 +485,14 @@ func (t *Topology) internTable() {
 	}
 }
 
-// buildIndexes precomputes the Build-time lookup indexes shared by both
-// routing modes: nodes per architecture, nodes per edge switch, and each
-// node's NIC link.
-func (t *Topology) buildIndexes() {
-	t.byArch = map[Arch][]int{}
-	t.bySwitch = make([][]int, len(t.Switches))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		t.byArch[n.Arch] = append(t.byArch[n.Arch], n.ID)
-		if n.Switch >= 0 && n.Switch < len(t.bySwitch) {
-			t.bySwitch[n.Switch] = append(t.bySwitch[n.Switch], n.ID)
-		}
-	}
-	t.edgeLink = make([]int32, len(t.Nodes))
+// indexEdgeLinks records each node's NIC link (-1 if none) on a table
+// topology; the monitor reads it per node per sample.
+func (t *Topology) indexEdgeLinks() {
+	t.edgeLink = make([]int32, len(t.nodes))
 	for i := range t.edgeLink {
 		t.edgeLink[i] = -1
 	}
-	for _, l := range t.Links {
+	for _, l := range t.links {
 		for _, d := range [2]Device{l.A, l.B} {
 			if d.Kind == DevNode && t.edgeLink[d.Index] < 0 {
 				t.edgeLink[d.Index] = int32(l.ID)

@@ -22,7 +22,7 @@ func TestCenturionShape(t *testing.T) {
 	if got := len(c.NodesByArch(ArchIntel)); got != 96 {
 		t.Fatalf("Centurion has %d Intels, want 96", got)
 	}
-	if got := len(c.Switches); got != 9 {
+	if got := c.NumSwitches(); got != 9 {
 		t.Fatalf("Centurion has %d switches, want 9 (8 edge + core)", got)
 	}
 	// Every edge switch hosts 16 nodes.
@@ -53,13 +53,14 @@ func TestOrangeGroveShape(t *testing.T) {
 		}
 	}
 	// Intel nodes are dual-CPU, others single.
-	for _, n := range g.Nodes {
+	for id := 0; id < g.NumNodes(); id++ {
+		n := g.Node(id)
 		wantCPUs := 1
 		if n.Arch == ArchIntel {
 			wantCPUs = 2
 		}
 		if n.CPUs != wantCPUs {
-			t.Fatalf("node %s (%s) has %d CPUs, want %d", n.Name, n.Arch, n.CPUs, wantCPUs)
+			t.Fatalf("node %s (%s) has %d CPUs, want %d", g.NodeName(id), n.Arch, n.CPUs, wantCPUs)
 		}
 	}
 }
@@ -217,7 +218,7 @@ func TestQuickPathWellFormed(t *testing.T) {
 		}
 		at := Device{DevNode, i}
 		for _, lid := range path {
-			l := g.Links[lid]
+			l := g.Link(lid)
 			switch at {
 			case l.A:
 				at = l.B

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -15,12 +14,12 @@ func (t *Topology) ToDOT() string {
 	fmt.Fprintf(&sb, "graph %q {\n", t.Name)
 	sb.WriteString("  layout=neato; overlap=false; splines=true;\n")
 
-	for _, sw := range t.Switches {
+	for id := 0; id < t.NumSwitches(); id++ {
 		style := ""
-		if strings.Contains(sw.Class, "dlink") {
+		if strings.Contains(t.Switch(id).Class, "dlink") {
 			style = ", style=filled, fillcolor=lightgray"
 		}
-		fmt.Fprintf(&sb, "  sw%d [shape=box, label=%q%s];\n", sw.ID, sw.Name, style)
+		fmt.Fprintf(&sb, "  sw%d [shape=box, label=%q%s];\n", id, t.SwitchName(id), style)
 	}
 
 	colors := map[Arch]string{
@@ -29,18 +28,17 @@ func (t *Topology) ToDOT() string {
 		ArchSPARC: "lightpink",
 		ArchRef:   "white",
 	}
-	for _, n := range t.Nodes {
-		color, ok := colors[n.Arch]
+	for id := 0; id < t.NumNodes(); id++ {
+		color, ok := colors[t.Node(id).Arch]
 		if !ok {
 			color = "white"
 		}
 		fmt.Fprintf(&sb, "  n%d [label=%q, style=filled, fillcolor=%s];\n",
-			n.ID, n.Name, color)
+			id, t.NodeName(id), color)
 	}
 
-	links := append([]Link(nil), t.Links...)
-	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-	for _, l := range links {
+	for id := 0; id < t.NumLinks(); id++ {
+		l := t.Link(id)
 		fmt.Fprintf(&sb, "  %s -- %s [label=\"%.0fMb\"];\n",
 			dotID(l.A), dotID(l.B), l.Bandwidth*8/1e6)
 	}

@@ -12,13 +12,13 @@ func TestToDOT(t *testing.T) {
 		t.Fatalf("header: %q", dot[:40])
 	}
 	// All devices present.
-	for _, sw := range g.Switches {
-		if !strings.Contains(dot, sw.Name) {
-			t.Fatalf("switch %s missing", sw.Name)
+	for sw := 0; sw < g.NumSwitches(); sw++ {
+		if !strings.Contains(dot, g.SwitchName(sw)) {
+			t.Fatalf("switch %s missing", g.SwitchName(sw))
 		}
 	}
-	if got := strings.Count(dot, " -- "); got != len(g.Links) {
-		t.Fatalf("%d edges, want %d", got, len(g.Links))
+	if got := strings.Count(dot, " -- "); got != g.NumLinks() {
+		t.Fatalf("%d edges, want %d", got, g.NumLinks())
 	}
 	// D-Links flagged as the limited-capacity path.
 	if strings.Count(dot, "fillcolor=lightgray") != 2 {

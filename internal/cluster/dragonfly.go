@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"cbes/internal/des"
 )
@@ -77,15 +78,34 @@ const (
 // The gateway router of group g for target group g2 is t/H with
 // t = g2 − [g2 > g], the standard round-robin global-link assignment.
 type dragonflyRouter struct {
+	nicLayout
 	p, a, h, g    int
 	localBase     int
 	globalBase    int
 	localPerGroup int // C(A,2)
+	localBW       float64
+	globalBW      float64
+	localLat      des.Time
+	globalLat     des.Time
 	grid          shapeGrid
 }
 
 // triIdx is the upper-triangle pair index of i < j over n elements.
 func triIdx(i, j, n int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
+
+// untri inverts triIdx. Row i starts at triIdx(i, i+1, n), a quadratic
+// in i; the float root is corrected by a step either way.
+func untri(t, n int) (i, j int) {
+	m := float64(n) - 0.5
+	i = int(m - math.Sqrt(m*m-2*float64(t)))
+	for i > 0 && triIdx(i, i+1, n) > t {
+		i--
+	}
+	for i+2 < n && triIdx(i+1, i+2, n) <= t {
+		i++
+	}
+	return i, t - triIdx(i, i+1, n) + i + 1
+}
 
 // gateway returns the local router index in group g that holds the
 // global link to group g2.
@@ -177,7 +197,56 @@ func (r *dragonflyRouter) classID(src, dst int) int {
 	return r.grid.id(shape, src, dst)
 }
 
-// NewDragonfly builds a dragonfly with algebraic minimal routing.
+func (r *dragonflyRouter) numSwitches() int { return r.g * r.a }
+
+func (r *dragonflyRouter) numLinks() int { return r.globalBase + r.g*(r.g-1)/2 }
+
+func (r *dragonflyRouter) sw(id int) Switch {
+	return Switch{ID: id, Ports: r.p + r.a - 1 + r.h, Class: "dfly"}
+}
+
+func (r *dragonflyRouter) switchName(id int) string {
+	return fmt.Sprintf("df-g%d-r%d", id/r.a, id%r.a)
+}
+
+func (r *dragonflyRouter) link(id int) Link {
+	if id < r.n {
+		return r.nicLink(id)
+	}
+	if id < r.globalBase {
+		g, i, j := r.local(id)
+		return Link{ID: id, A: Device{DevSwitch, g*r.a + i}, B: Device{DevSwitch, g*r.a + j},
+			Bandwidth: r.localBW, Latency: r.localLat}
+	}
+	gi, gj := untri(id-r.globalBase, r.g)
+	return Link{ID: id,
+		A: Device{DevSwitch, gi*r.a + r.gateway(gi, gj)}, B: Device{DevSwitch, gj*r.a + r.gateway(gj, gi)},
+		Bandwidth: r.globalBW, Latency: r.globalLat}
+}
+
+// local decodes a local link ID into its group and router pair i < j.
+func (r *dragonflyRouter) local(id int) (g, i, j int) {
+	k := id - r.localBase
+	i, j = untri(k%r.localPerGroup, r.a)
+	return k / r.localPerGroup, i, j
+}
+
+func (r *dragonflyRouter) nodeName(id int) string { return fmt.Sprintf("df-n%04d", id) }
+
+func (r *dragonflyRouter) linkName(id int) string {
+	switch {
+	case id < r.n:
+		return fmt.Sprintf("df-n%04d<->r%d", id, id/r.p)
+	case id < r.globalBase:
+		g, i, j := r.local(id)
+		return fmt.Sprintf("df-local-g%d-%d-%d", g, i, j)
+	}
+	gi, gj := untri(id-r.globalBase, r.g)
+	return fmt.Sprintf("df-global-g%d-g%d", gi, gj)
+}
+
+// NewDragonfly builds a dragonfly whose records and minimal routes are
+// computed from coordinates.
 func NewDragonfly(spec DragonflySpec) *Topology {
 	if spec.P < 1 || spec.A < 1 || spec.H < 1 {
 		panic(fmt.Sprintf("cluster: dragonfly P/A/H must be >= 1, got p%d a%d h%d", spec.P, spec.A, spec.H))
@@ -189,60 +258,17 @@ func NewDragonfly(spec DragonflySpec) *Topology {
 	p, a, h, g := spec.P, spec.A, spec.H, spec.Groups
 	n := g * a * p
 	ai := newArchIndexer(spec.Archs)
-	r := &dragonflyRouter{p: p, a: a, h: h, g: g,
+	r := &dragonflyRouter{
+		nicLayout: nicLayout{n: n, perSwitch: p, ai: ai, bandwidth: spec.NodeBandwidth, latency: spec.NodeLatency},
+		p:         p, a: a, h: h, g: g,
 		localPerGroup: a * (a - 1) / 2,
-		grid:          shapeGrid{ai: ai, shapes: dfShapes}}
+		localBW:       spec.LocalBandwidth, globalBW: spec.GlobalBandwidth,
+		localLat: spec.LocalLatency, globalLat: spec.GlobalLatency,
+		grid: shapeGrid{ai: ai, shapes: dfShapes}}
 	r.localBase = n
 	r.globalBase = n + g*r.localPerGroup
 
-	t := &Topology{
-		Name:     fmt.Sprintf("dragonfly-p%da%dh%dg%d", p, a, h, g),
-		Nodes:    make([]Node, 0, n),
-		Switches: make([]Switch, 0, g*a),
-		Links:    make([]Link, 0, n+g*r.localPerGroup+g*(g-1)/2),
-		archs:    defaultArchTable(ai),
-		alg:      r,
-	}
-	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
-	for gi := 0; gi < g; gi++ {
-		for ri := 0; ri < a; ri++ {
-			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: names.s("df-g").d(gi).s("-r").d(ri).end(), Ports: p + a - 1 + h, Class: "dfly"})
-		}
-	}
-	// Nodes and NIC links first: link ID == node ID.
-	for id := 0; id < n; id++ {
-		sw := id / p
-		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("df-n").d4(id).end(),
-			Arch: info.Arch, Switch: sw, Speed: info.Speed, CPUs: info.CPUs})
-		t.Links = append(t.Links, Link{ID: id,
-			A: Device{DevNode, id}, B: Device{DevSwitch, sw},
-			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: names.s("df-n").d4(id).s("<->r").d(sw).end()})
-	}
-	// Intra-group all-to-all local links in triIdx order.
-	for gi := 0; gi < g; gi++ {
-		for i := 0; i < a; i++ {
-			for j := i + 1; j < a; j++ {
-				t.Links = append(t.Links, Link{ID: len(t.Links),
-					A: Device{DevSwitch, gi*a + i}, B: Device{DevSwitch, gi*a + j},
-					Bandwidth: spec.LocalBandwidth, Latency: spec.LocalLatency,
-					Name: names.s("df-local-g").d(gi).s("-").d(i).s("-").d(j).end()})
-			}
-		}
-	}
-	// One global link per group pair, terminating at each side's gateway.
-	for gi := 0; gi < g; gi++ {
-		for gj := gi + 1; gj < g; gj++ {
-			swA := gi*a + r.gateway(gi, gj)
-			swB := gj*a + r.gateway(gj, gi)
-			t.Links = append(t.Links, Link{ID: len(t.Links),
-				A: Device{DevSwitch, swA}, B: Device{DevSwitch, swB},
-				Bandwidth: spec.GlobalBandwidth, Latency: spec.GlobalLatency,
-				Name: names.s("df-global-g").d(gi).s("-g").d(gj).end()})
-		}
-	}
+	t := &Topology{Name: fmt.Sprintf("dragonfly-p%da%dh%dg%d", p, a, h, g), alg: r}
 	t.classSigs = r.grid.signatures(func(w *sigWriter, shape int) {
 		w.hopSwitch(spec.NodeBandwidth, "dfly")
 		switch shape {
@@ -260,6 +286,5 @@ func NewDragonfly(spec DragonflySpec) *Topology {
 		}
 		w.hopNode(spec.NodeBandwidth)
 	})
-	t.buildIndexes()
 	return t
 }

@@ -46,7 +46,7 @@ func (s *FatTreeSpec) defaults() {
 	}
 }
 
-// fatTreeRouter routes algebraically on the k-ary fat tree. With h = k/2:
+// fatTreeRouter lays out and routes the k-ary fat tree. With h = k/2:
 //
 //	node(p,e,m)  = (p·h+e)·h + m          NIC link ID = node ID
 //	edge(p,e)    = p·h+e                  switch IDs: edges, then aggs,
@@ -60,10 +60,12 @@ func (s *FatTreeSpec) defaults() {
 // dst's edge position in its pod, so traffic to distinct destinations on
 // one edge switch fans over all h aggs.
 type fatTreeRouter struct {
+	nicLayout
 	h      int // k/2
-	n      int // node count k³/4
 	eaBase int // first edge–agg link ID (== n)
 	acBase int // first agg–core link ID
+	upBW   float64
+	upLat  des.Time
 	grid   shapeGrid
 }
 
@@ -119,8 +121,72 @@ func (r *fatTreeRouter) classID(src, dst int) int {
 	return r.grid.id(r.shape(src, dst), src, dst)
 }
 
-// NewFatTree builds a k-ary fat tree with algebraic routing: no stored
-// route table, O(N) memory at any scale.
+// edges is the switch count of one tier (k·h; the core tier has h²).
+func (r *fatTreeRouter) edges() int { return 2 * r.h * r.h }
+
+func (r *fatTreeRouter) numSwitches() int { return 2*r.edges() + r.h*r.h }
+
+func (r *fatTreeRouter) numLinks() int { return r.acBase + r.n }
+
+func (r *fatTreeRouter) sw(id int) Switch {
+	class := "ftree-core"
+	switch {
+	case id < r.edges():
+		class = "ftree-edge"
+	case id < 2*r.edges():
+		class = "ftree-agg"
+	}
+	return Switch{ID: id, Ports: 2 * r.h, Class: class}
+}
+
+func (r *fatTreeRouter) switchName(id int) string {
+	h := r.h
+	switch {
+	case id < r.edges():
+		return fmt.Sprintf("ft-edge-p%d-e%d", id/h, id%h)
+	case id < 2*r.edges():
+		id -= r.edges()
+		return fmt.Sprintf("ft-agg-p%d-a%d", id/h, id%h)
+	}
+	id -= 2 * r.edges()
+	return fmt.Sprintf("ft-core-a%d-j%d", id/h, id%h)
+}
+
+func (r *fatTreeRouter) link(id int) Link {
+	h, kh := r.h, r.edges()
+	var a, b int
+	switch {
+	case id < r.eaBase:
+		return r.nicLink(id)
+	case id < r.acBase:
+		i := id - r.eaBase // (p·h+e)·h + a
+		edge := i / h
+		a, b = edge, kh+edge/h*h+i%h
+	default:
+		i := id - r.acBase // (p·h+a)·h + j
+		pa := i / h
+		a, b = kh+pa, 2*kh+pa%h*h+i%h
+	}
+	return Link{ID: id, A: Device{DevSwitch, a}, B: Device{DevSwitch, b}, Bandwidth: r.upBW, Latency: r.upLat}
+}
+
+func (r *fatTreeRouter) nodeName(id int) string { return fmt.Sprintf("ft-n%04d", id) }
+
+func (r *fatTreeRouter) linkName(id int) string {
+	h := r.h
+	switch {
+	case id < r.eaBase:
+		return fmt.Sprintf("ft-n%04d<->edge%d", id, id/h)
+	case id < r.acBase:
+		i := id - r.eaBase
+		return fmt.Sprintf("ft-ea-p%d-e%d-a%d", i/h/h, i/h%h, i%h)
+	}
+	i := id - r.acBase
+	return fmt.Sprintf("ft-ac-p%d-a%d-j%d", i/h/h, i/h%h, i%h)
+}
+
+// NewFatTree builds a k-ary fat tree whose records and routes are
+// computed from coordinates: O(1) memory at any scale.
 func NewFatTree(spec FatTreeSpec) *Topology {
 	if spec.K < 2 || spec.K%2 != 0 {
 		panic(fmt.Sprintf("cluster: fat-tree K must be even and >= 2, got %d", spec.K))
@@ -130,72 +196,13 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 	h := k / 2
 	n := k * h * h
 	ai := newArchIndexer(spec.Archs)
-	r := &fatTreeRouter{h: h, n: n, eaBase: n, acBase: n + k*h*h,
-		grid: shapeGrid{ai: ai, shapes: ftShapes}}
-
-	t := &Topology{
-		Name:     fmt.Sprintf("fattree-k%d", k),
-		Nodes:    make([]Node, 0, n),
-		Switches: make([]Switch, 0, 2*k*h+h*h),
-		Links:    make([]Link, 0, n+2*k*h*h),
-		archs:    defaultArchTable(ai),
-		alg:      r,
+	r := &fatTreeRouter{
+		nicLayout: nicLayout{n: n, perSwitch: h, ai: ai, bandwidth: spec.NodeBandwidth, latency: spec.NodeLatency},
+		h:         h, eaBase: n, acBase: 2 * n,
+		upBW: spec.UpBandwidth, upLat: spec.UpLatency,
+		grid: shapeGrid{ai: ai, shapes: ftShapes},
 	}
-	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
-	// Switches: edges, aggs, cores — IDs match the router arithmetic.
-	for p := 0; p < k; p++ {
-		for e := 0; e < h; e++ {
-			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: names.s("ft-edge-p").d(p).s("-e").d(e).end(), Ports: k, Class: "ftree-edge"})
-		}
-	}
-	for p := 0; p < k; p++ {
-		for a := 0; a < h; a++ {
-			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: names.s("ft-agg-p").d(p).s("-a").d(a).end(), Ports: k, Class: "ftree-agg"})
-		}
-	}
-	for a := 0; a < h; a++ {
-		for j := 0; j < h; j++ {
-			t.Switches = append(t.Switches, Switch{ID: len(t.Switches),
-				Name: names.s("ft-core-a").d(a).s("-j").d(j).end(), Ports: k, Class: "ftree-core"})
-		}
-	}
-	// Nodes and their NIC links first, so link ID == node ID.
-	for id := 0; id < n; id++ {
-		sw := id / h // edge(p,e) == global edge index
-		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("ft-n").d4(id).end(),
-			Arch: info.Arch, Switch: sw, Speed: info.Speed, CPUs: info.CPUs})
-		t.Links = append(t.Links, Link{ID: id,
-			A: Device{DevNode, id}, B: Device{DevSwitch, sw},
-			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: names.s("ft-n").d4(id).s("<->edge").d(sw).end()})
-	}
-	// Edge–agg links: (p·h+e)·h + a relative to eaBase.
-	for p := 0; p < k; p++ {
-		for e := 0; e < h; e++ {
-			for a := 0; a < h; a++ {
-				edge, agg := p*h+e, k*h+p*h+a
-				t.Links = append(t.Links, Link{ID: len(t.Links),
-					A: Device{DevSwitch, edge}, B: Device{DevSwitch, agg},
-					Bandwidth: spec.UpBandwidth, Latency: spec.UpLatency,
-					Name: names.s("ft-ea-p").d(p).s("-e").d(e).s("-a").d(a).end()})
-			}
-		}
-	}
-	// Agg–core links: (p·h+a)·h + j relative to acBase.
-	for p := 0; p < k; p++ {
-		for a := 0; a < h; a++ {
-			for j := 0; j < h; j++ {
-				agg, core := k*h+p*h+a, 2*k*h+a*h+j
-				t.Links = append(t.Links, Link{ID: len(t.Links),
-					A: Device{DevSwitch, agg}, B: Device{DevSwitch, core},
-					Bandwidth: spec.UpBandwidth, Latency: spec.UpLatency,
-					Name: names.s("ft-ac-p").d(p).s("-a").d(a).s("-j").d(j).end()})
-			}
-		}
-	}
+	t := &Topology{Name: fmt.Sprintf("fattree-k%d", k), alg: r}
 	t.classSigs = r.grid.signatures(func(w *sigWriter, shape int) {
 		switch shape {
 		case ftShapeSameEdge:
@@ -213,6 +220,5 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 		}
 		w.hopNode(spec.NodeBandwidth)
 	})
-	t.buildIndexes()
 	return t
 }

@@ -12,7 +12,7 @@ func TestNewRandomValidAndDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		b := NewRandom(seed, RandomSpec{})
-		if a.NumNodes() != b.NumNodes() || len(a.Links) != len(b.Links) {
+		if a.NumNodes() != b.NumNodes() || a.NumLinks() != b.NumLinks() {
 			t.Fatalf("seed %d: generator not deterministic", seed)
 		}
 	}

@@ -47,13 +47,20 @@ func (s *TorusSpec) defaults() {
 // switch IDs share the coordinate layout id = (x·Y + y)·Z + z, and the
 // NIC link ID equals the node ID. Ring links are laid out per dimension:
 // the +1 link leaving coordinate c is indexed by c — except on rings of
-// size 2, which have a single link per position pair.
+// size 2, which have a single link per position pair:
+//
+//	x link(c,y,z) = xBase + (c·Y + y)·Z + z
+//	y link(x,c,z) = yBase + (c·X + x)·Z + z
+//	z link(x,y,c) = zBase + (c·X + x)·Y + y
 type torusRouter struct {
+	nicLayout
 	x, y, z int
 	// ringX is the number of +1 links per X ring (0, 1, or X); likewise
 	// Y and Z. xBase/yBase/zBase are the first link IDs of each group.
 	ringX, ringY, ringZ int
 	xBase, yBase, zBase int
+	ringBW              float64
+	ringLat             des.Time
 	grid                shapeGrid
 }
 
@@ -179,7 +186,69 @@ func (r *torusRouter) classID(src, dst int) int {
 	return r.grid.id(r.dist(src, dst), src, dst)
 }
 
-// NewTorus builds a 2D/3D torus with algebraic dimension-order routing.
+func (r *torusRouter) numSwitches() int { return r.n }
+
+func (r *torusRouter) numLinks() int { return r.zBase + r.ringZ*r.x*r.y }
+
+func (r *torusRouter) sw(id int) Switch { return Switch{ID: id, Ports: 7, Class: "torus"} }
+
+func (r *torusRouter) switchName(id int) string {
+	x, y, z := r.coords(id)
+	return fmt.Sprintf("tor-sw-%d-%d-%d", x, y, z)
+}
+
+// ring decodes a ring link ID into its dimension ('x', 'y' or 'z'), the
+// lower coordinate c along it and the two cross coordinates in layout
+// order.
+func (r *torusRouter) ring(id int) (dim byte, c, u, v int) {
+	switch {
+	case id < r.yBase:
+		i := id - r.xBase
+		return 'x', i / (r.y * r.z), i / r.z % r.y, i % r.z
+	case id < r.zBase:
+		i := id - r.yBase
+		return 'y', i / (r.x * r.z), i / r.z % r.x, i % r.z
+	}
+	i := id - r.zBase
+	return 'z', i / (r.x * r.y), i / r.y % r.x, i % r.y
+}
+
+func (r *torusRouter) link(id int) Link {
+	if id < r.n {
+		return r.nicLink(id)
+	}
+	sw := func(x, y, z int) int { return (x*r.y+y)*r.z + z }
+	var lo, hi int
+	switch dim, c, u, v := r.ring(id); dim {
+	case 'x':
+		lo, hi = sw(c, u, v), sw((c+1)%r.x, u, v)
+	case 'y':
+		lo, hi = sw(u, c, v), sw(u, (c+1)%r.y, v)
+	default:
+		lo, hi = sw(u, v, c), sw(u, v, (c+1)%r.z)
+	}
+	return Link{ID: id, A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi}, Bandwidth: r.ringBW, Latency: r.ringLat}
+}
+
+func (r *torusRouter) nodeName(id int) string { return fmt.Sprintf("tor-n%04d", id) }
+
+func (r *torusRouter) linkName(id int) string {
+	if id < r.n {
+		return fmt.Sprintf("tor-n%04d<->sw", id)
+	}
+	dim, c, u, v := r.ring(id)
+	cross := "x%d-y%d"
+	switch dim {
+	case 'x':
+		cross = "y%d-z%d"
+	case 'y':
+		cross = "x%d-z%d"
+	}
+	return fmt.Sprintf("tor-%c%d-"+cross, dim, c, u, v)
+}
+
+// NewTorus builds a 2D/3D torus whose records and dimension-order routes
+// are computed from coordinates.
 func NewTorus(spec TorusSpec) *Topology {
 	spec.defaults()
 	if spec.X < 1 || spec.Y < 1 || spec.Z < 1 {
@@ -189,8 +258,11 @@ func NewTorus(spec TorusSpec) *Topology {
 	n := X * Y * Z
 	maxDist := X/2 + Y/2 + Z/2
 	ai := newArchIndexer(spec.Archs)
-	r := &torusRouter{x: X, y: Y, z: Z,
+	r := &torusRouter{
+		nicLayout: nicLayout{n: n, perSwitch: 1, ai: ai, bandwidth: spec.NodeBandwidth, latency: spec.NodeLatency},
+		x:         X, y: Y, z: Z,
 		ringX: ringLinks(X), ringY: ringLinks(Y), ringZ: ringLinks(Z),
+		ringBW: spec.LinkBandwidth, ringLat: spec.LinkLatency,
 		grid: shapeGrid{ai: ai, shapes: maxDist + 1}}
 	r.xBase = n
 	r.yBase = r.xBase + r.ringX*Y*Z
@@ -200,71 +272,7 @@ func NewTorus(spec TorusSpec) *Topology {
 	if Z > 1 {
 		name = fmt.Sprintf("torus-%dx%dx%d", X, Y, Z)
 	}
-	t := &Topology{
-		Name:     name,
-		Nodes:    make([]Node, 0, n),
-		Switches: make([]Switch, 0, n),
-		Links:    make([]Link, 0, n+r.ringX*Y*Z+r.ringY*X*Z+r.ringZ*X*Y),
-		archs:    defaultArchTable(ai),
-		alg:      r,
-	}
-	names := newNameArena(cap(t.Nodes) + cap(t.Switches) + cap(t.Links))
-	// One switch per node, sharing the node's ID and coordinates.
-	for id := 0; id < n; id++ {
-		x, y, z := r.coords(id)
-		t.Switches = append(t.Switches, Switch{ID: id,
-			Name: names.s("tor-sw-").d(x).s("-").d(y).s("-").d(z).end(), Ports: 7, Class: "torus"})
-		info := t.archs[ai.arch(id)]
-		t.Nodes = append(t.Nodes, Node{ID: id, Name: names.s("tor-n").d4(id).end(),
-			Arch: info.Arch, Switch: id, Speed: info.Speed, CPUs: info.CPUs})
-		t.Links = append(t.Links, Link{ID: id,
-			A: Device{DevNode, id}, B: Device{DevSwitch, id},
-			Bandwidth: spec.NodeBandwidth, Latency: spec.NodeLatency,
-			Name: names.s("tor-n").d4(id).s("<->sw").end()})
-	}
-	ring := func(dim string, count int, at func(i, a, b int) (lo, hi int)) {
-		for i := 0; i < count; i++ {
-			// a×b iterates the cross-section in the same order the
-			// router's link index arithmetic assumes.
-			switch dim {
-			case "x":
-				for yy := 0; yy < Y; yy++ {
-					for zz := 0; zz < Z; zz++ {
-						lo, hi := at(i, yy, zz)
-						t.Links = append(t.Links, Link{ID: len(t.Links),
-							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
-							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: names.s("tor-x").d(i).s("-y").d(yy).s("-z").d(zz).end()})
-					}
-				}
-			case "y":
-				for xx := 0; xx < X; xx++ {
-					for zz := 0; zz < Z; zz++ {
-						lo, hi := at(i, xx, zz)
-						t.Links = append(t.Links, Link{ID: len(t.Links),
-							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
-							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: names.s("tor-y").d(i).s("-x").d(xx).s("-z").d(zz).end()})
-					}
-				}
-			case "z":
-				for xx := 0; xx < X; xx++ {
-					for yy := 0; yy < Y; yy++ {
-						lo, hi := at(i, xx, yy)
-						t.Links = append(t.Links, Link{ID: len(t.Links),
-							A: Device{DevSwitch, lo}, B: Device{DevSwitch, hi},
-							Bandwidth: spec.LinkBandwidth, Latency: spec.LinkLatency,
-							Name: names.s("tor-z").d(i).s("-x").d(xx).s("-y").d(yy).end()})
-					}
-				}
-			}
-		}
-	}
-	sw := func(x, y, z int) int { return (x*Y+y)*Z + z }
-	ring("x", r.ringX, func(i, yy, zz int) (int, int) { return sw(i, yy, zz), sw((i+1)%X, yy, zz) })
-	ring("y", r.ringY, func(i, xx, zz int) (int, int) { return sw(xx, i, zz), sw(xx, (i+1)%Y, zz) })
-	ring("z", r.ringZ, func(i, xx, yy int) (int, int) { return sw(xx, yy, i), sw(xx, yy, (i+1)%Z) })
-
+	t := &Topology{Name: name, alg: r}
 	t.classSigs = r.grid.signatures(func(w *sigWriter, shape int) {
 		// Shape d: src NIC onto the fabric, d ring links, dst NIC off.
 		w.hopSwitch(spec.NodeBandwidth, "torus")
@@ -273,6 +281,5 @@ func NewTorus(spec TorusSpec) *Topology {
 		}
 		w.hopNode(spec.NodeBandwidth)
 	})
-	t.buildIndexes()
 	return t
 }

@@ -77,8 +77,8 @@ func TopoScale(specs []string, ranks int, seed int64) (*TopoScaleResult, error) 
 		res.Rows = append(res.Rows, TopoScaleRow{
 			Spec:      spec,
 			Nodes:     topo.NumNodes(),
-			Switches:  len(topo.Switches),
-			Links:     len(topo.Links),
+			Switches:  topo.NumSwitches(),
+			Links:     topo.NumLinks(),
 			Classes:   topo.NumClasses(),
 			RouteMode: topo.RouteMemoryMode(),
 			BuildMS:   buildMS,

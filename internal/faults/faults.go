@@ -116,7 +116,7 @@ func (in *Injector) validate(f Fault) error {
 			return fmt.Errorf("faults: %s requires a monitor", f.Kind)
 		}
 	case LinkDegrade, LinkRestore:
-		if f.Link < 0 || f.Link >= len(topo.Links) {
+		if f.Link < 0 || f.Link >= topo.NumLinks() {
 			return fmt.Errorf("faults: %s targets invalid link %d", f.Kind, f.Link)
 		}
 	case MonitorStall:
@@ -252,8 +252,8 @@ func RandomSchedule(topo *cluster.Topology, cfg RandomConfig) Schedule {
 			Fault{At: at, Kind: NodeCrash, Node: node},
 			Fault{At: until, Kind: NodeRecover, Node: node})
 	}
-	for i := 0; i < cfg.Degrades && len(topo.Links) > 0; i++ {
-		link := rng.Intn(len(topo.Links))
+	for i := 0; i < cfg.Degrades && topo.NumLinks() > 0; i++ {
+		link := rng.Intn(topo.NumLinks())
 		factor := 0.05 + 0.45*rng.Float64() // 5%..50% of nominal bandwidth
 		at, until := pairTimes()
 		sched = append(sched,

@@ -225,7 +225,6 @@ type SystemMonitor struct {
 	// lastBusy remembers per-node edge-link busy time at the previous
 	// sample, to compute utilization over the sampling window.
 	lastBusy []des.Time
-	edge     []int
 	daemon   *des.Proc
 	samples  uint64
 	// lastSample is the simulated time of the most recent sampling round;
@@ -263,13 +262,11 @@ func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *Sy
 		cpuF:        make([]Forecaster, n),
 		nicF:        make([]Forecaster, n),
 		lastBusy:    make([]des.Time, n),
-		edge:        make([]int, n),
 		lastUpdate:  make([]des.Time, n),
 		sensorDown:  make([]bool, n),
 		unreachable: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		m.edge[i] = net.EdgeLink(i)
 		switch cfg.Style {
 		case StyleNWS:
 			m.cpuF[i] = NewAdaptive()
@@ -296,7 +293,8 @@ func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *Sy
 // sample reads every node's sensors once. Dead sensors are skipped
 // (their nodes' data ages until restored), a stalled daemon skips the
 // whole round, and a crashed node is recorded as unreachable instead of
-// producing a reading.
+// producing a reading. Reads go through the cluster's and network's read
+// methods, so sampling an idle node or link creates no simulator state.
 func (m *SystemMonitor) sample(rng *rand.Rand) {
 	now := m.vc.Eng.Now()
 	if now < m.stalledUntil {
@@ -308,7 +306,7 @@ func (m *SystemMonitor) sample(rng *rand.Rand) {
 		if m.sensorDown[i] {
 			continue // dead sensor daemon: no reading, lastUpdate frozen
 		}
-		if m.vc.CPU(i).Down() {
+		if m.vc.Down(i) {
 			// The sensor answered but found the node crashed: record
 			// unreachability rather than feeding a zero into the forecaster
 			// (the pre-crash history stays intact for the recovery).
@@ -318,7 +316,7 @@ func (m *SystemMonitor) sample(rng *rand.Rand) {
 		m.unreachable[i] = false
 
 		// CPU sensor: what share would a new process get right now.
-		truth := m.vc.CPU(i).AvailableToNewTask()
+		truth := m.vc.AvailableToNewTask(i)
 		v := truth * (1 + m.cfg.noise()*rng.NormFloat64())
 		if v < 0 {
 			v = 0
@@ -330,7 +328,7 @@ func (m *SystemMonitor) sample(rng *rand.Rand) {
 
 		// NIC sensor: edge-link utilization over the last window (both
 		// directions, normalized to 2x window for full duplex).
-		busy := m.net.LinkBusy(m.edge[i])
+		busy := m.net.LinkBusy(m.net.EdgeLink(i))
 		du := (busy - m.lastBusy[i]).Seconds() / (2 * window)
 		m.lastBusy[i] = busy
 		if du < 0 {

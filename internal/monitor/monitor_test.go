@@ -205,3 +205,30 @@ func TestNWSStyleSmoothsNoise(t *testing.T) {
 		t.Fatalf("NWS forecast = %v, want ≈0.5 despite 20%% sensor noise", snap.AvailCPU[0])
 	}
 }
+
+// TestSamplingCreatesNoCPUs: sampling an idle 1 024-node fat tree reads
+// every sensor without creating a single node's CPU.
+func TestSamplingCreatesNoCPUs(t *testing.T) {
+	eng := des.NewEngine()
+	topo, err := cluster.FromSpec("fattree:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := vcluster.New(eng, topo)
+	net := simnet.New(eng, topo)
+	mon := NewSystemMonitor(vc, net, Config{Seed: 3})
+	eng.RunUntil(9*des.Second + des.Millisecond)
+	snap := mon.Snapshot()
+	eng.Shutdown()
+	if got := mon.Samples(); got != 10 {
+		t.Fatalf("%d sampling rounds, want 10", got)
+	}
+	if got := vc.Touched(); got != 0 {
+		t.Fatalf("sampling created %d CPUs", got)
+	}
+	for i := 0; i < topo.NumNodes(); i++ {
+		if snap.HealthOf(i) != HealthOK || snap.NICUtil[i] != 0 || snap.AvailCPU[i] < 0.9 {
+			t.Fatalf("idle node %d reads avail %v NIC %v health %v", i, snap.AvailCPU[i], snap.NICUtil[i], snap.HealthOf(i))
+		}
+	}
+}

@@ -21,7 +21,7 @@ func TestDegradeLinkSlowsDelivery(t *testing.T) {
 	base := deliverAt(net, eng, 0, 4, 1<<20) // cross-switch: uses several links
 
 	eng2, net2 := newNet()
-	for id := range net2.topo.Links {
+	for id := 0; id < net2.topo.NumLinks(); id++ {
 		net2.DegradeLink(id, 0.5)
 	}
 	slow := deliverAt(net2, eng2, 0, 4, 1<<20)
@@ -34,7 +34,7 @@ func TestDegradeLinkSlowsDelivery(t *testing.T) {
 		t.Fatalf("degraded delivery %v implausibly slow vs nominal %v", slow, base)
 	}
 
-	for id := range net2.topo.Links {
+	for id := 0; id < net2.topo.NumLinks(); id++ {
 		net2.RestoreLink(id)
 	}
 	restored := deliverAt(net2, eng2, 0, 4, 1<<20)

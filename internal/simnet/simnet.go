@@ -16,9 +16,8 @@
 // the latency model of the paper's companion dissertation [12].
 //
 // The per-link dynamic state (bandwidth scale, FIFO horizon, utilization
-// accounting) is held in struct-of-arrays form indexed by link ID and
-// direction, so a 5k-node topology costs three flat slices instead of an
-// array of per-link structs interleaving hot and cold fields.
+// accounting) exists only for links a run touches: a 256-rank halo on a
+// 5k-node fat tree crosses one link in seven, and pays for that one.
 package simnet
 
 import (
@@ -26,28 +25,19 @@ import (
 	"cbes/internal/des"
 )
 
-// direction disambiguates full-duplex link occupancy.
-type direction int
-
-const (
-	dirAtoB direction = iota
-	dirBtoA
-)
-
 // Network simulates the fabric of a topology on a DES engine.
 //
-// Link state is struct-of-arrays: scale[id] multiplies link id's nominal
-// bandwidth (1 healthy, less = fault-injected degradation); freeAt and
-// busy are indexed 2·id+dir and hold the FIFO release time and the
-// accumulated transmission time per direction. Static link specs are read
-// from the topology, not copied.
+// slot[id] is 0 for a link no message has crossed and no fault has
+// degraded; otherwise link id owns state row slot[id]−1, appended on that
+// first touch together with a copy of the static link the hops read.
+// Rows live in fixed-size chunks, so appending one never copies the
+// others.
 type Network struct {
-	eng       *des.Engine
-	topo      *cluster.Topology
-	algebraic bool
-	scale     []float64
-	freeAt    []des.Time
-	busy      []des.Time
+	eng   *des.Engine
+	topo  *cluster.Topology
+	slot  []int32
+	rows  [][]linkRow // row r is rows[r/rowChunk][r%rowChunk]
+	nrows int
 	// free recycles transfer records so a multi-hop message costs no
 	// allocations beyond its first traversal of the network.
 	free []*transfer
@@ -56,15 +46,36 @@ type Network struct {
 	bytes    uint64
 }
 
+// linkRow is the state of one touched link. Index 0 of the per-direction
+// pairs is the A→B direction, 1 is B→A.
+type linkRow struct {
+	freeAt    [2]des.Time // FIFO release time
+	busy      [2]des.Time // accumulated transmission time
+	scale     float64     // multiplies nominal bandwidth: 1 healthy, less degraded
+	bandwidth float64     // nominal
+	latency   des.Time
+	ends      [2]int32 // vertex of A and of B
+}
+
+// rowChunk is the number of rows allocated at a time.
+const rowChunk = 128
+
+// vertex packs a device into an int32: a node's ID, or a switch's ID
+// complemented.
+func vertex(d cluster.Device) int32 {
+	if d.Kind == cluster.DevNode {
+		return int32(d.Index)
+	}
+	return ^int32(d.Index)
+}
+
 // transfer is one in-flight message traversing its route. Recycled via
-// Network.free once the final hop delivers. buf is the transfer's own
-// route storage, reused across messages when routes are computed
-// algebraically (stored tables hand out shared slices instead).
+// Network.free once the final hop delivers; path is the transfer's own
+// route storage, reused across messages.
 type transfer struct {
 	net  *Network
-	from cluster.Device
+	from int32 // vertex the next hop leaves
 	path []int
-	buf  []int
 	idx  int
 	size int64
 	done func()
@@ -82,19 +93,34 @@ func stepTransfer(a any) {
 
 // New creates a network simulator for topo.
 func New(eng *des.Engine, topo *cluster.Topology) *Network {
-	nl := len(topo.Links)
-	n := &Network{
-		eng:       eng,
-		topo:      topo,
-		algebraic: topo.AlgebraicRoutes(),
-		scale:     make([]float64, nl),
-		freeAt:    make([]des.Time, 2*nl),
-		busy:      make([]des.Time, 2*nl),
+	return &Network{eng: eng, topo: topo, slot: make([]int32, topo.NumLinks())}
+}
+
+// touched returns link id's state, or nil if it has none.
+func (n *Network) touched(id int) *linkRow {
+	s := int(n.slot[id]) - 1
+	if s < 0 {
+		return nil
 	}
-	for i := range n.scale {
-		n.scale[i] = 1
+	return &n.rows[s/rowChunk][s%rowChunk]
+}
+
+// row returns link id's state, appending a healthy idle row on the
+// link's first touch.
+func (n *Network) row(id int) *linkRow {
+	if r := n.touched(id); r != nil {
+		return r
 	}
-	return n
+	if n.nrows%rowChunk == 0 {
+		// A topology with fewer links than a chunk only ever needs one.
+		n.rows = append(n.rows, make([]linkRow, min(rowChunk, len(n.slot))))
+	}
+	r := &n.rows[n.nrows/rowChunk][n.nrows%rowChunk]
+	n.nrows++
+	n.slot[id] = int32(n.nrows)
+	l := n.topo.Link(id)
+	*r = linkRow{scale: 1, bandwidth: l.Bandwidth, latency: l.Latency, ends: [2]int32{vertex(l.A), vertex(l.B)}}
+	return r
 }
 
 // minLinkScale bounds degradation so transmission times stay finite: a
@@ -113,14 +139,23 @@ func (n *Network) DegradeLink(id int, factor float64) {
 	if factor < minLinkScale {
 		factor = minLinkScale
 	}
-	n.scale[id] = factor
+	n.row(id).scale = factor
 }
 
 // RestoreLink returns link id to nominal bandwidth.
-func (n *Network) RestoreLink(id int) { n.scale[id] = 1 }
+func (n *Network) RestoreLink(id int) {
+	if r := n.touched(id); r != nil {
+		r.scale = 1
+	}
+}
 
 // LinkScale reports link id's current bandwidth scale (1 = healthy).
-func (n *Network) LinkScale(id int) float64 { return n.scale[id] }
+func (n *Network) LinkScale(id int) float64 {
+	if r := n.touched(id); r != nil {
+		return r.scale
+	}
+	return 1
+}
 
 // Topology returns the static topology.
 func (n *Network) Topology() *cluster.Topology { return n.topo }
@@ -137,15 +172,6 @@ func txTime(size int64, bandwidth float64) des.Time {
 		return 0
 	}
 	return des.FromSeconds(float64(size) / bandwidth)
-}
-
-// linkDirection determines the traversal direction given the device we
-// depart from.
-func linkDirection(l *cluster.Link, from cluster.Device) (direction, cluster.Device) {
-	if l.A == from {
-		return dirAtoB, l.B
-	}
-	return dirBtoA, l.A
 }
 
 // Deliver injects a message of size bytes from node src to node dst and
@@ -179,20 +205,13 @@ func (n *Network) allocTransfer() *transfer {
 
 func (n *Network) launch(t *transfer, src, dst int, size int64) {
 	t.net, t.size, t.idx = n, size, 0
+	t.path = t.path[:0]
 	if src == dst {
-		t.path = nil
 		n.eng.ScheduleArg(loopbackLatency(size), stepTransfer, t)
 		return
 	}
-	t.from = cluster.Device{Kind: cluster.DevNode, Index: src}
-	if n.algebraic {
-		// Compute the route into the transfer's recycled buffer: O(hops)
-		// work, amortized zero allocations.
-		t.buf = n.topo.AppendPath(t.buf[:0], src, dst)
-		t.path = t.buf
-	} else {
-		t.path = n.topo.Path(src, dst)
-	}
+	t.from = int32(src)
+	t.path = n.topo.AppendPath(t.path, src, dst) // amortized zero allocations
 	n.hop(t)
 }
 
@@ -212,7 +231,6 @@ func (n *Network) hop(t *transfer) {
 		done, afn, arg := t.done, t.afn, t.arg
 		t.done, t.afn, t.arg = nil, nil, nil
 		t.net = nil
-		t.path = nil
 		n.free = append(n.free, t)
 		if done != nil {
 			done()
@@ -221,19 +239,20 @@ func (n *Network) hop(t *transfer) {
 		}
 		return
 	}
-	lid := t.path[t.idx]
-	l := &n.topo.Links[lid]
-	dir, next := linkDirection(l, t.from)
-	di := 2*lid + int(dir)
-	start := n.eng.Now()
-	if n.freeAt[di] > start {
-		start = n.freeAt[di]
+	r := n.row(t.path[t.idx])
+	dir := 0
+	if r.ends[0] != t.from {
+		dir = 1
 	}
-	tx := txTime(t.size, l.Bandwidth*n.scale[lid])
-	n.freeAt[di] = start + tx
-	n.busy[di] += tx
-	arrive := start + tx + l.Latency
-	t.from = next
+	start := n.eng.Now()
+	if r.freeAt[dir] > start {
+		start = r.freeAt[dir]
+	}
+	tx := txTime(t.size, r.bandwidth*r.scale)
+	r.freeAt[dir] = start + tx
+	r.busy[dir] += tx
+	arrive := start + tx + r.latency
+	t.from = r.ends[1-dir]
 	t.idx++
 	n.eng.ScheduleArgAt(arrive, stepTransfer, t)
 }
@@ -248,7 +267,7 @@ func (n *Network) EstimateNoLoad(src, dst int, size int64) des.Time {
 	var buf [16]int
 	var t des.Time
 	for _, lid := range n.topo.AppendPath(buf[:0], src, dst) {
-		l := &n.topo.Links[lid]
+		l := n.topo.Link(lid)
 		t += txTime(size, l.Bandwidth) + l.Latency
 	}
 	return t
@@ -257,7 +276,10 @@ func (n *Network) EstimateNoLoad(src, dst int, size int64) des.Time {
 // LinkBusy reports the accumulated transmission time of link id in both
 // directions (used by NIC/bandwidth sensors).
 func (n *Network) LinkBusy(id int) des.Time {
-	return n.busy[2*id] + n.busy[2*id+1]
+	if r := n.touched(id); r != nil {
+		return r.busy[0] + r.busy[1]
+	}
+	return 0
 }
 
 // EdgeLink returns the ID of the link that connects node id to its edge

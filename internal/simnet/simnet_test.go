@@ -135,12 +135,53 @@ func TestEdgeLink(t *testing.T) {
 		if lid < 0 {
 			t.Fatalf("node %d has no edge link", id)
 		}
-		l := net.Topology().Links[lid]
+		l := net.Topology().Link(lid)
 		dev := cluster.Device{Kind: cluster.DevNode, Index: id}
 		if l.A != dev && l.B != dev {
 			t.Fatalf("edge link %d does not touch node %d", lid, id)
 		}
 	}
+}
+
+// TestLinkStateOnFirstTouch: a network holds state only for the links its
+// messages crossed or its faults degraded; untouched links read idle and
+// healthy without allocating, and restoring one creates nothing.
+func TestLinkStateOnFirstTouch(t *testing.T) {
+	eng := des.NewEngine()
+	topo := cluster.NewFatTree(cluster.FatTreeSpec{K: 8}) // 128 nodes, 384 links
+	net := New(eng, topo)
+	var path []int
+	eng.Schedule(0, func() {
+		net.Deliver(0, topo.NumNodes()-1, 4096, func() {})
+		path = topo.Path(0, topo.NumNodes()-1)
+	})
+	eng.Run()
+	if got, want := net.nrows, len(path); got != want {
+		t.Fatalf("%d link state rows after one %d-hop message", got, want)
+	}
+	for _, lid := range path {
+		if net.LinkBusy(lid) <= 0 {
+			t.Fatalf("link %d on the route shows no busy time", lid)
+		}
+	}
+	untouched := topo.EdgeLink(1)
+	if net.slot[untouched] != 0 {
+		t.Fatalf("node 1's NIC link %d should be off the route", untouched)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if net.LinkBusy(untouched) != 0 || net.LinkScale(untouched) != 1 {
+			t.Fatal("untouched link is not idle and healthy")
+		}
+		net.RestoreLink(untouched)
+	})
+	if allocs != 0 || net.nrows != len(path) {
+		t.Fatalf("reading an untouched link allocated %.0f times and left %d rows", allocs, net.nrows)
+	}
+	net.DegradeLink(untouched, 0.5)
+	if net.nrows != len(path)+1 || net.LinkScale(untouched) != 0.5 {
+		t.Fatal("degrading an untouched link did not give it state")
+	}
+	eng.Shutdown()
 }
 
 // Property: no-load estimate is monotonically nondecreasing in message size

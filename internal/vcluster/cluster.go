@@ -13,42 +13,69 @@ import (
 type Cluster struct {
 	Eng  *des.Engine
 	Topo *cluster.Topology
-	// cpus is one contiguous slice — per-node state lives in a single
-	// allocation laid out by dense node ID, not one heap object per node.
-	cpus []CPU
+	// cpus[id] is created on node id's first touch: a run pays for the
+	// nodes it computes on, loads or crashes, not for the whole topology.
+	// An idle CPU created late equals one created at time 0 (with no
+	// tasks, advance accrues nothing), and the read methods below answer
+	// untouched nodes from those idle defaults.
+	cpus    []*CPU
+	touched int
 }
 
 // New animates topo on the given engine with all nodes idle.
 func New(eng *des.Engine, topo *cluster.Topology) *Cluster {
-	c := &Cluster{Eng: eng, Topo: topo}
-	c.cpus = make([]CPU, topo.NumNodes())
-	for i := range c.cpus {
-		c.cpus[i].init(eng, topo.Node(i))
-	}
-	return c
+	return &Cluster{Eng: eng, Topo: topo, cpus: make([]*CPU, topo.NumNodes())}
 }
 
-// CPU returns the CPU of node id. The pointer stays valid for the life of
-// the cluster (the backing slice is never reallocated).
-func (c *Cluster) CPU(id int) *CPU { return &c.cpus[id] }
+// CPU returns the CPU of node id, creating it idle on first use. The
+// pointer stays valid for the life of the cluster.
+func (c *Cluster) CPU(id int) *CPU {
+	if cpu := c.cpus[id]; cpu != nil {
+		return cpu
+	}
+	cpu := &CPU{eng: c.Eng, node: id, cores: c.Topo.Node(id).CPUs, avail: 1, lastTouch: c.Eng.Now()}
+	c.cpus[id] = cpu
+	c.touched++
+	return cpu
+}
+
+// Touched reports how many nodes' CPUs exist.
+func (c *Cluster) Touched() int { return c.touched }
 
 // Availability reports node id's background availability (ground truth).
-func (c *Cluster) Availability(id int) float64 { return c.cpus[id].Availability() }
+func (c *Cluster) Availability(id int) float64 {
+	if cpu := c.cpus[id]; cpu != nil {
+		return cpu.Availability()
+	}
+	return 1
+}
+
+// AvailableToNewTask reports the CPU share a new task on node id would
+// receive (see CPU.AvailableToNewTask).
+func (c *Cluster) AvailableToNewTask(id int) float64 {
+	if cpu := c.cpus[id]; cpu != nil {
+		return cpu.AvailableToNewTask()
+	}
+	return 1
+}
 
 // SetAvailability sets node id's background availability. Must be called
 // from engine context.
-func (c *Cluster) SetAvailability(id int, a float64) { c.cpus[id].SetAvailability(a) }
+func (c *Cluster) SetAvailability(id int, a float64) { c.CPU(id).SetAvailability(a) }
 
 // Crash takes node id down (see CPU.Crash). Must be called from engine
 // context.
-func (c *Cluster) Crash(id int) { c.cpus[id].Crash() }
+func (c *Cluster) Crash(id int) { c.CPU(id).Crash() }
 
 // Recover brings node id back up (see CPU.Recover). Must be called from
 // engine context.
-func (c *Cluster) Recover(id int) { c.cpus[id].Recover() }
+func (c *Cluster) Recover(id int) { c.CPU(id).Recover() }
 
 // Down reports whether node id is crashed.
-func (c *Cluster) Down(id int) bool { return c.cpus[id].Down() }
+func (c *Cluster) Down(id int) bool {
+	cpu := c.cpus[id]
+	return cpu != nil && cpu.Down()
+}
 
 // LoadStep is one step of a piecewise-constant background-load script.
 type LoadStep struct {
@@ -60,7 +87,7 @@ type LoadStep struct {
 func (c *Cluster) ApplyLoadScript(id int, steps []LoadStep) {
 	for _, s := range steps {
 		s := s
-		c.Eng.ScheduleAt(s.At, func() { c.cpus[id].SetAvailability(s.Avail) })
+		c.Eng.ScheduleAt(s.At, func() { c.SetAvailability(id, s.Avail) })
 	}
 }
 
@@ -83,7 +110,7 @@ func (c *Cluster) RandomWalkLoad(id int, mean, volatility float64, interval des.
 			if avail < minAvailability {
 				avail = minAvailability
 			}
-			c.cpus[id].SetAvailability(avail)
+			c.SetAvailability(id, avail)
 		}
 	})
 }

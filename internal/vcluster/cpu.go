@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"cbes/internal/cluster"
 	"cbes/internal/des"
 )
 
@@ -53,7 +52,8 @@ func completeTask(a any) {
 // tasks, exactly the quantity the paper's ACPU monitoring reports.
 type CPU struct {
 	eng   *des.Engine
-	node  *cluster.Node
+	node  int // node ID
+	cores int // the node's processor count
 	avail float64
 	// down marks a crashed node: tasks freeze (no progress, no completion
 	// events) and sensors read zero availability until Recover.
@@ -69,22 +69,6 @@ type CPU struct {
 	// busyRefSeconds accumulates executed work for utilization metrics.
 	busyRefSeconds float64
 }
-
-// NewCPU creates an idle CPU for the given node at full availability.
-func NewCPU(eng *des.Engine, node *cluster.Node) *CPU {
-	c := &CPU{}
-	c.init(eng, node)
-	return c
-}
-
-// init makes c an idle CPU for the given node at full availability —
-// the in-place form Cluster.New uses to lay CPUs out contiguously.
-func (c *CPU) init(eng *des.Engine, node *cluster.Node) {
-	c.eng, c.node, c.avail, c.lastTouch = eng, node, 1.0, eng.Now()
-}
-
-// Node returns the static description of the node this CPU belongs to.
-func (c *CPU) Node() *cluster.Node { return c.node }
 
 // Availability reports the fraction of each core not consumed by background
 // load (the ground truth the monitoring sensors sample). A crashed node
@@ -132,7 +116,7 @@ func (c *CPU) AvailableToNewTask() float64 {
 		return 0
 	}
 	n := len(c.tasks) + 1
-	return c.avail * math.Min(1, float64(c.node.CPUs)/float64(n))
+	return c.avail * math.Min(1, float64(c.cores)/float64(n))
 }
 
 // Running reports the number of tasks currently executing.
@@ -166,7 +150,7 @@ func (c *CPU) share() float64 {
 	if n == 0 || c.down {
 		return 0
 	}
-	return c.avail * math.Min(1, float64(c.node.CPUs)/float64(n))
+	return c.avail * math.Min(1, float64(c.cores)/float64(n))
 }
 
 // advance applies progress accrued since the last state change.
@@ -252,7 +236,7 @@ func (c *CPU) Compute(p *des.Proc, work, rate float64) {
 		return
 	}
 	if rate <= 0 {
-		panic(fmt.Sprintf("vcluster: Compute with rate %v on %s", rate, c.node.Name))
+		panic(fmt.Sprintf("vcluster: Compute with rate %v on node %d", rate, c.node))
 	}
 	c.advance()
 	c.taskSeq++

@@ -277,3 +277,34 @@ func BenchmarkProcessorSharing(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// TestCPUsOnFirstTouch: the read methods answer untouched nodes from the
+// idle defaults without creating them, and a CPU first touched at time t
+// behaves exactly like one that existed from time 0.
+func TestCPUsOnFirstTouch(t *testing.T) {
+	eng, vc := newTestCluster()
+	for id := 0; id < vc.Topo.NumNodes(); id++ {
+		if vc.Down(id) || vc.Availability(id) != 1 || vc.AvailableToNewTask(id) != 1 {
+			t.Fatalf("untouched node %d does not read idle", id)
+		}
+	}
+	if vc.Touched() != 0 {
+		t.Fatalf("reads created %d CPUs", vc.Touched())
+	}
+	early := vc.CPU(4)
+	if vc.CPU(4) != early || vc.Touched() != 1 {
+		t.Fatal("CPU(4) is not created exactly once")
+	}
+	// Node 5 first touched at t = 3 s, node 4 created at 0: same work,
+	// same finish, same accounting.
+	var end4, end5 des.Time
+	eng.Schedule(3*des.Second, func() {
+		eng.Spawn("w4", func(p *des.Proc) { vc.CPU(4).Compute(p, 1.5, 1.0); end4 = p.Now() })
+		eng.Spawn("w5", func(p *des.Proc) { vc.CPU(5).Compute(p, 1.5, 1.0); end5 = p.Now() })
+	})
+	eng.Run()
+	if end4 != end5 || vc.CPU(4).BusyRefSeconds() != vc.CPU(5).BusyRefSeconds() {
+		t.Fatalf("late CPU finished at %v with %v busy, early one at %v with %v",
+			end5, vc.CPU(5).BusyRefSeconds(), end4, vc.CPU(4).BusyRefSeconds())
+	}
+}

@@ -7,6 +7,8 @@ package cbes_test
 // internal/cluster; here the whole stack runs.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,7 +84,7 @@ func snapshotRun(seed int64) string {
 	for _, node := range mapping {
 		out += fmt.Sprintf("node %d busy %.17g\n", node, vc.CPU(node).BusyRefSeconds())
 	}
-	for id := range topo.Links {
+	for id := 0; id < topo.NumLinks(); id++ {
 		if busy := net.LinkBusy(id); busy != 0 {
 			out += fmt.Sprintf("link %d busy %d\n", id, busy)
 		}
@@ -90,9 +92,16 @@ func snapshotRun(seed int64) string {
 	return out
 }
 
+// snapshotGolden is the SHA-256 of snapshotRun(7) as computed when every
+// link and node record was a stored table entry and all simulator state
+// was allocated up front. Coordinate-computed records and first-touch
+// state must reproduce it: same events, same times, same busy accounting.
+const snapshotGolden = "f1b8fb531212ebb3b0600b73a0922b9698f8edcf0750ea8b2413e79ab1f67835"
+
 // TestFatTreeDeterminism1k pins byte-identical snapshots for a seeded
 // 1k-node random workload across two independent runs — the determinism
-// guarantee that makes 5k-scale experiments reproducible.
+// guarantee that makes 5k-scale experiments reproducible — and against
+// the golden digest.
 func TestFatTreeDeterminism1k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k determinism run skipped in -short mode")
@@ -101,6 +110,9 @@ func TestFatTreeDeterminism1k(t *testing.T) {
 	b := snapshotRun(7)
 	if a != b {
 		t.Fatalf("two seeded runs diverged:\nrun1:\n%s\nrun2:\n%s", a, b)
+	}
+	if sum := sha256.Sum256([]byte(a)); hex.EncodeToString(sum[:]) != snapshotGolden {
+		t.Fatalf("seed-7 snapshot digest %x, want %s", sum, snapshotGolden)
 	}
 	if c := snapshotRun(8); c == a {
 		t.Fatal("different seeds produced identical snapshots — seeding inert?")
