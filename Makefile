@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci bench bench-quick bench-compare service-bench service-bench-short obs-smoke overload-smoke faults-smoke fuzz
+.PHONY: build test verify ci stress bench bench-quick bench-compare service-bench service-bench-short obs-smoke overload-smoke faults-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,20 @@ ci:
 	$(MAKE) obs-smoke
 	$(MAKE) overload-smoke
 	$(GO) test -race -timeout 45m ./...
+	$(MAKE) stress
 	$(MAKE) bench-quick
 	$(MAKE) service-bench-short
+
+# Process-lifecycle tests, twenty times each under the race detector: the
+# simulator's start, park, kill, panic and Shutdown paths with the
+# process-wide coroutine list that engines on different goroutines share,
+# mpisim worlds that panic, deadlock, spawn and reuse engines, and the
+# service's drain and shutdown. A race that shows once in several runs
+# shows here.
+stress:
+	$(GO) test -race -count=20 -run 'Proc|Shutdown|Kill|Coroutine|EventOrderGolden|Signal|Spawn|Sleep|Reset' ./internal/des/
+	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|DynamicWorld|AwaitFinished|SpawnedWorld|WorldResultAfterWaitIn' ./internal/mpisim/
+	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart' ./internal/service/
 
 # Run the benchmark suite and archive it as machine-readable JSON
 # (name -> ns/op, allocs/op, evals/s) for cross-commit comparison. The
@@ -95,9 +107,11 @@ faults-smoke:
 		./internal/monitor/ ./internal/core/ ./internal/schedule/ \
 		./internal/remap/ ./internal/service/ ./internal/obs/
 
-# Short fuzz passes: the delta-evaluation invariants, and topology specs
-# as hostile input (an error or a valid topology, never a panic or a
-# multi-MB build).
+# Short fuzz passes: the delta-evaluation invariants, topology specs as
+# hostile input (an error or a valid topology, never a panic or a multi-MB
+# build), and traces as hostile input (an error or a profile whose λs
+# compute).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/
+	$(GO) test -run xxx -fuzz FuzzFromTrace -fuzztime 30s ./internal/profile/

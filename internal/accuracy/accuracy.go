@@ -278,7 +278,10 @@ type Ledger struct {
 	// ring; a free slot has an empty ID); pending maps each pending ID to
 	// its slot. Begin rebuilds pending once per turn of the ring: Go's map
 	// keeps deleted keys' slots and grows to make room, so an index
-	// churned forever creeps to several times its live size.
+	// churned forever creeps to several times its live size. Both are
+	// allocated at full size by the first Begin, and samples by the first
+	// join, so a process that never records a prediction carries none of
+	// them.
 	ring     []Prediction
 	ringNext int
 	pending  map[string]int32
@@ -312,9 +315,6 @@ func New(cfg Config) *Ledger {
 	cfg = cfg.withDefaults()
 	return &Ledger{
 		cfg:     cfg,
-		ring:    make([]Prediction, cfg.PendingCap),
-		pending: make(map[string]int32, cfg.PendingCap),
-		samples: make([]Sample, cfg.SampleCap),
 		buckets: map[Key]*bucket{},
 		window:  make([]float64, cfg.DriftWindow),
 		ok:      true,
@@ -368,6 +368,10 @@ func (l *Ledger) Begin(p Prediction) string {
 		p.ID = l.nextID()
 	}
 	l.mu.Lock()
+	if l.ring == nil {
+		l.ring = make([]Prediction, l.cfg.PendingCap)
+		l.pending = make(map[string]int32, l.cfg.PendingCap)
+	}
 	if old := l.ring[l.ringNext].ID; old != "" {
 		delete(l.pending, old)
 		l.expired++
@@ -499,6 +503,9 @@ func (l *Ledger) joinLocked(p Prediction, actual float64) Sample {
 	}
 
 	// Sample ring (CSV export), overwrite-oldest.
+	if l.samples == nil {
+		l.samples = make([]Sample, l.cfg.SampleCap)
+	}
 	l.samples[l.sampNext] = s
 	l.sampNext = (l.sampNext + 1) % len(l.samples)
 	if l.sampN < len(l.samples) {

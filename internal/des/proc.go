@@ -8,6 +8,7 @@ package des
 import (
 	"fmt"
 	"iter"
+	"sync"
 )
 
 // procKilled is the sentinel panic value used to unwind a killed process.
@@ -20,18 +21,104 @@ type procKilled struct{}
 type Proc struct {
 	eng  *Engine
 	name string
-	// The two ends of one iter.Pull, made when the start event fires:
-	// resume switches into the body until it parks or returns, yield
-	// switches back out (false once killed), stop resumes it with that false.
-	resume func() (struct{}, bool)
-	yield  func(struct{}) bool
-	stop   func()
+	body func(p *Proc)
+	// co runs the body, from the start event until the body returns or
+	// unwinds; then it moves on to other processes and co is nil. A live
+	// process without one has not started.
+	co *coro
 	// prev/next link the engine's list of live processes in spawn order.
 	prev, next *Proc
 	done       bool
 	parked     bool
 	killed     bool
-	started    bool
+}
+
+// coro is one iter.Pull coroutine that runs process bodies one after
+// another: a body that returns leaves it parked at the top of its loop, with
+// the stack the body grew, for the next start event to take.
+type coro struct {
+	resume func() (struct{}, bool) // switch in until the body parks or returns
+	yield  func(struct{}) bool     // switch out; false once stopped
+	stop   func()                  // unwind the body parked in yield
+	p      *Proc                   // the process it runs; nil while idle
+}
+
+// maxIdleCoros caps the idle coroutines kept for reuse. An idle coroutine
+// is a parked goroutine holding the stack its last body grew, ~4 kB, and
+// ~0.4 kB of heap (goroutine, iter.Pull closures, coro), so a full list
+// holds ~4 MB of stack and ~0.4 MB of heap: the ranks of four 256-rank
+// worlds. Past the cap a coroutine whose body returned is stopped.
+const maxIdleCoros = 1024
+
+// idle is the process-wide free list of coroutines. Engines on different
+// goroutines share it (parfor runs trials in parallel), hence the mutex.
+var idle struct {
+	sync.Mutex
+	coros   []*coro
+	created int // coroutines ever made
+}
+
+// getCoro hands out an idle coroutine, or makes one.
+func getCoro() *coro {
+	idle.Lock()
+	if n := len(idle.coros); n > 0 {
+		c := idle.coros[n-1]
+		idle.coros[n-1] = nil
+		idle.coros = idle.coros[:n-1]
+		idle.Unlock()
+		return c
+	}
+	idle.created++
+	idle.Unlock()
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// putCoro takes back a coroutine whose body returned. Only the side that
+// resumed it may call this, after resume has returned: until the coroutine
+// has switched out, another engine's goroutine must not be able to resume it.
+func putCoro(c *coro) {
+	idle.Lock()
+	if len(idle.coros) < maxIdleCoros {
+		idle.coros = append(idle.coros, c)
+		idle.Unlock()
+		return
+	}
+	idle.Unlock()
+	c.stop()
+}
+
+// loop is the coroutine's function: it runs bodies until one is killed or
+// panics, which ends the coroutine, or until it is stopped while idle.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() {
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run runs the body of c.p and retires the process however the body ends.
+// It reports whether the body returned: a killed body unwinds to here and
+// reports false, and any other panic goes on to whoever resumed c, where
+// iter.Pull re-raises it.
+func (c *coro) run() (returned bool) {
+	p := c.p
+	defer func() {
+		p.retire()
+		if !returned {
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					panic(r)
+				}
+			}
+		}
+	}()
+	p.body(p)
+	return true
 }
 
 // Name reports the diagnostic name given at spawn time.
@@ -49,7 +136,7 @@ func (p *Proc) Done() bool { return p.done }
 // loop, so no locking is needed between processes. A panic in the body marks
 // the process done and surfaces from Step/RunUntil in the engine's caller.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, prev: e.liveTail}
+	p := &Proc{eng: e, name: name, body: body, prev: e.liveTail}
 	if p.prev != nil {
 		p.prev.next = p
 	} else {
@@ -57,32 +144,27 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	}
 	e.liveTail = p
 	e.procs++
-	e.Schedule(0, func() {
-		if p.done {
-			return // killed by Shutdown before it ever started
-		}
-		p.started = true
-		p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			defer func() {
-				p.retire()
-				if r := recover(); r != nil {
-					if _, ok := r.(procKilled); !ok {
-						panic(r) // iter.Pull re-raises it in whoever resumed p
-					}
-				}
-			}()
-			body(p)
-		})
-		p.dispatch()
-	})
+	e.ScheduleArg(0, startProc, p)
 	return p
+}
+
+// startProc is a process's start event: it gives the process a coroutine
+// and switches into its body.
+func startProc(a any) {
+	p := a.(*Proc)
+	if p.done {
+		return // killed by Shutdown before it ever started
+	}
+	p.co = getCoro()
+	p.co.p = p
+	p.dispatch()
 }
 
 // retire marks the process finished and unlinks it from the live list.
 func (p *Proc) retire() {
 	e := p.eng
 	p.done = true
+	p.body, p.co = nil, nil
 	e.procs--
 	if p.prev != nil {
 		p.prev.next = p.next
@@ -104,14 +186,18 @@ func (p *Proc) dispatch() {
 	if p.done {
 		panic(fmt.Sprintf("des: dispatch to finished proc %q", p.name))
 	}
-	p.resume()
+	c := p.co
+	c.resume()
+	if c.p == nil {
+		putCoro(c) // the body returned and c has switched out
+	}
 }
 
 // Park blocks the process until another event calls Unpark. It is the
 // low-level primitive beneath Sleep and Signal.
 func (p *Proc) Park() {
 	p.parked = true
-	if !p.yield(struct{}{}) {
+	if !p.co.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -158,7 +244,7 @@ func (p *Proc) Kill() {
 		panic(fmt.Sprintf("des: Kill of running proc %q", p.name))
 	}
 	p.parked = false
-	p.stop()
+	p.co.stop()
 }
 
 // Now reports the current simulated time.
@@ -172,7 +258,7 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 func (e *Engine) Shutdown() {
 	for p := e.liveHead; p != nil; p = e.liveHead {
 		switch {
-		case !p.started:
+		case p.co == nil:
 			p.retire()
 		case p.parked:
 			p.Kill()

@@ -17,6 +17,9 @@ package mpisim
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"cbes/internal/cluster"
@@ -70,9 +73,8 @@ type Result struct {
 type World struct {
 	vc      *vcluster.Cluster
 	net     *simnet.Network
-	mapping []int
 	opts    Options
-	ranks   []*Rank
+	ranks   []Rank
 	rec     *trace.Recorder
 	start   des.Time
 	end     des.Time
@@ -142,11 +144,38 @@ type Rank struct {
 	waitSrc int        // source a pending Recv waits on, -1 if none
 }
 
-// srcQueue holds the messages from one source in send order.
+// srcQueue holds the messages from one source in send order: q[head:]
+// wait, and a drained queue starts again at the front of its storage.
 type srcQueue struct {
-	src int
-	q   []*message
+	src  int
+	head int
+	q    []*message
 }
+
+// first returns the oldest waiting message, or nil.
+func (sq *srcQueue) first() *message {
+	if sq.head < len(sq.q) {
+		return sq.q[sq.head]
+	}
+	return nil
+}
+
+// pop drops the oldest waiting message.
+func (sq *srcQueue) pop() {
+	sq.q[sq.head] = nil
+	if sq.head++; sq.head == len(sq.q) {
+		sq.q, sq.head = sq.q[:0], 0
+	}
+}
+
+// A world starts each rank with room for queues from inboxSources sources
+// and queueDepth messages in each, all carved from two arrays per Launch; a
+// rank that hears from more sources, or falls further behind one, grows its
+// own. A rank of a 2D halo exchange hears from four.
+const (
+	inboxSources = 4
+	queueDepth   = 2
+)
 
 // from returns the queue of messages from src, or nil if src has not been
 // heard from. A rank hears from few sources (4 in a 256-rank halo), so the
@@ -162,12 +191,15 @@ func (r *Rank) from(src int) *srcQueue {
 	return nil
 }
 
-// enqueue appends m to the queue of its source, first contact adding one.
+// enqueue appends m to the queue of its source, first contact taking the
+// next slot (and its storage) of the inbox.
 func (r *Rank) enqueue(m *message) {
 	sq := r.from(m.src)
 	if sq == nil {
-		r.inbox = append(r.inbox, srcQueue{src: m.src})
+		r.inbox = slices.Grow(r.inbox, 1)
+		r.inbox = r.inbox[:len(r.inbox)+1]
 		sq = &r.inbox[len(r.inbox)-1]
+		sq.src = m.src
 	}
 	sq.q = append(sq.q, m)
 }
@@ -183,49 +215,71 @@ func Launch(vc *vcluster.Cluster, net *simnet.Network, mapping []int, body func(
 	if name == "" {
 		name = "app"
 	}
+	n := len(mapping)
 	w := &World{
-		vc:      vc,
-		net:     net,
-		mapping: append([]int(nil), mapping...),
-		opts:    opts,
-		start:   vc.Eng.Now(),
-		left:    len(mapping),
+		vc:    vc,
+		net:   net,
+		opts:  opts,
+		start: vc.Eng.Now(),
+		left:  n,
+		ranks: make([]Rank, n),
 	}
-	w.rec = trace.NewRecorder(name, vc.Topo.Name, w.mapping, vc.Eng.Now)
+	w.rec = trace.NewRecorder(name, vc.Topo.Name, mapping, vc.Eng.Now)
 	if opts.RecordIntervals {
 		w.rec.EnableIntervals()
 	}
-	w.ranks = make([]*Rank, len(mapping))
-	for i, node := range w.mapping {
+	queues := make([]srcQueue, n*inboxSources)
+	msgs := make([]*message, len(queues)*queueDepth)
+	for i := range queues {
+		queues[i].q = msgs[i*queueDepth : i*queueDepth : (i+1)*queueDepth]
+	}
+	names := procNames(name, n)
+	for i, node := range mapping {
 		if node < 0 || node >= vc.Topo.NumNodes() {
 			panic(fmt.Sprintf("mpisim: rank %d mapped to invalid node %d", i, node))
 		}
-		n := vc.Topo.Node(node)
+		nd := vc.Topo.Node(node)
 		eff := 1.0
 		if opts.ArchEff != nil {
-			if v, ok := opts.ArchEff[n.Arch]; ok {
+			if v, ok := opts.ArchEff[nd.Arch]; ok {
 				eff = v
 			}
 		}
-		r := &Rank{
+		r := &w.ranks[i]
+		*r = Rank{
 			w:       w,
 			id:      i,
 			node:    node,
 			cpu:     vc.CPU(node),
-			rate:    n.Speed * eff,
-			ai:      vc.Topo.ArchInfo(n.Arch),
+			rate:    nd.Speed * eff,
+			ai:      vc.Topo.ArchInfo(nd.Arch),
+			inbox:   queues[i*inboxSources : i*inboxSources : (i+1)*inboxSources],
 			waitSrc: -1,
 		}
-		w.ranks[i] = r
-		rr := r
-		r.proc = vc.Eng.Spawn(fmt.Sprintf("%s.r%d", name, i), func(p *des.Proc) {
-			rr.proc = p
-			rr.w.rec.SetState(rr.id, trace.StateRun)
-			body(rr)
-			rr.w.rankDone()
+		r.proc = vc.Eng.Spawn(names[i], func(*des.Proc) {
+			w.rec.SetState(r.id, trace.StateRun)
+			body(r)
+			w.rankDone()
 		})
 	}
 	return w
+}
+
+// procNames spells the rank processes' names, "<app>.r<rank>", into one
+// buffer.
+func procNames(app string, n int) []string {
+	var b strings.Builder
+	b.Grow(n * (len(app) + len(".r") + len(strconv.Itoa(n))))
+	var digits [20]byte
+	names := make([]string, n)
+	for i := range names {
+		start := b.Len()
+		b.WriteString(app)
+		b.WriteString(".r")
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		names[i] = b.String()[start:]
+	}
+	return names
 }
 
 func (w *World) rankDone() {
@@ -340,7 +394,7 @@ func (r *Rank) Send(dst int, size int64) {
 	if size < 0 {
 		panic("mpisim: negative message size")
 	}
-	peer := r.w.ranks[dst]
+	peer := &r.w.ranks[dst]
 	r.w.rec.RecordSend(r.id, dst, size)
 	r.w.rec.RecordRecv(dst, r.id, size)
 	r.overhead(r.ai.SendOverhead)
@@ -384,19 +438,12 @@ func (r *Rank) Recv(src int) int64 {
 	}
 	for {
 		// Looked up afresh each time round: see Rank.from.
-		if sq := r.from(src); sq != nil && len(sq.q) > 0 {
-			m := sq.q[0]
-			if m.rendezvous {
-				sq.q = sq.q[1:]
-				r.pullRendezvous(m)
-				size := m.size
-				freeMsg(m)
-				r.overhead(r.ai.RecvOverhead)
-				r.w.rec.SetState(r.id, trace.StateRun)
-				return size
-			}
-			if m.arrived {
-				sq.q = sq.q[1:]
+		if sq := r.from(src); sq != nil {
+			if m := sq.first(); m != nil && (m.rendezvous || m.arrived) {
+				sq.pop()
+				if m.rendezvous {
+					r.pullRendezvous(m)
+				}
 				size := m.size
 				freeMsg(m)
 				r.overhead(r.ai.RecvOverhead)

@@ -72,7 +72,8 @@ type Decision struct {
 // Recorder is a disabled no-op.
 type Recorder struct {
 	mu    sync.Mutex
-	ring  []Decision
+	size  int
+	ring  []Decision // size decisions, allocated by the first record
 	next  int
 	n     int
 	total uint64
@@ -82,11 +83,12 @@ type Recorder struct {
 const DefaultRecorderSize = 512
 
 // NewRecorder returns a recorder holding the most recent size decisions.
+// The ring is allocated when the first decision is recorded.
 func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
 	}
-	return &Recorder{ring: make([]Decision, size)}
+	return &Recorder{size: size}
 }
 
 var defaultRecorder = NewRecorder(DefaultRecorderSize)
@@ -112,6 +114,9 @@ func (r *Recorder) Record(d Decision) {
 		d.Time = time.Now()
 	}
 	r.mu.Lock()
+	if r.ring == nil {
+		r.ring = make([]Decision, r.size)
+	}
 	r.ring[r.next] = d
 	r.next = (r.next + 1) % len(r.ring)
 	if r.n < len(r.ring) {

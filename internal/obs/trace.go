@@ -115,7 +115,8 @@ func ParseID(s string) (uint64, error) {
 // return a nil ActiveSpan whose methods are also no-ops).
 type Tracer struct {
 	mu   sync.Mutex
-	ring []Span
+	size int
+	ring []Span // size spans, allocated by the first record
 	next int
 	n    int
 	sink io.Writer
@@ -135,12 +136,14 @@ const DefaultRingSize = 1024
 // of the head-sampling decision.
 const DefaultSlowKeep = 100 * time.Millisecond
 
-// NewTracer returns a tracer holding the most recent size spans.
+// NewTracer returns a tracer holding the most recent size spans. The ring
+// is allocated when the first span is recorded, so a process that imports
+// the package and never traces does not carry it.
 func NewTracer(size int) *Tracer {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Tracer{ring: make([]Span, size)}
+	return &Tracer{size: size}
 }
 
 var defaultTracer = NewTracer(DefaultRingSize)
@@ -340,6 +343,9 @@ func (s *ActiveSpan) End() {
 
 func (t *Tracer) record(sp Span) {
 	t.mu.Lock()
+	if t.ring == nil {
+		t.ring = make([]Span, t.size)
+	}
 	t.ring[t.next] = sp
 	t.next = (t.next + 1) % len(t.ring)
 	if t.n < len(t.ring) {

@@ -1,0 +1,55 @@
+package profile
+
+import (
+	"bytes"
+	"testing"
+
+	"cbes/internal/bench"
+	"cbes/internal/cluster"
+	"cbes/internal/des"
+	"cbes/internal/mpisim"
+	"cbes/internal/simnet"
+	"cbes/internal/trace"
+	"cbes/internal/vcluster"
+	"cbes/internal/workloads"
+)
+
+// FuzzFromTrace: any byte string that decodes as a trace yields an error
+// from FromTrace or a profile that ComputeLambdas accepts — never a panic.
+// The seed is the encoded trace of LU.A.8 on the test topology.
+func FuzzFromTrace(f *testing.F) {
+	topo := cluster.NewTestTopology()
+	model := bench.Calibrate(topo, bench.Options{Reps: 2, Sizes: []int64{64, 16 << 10}, SkipLoadFit: true})
+	speeds := bench.MeasureArchSpeeds(topo, nil, 0.1)
+	lu := workloads.LU(workloads.ClassA, 8)
+	eng := des.NewEngine()
+	res := mpisim.Run(vcluster.New(eng, topo), simnet.New(eng, topo), []int{0, 1, 2, 3, 4, 5, 6, 7}, lu.Body, lu.Options())
+	eng.Shutdown()
+	var enc bytes.Buffer
+	if err := res.Trace.Encode(&enc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc.Bytes())
+	for _, hostile := range []string{
+		`{"cluster":"testnet","ranks":1,"mapping":[0],"segments":[{"procs":[{"rank":0,"node":99}]}]}`,
+		`{"cluster":"testnet","ranks":1,"mapping":[-1],"segments":[]}`,
+		`{"cluster":"testnet","ranks":2,"mapping":[0,1],"segments":[{"procs":[{"rank":0,"node":0,"sends":[{"peer":2,"size":8,"count":1}]}]}]}`,
+		`{"cluster":"testnet","ranks":2,"mapping":[0,1],"segments":[{"procs":[{"rank":0,"node":0,"recvs":[{"peer":1,"size":-8,"count":1}]}]}]}`,
+		`{"cluster":"testnet","ranks":3,"mapping":[0,1],"segments":[]}`,
+	} {
+		f.Add([]byte(hostile))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		p, err := FromTrace(tr, topo, speeds)
+		if err != nil {
+			return
+		}
+		if err := p.ComputeLambdas(model); err != nil {
+			t.Fatalf("ComputeLambdas on an accepted trace: %v", err)
+		}
+	})
+}

@@ -62,10 +62,21 @@ type Profile struct {
 
 // FromTrace analyses an execution trace into a profile. archSpeed carries
 // the measured per-architecture speeds of this application; the profiling
-// node's speed is looked up there.
+// node's speed is looked up there. A trace that names a node outside topo
+// or a rank outside the trace, or counts a negative number of messages or
+// bytes, is an error (FuzzFromTrace).
 func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Arch]float64) (*Profile, error) {
 	if tr.Cluster != topo.Name {
 		return nil, fmt.Errorf("profile: trace from cluster %q, topology is %q", tr.Cluster, topo.Name)
+	}
+	if len(tr.Mapping) != tr.Ranks {
+		return nil, fmt.Errorf("profile: trace of %d ranks maps %d", tr.Ranks, len(tr.Mapping))
+	}
+	nodes := topo.NumNodes()
+	for rank, node := range tr.Mapping {
+		if node < 0 || node >= nodes {
+			return nil, fmt.Errorf("profile: rank %d mapped to node %d, outside the topology", rank, node)
+		}
 	}
 	p := &Profile{
 		App:       tr.App,
@@ -80,6 +91,9 @@ func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Ar
 	for _, seg := range tr.Segments {
 		sp := SegmentProfile{Name: seg.Name}
 		for _, pt := range seg.Procs {
+			if err := checkProc(&pt, tr.Ranks, nodes); err != nil {
+				return nil, fmt.Errorf("profile: segment %q: %w", seg.Name, err)
+			}
 			arch := topo.Node(pt.Node).Arch
 			speed, ok := p.ArchSpeed[arch]
 			if !ok {
@@ -99,6 +113,28 @@ func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Ar
 		p.Segments = append(p.Segments, sp)
 	}
 	return p, nil
+}
+
+// checkProc rejects a process record that would index outside the
+// topology or the mapping, or count backwards.
+func checkProc(pt *trace.ProcTrace, ranks, nodes int) error {
+	if pt.Rank < 0 || pt.Rank >= ranks {
+		return fmt.Errorf("rank %d outside [0, %d)", pt.Rank, ranks)
+	}
+	if pt.Node < 0 || pt.Node >= nodes {
+		return fmt.Errorf("rank %d on node %d, outside the topology", pt.Rank, pt.Node)
+	}
+	for _, gs := range [2][]trace.MsgGroup{pt.Sends, pt.Recvs} {
+		for _, g := range gs {
+			if g.Peer < 0 || g.Peer >= ranks {
+				return fmt.Errorf("rank %d: peer %d outside [0, %d)", pt.Rank, g.Peer, ranks)
+			}
+			if g.Count < 0 || g.Size < 0 {
+				return fmt.Errorf("rank %d: %d messages of %d bytes with peer %d", pt.Rank, g.Count, g.Size, g.Peer)
+			}
+		}
+	}
+	return nil
 }
 
 // Theta computes the theoretical communication time Θ_i of eq. 6 for one

@@ -7,10 +7,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"cbes/internal/des"
 )
@@ -125,15 +126,17 @@ type Recorder struct {
 	state     []State
 	stateFrom []des.Time
 	acc       [][3]des.Time // per rank, per state, within current segment
-	sends     []map[msgKey]int
-	recvs     []map[msgKey]int
-	intervals [][]Interval // non-nil only after EnableIntervals
+	// sends[i] and recvs[i] are rank i's message groups in the open segment,
+	// in order of first message; closing the segment sorts them into it.
+	sends, recvs [][]MsgGroup
+	intervals    [][]Interval // non-nil only after EnableIntervals
 }
 
-type msgKey struct {
-	peer int
-	size int64
-}
+// groupsPerRank is how many send groups, and how many receive groups, each
+// rank starts a segment with room for: one array per segment holds them
+// all, and a rank that talks to more peers grows its own slice. A rank of a
+// 2D halo exchange talks to four.
+const groupsPerRank = 4
 
 // NewRecorder starts recording an execution of app on the given mapping.
 // The now function supplies the current simulated time.
@@ -148,20 +151,11 @@ func NewRecorder(app, clusterName string, mapping []int, now func() des.Time) *R
 	}
 	r.state = make([]State, n)
 	r.stateFrom = make([]des.Time, n)
-	r.resetSegmentAccumulators()
+	r.acc = make([][3]des.Time, n)
+	r.sends = make([][]MsgGroup, n)
+	r.recvs = make([][]MsgGroup, n)
 	r.BeginSegment("main")
 	return r
-}
-
-func (r *Recorder) resetSegmentAccumulators() {
-	n := len(r.mapping)
-	r.acc = make([][3]des.Time, n)
-	r.sends = make([]map[msgKey]int, n)
-	r.recvs = make([]map[msgKey]int, n)
-	for i := 0; i < n; i++ {
-		r.sends[i] = map[msgKey]int{}
-		r.recvs[i] = map[msgKey]int{}
-	}
 }
 
 // BeginSegment closes any open segment and opens a new one. Application
@@ -177,42 +171,57 @@ func (r *Recorder) BeginSegment(name string) {
 	for i := range r.stateFrom {
 		r.stateFrom[i] = now
 	}
+	clear(r.acc)
+	const k = groupsPerRank
+	groups := make([]MsgGroup, 2*k*len(r.mapping))
+	for i := range r.sends {
+		g := groups[2*k*i:]
+		r.sends[i], r.recvs[i] = g[:0:k], g[k:k:2*k]
+	}
 }
 
 func (r *Recorder) closeSegment() {
 	now := r.now()
-	seg := Segment{Name: r.segName, Start: r.segStart, End: now}
+	seg := Segment{Name: r.segName, Start: r.segStart, End: now, Procs: make([]ProcTrace, len(r.mapping))}
 	for rank := range r.mapping {
 		// Flush the in-progress state interval.
 		r.flush(rank, now)
-		pt := ProcTrace{
+		seg.Procs[rank] = ProcTrace{
 			Rank:     rank,
 			Node:     r.mapping[rank],
 			Run:      r.acc[rank][StateRun],
 			Overhead: r.acc[rank][StateOverhead],
 			Blocked:  r.acc[rank][StateBlocked],
-			Sends:    groupsOf(r.sends[rank]),
-			Recvs:    groupsOf(r.recvs[rank]),
+			Sends:    sortGroups(r.sends[rank]),
+			Recvs:    sortGroups(r.recvs[rank]),
 		}
-		seg.Procs = append(seg.Procs, pt)
 	}
 	r.segments = append(r.segments, seg)
 	r.segOpen = false
-	r.resetSegmentAccumulators()
 }
 
-func groupsOf(m map[msgKey]int) []MsgGroup {
-	out := make([]MsgGroup, 0, len(m))
-	for k, c := range m {
-		out = append(out, MsgGroup{Peer: k.peer, Size: k.size, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Peer != out[j].Peer {
-			return out[i].Peer < out[j].Peer
+// sortGroups orders a rank's groups by (Peer, Size). The groups are carved
+// from an array, so even an empty list is non-nil and encodes as [].
+func sortGroups(gs []MsgGroup) []MsgGroup {
+	slices.SortFunc(gs, func(a, b MsgGroup) int {
+		if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
+			return c
 		}
-		return out[i].Size < out[j].Size
+		return cmp.Compare(a.Size, b.Size)
 	})
-	return out
+	return gs
+}
+
+// count adds one message to the (peer, size) group of gs. A rank talks to
+// few peers, so the scan is short; an all-to-all pays O(peers) a message.
+func count(gs []MsgGroup, peer int, size int64) []MsgGroup {
+	for i := range gs {
+		if gs[i].Peer == peer && gs[i].Size == size {
+			gs[i].Count++
+			return gs
+		}
+	}
+	return append(gs, MsgGroup{Peer: peer, Size: size, Count: 1})
 }
 
 func (r *Recorder) flush(rank int, now des.Time) {
@@ -232,12 +241,12 @@ func (r *Recorder) SetState(rank int, s State) {
 
 // RecordSend adds one message of the given size from rank to peer.
 func (r *Recorder) RecordSend(rank, peer int, size int64) {
-	r.sends[rank][msgKey{peer, size}]++
+	r.sends[rank] = count(r.sends[rank], peer, size)
 }
 
 // RecordRecv adds one received message of the given size from peer to rank.
 func (r *Recorder) RecordRecv(rank, peer int, size int64) {
-	r.recvs[rank][msgKey{peer, size}]++
+	r.recvs[rank] = count(r.recvs[rank], peer, size)
 }
 
 // Finish closes the open segment and returns the completed trace.
