@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify ci stress bench bench-quick bench-compare service-bench service-bench-short obs-smoke overload-smoke faults-smoke fuzz
+.PHONY: build test verify ci stress bench bench-quick bench-compare obs-smoke overload-smoke faults-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,6 @@ ci:
 	$(GO) test -race -timeout 45m ./...
 	$(MAKE) stress
 	$(MAKE) bench-quick
-	$(MAKE) service-bench-short
 
 # Process-lifecycle tests, twenty times each under the race detector: the
 # simulator's start, park, kill, panic and Shutdown paths with the
@@ -65,20 +64,6 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -o BENCH_new.json < BENCH_new.txt
 	$(GO) run ./cmd/benchjson -diff -threshold 20 -bytes-threshold 20 BENCH_cbes.json BENCH_new.json
 
-# Concurrent-load benchmark of the RPC service: sharded read path
-# (epoch-keyed prediction cache, lock-free reads) vs the single-lock
-# baseline on a 95% read mix. Records throughput, p50/p99, and cache
-# hit/miss counts into BENCH_cbes.json (rps and p99_ms are
-# regression-gated by bench-compare) and fails unless the sharded path
-# is at least 10x the baseline with a >= 90% cache hit rate.
-service-bench:
-	$(GO) run ./cmd/servicebench -clients 16 -duration 5s -min-speedup 10 -min-hit-rate 90 -o BENCH_cbes.json
-
-# Short service-bench for CI: quick smoke with a relaxed speedup floor
-# (shared-runner timing is noisy), no snapshot update.
-service-bench-short:
-	$(GO) run ./cmd/servicebench -clients 8 -duration 1s -min-speedup 3 -o ""
-
 # End-to-end observability smoke test: boots cbesd with -debug-listen,
 # drives a scheduling request, asserts /healthz plus non-zero core
 # series in /metrics, follows the printed trace ID through /debug/trace
@@ -109,9 +94,11 @@ faults-smoke:
 
 # Short fuzz passes: the delta-evaluation invariants, topology specs as
 # hostile input (an error or a valid topology, never a panic or a multi-MB
-# build), and traces as hostile input (an error or a profile whose λs
-# compute).
+# build), traces as hostile input (an error or a profile whose λs
+# compute), and RPC arguments as hostile input (an error or a well-formed
+# reply, never a recovered panic).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzFromTrace -fuzztime 30s ./internal/profile/
+	$(GO) test -run xxx -fuzz FuzzHandlers -fuzztime 30s ./internal/service/

@@ -1,48 +1,33 @@
-// Command servicebench measures the CBES RPC service under concurrent
-// load, comparing the sharded read path (epoch-keyed prediction cache,
-// lock-free reads, Schedule coalescing) against the legacy single-lock
-// path on the same workload: a read-mostly client mix (95% Evaluate /
-// Compare, 5% Advance) driven by N concurrent connections against an
-// in-process daemon.
+// Command servicebench drives the CBES RPC service open-loop, for
+// overload testing (DESIGN.md §15): requests fire on a fixed arrival
+// schedule — arrivals do not wait for completions, so offered load stays
+// constant no matter how slow the server gets.
 //
 // Usage:
 //
-//	servicebench [-clients 16] [-duration 5s] [-compare-width 8]
-//	             [-min-speedup 0] [-min-hit-rate 0] [-o BENCH_cbes.json]
-//
-// Both phases run in one process on a calibrated test topology with one
-// profiled synthetic application. Results — throughput, p50/p99 latency,
-// cache hit rate, coalesced Schedule count, and the sharded/single-lock
-// speedup — print as a table and merge into the benchjson snapshot (-o),
-// where `benchjson -diff` regression-gates the rps and p99_ms entries.
-// With -min-speedup > 0 the process exits non-zero if the sharded path
-// fails to beat the baseline by that factor.
-//
-// Open-loop overload mode (DESIGN.md §15):
-//
 //	servicebench [-addr host:port] [-openloop-rps R | -openloop-mult M]
 //	             [-openloop-dur 5s] [-deadline 250ms] [-min-goodput 0]
+//	             [-unprotected]
 //
-// Instead of the closed-loop phases, fire requests on a fixed arrival
-// schedule — arrivals do not wait for completions, so offered load stays
-// constant no matter how slow the server gets. Every request carries an
-// absolute deadline; goodput counts only replies that return success
-// within it (brownout replies count: a labeled cheaper answer beats an
-// error). -addr targets an external daemon (apps discovered via Status);
-// without it a daemon is booted in-process. -openloop-mult first probes
-// the 1x closed-loop capacity and offers that multiple of it. With
+// Every request carries an absolute deadline; goodput counts only
+// replies that return success within it (brownout replies count: a
+// labeled cheaper answer beats an error). -addr targets an external
+// daemon (apps discovered via Status); without it a daemon is booted
+// in-process on a calibrated test topology, with admission control
+// unless -unprotected. -openloop-mult (default 5) first probes the 1x
+// closed-loop capacity and offers that multiple of it. With
 // -min-goodput > 0 the process exits non-zero below that goodput floor.
+// `make overload-smoke` runs it against a real cbesd; the steady-state
+// service workloads are measured by the harness under benchmark/.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -51,221 +36,20 @@ import (
 	"cbes/internal/admission"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
-	"cbes/internal/obs"
 	"cbes/internal/service"
 	"cbes/internal/workloads"
 )
 
-// benchResult mirrors cmd/benchjson's Result so servicebench entries
-// merge into the same snapshot file without importing across commands.
-type benchResult struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	EvalsPerSec float64            `json:"evals_per_sec,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// phaseStats aggregates one load phase.
-type phaseStats struct {
-	ops      int64
-	rps      float64
-	meanNs   float64
-	p50ms    float64
-	p99ms    float64
-	errors   int64
-	advances int64
-}
-
 func main() {
-	clients := flag.Int("clients", 16, "concurrent client connections")
-	duration := flag.Duration("duration", 5*time.Second, "wall time per phase")
-	compareWidth := flag.Int("compare-width", 8, "mappings per Compare request")
-	minSpeedup := flag.Float64("min-speedup", 0, "fail unless sharded rps >= single-lock rps times this (0 disables)")
-	minHitRate := flag.Float64("min-hit-rate", 0, "fail unless the sharded-phase cache hit rate reaches this percentage (0 disables)")
-	out := flag.String("o", "BENCH_cbes.json", "benchjson snapshot to merge results into; empty disables")
-	addr := flag.String("addr", "", "open-loop mode: target an external daemon instead of booting one in-process")
-	openRPS := flag.Float64("openloop-rps", 0, "open-loop mode: offered load in requests/sec (0 = derive from -openloop-mult)")
-	openMult := flag.Float64("openloop-mult", 0, "open-loop mode: offer this multiple of the probed 1x closed-loop capacity")
-	openDur := flag.Duration("openloop-dur", 5*time.Second, "open-loop mode: wall time to sustain the offered load")
-	reqDeadline := flag.Duration("deadline", 250*time.Millisecond, "open-loop mode: per-request deadline; goodput counts completions within it")
-	minGoodput := flag.Float64("min-goodput", 0, "open-loop mode: fail unless goodput reaches this many requests/sec (0 disables)")
-	unprotected := flag.Bool("unprotected", false, "open-loop mode: boot the in-process daemon with admission control disabled (the control arm)")
+	addr := flag.String("addr", "", "target an external daemon instead of booting one in-process")
+	openRPS := flag.Float64("openloop-rps", 0, "offered load in requests/sec (0 = derive from -openloop-mult)")
+	openMult := flag.Float64("openloop-mult", 0, "offer this multiple of the probed 1x closed-loop capacity (0 = 5)")
+	openDur := flag.Duration("openloop-dur", 5*time.Second, "wall time to sustain the offered load")
+	reqDeadline := flag.Duration("deadline", 250*time.Millisecond, "per-request deadline; goodput counts completions within it")
+	minGoodput := flag.Float64("min-goodput", 0, "fail unless goodput reaches this many requests/sec (0 disables)")
+	unprotected := flag.Bool("unprotected", false, "boot the in-process daemon with admission control disabled (the control arm)")
 	flag.Parse()
-
-	if *addr != "" || *openRPS > 0 || *openMult > 0 {
-		runOpenLoop(*addr, *openRPS, *openMult, *openDur, *reqDeadline, *minGoodput, *unprotected)
-		return
-	}
-
-	single := runPhase(true, *clients, *duration, *compareWidth)
-	hits0, misses0, coalesced0 := cacheCounters()
-	sharded := runPhase(false, *clients, *duration, *compareWidth)
-	hits1, misses1, coalesced1 := cacheCounters()
-
-	hits, misses := float64(hits1-hits0), float64(misses1-misses0)
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = hits / (hits + misses) * 100
-	}
-	speedup := 0.0
-	if single.rps > 0 {
-		speedup = sharded.rps / single.rps
-	}
-
-	fmt.Printf("%-14s %10s %12s %10s %10s %8s\n", "path", "ops", "rps", "p50 ms", "p99 ms", "errors")
-	fmt.Printf("%-14s %10d %12.0f %10.3f %10.3f %8d\n",
-		"single-lock", single.ops, single.rps, single.p50ms, single.p99ms, single.errors)
-	fmt.Printf("%-14s %10d %12.0f %10.3f %10.3f %8d\n",
-		"sharded", sharded.ops, sharded.rps, sharded.p50ms, sharded.p99ms, sharded.errors)
-	fmt.Printf("speedup %.1fx, cache hit rate %.1f%%, %d schedule requests coalesced\n",
-		speedup, hitRate, coalesced1-coalesced0)
-
-	if *out != "" {
-		results := []*benchResult{
-			{
-				Name:       "ServiceRPC/single-lock",
-				Iterations: single.ops,
-				NsPerOp:    single.meanNs,
-				Extra:      map[string]float64{"rps": single.rps, "p50_ms": single.p50ms, "p99_ms": single.p99ms},
-			},
-			{
-				Name:       "ServiceRPC/sharded",
-				Iterations: sharded.ops,
-				NsPerOp:    sharded.meanNs,
-				Extra: map[string]float64{
-					"rps": sharded.rps, "p50_ms": sharded.p50ms, "p99_ms": sharded.p99ms,
-					"hit_rate_pct": hitRate, "speedup_x": speedup,
-					"cache_hits": hits, "cache_misses": misses,
-				},
-			},
-		}
-		if err := mergeSnapshot(*out, results); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("merged 2 entries into %s\n", *out)
-	}
-
-	if *minSpeedup > 0 && speedup < *minSpeedup {
-		log.Fatalf("servicebench: sharded path %.1fx over single-lock, need >= %.1fx", speedup, *minSpeedup)
-	}
-	if *minHitRate > 0 && hitRate < *minHitRate {
-		log.Fatalf("servicebench: cache hit rate %.1f%% (%.0f hits / %.0f misses), need >= %.1f%%",
-			hitRate, hits, misses, *minHitRate)
-	}
-}
-
-// runPhase boots a fresh system + daemon in the requested mode, drives
-// the mixed workload, and tears everything down.
-func runPhase(singleLock bool, clients int, duration time.Duration, compareWidth int) phaseStats {
-	sys := cbes.NewSystem(cluster.NewTestTopology(), cbes.Config{})
-	defer sys.Close()
-	sys.Calibrate(bench.Options{Reps: 3})
-	// A deliberately heavy multi-phase profile: phase markers keep every
-	// iteration a distinct profile segment (instead of aggregating into
-	// one), so a single prediction walks phases × ranks proc estimates —
-	// the multi-phase-application regime the paper's estimating service
-	// targets, and the one where the prediction cache matters.
-	prog := workloads.Phased(60, 8)
-	sys.MustProfile(prog, []int{0, 1, 2, 3, 4, 5, 6, 7})
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		service.ServeWith(sys, l, service.ServeOptions{ //nolint:errcheck // clean close
-			MaxClients: clients + 1,
-			SingleLock: singleLock,
-		})
-	}()
-
-	// Distinct 8-rank mappings over the 8-node test topology, shared by
-	// every client so the cache sees genuine cross-client reuse.
-	rng := rand.New(rand.NewSource(7))
-	mappings := make([][]int, 16)
-	for i := range mappings {
-		mappings[i] = rng.Perm(8)
-	}
-
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		all     []float64 // per-op latency, seconds
-		ops     int64
-		errs    int64
-		advs    int64
-		deadl   = time.Now().Add(duration)
-		elapsed time.Duration
-	)
-	start := time.Now()
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c, err := service.Dial(l.Addr().String())
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer c.Close()
-			lat := make([]float64, 0, 4096)
-			var myOps, myErrs, myAdvs int64
-			for i := ci; time.Now().Before(deadl); i++ {
-				t0 := time.Now()
-				var err error
-				switch {
-				case i%20 == 19: // the 5% writer slice
-					// Small steps: most advances stay inside one 1s sampling
-					// interval, so the snapshot epoch (and the cache) survives.
-					_, err = c.Advance(0.05)
-					myAdvs++
-				case i%2 == 0:
-					_, err = c.Evaluate(prog.Name, mappings[i%len(mappings)])
-				default:
-					batch := make([][]int, compareWidth)
-					for j := range batch {
-						batch[j] = mappings[(i+j)%len(mappings)]
-					}
-					_, err = c.Compare(prog.Name, batch)
-				}
-				lat = append(lat, time.Since(t0).Seconds())
-				myOps++
-				if err != nil {
-					myErrs++
-				}
-			}
-			mu.Lock()
-			all = append(all, lat...)
-			ops += myOps
-			errs += myErrs
-			advs += myAdvs
-			mu.Unlock()
-		}(ci)
-	}
-	wg.Wait()
-	elapsed = time.Since(start)
-	l.Close()
-	<-served
-
-	sort.Float64s(all)
-	st := phaseStats{ops: ops, errors: errs, advances: advs}
-	if elapsed > 0 {
-		st.rps = float64(ops) / elapsed.Seconds()
-	}
-	if len(all) > 0 {
-		var sum float64
-		for _, v := range all {
-			sum += v
-		}
-		st.meanNs = sum / float64(len(all)) * 1e9
-		st.p50ms = percentile(all, 0.50) * 1e3
-		st.p99ms = percentile(all, 0.99) * 1e3
-	}
-	return st
+	runOpenLoop(*addr, *openRPS, *openMult, *openDur, *reqDeadline, *minGoodput, *unprotected)
 }
 
 // openConns is the connection pool size for the open-loop driver. rpc
@@ -435,25 +219,25 @@ func openTarget(addr string, deadline time.Duration, unprotected bool) (target, 
 
 	sys := cbes.NewSystem(cluster.NewTestTopology(), cbes.Config{})
 	sys.Calibrate(bench.Options{Reps: 3})
-	// Far more phases than the closed-loop benchmark's program: each
-	// cache-miss prediction walks phases × ranks proc estimates (tens of
-	// milliseconds), so serving dominates RPC plumbing by orders of
-	// magnitude and overload is generated against real prediction work
-	// rather than codec overhead — the expensive-request regime the
-	// admission limiter exists for.
+	// A heavyweight many-phase program: each cache-miss prediction walks
+	// phases × ranks proc estimates (tens of milliseconds), so serving
+	// dominates RPC plumbing by orders of magnitude and overload is
+	// generated against real prediction work rather than codec overhead —
+	// the expensive-request regime the admission limiter exists for.
 	prog := workloads.Phased(12000, 8)
 	sys.MustProfile(prog, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
+	opts := service.ServeOptions{DisableAdmission: unprotected}
+	if !unprotected {
+		opts.Limiter = admission.New(admission.Config{TargetP99: deadline / 2})
+	}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		service.ServeWith(sys, l, service.ServeOptions{ //nolint:errcheck // clean close
-			AdmissionTarget:  deadline / 2,
-			DisableAdmission: unprotected,
-		})
+		service.ServeWith(sys, l, opts) //nolint:errcheck // clean close
 	}()
 	cleanup = func() {
 		l.Close()
@@ -562,42 +346,4 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	i := int(p * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-// cacheCounters samples the cumulative cache/coalescing counters from
-// the process-wide registry (registration is idempotent, so this fetches
-// the same counters the service increments).
-func cacheCounters() (hits, misses, coalesced uint64) {
-	r := obs.Default()
-	return r.Counter("cbes_predcache_hits_total", "").Value(),
-		r.Counter("cbes_predcache_misses_total", "").Value(),
-		r.Counter("cbes_schedule_coalesced_total", "").Value()
-}
-
-// mergeSnapshot folds results into the benchjson snapshot at path,
-// replacing same-name entries and keeping the rest.
-func mergeSnapshot(path string, add []*benchResult) error {
-	var existing []*benchResult
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	byName := make(map[string]*benchResult, len(existing)+len(add))
-	for _, r := range existing {
-		byName[r.Name] = r
-	}
-	for _, r := range add {
-		byName[r.Name] = r
-	}
-	merged := make([]*benchResult, 0, len(byName))
-	for _, r := range byName {
-		merged = append(merged, r)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Name < merged[j].Name })
-	enc, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }

@@ -64,6 +64,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("schedule: CS proposes %v, predicted %.1fs (%d evaluations, %dms)\n",
-		dec.Mapping, dec.Predicted, dec.Evaluations, dec.SchedulerMillis)
+	fmt.Printf("schedule: CS proposes %v, predicted %.1fs (%d evaluations, %dµs)\n",
+		dec.Mapping, dec.Predicted, dec.Evaluations, dec.SchedulerMicros)
 }

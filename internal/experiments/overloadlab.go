@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cbes"
+	"cbes/internal/admission"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/service"
@@ -99,13 +100,14 @@ func overloadArm(protected bool, phases int, dur time.Duration, cfg Config) ([]O
 	if err != nil {
 		return nil, err
 	}
+	opts := service.ServeOptions{DisableAdmission: !protected}
+	if protected {
+		opts.Limiter = admission.New(admission.Config{TargetP99: overloadDeadline / 2})
+	}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		service.ServeWith(sys, l, service.ServeOptions{ //nolint:errcheck // clean close
-			AdmissionTarget:  overloadDeadline / 2,
-			DisableAdmission: !protected,
-		})
+		service.ServeWith(sys, l, opts) //nolint:errcheck // clean close
 	}()
 	defer func() {
 		l.Close()

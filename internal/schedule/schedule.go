@@ -182,10 +182,17 @@ func (r *Request) validate() error {
 			len(r.Pool)*r.slots(), r.ranks(), ErrInfeasible)
 	}
 	nodes := r.Eval.Topo.NumNodes()
+	listed := make([]bool, nodes)
 	for _, n := range r.Pool {
 		if n < 0 || n >= nodes {
 			return fmt.Errorf("schedule: pool node %d outside the topology's %d nodes", n, nodes)
 		}
+		if listed[n] {
+			// Capacity above counts pool entries, so a repeat would
+			// overstate it.
+			return fmt.Errorf("schedule: pool node %d listed twice", n)
+		}
+		listed[n] = true
 	}
 	return nil
 }

@@ -528,12 +528,15 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := Random(f.request([]int{0, 1}, 1)); err == nil {
 		t.Fatal("insufficient capacity should error")
 	}
-	for _, bad := range []int{-1, f.topo.NumNodes()} {
+	// Nodes outside the topology used to panic RS and GA; a duplicated
+	// node counted twice towards capacity, and RS then drew forever for a
+	// free slot on a pool that had none.
+	for _, pool := range [][]int{{0, 1, 2, -1}, {0, 1, 2, f.topo.NumNodes()}, {0, 1, 2, 2}} {
 		for name, run := range map[string]func(*Request) (*Decision, error){
 			"rs": Random, "cs": SimulatedAnnealing, "ga": Genetic, "exhaustive": Exhaustive,
 		} {
-			if _, err := run(f.request([]int{0, 1, 2, bad}, 1)); err == nil {
-				t.Fatalf("%s: pool node %d outside the topology accepted", name, bad)
+			if _, err := run(f.request(pool, 1)); err == nil {
+				t.Fatalf("%s: pool %v accepted", name, pool)
 			}
 		}
 	}

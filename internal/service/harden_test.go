@@ -14,11 +14,12 @@ import (
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/des"
+	"cbes/internal/obs"
 	"cbes/internal/workloads"
 )
 
 // newSys builds a calibrated system with one profiled app (no listener).
-func newSys(t *testing.T) (*cbes.System, workloads.Program) {
+func newSys(t testing.TB) (*cbes.System, workloads.Program) {
 	t.Helper()
 	sys := cbes.NewSystem(cluster.NewTestTopology(), cbes.Config{})
 	sys.Calibrate(bench.Options{Reps: 3})
@@ -33,7 +34,7 @@ func newSys(t *testing.T) (*cbes.System, workloads.Program) {
 func TestInterceptRecoversPanic(t *testing.T) {
 	sys, _ := newSys(t)
 	s := NewServer(sys)
-	err := s.intercept("Boom", TraceMeta{}, func(context.Context) error { panic("kaboom") })
+	err := s.intercept("Boom", TraceMeta{}, true, func(context.Context) error { panic("kaboom") })
 	if err == nil {
 		t.Fatal("panicking handler returned nil")
 	}
@@ -41,7 +42,7 @@ func TestInterceptRecoversPanic(t *testing.T) {
 		t.Fatalf("panic error = %q", got)
 	}
 	// The engine lock must have been released: the next request runs.
-	if err := s.intercept("After", TraceMeta{}, func(context.Context) error { return nil }); err != nil {
+	if err := s.intercept("After", TraceMeta{}, true, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("request after recovered panic: %v", err)
 	}
 }
@@ -80,7 +81,7 @@ func TestInterceptBusyTimeout(t *testing.T) {
 	s := NewServer(sys)
 	s.SetRequestTimeout(20 * time.Millisecond)
 	s.lock <- struct{}{} // wedge the engine lock (a stuck long request)
-	err := s.intercept("Evaluate", TraceMeta{}, func(context.Context) error { return nil })
+	err := s.intercept("Evaluate", TraceMeta{}, true, func(context.Context) error { return nil })
 	if !IsBusy(err) {
 		t.Fatalf("err = %v, want busy", err)
 	}
@@ -88,9 +89,95 @@ func TestInterceptBusyTimeout(t *testing.T) {
 		t.Fatalf("local busy error should unwrap to ErrBusy: %v", err)
 	}
 	<-s.lock
-	if err := s.intercept("Evaluate", TraceMeta{}, func(context.Context) error { return nil }); err != nil {
+	if err := s.intercept("Evaluate", TraceMeta{}, true, func(context.Context) error { return nil }); err != nil {
 		t.Fatalf("after lock release: %v", err)
 	}
+}
+
+// Every exit of the one interceptor is booked exactly once: one request
+// and one latency observation, one error iff the request failed, the
+// in-flight count back where it was, and one rpc.<method> span that
+// carries the error iff the request failed.
+func TestInterceptExits(t *testing.T) {
+	sys, _ := newSys(t)
+	s := NewServer(sys)
+	ok := func(context.Context) error { return nil }
+	cases := []struct {
+		method   string
+		writer   bool
+		wedged   bool          // the engine lock is held by another request
+		timeout  time.Duration // the server's engine-lock queueing bound
+		deadline time.Duration // the caller's, relative to the call; 0 = none
+		fn       func(context.Context) error
+		failed   bool
+	}{
+		{"ExitOK", false, false, time.Second, 0, ok, false},
+		{"ExitError", false, false, time.Second, 0, func(context.Context) error { return errors.New("boom") }, true},
+		{"ExitPanic", true, false, time.Second, 0, func(context.Context) error { panic("kaboom") }, true},
+		{"ExitBusy", true, true, 20 * time.Millisecond, 0, ok, true},
+		{"ExitDeadlineBeforeStart", false, false, time.Second, -time.Second, ok, true},
+		{"ExitDeadlineWhileQueued", true, true, 30 * time.Second, 5 * time.Millisecond, ok, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.method, func(t *testing.T) {
+			s.SetRequestTimeout(tc.timeout)
+			if tc.wedged {
+				s.lock <- struct{}{}
+				defer func() { <-s.lock }()
+			}
+			meta := freshTrace()
+			if tc.deadline != 0 {
+				meta.setDeadline(time.Now().Add(tc.deadline))
+			}
+			requests, seconds, errs := rpcRequests.With(tc.method), rpcSeconds.With(tc.method), rpcErrors.With(tc.method)
+			requests0, seconds0, errs0 := requests.Value(), seconds.Count(), errs.Value()
+			inflight := rpcInflight.Value()
+			err := s.intercept(tc.method, meta, tc.writer, tc.fn)
+			if (err != nil) != tc.failed {
+				t.Fatalf("err = %v, want failed=%v", err, tc.failed)
+			}
+			wantErrs := uint64(0)
+			if tc.failed {
+				wantErrs = 1
+			}
+			if n := requests.Value() - requests0; n != 1 {
+				t.Errorf("cbes_rpc_requests_total grew by %d, want 1", n)
+			}
+			if n := seconds.Count() - seconds0; n != 1 {
+				t.Errorf("cbes_rpc_seconds took %d observations, want 1", n)
+			}
+			if n := errs.Value() - errs0; n != wantErrs {
+				t.Errorf("cbes_rpc_errors_total grew by %d, want %d", n, wantErrs)
+			}
+			if s.inflight.Load() != 0 || rpcInflight.Value() != inflight {
+				t.Errorf("in flight after the request: server %d, gauge %v (was %v)", s.inflight.Load(), rpcInflight.Value(), inflight)
+			}
+			var spans []obs.Span
+			for _, sp := range obs.DefaultTracer().TraceSpans(meta.TraceID) {
+				if sp.Name == "rpc."+tc.method {
+					spans = append(spans, sp)
+				}
+			}
+			if len(spans) != 1 {
+				t.Fatalf("%d rpc.%s spans ended, want 1", len(spans), tc.method)
+			}
+			carriesErr := false
+			for _, a := range spans[0].Attrs {
+				carriesErr = carriesErr || a.Key == "error"
+			}
+			if carriesErr != tc.failed {
+				t.Errorf("span carries an error = %v, want %v", carriesErr, tc.failed)
+			}
+		})
+	}
+}
+
+// freshTrace returns wire trace metadata naming a trace no other request
+// (nor an earlier run of the same test) has used.
+func freshTrace() TraceMeta {
+	var m TraceMeta
+	m.setTrace(obs.DefaultTracer().Start("test.caller").Context())
+	return m
 }
 
 func TestDialContextCancelled(t *testing.T) {

@@ -11,9 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/rpc"
 	"strings"
@@ -29,10 +27,10 @@ import (
 	"cbes/internal/obs"
 )
 
-// RPC observability: every exported method runs through intercept, which
-// maintains per-method request/error counters and latency histograms
-// plus a cluster-wide in-flight gauge. Method names are a fixed set, so
-// label cardinality is bounded.
+// RPC observability: every exported method but Metrics runs through
+// intercept, which maintains per-method request/error counters and
+// latency histograms plus a cluster-wide in-flight gauge. Method names
+// are a fixed set, so label cardinality is bounded.
 var (
 	rpcRequests = obs.Default().CounterVec(
 		"cbes_rpc_requests_total", "RPC requests served, by method.", "method")
@@ -56,8 +54,6 @@ var (
 	// isolates them so saturation is visible on its own.
 	rpcBusySeconds = obs.Default().Histogram(
 		"cbes_rpc_busy_seconds", "Queue time of requests rejected with the busy error.", nil)
-	clientRetries = obs.Default().Counter(
-		"cbes_client_retries_total", "Client-side retries of transient RPC failures.")
 	scheduleCoalesced = obs.Default().Counter(
 		"cbes_schedule_coalesced_total",
 		"Schedule requests served by joining an identical in-flight request instead of searching again.")
@@ -67,12 +63,6 @@ var (
 	brownoutServed = obs.Default().Counter(
 		"cbes_brownout_served_total",
 		"Shed requests answered from the profile-only brownout fast path instead of being rejected.")
-	clientBreakerOpen = obs.Default().Counter(
-		"cbes_client_breaker_open_total",
-		"Client calls refused locally because the circuit breaker was open.")
-	clientBudgetExhausted = obs.Default().Counter(
-		"cbes_client_retry_budget_exhausted_total",
-		"Client retries suppressed because the retry budget was empty.")
 )
 
 // Stable error codes (DESIGN.md §15). net/rpc flattens server errors to
@@ -157,95 +147,72 @@ func (m TraceMeta) deadline() (time.Time, bool) {
 	return time.Unix(0, m.DeadlineUnixNano), true
 }
 
-// traceCarrier is what Client.call stamps: any args struct embedding
-// TraceMeta implements it via the promoted pointer method.
-type traceCarrier interface{ setTrace(sc obs.SpanContext) }
-
-// deadlineCarrier is the deadline-stamping counterpart of traceCarrier.
-type deadlineCarrier interface{ setDeadline(t time.Time) }
-
-// startRPCSpan opens the server-side span of one RPC, adopting the
-// caller's wire-carried trace when present and minting a fresh one
-// otherwise, and returns a context carrying it for the handler body —
-// bounded by the caller's propagated deadline when the meta carries one.
-// The returned cancel must run when the handler finishes (it releases
-// the deadline timer).
-func startRPCSpan(method string, meta TraceMeta) (*obs.ActiveSpan, context.Context, context.CancelFunc) {
+// intercept runs one RPC method body: it is the service's one request
+// pipeline. It counts the request in flight from arrival, opens the
+// server-side span (adopting the caller's wire-carried trace, or minting
+// one), and derives a context bounded by the caller's propagated
+// deadline; a request arriving with that deadline already spent fails
+// fast instead of computing an answer nobody will read. Readers then run
+// lock-free against the immutable published view, so any number of them
+// proceed concurrently with each other and with a writer assembling the
+// next view. A writer — Advance, the only method that drives the
+// single-threaded simulation engine — first takes the engine lock, and
+// that wait is bounded twice: by the caller's deadline (a wedged Advance
+// must not pile doomed writers up behind it) and by the server's request
+// timeout, past which it fails fast with ErrBusy. Once a body runs it is
+// not preempted (Go offers no safe preemption), so the timeout bounds
+// queueing, not execution.
+//
+// A panicking body becomes an error — net/rpc would otherwise crash the
+// daemon — and the engine lock is still released. One deferred observe
+// books every exit (ok, error, panic, busy, deadline before or while
+// queued) into cbes_rpc_* exactly once, busy rejections included:
+// skipping them made p99 under saturation look better than reality.
+func (s *Server) intercept(method string, meta TraceMeta, writer bool, fn func(ctx context.Context) error) (err error) {
+	rpcInflight.Add(1)
+	s.inflight.Add(1)
+	start := time.Now()
 	span := obs.DefaultTracer().StartRemote("rpc."+method, meta.spanContext())
+	defer func() {
+		if p := recover(); p != nil {
+			rpcPanics.Inc()
+			err = fmt.Errorf("service: %s: internal error (recovered panic): %v", method, p)
+		}
+		err = wireDeadline(err)
+		rpcRequests.With(method).Inc()
+		rpcSeconds.With(method).Observe(time.Since(start).Seconds())
+		if err != nil {
+			rpcErrors.With(method).Inc()
+		}
+		span.Error(err).End()
+		s.inflight.Add(-1)
+		rpcInflight.Add(-1)
+	}()
 	ctx := obs.ContextWithSpan(context.Background(), span)
 	if dl, ok := meta.deadline(); ok {
 		span.Attr("deadline_ms", time.Until(dl).Milliseconds())
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, dl)
-		return span, ctx, cancel
+		defer cancel()
 	}
-	return span, ctx, func() {}
-}
-
-// intercept wraps one writer RPC method body with instrumentation, panic
-// recovery, and the engine serialization lock (mutations drive the
-// single-threaded simulation engine, so every writer runs under the
-// lock). Lock acquisition is deadline-bounded: a request that cannot
-// start within the server's request timeout — e.g. queued behind a long
-// Advance — fails fast with ErrBusy instead of piling up. Once a handler
-// runs it is not preempted (Go offers no safe preemption), so the
-// timeout bounds queueing time, not execution time. The in-flight gauge
-// counts requests from arrival, i.e. including time spent queued on the
-// lock. Busy rejections are observed in the latency histogram too —
-// skipping them made p99 under saturation look better than reality.
-func (s *Server) intercept(method string, meta TraceMeta, fn func(ctx context.Context) error) error {
-	rpcInflight.Add(1)
-	s.inflight.Add(1)
-	defer rpcInflight.Add(-1)
-	defer s.inflight.Add(-1)
-	start := time.Now()
-	span, ctx, cancel := startRPCSpan(method, meta)
-	defer cancel()
-	// A request arriving with its deadline already spent never gets to
-	// touch the engine lock — the writer queue is precious.
 	if ctx.Err() != nil {
-		return failObserved(method, span, start, deadlineError(method, ctx.Err()))
+		return deadlineError(method, ctx.Err())
 	}
-	timer := time.NewTimer(s.timeout)
-	defer timer.Stop()
-	select {
-	case s.lock <- struct{}{}:
-	case <-ctx.Done():
-		// The caller's deadline expired while we queued behind another
-		// writer (the stalled-engine case): give up its queue slot so a
-		// wedged Advance cannot pile up doomed ReportOutcome/Advance
-		// requests behind it.
-		return failObserved(method, span, start, deadlineError(method, ctx.Err()))
-	case <-timer.C:
-		queued := time.Since(start).Seconds()
-		rpcBusy.Inc()
-		rpcBusySeconds.Observe(queued)
-		rpcRequests.With(method).Inc()
-		rpcSeconds.With(method).Observe(queued)
-		rpcErrors.With(method).Inc()
-		err := fmt.Errorf("service: %s queued %v on the engine lock: %w", method, s.timeout, ErrBusy)
-		span.Error(err).End()
-		return err
+	if writer {
+		timer := time.NewTimer(s.timeout)
+		defer timer.Stop()
+		select {
+		case s.lock <- struct{}{}:
+			defer func() { <-s.lock }()
+		case <-ctx.Done():
+			return deadlineError(method, ctx.Err())
+		case <-timer.C:
+			rpcBusy.Inc()
+			rpcBusySeconds.Observe(time.Since(start).Seconds())
+			return fmt.Errorf("service: %s queued %v on the engine lock: %w", method, s.timeout, ErrBusy)
+		}
 	}
-	err := wireDeadline(s.invoke(method, ctx, fn))
-	rpcRequests.With(method).Inc()
-	rpcSeconds.With(method).Observe(time.Since(start).Seconds())
-	if err != nil {
-		rpcErrors.With(method).Inc()
-	}
-	span.Error(err).End()
-	return err
-}
-
-// failObserved books one request that failed before (or instead of)
-// running its handler into the standard per-method metrics and closes
-// its span.
-func failObserved(method string, span *obs.ActiveSpan, start time.Time, err error) error {
-	rpcRequests.With(method).Inc()
-	rpcSeconds.With(method).Observe(time.Since(start).Seconds())
-	rpcErrors.With(method).Inc()
-	span.Error(err).End()
-	return err
+	return fn(ctx)
 }
 
 // deadlineError wraps a context expiry into the stable wire-coded
@@ -267,59 +234,6 @@ func wireDeadline(err error) error {
 		return fmt.Errorf("service: %v: %w", err, ErrDeadlineExceeded)
 	}
 	return err
-}
-
-// interceptRead wraps one read-only RPC method body: same
-// instrumentation and panic recovery as intercept, but no engine lock
-// and no queueing — the body runs against the immutable published view,
-// so any number of readers proceed concurrently with each other and
-// with a writer assembling the next view. Under SingleLock (the legacy
-// benchmark baseline) reads fall back to the serialized writer path.
-func (s *Server) interceptRead(method string, meta TraceMeta, fn func(ctx context.Context) error) error {
-	if s.singleLock {
-		return s.intercept(method, meta, fn)
-	}
-	rpcInflight.Add(1)
-	s.inflight.Add(1)
-	defer rpcInflight.Add(-1)
-	defer s.inflight.Add(-1)
-	start := time.Now()
-	span, ctx, cancel := startRPCSpan(method, meta)
-	defer cancel()
-	if ctx.Err() != nil {
-		// The propagated deadline is already spent: fail fast instead of
-		// computing an answer nobody will read.
-		return failObserved(method, span, start, deadlineError(method, ctx.Err()))
-	}
-	err := wireDeadline(s.run(method, ctx, fn))
-	rpcRequests.With(method).Inc()
-	rpcSeconds.With(method).Observe(time.Since(start).Seconds())
-	if err != nil {
-		rpcErrors.With(method).Inc()
-	}
-	span.Error(err).End()
-	return err
-}
-
-// invoke runs the handler body holding the engine lock, releasing it on
-// every exit path.
-func (s *Server) invoke(method string, ctx context.Context, fn func(ctx context.Context) error) (err error) {
-	defer func() { <-s.lock }()
-	return s.run(method, ctx, fn)
-}
-
-// run executes a handler body, converting a panic into an error so one
-// poisoned request cannot kill the daemon (net/rpc would otherwise crash
-// the whole process) — and, for writers, so the engine lock is still
-// released for subsequent requests.
-func (s *Server) run(method string, ctx context.Context, fn func(ctx context.Context) error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			rpcPanics.Inc()
-			err = fmt.Errorf("service: %s: internal error (recovered panic): %v", method, p)
-		}
-	}()
-	return fn(ctx)
 }
 
 // RPCName is the registered net/rpc service name.
@@ -435,10 +349,6 @@ type ScheduleReply struct {
 	Mapping     []int
 	Predicted   float64
 	Evaluations int
-	// SchedulerMillis is the search wall time in milliseconds. Kept for
-	// compatibility with older clients, but it truncates fast-path runs
-	// (often sub-millisecond) to 0 — prefer SchedulerMicros.
-	SchedulerMillis int64
 	// SchedulerMicros is the search wall time in microseconds.
 	SchedulerMicros int64
 	// Degraded reports that the chosen mapping's prediction rests on
@@ -589,9 +499,6 @@ type Server struct {
 	cache *predCache
 	// flights coalesces concurrent identical Schedule requests.
 	flights flightGroup
-	// singleLock routes reads through the writer lock and disables the
-	// cache — the pre-sharding behaviour, kept for A/B benchmarking.
-	singleLock bool
 	// rec is the decision flight recorder (DESIGN.md §11).
 	rec *obs.Recorder
 	// led is the prediction-accuracy ledger every served prediction
@@ -650,19 +557,6 @@ func (s *Server) SetCacheCapacity(n int) {
 	s.cache = newPredCache(n)
 }
 
-// SetSingleLock selects the legacy single-lock path: every request,
-// reads included, serializes through the engine lock, and the prediction
-// cache and Schedule coalescing are disabled. Exists so the service
-// benchmark can measure the sharded read path against its predecessor;
-// production callers should never enable it. Must be called before the
-// server starts handling requests.
-func (s *Server) SetSingleLock(on bool) {
-	s.singleLock = on
-	if on {
-		s.cache = nil
-	}
-}
-
 // fillDegraded copies an estimate's degraded-mode markers into reply
 // fields. The StaleNodes copy matters: a cached estimate's backing array
 // is shared read-only across requests and net/rpc encodes replies
@@ -675,11 +569,12 @@ func fillDegraded(est core.Estimate, degraded *bool, stale *[]int) {
 }
 
 // beginPrediction registers one served prediction with the accuracy
-// ledger and returns its ID plus its calibration-bucket key (for the
-// reply's error-band annotation). Invalid predictions (non-positive
-// seconds) are not registered. Cheap enough for the hot path: one short
-// ledger mutex section, comparable to a prediction-cache probe.
-func (s *Server) beginPrediction(ctx context.Context, v *view, app, scheduler string, mapping []int, predicted float64, degraded bool) (string, accuracy.Key) {
+// ledger under the request's trace and returns its ID plus its
+// calibration-bucket key (for the reply's error-band annotation).
+// Invalid predictions (non-positive seconds) are not registered. Cheap
+// enough for the hot path: one short ledger mutex section, comparable to
+// a prediction-cache probe.
+func (s *Server) beginPrediction(ctx context.Context, v *view, traceID, app, scheduler string, mapping []int, predicted float64, degraded bool) (string, accuracy.Key) {
 	k := accuracy.Key{
 		App:       app,
 		Scheduler: scheduler,
@@ -692,7 +587,7 @@ func (s *Server) beginPrediction(ctx context.Context, v *view, app, scheduler st
 	id := s.led.Begin(accuracy.Prediction{
 		App: app, Scheduler: scheduler, Degraded: degraded,
 		AgeBucket: k.AgeBucket, Epoch: v.epoch, Predicted: predicted,
-		TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
+		TraceID: traceID,
 	})
 	obs.SpanFromContext(ctx).Attr("prediction_id", id)
 	return id, k
@@ -703,21 +598,43 @@ func fillBand(b accuracy.Band, lo, hi *float64, n *int) {
 	*lo, *hi, *n = b.LowPct, b.HighPct, b.Samples
 }
 
-// Evaluate predicts the execution time of one mapping. Lock-free: served
-// from the published view through the prediction cache.
-func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
-	return s.interceptRead("Evaluate", args.TraceMeta, func(ctx context.Context) (err error) {
+// record finalizes one decision record: stamps the error (forensics
+// wants the denials too) and hands it to the flight recorder.
+func (s *Server) record(d *obs.Decision, err error) {
+	if err != nil {
+		d.Err = err.Error()
+	}
+	s.rec.Record(*d)
+}
+
+// decide runs one decision-serving read — Evaluate, Explain, Compare or
+// Schedule — through intercept with the prologue they share: load the
+// published view, open the request's decision record (trace, kind, app,
+// epoch), and resolve the application's evaluator. The record reaches
+// the flight recorder on every exit, failures included. body supplies
+// only what differs: it fills the reply and the rest of the record.
+func (s *Server) decide(method, kind, app string, meta TraceMeta, body func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error) error {
+	return s.intercept(method, meta, false, func(ctx context.Context) (err error) {
 		v := s.view.Load()
 		d := obs.Decision{
 			TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
-			Kind:    "evaluate", App: args.App, Epoch: v.epoch,
+			Kind:    kind, App: app, Epoch: v.epoch,
 		}
 		defer func() { s.record(&d, err) }()
-		eval, err := v.evaluator(args.App)
+		eval, err := v.evaluator(app)
 		if err != nil {
 			return err
 		}
-		est, hit, shed, err := s.estimate(ctx, v, args.App, eval, core.Mapping(args.Mapping), true)
+		return body(ctx, v, eval, &d)
+	})
+}
+
+// Evaluate predicts the execution time of one mapping. Lock-free: served
+// from the published view through the prediction cache.
+func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
+	return s.decide("Evaluate", "evaluate", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
+		m := core.Mapping(args.Mapping)
+		est, hit, shed, err := s.estimate(ctx, v, args.App, eval, m, true)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
@@ -730,8 +647,7 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 			// answer from the profile-only fast path — a labeled cheaper
 			// answer instead of a rejection (DESIGN.md §15).
 			d.Shed = true
-			est, err = s.brownoutEstimate(ctx, eval, args.App, core.Mapping(args.Mapping))
-			if err != nil {
+			if est, err = s.brownoutEstimate(ctx, eval, args.App, m); err != nil {
 				return err
 			}
 			d.Brownout = true
@@ -749,7 +665,7 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 			return nil // never registered with the ledger: its bias would feed calibration
 		}
 		fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
-		id, k := s.beginPrediction(ctx, v, args.App, "", args.Mapping, est.Seconds, est.Degraded)
+		id, k := s.beginPrediction(ctx, v, d.TraceID, args.App, "", args.Mapping, est.Seconds, est.Degraded)
 		reply.PredictionID = id
 		fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
 		d.PredictionID = id
@@ -758,31 +674,12 @@ func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
 	})
 }
 
-// record finalizes one decision record: stamps the error (forensics
-// wants the denials too) and hands it to the flight recorder.
-func (s *Server) record(d *obs.Decision, err error) {
-	if err != nil {
-		d.Err = err.Error()
-	}
-	s.rec.Record(*d)
-}
-
 // Explain predicts one mapping and returns the per-process breakdown. It
 // is the only consumer of that detail, so it evaluates afresh rather than
 // have the cache hold a breakdown per entry; its Seconds equals what
 // Evaluate serves for the same mapping and epoch, cached or not.
 func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
-	return s.interceptRead("Explain", args.TraceMeta, func(ctx context.Context) (err error) {
-		v := s.view.Load()
-		d := obs.Decision{
-			TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
-			Kind:    "explain", App: args.App, Epoch: v.epoch,
-		}
-		defer func() { s.record(&d, err) }()
-		eval, err := v.evaluator(args.App)
-		if err != nil {
-			return err
-		}
+	return s.decide("Explain", "explain", args.App, args.TraceMeta, func(_ context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
 		pred, err := eval.Predict(core.Mapping(args.Mapping), v.snap)
 		if err != nil {
 			return err
@@ -800,188 +697,137 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 // Compare predicts several mappings and selects the fastest. Each
 // candidate is served through the prediction cache individually, so a
 // batch repeated across clients costs one evaluation per novel mapping
-// per epoch.
+// per epoch. One expensive-class admission slot covers the whole batch
+// (per-candidate slots would let a wide Compare starve everyone else);
+// when the limiter sheds it, the batch browns out instead: every
+// candidate is predicted by the profile-only fast path (cache-assisted,
+// computed under the cheap admission lane) and the reply is labeled
+// Brownout. The ranking is still useful — the profile-only cost function
+// is exactly the one degraded predictions use — but no brownout
+// candidate registers with the accuracy ledger.
 func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
-	return s.interceptRead("Compare", args.TraceMeta, func(ctx context.Context) (err error) {
-		v := s.view.Load()
-		d := obs.Decision{
-			TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
-			Kind:    "compare", App: args.App, Epoch: v.epoch,
-		}
-		defer func() { s.record(&d, err) }()
-		if len(args.Mappings) == 0 {
+	return s.decide("Compare", "compare", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
+		n := len(args.Mappings)
+		if n == 0 {
 			return fmt.Errorf("service: no mappings")
 		}
-		eval, err := v.evaluator(args.App)
-		if err != nil {
-			return err
-		}
 		if s.lim != nil {
-			// One expensive-class slot covers the whole batch (per-candidate
-			// slots would let a wide Compare starve everyone else). Shed →
-			// the brownout path answers the batch from the profile-only
-			// fast path instead.
-			tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
-			if aerr != nil {
-				if errors.Is(aerr, admission.ErrShed) {
-					return s.brownoutCompare(ctx, &d, eval, args, reply)
-				}
-				return aerr
+			tk, err := s.lim.Acquire(ctx, admission.Expensive)
+			switch {
+			case errors.Is(err, admission.ErrShed):
+				d.Shed = true
+			case err != nil:
+				return err
+			default:
+				defer s.lim.Release(tk)
 			}
-			defer s.lim.Release(tk)
 		}
-		reply.Seconds = make([]float64, len(args.Mappings))
-		reply.Degraded = make([]bool, len(args.Mappings))
-		reply.StaleNodes = make([][]int, len(args.Mappings))
-		reply.PredictionIDs = make([]string, len(args.Mappings))
-		keys := make([]accuracy.Key, len(args.Mappings))
-		// NaN-aware best selection: a NaN prediction (corrupt profile or
-		// model) must never win by making every comparison false.
-		best := -1
+		reply.Seconds = make([]float64, n)
+		reply.Degraded = make([]bool, n)
+		reply.StaleNodes = make([][]int, n)
+		var keys []accuracy.Key
+		if !d.Shed {
+			reply.PredictionIDs = make([]string, n)
+			keys = make([]accuracy.Key, n)
+		}
 		for i, m := range args.Mappings {
-			est, hit, _, err := s.estimate(ctx, v, args.App, eval, core.Mapping(m), false)
-			d.CacheLookups++
-			if hit {
-				d.CacheHits++
+			var est core.Estimate
+			var err error
+			if d.Shed {
+				est, err = s.brownoutEstimate(ctx, eval, args.App, core.Mapping(m))
+			} else {
+				var hit bool
+				est, hit, _, err = s.estimate(ctx, v, args.App, eval, core.Mapping(m), false)
+				d.CacheLookups++
+				if hit {
+					d.CacheHits++
+				}
 			}
 			if err != nil {
 				return err
 			}
 			reply.Seconds[i] = est.Seconds
-			fillDegraded(est, &reply.Degraded[i], &reply.StaleNodes[i])
-			reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, args.App, "", m, est.Seconds, est.Degraded)
-			if math.IsNaN(est.Seconds) {
-				continue
-			}
-			if best < 0 || est.Seconds < reply.Seconds[best] {
-				best = i
+			if !d.Shed {
+				fillDegraded(est, &reply.Degraded[i], &reply.StaleNodes[i])
+				reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, d.TraceID, args.App, "", m, est.Seconds, est.Degraded)
 			}
 		}
-		if best < 0 {
-			best = 0 // every candidate NaN: keep the legacy fallback
-		}
+		best := fastest(reply.Seconds)
 		reply.TraceID = d.TraceID
 		reply.Best = best
-		fillBand(s.led.BandFor(keys[best]), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
+		reply.Brownout = d.Shed
 		d.Mapping = args.Mappings[best]
 		d.Predicted = reply.Seconds[best]
+		if d.Shed {
+			d.Brownout = true
+			brownoutServed.Inc()
+			return nil
+		}
+		fillBand(s.led.BandFor(keys[best]), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
 		d.PredictionID = reply.PredictionIDs[best]
 		d.Degraded, d.StaleNodes = reply.Degraded[best], reply.StaleNodes[best]
 		return nil
 	})
 }
 
-// brownoutCompare answers a shed Compare batch from the profile-only
-// fast path: every candidate is predicted against nominal conditions
-// (cache-assisted, computed under the cheap admission lane) and the
-// whole reply is labeled Brownout. The ranking is still useful — the
-// profile-only cost function is exactly the one degraded predictions
-// use — but no candidate registers with the accuracy ledger.
-func (s *Server) brownoutCompare(ctx context.Context, d *obs.Decision, eval *core.Evaluator, args *CompareArgs, reply *CompareReply) error {
-	d.Shed = true
-	reply.Seconds = make([]float64, len(args.Mappings))
-	reply.Degraded = make([]bool, len(args.Mappings))
-	reply.StaleNodes = make([][]int, len(args.Mappings))
-	reply.PredictionIDs = nil // no ledger registration under brownout
+// fastest returns the index of the smallest prediction. It skips NaNs: a
+// NaN prediction (corrupt profile or model) must never win by making
+// every comparison false. When every candidate is NaN it falls back to 0.
+func fastest(seconds []float64) int {
 	best := -1
-	for i, m := range args.Mappings {
-		est, err := s.brownoutEstimate(ctx, eval, args.App, core.Mapping(m))
-		if err != nil {
-			return err
-		}
-		reply.Seconds[i] = est.Seconds
-		if math.IsNaN(est.Seconds) {
-			continue
-		}
-		if best < 0 || est.Seconds < reply.Seconds[best] {
+	for i, x := range seconds {
+		if !math.IsNaN(x) && (best < 0 || x < seconds[best]) {
 			best = i
 		}
 	}
-	if best < 0 {
-		best = 0
-	}
-	d.Brownout = true
-	brownoutServed.Inc()
-	reply.TraceID = d.TraceID
-	reply.Best = best
-	reply.Brownout = true
-	d.Mapping = args.Mappings[best]
-	d.Predicted = reply.Seconds[best]
-	return nil
+	return max(best, 0)
 }
 
 // Schedule finds a mapping with the requested algorithm. Lock-free, and
 // coalesced: concurrent requests with identical (app, algorithm, pool,
 // seed) against the same epoch share one search — scheduling is
 // deterministic in those inputs, so every follower receives the leader's
-// decision, verbatim.
+// decision, verbatim. Leader and followers then take the same path: each
+// registers its own ledger entry (a join is one-shot, and each may run
+// and report the mapping independently) and leaves its own decision
+// record, failures included.
 func (s *Server) Schedule(args *ScheduleArgs, reply *ScheduleReply) error {
-	return s.interceptRead("Schedule", args.TraceMeta, func(ctx context.Context) error {
-		v := s.view.Load()
-		if s.singleLock {
-			return s.scheduleOn(ctx, v, args, reply)
-		}
+	return s.decide("Schedule", "schedule", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
+		d.Algorithm, d.Seed = args.Algorithm, args.Seed
 		val, joined, err := s.flights.do(ctx, scheduleKey(v.epoch, args), func() (any, error) {
-			// Admission inside the flight: followers ride the leader's
-			// slot for free (a joined search costs nothing extra), and a
-			// shed leader propagates ErrShed to every waiting follower.
-			if s.lim != nil {
-				tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
-				if aerr != nil {
-					return nil, aerr
-				}
-				defer s.lim.Release(tk)
-			}
-			var r ScheduleReply
-			if err := s.scheduleOn(ctx, v, args, &r); err != nil {
-				return nil, err
-			}
-			return &r, nil
+			return s.search(ctx, v, eval, args, d)
 		})
 		if joined {
 			scheduleCoalesced.Inc()
+			d.Coalesced = true
 		}
 		if err != nil {
-			if IsShed(err) {
-				// The limiter refused the search before scheduleOn could
-				// record anything; log the refusal so `cbesctl decisions`
-				// shows why this request got no mapping. Schedule has no
-				// brownout: a mapping nobody searched for is not a cheaper
-				// answer, it is a wrong one.
-				s.rec.Record(obs.Decision{
-					TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
-					Kind:    "schedule", App: args.App,
-					Algorithm: args.Algorithm, Seed: args.Seed, Epoch: v.epoch,
-					Coalesced: joined, Shed: true, Err: err.Error(),
-				})
-			}
+			// Schedule has no brownout: a mapping nobody searched for is
+			// not a cheaper answer, it is a wrong one. The record says
+			// why this request got no mapping.
+			d.Shed = IsShed(err)
 			return err
 		}
 		*reply = *val.(*ScheduleReply) // shared backing arrays, read-only
 		if joined {
 			// The follower's causal story is its own: its trace shows a
 			// coalesced join, and its decision record names the leader's
-			// trace — the one the shared search actually ran under. The
-			// prediction ID is its own too: a ledger join is one-shot, and
-			// each follower may independently run (and report) the mapping.
-			leader := reply.TraceID
-			reply.TraceID = obs.FormatID(obs.TraceIDFromContext(ctx))
+			// trace — the one the shared search actually ran under.
+			d.LeaderTraceID = reply.TraceID
+			reply.TraceID = d.TraceID
 			obs.SpanFromContext(ctx).
 				Attr("coalesced", true).
-				Attr("leader_trace", leader)
-			id, k := s.beginPrediction(ctx, v, args.App, args.Algorithm, reply.Mapping, reply.Predicted, reply.Degraded)
-			reply.PredictionID = id
-			fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-			s.rec.Record(obs.Decision{
-				TraceID: reply.TraceID, Kind: "schedule", App: args.App,
-				Algorithm: args.Algorithm, Seed: args.Seed, Epoch: v.epoch,
-				Coalesced: true, LeaderTraceID: leader,
-				Degraded: reply.Degraded, StaleNodes: reply.StaleNodes,
-				Mapping: reply.Mapping, Predicted: reply.Predicted,
-				Evaluations: reply.Evaluations, SchedulerMicros: reply.SchedulerMicros,
-				PredictionID: id,
-			})
+				Attr("leader_trace", d.LeaderTraceID)
 		}
+		id, k := s.beginPrediction(ctx, v, d.TraceID, args.App, args.Algorithm, reply.Mapping, reply.Predicted, reply.Degraded)
+		reply.PredictionID = id
+		fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
+		d.Mapping = reply.Mapping
+		d.Predicted = reply.Predicted
+		d.Evaluations = reply.Evaluations
+		d.SchedulerMicros = reply.SchedulerMicros
+		d.PredictionID = id
+		d.Degraded, d.StaleNodes = reply.Degraded, reply.StaleNodes
 		return nil
 	})
 }
@@ -1002,55 +848,48 @@ func scheduleKey(epoch uint64, args *ScheduleArgs) string {
 	return sb.String()
 }
 
-// scheduleOn runs one scheduling search against a view and fills the
-// reply, including the degraded-prediction markers for the chosen
-// mapping. The search scores through its own Scorers and never fills the
-// cache, so this lookup misses unless an earlier request evaluated the
-// same mapping in this epoch; the miss costs one allocation-free
-// Estimate, taken under the slot Schedule already holds.
-func (s *Server) scheduleOn(ctx context.Context, v *view, args *ScheduleArgs, reply *ScheduleReply) (err error) {
-	d := obs.Decision{
-		TraceID: obs.FormatID(obs.TraceIDFromContext(ctx)),
-		Kind:    "schedule", App: args.App,
-		Algorithm: args.Algorithm, Seed: args.Seed, Epoch: v.epoch,
-	}
-	defer func() { s.record(&d, err) }()
-	eval, err := v.evaluator(args.App)
-	if err != nil {
-		return err
+// search is a Schedule flight's leader: it runs one scheduling search
+// against the view and returns the decision every member of the flight
+// shares, including the degraded-prediction markers of the chosen
+// mapping. Admission sits inside the flight: followers ride the leader's
+// slot for free (a joined search costs nothing extra), and a shed leader
+// propagates ErrShed to every waiting follower. The search scores through
+// its own Scorers and never fills the cache, so the closing lookup misses
+// unless an earlier request evaluated the same mapping in this epoch; the
+// miss costs one allocation-free Estimate, taken under the slot already
+// held. d is the leader's decision record.
+func (s *Server) search(ctx context.Context, v *view, eval *core.Evaluator, args *ScheduleArgs, d *obs.Decision) (*ScheduleReply, error) {
+	if s.lim != nil {
+		tk, err := s.lim.Acquire(ctx, admission.Expensive)
+		if err != nil {
+			return nil, err
+		}
+		defer s.lim.Release(tk)
 	}
 	dec, err := cbes.ScheduleOnCtxEffort(ctx, eval, v.snap, cbes.Algorithm(args.Algorithm), args.Pool, args.Seed, args.Effort)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	reply.TraceID = d.TraceID
-	reply.Mapping = []int(dec.Mapping)
-	reply.Predicted = dec.Predicted
-	reply.Evaluations = dec.Evaluations
-	reply.SchedulerMillis = dec.SchedulerTime.Milliseconds()
-	reply.SchedulerMicros = dec.SchedulerTime.Microseconds()
+	r := &ScheduleReply{
+		TraceID:         d.TraceID,
+		Mapping:         []int(dec.Mapping),
+		Predicted:       dec.Predicted,
+		Evaluations:     dec.Evaluations,
+		SchedulerMicros: dec.SchedulerTime.Microseconds(),
+	}
 	if est, hit, _, err := s.estimate(ctx, v, args.App, eval, dec.Mapping, false); err == nil {
-		fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
+		fillDegraded(est, &r.Degraded, &r.StaleNodes)
 		d.CacheLookups = 1
 		if hit {
 			d.CacheHits = 1
 		}
 	}
-	id, k := s.beginPrediction(ctx, v, args.App, args.Algorithm, reply.Mapping, reply.Predicted, reply.Degraded)
-	reply.PredictionID = id
-	fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-	d.Mapping = reply.Mapping
-	d.Predicted = reply.Predicted
-	d.Evaluations = reply.Evaluations
-	d.SchedulerMicros = reply.SchedulerMicros
-	d.PredictionID = id
-	d.Degraded, d.StaleNodes = reply.Degraded, reply.StaleNodes
-	return nil
+	return r, nil
 }
 
 // Status reports the service and cluster state from the published view.
 func (s *Server) Status(args *StatusArgs, reply *StatusReply) error {
-	return s.interceptRead("Status", args.TraceMeta, func(_ context.Context) error {
+	return s.intercept("Status", args.TraceMeta, false, func(_ context.Context) error {
 		v := s.view.Load()
 		reply.Cluster = v.cluster
 		reply.Nodes = v.nodes
@@ -1067,13 +906,20 @@ func (s *Server) Status(args *StatusArgs, reply *StatusReply) error {
 // writer: it holds the engine lock for the simulation run and
 // republishes the read-path view (snapshot, epoch, sim time) before
 // releasing it, so a read issued after an Advance returns always sees
-// the post-advance state.
+// the post-advance state. A step the engine cannot run is rejected
+// before the engine is touched: NaN would convert to a huge negative
+// step, and a step ending at or past des.MaxTime saturates or wraps the
+// clock — either would report success having simulated nothing.
 func (s *Server) Advance(args *AdvanceArgs, reply *AdvanceReply) error {
-	return s.intercept("Advance", args.TraceMeta, func(_ context.Context) error {
-		if args.Seconds < 0 {
-			return fmt.Errorf("service: negative advance")
+	return s.intercept("Advance", args.TraceMeta, true, func(_ context.Context) error {
+		if !(args.Seconds >= 0) {
+			return fmt.Errorf("service: advance of %v s: want a non-negative number of seconds", args.Seconds)
 		}
-		s.sys.Advance(des.FromSeconds(args.Seconds))
+		step := des.FromSeconds(args.Seconds)
+		if step >= des.MaxTime-s.sys.Eng.Now() {
+			return fmt.Errorf("service: advance of %v s runs past the end of simulated time", args.Seconds)
+		}
+		s.sys.Advance(step)
 		s.refreshView()
 		v := s.view.Load()
 		reply.SimSeconds = v.simSeconds
@@ -1086,7 +932,7 @@ func (s *Server) Advance(args *AdvanceArgs, reply *AdvanceReply) error {
 // matching records, newest first (DESIGN.md §11). Lock-free like the
 // other reads — the recorder has its own short-held mutex.
 func (s *Server) Decisions(args *DecisionsArgs, reply *DecisionsReply) error {
-	return s.interceptRead("Decisions", args.TraceMeta, func(_ context.Context) error {
+	return s.intercept("Decisions", args.TraceMeta, false, func(_ context.Context) error {
 		reply.Decisions = s.rec.Decisions(obs.DecisionQuery{
 			N: args.N, Kind: args.Kind, App: args.App, TraceID: args.TraceID,
 		})
@@ -1101,7 +947,7 @@ func (s *Server) Decisions(args *DecisionsArgs, reply *DecisionsReply) error {
 // recorded in the decision flight recorder as kind "outcome", so the
 // forensic trail covers both halves of the predicted-vs-actual pair.
 func (s *Server) ReportOutcome(args *ReportOutcomeArgs, reply *ReportOutcomeReply) error {
-	return s.interceptRead("ReportOutcome", args.TraceMeta, func(ctx context.Context) (err error) {
+	return s.intercept("ReportOutcome", args.TraceMeta, false, func(ctx context.Context) (err error) {
 		span, _ := obs.StartSpan(ctx, "accuracy.join")
 		defer func() { span.Error(err).End() }()
 		span.Attr("prediction_id", args.PredictionID)
@@ -1132,7 +978,7 @@ func (s *Server) ReportOutcome(args *ReportOutcomeArgs, reply *ReportOutcomeRepl
 // Accuracy reports the ledger's calibration statistics: overall status
 // (counters + drift state), per-bucket stats, and recent joined pairs.
 func (s *Server) Accuracy(args *AccuracyArgs, reply *AccuracyReply) error {
-	return s.interceptRead("Accuracy", args.TraceMeta, func(_ context.Context) error {
+	return s.intercept("Accuracy", args.TraceMeta, false, func(_ context.Context) error {
 		reply.Status = s.led.Status()
 		reply.Buckets = s.led.Stats(accuracy.StatsQuery{App: args.App, Scheduler: args.Scheduler})
 		reply.Samples = s.led.Samples(args.Samples)
@@ -1140,9 +986,9 @@ func (s *Server) Accuracy(args *AccuracyArgs, reply *AccuracyReply) error {
 	})
 }
 
-// Metrics renders the process metrics registry. Unlike every other
-// method it does not take the engine lock: the registry is atomic, and a
-// scrape must not queue behind a long-running Schedule.
+// Metrics renders the process metrics registry. It is the one method
+// outside intercept: the registry is atomic, and a scrape opens no span
+// and books only its request count, latency and errors.
 func (s *Server) Metrics(args *MetricsArgs, reply *MetricsReply) error {
 	rpcInflight.Add(1)
 	s.inflight.Add(1)
@@ -1187,26 +1033,14 @@ type ServeOptions struct {
 	// CacheSize bounds the prediction cache: 0 selects DefaultCacheSize,
 	// negative disables caching.
 	CacheSize int
-	// SingleLock serializes every request through the engine lock and
-	// disables the prediction cache and Schedule coalescing — the
-	// pre-sharding behaviour, kept for A/B benchmarking only.
-	SingleLock bool
-	// MaxInflight pins the admission limiter's concurrency limit: > 0
-	// fixes both the initial and maximum limit (AIMD may still shrink it
-	// under latency pressure), 0 selects the adaptive defaults, and a
-	// negative value disables admission control entirely (equivalent to
-	// DisableAdmission).
-	MaxInflight int
-	// AdmissionTarget is the p99 latency the limiter steers toward
-	// (default 500ms).
-	AdmissionTarget time.Duration
 	// DisableAdmission turns off the limiter and brownout mode — every
 	// request is admitted for full service. The unprotected control for
 	// overload experiments.
 	DisableAdmission bool
-	// Limiter, when non-nil, is installed instead of constructing one
-	// from MaxInflight/AdmissionTarget — so a daemon can keep the handle
-	// for readiness reporting (cbesd's /readyz shed-rate warning).
+	// Limiter, when non-nil, is installed instead of a limiter with the
+	// adaptive defaults — so a caller can tune it (admission.Config) and
+	// keep the handle for readiness reporting (cbesd's /readyz shed-rate
+	// warning).
 	Limiter *admission.Limiter
 }
 
@@ -1246,17 +1080,10 @@ func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 	if opts.CacheSize != 0 {
 		impl.SetCacheCapacity(opts.CacheSize)
 	}
-	if opts.SingleLock {
-		impl.SetSingleLock(true)
-	}
-	if !opts.DisableAdmission && opts.MaxInflight >= 0 {
+	if !opts.DisableAdmission {
 		lim := opts.Limiter
 		if lim == nil {
-			lim = admission.New(admission.Config{
-				Initial:   opts.MaxInflight,
-				Max:       opts.MaxInflight,
-				TargetP99: opts.AdmissionTarget,
-			})
+			lim = admission.New(admission.Config{})
 		}
 		impl.SetAdmission(lim)
 	}
@@ -1327,380 +1154,4 @@ func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 		// than hang shutdown. The goroutine dies with the process.
 	}
 	return acceptErr
-}
-
-// DefaultDialTimeout is the connection timeout of Dial.
-const DefaultDialTimeout = 5 * time.Second
-
-// RetryPolicy configures the client's handling of transient failures on
-// idempotent methods: up to Max retries with exponential backoff from
-// BaseDelay (capped at MaxDelay) plus jitter.
-type RetryPolicy struct {
-	Max       int           // retries after the first attempt (default 3)
-	BaseDelay time.Duration // first backoff step (default 25ms)
-	MaxDelay  time.Duration // backoff cap (default 1s)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Max < 0 {
-		p.Max = 0
-	} else if p.Max == 0 {
-		p.Max = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	return p
-}
-
-// delay computes the backoff before retry attempt (0-based) with full
-// jitter: a uniform draw from (0, cappedExponential], so synchronized
-// clients spread out instead of thundering back together.
-func (p RetryPolicy) delay(attempt int) time.Duration {
-	d := p.BaseDelay << uint(attempt)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
-	}
-	return time.Duration(1 + rand.Int63n(int64(d)))
-}
-
-// Client is a typed CBES RPC client. Idempotent methods (everything except
-// Advance, which mutates simulated time) transparently retry transient
-// failures — connection loss, server shutdown mid-flight, ErrBusy — with
-// exponential backoff plus jitter, redialing as needed. A Client is safe
-// for concurrent use.
-type Client struct {
-	addr        string
-	dialTimeout time.Duration
-
-	mu    sync.Mutex // guards rc across reconnects, and the knobs below
-	rc    *rpc.Client
-	retry RetryPolicy
-	// callTimeout, when > 0, stamps every call with an absolute deadline
-	// (now + callTimeout) propagated in TraceMeta; the whole retry loop
-	// shares one budget. Zero (the default) propagates no deadline.
-	callTimeout time.Duration
-	// budget, when non-nil, bounds retry amplification (see
-	// admission.RetryBudget). Nil (the default) leaves retries bounded
-	// only by RetryPolicy.Max.
-	budget *admission.RetryBudget
-	// breaker, when non-nil, fails calls fast after consecutive
-	// failures (see admission.Breaker). Nil (the default) disables it.
-	breaker *admission.Breaker
-}
-
-// Dial connects to a CBES server with the default timeout.
-func Dial(addr string) (*Client, error) { return DialTimeout(addr, DefaultDialTimeout) }
-
-// DialTimeout connects to a CBES server, waiting at most timeout for the
-// connection to establish.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return DialContext(ctx, addr)
-}
-
-// DialContext connects to a CBES server under the given context (deadline
-// and cancellation apply to connection establishment only, not to calls).
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
-	}
-	timeout := DefaultDialTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if remain := time.Until(dl); remain > 0 {
-			timeout = remain
-		}
-	}
-	return &Client{
-		addr:        addr,
-		dialTimeout: timeout,
-		retry:       RetryPolicy{}.withDefaults(),
-		rc:          rpc.NewClient(conn),
-	}, nil
-}
-
-// SetRetryPolicy overrides the transient-failure retry behaviour.
-// RetryPolicy{Max: -1} disables retries entirely. Safe to call
-// concurrently with in-flight calls; those already started keep the
-// policy they read at entry.
-func (c *Client) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retry = p.withDefaults()
-}
-
-// retryPolicy snapshots the current retry policy.
-func (c *Client) retryPolicy() RetryPolicy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry
-}
-
-// SetCallTimeout sets the per-call deadline budget: every subsequent
-// call stamps now+d as an absolute deadline into its TraceMeta (the
-// server abandons work past it) and the client's own retry loop stops
-// at the same instant. Zero disables deadline propagation (the
-// default).
-func (c *Client) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.callTimeout = d
-}
-
-// SetRetryBudget installs a retry budget shared by all calls through
-// this client: retries spend tokens, successes earn fractional tokens
-// back, so under persistent overload the retry rate decays to the earn
-// ratio instead of multiplying offered load. Nil removes the budget.
-func (c *Client) SetRetryBudget(b *admission.RetryBudget) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget = b
-}
-
-// SetBreaker installs a circuit breaker: after a run of consecutive
-// failures the client fails fast with ErrCircuitOpen (no wire traffic)
-// until a half-open probe succeeds, keeping a struggling server's
-// recovery window free of this client's traffic. Nil removes it.
-func (c *Client) SetBreaker(b *admission.Breaker) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.breaker = b
-}
-
-// resilience snapshots the overload-protection knobs for one call.
-func (c *Client) resilience() (time.Duration, *admission.RetryBudget, *admission.Breaker) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.callTimeout, c.budget, c.breaker
-}
-
-// Close terminates the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rc.Close()
-}
-
-func (c *Client) conn() *rpc.Client {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rc
-}
-
-// reconnect replaces a broken connection, best-effort: on dial failure the
-// old (dead) client stays, and the next call surfaces its error.
-func (c *Client) reconnect(old *rpc.Client) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	if c.rc == old { // still the broken client we saw fail: swap in the fresh one
-		c.rc.Close()
-		c.rc = rpc.NewClient(conn)
-		conn = nil
-	}
-	c.mu.Unlock()
-	if conn != nil {
-		// Lost a race with another caller's reconnect: keep theirs, drop ours.
-		conn.Close()
-	}
-}
-
-// isTransient classifies errors worth retrying: the connection died (the
-// request outcome is unknown — safe to resend only idempotent methods), or
-// the server reported ErrBusy/ErrShed (definitely not executed). Deadline
-// errors are NOT transient: the budget that expired covers retries too.
-func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var nerr net.Error
-	if errors.As(err, &nerr) {
-		return true
-	}
-	if _, ok := err.(rpc.ServerError); ok {
-		return IsBusy(err) || IsShed(err)
-	}
-	return IsBusy(err) || IsShed(err) || errors.Is(err, net.ErrClosed)
-}
-
-// connError reports whether err indicates the underlying connection is
-// unusable (vs. a server-side transient like ErrBusy).
-func connError(err error) bool {
-	if _, ok := err.(rpc.ServerError); ok {
-		return false
-	}
-	return true
-}
-
-// call performs one RPC, retrying transient failures when idempotent is
-// true. Non-idempotent methods (Advance, ReportOutcome) never retry: a
-// lost reply leaves the outcome unknown and a resend would double-apply
-// it. When a call timeout is set the absolute deadline is stamped ONCE
-// and shared by every retry — queue time and earlier attempts count
-// against it, so retries cannot stretch a caller's latency budget. The
-// breaker is consulted before any wire traffic and told the outcome of
-// every allowed call; the retry budget gates each resend.
-func (c *Client) call(method string, args, reply any, idempotent bool) (err error) {
-	callTimeout, budget, breaker := c.resilience()
-	if berr := breaker.Allow(); berr != nil {
-		clientBreakerOpen.Inc()
-		return berr
-	}
-	// One client-side span covers the whole retry loop; its context rides
-	// the wire in the args' TraceMeta, so the server-side rpc.* span (and
-	// everything under it — cache, search, anneal restarts) joins THIS
-	// trace. Every retry re-sends the same trace: attempts of one logical
-	// call are one causal story.
-	span := obs.DefaultTracer().Start("rpc.client." + method)
-	if tc, ok := args.(traceCarrier); ok {
-		tc.setTrace(span.Context())
-	}
-	var deadline time.Time
-	if callTimeout > 0 {
-		deadline = time.Now().Add(callTimeout)
-		if dc, ok := args.(deadlineCarrier); ok {
-			dc.setDeadline(deadline)
-		}
-	}
-	attempts := 0
-	defer func() {
-		span.Attr("attempts", attempts).Error(err).End()
-		// The breaker counts overload signals (busy/shed/deadline) and dead
-		// connections alike: both mean "stop hammering this server".
-		breaker.Report(err != nil && (isTransient(err) || IsDeadlineExceeded(err)))
-		if err == nil {
-			budget.Earn()
-		}
-	}()
-	retry := c.retryPolicy() // one coherent policy for the whole call
-	for attempt := 0; ; attempt++ {
-		attempts = attempt + 1
-		rc := c.conn()
-		err = rc.Call(RPCName+"."+method, args, reply)
-		if err == nil || !idempotent || attempt >= retry.Max || !isTransient(err) {
-			return err
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return err // budget exhausted: surface the last real error
-		}
-		if !budget.Allow() {
-			clientBudgetExhausted.Inc()
-			return err
-		}
-		clientRetries.Inc()
-		if connError(err) {
-			c.reconnect(rc)
-		}
-		sleep := retry.delay(attempt)
-		if !deadline.IsZero() {
-			if until := time.Until(deadline); until < sleep {
-				sleep = until
-			}
-		}
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-	}
-}
-
-// Evaluate predicts one mapping's execution time.
-func (c *Client) Evaluate(app string, mapping []int) (*EvaluateReply, error) {
-	var reply EvaluateReply
-	err := c.call("Evaluate", &EvaluateArgs{App: app, Mapping: mapping}, &reply, true)
-	return &reply, err
-}
-
-// Explain fetches the per-process breakdown of one mapping's prediction.
-func (c *Client) Explain(app string, mapping []int) (*ExplainReply, error) {
-	var reply ExplainReply
-	err := c.call("Explain", &ExplainArgs{App: app, Mapping: mapping}, &reply, true)
-	return &reply, err
-}
-
-// Compare predicts several mappings.
-func (c *Client) Compare(app string, mappings [][]int) (*CompareReply, error) {
-	var reply CompareReply
-	err := c.call("Compare", &CompareArgs{App: app, Mappings: mappings}, &reply, true)
-	return &reply, err
-}
-
-// Schedule requests a mapping from the named algorithm. Retried on
-// transient failure: scheduling is deterministic in (app, algorithm, pool,
-// seed) and mutates nothing, so a resend is safe.
-func (c *Client) Schedule(app, algorithm string, pool []int, seed int64) (*ScheduleReply, error) {
-	return c.ScheduleEffort(app, algorithm, pool, seed, 0)
-}
-
-// ScheduleEffort is Schedule with an explicit search-effort cap (energy
-// evaluations; 0 selects the server default).
-func (c *Client) ScheduleEffort(app, algorithm string, pool []int, seed int64, effort int) (*ScheduleReply, error) {
-	var reply ScheduleReply
-	err := c.call("Schedule", &ScheduleArgs{App: app, Algorithm: algorithm, Pool: pool, Seed: seed, Effort: effort}, &reply, true)
-	return &reply, err
-}
-
-// Status fetches service status.
-func (c *Client) Status() (*StatusReply, error) {
-	var reply StatusReply
-	err := c.call("Status", &StatusArgs{}, &reply, true)
-	return &reply, err
-}
-
-// Advance moves simulated time forward on the server. Never retried: the
-// call is not idempotent, and resending after a lost reply would advance
-// the clock twice.
-func (c *Client) Advance(seconds float64) (*AdvanceReply, error) {
-	var reply AdvanceReply
-	err := c.call("Advance", &AdvanceArgs{Seconds: seconds}, &reply, false)
-	return &reply, err
-}
-
-// Decisions queries the server's decision flight recorder: up to n most
-// recent records (n <= 0 for all resident), optionally filtered by
-// decision kind, application, and hex trace ID.
-func (c *Client) Decisions(n int, kind, app, traceID string) (*DecisionsReply, error) {
-	var reply DecisionsReply
-	err := c.call("Decisions", &DecisionsArgs{N: n, Kind: kind, App: app, TraceID: traceID}, &reply, true)
-	return &reply, err
-}
-
-// ReportOutcome joins a measured runtime (seconds) back to the served
-// prediction identified by predictionID. Never retried: the join is
-// one-shot on the server, so a resend after a lost reply would surface a
-// misleading unknown-ID error for a join that actually landed.
-func (c *Client) ReportOutcome(predictionID string, actualSeconds float64) (*ReportOutcomeReply, error) {
-	var reply ReportOutcomeReply
-	err := c.call("ReportOutcome", &ReportOutcomeArgs{PredictionID: predictionID, ActualSeconds: actualSeconds}, &reply, false)
-	return &reply, err
-}
-
-// Accuracy fetches the server's prediction-accuracy ledger: status,
-// per-bucket calibration stats (optionally filtered by app and
-// scheduler), and up to samples recent joined pairs (<= 0 for all).
-func (c *Client) Accuracy(app, scheduler string, samples int) (*AccuracyReply, error) {
-	var reply AccuracyReply
-	err := c.call("Accuracy", &AccuracyArgs{App: app, Scheduler: scheduler, Samples: samples}, &reply, true)
-	return &reply, err
-}
-
-// Metrics fetches the server's metrics in the given format ("" or
-// FormatPrometheus for text exposition, FormatJSON for JSON).
-func (c *Client) Metrics(format string) (*MetricsReply, error) {
-	var reply MetricsReply
-	err := c.call("Metrics", &MetricsArgs{Format: format}, &reply, true)
-	return &reply, err
 }
