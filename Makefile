@@ -32,12 +32,14 @@ ci:
 # Process-lifecycle tests, twenty times each under the race detector: the
 # simulator's start, park, kill, panic and Shutdown paths with the
 # process-wide coroutine list that engines on different goroutines share,
-# mpisim worlds that panic, deadlock, spawn and reuse engines, and the
-# service's drain and shutdown. A race that shows once in several runs
-# shows here.
+# mpisim worlds that panic, deadlock, spawn and reuse engines, SA
+# restarts on the worker pool (parallel ≡ serial, a panicking restart,
+# cancellation and deadlines), and the service's drain and shutdown. A
+# race that shows once in several runs shows here.
 stress:
 	$(GO) test -race -count=20 -run 'Proc|Shutdown|Kill|Coroutine|EventOrderGolden|Signal|Spawn|Sleep|Reset' ./internal/des/
 	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|DynamicWorld|AwaitFinished|SpawnedWorld|WorldResultAfterWaitIn' ./internal/mpisim/
+	$(GO) test -race -count=20 -run 'Parallelism|Panic|Cancel|Deadline' ./internal/schedule/
 	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart' ./internal/service/
 
 # Run the benchmark suite and archive it as machine-readable JSON

@@ -216,32 +216,23 @@ func (s *System) Schedule(app string, alg Algorithm, pool []int, seed int64) (*s
 	if err != nil {
 		return nil, err
 	}
-	return ScheduleOn(e, s.Snapshot(), alg, pool, seed)
+	return ScheduleOnCtxEffort(context.Background(), e, s.Snapshot(), alg, pool, seed, 0)
 }
 
-// ScheduleOn runs the selected scheduling algorithm against an explicit
-// evaluator and availability snapshot. It touches no System state, so
-// concurrent callers holding an immutable snapshot (the service's
-// lock-free read path) can schedule in parallel: evaluators are safe for
-// concurrent use and the decision is deterministic in (evaluator,
-// snapshot, algorithm, pool, seed).
-func ScheduleOn(e *core.Evaluator, snap *monitor.Snapshot, alg Algorithm, pool []int, seed int64) (*schedule.Decision, error) {
-	return ScheduleOnCtx(context.Background(), e, snap, alg, pool, seed)
-}
-
-// ScheduleOnCtx is ScheduleOn with a caller context: when ctx carries an
-// active trace span (obs.ContextWithSpan), the scheduling decision and
-// its per-restart search spans join that trace — the service tier uses
-// this to extend each RPC's causal tree down into the search. When ctx
-// carries a deadline, the search abandons promptly on expiry.
-func ScheduleOnCtx(ctx context.Context, e *core.Evaluator, snap *monitor.Snapshot, alg Algorithm, pool []int, seed int64) (*schedule.Decision, error) {
-	return ScheduleOnCtxEffort(ctx, e, snap, alg, pool, seed, 0)
-}
-
-// ScheduleOnCtxEffort is ScheduleOnCtx with an explicit search-effort cap
-// (total energy evaluations; 0 selects the scheduler default). The knob
-// the cost/benefit tradeoff turns: more effort buys better mappings at
-// higher estimating cost.
+// ScheduleOnCtxEffort runs the selected scheduling algorithm against an
+// explicit evaluator and availability snapshot. It touches no System
+// state, so concurrent callers holding an immutable snapshot (the
+// service's lock-free read path) can schedule in parallel: evaluators are
+// safe for concurrent use and the decision is deterministic in
+// (evaluator, snapshot, algorithm, pool, seed, effort).
+//
+// When ctx carries an active trace span (obs.ContextWithSpan), the
+// scheduling decision and its per-restart search spans join that trace —
+// the service tier uses this to extend each RPC's causal tree down into
+// the search. When ctx carries a deadline, the search abandons promptly on
+// expiry. effort caps the search's energy evaluations (0 selects the
+// scheduler default): the knob the cost/benefit tradeoff turns, since
+// more effort buys better mappings at higher estimating cost.
 func ScheduleOnCtxEffort(ctx context.Context, e *core.Evaluator, snap *monitor.Snapshot, alg Algorithm, pool []int, seed int64, effort int) (*schedule.Decision, error) {
 	req := &schedule.Request{Eval: e, Snap: snap, Pool: pool, Seed: seed, Ctx: ctx, Effort: effort}
 	switch alg {

@@ -1,7 +1,7 @@
-// Package anneal provides a generic simulated-annealing minimizer in the
-// style of Metropolis et al. [19] and Numerical Recipes [20], the
-// algorithm behind the default CBES scheduler (§6): the CBES mapping
-// evaluation plays the role of the energy function, and the minimal-energy
+// Package anneal provides the simulated-annealing minimizer in the style
+// of Metropolis et al. [19] and Numerical Recipes [20], the algorithm
+// behind the default CBES scheduler (§6): the CBES mapping evaluation
+// plays the role of the energy function, and the minimal-energy
 // configuration corresponds to the estimated fastest mapping.
 package anneal
 
@@ -36,6 +36,21 @@ var (
 		"cbes_sa_initial_temp", "Starting temperature of the last finished run.")
 	gaugeFinalTemp = obs.Default().Gauge(
 		"cbes_sa_final_temp", "Final temperature of the last finished run.")
+)
+
+// The annealing schedule. The starting temperature is the standard
+// deviation of energy over an autoTempProbes-step accepted walk from the
+// initial state; each temperature step makes stepsPerTemp proposals and
+// then cools geometrically, until the temperature falls below
+// minTempRatio of the starting one or the evaluation budget is spent.
+const (
+	autoTempProbes = 24
+	stepsPerTemp   = 60
+	cooling        = 0.92
+	minTempRatio   = 1e-3
+	// proposalPatience bounds consecutive failed proposals so a problem
+	// with no legal moves terminates.
+	proposalPatience = 64
 )
 
 // convergence collects (evaluations, best-energy) samples while a run
@@ -77,7 +92,7 @@ func newConvergence(span *obs.ActiveSpan) *convergence {
 }
 
 // observeRun publishes one finished run's statistics and span.
-func observeRun(kind string, initialTemp, bestE float64, st Stats, span *obs.ActiveSpan) {
+func observeRun(initialTemp, bestE float64, st Stats, span *obs.ActiveSpan) {
 	metricRuns.Inc()
 	metricEvals.Add(uint64(st.Evaluations))
 	metricAccepted.Add(uint64(st.Accepted))
@@ -90,8 +105,7 @@ func observeRun(kind string, initialTemp, bestE float64, st Stats, span *obs.Act
 	gaugeBestEnergy.Set(bestE)
 	gaugeInitialTemp.Set(initialTemp)
 	gaugeFinalTemp.Set(st.FinalTemp)
-	span.Attr("kind", kind).
-		Attr("evals", st.Evaluations).
+	span.Attr("evals", st.Evaluations).
 		Attr("accepted", st.Accepted).
 		Attr("improved", st.Improved).
 		Attr("acceptance_rate", rate).
@@ -101,19 +115,8 @@ func observeRun(kind string, initialTemp, bestE float64, st Stats, span *obs.Act
 		End()
 }
 
-// Config tunes the annealing schedule.
+// Config bounds one annealing run.
 type Config struct {
-	// InitialTemp is the starting temperature. Zero means "auto": the
-	// standard deviation of energies over a short random walk.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor per temperature step
-	// (default 0.92).
-	Cooling float64
-	// StepsPerTemp is the number of proposals per temperature (default 60).
-	StepsPerTemp int
-	// MinTemp stops the schedule when temperature falls below
-	// MinTemp × InitialTemp (default 1e-3).
-	MinTemp float64
 	// MaxEvaluations caps total energy evaluations (default 20000).
 	MaxEvaluations int
 	// Seed drives the proposal and acceptance randomness.
@@ -127,22 +130,6 @@ type Config struct {
 	// context expires. Nil records the run as a root span and never
 	// cancels, the pre-causal behaviour.
 	Ctx context.Context
-}
-
-func (c Config) withDefaults() Config {
-	if c.Cooling <= 0 || c.Cooling >= 1 {
-		c.Cooling = 0.92
-	}
-	if c.StepsPerTemp <= 0 {
-		c.StepsPerTemp = 60
-	}
-	if c.MinTemp <= 0 {
-		c.MinTemp = 1e-3
-	}
-	if c.MaxEvaluations <= 0 {
-		c.MaxEvaluations = 20000
-	}
-	return c
 }
 
 // Stats reports what the annealer did.
@@ -167,95 +154,6 @@ func doneChan(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// Minimize anneals from the initial state, proposing neighbors and
-// accepting by the Metropolis criterion, and returns the best state seen
-// with its energy and run statistics.
-//
-// The state type S must be treated as immutable by the caller: neighbor
-// must return a fresh state (or a modified copy).
-func Minimize[S any](cfg Config, initial S, energy func(S) float64, neighbor func(S, *rand.Rand) S) (S, float64, Stats) {
-	cfg = cfg.withDefaults()
-	span, _ := obs.StartSpan(cfg.Ctx, "anneal.run")
-	conv := newConvergence(span)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	cur := initial
-	curE := energy(cur)
-	best, bestE := cur, curE
-	st := Stats{Evaluations: 1}
-	conv.observe(st.Evaluations, bestE)
-
-	temp := cfg.InitialTemp
-	if temp <= 0 {
-		temp = autoTemperature(cur, curE, energy, neighbor, rng, &st, cfg.MaxEvaluations)
-	}
-	minTemp := temp * cfg.MinTemp
-
-	done := doneChan(cfg.Ctx)
-	for temp > minTemp && st.Evaluations < cfg.MaxEvaluations {
-		select {
-		case <-done:
-			// Deadline propagation: the caller's context expired, so nobody
-			// will read the answer — abandon the walk, keeping the best
-			// state found so far for the cancellation error path.
-			st.Cancelled = true
-			st.FinalTemp = temp
-			conv.attach(span)
-			observeRun("full", minTemp/cfg.MinTemp, bestE, st, span)
-			return best, bestE, st
-		default:
-		}
-		for i := 0; i < cfg.StepsPerTemp && st.Evaluations < cfg.MaxEvaluations; i++ {
-			cand := neighbor(cur, rng)
-			candE := energy(cand)
-			st.Evaluations++
-			d := candE - curE
-			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				cur, curE = cand, candE
-				st.Accepted++
-				if curE < bestE {
-					best, bestE = cur, curE
-					st.Improved++
-					conv.observe(st.Evaluations, bestE)
-				}
-			}
-		}
-		temp *= cfg.Cooling
-	}
-	st.FinalTemp = temp
-	conv.attach(span)
-	observeRun("full", minTemp/cfg.MinTemp, bestE, st, span)
-	return best, bestE, st
-}
-
-// autoTemperature estimates a starting temperature as the standard
-// deviation of energy over a short random walk, so that early uphill moves
-// are accepted with reasonable probability. The walk never exceeds the
-// remaining evaluation budget.
-func autoTemperature[S any](cur S, curE float64, energy func(S) float64, neighbor func(S, *rand.Rand) S, rng *rand.Rand, st *Stats, maxEvals int) float64 {
-	probes := autoTempProbes
-	if remaining := maxEvals - st.Evaluations; probes > remaining {
-		probes = remaining
-	}
-	mean, m2 := 0.0, 0.0
-	n := 0.0
-	s := cur
-	e := curE
-	for i := 0; i < probes; i++ {
-		s = neighbor(s, rng)
-		e = energy(s)
-		st.Evaluations++
-		n++
-		d := e - mean
-		mean += d / n
-		m2 += d * (e - mean)
-	}
-	return tempFromSpread(mean, m2, n, curE)
-}
-
-// autoTempProbes is the length of the auto-temperature sampling walk.
-const autoTempProbes = 24
-
 // tempFromSpread turns Welford accumulators into a starting temperature,
 // falling back to a fraction of the initial energy for degenerate samples.
 func tempFromSpread(mean, m2, n, curE float64) float64 {
@@ -266,12 +164,12 @@ func tempFromSpread(mean, m2, n, curE float64) float64 {
 	return sd
 }
 
-// IncrementalProblem describes an annealing problem whose state lives
-// outside the annealer and is perturbed by typed moves with delta
-// evaluation — the core.Scorer fast path. The annealer never sees the
-// state itself: it proposes, applies (receiving the new energy), and either
-// keeps the move or undoes it.
-type IncrementalProblem[M any] struct {
+// Problem describes an annealing problem whose state lives outside the
+// annealer and is perturbed by typed moves with delta evaluation — the
+// core.Scorer fast path. The annealer never sees the state itself: it
+// proposes, applies (receiving the new energy), and either keeps the move
+// or undoes it.
+type Problem[M any] struct {
 	// InitialEnergy is the energy of the current (initial) state. Its
 	// computation is counted as the first evaluation.
 	InitialEnergy float64
@@ -292,14 +190,15 @@ type IncrementalProblem[M any] struct {
 	OnBest func()
 }
 
-// MinimizeIncremental anneals an incremental problem under the Metropolis
-// criterion. It is the fast-path twin of Minimize: rejected proposals cost
-// one delta evaluation and an undo instead of a full re-evaluation, and the
-// evaluation budget (Config.MaxEvaluations) is respected exactly — the
-// initial evaluation, the auto-temperature walk, and every proposal all
-// count against it, and the total never exceeds it.
-func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, Stats) {
-	cfg = cfg.withDefaults()
+// Minimize anneals a problem under the Metropolis criterion. Rejected
+// proposals cost one delta evaluation and an undo, and the evaluation
+// budget (Config.MaxEvaluations) is respected exactly: the initial
+// evaluation, the auto-temperature walk and every proposal all count
+// against it, and the total never exceeds it.
+func Minimize[M any](cfg Config, p Problem[M]) (float64, Stats) {
+	if cfg.MaxEvaluations <= 0 {
+		cfg.MaxEvaluations = 20000
+	}
 	span, _ := obs.StartSpan(cfg.Ctx, "anneal.run")
 	conv := newConvergence(span)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -312,53 +211,45 @@ func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, S
 		p.OnBest()
 	}
 
-	// proposalPatience bounds consecutive failed proposals so a problem
-	// with no legal moves terminates.
-	const proposalPatience = 64
-
-	temp := cfg.InitialTemp
-	if temp <= 0 {
-		// Auto temperature: a short accepted walk from the initial state,
-		// capped by the remaining budget. Improvements found during the
-		// walk are kept as best like any other visit.
-		probes := autoTempProbes
-		if remaining := cfg.MaxEvaluations - st.Evaluations; probes > remaining {
-			probes = remaining
+	// Auto temperature: a short accepted walk from the initial state,
+	// capped by the remaining budget. Improvements found during the walk
+	// are kept as best like any other visit.
+	probes := min(autoTempProbes, cfg.MaxEvaluations-st.Evaluations)
+	mean, m2 := 0.0, 0.0
+	n := 0.0
+	for i, misses := 0, 0; i < probes && misses < proposalPatience; {
+		mv, ok := p.Propose(rng)
+		if !ok {
+			misses++
+			continue
 		}
-		mean, m2 := 0.0, 0.0
-		n := 0.0
-		for i, misses := 0, 0; i < probes && misses < proposalPatience; {
-			mv, ok := p.Propose(rng)
-			if !ok {
-				misses++
-				continue
-			}
-			misses = 0
-			curE = p.Apply(mv)
-			if p.Commit != nil {
-				p.Commit()
-			}
-			st.Evaluations++
-			i++
-			n++
-			d := curE - mean
-			mean += d / n
-			m2 += d * (curE - mean)
-			if curE < bestE {
-				bestE = curE
-				st.Improved++
-				conv.observe(st.Evaluations, bestE)
-				if p.OnBest != nil {
-					p.OnBest()
-				}
+		misses = 0
+		curE = p.Apply(mv)
+		if p.Commit != nil {
+			p.Commit()
+		}
+		st.Evaluations++
+		i++
+		n++
+		d := curE - mean
+		mean += d / n
+		m2 += d * (curE - mean)
+		if curE < bestE {
+			bestE = curE
+			st.Improved++
+			conv.observe(st.Evaluations, bestE)
+			if p.OnBest != nil {
+				p.OnBest()
 			}
 		}
-		temp = tempFromSpread(mean, m2, n, p.InitialEnergy)
 	}
-	minTemp := temp * cfg.MinTemp
+	initialTemp := tempFromSpread(mean, m2, n, p.InitialEnergy)
+	temp := initialTemp
+	minTemp := temp * minTempRatio
 
 	done := doneChan(cfg.Ctx)
 	misses := 0
+cool:
 	for temp > minTemp && st.Evaluations < cfg.MaxEvaluations && misses < proposalPatience {
 		select {
 		case <-done:
@@ -366,13 +257,10 @@ func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, S
 			// already holds the best committed mapping (OnBest fired for it),
 			// so the caller can still report the partial result.
 			st.Cancelled = true
-			st.FinalTemp = temp
-			conv.attach(span)
-			observeRun("incremental", minTemp/cfg.MinTemp, bestE, st, span)
-			return bestE, st
+			break cool
 		default:
 		}
-		for i := 0; i < cfg.StepsPerTemp && st.Evaluations < cfg.MaxEvaluations; i++ {
+		for i := 0; i < stepsPerTemp && st.Evaluations < cfg.MaxEvaluations; i++ {
 			mv, ok := p.Propose(rng)
 			if !ok {
 				if misses++; misses >= proposalPatience {
@@ -402,10 +290,10 @@ func MinimizeIncremental[M any](cfg Config, p IncrementalProblem[M]) (float64, S
 				p.Undo()
 			}
 		}
-		temp *= cfg.Cooling
+		temp *= cooling
 	}
 	st.FinalTemp = temp
 	conv.attach(span)
-	observeRun("incremental", minTemp/cfg.MinTemp, bestE, st, span)
+	observeRun(initialTemp, bestE, st, span)
 	return bestE, st
 }

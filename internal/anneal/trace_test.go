@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"cbes/internal/obs"
@@ -15,14 +14,8 @@ func TestRunSpanJoinsCallerTrace(t *testing.T) {
 	parent := obs.DefaultTracer().Start("test.parent")
 	ctx := obs.ContextWithSpan(context.Background(), parent)
 
-	energy := func(x int) float64 { d := float64(x - 7); return d * d }
-	neighbor := func(x int, r *rand.Rand) int {
-		if r.Intn(2) == 0 {
-			return x + 1
-		}
-		return x - 1
-	}
-	_, bestE, _ := Minimize(Config{Seed: 1, Ctx: ctx}, 100, energy, neighbor)
+	p := &walk{x: 100, energy: func(x int) float64 { d := float64(x - 7); return d * d }}
+	bestE, _ := Minimize(Config{Seed: 1, Ctx: ctx}, p.problem())
 	parent.End()
 
 	var run *obs.Span
@@ -64,10 +57,9 @@ func TestRunSpanJoinsCallerTrace(t *testing.T) {
 // Without a traced context the run roots its own trace (pre-causal
 // behaviour) — and with sampling discarding it, costs nothing visible.
 func TestRunSpanRootsWithoutContext(t *testing.T) {
-	energy := func(x int) float64 { return float64(x * x) }
-	neighbor := func(x int, r *rand.Rand) int { return x + 1 - 2*r.Intn(2) }
+	p := &walk{x: 5, energy: func(x int) float64 { return float64(x * x) }}
 	before := len(obs.DefaultTracer().Spans())
-	Minimize(Config{Seed: 2, MaxEvaluations: 50}, 5, energy, neighbor)
+	Minimize(Config{Seed: 2, MaxEvaluations: 50}, p.problem())
 	spans := obs.DefaultTracer().Spans()
 	if len(spans) <= before {
 		t.Fatal("no span recorded for an untraced run")

@@ -25,18 +25,20 @@ var (
 		"cbes_ga_best_fitness", "Best fitness of the last finished GA run.")
 )
 
-// Config tunes the GA.
+// The GA's shape: each generation breeds population children from
+// tournament selection over the previous one (no elites), each child is
+// mutated with probability mutationRate, and evolution stops after
+// generations generations. A run therefore spends at most
+// population·(generations+1) = 2 440 evaluations, whatever its budget.
+const (
+	population   = 40
+	generations  = 60
+	mutationRate = 0.3
+	tournamentK  = 3
+)
+
+// Config bounds one GA run.
 type Config struct {
-	// Population size (default 40).
-	Population int
-	// Generations to evolve (default 60).
-	Generations int
-	// Elite individuals copied unchanged each generation (default 2).
-	Elite int
-	// MutationRate is the probability an offspring is mutated (default 0.3).
-	MutationRate float64
-	// Tournament is the selection tournament size (default 3).
-	Tournament int
 	// MaxEvaluations caps total fitness evaluations (default 20000).
 	MaxEvaluations int
 	// Seed drives all randomness.
@@ -44,28 +46,6 @@ type Config struct {
 	// Ctx, when non-nil, parents this run's trace span under the
 	// context's active span (nil records a root span).
 	Ctx context.Context
-}
-
-func (c Config) withDefaults() Config {
-	if c.Population <= 1 {
-		c.Population = 40
-	}
-	if c.Generations <= 0 {
-		c.Generations = 60
-	}
-	if c.Elite < 0 || c.Elite >= c.Population {
-		c.Elite = 2
-	}
-	if c.MutationRate <= 0 || c.MutationRate > 1 {
-		c.MutationRate = 0.3
-	}
-	if c.Tournament <= 0 {
-		c.Tournament = 3
-	}
-	if c.MaxEvaluations <= 0 {
-		c.MaxEvaluations = 20000
-	}
-	return c
 }
 
 // Stats reports what the GA did.
@@ -97,7 +77,9 @@ type scored[G any] struct {
 // Minimize evolves a population and returns the best genome found, its
 // fitness, and statistics.
 func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
-	cfg = cfg.withDefaults()
+	if cfg.MaxEvaluations <= 0 {
+		cfg.MaxEvaluations = 20000
+	}
 	span, _ := obs.StartSpan(cfg.Ctx, "ga.run")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := Stats{}
@@ -105,8 +87,8 @@ func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 	// The initial population also counts against the evaluation budget: at
 	// least one individual is always scored, but a budget smaller than the
 	// population size truncates it rather than overrunning.
-	pop := make([]scored[G], 0, cfg.Population)
-	for i := 0; i < cfg.Population; i++ {
+	pop := make([]scored[G], 0, population)
+	for i := 0; i < population; i++ {
 		if i > 0 && st.Evaluations >= cfg.MaxEvaluations {
 			break
 		}
@@ -115,16 +97,13 @@ func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 		st.Evaluations++
 	}
 	sortPop(pop)
-	if cfg.Elite >= len(pop) {
-		cfg.Elite = len(pop) - 1
-	}
 
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
 	}
 generations:
-	for gen := 0; gen < cfg.Generations && st.Evaluations < cfg.MaxEvaluations; gen++ {
+	for gen := 0; gen < generations && st.Evaluations < cfg.MaxEvaluations; gen++ {
 		select {
 		case <-done:
 			// Deadline propagation: stop evolving; pop[0] is still the best
@@ -133,13 +112,12 @@ generations:
 			break generations
 		default:
 		}
-		next := make([]scored[G], 0, cfg.Population)
-		next = append(next, pop[:cfg.Elite]...)
-		for len(next) < cfg.Population && st.Evaluations < cfg.MaxEvaluations {
-			a := tournament(pop, cfg.Tournament, rng)
-			b := tournament(pop, cfg.Tournament, rng)
+		next := make([]scored[G], 0, population)
+		for len(next) < population && st.Evaluations < cfg.MaxEvaluations {
+			a := tournament(pop, rng)
+			b := tournament(pop, rng)
 			child := ops.Crossover(a.g, b.g, rng)
-			if rng.Float64() < cfg.MutationRate {
+			if rng.Float64() < mutationRate {
 				child = ops.Mutate(child, rng)
 			}
 			next = append(next, scored[G]{child, ops.Fitness(child)})
@@ -164,9 +142,9 @@ func sortPop[G any](pop []scored[G]) {
 	sort.SliceStable(pop, func(i, j int) bool { return pop[i].f < pop[j].f })
 }
 
-func tournament[G any](pop []scored[G], k int, rng *rand.Rand) scored[G] {
+func tournament[G any](pop []scored[G], rng *rand.Rand) scored[G] {
 	best := pop[rng.Intn(len(pop))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < tournamentK; i++ {
 		c := pop[rng.Intn(len(pop))]
 		if c.f < best.f {
 			best = c

@@ -34,7 +34,7 @@ func popcount(x uint32) int {
 }
 
 func TestMinimizeBits(t *testing.T) {
-	best, f, st := Minimize(Config{Seed: 5, Generations: 200, MaxEvaluations: 15000}, bitOps(0xDEADBEEF))
+	best, f, st := Minimize(Config{Seed: 5}, bitOps(0xDEADBEEF))
 	if f > 2 {
 		t.Fatalf("fitness = %v (best %x), want <= 2", f, best)
 	}
@@ -60,7 +60,7 @@ func TestEvaluationCap(t *testing.T) {
 	ops := bitOps(0)
 	inner := ops.Fitness
 	ops.Fitness = func(g uint32) float64 { calls++; return inner(g) }
-	_, _, st := Minimize(Config{Seed: 1, MaxEvaluations: 300, Generations: 1000}, ops)
+	_, _, st := Minimize(Config{Seed: 1, MaxEvaluations: 300}, ops)
 	if calls > 300 || st.Evaluations != calls {
 		t.Fatalf("calls = %d, reported %d", calls, st.Evaluations)
 	}
@@ -79,15 +79,18 @@ func TestEliteNeverRegresses(t *testing.T) {
 		}
 		return f
 	}
-	_, f, _ := Minimize(Config{Seed: 2, Generations: 50}, ops)
+	_, f, _ := Minimize(Config{Seed: 2}, ops)
 	if f != bestSeen {
 		t.Fatalf("final best %v != best ever seen %v (elitism lost it)", f, bestSeen)
 	}
 }
 
+// An unset budget runs the full shape: the initial population plus every
+// generation's children.
 func TestDefaultsApplied(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Population <= 1 || cfg.Generations <= 0 || cfg.Tournament <= 0 {
-		t.Fatalf("defaults: %+v", cfg)
+	_, _, st := Minimize(Config{Seed: 3}, bitOps(0))
+	if st.Generations != generations || st.Evaluations != population*(generations+1) {
+		t.Fatalf("stats %+v, want %d generations and %d evaluations",
+			st, generations, population*(generations+1))
 	}
 }

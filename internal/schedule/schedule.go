@@ -16,9 +16,10 @@
 //
 // The search-based schedulers run on the core fast path: SA proposes typed
 // moves scored by incremental delta-evaluation (core.Scorer), independent
-// SA restarts run on a bounded worker pool, GA fitness uses the
-// allocation-free full evaluation, and the exhaustive walk re-scores only
-// the rank it reassigns at each level of its recursion.
+// SA restarts run on a bounded worker pool, GA mutates through the same
+// move proposer and scores children with the allocation-free full
+// evaluation, and the exhaustive walk re-scores only the rank it reassigns
+// at each level of its recursion.
 package schedule
 
 import (
@@ -27,8 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"cbes/internal/anneal"
@@ -36,6 +35,7 @@ import (
 	"cbes/internal/genetic"
 	"cbes/internal/monitor"
 	"cbes/internal/obs"
+	"cbes/internal/parfor"
 )
 
 // Scheduler observability, split by algorithm name ("cs", "ncs", "rs",
@@ -93,12 +93,14 @@ func observe(alg string, start time.Time, span *obs.ActiveSpan, d **Decision, er
 	secs := time.Since(start).Seconds()
 	metricRequests.With(alg).Inc()
 	metricSeconds.With(alg).Observe(secs)
-	if *err != nil {
+	dec := *d
+	if dec == nil {
+		// An error, or a panic unwinding through the decision (it reaches
+		// the caller intact: nothing here may panic in its place).
 		metricErrors.With(alg).Inc()
 		span.Error(*err).End()
 		return
 	}
-	dec := *d
 	metricEvals.With(alg).Add(uint64(dec.Evaluations))
 	span.Attr("evals", dec.Evaluations).
 		Attr("predicted_seconds", dec.Predicted).
@@ -121,9 +123,10 @@ type Request struct {
 	SlotsPerNode int
 	// Seed drives scheduler randomness.
 	Seed int64
-	// Effort caps search effort: total energy evaluations
-	// (default 4000 for SA and GA). SA distributes it exactly across
-	// restarts and never exceeds it.
+	// Effort caps search effort: total energy evaluations (default 4000).
+	// SA distributes it exactly across restarts and never exceeds it. GA
+	// stops after its fixed 60 generations of 40, so it spends at most
+	// 2 440 evaluations and leaves any effort beyond that unused.
 	Effort int
 	// Restarts splits the SA effort across independent anneals from
 	// different random initial mappings, keeping the best (default 4).
@@ -287,52 +290,13 @@ func randomMapping(req *Request, rng *rand.Rand, used []int) core.Mapping {
 	return m
 }
 
-// neighbor perturbs a mapping in place: it either moves one rank to a node
-// with free capacity or swaps the nodes of two ranks. It is the GA
-// scheduler's mutation operator, applied to a child crossover just built;
-// SA proposes the equivalent typed moves through proposeMove instead. used
-// is the search's zeroed load buffer.
-func neighbor(req *Request, m core.Mapping, rng *rand.Rand, used []int) core.Mapping {
-	slots := req.slots()
-	if rng.Intn(2) == 0 && len(m) >= 2 {
-		// Swap two ranks — retrying past degenerate pairs (same rank or
-		// same node) that would produce an identical mapping and waste an
-		// energy evaluation.
-		for attempt := 0; attempt < 8; attempt++ {
-			i, j := rng.Intn(len(m)), rng.Intn(len(m))
-			if i == j || m[i] == m[j] {
-				continue
-			}
-			m[i], m[j] = m[j], m[i]
-			return m
-		}
-		// Every sampled swap was degenerate (e.g. all ranks co-located):
-		// fall through to a move.
-	}
-	// Move one rank to a node with spare capacity; a saturated pool leaves
-	// the mapping unchanged (swap next time).
-	for _, n := range m {
-		used[n]++
-	}
-	i := rng.Intn(len(m))
-	to := m[i]
-	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
-		if n := req.Pool[rng.Intn(len(req.Pool))]; n != m[i] && used[n] < slots {
-			to = n
-			break
-		}
-	}
-	release(used, m)
-	m[i] = to
-	return m
-}
-
-// proposeMove draws a typed move for the incremental SA fast path: the
-// same proposal distribution as neighbor, but expressed as a core.Move
-// against the scorer's current state instead of an edit of a mapping.
-// ok=false means no non-degenerate move was found (saturated pool).
-func proposeMove(req *Request, sc *core.Scorer, rng *rand.Rand) (core.Move, bool) {
-	m := sc.Current()
+// proposeMove draws a typed move against mapping m: either a swap of the
+// nodes of two ranks or a move of one rank to a node with spare capacity,
+// as load reports it for m. Degenerate swaps (same rank or same node) are
+// redrawn up to 8 times before falling back to a move. ok=false means no
+// free node was found (saturated pool). SA proposes against the scorer's
+// current mapping; GA mutates a crossover child with it.
+func proposeMove(req *Request, m core.Mapping, load func(node int) int, rng *rand.Rand) (core.Move, bool) {
 	slots := req.slots()
 	if rng.Intn(2) == 0 && len(m) >= 2 {
 		for attempt := 0; attempt < 8; attempt++ {
@@ -345,7 +309,7 @@ func proposeMove(req *Request, sc *core.Scorer, rng *rand.Rand) (core.Move, bool
 	i := rng.Intn(len(m))
 	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
 		n := req.Pool[rng.Intn(len(req.Pool))]
-		if n != m[i] && sc.NodeLoad(n) < slots {
+		if n != m[i] && load(n) < slots {
 			return core.Move{Rank: i, To: n}, true
 		}
 	}
@@ -423,14 +387,15 @@ func saRestart(ctx context.Context, req *Request, sign float64, seed int64, budg
 		return e
 	}
 	best := initial.Clone()
-	bestE, st := anneal.MinimizeIncremental(anneal.Config{
+	load := sc.NodeLoad
+	bestE, st := anneal.Minimize(anneal.Config{
 		MaxEvaluations: budget,
 		Seed:           seed + 1,
 		Ctx:            ctx,
-	}, anneal.IncrementalProblem[core.Move]{
+	}, anneal.Problem[core.Move]{
 		InitialEnergy: penalize(sign * raw),
 		Propose: func(rr *rand.Rand) (core.Move, bool) {
-			return proposeMove(req, sc, rr)
+			return proposeMove(req, sc.Current(), load, rr)
 		},
 		Apply: func(mv core.Move) float64 {
 			return penalize(sign * sc.Apply(mv))
@@ -444,8 +409,9 @@ func saRestart(ctx context.Context, req *Request, sign float64, seed int64, budg
 
 // saSchedule runs simulated annealing over mappings, distributing the
 // effort budget exactly across independent restarts that execute
-// concurrently on a bounded worker pool, and keeping the best result
-// (ties broken by restart index, so the outcome is deterministic).
+// concurrently on one worker per core, and keeping the best result (ties
+// broken by restart index, so the outcome is deterministic). A panic in
+// a restart is re-raised on the caller's goroutine.
 func saSchedule(ctx context.Context, req *Request) (core.Mapping, float64, int, error) {
 	effort := req.effort()
 	restarts := req.Restarts
@@ -472,33 +438,20 @@ func saSchedule(ctx context.Context, req *Request) (core.Mapping, float64, int, 
 	base, rem := effort/restarts, effort%restarts
 
 	results := make([]saResult, restarts)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > restarts {
-		workers = restarts
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for r := 0; r < restarts; r++ {
+	parfor.Do(0, restarts, func(r int) {
+		if ctx != nil && ctx.Err() != nil {
+			// The deadline expired while this restart queued behind the
+			// worker pool: don't pay its init cost (a wide fan can hold
+			// thousands of not-yet-started walks at cancellation time).
+			results[r] = saResult{err: ctx.Err()}
+			return
+		}
 		budget := base
 		if r < rem {
 			budget++
 		}
-		wg.Add(1)
-		go func(r, budget int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx != nil && ctx.Err() != nil {
-				// The deadline expired while this restart queued behind the
-				// worker pool: don't pay its init cost (a wide fan can hold
-				// thousands of not-yet-started walks at cancellation time).
-				results[r] = saResult{err: ctx.Err()}
-				return
-			}
-			results[r] = saRestart(ctx, req, sign, req.Seed+int64(1000*r), budget)
-		}(r, budget)
-	}
-	wg.Wait()
+		results[r] = saRestart(ctx, req, sign, req.Seed+int64(1000*r), budget)
+	})
 
 	if ctx != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -594,8 +547,10 @@ func SimulatedAnnealingNoComm(req *Request) (d *Decision, err error) {
 }
 
 // Genetic is the GA scheduler (future-work algorithm): evolves mappings
-// with uniform crossover repaired to respect slot capacities. Fitness runs
-// on the allocation-free full evaluation of the fast path.
+// with uniform crossover repaired to respect slot capacities, mutated by
+// SA's move proposer. Fitness runs on the allocation-free full evaluation
+// of the fast path: a child is a new mapping, so it is scored afresh
+// rather than through Scorer moves.
 func Genetic(req *Request) (d *Decision, err error) {
 	span, ctx := begin(req.Ctx, "ga", req)
 	defer observe("ga", time.Now(), span, &d, &err)
@@ -610,6 +565,7 @@ func Genetic(req *Request) (d *Decision, err error) {
 	}
 	slots := req.slots()
 	used := req.loads()
+	load := func(n int) int { return used[n] }
 	repair := func(m core.Mapping, rng *rand.Rand) core.Mapping {
 		for i, n := range m {
 			if used[n] >= slots {
@@ -656,7 +612,19 @@ func Genetic(req *Request) (d *Decision, err error) {
 			return repair(child, rng)
 		},
 		Mutate: func(m core.Mapping, rng *rand.Rand) core.Mapping {
-			return neighbor(req, m, rng, used)
+			for _, n := range m {
+				used[n]++
+			}
+			mv, ok := proposeMove(req, m, load, rng)
+			release(used, m)
+			switch {
+			case !ok: // saturated pool: the child stays as it is
+			case mv.Swap:
+				m[mv.A], m[mv.B] = m[mv.B], m[mv.A]
+			default:
+				m[mv.Rank] = mv.To
+			}
+			return m
 		},
 	})
 	if st.Cancelled {

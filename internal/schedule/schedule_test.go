@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cbes/internal/bench"
@@ -11,6 +12,7 @@ import (
 	"cbes/internal/des"
 	"cbes/internal/monitor"
 	"cbes/internal/mpisim"
+	"cbes/internal/netmodel"
 	"cbes/internal/obs"
 	"cbes/internal/profile"
 	"cbes/internal/simnet"
@@ -402,6 +404,37 @@ func TestSADeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("parallel %v (%v) != serial %v (%v)",
 			a.Mapping, a.Predicted, b.Mapping, b.Predicted)
 	}
+}
+
+// A restart that panics must not take the process down: the panic reaches
+// the caller's goroutine, value intact, where a server's recovery sees it.
+// The evaluator's model lacks the cross-switch class, so the first
+// cross-switch message a restart scores panics inside the scorer.
+func TestSARestartPanicReachesCaller(t *testing.T) {
+	f := newFixture(t)
+	missing := f.topo.PathSignature(0, 4)
+	model := netmodel.New(f.topo)
+	for sig, c := range f.eval.Model.Classes {
+		if sig != missing {
+			model.SetClass(sig, c)
+		}
+	}
+	eval, err := core.NewEvaluator(f.topo, model, f.eval.Prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	req := &Request{Eval: eval, Snap: f.snap, Pool: allNodes(f), Seed: 1, Restarts: 4}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "netmodel: no calibration for pair") {
+			t.Fatalf("recovered %q, want the scorer's netmodel panic", msg)
+		}
+	}()
+	d, err := SimulatedAnnealing(req)
+	t.Fatalf("no panic: decision %+v, err %v", d, err)
 }
 
 func TestSAPredictedMatchesFullEvaluation(t *testing.T) {
