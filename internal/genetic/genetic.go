@@ -74,8 +74,10 @@ type scored[G any] struct {
 	f float64
 }
 
-// Minimize evolves a population and returns the best genome found, its
-// fitness, and statistics.
+// Minimize evolves a population and returns the best genome it evaluated,
+// its fitness, and statistics. Without elites a generation can lose its
+// parents' best, so the answer is tracked across every evaluation rather
+// than read off the last generation.
 func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 	if cfg.MaxEvaluations <= 0 {
 		cfg.MaxEvaluations = 20000
@@ -83,6 +85,15 @@ func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 	span, _ := obs.StartSpan(cfg.Ctx, "ga.run")
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := Stats{}
+	var best scored[G]
+	score := func(g G) scored[G] {
+		s := scored[G]{g, ops.Fitness(g)}
+		if st.Evaluations == 0 || s.f < best.f {
+			best = s
+		}
+		st.Evaluations++
+		return s
+	}
 
 	// The initial population also counts against the evaluation budget: at
 	// least one individual is always scored, but a budget smaller than the
@@ -92,9 +103,7 @@ func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 		if i > 0 && st.Evaluations >= cfg.MaxEvaluations {
 			break
 		}
-		g := ops.NewIndividual(rng)
-		pop = append(pop, scored[G]{g, ops.Fitness(g)})
-		st.Evaluations++
+		pop = append(pop, score(ops.NewIndividual(rng)))
 	}
 	sortPop(pop)
 
@@ -102,14 +111,13 @@ func Minimize[G any](cfg Config, ops Ops[G]) (G, float64, Stats) {
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
 	}
-generations:
+evolve:
 	for gen := 0; gen < generations && st.Evaluations < cfg.MaxEvaluations; gen++ {
 		select {
 		case <-done:
-			// Deadline propagation: stop evolving; pop[0] is still the best
-			// individual of the last completed generation.
+			// Deadline propagation: stop evolving and keep the best so far.
 			st.Cancelled = true
-			break generations
+			break evolve
 		default:
 		}
 		next := make([]scored[G], 0, population)
@@ -120,8 +128,7 @@ generations:
 			if rng.Float64() < mutationRate {
 				child = ops.Mutate(child, rng)
 			}
-			next = append(next, scored[G]{child, ops.Fitness(child)})
-			st.Evaluations++
+			next = append(next, score(child))
 		}
 		pop = next
 		sortPop(pop)
@@ -130,12 +137,12 @@ generations:
 	metricRuns.Inc()
 	metricGenerations.Add(uint64(st.Generations))
 	metricEvals.Add(uint64(st.Evaluations))
-	gaugeBestFitness.Set(pop[0].f)
+	gaugeBestFitness.Set(best.f)
 	span.Attr("generations", st.Generations).
 		Attr("evals", st.Evaluations).
-		Attr("best_fitness", pop[0].f).
+		Attr("best_fitness", best.f).
 		End()
-	return pop[0].g, pop[0].f, st
+	return best.g, best.f, st
 }
 
 func sortPop[G any](pop []scored[G]) {

@@ -66,22 +66,34 @@ func TestEvaluationCap(t *testing.T) {
 	}
 }
 
-func TestEliteNeverRegresses(t *testing.T) {
-	// Track the best fitness across generations via a wrapper: with elitism
-	// the final best must be <= any earlier best.
-	bestSeen := math.Inf(1)
-	ops := bitOps(0xFFFFFFFF)
-	inner := ops.Fitness
-	ops.Fitness = func(g uint32) float64 {
-		f := inner(g)
-		if f < bestSeen {
-			bestSeen = f
+// needle scores a genome by a hash of its bits: a landscape with no
+// structure, where children rarely match their parents' fitness, so
+// without elites the best genome is easily lost between generations.
+func needle(g uint32) float64 {
+	x := uint64(g) * 0x9E3779B97F4A7C15
+	x ^= x >> 31
+	return float64(x % 100000)
+}
+
+// The answer is the best genome GA evaluated, not the best of its last
+// generation.
+func TestReturnsBestEvaluated(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		bestSeen := math.Inf(1)
+		var bestG uint32
+		ops := bitOps(0)
+		ops.Fitness = func(g uint32) float64 {
+			f := needle(g)
+			if f < bestSeen {
+				bestSeen, bestG = f, g
+			}
+			return f
 		}
-		return f
-	}
-	_, f, _ := Minimize(Config{Seed: 2}, ops)
-	if f != bestSeen {
-		t.Fatalf("final best %v != best ever seen %v (elitism lost it)", f, bestSeen)
+		g, f, _ := Minimize(Config{Seed: seed}, ops)
+		if f != bestSeen || needle(g) != f {
+			t.Fatalf("seed %d: returned %x with fitness %v, best evaluated %x with %v",
+				seed, g, f, bestG, bestSeen)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // that CS, NCS, RS and exhaustive did not move.
 const (
 	searchGolden  = "479af50f6839bcc6ecb4496a19a4cd6fa3fff1cb296e331917d0d2184898bfcf"
-	geneticGolden = "2f1d2c4bffcb1c2cf9cc8524d7fd285a5a5a78f866bfba750a548a02f42d99ef"
+	geneticGolden = "6d750acf73d64b2f3f73c0b5b65c25c7a6fe2ff152f8ecd1422942134ec1a7d4"
 )
 
 // includesNode0 is the golden grid's constraint: the mapping must use node 0.
