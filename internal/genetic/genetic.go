@@ -145,6 +145,8 @@ evolve:
 	return best.g, best.f, st
 }
 
+// sortPop orders a generation by fitness, stably. Tournaments draw
+// genomes by index, so this order decides which genomes meet.
 func sortPop[G any](pop []scored[G]) {
 	sort.SliceStable(pop, func(i, j int) bool { return pop[i].f < pop[j].f })
 }
