@@ -7,7 +7,7 @@ import (
 )
 
 // walk adapts a 1-D integer walk to Problem for testing: the state is a
-// single int and a move is a step drawn by step (±1 when nil).
+// single int and a move is a step drawn by step (-1, 0 or +1 when nil).
 type walk struct {
 	x, prev int
 	best    int
