@@ -226,6 +226,9 @@ func (c *Client) reconnect(old *rpc.Client) {
 // request outcome is unknown — safe to resend only idempotent methods), or
 // the server reported ErrBusy/ErrShed (definitely not executed). Deadline
 // errors are NOT transient: the budget that expired covers retries too.
+// net/rpc flattens a reply body cut off mid-read into the plain string
+// "reading body " + the decoder's error, so a truncated body is matched by
+// text; any other body error (a malformed reply) is not transport loss.
 func isTransient(err error) bool {
 	if err == nil {
 		return false
@@ -239,6 +242,10 @@ func isTransient(err error) bool {
 	}
 	if _, ok := err.(rpc.ServerError); ok {
 		return IsBusy(err) || IsShed(err)
+	}
+	switch err.Error() {
+	case "reading body " + io.EOF.Error(), "reading body " + io.ErrUnexpectedEOF.Error():
+		return true
 	}
 	return IsBusy(err) || IsShed(err) || errors.Is(err, net.ErrClosed)
 }

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"net"
+	"net/rpc"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,6 +307,67 @@ func TestMaxClientsBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// replyThenClose serves one raw net/rpc exchange: it reads the request,
+// writes a well-formed gob response header, then whatever body(full)
+// returns for the complete gob-encoded reply body, and closes.
+func replyThenClose(t *testing.T, body func(full []byte) []byte) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := gob.NewDecoder(conn)
+		var req rpc.Request
+		if dec.Decode(&req) != nil || dec.Decode(new(EvaluateArgs)) != nil {
+			return
+		}
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		enc.Encode(rpc.Response{ServiceMethod: req.ServiceMethod, Seq: req.Seq}) //nolint:errcheck // bytes.Buffer
+		head := buf.Len()
+		enc.Encode(EvaluateReply{TraceID: "0123456789abcdef", Seconds: 1})       //nolint:errcheck // bytes.Buffer
+		conn.Write(append(buf.Bytes()[:head:head], body(buf.Bytes()[head:])...)) //nolint:errcheck // the client sees what arrived
+	}()
+	return l.Addr().String()
+}
+
+// TestTruncatedBodyIsTransient: a reply body cut off mid-read is a lost
+// connection (retryable), while a malformed body stays corruption.
+func TestTruncatedBodyIsTransient(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		body      func(full []byte) []byte
+		transient bool
+	}{
+		{"truncated", func(full []byte) []byte { return full[:len(full)/2] }, true},
+		{"empty", func([]byte) []byte { return nil }, true},
+		{"garbage", func([]byte) []byte { return []byte{0x03, 0xff, 0xff, 0xff} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Dial(replyThenClose(t, tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetRetryPolicy(RetryPolicy{Max: -1})
+			_, err = c.Evaluate("x", []int{0})
+			if err == nil || !strings.HasPrefix(err.Error(), "reading body ") {
+				t.Fatalf("err = %v, want a body read error", err)
+			}
+			if got := isTransient(err); got != tc.transient {
+				t.Errorf("isTransient(%q) = %v, want %v", err, got, tc.transient)
+			}
+		})
 	}
 }
 
