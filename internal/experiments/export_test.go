@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,5 +65,33 @@ func TestExportAllCreatesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "headline.csv")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExportIgnoresWallClock: results that differ only in wall-clock
+// scheduler time export byte-identical CSVs.
+func TestExportIgnoresWallClock(t *testing.T) {
+	export := func(secs float64) map[string][]byte {
+		dir := t.TempDir()
+		t1 := &Table1Result{Rows: []Table1Row{{Case: "LU(1)", WorstTime: 220, BestTime: 208, SpeedupPct: 5.4, SchedulerSecs: secs}}}
+		t3 := &Table3Result{Rows: []Table3Row{{Case: "aztec.8", SpeedupPct: 10.1, SchedulerSecs: secs}}}
+		if err := ExportAll(dir, t1, t3); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, name := range []string{"table1.csv", "table3.csv"} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = b
+		}
+		return files
+	}
+	a, b := export(0.25), export(7.5)
+	for name := range a {
+		if !bytes.Equal(a[name], b[name]) {
+			t.Errorf("%s depends on SchedulerSecs:\n%s\nvs\n%s", name, a[name], b[name])
+		}
 	}
 }
