@@ -3,8 +3,8 @@ package accuracy
 import "testing"
 
 // BenchmarkLedgerIngest measures the full Begin→Report cycle — the cost
-// one served prediction plus its outcome add to the hot path. Gated via
-// BENCH_cbes.json / benchjson -diff.
+// one served prediction plus its outcome add to the hot path. The
+// harness under benchmark/ tracks Begin alone as accuracy.begin_ns.
 func BenchmarkLedgerIngest(b *testing.B) {
 	l := New(Config{})
 	p := Prediction{App: "lu.B.8", Scheduler: "cs", AgeBucket: "<1s", Predicted: 120}

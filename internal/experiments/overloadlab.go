@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cbes"
@@ -17,6 +17,7 @@ import (
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/service"
+	"cbes/internal/stats"
 	"cbes/internal/workloads"
 )
 
@@ -115,15 +116,8 @@ func overloadArm(protected bool, phases int, dur time.Duration, cfg Config) ([]O
 	}()
 	addr := l.Addr().String()
 
-	// A mapping pool much larger than the server's prediction cache keeps
-	// the steady state on the real prediction path, not cache hits.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mappings := make([][]int, 1<<15)
-	for i := range mappings {
-		mappings[i] = rng.Perm(8)
-	}
-
-	r0, err := overloadProbe(addr, prog.Name, mappings)
+	mappings := OverloadMappings(prog.Ranks, cfg.Seed)
+	r0, err := OverloadProbe(addr, prog.Name, mappings)
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +135,11 @@ func overloadArm(protected bool, phases int, dur time.Duration, cfg Config) ([]O
 	var rows []OverloadRow
 	off := 0
 	for _, mult := range overloadMults {
-		row, err := overloadPoint(addr, prog.Name, mappings, off, protected, mult, r0*mult, dur)
+		row, err := OverloadPoint(addr, prog.Name, mappings, off, r0*mult, dur)
 		if err != nil {
 			return nil, err
 		}
+		row.Protected, row.Mult = protected, mult
 		off += int(row.Sent)
 		rows = append(rows, *row)
 		// Let the previous point's queue fully drain before the next one.
@@ -157,8 +152,23 @@ func overloadArm(protected bool, phases int, dur time.Duration, cfg Config) ([]O
 	return rows, nil
 }
 
+// OverloadMappings builds the open-loop mapping pool: seeded random
+// placements of ranks on the first ranks nodes, many times more than
+// the server's prediction cache holds, so a run cycling through it
+// keeps the steady state on the real prediction path, not cache hits.
+func OverloadMappings(ranks int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	mappings := make([][]int, 1<<15)
+	for i := range mappings {
+		mappings[i] = rng.Perm(ranks)
+	}
+	return mappings
+}
+
 // overloadOp fires request i of the 80% Evaluate / 20% Compare mix and
-// reports whether the reply was a brownout answer.
+// reports whether the reply was a brownout answer. A Compare batch is
+// two mappings, about two Evaluates of work: a wider batch on the
+// many-phase app would cost more than the deadline at any load.
 func overloadOp(c *service.Client, app string, i int, mappings [][]int) (brownout bool, err error) {
 	if i%5 == 4 {
 		batch := [][]int{mappings[i%len(mappings)], mappings[(i+1)%len(mappings)]}
@@ -175,88 +185,81 @@ func overloadOp(c *service.Client, app string, i int, mappings [][]int) (brownou
 	return brownout, err
 }
 
-// overloadProbe measures closed-loop throughput of the op mix — the 1x
-// reference the multipliers scale from.
-func overloadProbe(addr, app string, mappings [][]int) (float64, error) {
+// OverloadProbe measures the closed-loop throughput of the op mix
+// against the daemon at addr, in requests per second — the 1x reference
+// the offered-load multiples scale from. A client that cannot connect is
+// an error: dropping it would understate capacity.
+func OverloadProbe(addr, app string, mappings [][]int) (float64, error) {
 	const clients = 8
+	conns, err := dialAll(addr, clients)
+	if err != nil {
+		return 0, err
+	}
+	defer closeAll(conns)
 	// One synchronous warmup pays the first-evaluation setup outside the
 	// probe window.
-	if c, err := service.Dial(addr); err == nil {
-		c.Evaluate(app, mappings[len(mappings)-1]) //nolint:errcheck // warmup only
-		c.Close()
-	}
+	conns[0].Evaluate(app, mappings[len(mappings)-1]) //nolint:errcheck // warmup only
 	var (
 		wg  sync.WaitGroup
-		mu  sync.Mutex
-		ops int64
+		ops atomic.Int64
 	)
 	deadl := time.Now().Add(time.Second)
 	start := time.Now()
-	for ci := 0; ci < clients; ci++ {
+	for ci, c := range conns {
 		wg.Add(1)
-		go func(ci int) {
+		go func(ci int, c *service.Client) {
 			defer wg.Done()
-			c, err := service.Dial(addr)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			var my int64
+			// Disjoint per-client slices of the pool keep the probe on the
+			// cache-miss path, like the open-loop points it calibrates.
 			base := ci * (len(mappings) / clients)
 			for i := 0; time.Now().Before(deadl); i++ {
 				if _, err := overloadOp(c, app, base+i, mappings); err == nil {
-					my++
+					ops.Add(1)
 				}
 			}
-			mu.Lock()
-			ops += my
-			mu.Unlock()
-		}(ci)
+		}(ci, c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	if ops == 0 || elapsed <= 0 {
+	if ops.Load() == 0 || elapsed <= 0 {
 		return 0, fmt.Errorf("experiments: overload capacity probe completed no requests")
 	}
-	return float64(ops) / elapsed, nil
+	return float64(ops.Load()) / elapsed, nil
 }
 
-// overloadPoint sustains one offered load on a fixed arrival schedule
-// and aggregates the outcome. A side goroutine advances simulated time
+// OverloadPoint offers rps requests per second for dur on a fixed
+// arrival schedule — arrival i fires at start + i/rps whether or not
+// earlier requests have completed — starting at pool index off, and
+// aggregates the outcome. Every request carries the lab's 250ms
+// deadline and is never retried: the point measures the server's
+// protection against a constant offered load, which client-side
+// retries would confound. A side connection advances simulated time
 // once a second, so the snapshot epoch churns under load like a live
-// deployment's monitor would make it.
-func overloadPoint(addr, app string, mappings [][]int, off int, protected bool, mult, rps float64, dur time.Duration) (*OverloadRow, error) {
+// deployment's monitor would make it. The row's Protected and Mult are
+// the caller's to fill.
+func OverloadPoint(addr, app string, mappings [][]int, off int, rps float64, dur time.Duration) (*OverloadRow, error) {
 	if rps < 1 {
 		rps = 1
 	}
 	const nConns = 16
-	conns := make([]*service.Client, nConns)
-	for i := range conns {
-		c, err := service.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
+	conns, err := dialAll(addr, nConns+1)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll(conns)
+	for _, c := range conns {
 		c.SetCallTimeout(overloadDeadline)
 		c.SetRetryPolicy(service.RetryPolicy{Max: -1})
-		conns[i] = c
 	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	adv := conns[nConns]
+	adv.SetCallTimeout(5 * time.Second)
+	conns = conns[:nConns]
 
 	stop := make(chan struct{})
 	var advWG sync.WaitGroup
 	advWG.Add(1)
 	go func() {
 		defer advWG.Done()
-		c, err := service.Dial(addr)
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		c.SetCallTimeout(5 * time.Second)
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
 		for {
@@ -264,7 +267,7 @@ func overloadPoint(addr, app string, mappings [][]int, off int, protected bool, 
 			case <-stop:
 				return
 			case <-tick.C:
-				c.Advance(0.05) //nolint:errcheck // epoch churn only
+				adv.Advance(0.05) //nolint:errcheck // epoch churn only
 			}
 		}
 	}()
@@ -318,34 +321,42 @@ func overloadPoint(addr, app string, mappings [][]int, off int, protected bool, 
 	close(stop)
 	advWG.Wait()
 
-	sort.Float64s(lat)
 	row := &OverloadRow{
-		Protected: protected,
-		Mult:      mult,
 		Offered:   rps,
 		Sent:      sent,
 		OK:        ok,
 		Goodput:   float64(good) / elapsed.Seconds(),
+		GoodPct:   float64(good) / elapsed.Seconds() / rps * 100,
 		Brownout:  brownouts,
 		Shed:      sheds,
 		DeadlineE: deadlines,
 	}
-	if rps > 0 {
-		row.GoodPct = row.Goodput / rps * 100
-	}
 	if len(lat) > 0 {
-		row.P50ms = quantileSorted(lat, 0.50) * 1e3
-		row.P99ms = quantileSorted(lat, 0.99) * 1e3
+		row.P50ms = stats.Percentile(lat, 50) * 1e3
+		row.P99ms = stats.Percentile(lat, 99) * 1e3
 	}
 	return row, nil
 }
 
-// quantileSorted reads the p-quantile from sorted samples (nearest rank).
-func quantileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// dialAll connects n clients to addr, or none.
+func dialAll(addr string, n int) ([]*service.Client, error) {
+	cs := make([]*service.Client, n)
+	for i := range cs {
+		c, err := service.Dial(addr)
+		if err != nil {
+			closeAll(cs[:i])
+			return nil, fmt.Errorf("experiments: overload driver: %w", err)
+		}
+		cs[i] = c
 	}
-	return sorted[int(p*float64(len(sorted)-1))]
+	return cs, nil
+}
+
+// closeAll closes every client.
+func closeAll(cs []*service.Client) {
+	for _, c := range cs {
+		c.Close()
+	}
 }
 
 // Render formats both arms as a table plus the acceptance summary.

@@ -11,7 +11,8 @@ import (
 // enabled counter increment — and a disabled (nil) one — must cost
 // < 25 ns/op, so per-Apply accounting cannot measurably dent the ~90×
 // evals/s gain of the PR 1 fast path (tracked by
-// BenchmarkSASchedulingFast in the root bench_test.go).
+// BenchmarkSASchedulingFast in the root bench_test.go; the gate is
+// sched_grove's evals_per_s under benchmark/).
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "")

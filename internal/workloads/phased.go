@@ -12,8 +12,8 @@ import (
 // makes this the knob for compute-heavy Evaluate/Compare requests: the
 // stock registry applications record only a handful of segments, so
 // their predictions are transport-dominated sub-millisecond calls, far
-// too cheap to saturate the service's compute path. servicebench, the
-// overload experiment, and the overload smoke all drive phased programs
+// too cheap to saturate the service's compute path. The overload
+// experiment and cbesd's end-to-end daemon test drive phased programs
 // for exactly that reason.
 func Phased(phases, ranks int) Program {
 	if ranks < 2 {
