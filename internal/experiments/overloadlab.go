@@ -207,7 +207,7 @@ func OverloadProbe(addr, app string, mappings [][]int) (float64, error) {
 	start := time.Now()
 	for ci, c := range conns {
 		wg.Add(1)
-		go func(ci int, c *service.Client) {
+		go func() {
 			defer wg.Done()
 			// Disjoint per-client slices of the pool keep the probe on the
 			// cache-miss path, like the open-loop points it calibrates.
@@ -217,7 +217,7 @@ func OverloadProbe(addr, app string, mappings [][]int) (float64, error) {
 					ops.Add(1)
 				}
 			}
-		}(ci, c)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
