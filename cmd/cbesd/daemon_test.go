@@ -26,10 +26,10 @@ import (
 //     recorder; the predicted-vs-actual loop (report → accuracy →
 //     /debug/accuracy JSON and CSV) and a run of biased outcomes that
 //     flips the drift alarm; and the core /metrics series, non-zero.
-//   - overload: the overload lab's open-loop driver offers 8x the probed
-//     capacity of a many-phase app for 3s with 250ms deadlines; goodput
-//     must hold a floor, and /metrics must show the limiter live and
-//     brownout engaged.
+//   - overload: the overload lab's open-loop load generator offers 8x
+//     the probed capacity of a many-phase app for 3s with 250ms
+//     deadlines; goodput must hold a floor, and /metrics must show the
+//     limiter live and brownout engaged.
 //
 // One daemon serves both: the obs leg's drift alarm only adds a warning
 // line to /readyz, and the overload leg reads counters that the obs leg
@@ -184,7 +184,7 @@ func (d *daemon) overloadLeg(t *testing.T) {
 	t.Logf("1x %.0f rps; offered %.0f rps: sent %d ok %d goodput %.0f rps brownout %d shed %d deadline %d p50 %.1fms p99 %.1fms",
 		r0, row.Offered, row.Sent, row.OK, row.Goodput, row.Brownout, row.Shed, row.DeadlineE, row.P50ms, row.P99ms)
 	if row.Sent == 0 {
-		t.Fatal("the open-loop driver sent no requests")
+		t.Fatal("the open-loop load generator sent no requests")
 	}
 	if row.Goodput < 20 {
 		t.Errorf("goodput %.0f rps at 8x offered load, want >= 20", row.Goodput)

@@ -345,7 +345,7 @@ func dialAll(addr string, n int) ([]*service.Client, error) {
 		c, err := service.Dial(addr)
 		if err != nil {
 			closeAll(cs[:i])
-			return nil, fmt.Errorf("experiments: overload driver: %w", err)
+			return nil, fmt.Errorf("experiments: overload: %w", err)
 		}
 		cs[i] = c
 	}
