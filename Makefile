@@ -32,13 +32,13 @@ ci:
 # Process-lifecycle tests, twenty times each under the race detector: the
 # simulator's start, park, kill, panic and Shutdown paths with the
 # process-wide coroutine list that engines on different goroutines share,
-# mpisim worlds that panic, deadlock, spawn and reuse engines, SA
+# mpisim worlds that panic, deadlock and reuse engines, SA
 # restarts on the worker pool (parallel ≡ serial, a panicking restart,
 # cancellation and deadlines), and the service's drain and shutdown. A
 # race that shows once in several runs shows here.
 stress:
 	$(GO) test -race -count=20 -run 'Proc|Shutdown|Kill|Coroutine|EventOrderGolden|Signal|Spawn|Sleep|Reset' ./internal/des/
-	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|DynamicWorld|AwaitFinished|SpawnedWorld|WorldResultAfterWaitIn' ./internal/mpisim/
+	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|WorldResultAfterWaitIn' ./internal/mpisim/
 	$(GO) test -race -count=20 -run 'Parallelism|Panic|Cancel|Deadline' ./internal/schedule/
 	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart' ./internal/service/
 
@@ -63,10 +63,12 @@ faults-smoke:
 # Short fuzz passes: the delta-evaluation invariants, topology specs as
 # hostile input (an error or a valid topology, never a panic or a multi-MB
 # build), traces as hostile input (an error or a profile whose λs
-# compute), and RPC arguments as hostile input (an error or a well-formed
+# compute), stored profiles as hostile input (an error or a finite
+# estimate), and RPC arguments as hostile input (an error or a well-formed
 # reply, never a recovered panic).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzFromTrace -fuzztime 30s ./internal/profile/
+	$(GO) test -run xxx -fuzz FuzzDecodeProfile -fuzztime 30s ./internal/profile/
 	$(GO) test -run xxx -fuzz FuzzHandlers -fuzztime 30s ./internal/service/

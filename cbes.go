@@ -160,12 +160,6 @@ func (s *System) RegisterProfile(p *profile.Profile) {
 	delete(s.evals, p.App)
 }
 
-// ProfileOf returns the registered profile for an application.
-func (s *System) ProfileOf(app string) (*profile.Profile, bool) {
-	p, ok := s.profiles[app]
-	return p, ok
-}
-
 // Apps lists the registered application names.
 func (s *System) Apps() []string {
 	var names []string

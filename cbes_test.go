@@ -35,10 +35,7 @@ func TestSystemLifecycle(t *testing.T) {
 	if _, err := sys.Profile(prog, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sys.ProfileOf(prog.Name); !ok {
-		t.Fatal("profile not registered")
-	}
-	if len(sys.Apps()) != 1 {
+	if apps := sys.Apps(); len(apps) != 1 || apps[0] != prog.Name {
 		t.Fatalf("apps = %v", sys.Apps())
 	}
 
@@ -147,23 +144,18 @@ func TestUseModelRoundTrip(t *testing.T) {
 
 func TestProfileDoesNotLeakGoroutines(t *testing.T) {
 	// Regression: Profile used to spin up a throwaway DES engine and never
-	// shut it down. Any simulated process still alive when the profiling run
-	// completes — here a dynamically spawned child world the parent ranks do
-	// not await — stayed parked forever, leaking its goroutine on every
-	// profiling call.
+	// shut it down, leaking the goroutines of any simulated process still
+	// parked on it on every profiling call. A rank body can no longer start
+	// a process that outlives its world, so this checks the plain case:
+	// repeated profiling runs leave the goroutine count where it was.
 	sys := newSystem(t)
 	defer sys.Close()
 	prog := workloads.Program{
-		Name:  "straggler",
+		Name:  "plain",
 		Ranks: 4,
 		Body: func(r *mpisim.Rank) {
-			if r.ID() == 0 {
-				// Unawaited long-running child: outlives the parent world.
-				r.SpawnWorld([]int{1}, func(c *mpisim.Rank) {
-					c.Compute(1000)
-				}, mpisim.Options{AppName: "straggler.child"})
-			}
 			r.Compute(0.05)
+			r.Allreduce(1024, 0.001)
 		},
 	}
 	settled := func() int {
@@ -184,7 +176,7 @@ func TestProfileDoesNotLeakGoroutines(t *testing.T) {
 		sys.MustProfile(prog, []int{0, 1, 2, 3})
 	}
 	after := settled()
-	// Each leaked profiling engine pins at least the child-world goroutine;
+	// A leaking profiling engine pins at least one goroutine per run;
 	// allow a little scheduler noise below that.
 	if after >= before+rounds {
 		t.Fatalf("goroutines grew %d -> %d across %d profiling runs", before, after, rounds)

@@ -10,7 +10,7 @@
 // recent errors against the long-run baseline. Consumers: the Accuracy
 // RPC / `cbesctl accuracy` / `/debug/accuracy`, the cbes_calibration_ok
 // gauge and /readyz warning, and the empirical error band annotated onto
-// Prediction replies. ROADMAP item 2 (ENB / loss probability) reads its
+// Prediction replies. ROADMAP item 12 (ENB / loss probability) reads its
 // measured error distribution from here instead of assuming one.
 //
 // The paper's premise is that the service's estimates are trustworthy;

@@ -1,8 +1,8 @@
 // Package admission implements adaptive overload protection for the
 // service tier (DESIGN.md §15): a gradient/AIMD concurrency limiter fed
 // by observed request latency, with two cost classes and priority
-// shedding, plus the client-side counterparts (retry budget, circuit
-// breaker) that keep retrying callers from amplifying an overload.
+// shedding, plus the client-side retry budget that keeps retrying
+// callers from amplifying an overload.
 //
 // The limiter's contract is deliberately small: Acquire reserves one
 // concurrency slot for a request (or refuses it), Release returns the

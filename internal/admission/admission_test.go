@@ -275,50 +275,3 @@ func TestRetryBudgetDrainsAndRefills(t *testing.T) {
 	}
 	nilB.Earn() // must not panic
 }
-
-func TestBreakerTripsAndHalfOpens(t *testing.T) {
-	b := NewBreaker(3, 30*time.Millisecond)
-	for i := 0; i < 3; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("closed breaker refused call %d: %v", i, err)
-		}
-		b.Report(true)
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("after %d failures: err = %v, want ErrCircuitOpen", 3, err)
-	}
-	time.Sleep(40 * time.Millisecond)
-	// Half-open: exactly one probe passes, concurrent calls still refused.
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("second call during probe: err = %v, want ErrCircuitOpen", err)
-	}
-	b.Report(false) // probe succeeded -> closed
-	if err := b.Allow(); err != nil {
-		t.Fatalf("breaker should be closed after successful probe: %v", err)
-	}
-	b.Report(false)
-}
-
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreaker(1, 30*time.Millisecond)
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
-	b.Report(true) // trips immediately (threshold 1)
-	time.Sleep(40 * time.Millisecond)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	b.Report(true) // probe failed -> re-open
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("after failed probe: err = %v, want ErrCircuitOpen", err)
-	}
-	var nilBr *Breaker
-	if err := nilBr.Allow(); err != nil {
-		t.Fatal("nil breaker must always allow")
-	}
-	nilBr.Report(true) // must not panic
-}

@@ -1,16 +1,6 @@
 package admission
 
-import (
-	"errors"
-	"sync"
-	"time"
-)
-
-// ErrCircuitOpen is returned by Breaker.Allow while the breaker is open:
-// recent calls failed consistently and the client fails fast instead of
-// feeding an overloaded or dead server. The "cbes:" code prefix keeps it
-// machine-matchable if it ever crosses a wire.
-var ErrCircuitOpen = errors.New("cbes:circuit-open: client circuit breaker is open (recent calls failed)")
+import "sync"
 
 // RetryBudget is a token bucket bounding the *extra* load retries add:
 // each retry spends one token, each success earns Ratio tokens. During
@@ -62,86 +52,4 @@ func (b *RetryBudget) Earn() {
 		b.tokens = b.max
 	}
 	b.mu.Unlock()
-}
-
-// Breaker is a circuit breaker with half-open probing. Closed it passes
-// everything; after Threshold consecutive failures it opens and fails
-// fast for Cooldown; then it goes half-open and lets exactly one probe
-// through — the probe's outcome closes the breaker or re-opens it for
-// another cooldown. A nil *Breaker always allows.
-type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	failures  int       // consecutive failures while closed
-	openUntil time.Time // zero = closed
-	probing   bool      // half-open probe in flight
-}
-
-// NewBreaker builds a breaker opening after threshold consecutive
-// failures (default 8) for cooldown per trip (default 500ms).
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 8
-	}
-	if cooldown <= 0 {
-		cooldown = 500 * time.Millisecond
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// Allow reports whether a call may proceed: nil when allowed,
-// ErrCircuitOpen when the breaker is open (or a half-open probe is
-// already in flight). Every allowed call must be answered by exactly
-// one Report.
-func (b *Breaker) Allow() error {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.openUntil.IsZero() {
-		return nil
-	}
-	if b.probing || time.Now().Before(b.openUntil) {
-		return ErrCircuitOpen
-	}
-	b.probing = true // half-open: this caller is the single probe
-	return nil
-}
-
-// Report records an allowed call's outcome and drives the state
-// machine: a half-open probe success closes the breaker, a probe
-// failure re-opens it for another cooldown; while closed, Threshold
-// consecutive failures trip it open.
-func (b *Breaker) Report(failure bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.probing {
-		b.probing = false
-		if failure {
-			b.openUntil = time.Now().Add(b.cooldown)
-		} else {
-			b.openUntil = time.Time{}
-			b.failures = 0
-		}
-		return
-	}
-	if !b.openUntil.IsZero() {
-		// Late report from a call admitted before the trip; the open
-		// timer already governs recovery.
-		return
-	}
-	if !failure {
-		b.failures = 0
-		return
-	}
-	b.failures++
-	if b.failures >= b.threshold {
-		b.openUntil = time.Now().Add(b.cooldown)
-		b.failures = 0
-	}
 }

@@ -6,14 +6,10 @@
 //
 // Calibration "must take place on a computation- and communication-free
 // system"; serial calibration therefore uses a fresh idle virtual cluster
-// per measurement. The clique-parallel mode reproduces the paper's trick
-// for cutting the O(N²) initialization time: benchmarks whose routes share
-// no link (and no node) run concurrently without invalidating each other.
+// per measurement.
 package bench
 
 import (
-	"fmt"
-
 	"cbes/internal/cluster"
 	"cbes/internal/des"
 	"cbes/internal/mpisim"
@@ -266,95 +262,4 @@ func MeasureArchSpeeds(topo *cluster.Topology, archEff map[cluster.Arch]float64,
 		out[a] = probeRef / res.Elapsed.Seconds()
 	}
 	return out
-}
-
-// PlanRounds greedily packs ordered pairs into rounds whose benchmarks are
-// mutually non-interfering at measurement accuracy: within a round no two
-// pairs share a node (which also keeps edge links exclusive). Shared trunk
-// links may carry several concurrent small-message benchmarks — the same
-// compromise real clique-controlled calibrations make, since every
-// cross-switch path crosses the core. This is the clique control that cuts
-// the O(N²) serial calibration time to O(N)-ish wall-clock.
-func PlanRounds(topo *cluster.Topology, pairs []Pair) [][]Pair {
-	return planRounds(topo, pairs, false)
-}
-
-// PlanRoundsStrict packs pairs into rounds with fully link-disjoint routes:
-// zero interference even for bandwidth-saturating sizes, at the cost of
-// more rounds (paths through a shared trunk serialize).
-func PlanRoundsStrict(topo *cluster.Topology, pairs []Pair) [][]Pair {
-	return planRounds(topo, pairs, true)
-}
-
-func planRounds(topo *cluster.Topology, pairs []Pair, strict bool) [][]Pair {
-	remaining := append([]Pair(nil), pairs...)
-	var rounds [][]Pair
-	for len(remaining) > 0 {
-		usedLink := map[int]bool{}
-		usedNode := map[int]bool{}
-		var round, next []Pair
-		for _, p := range remaining {
-			ok := !usedNode[p.Src] && !usedNode[p.Dst]
-			if ok && strict {
-				for _, l := range topo.Path(p.Src, p.Dst) {
-					if usedLink[l] {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				next = append(next, p)
-				continue
-			}
-			usedNode[p.Src] = true
-			usedNode[p.Dst] = true
-			if strict {
-				for _, l := range topo.Path(p.Src, p.Dst) {
-					usedLink[l] = true
-				}
-			}
-			round = append(round, p)
-		}
-		rounds = append(rounds, round)
-		remaining = next
-	}
-	return rounds
-}
-
-// ParallelMeasurement is one pair's measured latency from a clique round.
-type ParallelMeasurement struct {
-	Pair    Pair
-	Size    int64
-	Latency float64 // one-way seconds
-}
-
-// MeasureRoundsParallel executes the planned rounds on a single engine,
-// running all benchmarks of a round concurrently, and returns every
-// measurement plus the total simulated wall-clock the calibration took.
-func MeasureRoundsParallel(topo *cluster.Topology, rounds [][]Pair, size int64, reps int) ([]ParallelMeasurement, des.Time) {
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
-	var out []ParallelMeasurement
-	start := eng.Now()
-	for _, round := range rounds {
-		worlds := make([]*mpisim.World, len(round))
-		for i, p := range round {
-			mapping := []int{p.Src, p.Dst}
-			if p.Src == p.Dst {
-				mapping = []int{p.Src, p.Src}
-			}
-			worlds[i] = mpisim.Launch(vc, net, mapping, pingPongBody(size, reps), mpisim.Options{AppName: fmt.Sprintf("pp-%d-%d", p.Src, p.Dst)})
-		}
-		for i, w := range worlds {
-			res := w.Wait()
-			out = append(out, ParallelMeasurement{
-				Pair:    round[i],
-				Size:    size,
-				Latency: res.Elapsed.Seconds() / float64(2*reps),
-			})
-		}
-	}
-	return out, eng.Now() - start
 }

@@ -102,75 +102,6 @@ func TestMeasureArchSpeeds(t *testing.T) {
 	}
 }
 
-func TestPlanRoundsDisjointAndComplete(t *testing.T) {
-	topo := cluster.NewOrangeGrove()
-	var pairs []Pair
-	n := topo.NumNodes()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				pairs = append(pairs, Pair{i, j})
-			}
-		}
-	}
-	rounds := PlanRounds(topo, pairs)
-	scheduled := 0
-	for _, round := range rounds {
-		usedNode := map[int]bool{}
-		for _, p := range round {
-			if usedNode[p.Src] || usedNode[p.Dst] {
-				t.Fatal("round shares a node")
-			}
-			usedNode[p.Src], usedNode[p.Dst] = true, true
-			scheduled++
-		}
-	}
-	if scheduled != len(pairs) {
-		t.Fatalf("scheduled %d of %d pairs", scheduled, len(pairs))
-	}
-	// The whole point: far fewer rounds than pairs.
-	if len(rounds) >= len(pairs)/4 {
-		t.Fatalf("%d rounds for %d pairs — no parallelism gained", len(rounds), len(pairs))
-	}
-	t.Logf("orange grove: %d ordered pairs in %d clique rounds", len(pairs), len(rounds))
-
-	// Strict planning keeps rounds link-disjoint.
-	strict := PlanRoundsStrict(topo, pairs[:60])
-	for _, round := range strict {
-		usedLink := map[int]bool{}
-		for _, p := range round {
-			for _, l := range topo.Path(p.Src, p.Dst) {
-				if usedLink[l] {
-					t.Fatal("strict round shares a link")
-				}
-				usedLink[l] = true
-			}
-		}
-	}
-}
-
-func TestParallelMeasurementMatchesSerial(t *testing.T) {
-	// Clique-parallel measurements must agree with serial (isolated)
-	// measurements: that is the non-interference guarantee.
-	topo := cluster.NewTestTopology()
-	pairs := []Pair{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-	rounds := PlanRounds(topo, pairs)
-	if len(rounds) != 1 {
-		t.Fatalf("disjoint same-switch pairs should fit one round, got %d", len(rounds))
-	}
-	ms, elapsed := MeasureRoundsParallel(topo, rounds, 1024, 5)
-	if elapsed <= 0 {
-		t.Fatal("no simulated time elapsed")
-	}
-	for _, meas := range ms {
-		serial := MeasurePairLatency(topo, meas.Pair.Src, meas.Pair.Dst, 1024, 5, 1.0)
-		if rel := math.Abs(meas.Latency-serial) / serial; rel > 0.02 {
-			t.Fatalf("pair %v: parallel %v vs serial %v (%.1f%% off)",
-				meas.Pair, meas.Latency, serial, rel*100)
-		}
-	}
-}
-
 func BenchmarkCalibrateTestTopo(b *testing.B) {
 	topo := cluster.NewTestTopology()
 	for i := 0; i < b.N; i++ {

@@ -38,7 +38,6 @@ type algRouter interface {
 	sw(id int) Switch
 	link(id int) Link
 	nodeName(id int) string
-	switchName(id int) string
 	linkName(id int) string
 }
 

@@ -14,21 +14,10 @@ type Builder struct {
 	switches                          []Switch
 	links                             []Link
 	nodeNames, switchNames, linkNames []string
-	archs                             map[Arch]ArchInfo
 }
 
-// NewBuilder starts an empty topology with the default architecture table.
-func NewBuilder(name string) *Builder {
-	b := &Builder{name: name, archs: map[Arch]ArchInfo{}}
-	for _, a := range []Arch{ArchAlpha, ArchIntel, ArchSPARC, ArchRef} {
-		b.archs[a] = DefaultArchInfo(a)
-	}
-	return b
-}
-
-// SetArchInfo overrides the characteristics table entry for an architecture.
-// It must be called before adding nodes of that architecture.
-func (b *Builder) SetArchInfo(ai ArchInfo) { b.archs[ai.Arch] = ai }
+// NewBuilder starts an empty topology.
+func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
 // Switch adds a switch and returns its ID.
 func (b *Builder) Switch(name, class string, ports int) int {
@@ -41,10 +30,7 @@ func (b *Builder) Switch(name, class string, ports int) int {
 // Node adds a node of architecture a attached to switch sw via a link with
 // the given bandwidth and per-hop latency, and returns the node's ID.
 func (b *Builder) Node(name string, a Arch, sw int, bw float64, lat des.Time) int {
-	ai, ok := b.archs[a]
-	if !ok {
-		ai = DefaultArchInfo(a)
-	}
+	ai := DefaultArchInfo(a)
 	id := len(b.nodes)
 	b.nodes = append(b.nodes, Node{ID: id, Arch: a, Switch: sw, Speed: ai.Speed, CPUs: ai.CPUs})
 	b.nodeNames = append(b.nodeNames, name)
@@ -80,14 +66,12 @@ func (b *Builder) addLink(name string, a, z Device, bw float64, lat des.Time) {
 // deterministically by link insertion order.
 func (b *Builder) Build() *Topology {
 	t := &Topology{
-		Name:        b.name,
-		archs:       b.archs,
-		nodes:       append([]Node(nil), b.nodes...),
-		switches:    append([]Switch(nil), b.switches...),
-		links:       append([]Link(nil), b.links...),
-		nodeNames:   append([]string(nil), b.nodeNames...),
-		switchNames: append([]string(nil), b.switchNames...),
-		linkNames:   append([]string(nil), b.linkNames...),
+		Name:      b.name,
+		nodes:     append([]Node(nil), b.nodes...),
+		switches:  append([]Switch(nil), b.switches...),
+		links:     append([]Link(nil), b.links...),
+		nodeNames: append([]string(nil), b.nodeNames...),
+		linkNames: append([]string(nil), b.linkNames...),
 	}
 	t.routes = computeRoutes(t)
 	t.internTable()

@@ -67,12 +67,11 @@ type Node struct {
 	ID     int     // dense index, 0..N-1
 	Arch   Arch    // hardware architecture
 	Switch int     // edge switch the node's NIC connects to
-	Speed  float64 // relative compute speed (copied from ArchInfo, overridable)
+	Speed  float64 // relative compute speed (copied from ArchInfo)
 	CPUs   int     // processors
 }
 
-// Switch is a network switch (or a stack functioning as one); its name is
-// Topology.SwitchName.
+// Switch is a network switch (or a stack functioning as one).
 type Switch struct {
 	ID    int
 	Ports int
@@ -141,11 +140,10 @@ type Topology struct {
 	// flavours.
 	classSigs []string
 
-	archs                             map[Arch]ArchInfo // nil: the defaults
-	nodes                             []Node
-	switches                          []Switch
-	links                             []Link
-	nodeNames, switchNames, linkNames []string
+	nodes                []Node
+	switches             []Switch
+	links                []Link
+	nodeNames, linkNames []string
 	// routes[src][dst] is the ordered list of link IDs a message traverses.
 	routes [][][]int
 	// classIDs maps src*N+dst to a path-class ID (int32: 4 bytes/pair
@@ -178,15 +176,6 @@ func (t *Topology) NumLinks() int {
 		return t.alg.numLinks()
 	}
 	return len(t.links)
-}
-
-// ArchInfo returns the architecture characteristics table entry for a.
-func (t *Topology) ArchInfo(a Arch) ArchInfo {
-	ai, ok := t.archs[a]
-	if !ok {
-		return DefaultArchInfo(a)
-	}
-	return ai
 }
 
 // Node returns the node with the given ID.
@@ -222,17 +211,6 @@ func (t *Topology) NodeName(id int) string {
 		return t.alg.nodeName(id)
 	}
 	return t.nodeNames[id]
-}
-
-// SwitchName returns the switch's name, or "switch<id>" out of range.
-func (t *Topology) SwitchName(id int) string {
-	switch {
-	case id < 0 || id >= t.NumSwitches():
-		return fmt.Sprintf("switch%d", id)
-	case t.alg != nil:
-		return t.alg.switchName(id)
-	}
-	return t.switchNames[id]
 }
 
 // LinkName returns the link's name, or "link<id>" out of range.

@@ -205,10 +205,6 @@ func (r *dragonflyRouter) sw(id int) Switch {
 	return Switch{ID: id, Ports: r.p + r.a - 1 + r.h, Class: "dfly"}
 }
 
-func (r *dragonflyRouter) switchName(id int) string {
-	return fmt.Sprintf("df-g%d-r%d", id/r.a, id%r.a)
-}
-
 func (r *dragonflyRouter) link(id int) Link {
 	if id < r.n {
 		return r.nicLink(id)

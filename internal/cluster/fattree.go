@@ -139,19 +139,6 @@ func (r *fatTreeRouter) sw(id int) Switch {
 	return Switch{ID: id, Ports: 2 * r.h, Class: class}
 }
 
-func (r *fatTreeRouter) switchName(id int) string {
-	h := r.h
-	switch {
-	case id < r.edges():
-		return fmt.Sprintf("ft-edge-p%d-e%d", id/h, id%h)
-	case id < 2*r.edges():
-		id -= r.edges()
-		return fmt.Sprintf("ft-agg-p%d-a%d", id/h, id%h)
-	}
-	id -= 2 * r.edges()
-	return fmt.Sprintf("ft-core-a%d-j%d", id/h, id%h)
-}
-
 func (r *fatTreeRouter) link(id int) Link {
 	h, kh := r.h, r.edges()
 	var a, b int

@@ -24,32 +24,19 @@ func checkNames(t *testing.T, kind string, got func(i int) string, want []string
 	}
 }
 
-func checkTopologyNames(t *testing.T, topo *Topology, switches, nodes, links []string) {
+func checkTopologyNames(t *testing.T, topo *Topology, nodes, links []string) {
 	t.Helper()
-	if len(switches) != topo.NumSwitches() || len(nodes) != topo.NumNodes() || len(links) != topo.NumLinks() {
-		t.Fatalf("%s: expected %d/%d/%d switch/node/link names, topology has %d/%d/%d", topo.Name,
-			len(switches), len(nodes), len(links), topo.NumSwitches(), topo.NumNodes(), topo.NumLinks())
+	if len(nodes) != topo.NumNodes() || len(links) != topo.NumLinks() {
+		t.Fatalf("%s: expected %d/%d node/link names, topology has %d/%d", topo.Name,
+			len(nodes), len(links), topo.NumNodes(), topo.NumLinks())
 	}
-	checkNames(t, topo.Name+" switch", topo.SwitchName, switches)
 	checkNames(t, topo.Name+" node", topo.NodeName, nodes)
 	checkNames(t, topo.Name+" link", topo.LinkName, links)
 }
 
 func TestFatTreeNamesKeepFmtSpelling(t *testing.T) {
 	const k, h = 4, 2
-	var switches, nodes, links []string
-	for _, tier := range []string{"ft-edge-p%d-e%d", "ft-agg-p%d-a%d"} {
-		for p := 0; p < k; p++ {
-			for i := 0; i < h; i++ {
-				switches = append(switches, fmt.Sprintf(tier, p, i))
-			}
-		}
-	}
-	for a := 0; a < h; a++ {
-		for j := 0; j < h; j++ {
-			switches = append(switches, fmt.Sprintf("ft-core-a%d-j%d", a, j))
-		}
-	}
+	var nodes, links []string
 	for id := 0; id < k*h*h; id++ {
 		nodes = append(nodes, fmt.Sprintf("ft-n%04d", id))
 		links = append(links, fmt.Sprintf("ft-n%04d<->edge%d", id, id/h))
@@ -67,17 +54,16 @@ func TestFatTreeNamesKeepFmtSpelling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTopologyNames(t, topo, switches, nodes, links)
+	checkTopologyNames(t, topo, nodes, links)
 }
 
 func TestTorusNamesKeepFmtSpelling(t *testing.T) {
 	const X, Y, Z = 3, 2, 4 // a 2-ring has one link, a 3- or 4-ring one per position
-	var switches, nodes, links []string
+	var nodes, links []string
 	for x := 0; x < X; x++ {
 		for y := 0; y < Y; y++ {
 			for z := 0; z < Z; z++ {
 				id := (x*Y+y)*Z + z
-				switches = append(switches, fmt.Sprintf("tor-sw-%d-%d-%d", x, y, z))
 				nodes = append(nodes, fmt.Sprintf("tor-n%04d", id))
 				links = append(links, fmt.Sprintf("tor-n%04d<->sw", id))
 			}
@@ -95,17 +81,12 @@ func TestTorusNamesKeepFmtSpelling(t *testing.T) {
 	ring("tor-x%d-y%d-z%d", ringLinks(X), Y, Z)
 	ring("tor-y%d-x%d-z%d", ringLinks(Y), X, Z)
 	ring("tor-z%d-x%d-y%d", ringLinks(Z), X, Y)
-	checkTopologyNames(t, NewTorus(TorusSpec{X: X, Y: Y, Z: Z}), switches, nodes, links)
+	checkTopologyNames(t, NewTorus(TorusSpec{X: X, Y: Y, Z: Z}), nodes, links)
 }
 
 func TestDragonflyNamesKeepFmtSpelling(t *testing.T) {
 	const p, a, h, g = 2, 3, 1, 4
-	var switches, nodes, links []string
-	for gi := 0; gi < g; gi++ {
-		for ri := 0; ri < a; ri++ {
-			switches = append(switches, fmt.Sprintf("df-g%d-r%d", gi, ri))
-		}
-	}
+	var nodes, links []string
 	for id := 0; id < g*a*p; id++ {
 		nodes = append(nodes, fmt.Sprintf("df-n%04d", id))
 		links = append(links, fmt.Sprintf("df-n%04d<->r%d", id, id/p))
@@ -122,7 +103,7 @@ func TestDragonflyNamesKeepFmtSpelling(t *testing.T) {
 			links = append(links, fmt.Sprintf("df-global-g%d-g%d", gi, gj))
 		}
 	}
-	checkTopologyNames(t, NewDragonfly(DragonflySpec{P: p, A: a, H: h, Groups: g}), switches, nodes, links)
+	checkTopologyNames(t, NewDragonfly(DragonflySpec{P: p, A: a, H: h, Groups: g}), nodes, links)
 }
 
 // TestNameDigits covers the zero-padding widths no small topology reaches,
@@ -190,17 +171,16 @@ func TestBuildBudget(t *testing.T) {
 }
 
 // tables is a structured topology laid out the way the builders once
-// stored it: every record and name in ID order.
+// stored it: every record, and every node and link name, in ID order.
 type tables struct {
-	nodes                             []Node
-	switches                          []Switch
-	links                             []Link
-	nodeNames, switchNames, linkNames []string
+	nodes                []Node
+	switches             []Switch
+	links                []Link
+	nodeNames, linkNames []string
 }
 
-func (tb *tables) sw(name string, ports int, class string) {
+func (tb *tables) sw(ports int, class string) {
 	tb.switches = append(tb.switches, Switch{ID: len(tb.switches), Ports: ports, Class: class})
-	tb.switchNames = append(tb.switchNames, name)
 }
 
 func (tb *tables) node(name string, info ArchInfo, sw int) {
@@ -223,17 +203,17 @@ func oracleFatTree(spec FatTreeSpec) *tables {
 	tb := &tables{}
 	for p := 0; p < k; p++ {
 		for e := 0; e < h; e++ {
-			tb.sw(fmt.Sprintf("ft-edge-p%d-e%d", p, e), k, "ftree-edge")
+			tb.sw(k, "ftree-edge")
 		}
 	}
 	for p := 0; p < k; p++ {
 		for a := 0; a < h; a++ {
-			tb.sw(fmt.Sprintf("ft-agg-p%d-a%d", p, a), k, "ftree-agg")
+			tb.sw(k, "ftree-agg")
 		}
 	}
 	for a := 0; a < h; a++ {
 		for j := 0; j < h; j++ {
-			tb.sw(fmt.Sprintf("ft-core-a%d-j%d", a, j), k, "ftree-core")
+			tb.sw(k, "ftree-core")
 		}
 	}
 	for id := 0; id < n; id++ {
@@ -271,8 +251,7 @@ func oracleTorus(spec TorusSpec) *tables {
 	tb := &tables{}
 	sw := func(x, y, z int) int { return (x*Y+y)*Z + z }
 	for id := 0; id < X*Y*Z; id++ {
-		x, y, z := id/(Y*Z), (id/Z)%Y, id%Z
-		tb.sw(fmt.Sprintf("tor-sw-%d-%d-%d", x, y, z), 7, "torus")
+		tb.sw(7, "torus")
 		tb.node(fmt.Sprintf("tor-n%04d", id), DefaultArchInfo(ai.arch(id)), id)
 		tb.link(fmt.Sprintf("tor-n%04d<->sw", id), Device{DevNode, id}, Device{DevSwitch, id},
 			spec.NodeBandwidth, spec.NodeLatency)
@@ -314,7 +293,7 @@ func oracleDragonfly(spec DragonflySpec) *tables {
 	tb := &tables{}
 	for gi := 0; gi < g; gi++ {
 		for ri := 0; ri < a; ri++ {
-			tb.sw(fmt.Sprintf("df-g%d-r%d", gi, ri), p+a-1+h, "dfly")
+			tb.sw(p+a-1+h, "dfly")
 		}
 	}
 	for id := 0; id < g*a*p; id++ {
@@ -354,8 +333,8 @@ func sameTables(topo *Topology, want *tables) string {
 		}
 	}
 	for id, w := range want.switches {
-		if got := topo.Switch(id); got != w || topo.SwitchName(id) != want.switchNames[id] {
-			return fmt.Sprintf("%s switch %d: %+v %q, oracle %+v %q", topo.Name, id, got, topo.SwitchName(id), w, want.switchNames[id])
+		if got := topo.Switch(id); got != w {
+			return fmt.Sprintf("%s switch %d: %+v, oracle %+v", topo.Name, id, got, w)
 		}
 	}
 	for id, w := range want.links {

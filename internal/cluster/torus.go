@@ -192,11 +192,6 @@ func (r *torusRouter) numLinks() int { return r.zBase + r.ringZ*r.x*r.y }
 
 func (r *torusRouter) sw(id int) Switch { return Switch{ID: id, Ports: 7, Class: "torus"} }
 
-func (r *torusRouter) switchName(id int) string {
-	x, y, z := r.coords(id)
-	return fmt.Sprintf("tor-sw-%d-%d-%d", x, y, z)
-}
-
 // ring decodes a ring link ID into its dimension ('x', 'y' or 'z'), the
 // lower coordinate c along it and the two cross coordinates in layout
 // order.

@@ -524,9 +524,6 @@ func (s *Scorer) Commit() {
 	s.depth--
 }
 
-// Depth reports how many applied moves are undoable.
-func (s *Scorer) Depth() int { return s.depth }
-
 func (s *Scorer) pushFrame(mv Move) *frame {
 	if s.depth == len(s.frames) {
 		s.frames = append(s.frames, frame{})

@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"cbes/internal/netmodel"
@@ -85,24 +84,6 @@ func (s *Store) LoadProfile(app string) (*profile.Profile, error) {
 	}
 	defer f.Close()
 	return profile.Decode(f)
-}
-
-// ListProfiles returns the names of all stored application profiles,
-// sorted.
-func (s *Store) ListProfiles() ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "apps"))
-	if err != nil {
-		return nil, fmt.Errorf("db: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".profile.json") {
-			names = append(names, strings.TrimSuffix(name, ".profile.json"))
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // writeAtomic writes via a temp file + rename so readers never observe a

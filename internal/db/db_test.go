@@ -71,7 +71,8 @@ func TestProfileRoundTripAndList(t *testing.T) {
 			t.Fatalf("round trip: %+v", got)
 		}
 	}
-	names, err := s.ListProfiles()
+	// One file per application in the store's apps directory.
+	names, err := filepath.Glob(filepath.Join(s.Dir(), "apps", "*.profile.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a simulated timestamp in nanoseconds since the start of the run.
@@ -33,9 +32,6 @@ const MaxTime Time = math.MaxInt64
 
 // Seconds converts a simulated timestamp to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Duration converts a simulated timestamp to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // FromSeconds converts floating-point seconds to a simulated duration,
 // saturating at MaxTime. Negative inputs are clamped to zero.

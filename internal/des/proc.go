@@ -121,12 +121,6 @@ func (c *coro) run() (returned bool) {
 	return true
 }
 
-// Name reports the diagnostic name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Done reports whether the process body has returned or been killed.
 func (p *Proc) Done() bool { return p.done }
 

@@ -178,9 +178,9 @@ func TestFig5PredictionErrors(t *testing.T) {
 func TestPhase3ErrorGrowsWithLoad(t *testing.T) {
 	l := lab(t)
 	res := Phase3LoadSensitivity(l, tinyCfg())
-	e0 := res.MeanErrAtLoad(0)
-	e10 := res.MeanErrAtLoad(10)
-	e30 := res.MeanErrAtLoad(30)
+	e0 := res.meanErrAtLoad(0)
+	e10 := res.meanErrAtLoad(10)
+	e30 := res.meanErrAtLoad(30)
 	if e0 > 5 {
 		t.Fatalf("no-load error %.2f%% too high", e0)
 	}
@@ -199,7 +199,7 @@ func TestPhase3ErrorGrowsWithLoad(t *testing.T) {
 	// invalidate predictions). Per-program exceptions exist: LU in its
 	// latency-bound regime absorbs single-node CPU load in the wavefront
 	// pipeline, which the R-term correction cannot know.
-	staleAt30 := res.MeanErrAtLoad(30)
+	staleAt30 := res.meanErrAtLoad(30)
 	var knownSum float64
 	var knownN int
 	for _, row := range res.Rows {
@@ -325,4 +325,16 @@ func TestFaultToleranceShapes(t *testing.T) {
 	if !strings.Contains(out, "evacuate") || !strings.Contains(out, "faults injected") {
 		t.Fatalf("render broken:\n%s", out)
 	}
+}
+
+// meanErrAtLoad returns the mean stale-snapshot error over programs at the
+// given load level.
+func (r *Phase3Result) meanErrAtLoad(loadPct int) float64 {
+	var errs []float64
+	for _, row := range r.Rows {
+		if row.Stale && row.LoadPct == loadPct {
+			errs = append(errs, row.MeanErr)
+		}
+	}
+	return stats.Mean(errs)
 }

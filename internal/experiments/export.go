@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -176,13 +175,4 @@ func ExportAll(dir string, results ...CSVWriter) error {
 		}
 	}
 	return nil
-}
-
-// countCSVRows is a test helper: rows excluding the header.
-func countCSVRows(rd io.Reader) (int, error) {
-	recs, err := csv.NewReader(rd).ReadAll()
-	if err != nil {
-		return 0, err
-	}
-	return len(recs) - 1, nil
 }

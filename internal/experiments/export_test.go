@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,4 +96,13 @@ func TestExportIgnoresWallClock(t *testing.T) {
 			t.Errorf("%s depends on SchedulerSecs:\n%s\nvs\n%s", name, a[name], b[name])
 		}
 	}
+}
+
+// countCSVRows counts a CSV's rows, excluding the header.
+func countCSVRows(rd io.Reader) (int, error) {
+	recs, err := csv.NewReader(rd).ReadAll()
+	if err != nil {
+		return 0, err
+	}
+	return len(recs) - 1, nil
 }

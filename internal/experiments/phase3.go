@@ -118,15 +118,3 @@ func (r *Phase3Result) Render() string {
 	sb.WriteString("  (paper: stale-snapshot error exceeds ≈4% once a mapped node loses ≥10% CPU)\n")
 	return sb.String()
 }
-
-// MeanErrAtLoad returns the mean stale-snapshot error over programs at the
-// given load level (test hook).
-func (r *Phase3Result) MeanErrAtLoad(loadPct int) float64 {
-	var errs []float64
-	for _, row := range r.Rows {
-		if row.Stale && row.LoadPct == loadPct {
-			errs = append(errs, row.MeanErr)
-		}
-	}
-	return stats.Mean(errs)
-}

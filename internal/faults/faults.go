@@ -89,14 +89,12 @@ type Injector struct {
 	mon *monitor.SystemMonitor
 
 	injected int
-	counts   map[Kind]int
-	events   []*des.Event
 }
 
 // NewInjector wires an injector to the simulation layers it mutates. mon
 // may be nil if the schedule contains no sensor or stall faults.
 func NewInjector(vc *vcluster.Cluster, net *simnet.Network, mon *monitor.SystemMonitor) *Injector {
-	return &Injector{vc: vc, net: net, mon: mon, counts: map[Kind]int{}}
+	return &Injector{vc: vc, net: net, mon: mon}
 }
 
 // validate rejects faults that reference nonexistent targets, so a bad
@@ -145,18 +143,9 @@ func (in *Injector) Install(sched Schedule) error {
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 	for _, f := range ordered {
 		f := f
-		ev := in.vc.Eng.ScheduleAt(f.At, func() { in.apply(f) })
-		in.events = append(in.events, ev)
+		in.vc.Eng.ScheduleAt(f.At, func() { in.apply(f) })
 	}
 	return nil
-}
-
-// Cancel removes all not-yet-fired faults from the engine queue.
-func (in *Injector) Cancel() {
-	for _, ev := range in.events {
-		in.vc.Eng.Cancel(ev)
-	}
-	in.events = in.events[:0]
 }
 
 // apply performs one fault mutation. Runs in engine context. Kinds that
@@ -186,7 +175,6 @@ func (in *Injector) apply(f Fault) {
 		in.mon.StallFor(f.Duration)
 	}
 	in.injected++
-	in.counts[f.Kind]++
 	metricInjected.With(f.Kind.String()).Inc()
 }
 
@@ -199,15 +187,6 @@ func (in *Injector) bumpMonitor() {
 
 // Injected reports how many faults have fired so far.
 func (in *Injector) Injected() int { return in.injected }
-
-// Counts returns a copy of the per-kind fired-fault counts.
-func (in *Injector) Counts() map[Kind]int {
-	out := make(map[Kind]int, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
 
 // RandomConfig tunes RandomSchedule.
 type RandomConfig struct {

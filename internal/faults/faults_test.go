@@ -45,12 +45,22 @@ func TestInjectorAppliesEveryKind(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// probe times one 1 MB message from a switch-A node to a switch-B
+	// node, across link 0 (the test topology's inter-switch uplink), on an
+	// otherwise idle network; one simulated second covers its delivery.
+	const size = 1 << 20
+	nominal := e.net.EstimateNoLoad(0, 4, size)
+	probe := func() des.Time {
+		var took des.Time
+		start := e.eng.Now()
+		e.net.Deliver(0, 4, size, func() { took = e.eng.Now() - start })
+		e.eng.RunUntil(start + des.Second)
+		return took
+	}
+
 	e.eng.RunUntil(10 * des.Second)
 	if !e.vc.Down(1) {
 		t.Fatal("node 1 should be down after NodeCrash")
-	}
-	if got := e.net.LinkScale(0); got != 0.25 {
-		t.Fatalf("link 0 scale = %v, want 0.25", got)
 	}
 	snap := e.mon.Snapshot()
 	if snap.HealthOf(1) != monitor.HealthDown {
@@ -62,13 +72,13 @@ func TestInjectorAppliesEveryKind(t *testing.T) {
 	if e.in.Injected() != 4 {
 		t.Fatalf("injected = %d, want 4 by t=10s", e.in.Injected())
 	}
+	if got := probe(); got <= 3*nominal/2 {
+		t.Fatalf("delivery over degraded link 0 took %v, want well over nominal %v", got, nominal)
+	}
 
 	e.eng.RunUntil(30 * des.Second)
 	if e.vc.Down(1) {
 		t.Fatal("node 1 should have recovered")
-	}
-	if got := e.net.LinkScale(0); got != 1 {
-		t.Fatalf("restored link scale = %v, want 1", got)
 	}
 	snap = e.mon.Snapshot()
 	for i := 0; i < 8; i++ {
@@ -76,11 +86,11 @@ func TestInjectorAppliesEveryKind(t *testing.T) {
 			t.Fatalf("node %d health = %v after full recovery", i, snap.HealthOf(i))
 		}
 	}
-	counts := e.in.Counts()
-	for _, k := range []Kind{NodeCrash, NodeRecover, LinkDegrade, LinkRestore, SensorDrop, SensorRestore, MonitorStall} {
-		if counts[k] != 1 {
-			t.Fatalf("counts[%v] = %d, want 1", k, counts[k])
-		}
+	if got := probe(); got != nominal {
+		t.Fatalf("delivery over restored link 0 took %v, want nominal %v", got, nominal)
+	}
+	if e.in.Injected() != len(sched) {
+		t.Fatalf("injected = %d, want all %d", e.in.Injected(), len(sched))
 	}
 }
 
@@ -130,21 +140,6 @@ func TestInstallRejectsBadFaults(t *testing.T) {
 	}
 	if err := nomon.Install(Schedule{{At: des.Second, Kind: MonitorStall, Duration: des.Second}}); err == nil {
 		t.Fatal("MonitorStall without monitor should fail")
-	}
-}
-
-func TestCancelDisarmsPendingFaults(t *testing.T) {
-	e := newEnv(t)
-	if err := e.in.Install(Schedule{{At: 5 * des.Second, Kind: NodeCrash, Node: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	e.in.Cancel()
-	e.eng.RunUntil(10 * des.Second)
-	if e.vc.Down(0) {
-		t.Fatal("cancelled fault still fired")
-	}
-	if e.in.Injected() != 0 {
-		t.Fatalf("injected = %d after cancel", e.in.Injected())
 	}
 }
 

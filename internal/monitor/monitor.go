@@ -225,7 +225,6 @@ type SystemMonitor struct {
 	// lastBusy remembers per-node edge-link busy time at the previous
 	// sample, to compute utilization over the sampling window.
 	lastBusy []des.Time
-	daemon   *des.Proc
 	samples  uint64
 	// lastSample is the simulated time of the most recent sampling round;
 	// Snapshot reports the forecast age relative to it.
@@ -252,7 +251,7 @@ type SystemMonitor struct {
 }
 
 // NewSystemMonitor attaches sensors to every node of the virtual cluster
-// and starts the sampling daemon. Call Stop (or eng.Shutdown) to reap it.
+// and starts the sampling daemon; eng.Shutdown reaps it.
 func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *SystemMonitor {
 	n := vc.Topo.NumNodes()
 	m := &SystemMonitor{
@@ -281,7 +280,7 @@ func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *Sy
 	// priors (a fresh LastValue would otherwise report 100 % NIC
 	// utilization for an idle link).
 	m.sample(rng)
-	m.daemon = vc.Eng.Spawn("sysmon", func(p *des.Proc) {
+	vc.Eng.Spawn("sysmon", func(p *des.Proc) {
 		for {
 			p.Sleep(m.cfg.interval())
 			m.sample(rng)
@@ -368,10 +367,6 @@ func (m *SystemMonitor) Epoch() uint64 { return m.epoch.Load() }
 func (m *SystemMonitor) BumpEpoch() {
 	gaugeEpoch.Set(float64(m.epoch.Add(1)))
 }
-
-// Stop kills the sampling daemon. Must be called from outside engine
-// context only after the engine has stopped, or from engine context.
-func (m *SystemMonitor) Stop() { m.daemon.Kill() }
 
 // DropSensor kills node i's sensor daemon (fault injection): the node
 // produces no further readings and its snapshot health becomes

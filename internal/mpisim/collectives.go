@@ -2,9 +2,9 @@ package mpisim
 
 // Collective operations implemented over blocking point-to-point, with the
 // classic algorithms of early-2000s MPI implementations (LAM/MPI vintage):
-// dissemination barrier, binomial-tree broadcast/reduce/gather/scatter,
-// recursive-doubling allreduce, ring allgather, and pairwise-exchange
-// alltoall. All ranks of the world must call the collective.
+// dissemination barrier, binomial-tree broadcast/reduce,
+// recursive-doubling allreduce, and pairwise-exchange alltoall. All ranks
+// of the world must call the collective.
 
 // barrierToken is the size of barrier/control messages.
 const barrierToken int64 = 8
@@ -113,26 +113,6 @@ func (r *Rank) Allreduce(size int64, combineRef float64) {
 	r.Bcast(0, size)
 }
 
-// Allgather circulates each rank's size-byte contribution around a ring
-// (n-1 steps), leaving all contributions everywhere.
-func (r *Rank) Allgather(size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		if r.id%2 == 0 {
-			r.Send(right, size)
-			r.Recv(left)
-		} else {
-			r.Recv(left)
-			r.Send(right, size)
-		}
-	}
-}
-
 // tournamentPeer returns id's partner in round `round` of a round-robin
 // tournament over n players (circle method), or -1 if id sits the round out
 // (odd n only). Every round is a perfect matching, so pairwise SendRecv
@@ -182,68 +162,5 @@ func (r *Rank) Alltoall(size int64) {
 			continue
 		}
 		r.SendRecv(peer, size, size)
-	}
-}
-
-// Gather collects size bytes from every rank onto root along a binomial
-// tree; intermediate nodes forward aggregated payloads.
-func (r *Rank) Gather(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	vr := (r.id - root + n) % n
-	mask := 1
-	carried := size
-	for mask < n {
-		if vr&mask == 0 {
-			src := vr | mask
-			if src < n {
-				sz := r.Recv((src + root) % n)
-				carried += sz
-			}
-		} else {
-			parent := ((vr &^ mask) + root) % n
-			r.Send(parent, carried)
-			break
-		}
-		mask *= 2
-	}
-}
-
-// Scatter distributes size bytes per rank from root along a binomial tree;
-// internal nodes receive their whole subtree's payload and split it.
-func (r *Rank) Scatter(root int, size int64) {
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	vr := (r.id - root + n) % n
-	// Receive the whole subtree payload from the parent.
-	if vr != 0 {
-		mask := 1
-		for vr&mask == 0 {
-			mask *= 2
-		}
-		parent := ((vr - mask) + root) % n
-		r.Recv(parent)
-	}
-	// Forward halves to children.
-	mask := 1
-	for vr&(mask-1) == 0 && mask < n {
-		if vr&mask == 0 {
-			child := vr + mask
-			if child < n {
-				// Child's subtree spans min(mask, n-child) ranks.
-				span := mask
-				if child+span > n {
-					span = n - child
-				}
-				r.Send((child+root)%n, size*int64(span))
-			}
-		} else {
-			break
-		}
-		mask *= 2
 	}
 }

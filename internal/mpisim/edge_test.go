@@ -1,9 +1,12 @@
 package mpisim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cbes/internal/des"
+	"cbes/internal/vcluster"
 )
 
 // expectPanic runs fn and fails unless it panics.
@@ -95,10 +98,7 @@ func TestSingleRankCollectivesNoOp(t *testing.T) {
 		r.Bcast(0, 1024)
 		r.Reduce(0, 1024, 0.001)
 		r.Allreduce(1024, 0.001)
-		r.Allgather(1024)
 		r.Alltoall(1024)
-		r.Gather(0, 1024)
-		r.Scatter(0, 1024)
 	}, Options{})
 	// No communication: only trivial time passes.
 	if res.Elapsed > des.Millisecond {
@@ -144,4 +144,43 @@ func TestWorldResultAfterWaitIn(t *testing.T) {
 	w2 := Launch(vc, net, []int{0}, func(r *Rank) { r.Compute(0.1) }, Options{})
 	expectPanic(t, "unfinished Result", func() { w2.Result() })
 	w2.Wait()
+}
+
+// Wait and WaitIn followed by Result hand back the same run: the same
+// trace, start and end for one seeded world.
+func TestWaitMatchesWaitInResult(t *testing.T) {
+	run := func(viaWaitIn bool) *Result {
+		vc, net := newWorldEnv()
+		vc.ApplyLoadScript(1, []vcluster.LoadStep{{At: 50 * des.Millisecond, Avail: 0.6}})
+		rng := rand.New(rand.NewSource(11))
+		work := make([]float64, 8)
+		for i := range work {
+			work[i] = 0.01 + 0.05*rng.Float64()
+		}
+		body := func(r *Rank) {
+			for i, w := range work {
+				r.Compute(w)
+				r.Alltoall(int64(512 << (i % 4)))
+			}
+			r.Allreduce(64, 0.001)
+		}
+		w := Launch(vc, net, []int{0, 1, 4, 5}, body, Options{AppName: "seeded", RecordIntervals: true})
+		if !viaWaitIn {
+			return w.Wait()
+		}
+		var got *Result
+		vc.Eng.Spawn("watcher", func(p *des.Proc) {
+			w.WaitIn(p)
+			got = w.Result()
+		})
+		vc.Eng.Run()
+		return got
+	}
+	a, b := run(false), run(true)
+	if a.Start != b.Start || a.End != b.End || a.Elapsed != b.Elapsed {
+		t.Fatalf("Wait: start %v end %v; WaitIn+Result: start %v end %v", a.Start, a.End, b.Start, b.End)
+	}
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
+		t.Fatal("Wait and WaitIn+Result gave different traces")
+	}
 }

@@ -252,7 +252,7 @@ func Launch(vc *vcluster.Cluster, net *simnet.Network, mapping []int, body func(
 			node:    node,
 			cpu:     vc.CPU(node),
 			rate:    nd.Speed * eff,
-			ai:      vc.Topo.ArchInfo(nd.Arch),
+			ai:      cluster.DefaultArchInfo(nd.Arch),
 			inbox:   queues[i*inboxSources : i*inboxSources : (i+1)*inboxSources],
 			waitSrc: -1,
 		}
@@ -294,8 +294,8 @@ func (w *World) rankDone() {
 func (w *World) Done() bool { return w.left == 0 }
 
 // WaitIn parks the given simulated process until the world completes
-// (returns immediately if it already has). It is the proc-level form of
-// Rank.AwaitWorld, for daemons that supervise application runs.
+// (returns immediately if it already has), for daemons that supervise
+// application runs.
 func (w *World) WaitIn(p *des.Proc) {
 	if w.Done() {
 		return
@@ -327,12 +327,7 @@ func (w *World) Wait() *Result {
 			panic("mpisim: simulation deadlock: event queue empty with ranks unfinished")
 		}
 	}
-	return &Result{
-		Trace:   w.rec.Finish(),
-		Start:   w.start,
-		End:     w.end,
-		Elapsed: w.end - w.start,
-	}
+	return w.Result()
 }
 
 // Run executes body on the mapping to completion and returns the result.
@@ -492,23 +487,4 @@ func (r *Rank) Phase(name string) {
 		r.w.rec.BeginSegment(name)
 	}
 	r.Barrier()
-}
-
-// SpawnWorld launches a child application (MPI-2-style dynamic process
-// creation, the paper's §8 extension): the child's ranks start immediately
-// on their mapped nodes, contending with this world for CPUs and links.
-// The parent continues; use AwaitWorld to join.
-func (r *Rank) SpawnWorld(mapping []int, body func(*Rank), opts Options) *World {
-	return Launch(r.w.vc, r.w.net, mapping, body, opts)
-}
-
-// AwaitWorld blocks (in the Blocked trace state) until the given world —
-// typically one started with SpawnWorld — finishes.
-func (r *Rank) AwaitWorld(w *World) {
-	if w.Done() {
-		return
-	}
-	r.w.rec.SetState(r.id, trace.StateBlocked)
-	w.doneSig.Wait(r.proc)
-	r.w.rec.SetState(r.id, trace.StateRun)
 }

@@ -354,12 +354,6 @@ type CounterVec struct{ f *family }
 // Hot call sites should resolve once and keep the *Counter.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values...).counter }
 
-// GaugeVec is a gauge family split by labels.
-type GaugeVec struct{ f *family }
-
-// With resolves the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values...).gauge }
-
 // HistogramVec is a histogram family split by labels.
 type HistogramVec struct{ f *family }
 
@@ -425,11 +419,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, KindGauge, nil, nil).child().gauge
-}
-
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, labels, nil)}
 }
 
 // Histogram registers (or fetches) an unlabeled histogram. A nil buckets

@@ -87,11 +87,6 @@ func newID() uint64 {
 	return x
 }
 
-// NewTraceID mints a fresh trace ID — for callers that must stamp a
-// request even when their local tracer is disabled, so the far side can
-// still mint correlated spans.
-func NewTraceID() uint64 { return newID() }
-
 // FormatID renders a trace or span ID the way spans, decision records,
 // and the /debug/trace endpoint spell it: 16 lowercase hex digits.
 func FormatID(id uint64) string {
@@ -120,12 +115,10 @@ type Tracer struct {
 	next int
 	n    int
 	sink io.Writer
-	drop uint64 // sink write failures, for diagnostics
 
 	// Sampling policy (atomics: read on every root Start / span End).
-	headEveryN atomic.Int64  // keep 1 trace in N; <=1 keeps all
-	slowKeepNs atomic.Int64  // tail-keep cutoff; <=0 uses DefaultSlowKeep
-	sampledOut atomic.Uint64 // spans discarded by the sampler
+	headEveryN atomic.Int64 // keep 1 trace in N; <=1 keeps all
+	slowKeepNs atomic.Int64 // tail-keep cutoff; <=0 uses DefaultSlowKeep
 }
 
 // DefaultRingSize is the span capacity of the default tracer.
@@ -148,16 +141,15 @@ func NewTracer(size int) *Tracer {
 
 var defaultTracer = NewTracer(DefaultRingSize)
 
-// Default-tracer observability (satellite of ISSUE 7): sink drops used
-// to be silent unless SinkDrops() was polled by hand, and ring
-// occupancy was invisible. Only the process-wide default tracer feeds
-// these series; ad-hoc tracers in tests stay out of the registry.
+// Default-tracer observability: sink drops, ring occupancy and spans the
+// sampler discarded. Only the process-wide default tracer feeds these
+// series; ad-hoc tracers in tests stay out of the registry.
 var (
-	traceSinkDrops = Default().Counter(
+	traceSinkDropped = Default().Counter(
 		"cbes_trace_sink_drops_total", "Spans that failed to reach the JSONL span sink.")
 	traceRingSpans = Default().Gauge(
 		"cbes_trace_ring_spans", "Spans currently resident in the default tracer's ring buffer.")
-	traceSampledOut = Default().Counter(
+	traceUnsampled = Default().Counter(
 		"cbes_trace_spans_sampled_out_total",
 		"Finished spans discarded by the head sampler (trace unsampled, span neither slow nor errored).")
 )
@@ -332,9 +324,8 @@ func (s *ActiveSpan) End() {
 	d := time.Since(s.start)
 	s.span.Seconds = d.Seconds()
 	if !s.sampled && !s.failed && d < s.t.slowKeep() {
-		s.t.sampledOut.Add(1)
 		if s.t == defaultTracer {
-			traceSampledOut.Inc()
+			traceUnsampled.Inc()
 		}
 		return
 	}
@@ -360,7 +351,6 @@ func (t *Tracer) record(sp Span) {
 			_, err = sink.Write(line)
 		}
 		if err != nil {
-			t.drop++
 			sinkErr = err
 		}
 	}
@@ -369,7 +359,7 @@ func (t *Tracer) record(sp Span) {
 	if t == defaultTracer {
 		traceRingSpans.Set(float64(occupancy))
 		if sinkErr != nil {
-			traceSinkDrops.Inc()
+			traceSinkDropped.Inc()
 		}
 	}
 }
@@ -404,24 +394,6 @@ func (t *Tracer) TraceSpans(traceID uint64) []Span {
 		}
 	}
 	return out
-}
-
-// SinkDrops reports how many spans failed to reach the JSONL sink.
-func (t *Tracer) SinkDrops() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.drop
-}
-
-// SampledOut reports how many finished spans the head sampler discarded.
-func (t *Tracer) SampledOut() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.sampledOut.Load()
 }
 
 // Context propagation: the active span rides a context.Context so a

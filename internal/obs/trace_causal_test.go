@@ -14,9 +14,9 @@ func TestIDFormatParse(t *testing.T) {
 	if FormatID(0) != "" {
 		t.Fatalf("FormatID(0) = %q, want empty", FormatID(0))
 	}
-	id := NewTraceID()
+	id := newID()
 	if id == 0 {
-		t.Fatal("NewTraceID minted the zero sentinel")
+		t.Fatal("newID minted the zero sentinel")
 	}
 	s := FormatID(id)
 	if len(s) != 16 {
@@ -101,9 +101,6 @@ func TestHeadSamplingAndTailKeep(t *testing.T) {
 	fast.End()
 	if got := len(tr.Spans()); got != 0 {
 		t.Fatalf("unsampled fast clean spans recorded: %d", got)
-	}
-	if tr.SampledOut() != 2 {
-		t.Fatalf("SampledOut = %d, want 2", tr.SampledOut())
 	}
 
 	failed := tr.Start("failed")
@@ -298,7 +295,7 @@ func TestTraceHandler(t *testing.T) {
 	if rec := get("/debug/trace?id=nothex"); rec.Code != 400 {
 		t.Fatalf("bad id: code=%d", rec.Code)
 	}
-	if rec := get("/debug/trace?id=" + FormatID(NewTraceID())); rec.Code != 404 {
+	if rec := get("/debug/trace?id=" + FormatID(newID())); rec.Code != 404 {
 		t.Fatalf("unknown trace: code=%d", rec.Code)
 	}
 	rec := get("/debug/trace?id=" + FormatID(root.TraceID()))

@@ -124,13 +124,19 @@ func checkProc(pt *trace.ProcTrace, ranks, nodes int) error {
 	if pt.Node < 0 || pt.Node >= nodes {
 		return fmt.Errorf("rank %d on node %d, outside the topology", pt.Rank, pt.Node)
 	}
-	for _, gs := range [2][]trace.MsgGroup{pt.Sends, pt.Recvs} {
+	return checkGroups(pt.Rank, ranks, pt.Sends, pt.Recvs)
+}
+
+// checkGroups rejects a message group whose peer lies outside [0, ranks)
+// or that counts a negative number of messages or bytes.
+func checkGroups(rank, ranks int, sends, recvs []trace.MsgGroup) error {
+	for _, gs := range [2][]trace.MsgGroup{sends, recvs} {
 		for _, g := range gs {
 			if g.Peer < 0 || g.Peer >= ranks {
-				return fmt.Errorf("rank %d: peer %d outside [0, %d)", pt.Rank, g.Peer, ranks)
+				return fmt.Errorf("rank %d: peer %d outside [0, %d)", rank, g.Peer, ranks)
 			}
 			if g.Count < 0 || g.Size < 0 {
-				return fmt.Errorf("rank %d: %d messages of %d bytes with peer %d", pt.Rank, g.Count, g.Size, g.Peer)
+				return fmt.Errorf("rank %d: %d messages of %d bytes with peer %d", rank, g.Count, g.Size, g.Peer)
 			}
 		}
 	}
@@ -202,11 +208,55 @@ func (p *Profile) CommFraction() float64 {
 // Encode writes the profile as JSON.
 func (p *Profile) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(p) }
 
-// Decode reads a profile written by Encode.
+// Decode reads a profile written by Encode. A stored profile is outside
+// input, so Decode rejects one an evaluation could not index or sum
+// (FuzzDecodeProfile): Ranks must equal len(Mapping) and be at least 1,
+// every process rank and message peer must lie in [0, Ranks), message
+// counts and sizes must not be negative, and every time, λ and speed must
+// be finite and within [0, maxValue], a speed ratio at least minSpeed.
+// Every table an evaluator builds is then bounded by the input's size,
+// and every sum it forms stays finite.
 func Decode(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("profile: decode: %w", err)
+	}
 	return &p, nil
+}
+
+// maxValue bounds the seconds, λs and speeds a decoded profile carries;
+// minSpeed bounds an architecture's speed ratio from below.
+const (
+	maxValue = 1e9
+	minSpeed = 1e-9
+)
+
+func (p *Profile) validate() error {
+	if p.Ranks < 1 || p.Ranks != len(p.Mapping) {
+		return fmt.Errorf("%d ranks with a mapping of %d", p.Ranks, len(p.Mapping))
+	}
+	for arch, s := range p.ArchSpeed {
+		if !(s >= minSpeed && s <= maxValue) {
+			return fmt.Errorf("architecture %q: speed %v outside [%g, %g]", arch, s, minSpeed, maxValue)
+		}
+	}
+	for _, seg := range p.Segments {
+		for _, pp := range seg.Procs {
+			if pp.Rank < 0 || pp.Rank >= p.Ranks {
+				return fmt.Errorf("segment %q: rank %d outside [0, %d)", seg.Name, pp.Rank, p.Ranks)
+			}
+			for _, v := range [...]float64{pp.X, pp.O, pp.B, pp.Lambda, pp.ProfSpeed} {
+				if !(v >= 0 && v <= maxValue) {
+					return fmt.Errorf("segment %q: rank %d: value %v outside [0, %g]", seg.Name, pp.Rank, v, maxValue)
+				}
+			}
+			if err := checkGroups(pp.Rank, p.Ranks, pp.Sends, pp.Recvs); err != nil {
+				return fmt.Errorf("segment %q: %w", seg.Name, err)
+			}
+		}
+	}
+	return nil
 }

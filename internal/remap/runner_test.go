@@ -32,7 +32,7 @@ func TestIterativeSegmentsComposeToFullRun(t *testing.T) {
 }
 
 func TestIterativeProgramMatchesMonolithic(t *testing.T) {
-	// The iterative Aztec must behave like the monolithic Aztec model.
+	// The iterative smg2000 must behave like the monolithic smg2000 model.
 	topo := cluster.NewOrangeGrove()
 	alphas := topo.NodesByArch(cluster.ArchAlpha)
 	runProg := func(p workloads.Program) float64 {
@@ -41,15 +41,15 @@ func TestIterativeProgramMatchesMonolithic(t *testing.T) {
 		net := simnet.New(eng, topo)
 		return mpisim.Run(vc, net, alphas, p.Body, p.Options()).Elapsed.Seconds()
 	}
-	mono := runProg(workloads.Aztec(8))
-	iter := runProg(workloads.AztecIterative(8).Program())
+	mono := runProg(workloads.SMG2000(50, 8))
+	iter := runProg(workloads.SMGIterative(50, 8).Program())
 	if rel := math.Abs(mono-iter) / mono; rel > 1e-9 {
-		t.Fatalf("iterative Aztec diverges from monolithic: %.3f vs %.3f", iter, mono)
+		t.Fatalf("iterative smg2000 diverges from monolithic: %.3f vs %.3f", iter, mono)
 	}
 }
 
 func TestSegmentValidation(t *testing.T) {
-	spec := workloads.AztecIterative(8)
+	spec := workloads.SMGIterative(50, 8)
 	for _, bad := range [][2]int{{-1, 5}, {5, 5}, {7, 3}, {0, spec.Iterations + 1}} {
 		func() {
 			defer func() {

@@ -15,14 +15,11 @@ import (
 	"cbes/internal/obs"
 )
 
-// Client-side resilience counters: retries spent, calls refused by an
-// open breaker, and retries suppressed by an empty retry budget.
+// Client-side resilience counters: retries spent, and retries suppressed
+// by an empty retry budget.
 var (
 	clientRetries = obs.Default().Counter(
 		"cbes_client_retries_total", "Client-side retries of transient RPC failures.")
-	clientBreakerOpen = obs.Default().Counter(
-		"cbes_client_breaker_open_total",
-		"Client calls refused locally because the circuit breaker was open.")
 	clientBudgetExhausted = obs.Default().Counter(
 		"cbes_client_retry_budget_exhausted_total",
 		"Client retries suppressed because the retry budget was empty.")
@@ -93,9 +90,6 @@ type Client struct {
 	// admission.RetryBudget). Nil (the default) leaves retries bounded
 	// only by RetryPolicy.Max.
 	budget *admission.RetryBudget
-	// breaker, when non-nil, fails calls fast after consecutive
-	// failures (see admission.Breaker). Nil (the default) disables it.
-	breaker *admission.Breaker
 }
 
 // Dial connects to a CBES server with the default timeout.
@@ -172,21 +166,11 @@ func (c *Client) SetRetryBudget(b *admission.RetryBudget) {
 	c.budget = b
 }
 
-// SetBreaker installs a circuit breaker: after a run of consecutive
-// failures the client fails fast with ErrCircuitOpen (no wire traffic)
-// until a half-open probe succeeds, keeping a struggling server's
-// recovery window free of this client's traffic. Nil removes it.
-func (c *Client) SetBreaker(b *admission.Breaker) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.breaker = b
-}
-
 // resilience snapshots the overload-protection knobs for one call.
-func (c *Client) resilience() (time.Duration, *admission.RetryBudget, *admission.Breaker) {
+func (c *Client) resilience() (time.Duration, *admission.RetryBudget) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.callTimeout, c.budget, c.breaker
+	return c.callTimeout, c.budget
 }
 
 // Close terminates the connection.
@@ -265,14 +249,9 @@ func connError(err error) bool {
 // it. When a call timeout is set the absolute deadline is stamped ONCE
 // and shared by every retry — queue time and earlier attempts count
 // against it, so retries cannot stretch a caller's latency budget. The
-// breaker is consulted before any wire traffic and told the outcome of
-// every allowed call; the retry budget gates each resend.
+// retry budget gates each resend.
 func (c *Client) call(method string, args, reply any, idempotent bool) (err error) {
-	callTimeout, budget, breaker := c.resilience()
-	if berr := breaker.Allow(); berr != nil {
-		clientBreakerOpen.Inc()
-		return berr
-	}
+	callTimeout, budget := c.resilience()
 	// One client-side span covers the whole retry loop; its context rides
 	// the wire in the args' TraceMeta, so the server-side rpc.* span (and
 	// everything under it — cache, search, anneal restarts) joins THIS
@@ -292,9 +271,6 @@ func (c *Client) call(method string, args, reply any, idempotent bool) (err erro
 	attempts := 0
 	defer func() {
 		span.Attr("attempts", attempts).Error(err).End()
-		// The breaker counts overload signals (busy/shed/deadline) and dead
-		// connections alike: both mean "stop hammering this server".
-		breaker.Report(err != nil && (isTransient(err) || IsDeadlineExceeded(err)))
 		if err == nil {
 			budget.Earn()
 		}

@@ -60,7 +60,9 @@ func TestErrorCodesSurviveWireFlatteningRetr(t *testing.T) {
 	}
 }
 
-func wrap(err error) error { return errors.Join(errors.New("service: Evaluate: lost in the mail"), err) }
+func wrap(err error) error {
+	return errors.Join(errors.New("service: Evaluate: lost in the mail"), err)
+}
 
 // tinyLimiter pins the concurrency limit to one slot with no queue, so a
 // single held ticket makes admission outcomes deterministic.
@@ -266,43 +268,6 @@ func TestClientDeadlinePropagatesOverWire(t *testing.T) {
 	_, err := c.Evaluate(prog.Name, []int{4, 5, 6, 7})
 	if !IsDeadlineExceeded(err) {
 		t.Fatalf("err = %v, want deadline exceeded across the wire", err)
-	}
-}
-
-// The client breaker fails fast after consecutive failures instead of
-// hammering a dead (or drowning) server.
-func TestClientBreakerFailsFast(t *testing.T) {
-	sys, prog := newSys(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ServeWith(sys, l, ServeOptions{}) }()
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{Max: -1})
-	c.SetBreaker(admission.NewBreaker(3, time.Hour)) // no half-open probe within this test
-	if _, err := c.Evaluate(prog.Name, []int{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	<-done
-	for i := 0; i < 3; i++ {
-		if _, err := c.Evaluate(prog.Name, []int{0, 1, 2, 3}); err == nil {
-			t.Fatal("call against a dead server succeeded")
-		}
-	}
-	start := time.Now()
-	_, err = c.Evaluate(prog.Name, []int{0, 1, 2, 3})
-	if !errors.Is(err, admission.ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen after the breaker tripped", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("open-breaker call took %v — it should not touch the network", elapsed)
 	}
 }
 

@@ -6,6 +6,14 @@ import (
 	"cbes/internal/des"
 )
 
+// linkScale reports link id's current bandwidth scale (1 = healthy).
+func linkScale(n *Network, id int) float64 {
+	if r := n.touched(id); r != nil {
+		return r.scale
+	}
+	return 1
+}
+
 // deliverAt measures when a single message from src to dst completes,
 // starting from an otherwise idle network.
 func deliverAt(net *Network, eng *des.Engine, src, dst int, size int64) des.Time {
@@ -48,19 +56,19 @@ func TestDegradeLinkSlowsDelivery(t *testing.T) {
 func TestDegradeLinkClamps(t *testing.T) {
 	_, net := newNet()
 	net.DegradeLink(0, 0) // zero bandwidth would hang the sim forever
-	if got := net.LinkScale(0); got != minLinkScale {
-		t.Fatalf("scale after Degrade(0) = %v, want floor %v", got, minLinkScale)
+	if got := linkScale(net, 0); got != minBandwidthScale {
+		t.Fatalf("scale after Degrade(0) = %v, want floor %v", got, minBandwidthScale)
 	}
 	net.DegradeLink(0, 7.5) // "degrading" above nominal is a restore
-	if got := net.LinkScale(0); got != 1 {
+	if got := linkScale(net, 0); got != 1 {
 		t.Fatalf("scale after Degrade(7.5) = %v, want 1", got)
 	}
 	net.DegradeLink(0, 0.3)
-	if got := net.LinkScale(0); got != 0.3 {
+	if got := linkScale(net, 0); got != 0.3 {
 		t.Fatalf("scale = %v, want 0.3", got)
 	}
 	net.RestoreLink(0)
-	if got := net.LinkScale(0); got != 1 {
+	if got := linkScale(net, 0); got != 1 {
 		t.Fatalf("restored scale = %v, want 1", got)
 	}
 }

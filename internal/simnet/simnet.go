@@ -123,21 +123,21 @@ func (n *Network) row(id int) *linkRow {
 	return r
 }
 
-// minLinkScale bounds degradation so transmission times stay finite: a
+// minBandwidthScale bounds degradation so transmission times stay finite: a
 // "partitioned" link crawls at 1% of nominal bandwidth rather than
 // stalling the simulation forever.
-const minLinkScale = 0.01
+const minBandwidthScale = 0.01
 
 // DegradeLink scales link id's bandwidth by factor (clamped to
-// [minLinkScale, 1]) — the fault-injection hook for flaky cables and
+// [minBandwidthScale, 1]) — the fault-injection hook for flaky cables and
 // congested switch ports. In-flight transmissions keep their already
 // computed times; subsequent messages see the degraded rate.
 func (n *Network) DegradeLink(id int, factor float64) {
 	if factor > 1 {
 		factor = 1
 	}
-	if factor < minLinkScale {
-		factor = minLinkScale
+	if factor < minBandwidthScale {
+		factor = minBandwidthScale
 	}
 	n.row(id).scale = factor
 }
@@ -148,17 +148,6 @@ func (n *Network) RestoreLink(id int) {
 		r.scale = 1
 	}
 }
-
-// LinkScale reports link id's current bandwidth scale (1 = healthy).
-func (n *Network) LinkScale(id int) float64 {
-	if r := n.touched(id); r != nil {
-		return r.scale
-	}
-	return 1
-}
-
-// Topology returns the static topology.
-func (n *Network) Topology() *cluster.Topology { return n.topo }
 
 // Messages reports the number of messages fully delivered so far.
 func (n *Network) Messages() uint64 { return n.messages }

@@ -130,12 +130,12 @@ func TestCountersAccumulate(t *testing.T) {
 
 func TestEdgeLink(t *testing.T) {
 	_, net := newNet()
-	for id := 0; id < net.Topology().NumNodes(); id++ {
+	for id := 0; id < net.topo.NumNodes(); id++ {
 		lid := net.EdgeLink(id)
 		if lid < 0 {
 			t.Fatalf("node %d has no edge link", id)
 		}
-		l := net.Topology().Link(lid)
+		l := net.topo.Link(lid)
 		dev := cluster.Device{Kind: cluster.DevNode, Index: id}
 		if l.A != dev && l.B != dev {
 			t.Fatalf("edge link %d does not touch node %d", lid, id)
@@ -169,7 +169,7 @@ func TestLinkStateOnFirstTouch(t *testing.T) {
 		t.Fatalf("node 1's NIC link %d should be off the route", untouched)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if net.LinkBusy(untouched) != 0 || net.LinkScale(untouched) != 1 {
+		if net.LinkBusy(untouched) != 0 || linkScale(net, untouched) != 1 {
 			t.Fatal("untouched link is not idle and healthy")
 		}
 		net.RestoreLink(untouched)
@@ -178,7 +178,7 @@ func TestLinkStateOnFirstTouch(t *testing.T) {
 		t.Fatalf("reading an untouched link allocated %.0f times and left %d rows", allocs, net.nrows)
 	}
 	net.DegradeLink(untouched, 0.5)
-	if net.nrows != len(path)+1 || net.LinkScale(untouched) != 0.5 {
+	if net.nrows != len(path)+1 || linkScale(net, untouched) != 0.5 {
 		t.Fatal("degrading an untouched link did not give it state")
 	}
 	eng.Shutdown()

@@ -119,9 +119,6 @@ func (c *CPU) AvailableToNewTask() float64 {
 	return c.avail * math.Min(1, float64(c.cores)/float64(n))
 }
 
-// Running reports the number of tasks currently executing.
-func (c *CPU) Running() int { return len(c.tasks) }
-
 // BusyRefSeconds reports the cumulative reference-seconds of application
 // work this CPU has executed.
 func (c *CPU) BusyRefSeconds() float64 {
@@ -252,11 +249,4 @@ func (c *CPU) Compute(p *des.Proc, work, rate float64) {
 	c.tasks = append(c.tasks, t)
 	c.reschedule()
 	p.Park()
-}
-
-// ComputeDuration estimates, without simulating, how long `work`
-// reference-seconds at `rate` would take on an otherwise-idle node at the
-// current availability — used by calibration utilities and tests.
-func (c *CPU) ComputeDuration(work, rate float64) des.Time {
-	return des.FromSeconds(work / (rate * c.avail))
 }

@@ -58,26 +58,6 @@ func (it Iterative) Segment(from, to int) Program {
 	}
 }
 
-// AztecIterative is the Aztec solver expressed iteratively, for use with
-// the remap executor.
-func AztecIterative(ranks int) Iterative {
-	px, py := grid2D(ranks)
-	return Iterative{
-		Name:       fmt.Sprintf("aztec.%d", ranks),
-		Ranks:      ranks,
-		Iterations: 400,
-		ArchEff: map[cluster.Arch]float64{
-			cluster.ArchAlpha: 1.0, cluster.ArchIntel: 0.93, cluster.ArchSPARC: 0.90,
-		},
-		IterBody: func(r *mpisim.Rank, _ int) {
-			r.Compute(0.157 * 8.0 / float64(ranks))
-			exchange2D(r, px, py, 24<<10)
-			r.Allreduce(8, 0)
-			r.Allreduce(8, 0)
-		},
-	}
-}
-
 // SMGIterative is smg2000 expressed iteratively (one V-cycle per
 // iteration).
 func SMGIterative(cube, ranks int) Iterative {
