@@ -60,8 +60,9 @@ func encodeWith(tb testing.TB, p *profile.Profile, mutate func(*profile.Profile)
 }
 
 // hostile edits a stored profile the way a corrupt or hand-edited file
-// would. Each one used to decode, then panic an evaluation (peer and rank
-// out of range) or exhaust memory building its tables (ranks).
+// would. Each one used to decode; most then panicked an evaluation (peer
+// and rank out of range), exhausted memory building its tables (ranks) or
+// made its estimate infinite (huge values, a denormal speed).
 var hostile = []struct {
 	name   string
 	mutate func(*profile.Profile)
@@ -76,9 +77,13 @@ var hostile = []struct {
 	{"negative count", func(p *profile.Profile) { p.Segments[0].Procs[0].Sends[0].Count = -3 }},
 	{"negative size", func(p *profile.Profile) { p.Segments[0].Procs[0].Recvs[0].Size = -8 }},
 	{"negative X", func(p *profile.Profile) { p.Segments[0].Procs[0].X = -1 }},
-	{"huge lambda", func(p *profile.Profile) { p.Segments[0].Procs[0].Lambda = 1e300 }},
+	{"huge times", func(p *profile.Profile) { p.Segments[0].Procs[0].X, p.Segments[0].Procs[0].O = 1e308, 1e308 }},
+	{"huge lambda", func(p *profile.Profile) {
+		pp := &p.Segments[0].Procs[0]
+		pp.Lambda, pp.Sends[0].Count = 1e308, 1<<40
+	}},
 	{"zero arch speed", func(p *profile.Profile) { p.ArchSpeed[cluster.ArchAlpha] = 0 }},
-	{"tiny arch speed", func(p *profile.Profile) { p.ArchSpeed[cluster.ArchIntel] = 1e-300 }},
+	{"denormal arch speed", func(p *profile.Profile) { p.ArchSpeed[cluster.ArchAlpha] = 1e-320 }},
 }
 
 func TestDecodeRejectsHostileProfile(t *testing.T) {
