@@ -5,8 +5,8 @@
 // application compute-speed ratios across architectures.
 //
 // Calibration "must take place on a computation- and communication-free
-// system"; serial calibration therefore uses a fresh idle virtual cluster
-// per measurement.
+// system"; calibration therefore uses a fresh idle virtual cluster per
+// measurement.
 package bench
 
 import (

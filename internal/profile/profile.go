@@ -209,13 +209,12 @@ func (p *Profile) CommFraction() float64 {
 func (p *Profile) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(p) }
 
 // Decode reads a profile written by Encode. A stored profile is outside
-// input, so Decode rejects one an evaluation could not index or sum
-// (FuzzDecodeProfile): Ranks must equal len(Mapping) and be at least 1,
-// every process rank and message peer must lie in [0, Ranks), message
-// counts and sizes must not be negative, and every time, λ and speed must
-// be finite and within [0, maxValue], a speed ratio at least minSpeed.
-// Every table an evaluator builds is then bounded by the input's size,
-// and every sum it forms stays finite.
+// input, so Decode rejects one an evaluation could not index or would sum
+// to infinity (FuzzDecodeProfile): Ranks must equal len(Mapping) and be at
+// least 1, process ranks and message peers must lie in [0, Ranks), message
+// counts and sizes must not be negative, times, λs and profiling speeds
+// must lie in [0, maxValue], and architecture speeds in [minSpeed,
+// maxValue].
 func Decode(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
