@@ -55,7 +55,7 @@ bench-quick:
 # full -race ./... pass runs every one of these tests.
 faults-smoke:
 	$(GO) test -short -race -timeout 10m \
-		-run 'Fault|Crash|Degrade|Sensor|Stall|Health|Stale|Down|Infeasible|Evacuat|NoNoise|Busy|Panic|Retr|Drain|Soak|MaxClients|Probe|Readyz|Injector|RandomSchedule' \
+		-run 'Fault|Crash|Degrade|Sensor|Stall|Health|Stale|Down|Infeasible|Evacuat|NoNoise|Busy|Panic|Retr|Drain|Soak|MaxClients|Probe|Injector|RandomSchedule' \
 		./internal/faults/ ./internal/vcluster/ ./internal/simnet/ \
 		./internal/monitor/ ./internal/core/ ./internal/schedule/ \
 		./internal/remap/ ./internal/service/ ./internal/obs/
@@ -64,11 +64,13 @@ faults-smoke:
 # hostile input (an error or a valid topology, never a panic or a multi-MB
 # build), traces as hostile input (an error or a profile whose λs
 # compute), stored profiles as hostile input (an error or a finite
-# estimate), and RPC arguments as hostile input (an error or a well-formed
-# reply, never a recovered panic).
+# estimate), stored network models as hostile input (an error or finite,
+# non-negative latencies), and RPC arguments as hostile input (an error or
+# a well-formed reply, never a recovered panic).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzFromTrace -fuzztime 30s ./internal/profile/
 	$(GO) test -run xxx -fuzz FuzzDecodeProfile -fuzztime 30s ./internal/profile/
+	$(GO) test -run xxx -fuzz FuzzDecodeModel -fuzztime 30s ./internal/netmodel/
 	$(GO) test -run xxx -fuzz FuzzHandlers -fuzztime 30s ./internal/service/

@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"cbes/internal/cluster"
+	"cbes/internal/db"
 	"cbes/internal/experiments"
+	"cbes/internal/netmodel"
 )
 
 // TestDaemon is the end-to-end check of cbesd and cbesctl. It builds
@@ -31,7 +34,8 @@ import (
 //     deadlines; goodput must hold a floor, and /metrics must show the
 //     limiter live and brownout engaged.
 //
-// One daemon serves both: the obs leg's drift alarm only adds a warning
+// The daemon boots on a store holding a corrupt model, which it must
+// discard and recalibrate over. One daemon serves both legs: the obs leg's drift alarm only adds a warning
 // line to /readyz, and the overload leg reads counters that the obs leg
 // leaves at zero. The test ends with SIGTERM, which must stop the daemon
 // cleanly within ten seconds.
@@ -44,13 +48,18 @@ func TestDaemon(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	dir := t.TempDir()
+	seedCorruptModel(t, dir)
 	// phased.3000.8 records one segment per iteration, so each cache-miss
 	// prediction walks 3000 segments × 8 ranks: heavy enough that 8x
 	// offered load saturates the compute path rather than the transport.
-	d := startDaemon(t, bin, "-cluster", "test", "-db", t.TempDir(),
+	d := startDaemon(t, bin, "-cluster", "test", "-db", dir,
 		"-apps", "lu.A.8,phased.3000.8", "-admission-target", "100ms")
 	if got := d.get(t, "/healthz"); !strings.Contains(got, "ok") {
 		t.Fatalf("/healthz = %q, want ok", got)
+	}
+	if !strings.Contains(d.logText(), "discarding stored model") {
+		t.Fatal("cbesd did not discard the corrupt stored model")
 	}
 	t.Run("obs", d.obsLeg)
 	t.Run("overload", d.overloadLeg)
@@ -66,6 +75,27 @@ func TestDaemon(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Error("cbesd ignored SIGTERM")
+	}
+}
+
+// seedCorruptModel stores a test-topology model whose curves have more
+// sizes than latencies: it covers every class, but Curve.At would index
+// past the latencies on the first prediction.
+func seedCorruptModel(t *testing.T, dir string) {
+	t.Helper()
+	store, err := db.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := cluster.NewTestTopology()
+	m := netmodel.New(topo)
+	for id := 0; id < topo.NumClasses(); id++ {
+		m.SetClass(topo.ClassSignature(id), netmodel.Class{
+			Curve: netmodel.Curve{Sizes: []int64{64, 1 << 10}, Lat: []float64{1e-4}},
+		})
+	}
+	if err := store.SaveModel(m); err != nil {
+		t.Fatal(err)
 	}
 }
 

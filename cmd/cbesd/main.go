@@ -43,8 +43,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -137,15 +139,20 @@ func run() error {
 	sys := cbes.NewSystem(topo, cbes.Config{})
 	defer sys.Close()
 
-	// Load or perform the off-line calibration.
-	if model, err := store.LoadModel(topo.Name); err == nil {
-		if err := sys.UseModel(model); err != nil {
-			return err
-		}
+	// Load or perform the off-line calibration. A stored model that does
+	// not decode or does not fit the topology is recalibrated over.
+	model, err := store.LoadModel(topo.Name)
+	if err == nil {
+		err = sys.UseModel(model)
+	}
+	if err == nil {
 		log.Printf("loaded calibrated model for %s from %s", topo.Name, store.Dir())
 	} else {
+		if !errors.Is(err, fs.ErrNotExist) {
+			log.Printf("discarding stored model: %v", err)
+		}
 		log.Printf("calibrating %s (%d nodes)...", topo.Name, topo.NumNodes())
-		model := sys.Calibrate(bench.Options{})
+		model = sys.Calibrate(bench.Options{})
 		if err := store.SaveModel(model); err != nil {
 			log.Printf("warning: could not persist model: %v", err)
 		}

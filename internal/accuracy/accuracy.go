@@ -139,57 +139,33 @@ type Status struct {
 	CalibrationOK   bool
 }
 
-// Config sizes the ledger; zero fields take the defaults.
-type Config struct {
-	// PendingCap bounds predictions awaiting an outcome; the oldest is
-	// expired (counted, dropped) when a new one would exceed it.
-	// Default 4096.
-	PendingCap int
-	// SampleCap bounds the joined-sample ring kept for the CSV export.
-	// Default 1024.
-	SampleCap int
-	// DriftWindow is the sliding-window length of the drift detector
-	// (default 64); DriftMinSamples gates alarming until the window holds
-	// at least that many errors (default 16).
-	DriftWindow     int
-	DriftMinSamples int
-	// The window is drifted when its MAPE exceeds DriftFloorPct (default
-	// 25), or exceeds DriftFactor× the baseline MAPE (default 2.0) once a
-	// baseline of DriftMinSamples exists. The absolute floor catches
-	// ledgers that were biased from the very first join, where a
-	// ratio-only test can never fire because window and baseline drift
-	// together.
-	DriftFactor   float64
-	DriftFloorPct float64
-	// MinBandSamples is how many joined outcomes a bucket needs before
-	// its error band annotates replies. Default 8.
-	MinBandSamples int
-}
+// Config is empty: every ledger size is one of the constants below. It
+// stays so New keeps its signature, which the benchmark harness under
+// benchmark/ calls with Config{}.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.PendingCap <= 0 {
-		c.PendingCap = 4096
-	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 1024
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = 64
-	}
-	if c.DriftMinSamples <= 0 {
-		c.DriftMinSamples = 16
-	}
-	if c.DriftFactor <= 0 {
-		c.DriftFactor = 2.0
-	}
-	if c.DriftFloorPct <= 0 {
-		c.DriftFloorPct = 25
-	}
-	if c.MinBandSamples <= 0 {
-		c.MinBandSamples = 8
-	}
-	return c
-}
+const (
+	// pendingCap bounds predictions awaiting an outcome; the oldest is
+	// expired (counted, dropped) when a new one would exceed it.
+	pendingCap = 4096
+	// sampleCap bounds the joined-sample ring kept for the CSV export.
+	sampleCap = 1024
+	// driftWindow is the sliding-window length of the drift detector;
+	// driftMinSamples gates alarming until the window holds at least that
+	// many errors.
+	driftWindow     = 64
+	driftMinSamples = 16
+	// The window is drifted when its MAPE exceeds driftFloorPct, or
+	// exceeds driftFactor× the baseline MAPE once a baseline of
+	// driftMinSamples exists. The absolute floor catches ledgers that
+	// were biased from the very first join, where a ratio-only test can
+	// never fire because window and baseline drift together.
+	driftFactor   = 2.0
+	driftFloorPct = 25
+	// minBandSamples is how many joined outcomes a bucket needs before
+	// its error band annotates replies.
+	minBandSamples = 8
+)
 
 // ErrBuckets is the relative-error histogram bucket series: |err| as a
 // ratio from 0.01% up to 1000%.
@@ -270,7 +246,6 @@ func clamp01(v float64) float64 {
 // on the service hot path costs about as much as a prediction-cache
 // probe.
 type Ledger struct {
-	cfg Config
 	seq atomic.Uint64
 
 	mu sync.Mutex
@@ -310,13 +285,11 @@ type Ledger struct {
 	ok          bool
 }
 
-// New builds a ledger. The zero Config takes the documented defaults.
-func New(cfg Config) *Ledger {
-	cfg = cfg.withDefaults()
+// New builds a ledger.
+func New(Config) *Ledger {
 	return &Ledger{
-		cfg:     cfg,
 		buckets: map[Key]*bucket{},
-		window:  make([]float64, cfg.DriftWindow),
+		window:  make([]float64, driftWindow),
 		ok:      true,
 	}
 }
@@ -369,8 +342,8 @@ func (l *Ledger) Begin(p Prediction) string {
 	}
 	l.mu.Lock()
 	if l.ring == nil {
-		l.ring = make([]Prediction, l.cfg.PendingCap)
-		l.pending = make(map[string]int32, l.cfg.PendingCap)
+		l.ring = make([]Prediction, pendingCap)
+		l.pending = make(map[string]int32, pendingCap)
 	}
 	if old := l.ring[l.ringNext].ID; old != "" {
 		delete(l.pending, old)
@@ -504,7 +477,7 @@ func (l *Ledger) joinLocked(p Prediction, actual float64) Sample {
 
 	// Sample ring (CSV export), overwrite-oldest.
 	if l.samples == nil {
-		l.samples = make([]Sample, l.cfg.SampleCap)
+		l.samples = make([]Sample, sampleCap)
 	}
 	l.samples[l.sampNext] = s
 	l.sampNext = (l.sampNext + 1) % len(l.samples)
@@ -554,19 +527,19 @@ func (l *Ledger) joinLocked(p Prediction, actual float64) Sample {
 
 // driftedLocked evaluates the drift rule. Caller holds l.mu.
 func (l *Ledger) driftedLocked() bool {
-	if l.winN < l.cfg.DriftMinSamples {
+	if l.winN < driftMinSamples {
 		return false
 	}
 	winMAPE := l.winSum / float64(l.winN) * 100
-	if winMAPE >= l.cfg.DriftFloorPct {
+	if winMAPE >= driftFloorPct {
 		return true
 	}
 	baseN := l.joined - uint64(l.winN)
-	if baseN < uint64(l.cfg.DriftMinSamples) || winMAPE < driftNoiseFloorPct {
+	if baseN < driftMinSamples || winMAPE < driftNoiseFloorPct {
 		return false
 	}
 	baseMAPE := (l.totalAbs - l.winSum) / float64(baseN) * 100
-	return baseMAPE > 0 && winMAPE >= baseMAPE*l.cfg.DriftFactor
+	return baseMAPE > 0 && winMAPE >= baseMAPE*driftFactor
 }
 
 // CalibrationOK reports whether the drift detector currently considers
@@ -654,13 +627,13 @@ func (l *Ledger) Stats(q StatsQuery) []BucketStats {
 
 // BandFor returns the empirical signed-error band for a calibration
 // bucket, or a zero Band (Samples == 0) while the bucket has fewer than
-// MinBandSamples joined outcomes. This is the hot-path reply annotation:
+// minBandSamples joined outcomes. This is the hot-path reply annotation:
 // one mutex acquisition plus two histogram quantile scans.
 func (l *Ledger) BandFor(k Key) Band {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b := l.buckets[k]
-	if b == nil || b.n < l.cfg.MinBandSamples {
+	if b == nil || b.n < minBandSamples {
 		return Band{}
 	}
 	lo, hi := b.band()

@@ -61,8 +61,8 @@ func TestReportUnknownAndInvalid(t *testing.T) {
 }
 
 func TestPendingEviction(t *testing.T) {
-	l := New(Config{PendingCap: 4})
-	ids := make([]string, 6)
+	l := New(Config{})
+	ids := make([]string, pendingCap+2)
 	for i := range ids {
 		ids[i] = l.Begin(Prediction{App: "lu", Predicted: 10})
 	}
@@ -77,8 +77,8 @@ func TestPendingEviction(t *testing.T) {
 			t.Fatalf("resident id %s: %v", id, err)
 		}
 	}
-	if st := l.Status(); st.Expired != 2 || st.Joined != 4 {
-		t.Fatalf("expired=%d joined=%d, want 2/4", st.Expired, st.Joined)
+	if st := l.Status(); st.Expired != 2 || st.Joined != pendingCap {
+		t.Fatalf("expired=%d joined=%d, want 2/%d", st.Expired, st.Joined, pendingCap)
 	}
 }
 
@@ -86,17 +86,18 @@ func TestPendingEviction(t *testing.T) {
 // that prediction; the ID joins once, and evicting the replaced slot later
 // neither drops the new prediction nor counts an expiry.
 func TestPendingReissuedID(t *testing.T) {
-	l := New(Config{PendingCap: 3})
+	l := New(Config{})
 	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 10})
 	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 20})
-	l.Begin(Prediction{App: "lu", Predicted: 10})
-	l.Begin(Prediction{App: "lu", Predicted: 10}) // reuses the first slot
+	for i := 0; i < pendingCap-1; i++ { // the last one reuses the first slot
+		l.Begin(Prediction{App: "lu", Predicted: 10})
+	}
 	s, err := l.Report("x", 20)
 	if err != nil || s.Predicted != 20 {
 		t.Fatalf("re-issued id joined %+v, %v; want the second prediction", s, err)
 	}
-	if st := l.Status(); st.Expired != 0 || st.Pending != 2 {
-		t.Fatalf("expired=%d pending=%d, want 0/2", st.Expired, st.Pending)
+	if st := l.Status(); st.Expired != 0 || st.Pending != pendingCap-1 {
+		t.Fatalf("expired=%d pending=%d, want 0/%d", st.Expired, st.Pending, pendingCap-1)
 	}
 }
 
@@ -124,7 +125,7 @@ func TestPendingFootprintFlat(t *testing.T) {
 }
 
 func TestBucketStatsAndBand(t *testing.T) {
-	l := New(Config{MinBandSamples: 4})
+	l := New(Config{})
 	k := Key{App: "lu", Scheduler: "cs", AgeBucket: "<1s"}
 	// 10 over-predictions at +20%, 10 under at -10%.
 	for i := 0; i < 10; i++ {
@@ -161,30 +162,41 @@ func TestBucketStatsAndBand(t *testing.T) {
 	if b := l.BandFor(Key{App: "ghost"}); b.Samples != 0 {
 		t.Fatalf("ghost band = %+v", b)
 	}
+	thin := Key{App: "thin"}
+	for i := 0; i < minBandSamples-1; i++ {
+		l.ReportPair(Prediction{App: thin.App, Predicted: 120}, 100)
+	}
+	if b := l.BandFor(thin); b.Samples != 0 {
+		t.Fatalf("band with %d samples = %+v, want none below %d", minBandSamples-1, b, minBandSamples)
+	}
+	l.ReportPair(Prediction{App: thin.App, Predicted: 120}, 100)
+	if b := l.BandFor(thin); b.Samples != minBandSamples {
+		t.Fatalf("band at %d samples = %+v", minBandSamples, b)
+	}
 }
 
 func TestDriftFlipsAndRecovers(t *testing.T) {
-	l := New(Config{DriftWindow: 8, DriftMinSamples: 4, DriftFloorPct: 25, DriftFactor: 2})
+	l := New(Config{})
 	good := func() { l.ReportPair(Prediction{App: "lu", Predicted: 101}, 100) } // 1% err
 	bad := func() { l.ReportPair(Prediction{App: "lu", Predicted: 180}, 100) }  // 80% err
-	for i := 0; i < 16; i++ {
+	for i := 0; i < driftWindow; i++ {
 		good()
 	}
 	if !l.CalibrationOK() {
 		t.Fatal("calibration not OK on 1% errors")
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < driftWindow; i++ {
 		bad()
 	}
 	st := l.Status()
 	if st.CalibrationOK {
 		t.Fatalf("drift did not trip: %+v", st)
 	}
-	if st.WindowMAPEPct < 25 {
+	if st.WindowMAPEPct < driftFloorPct {
 		t.Fatalf("window MAPE = %v, expected ≥ floor", st.WindowMAPEPct)
 	}
 	// Good outcomes flush the window and the alarm clears.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < driftWindow; i++ {
 		good()
 	}
 	if !l.CalibrationOK() {
@@ -195,30 +207,39 @@ func TestDriftFlipsAndRecovers(t *testing.T) {
 func TestDriftFloorTripsWithoutBaseline(t *testing.T) {
 	// Biased from the very first join: the ratio rule can never fire
 	// (window == baseline), so the absolute floor must.
-	l := New(Config{DriftWindow: 16, DriftMinSamples: 8, DriftFloorPct: 25})
-	for i := 0; i < 8; i++ {
-		l.ReportPair(Prediction{App: "lu", Predicted: 150}, 100) // 50% err
+	l := New(Config{})
+	bad := func() { l.ReportPair(Prediction{App: "lu", Predicted: 150}, 100) } // 50% err
+	for i := 0; i < driftMinSamples-1; i++ {
+		bad()
 	}
+	if !l.CalibrationOK() {
+		t.Fatalf("alarm before %d samples: %+v", driftMinSamples, l.Status())
+	}
+	bad()
 	if l.CalibrationOK() {
 		t.Fatalf("floor rule did not trip: %+v", l.Status())
 	}
 }
 
 func TestSamplesNewestFirst(t *testing.T) {
-	l := New(Config{SampleCap: 4})
-	for i := 1; i <= 6; i++ {
+	l := New(Config{})
+	const n = sampleCap + 2
+	for i := 1; i <= n; i++ {
 		l.ReportPair(Prediction{App: fmt.Sprintf("a%d", i), Predicted: 10}, 10)
 	}
 	got := l.Samples(0)
-	if len(got) != 4 {
-		t.Fatalf("resident samples = %d, want 4", len(got))
+	if len(got) != sampleCap {
+		t.Fatalf("resident samples = %d, want %d", len(got), sampleCap)
 	}
-	for i, want := range []string{"a6", "a5", "a4", "a3"} {
-		if got[i].App != want {
-			t.Fatalf("samples[%d].App = %s, want %s", i, got[i].App, want)
+	for i, want := range []int{n, n - 1, n - 2} {
+		if w := fmt.Sprintf("a%d", want); got[i].App != w {
+			t.Fatalf("samples[%d].App = %s, want %s", i, got[i].App, w)
 		}
 	}
-	if got2 := l.Samples(2); len(got2) != 2 || got2[0].App != "a6" {
+	if last := got[sampleCap-1].App; last != "a3" {
+		t.Fatalf("oldest resident sample = %s, want a3", last)
+	}
+	if got2 := l.Samples(2); len(got2) != 2 || got2[0].App != fmt.Sprintf("a%d", n) {
 		t.Fatalf("Samples(2) = %+v", got2)
 	}
 }
@@ -236,8 +257,10 @@ func TestAgeBucket(t *testing.T) {
 }
 
 func TestConcurrentBeginReport(t *testing.T) {
-	l := New(Config{PendingCap: 64, SampleCap: 64})
-	const goroutines, perG = 8, 200
+	l := New(Config{})
+	// Each goroutine leaves every other prediction pending, so together
+	// they turn the pending ring several times and evict under contention.
+	const goroutines, perG = 8, 5000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -246,9 +269,11 @@ func TestConcurrentBeginReport(t *testing.T) {
 			app := fmt.Sprintf("app%d", g)
 			for i := 0; i < perG; i++ {
 				id := l.Begin(Prediction{App: app, Predicted: 100})
-				// Evictions under the small pending cap are expected; both
-				// outcomes must keep the counters consistent.
-				l.Report(id, 90+float64(i%20)) //nolint:errcheck
+				if i%2 == 0 {
+					// Another goroutine may have evicted id already; both
+					// outcomes must keep the counters consistent.
+					l.Report(id, 90+float64(i%20)) //nolint:errcheck
+				}
 				l.BandFor(Key{App: app})
 				if i%32 == 0 {
 					l.Status()
@@ -260,15 +285,21 @@ func TestConcurrentBeginReport(t *testing.T) {
 	}
 	wg.Wait()
 	st := l.Status()
-	const total = goroutines * perG
-	if st.Predictions != total || st.Outcomes != total {
-		t.Fatalf("predictions=%d outcomes=%d, want %d", st.Predictions, st.Outcomes, total)
+	const total, reported = goroutines * perG, goroutines * perG / 2
+	if st.Predictions != total || st.Outcomes != reported {
+		t.Fatalf("predictions=%d outcomes=%d, want %d/%d", st.Predictions, st.Outcomes, total, reported)
 	}
-	if st.Joined+st.Unmatched != total {
-		t.Fatalf("joined=%d unmatched=%d don't partition %d outcomes", st.Joined, st.Unmatched, total)
+	if st.Joined+st.Unmatched != reported {
+		t.Fatalf("joined=%d unmatched=%d don't partition %d outcomes", st.Joined, st.Unmatched, reported)
 	}
-	if st.Unmatched != st.Expired {
-		t.Fatalf("unmatched=%d != expired=%d: every miss must come from eviction", st.Unmatched, st.Expired)
+	if st.Expired == 0 || st.Pending > pendingCap {
+		t.Fatalf("expired=%d pending=%d: %d predictions left pending must evict", st.Expired, st.Pending, total-reported)
+	}
+	if st.Joined+st.Expired+uint64(st.Pending) != total {
+		t.Fatalf("joined=%d expired=%d pending=%d don't partition %d predictions", st.Joined, st.Expired, st.Pending, total)
+	}
+	if st.Unmatched > st.Expired {
+		t.Fatalf("unmatched=%d > expired=%d: every miss must come from eviction", st.Unmatched, st.Expired)
 	}
 }
 

@@ -110,20 +110,21 @@ func (FastestNodes) Place(sys *cbes.System, job *Job, free []int, _ int64) (core
 
 // CBESPolicy runs the CS scheduler over the free pool under current
 // monitored conditions.
-type CBESPolicy struct {
-	// Effort is the SA evaluation budget (default 8000).
-	Effort int
-	// Restarts spreads the budget over independent anneals (default 8 —
-	// placement decisions are rare and worth the robustness against
-	// basin capture).
-	Restarts int
-}
+type CBESPolicy struct{}
+
+const (
+	// cbesEffort is the SA evaluation budget of one placement.
+	cbesEffort = 8000
+	// cbesRestarts spreads the budget over independent anneals: placement
+	// decisions are rare and worth the robustness against basin capture.
+	cbesRestarts = 8
+)
 
 // Name identifies the policy.
 func (CBESPolicy) Name() string { return "cbes-cs" }
 
 // Place schedules with simulated annealing on the free pool.
-func (p CBESPolicy) Place(sys *cbes.System, job *Job, free []int, seed int64) (core.Mapping, error) {
+func (CBESPolicy) Place(sys *cbes.System, job *Job, free []int, seed int64) (core.Mapping, error) {
 	if len(free) < job.Prog.Ranks {
 		return nil, fmt.Errorf("batch: %d free nodes < %d ranks", len(free), job.Prog.Ranks)
 	}
@@ -131,21 +132,13 @@ func (p CBESPolicy) Place(sys *cbes.System, job *Job, free []int, seed int64) (c
 	if err != nil {
 		return nil, err
 	}
-	effort := p.Effort
-	if effort <= 0 {
-		effort = 8000
-	}
-	restarts := p.Restarts
-	if restarts <= 0 {
-		restarts = 8
-	}
 	dec, err := schedule.SimulatedAnnealing(&schedule.Request{
 		Eval:     eval,
 		Snap:     sys.Snapshot(),
 		Pool:     free,
 		Seed:     seed,
-		Effort:   effort,
-		Restarts: restarts,
+		Effort:   cbesEffort,
+		Restarts: cbesRestarts,
 	})
 	if err != nil {
 		return nil, err

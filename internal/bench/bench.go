@@ -32,11 +32,13 @@ type Options struct {
 	// pair per path class. O(N²) instead of O(classes); used to validate
 	// the class approximation.
 	AllPairs bool
-	// LoadLevel is the controlled CPU availability used when fitting the
-	// load coefficients (default 0.5). Set SkipLoadFit to skip that phase.
-	LoadLevel   float64
+	// SkipLoadFit skips fitting the load coefficients.
 	SkipLoadFit bool
 }
+
+// loadLevel is the controlled CPU availability at which the load
+// coefficients are fitted.
+const loadLevel = 0.5
 
 func (o Options) sizes() []int64 {
 	if len(o.Sizes) > 0 {
@@ -50,13 +52,6 @@ func (o Options) reps() int {
 		return o.Reps
 	}
 	return 10
-}
-
-func (o Options) loadLevel() float64 {
-	if o.LoadLevel > 0 && o.LoadLevel < 1 {
-		return o.LoadLevel
-	}
-	return 0.5
 }
 
 // Pair is an ordered benchmark endpoint pair (Src == Dst measures the
@@ -217,7 +212,7 @@ func Calibrate(topo *cluster.Topology, opts Options) *netmodel.Model {
 // coefficients CSend/CRecv.
 func fitLoadCoefficients(topo *cluster.Topology, model *netmodel.Model, opts Options) {
 	repPairs, _ := classRepresentatives(topo)
-	a := opts.loadLevel()
+	const a = loadLevel
 	x := 1/a - 1
 	size := opts.sizes()[0] // small messages: the CPU-bound regime
 	reps := opts.reps()

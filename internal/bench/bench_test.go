@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"cbes/internal/cluster"
+	"cbes/internal/netmodel"
 )
 
 func TestMeasurePairLatencyBasics(t *testing.T) {
@@ -57,6 +59,24 @@ func TestCalibrateBuildsAllClasses(t *testing.T) {
 	// And in the right ballpark: tens of microseconds (arch overheads).
 	if c.CSend < 5e-6 || c.CSend > 500e-6 {
 		t.Fatalf("CSend = %v out of plausible range", c.CSend)
+	}
+}
+
+// TestCalibratedModelsLoad: a model calibrated for any testbed survives
+// the checks netmodel.Decode and Attach apply to a stored model.
+func TestCalibratedModelsLoad(t *testing.T) {
+	for _, topo := range []*cluster.Topology{cluster.NewTestTopology(), cluster.NewOrangeGrove(), cluster.NewCenturion()} {
+		var buf bytes.Buffer
+		if err := Calibrate(topo, Options{}).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m, err := netmodel.Decode(&buf)
+		if err == nil {
+			err = m.Attach(topo)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", topo.Name, err)
+		}
 	}
 }
 

@@ -279,14 +279,7 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 		return nil, err
 	}
 	e.nominalOnce.Do(func() {
-		n := e.Topo.NumNodes()
-		e.nominal = &monitor.Snapshot{
-			AvailCPU: make([]float64, n),
-			NICUtil:  make([]float64, n),
-		}
-		for i := range e.nominal.AvailCPU {
-			e.nominal.AvailCPU[i] = 1.0
-		}
+		e.nominal = monitor.IdleSnapshot(e.Topo.NumNodes())
 		aggs := make([]brownoutAgg, e.Prof.Ranks)
 		for si := range e.Prof.Segments {
 			for pi := range e.Prof.Segments[si].Procs {

@@ -19,10 +19,13 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 	topo := cluster.NewTestTopology()
 	m := netmodel.New(topo)
-	m.SetClass("loop|alpha", netmodel.Class{
-		Curve: netmodel.Curve{Sizes: []int64{64}, Lat: []float64{1e-5}},
-		Pairs: 4,
-	})
+	for id := 0; id < topo.NumClasses(); id++ { // Attach wants every class
+		m.SetClass(topo.ClassSignature(id), netmodel.Class{
+			Curve: netmodel.Curve{Sizes: []int64{64}, Lat: []float64{1e-5}},
+			Pairs: 4,
+		})
+	}
+	sig := topo.ClassSignature(0)
 	if err := s.SaveModel(m); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestModelRoundTrip(t *testing.T) {
 	if err := got.Attach(topo); err != nil {
 		t.Fatal(err)
 	}
-	if got.Classes["loop|alpha"].Pairs != 4 {
+	if got.Classes[sig].Pairs != 4 {
 		t.Fatalf("round trip lost data: %+v", got.Classes)
 	}
 }

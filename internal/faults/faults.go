@@ -199,9 +199,9 @@ type RandomConfig struct {
 	Degrades int
 	// SensorDrops is the number of sensor drop/restore pairs.
 	SensorDrops int
-	// Stalls is the number of monitor stalls; each lasts up to MaxStall.
-	Stalls   int
-	MaxStall des.Time
+	// Stalls is the number of monitor stalls; each lasts up to a tenth
+	// of the horizon.
+	Stalls int
 }
 
 // RandomSchedule generates a reproducible schedule of paired faults over
@@ -212,9 +212,6 @@ func RandomSchedule(topo *cluster.Topology, cfg RandomConfig) Schedule {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if cfg.Horizon <= 0 {
 		return nil
-	}
-	if cfg.MaxStall <= 0 {
-		cfg.MaxStall = cfg.Horizon / 10
 	}
 	var sched Schedule
 	// pairTimes draws a start in the first 2/3 of the horizon and an end
@@ -248,7 +245,7 @@ func RandomSchedule(topo *cluster.Topology, cfg RandomConfig) Schedule {
 	}
 	for i := 0; i < cfg.Stalls; i++ {
 		at := 1 + des.Time(rng.Int63n(int64(cfg.Horizon)))
-		d := 1 + des.Time(rng.Int63n(int64(cfg.MaxStall)))
+		d := 1 + des.Time(rng.Int63n(int64(cfg.Horizon/10)))
 		sched = append(sched, Fault{At: at, Kind: MonitorStall, Duration: d})
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })

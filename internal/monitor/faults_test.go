@@ -96,10 +96,15 @@ func TestCrashedNodeDetectedAtNextSample(t *testing.T) {
 }
 
 func TestStalenessMarksSuspect(t *testing.T) {
-	// StaleTTL defaults to 3 intervals; a 5-interval stall must trip it.
+	// staleTTL is 3 intervals: data 2.5 intervals old is still fresh, and
+	// a 5-interval stall must trip it.
 	eng, _, _, mon := newMonEnv(Config{Noise: NoNoise})
 	defer eng.Shutdown()
 	eng.ScheduleAt(4*des.Second, func() { mon.StallFor(5 * des.Second) })
+	eng.RunUntil(5*des.Second + des.Second/2)
+	if h := mon.Snapshot().HealthOf(0); h != HealthOK {
+		t.Fatalf("health = %v at age 2.5s, want ok under the %v TTL", h, staleTTL)
+	}
 	eng.RunUntil(8 * des.Second)
 	snap := mon.Snapshot()
 	for i := range snap.AvailCPU {
@@ -121,17 +126,6 @@ func TestStalenessMarksSuspect(t *testing.T) {
 	eng.RunUntil(12 * des.Second)
 	if h := mon.Snapshot().HealthOf(0); h != HealthOK {
 		t.Fatalf("health after stall = %v, want ok", h)
-	}
-}
-
-func TestCustomStaleTTL(t *testing.T) {
-	eng, _, _, mon := newMonEnv(Config{Noise: NoNoise, StaleTTL: 10 * des.Second})
-	defer eng.Shutdown()
-	eng.ScheduleAt(3*des.Second, func() { mon.StallFor(5 * des.Second) })
-	eng.RunUntil(6 * des.Second)
-	// Age ≈4s < TTL 10s: still healthy with the longer budget.
-	if h := mon.Snapshot().HealthOf(0); h != HealthOK {
-		t.Fatalf("health = %v, want ok under 10s TTL", h)
 	}
 }
 

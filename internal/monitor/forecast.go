@@ -3,12 +3,12 @@
 // forecasters, and on-demand cluster snapshots for the mapping-evaluation
 // core.
 //
-// Two forecasting styles mirror the paper's two prototypes: the Orange
-// Grove prototype "considers the latest measured load values as valid for
-// the next time period" (LastValue), while the Centurion prototype uses a
-// modified NWS, approximated here by an adaptive forecaster that tracks
-// several simple predictors and reports the one with the lowest running
-// error — the essential NWS mechanism.
+// The SystemMonitor forecasts like the paper's Orange Grove prototype,
+// which "considers the latest measured load values as valid for the next
+// time period" (LastValue). The Centurion prototype's modified NWS is
+// approximated by Adaptive, which tracks several simple predictors and
+// reports the one with the lowest running error — the essential NWS
+// mechanism; the forecaster ablation compares the two.
 package monitor
 
 import (

@@ -157,44 +157,27 @@ func IdleSnapshot(n int) *Snapshot {
 	return s
 }
 
-// Style selects the forecasting style of a SystemMonitor.
-type Style int
-
-// Forecasting styles of the two prototypes.
-const (
-	// StyleLastValue is the Orange Grove prototype: the latest measured
-	// value is taken as valid for the next period.
-	StyleLastValue Style = iota
-	// StyleNWS is the Centurion prototype: adaptive multi-predictor
-	// forecasting in the manner of the Network Weather Service.
-	StyleNWS
-)
-
 // NoNoise requests exactly noiseless sensors. The zero Config value keeps
 // the 0.01 default, so "no noise at all" needs an explicit sentinel (any
 // negative Noise works; this constant is the documented spelling).
 const NoNoise = -1.0
 
+const (
+	// sampleInterval is the sensors' sampling period.
+	sampleInterval = des.Second
+	// staleTTL is how old a node's last successful sample may grow before
+	// the node is marked HealthSuspect.
+	staleTTL = 3 * sampleInterval
+)
+
 // Config tunes a SystemMonitor.
 type Config struct {
-	Style    Style
-	Interval des.Time // sampling period (default 1 s)
 	// Noise is the relative standard deviation of sensor measurement error
 	// (default 0.01). Sensors on real systems never read ground truth
 	// exactly. Set NoNoise (or any negative value) for noiseless sensors.
 	Noise float64
 	// Seed drives the sensor noise generator.
 	Seed int64
-	// StaleTTL is how old a node's last successful sample may grow before
-	// the node is marked HealthSuspect (default 3 sampling intervals).
-	StaleTTL des.Time
-}
-
-func (c Config) interval() des.Time {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return des.Second
 }
 
 func (c Config) noise() float64 {
@@ -207,21 +190,14 @@ func (c Config) noise() float64 {
 	return 0.01
 }
 
-func (c Config) staleTTL() des.Time {
-	if c.StaleTTL > 0 {
-		return c.StaleTTL
-	}
-	return 3 * c.interval()
-}
-
 // SystemMonitor owns the per-node sensors and daemons. It is the
 // system-dedicated half of the CBES infrastructure (§2).
 type SystemMonitor struct {
 	vc   *vcluster.Cluster
 	net  *simnet.Network
 	cfg  Config
-	cpuF []Forecaster
-	nicF []Forecaster
+	cpuF []LastValue
+	nicF []LastValue
 	// lastBusy remembers per-node edge-link busy time at the previous
 	// sample, to compute utilization over the sampling window.
 	lastBusy []des.Time
@@ -258,22 +234,12 @@ func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *Sy
 		vc:          vc,
 		net:         net,
 		cfg:         cfg,
-		cpuF:        make([]Forecaster, n),
-		nicF:        make([]Forecaster, n),
+		cpuF:        make([]LastValue, n),
+		nicF:        make([]LastValue, n),
 		lastBusy:    make([]des.Time, n),
 		lastUpdate:  make([]des.Time, n),
 		sensorDown:  make([]bool, n),
 		unreachable: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		switch cfg.Style {
-		case StyleNWS:
-			m.cpuF[i] = NewAdaptive()
-			m.nicF[i] = NewAdaptive()
-		default:
-			m.cpuF[i] = NewLastValue()
-			m.nicF[i] = NewLastValue()
-		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 0x5eed))
 	// Take an immediate first sample so snapshots never rest on forecaster
@@ -282,7 +248,7 @@ func NewSystemMonitor(vc *vcluster.Cluster, net *simnet.Network, cfg Config) *Sy
 	m.sample(rng)
 	vc.Eng.Spawn("sysmon", func(p *des.Proc) {
 		for {
-			p.Sleep(m.cfg.interval())
+			p.Sleep(sampleInterval)
 			m.sample(rng)
 		}
 	})
@@ -299,7 +265,7 @@ func (m *SystemMonitor) sample(rng *rand.Rand) {
 	if now < m.stalledUntil {
 		return // wedged collector: no sensor reads this round
 	}
-	window := m.cfg.interval().Seconds()
+	window := sampleInterval.Seconds()
 	refreshed := 0
 	for i := range m.cpuF {
 		if m.sensorDown[i] {
@@ -416,7 +382,6 @@ func (m *SystemMonitor) Snapshot() *Snapshot {
 		Health:    make([]Health, n),
 		SampleAge: make([]float64, n),
 	}
-	ttl := m.cfg.staleTTL()
 	suspect, down := 0, 0
 	for i := 0; i < n; i++ {
 		s.AvailCPU[i] = m.cpuF[i].Forecast()
@@ -430,7 +395,7 @@ func (m *SystemMonitor) Snapshot() *Snapshot {
 			s.Health[i] = HealthDown
 			s.AvailCPU[i] = 0
 			down++
-		case age > ttl:
+		case age > staleTTL:
 			s.Health[i] = HealthSuspect
 			suspect++
 		}

@@ -145,7 +145,7 @@ func newMonEnv(cfg Config) (*des.Engine, *vcluster.Cluster, *simnet.Network, *Sy
 }
 
 func TestSystemMonitorTracksCPULoad(t *testing.T) {
-	eng, vc, _, mon := newMonEnv(Config{Style: StyleLastValue, Noise: 1e-9})
+	eng, vc, _, mon := newMonEnv(Config{Noise: 1e-9})
 	vc.ApplyLoadScript(3, []vcluster.LoadStep{{At: 5 * des.Second, Avail: 0.4}})
 	eng.RunUntil(20 * des.Second)
 	snap := mon.Snapshot()
@@ -165,7 +165,7 @@ func TestSystemMonitorTracksCPULoad(t *testing.T) {
 }
 
 func TestSystemMonitorTracksNICUtil(t *testing.T) {
-	eng, _, net, mon := newMonEnv(Config{Style: StyleLastValue, Noise: 1e-9})
+	eng, _, net, mon := newMonEnv(Config{Noise: 1e-9})
 	// Saturate node 0's edge link with periodic traffic.
 	eng.Spawn("traffic", func(p *des.Proc) {
 		for {
@@ -190,19 +190,6 @@ func TestSnapshotCloneIndependent(t *testing.T) {
 	c.AvailCPU[0] = 0.1
 	if s.AvailCPU[0] != 1.0 {
 		t.Fatal("clone aliases parent")
-	}
-}
-
-func TestNWSStyleSmoothsNoise(t *testing.T) {
-	// With noisy sensors on a constant load, the NWS forecast should be
-	// closer to truth than a single noisy reading.
-	engA, vcA, _, monA := newMonEnv(Config{Style: StyleNWS, Noise: 0.2, Seed: 1})
-	vcA.ApplyLoadScript(0, []vcluster.LoadStep{{At: 0, Avail: 0.5}})
-	engA.RunUntil(60 * des.Second)
-	snap := monA.Snapshot()
-	engA.Shutdown()
-	if math.Abs(snap.AvailCPU[0]-0.5) > 0.1 {
-		t.Fatalf("NWS forecast = %v, want ≈0.5 despite 20%% sensor noise", snap.AvailCPU[0])
 	}
 }
 

@@ -19,7 +19,7 @@ func TestPerSourceFIFOManySources(t *testing.T) {
 	size := func(src, i int) int64 {
 		s := int64(src*100 + i)
 		if (src+i)%2 == 0 {
-			return DefaultEagerThreshold + 1 + s // rendezvous
+			return EagerThreshold + 1 + s // rendezvous
 		}
 		return 1 + s // eager
 	}

@@ -29,19 +29,17 @@ import (
 	"cbes/internal/vcluster"
 )
 
-// DefaultEagerThreshold is the message size at and below which sends are
+// EagerThreshold is the message size at and below which sends are
 // eager (buffered): the sender proceeds once the message is injected.
 // Larger messages use a rendezvous protocol and block the sender until the
 // transfer completes.
-const DefaultEagerThreshold int64 = 64 << 10
+const EagerThreshold int64 = 64 << 10
 
 // rtsSize is the size of the rendezvous request-to-send control message.
 const rtsSize int64 = 64
 
 // Options configures a program execution.
 type Options struct {
-	// EagerThreshold overrides DefaultEagerThreshold when > 0.
-	EagerThreshold int64
 	// ArchEff maps architecture -> application-specific efficiency
 	// multiplier on top of the architecture's base speed (cache fit,
 	// vectorization, ...). Missing entries default to 1.0.
@@ -51,13 +49,6 @@ type Options struct {
 	// RecordIntervals retains the full per-rank state timeline in the
 	// trace (for XMPI-style visualization); off by default.
 	RecordIntervals bool
-}
-
-func (o *Options) eager() int64 {
-	if o.EagerThreshold > 0 {
-		return o.EagerThreshold
-	}
-	return DefaultEagerThreshold
 }
 
 // Result summarises one program execution.
@@ -397,7 +388,7 @@ func (r *Rank) Send(dst int, size int64) {
 	m := allocMsg()
 	m.src, m.dst, m.size, m.peer = r.id, dst, size, peer
 
-	if size <= r.w.opts.eager() {
+	if size <= EagerThreshold {
 		r.w.net.DeliverArg(r.node, peer.node, size, eagerArrived, m)
 		peer.enqueue(m)
 		r.w.rec.SetState(r.id, trace.StateRun)

@@ -106,10 +106,18 @@ func New(topo *cluster.Topology) *Model {
 }
 
 // Attach re-binds a deserialized model to its topology (needed to resolve
-// pair signatures). It errors if the topology name does not match.
+// pair signatures). It errors if the topology name does not match or the
+// model leaves one of the topology's path classes uncalibrated, which
+// would fail every prediction that crosses it.
 func (m *Model) Attach(topo *cluster.Topology) error {
 	if topo.Name != m.ClusterName {
 		return fmt.Errorf("netmodel: model calibrated for %q, not %q", m.ClusterName, topo.Name)
+	}
+	for id := 0; id < topo.NumClasses(); id++ {
+		sig := topo.ClassSignature(id)
+		if _, ok := m.Classes[sig]; !ok {
+			return fmt.Errorf("netmodel: model for %q leaves class %q uncalibrated", topo.Name, sig)
+		}
 	}
 	m.topo = topo
 	m.byID.Store(nil)
@@ -265,7 +273,10 @@ func (m *Model) Spread(size int64) float64 {
 // Encode writes the model as JSON (the "database" of the system profile).
 func (m *Model) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(m) }
 
-// Decode reads a model written by Encode; call Attach before use.
+// Decode reads a model written by Encode; call Attach before use. A
+// stored model is outside input: Decode rejects one whose curves or
+// coefficients no calibration produces, since they would panic Curve.At
+// or give infinite or negative latencies.
 func Decode(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
@@ -274,5 +285,39 @@ func Decode(r io.Reader) (*Model, error) {
 	if m.Classes == nil {
 		m.Classes = map[string]Class{}
 	}
+	for sig, c := range m.Classes {
+		if err := c.validate(); err != nil {
+			return nil, fmt.Errorf("netmodel: decode: class %q: %w", sig, err)
+		}
+	}
 	return &m, nil
+}
+
+// maxSeconds bounds a decoded latency or load coefficient, so that Lc
+// stays finite under any load the snapshot can report.
+const maxSeconds = 1e9
+
+// validate checks what Curve.At and Class.Latency rely on: at least one
+// point, one latency per size, sizes non-negative and strictly increasing,
+// latencies non-decreasing (so extrapolation never goes negative), and
+// every value in [0, maxSeconds].
+func (c *Class) validate() error {
+	cv := &c.Curve
+	if len(cv.Sizes) == 0 || len(cv.Sizes) != len(cv.Lat) {
+		return fmt.Errorf("curve of %d sizes and %d latencies", len(cv.Sizes), len(cv.Lat))
+	}
+	for i, s := range cv.Sizes {
+		if s < 0 || i > 0 && s <= cv.Sizes[i-1] {
+			return fmt.Errorf("curve sizes %v not non-negative and strictly increasing", cv.Sizes)
+		}
+		if i > 0 && cv.Lat[i] < cv.Lat[i-1] {
+			return fmt.Errorf("curve latencies %v decrease", cv.Lat)
+		}
+	}
+	for _, v := range append([]float64{c.CSend, c.CRecv}, cv.Lat...) {
+		if !(v >= 0 && v <= maxSeconds) {
+			return fmt.Errorf("value %v outside [0, %g]", v, maxSeconds)
+		}
+	}
+	return nil
 }

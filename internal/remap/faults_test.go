@@ -23,10 +23,12 @@ func crashSnap(n int, down ...int) *monitor.Snapshot {
 
 // TestAdvisorEvacuatesDeadNode: a crashed node under the current mapping
 // must force a remap onto healthy nodes regardless of migration cost or
-// hysteresis — staying costs +Inf.
+// hysteresis — staying costs +Inf. Hysteresis would block the move: with
+// cur = +Inf, gain > cur·hysteresisPct/100 reads +Inf > +Inf, so only its
+// waiver lets the advisor evacuate.
 func TestAdvisorEvacuatesDeadNode(t *testing.T) {
 	f := newFixture(t)
-	adv := &Advisor{Eval: f.eval, Pool: pool8(), MigrationCost: 1000, HysteresisPct: 50}
+	adv := &Advisor{Eval: f.eval, Pool: pool8(), MigrationCost: 1000}
 	snap := crashSnap(f.topo.NumNodes(), 1)
 	advice, err := adv.Evaluate(core.Mapping{0, 1, 2, 3}, 0.5, snap, 1)
 	if err != nil {

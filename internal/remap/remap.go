@@ -49,20 +49,14 @@ type Advisor struct {
 	Pool []int
 	// MigrationCost is the fixed checkpoint+restart cost in seconds.
 	MigrationCost float64
-	// HysteresisPct requires the gain to exceed this fraction of the
-	// remaining time before recommending a move (default 2%), so marginal
-	// differences do not cause migration churn.
-	HysteresisPct float64
 	// Effort is the SA search effort for the alternative (default 3000).
 	Effort int
 }
 
-func (a *Advisor) hysteresis() float64 {
-	if a.HysteresisPct > 0 {
-		return a.HysteresisPct
-	}
-	return 2.0
-}
+// hysteresisPct requires the gain to exceed this percentage of the
+// remaining time before a move is recommended, so marginal differences
+// do not cause migration churn.
+const hysteresisPct = 2.0
 
 // Evaluate compares staying on `current` against the best alternative for
 // the remaining fraction of the application (0 < remaining <= 1) under the
@@ -109,7 +103,7 @@ func (a *Advisor) Evaluate(current core.Mapping, remaining float64, snap *monito
 		advice.Remap = true
 		advice.Mapping = dec.Mapping
 		advice.Gain = gain // +Inf: migrating off a dead node always pays
-	case gain > 0 && gain > cur*a.hysteresis()/100 && !dec.Mapping.Equal(current):
+	case gain > 0 && gain > cur*hysteresisPct/100 && !dec.Mapping.Equal(current):
 		advice.Remap = true
 		advice.Mapping = dec.Mapping
 		advice.Gain = gain

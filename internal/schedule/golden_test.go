@@ -17,8 +17,8 @@ import (
 // of these. GA has its own digest so a change aimed at GA alone can show
 // that CS, NCS, RS and exhaustive did not move.
 const (
-	searchGolden  = "479af50f6839bcc6ecb4496a19a4cd6fa3fff1cb296e331917d0d2184898bfcf"
-	geneticGolden = "6d750acf73d64b2f3f73c0b5b65c25c7a6fe2ff152f8ecd1422942134ec1a7d4"
+	searchGolden  = "5d6172a94d797e02ec8216904e157f09d91f37680e1585c2903e755cee8652b2"
+	geneticGolden = "d6ae37907c2b65ef322fd59508286128fe7fa513c8b13175c3cd04dec159faf5"
 )
 
 // includesNode0 is the golden grid's constraint: the mapping must use node 0.
@@ -42,7 +42,6 @@ func decisionGrid(t *testing.T) (search, genetic string) {
 	}{
 		{"default", func(*Request) {}},
 		{"maximize", func(r *Request) { r.Maximize = true }},
-		{"slots2", func(r *Request) { r.SlotsPerNode = 2 }},
 		{"node0", func(r *Request) { r.Constraint = includesNode0 }},
 		{"restarts1", func(r *Request) { r.Restarts = 1 }},
 		{"restarts6", func(r *Request) { r.Restarts = 6 }},

@@ -11,8 +11,8 @@
 //   - Exhaustive — full enumeration for small pools, used to establish
 //     ground-truth best/worst mappings in the evaluation.
 //
-// All schedulers respect an administrative node pool and a per-node slot
-// capacity, and are deterministic for a fixed seed.
+// All schedulers respect an administrative node pool, place at most one
+// rank per node, and are deterministic for a fixed seed.
 //
 // The search-based schedulers run on the core fast path: SA proposes typed
 // moves scored by incremental delta-evaluation (core.Scorer), independent
@@ -116,11 +116,9 @@ type Request struct {
 	// Snap is the resource snapshot to schedule against.
 	Snap *monitor.Snapshot
 	// Pool lists candidate node IDs (administrative policy). Must be
-	// non-empty.
+	// non-empty. Schedulers place at most one rank per node, the paper's
+	// usage.
 	Pool []int
-	// SlotsPerNode caps ranks per node. 0 means one rank per node (the
-	// paper's usage); set to the node CPU count to allow co-scheduling.
-	SlotsPerNode int
 	// Seed drives scheduler randomness.
 	Seed int64
 	// Effort caps search effort: total energy evaluations (default 4000).
@@ -164,13 +162,6 @@ func (r *Request) effort() int {
 	return 4000
 }
 
-func (r *Request) slots() int {
-	if r.SlotsPerNode > 0 {
-		return r.SlotsPerNode
-	}
-	return 1
-}
-
 func (r *Request) ranks() int { return r.Eval.Prof.Ranks }
 
 func (r *Request) validate() error {
@@ -180,9 +171,9 @@ func (r *Request) validate() error {
 	if len(r.Pool) == 0 {
 		return fmt.Errorf("schedule: empty node pool")
 	}
-	if len(r.Pool)*r.slots() < r.ranks() {
+	if len(r.Pool) < r.ranks() {
 		return fmt.Errorf("schedule: pool capacity %d < %d ranks: %w",
-			len(r.Pool)*r.slots(), r.ranks(), ErrInfeasible)
+			len(r.Pool), r.ranks(), ErrInfeasible)
 	}
 	nodes := r.Eval.Topo.NumNodes()
 	listed := make([]bool, nodes)
@@ -236,10 +227,10 @@ func (r *Request) prepare() (*Request, error) {
 		return r, nil
 	}
 	metricNodesFiltered.Add(uint64(filtered))
-	if len(healthy)*r.slots() < r.ranks() {
+	if len(healthy) < r.ranks() {
 		metricInfeasible.Inc()
 		return nil, fmt.Errorf("schedule: healthy pool capacity %d < %d ranks (%d down nodes filtered): %w",
-			len(healthy)*r.slots(), r.ranks(), filtered, ErrInfeasible)
+			len(healthy), r.ranks(), filtered, ErrInfeasible)
 	}
 	rr := *r
 	rr.Pool = healthy
@@ -274,12 +265,11 @@ func release(used []int, m core.Mapping) {
 // randomMapping draws a uniformly random valid mapping; used is the
 // search's zeroed load buffer.
 func randomMapping(req *Request, rng *rand.Rand, used []int) core.Mapping {
-	slots := req.slots()
 	m := make(core.Mapping, req.ranks())
 	for i := range m {
 		for {
 			n := req.Pool[rng.Intn(len(req.Pool))]
-			if used[n] < slots {
+			if used[n] == 0 {
 				m[i] = n
 				used[n]++
 				break
@@ -291,13 +281,12 @@ func randomMapping(req *Request, rng *rand.Rand, used []int) core.Mapping {
 }
 
 // proposeMove draws a typed move against mapping m: either a swap of the
-// nodes of two ranks or a move of one rank to a node with spare capacity,
-// as load reports it for m. Degenerate swaps (same rank or same node) are
+// nodes of two ranks or a move of one rank to a node no rank uses, as
+// load reports it for m. Degenerate swaps (same rank or same node) are
 // redrawn up to 8 times before falling back to a move. ok=false means no
 // free node was found (saturated pool). SA proposes against the scorer's
 // current mapping; GA mutates a crossover child with it.
 func proposeMove(req *Request, m core.Mapping, load func(node int) int, rng *rand.Rand) (core.Move, bool) {
-	slots := req.slots()
 	if rng.Intn(2) == 0 && len(m) >= 2 {
 		for attempt := 0; attempt < 8; attempt++ {
 			i, j := rng.Intn(len(m)), rng.Intn(len(m))
@@ -309,7 +298,7 @@ func proposeMove(req *Request, m core.Mapping, load func(node int) int, rng *ran
 	i := rng.Intn(len(m))
 	for attempts := 0; attempts < 8*len(req.Pool); attempts++ {
 		n := req.Pool[rng.Intn(len(req.Pool))]
-		if n != m[i] && load(n) < slots {
+		if n != m[i] && load(n) == 0 {
 			return core.Move{Rank: i, To: n}, true
 		}
 	}
@@ -547,7 +536,7 @@ func SimulatedAnnealingNoComm(req *Request) (d *Decision, err error) {
 }
 
 // Genetic is the GA scheduler (future-work algorithm): evolves mappings
-// with uniform crossover repaired to respect slot capacities, mutated by
+// with uniform crossover repaired to one rank per node, mutated by
 // SA's move proposer. Fitness runs on the allocation-free full evaluation
 // of the fast path: a child is a new mapping, so it is scored afresh
 // rather than through Scorer moves.
@@ -563,15 +552,14 @@ func Genetic(req *Request) (d *Decision, err error) {
 	if req.Maximize {
 		sign = -1.0
 	}
-	slots := req.slots()
 	used := req.loads()
 	load := func(n int) int { return used[n] }
 	repair := func(m core.Mapping, rng *rand.Rand) core.Mapping {
 		for i, n := range m {
-			if used[n] >= slots {
+			if used[n] != 0 {
 				for {
 					c := req.Pool[rng.Intn(len(req.Pool))]
-					if used[c] < slots {
+					if used[c] == 0 {
 						m[i] = c
 						n = c
 						break
@@ -644,9 +632,9 @@ func Genetic(req *Request) (d *Decision, err error) {
 	}, nil
 }
 
-// Exhaustive enumerates every valid mapping (ranks placed on pool nodes,
-// respecting slots) and returns the true optimum. Use only for small
-// pools: the space is |Pool|^ranks before capacity pruning. The walk runs
+// Exhaustive enumerates every valid mapping (ranks placed on distinct pool
+// nodes) and returns the true optimum. Use only for small pools: the
+// space is |Pool|^ranks before capacity pruning. The walk runs
 // on the incremental fast path: entering a recursion level applies a
 // single-rank move to the scorer and leaving it undoes the move, so each
 // enumerated mapping costs one delta evaluation instead of a full one.
@@ -658,7 +646,6 @@ func Exhaustive(req *Request) (d *Decision, err error) {
 		return nil, err
 	}
 	start := time.Now()
-	slots := req.slots()
 	sc := req.Eval.Scorer()
 	defer sc.Publish()
 	m := make(core.Mapping, req.ranks())
@@ -711,7 +698,7 @@ func Exhaustive(req *Request) (d *Decision, err error) {
 			return
 		}
 		for _, n := range req.Pool {
-			if used[n] >= slots {
+			if used[n] != 0 {
 				continue
 			}
 			used[n]++

@@ -239,26 +239,8 @@ func TestGeneticSchedulerWorks(t *testing.T) {
 	}
 	for _, c := range ga.Mapping.Multiplicity() {
 		if c > 1 {
-			t.Fatalf("GA violated slot capacity: %v", ga.Mapping)
+			t.Fatalf("GA placed two ranks on one node: %v", ga.Mapping)
 		}
-	}
-}
-
-func TestSlotsPerNodeCoScheduling(t *testing.T) {
-	f := newFixture(t)
-	// Only two dual-CPU nodes for four ranks: needs 2 slots per node.
-	req := f.request([]int{4, 5}, 1)
-	if _, err := SimulatedAnnealing(req); err == nil {
-		t.Fatal("expected capacity error with 1 slot per node")
-	}
-	req.SlotsPerNode = 2
-	d, err := SimulatedAnnealing(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mult := d.Mapping.Multiplicity()
-	if mult[4] != 2 || mult[5] != 2 {
-		t.Fatalf("mapping = %v", d.Mapping)
 	}
 }
 

@@ -62,9 +62,9 @@ func TestCacheFootprint(t *testing.T) {
 	}
 	// One pass with the cache off fills everything else a request feeds —
 	// the decision ring, the accuracy ledger's pending set — to its bound.
-	srv.SetCacheCapacity(0)
+	srv.cache = nil
 	evaluateAll()
-	srv.SetCacheCapacity(DefaultCacheSize)
+	srv.cache = newPredCache(DefaultCacheSize)
 	before := heap()
 	evaluateAll()
 	after := heap()

@@ -37,12 +37,15 @@ const DefaultDialTimeout = 5 * time.Second
 
 // RetryPolicy configures the client's handling of transient failures on
 // idempotent methods: up to Max retries with exponential backoff from
-// BaseDelay (capped at MaxDelay) plus jitter.
+// retryBaseDelay (capped at retryMaxDelay) plus jitter.
 type RetryPolicy struct {
-	Max       int           // retries after the first attempt (default 3)
-	BaseDelay time.Duration // first backoff step (default 25ms)
-	MaxDelay  time.Duration // backoff cap (default 1s)
+	Max int // retries after the first attempt (default 3)
 }
+
+const (
+	retryBaseDelay = 25 * time.Millisecond // first backoff step
+	retryMaxDelay  = time.Second           // backoff cap
+)
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Max < 0 {
@@ -50,22 +53,16 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	} else if p.Max == 0 {
 		p.Max = 3
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
 	return p
 }
 
-// delay computes the backoff before retry attempt (0-based) with full
-// jitter: a uniform draw from (0, cappedExponential], so synchronized
+// retryDelay computes the backoff before retry attempt (0-based) with
+// full jitter: a uniform draw from (0, cappedExponential], so synchronized
 // clients spread out instead of thundering back together.
-func (p RetryPolicy) delay(attempt int) time.Duration {
-	d := p.BaseDelay << uint(attempt)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
+func retryDelay(attempt int) time.Duration {
+	d := retryBaseDelay << uint(attempt)
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
 	return time.Duration(1 + rand.Int63n(int64(d)))
 }
@@ -294,7 +291,7 @@ func (c *Client) call(method string, args, reply any, idempotent bool) (err erro
 		if connError(err) {
 			c.reconnect(rc)
 		}
-		sleep := retry.delay(attempt)
+		sleep := retryDelay(attempt)
 		if !deadline.IsZero() {
 			if until := time.Until(deadline); until < sleep {
 				sleep = until

@@ -337,7 +337,7 @@ func TestSetRetryPolicyConcurrent(t *testing.T) {
 // reality).
 func TestBusyRejectionObservesLatency(t *testing.T) {
 	s, _, _ := newLocalServer(t)
-	s.SetRequestTimeout(20 * time.Millisecond)
+	s.timeout = 20 * time.Millisecond
 
 	busySeconds := obs.Default().Histogram("cbes_rpc_busy_seconds", "", nil)
 	advSeconds := obs.Default().HistogramVec("cbes_rpc_seconds", "", nil, "method").With("Advance")

@@ -82,7 +82,7 @@ func TestAdvanceRecoversProcessPanic(t *testing.T) {
 func TestInterceptBusyTimeout(t *testing.T) {
 	sys, _ := newSys(t)
 	s := NewServer(sys)
-	s.SetRequestTimeout(20 * time.Millisecond)
+	s.timeout = 20 * time.Millisecond
 	s.lock <- struct{}{} // wedge the engine lock (a stuck long request)
 	err := s.intercept("Evaluate", TraceMeta{}, true, func(context.Context) error { return nil })
 	if !IsBusy(err) {
@@ -123,7 +123,7 @@ func TestInterceptExits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.method, func(t *testing.T) {
-			s.SetRequestTimeout(tc.timeout)
+			s.timeout = tc.timeout
 			if tc.wedged {
 				s.lock <- struct{}{}
 				defer func() { <-s.lock }()

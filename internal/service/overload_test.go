@@ -223,8 +223,8 @@ func TestScheduleDeadlineExpiresMidAnneal(t *testing.T) {
 // stalled Advance cannot pile doomed writers behind it.
 func TestAdvanceDeadlineWhileEngineBusy(t *testing.T) {
 	srv, _, _ := newLocalServer(t)
-	srv.SetRequestTimeout(30 * time.Second) // busy timeout must not win this race
-	srv.lock <- struct{}{}                  // wedge the engine (a stuck long request)
+	srv.timeout = 30 * time.Second // busy timeout must not win this race
+	srv.lock <- struct{}{}         // wedge the engine (a stuck long request)
 	defer func() { <-srv.lock }()
 
 	args := &AdvanceArgs{Seconds: 0.1}

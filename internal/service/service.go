@@ -538,25 +538,6 @@ func NewServer(sys *cbes.System) *Server {
 // server starts handling requests.
 func (s *Server) SetAdmission(l *admission.Limiter) { s.lim = l }
 
-// SetRequestTimeout overrides the engine-lock queueing bound. Must be
-// called before the server starts handling requests.
-func (s *Server) SetRequestTimeout(d time.Duration) {
-	if d > 0 {
-		s.timeout = d
-	}
-}
-
-// SetCacheCapacity resizes the prediction cache (dropping its contents);
-// n <= 0 disables caching. Must be called before the server starts
-// handling requests.
-func (s *Server) SetCacheCapacity(n int) {
-	if n <= 0 {
-		s.cache = nil
-		return
-	}
-	s.cache = newPredCache(n)
-}
-
 // fillDegraded copies an estimate's degraded-mode markers into reply
 // fields. The StaleNodes copy matters: a cached estimate's backing array
 // is shared read-only across requests and net/rpc encodes replies
@@ -702,9 +683,11 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 // when the limiter sheds it, the batch browns out instead: every
 // candidate is predicted by the profile-only fast path (cache-assisted,
 // computed under the cheap admission lane) and the reply is labeled
-// Brownout. The ranking is still useful — the profile-only cost function
-// is exactly the one degraded predictions use — but no brownout
-// candidate registers with the accuracy ledger.
+// Brownout. The ranking is still useful but coarser than a degraded
+// prediction's: core's PredictBrownout scores each candidate on an idle
+// cluster with an O(ranks) sketch that fixes the critical rank for the
+// whole run instead of finding it per segment. No brownout candidate
+// registers with the accuracy ledger.
 func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 	return s.decide("Compare", "compare", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
 		n := len(args.Mappings)
@@ -1076,9 +1059,11 @@ func Serve(sys *cbes.System, l net.Listener) error {
 func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 	opts = opts.withDefaults()
 	impl := NewServer(sys)
-	impl.SetRequestTimeout(opts.RequestTimeout)
-	if opts.CacheSize != 0 {
-		impl.SetCacheCapacity(opts.CacheSize)
+	impl.timeout = opts.RequestTimeout
+	if opts.CacheSize < 0 {
+		impl.cache = nil
+	} else if opts.CacheSize > 0 {
+		impl.cache = newPredCache(opts.CacheSize)
 	}
 	if !opts.DisableAdmission {
 		lim := opts.Limiter

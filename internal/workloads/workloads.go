@@ -146,7 +146,7 @@ func Synthetic(cfg SyntheticConfig) Program {
 			left := (r.ID() - 1 + n) % n
 			pre := cfg.ComputePerIter * (1 - cfg.Overlap)
 			mid := cfg.ComputePerIter * cfg.Overlap
-			eager := cfg.MsgSize <= mpisim.DefaultEagerThreshold
+			eager := cfg.MsgSize <= mpisim.EagerThreshold
 			for it := 0; it < cfg.Iterations; it++ {
 				r.Compute(pre)
 				for m := 0; m < cfg.MsgsPerIter; m++ {
