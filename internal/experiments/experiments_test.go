@@ -26,9 +26,24 @@ func lab(t *testing.T) *Lab {
 
 func tinyCfg() Config { return Config{Seed: 42, Scale: 0.01} }
 
-func TestFig6ZoneOrdering(t *testing.T) {
+// tinyResults memoizes experiment results at tinyCfg on the shared lab, so
+// the shape tests and TestCSVGolden run each experiment once.
+var tinyResults sync.Map
+
+// tiny returns run(lab, tinyCfg()), computed once per name.
+func tiny[T any](t *testing.T, name string, run func(*Lab, Config) T) T {
+	t.Helper()
 	l := lab(t)
-	res := Fig6LUZones(l, tinyCfg())
+	if r, ok := tinyResults.Load(name); ok {
+		return r.(T)
+	}
+	r := run(l, tinyCfg())
+	tinyResults.Store(name, r)
+	return r
+}
+
+func TestFig6ZoneOrdering(t *testing.T) {
+	res := tiny(t, "fig6", Fig6LUZones)
 	if len(res.Zones) != 3 {
 		t.Fatalf("zones = %d", len(res.Zones))
 	}
@@ -52,8 +67,7 @@ func TestFig6ZoneOrdering(t *testing.T) {
 }
 
 func TestTable1SpeedupsPositive(t *testing.T) {
-	l := lab(t)
-	res := Table1(l, tinyCfg())
+	res := tiny(t, "table1", Table1)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -135,8 +149,7 @@ func lowerHalfFraction(h *stats.Histogram) float64 {
 }
 
 func TestPhase1SweepShape(t *testing.T) {
-	l := lab(t)
-	res := Phase1Sweep(l, tinyCfg())
+	res := tiny(t, "phase1", Phase1Sweep)
 	if res.Cases < 20 {
 		t.Fatalf("cases = %d", res.Cases)
 	}
@@ -157,8 +170,7 @@ func TestPhase1SweepShape(t *testing.T) {
 }
 
 func TestFig5PredictionErrors(t *testing.T) {
-	l := lab(t)
-	res := Fig5(l, tinyCfg())
+	res := tiny(t, "fig5", Fig5)
 	if len(res.Cases) < 3 {
 		t.Fatalf("cases = %d", len(res.Cases))
 	}
@@ -176,8 +188,7 @@ func TestFig5PredictionErrors(t *testing.T) {
 }
 
 func TestPhase3ErrorGrowsWithLoad(t *testing.T) {
-	l := lab(t)
-	res := Phase3LoadSensitivity(l, tinyCfg())
+	res := tiny(t, "phase3", Phase3LoadSensitivity)
 	e0 := res.meanErrAtLoad(0)
 	e10 := res.meanErrAtLoad(10)
 	e30 := res.meanErrAtLoad(30)
@@ -217,8 +228,7 @@ func TestPhase3ErrorGrowsWithLoad(t *testing.T) {
 }
 
 func TestTable3UncertainCases(t *testing.T) {
-	l := lab(t)
-	res := Table3(l, tinyCfg())
+	res := tiny(t, "table3", Table3)
 	byName := map[string]Table3Row{}
 	for _, row := range res.Rows {
 		byName[row.Case] = row
@@ -274,8 +284,7 @@ func TestAblationShapes(t *testing.T) {
 }
 
 func TestHeadlineShapes(t *testing.T) {
-	l := lab(t)
-	res := Headline(l, tinyCfg())
+	res := tiny(t, "headline", Headline)
 	if res.GroveSpreadPct < 35 || res.GroveSpreadPct > 120 {
 		t.Fatalf("grove spread %.1f%% out of band (paper ≈54%%)", res.GroveSpreadPct)
 	}
@@ -294,8 +303,7 @@ func TestHeadlineShapes(t *testing.T) {
 }
 
 func TestFaultToleranceShapes(t *testing.T) {
-	l := lab(t)
-	res := FaultTolerance(l, tinyCfg())
+	res := tiny(t, "faulttol", FaultTolerance)
 	if len(res.Steps) < 6 {
 		t.Fatalf("steps = %d, want >= 6", len(res.Steps))
 	}
