@@ -124,21 +124,8 @@ func (s *System) Profile(prog workloads.Program, mapping []int) (*profile.Profil
 	if len(mapping) != prog.Ranks {
 		return nil, fmt.Errorf("cbes: profiling mapping has %d nodes, program needs %d", len(mapping), prog.Ranks)
 	}
-	// Profiling happens off-line on a quiet system, like calibration. The
-	// throwaway engine must be torn down afterwards or every profiling run
-	// leaks its node daemon goroutines for the life of the process.
-	eng := des.NewEngine()
-	defer eng.Shutdown()
-	vc := vcluster.New(eng, s.Topo)
-	net := simnet.New(eng, s.Topo)
-	res := mpisim.Run(vc, net, mapping, prog.Body, prog.Options())
-
-	speeds := bench.MeasureArchSpeeds(s.Topo, prog.ArchEff, 0.5)
-	prof, err := profile.FromTrace(res.Trace, s.Topo, speeds)
+	prof, err := bench.Profile(s.Topo, s.Model, prog, mapping)
 	if err != nil {
-		return nil, err
-	}
-	if err := prof.ComputeLambdas(s.Model); err != nil {
 		return nil, err
 	}
 	s.RegisterProfile(prof)

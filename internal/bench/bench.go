@@ -1,8 +1,9 @@
-// Package bench implements the off-line calibration phase of CBES (§2):
+// Package bench implements the off-line phases of CBES: calibration (§2),
 // MPI-style ping-pong benchmarks that measure end-to-end internode latency
-// over a range of message sizes, fit the per-path-class no-load latency
-// curves and load coefficients of the network model, and measure
-// application compute-speed ratios across architectures.
+// over a range of message sizes and fit the per-path-class no-load latency
+// curves and load coefficients of the network model; and application
+// profiling, which runs the program once, measures its compute-speed
+// ratios across architectures and computes its λ factors.
 //
 // Calibration "must take place on a computation- and communication-free
 // system"; calibration therefore uses a fresh idle virtual cluster per
@@ -14,8 +15,10 @@ import (
 	"cbes/internal/des"
 	"cbes/internal/mpisim"
 	"cbes/internal/netmodel"
+	"cbes/internal/profile"
 	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
+	"cbes/internal/workloads"
 )
 
 // DefaultSizes are the calibration message sizes.
@@ -257,4 +260,23 @@ func MeasureArchSpeeds(topo *cluster.Topology, archEff map[cluster.Arch]float64,
 		out[a] = probeRef / res.Elapsed.Seconds()
 	}
 	return out
+}
+
+// Profile runs prog once on an idle instance of topo under mapping,
+// analyses the trace, measures prog's per-architecture speeds, and computes
+// the λ factors against the calibrated model.
+func Profile(topo *cluster.Topology, model *netmodel.Model, prog workloads.Program, mapping []int) (*profile.Profile, error) {
+	// Profiling happens off-line on a quiet system, like calibration. The
+	// throwaway engine is torn down afterwards so no process outlives it.
+	eng := des.NewEngine()
+	res := mpisim.Run(vcluster.New(eng, topo), simnet.New(eng, topo), mapping, prog.Body, prog.Options())
+	eng.Shutdown()
+	p, err := profile.FromTrace(res.Trace, topo, MeasureArchSpeeds(topo, prog.ArchEff, 0.5))
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ComputeLambdas(model); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

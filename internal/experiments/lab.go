@@ -6,8 +6,9 @@
 // figure-7 predicted-time distributions, and the §6 headline numbers.
 //
 // Every experiment is deterministic for a fixed Config.Seed. Scale factors
-// let the full paper-sized runs (16 000+ sweep cases, 100 scheduler runs
-// per scenario) be shrunk for quick regeneration.
+// shrink the case counts for quick regeneration. At full scale the
+// scheduling studies run the paper's 100 scheduler runs per scenario, but
+// the phase-1 sweep runs 720 cases against the paper's 16 000+.
 package experiments
 
 import (
@@ -34,8 +35,9 @@ import (
 type Config struct {
 	// Seed drives all experiment randomness.
 	Seed int64
-	// Scale in (0,1] shrinks case counts / repetitions; 1.0 is the
-	// paper-sized run. The default (0) means 0.25.
+	// Scale in (0,1] shrinks case counts / repetitions; 1.0 runs the
+	// paper's repetition counts, and 720 phase-1 cases against the
+	// paper's 16 000+. The default (0) means 0.25.
 	Scale float64
 	// Jobs bounds the worker pool that fans independent trials across
 	// cores: 0 (the default) uses one worker per core, 1 forces the serial
@@ -97,7 +99,6 @@ type Lab struct {
 	centNet  *netmodel.Model
 
 	profiles map[string]*profile.Profile
-	speeds   map[string]map[cluster.Arch]float64
 }
 
 // NewLab calibrates Orange Grove (Centurion is calibrated lazily on first
@@ -107,7 +108,6 @@ func NewLab(cfg Config) *Lab {
 		cfg:       cfg,
 		GroveTopo: cluster.NewOrangeGrove(),
 		profiles:  map[string]*profile.Profile{},
-		speeds:    map[string]map[cluster.Arch]float64{},
 	}
 	cfg.logf("calibrating orange-grove (%d nodes)...", l.GroveTopo.NumNodes())
 	l.GroveNet = bench.Calibrate(l.GroveTopo, bench.Options{Reps: 5})
@@ -135,51 +135,26 @@ func (l *Lab) modelFor(topo *cluster.Topology) *netmodel.Model {
 	panic("experiments: unknown topology")
 }
 
-// archSpeeds measures (and caches) an application's per-architecture
-// speeds.
-func (l *Lab) archSpeeds(topo *cluster.Topology, prog workloads.Program) map[cluster.Arch]float64 {
-	key := topo.Name + "/" + prog.Name
-	if s, ok := l.speeds[key]; ok {
-		return s
-	}
-	s := bench.MeasureArchSpeeds(topo, prog.ArchEff, 0.5)
-	l.speeds[key] = s
-	return s
-}
-
 // Profile profiles (and caches) a program on the given topology/mapping.
 func (l *Lab) Profile(topo *cluster.Topology, prog workloads.Program, mapping []int) *profile.Profile {
 	key := topo.Name + "/" + prog.Name
 	if p, ok := l.profiles[key]; ok {
 		return p
 	}
-	eng := engPool.Get().(*des.Engine)
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
-	res := mpisim.Run(vc, net, mapping, prog.Body, prog.Options())
-	releaseEngine(eng)
-	p, err := profile.FromTrace(res.Trace, topo, l.archSpeeds(topo, prog))
+	p, err := bench.Profile(topo, l.modelFor(topo), prog, mapping)
 	if err != nil {
-		panic(err)
-	}
-	if err := p.ComputeLambdas(l.modelFor(topo)); err != nil {
 		panic(err)
 	}
 	l.profiles[key] = p
 	return p
 }
 
-// dropProfiles evicts cached profiles (and speed measurements) whose app
-// name matches, so one-shot synthetic configurations do not accumulate.
+// dropProfiles evicts cached profiles whose app name matches, so one-shot
+// synthetic configurations do not accumulate.
 func (l *Lab) dropProfiles(app string) {
 	for k := range l.profiles {
 		if l.profiles[k].App == app {
 			delete(l.profiles, k)
-		}
-	}
-	for k := range l.speeds {
-		if len(k) > len(app) && k[len(k)-len(app):] == app {
-			delete(l.speeds, k)
 		}
 	}
 }

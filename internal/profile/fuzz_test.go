@@ -1,4 +1,4 @@
-package profile
+package profile_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"cbes/internal/cluster"
 	"cbes/internal/des"
 	"cbes/internal/mpisim"
+	"cbes/internal/profile"
 	"cbes/internal/simnet"
 	"cbes/internal/trace"
 	"cbes/internal/vcluster"
@@ -44,7 +45,7 @@ func FuzzFromTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p, err := FromTrace(tr, topo, speeds)
+		p, err := profile.FromTrace(tr, topo, speeds)
 		if err != nil {
 			return
 		}

@@ -1,4 +1,4 @@
-package profile
+package profile_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 	"cbes/internal/cluster"
 	"cbes/internal/des"
 	"cbes/internal/mpisim"
+	"cbes/internal/profile"
 	"cbes/internal/simnet"
 	"cbes/internal/trace"
 	"cbes/internal/vcluster"
@@ -40,7 +41,7 @@ func TestFromTraceBasics(t *testing.T) {
 	topo := cluster.NewTestTopology()
 	tr := runTestApp(t, topo, []int{0, 1})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, err := FromTrace(tr, topo, speeds)
+	p, err := profile.FromTrace(tr, topo, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestFromTraceBasics(t *testing.T) {
 func TestFromTraceRejectsWrongCluster(t *testing.T) {
 	topo := cluster.NewTestTopology()
 	tr := runTestApp(t, topo, []int{0, 1})
-	if _, err := FromTrace(tr, cluster.NewOrangeGrove(), map[cluster.Arch]float64{}); err == nil {
+	if _, err := profile.FromTrace(tr, cluster.NewOrangeGrove(), map[cluster.Arch]float64{}); err == nil {
 		t.Fatal("expected cluster mismatch error")
 	}
 	// Missing arch speed must error too.
-	if _, err := FromTrace(tr, topo, map[cluster.Arch]float64{}); err == nil {
+	if _, err := profile.FromTrace(tr, topo, map[cluster.Arch]float64{}); err == nil {
 		t.Fatal("expected missing arch speed error")
 	}
 }
@@ -80,7 +81,7 @@ func TestComputeLambdas(t *testing.T) {
 	model := bench.Calibrate(topo, bench.Options{Reps: 5, SkipLoadFit: true})
 	tr := runTestApp(t, topo, []int{0, 1})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, err := FromTrace(tr, topo, speeds)
+	p, err := profile.FromTrace(tr, topo, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestLambdaZeroForNoComm(t *testing.T) {
 	net := simnet.New(eng, topo)
 	res := mpisim.Run(vc, net, []int{0, 1}, func(r *mpisim.Rank) { r.Compute(0.1) }, mpisim.Options{})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.1)
-	p, err := FromTrace(res.Trace, topo, speeds)
+	p, err := profile.FromTrace(res.Trace, topo, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +133,10 @@ func TestThetaMappingSensitivity(t *testing.T) {
 	model := bench.Calibrate(topo, bench.Options{Reps: 5, SkipLoadFit: true})
 	tr := runTestApp(t, topo, []int{0, 1})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, _ := FromTrace(tr, topo, speeds)
+	p, _ := profile.FromTrace(tr, topo, speeds)
 	pp := &p.Segments[0].Procs[0]
-	sameSwitch := Theta(pp, []int{0, 1}, model.NoLoad)
-	crossSwitch := Theta(pp, []int{0, 4}, model.NoLoad)
+	sameSwitch := profile.Theta(pp, []int{0, 1}, model.NoLoad)
+	crossSwitch := profile.Theta(pp, []int{0, 4}, model.NoLoad)
 	if crossSwitch <= sameSwitch {
 		t.Fatalf("Θ cross-switch (%v) must exceed same-switch (%v)", crossSwitch, sameSwitch)
 	}
@@ -145,7 +146,7 @@ func TestCommFraction(t *testing.T) {
 	topo := cluster.NewTestTopology()
 	tr := runTestApp(t, topo, []int{0, 1})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, _ := FromTrace(tr, topo, speeds)
+	p, _ := profile.FromTrace(tr, topo, speeds)
 	f := p.CommFraction()
 	if f <= 0 || f >= 1 {
 		t.Fatalf("comm fraction = %v, want in (0,1)", f)
@@ -156,12 +157,12 @@ func TestEncodeDecode(t *testing.T) {
 	topo := cluster.NewTestTopology()
 	tr := runTestApp(t, topo, []int{0, 1})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, _ := FromTrace(tr, topo, speeds)
+	p, _ := profile.FromTrace(tr, topo, speeds)
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Decode(&buf)
+	q, err := profile.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestEncodeDecode(t *testing.T) {
 	if q.ArchSpeed[cluster.ArchAlpha] != p.ArchSpeed[cluster.ArchAlpha] {
 		t.Fatal("arch speeds lost")
 	}
-	if _, err := Decode(bytes.NewBufferString("]")); err == nil {
+	if _, err := profile.Decode(bytes.NewBufferString("]")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
