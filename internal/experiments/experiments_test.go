@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -229,7 +230,7 @@ func TestPhase3ErrorGrowsWithLoad(t *testing.T) {
 
 func TestTable3UncertainCases(t *testing.T) {
 	res := tiny(t, "table3", Table3)
-	byName := map[string]Table3Row{}
+	byName := map[string]WorstBestRow{}
 	for _, row := range res.Rows {
 		byName[row.Case] = row
 	}
@@ -245,6 +246,37 @@ func TestTable3UncertainCases(t *testing.T) {
 	for _, name := range []string{"smg2000.50.8", "smg2000.60.8", "hpl.10000.8"} {
 		if row := byName[name]; row.SpeedupPct < 1.5 {
 			t.Fatalf("%s speedup %.1f%% too small", name, row.SpeedupPct)
+		}
+	}
+}
+
+// TestTable4RendersInCaseOrder: table 4's speedup lines follow
+// otherCases order on every render.
+func TestTable4RendersInCaseOrder(t *testing.T) {
+	keep := table4Programs()
+	var want []string
+	res := &Table4Result{}
+	for _, prog := range otherCases() {
+		if !keep[prog.Name] {
+			continue
+		}
+		want = append(want, prog.Name)
+		res.Rows = append(res.Rows, AverageCaseRow{Case: prog.Name, Scheduler: "CS"}, AverageCaseRow{Case: prog.Name, Scheduler: "NCS"})
+		res.ExpectedSpeedup = append(res.ExpectedSpeedup, 5)
+		res.MeasuredSpeedup = append(res.MeasuredSpeedup, 4)
+	}
+	if len(want) < 3 {
+		t.Fatalf("only %d table-4 programs", len(want))
+	}
+	for rep := 0; rep < 5; rep++ {
+		var got []string
+		for _, line := range strings.Split(res.Render(), "\n") {
+			if strings.Contains(line, "expected speedup") {
+				got = append(got, strings.Fields(line)[0])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("render %d lists %v, want %v", rep, got, want)
 		}
 	}
 }

@@ -17,14 +17,14 @@ func TestCSVExport(t *testing.T) {
 	f5 := &Fig5Result{Cases: []Fig5Case{{Name: "lu.A.64", Nodes: 64, Runs: 5, MeanErr: 2.1}}}
 	p3 := &Phase3Result{Rows: []Phase3Row{{Program: "lu", LoadPct: 10, Stale: true, MeanErr: 5}}}
 	f6 := &Fig6Result{Zones: []Fig6Zone{{Name: "high", Times: []float64{200, 210}}}}
-	t1 := &Table1Result{Rows: []Table1Row{{Case: "LU(1)", WorstTime: 220, BestTime: 208, SpeedupPct: 5.4}}}
-	t2 := &Table2Result{Rows: []Table2Row{{Case: "LU(1)", Scheduler: "CS", Runs: 2, HitsPct: 90}}}
+	t1 := &Table1Result{Rows: []WorstBestRow{{Case: "LU(1)", WorstTime: 220, BestTime: 208, SpeedupPct: 5.4}}}
+	t2 := &Table2Result{AverageCase{Rows: []AverageCaseRow{{Case: "LU(1)", Scheduler: "CS", Runs: 2, HitsPct: 90}}}}
 	f7 := &Fig7Result{
 		CS:  stats.NewHistogram([]float64{1, 2}, 0, 3, 3),
 		NCS: stats.NewHistogram([]float64{2, 3}, 0, 3, 3),
 	}
-	t3 := &Table3Result{Rows: []Table3Row{{Case: "aztec.8", SpeedupPct: 10.1}}}
-	t4 := &Table4Result{Rows: []Table4Row{{Case: "aztec.8", Scheduler: "NCS", Runs: 4}}}
+	t3 := &Table3Result{Rows: []WorstBestRow{{Case: "aztec.8", SpeedupPct: 10.1}}}
+	t4 := &Table4Result{AverageCase{Rows: []AverageCaseRow{{Case: "aztec.8", Scheduler: "NCS", Runs: 4}}}}
 	hl := &HeadlineResult{GroveSpreadPct: 54}
 	ft := &FaultTolResult{Steps: []FaultTolStep{{TimeSec: 40, Advice: "stay"}, {TimeSec: 80, Down: 1, Advice: "evacuate"}}}
 
@@ -75,8 +75,8 @@ func TestExportAllCreatesDir(t *testing.T) {
 func TestExportIgnoresWallClock(t *testing.T) {
 	export := func(secs float64) map[string][]byte {
 		dir := t.TempDir()
-		t1 := &Table1Result{Rows: []Table1Row{{Case: "LU(1)", WorstTime: 220, BestTime: 208, SpeedupPct: 5.4, SchedulerSecs: secs}}}
-		t3 := &Table3Result{Rows: []Table3Row{{Case: "aztec.8", SpeedupPct: 10.1, SchedulerSecs: secs}}}
+		t1 := &Table1Result{Rows: []WorstBestRow{{Case: "LU(1)", WorstTime: 220, BestTime: 208, SpeedupPct: 5.4, SchedulerSecs: secs}}}
+		t3 := &Table3Result{Rows: []WorstBestRow{{Case: "aztec.8", SpeedupPct: 10.1, SchedulerSecs: secs}}}
 		if err := ExportAll(dir, t1, t3); err != nil {
 			t.Fatal(err)
 		}

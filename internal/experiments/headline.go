@@ -82,18 +82,9 @@ func Headline(l *Lab, cfg Config) *HeadlineResult {
 	// Communication-time decrease in the medium zone (the paper's LU(2)
 	// analysis): best vs worst mapping at equal computation, so the entire
 	// difference is communication.
-	zones := l.luZones()
-	med := zones[1]
-	b2, err := schedule.SimulatedAnnealing(l.zoneRequest(eval, med, cfg.Seed+3, 6000, false))
-	if err != nil {
-		panic(err)
-	}
-	w2, err := schedule.SimulatedAnnealing(l.zoneRequest(eval, med, cfg.Seed+4, 6000, true))
-	if err != nil {
-		panic(err)
-	}
-	bt := l.Measure(l.GroveTopo, prog, b2.Mapping, JitterOS, cfg.Seed+5)
-	wt := l.Measure(l.GroveTopo, prog, w2.Mapping, JitterOS, cfg.Seed+6)
+	lu2 := l.worstBest(cfg, eval, prog, l.luZones()[1], 1,
+		worstBestSeeds{cfg.Seed + 3, cfg.Seed + 4, cfg.Seed + 5, cfg.Seed + 6})
+	bt, wt := lu2.BestTime, lu2.WorstTime
 	prof := l.Profile(l.GroveTopo, prog, high)
 	commFrac := prof.CommFraction()
 	if commFrac > 0 && wt > bt {

@@ -12,15 +12,19 @@ import (
 	"cbes/internal/parfor"
 	"cbes/internal/schedule"
 	"cbes/internal/stats"
+	"cbes/internal/workloads"
 )
 
-// zoneSpec describes one of the three §6.1 node groups.
+// zoneSpec is the node pool one scheduling case searches: one of the three
+// §6.1 node groups, or §6.2's homogeneous Intel subset.
 type zoneSpec struct {
 	Name string
 	Pool []int
 	// Requires is the architecture that must appear in a sampled mapping
 	// for it to represent this zone ("" = no constraint).
 	Requires cluster.Arch
+	// Comment is the zone's table-1 comment.
+	Comment string
 }
 
 // luZones builds the three zones: high (Alpha only), medium (Alpha+Intel,
@@ -28,9 +32,9 @@ type zoneSpec struct {
 func (l *Lab) luZones() []zoneSpec {
 	high, med, low := l.groveGroups()
 	return []zoneSpec{
-		{Name: "LU(1) high-speed (A)", Pool: high},
-		{Name: "LU(2) medium-speed (A+I)", Pool: med, Requires: cluster.ArchIntel},
-		{Name: "LU(3) low-speed (A+I+S)", Pool: low, Requires: cluster.ArchSPARC},
+		{Name: "LU(1) high-speed (A)", Pool: high, Comment: "High-speed group"},
+		{Name: "LU(2) medium-speed (A+I)", Pool: med, Requires: cluster.ArchIntel, Comment: "Medium-speed group"},
+		{Name: "LU(3) low-speed (A+I+S)", Pool: low, Requires: cluster.ArchSPARC, Comment: "Low-speed group"},
 	}
 }
 
@@ -74,6 +78,137 @@ func (l *Lab) zoneRequest(e *core.Evaluator, z zoneSpec, seed int64, effort int,
 		Maximize:   maximize,
 		Constraint: constraint,
 	}
+}
+
+// WorstBestRow is one case of a worst-vs-best study (tables 1 and 3).
+type WorstBestRow struct {
+	Case          string
+	WorstTime     float64
+	WorstCI       float64
+	BestTime      float64
+	BestCI        float64
+	SpeedupPct    float64
+	SchedulerSecs float64
+	Comment       string  // table 1
+	Uncertain     bool    // table 3
+	CommFraction  float64 // table 3
+}
+
+// worstBestSeeds seed one worst-vs-best case: the minimizing and the
+// maximizing anneal, and the first measurement run of each mapping (run r
+// adds r).
+type worstBestSeeds struct{ best, worst, bestRuns, worstRuns int64 }
+
+// worstBest is the worst-vs-best study of one zone: a minimizing and a
+// maximizing anneal at effort 6000, then runs paired JitterOS measurements
+// of the two mappings. The anneals and the runs are independent (distinct
+// seeds), so each pair fans out.
+func (l *Lab) worstBest(cfg Config, eval *core.Evaluator, prog workloads.Program, z zoneSpec, runs int, s worstBestSeeds) WorstBestRow {
+	var decs [2]*schedule.Decision
+	var errs [2]error
+	seeds := [2]int64{s.best, s.worst}
+	parfor.Do(cfg.jobs(), 2, func(i int) {
+		decs[i], errs[i] = schedule.SimulatedAnnealing(l.zoneRequest(eval, z, seeds[i], 6000, i == 1))
+	})
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
+		}
+	}
+	times := [2][]float64{make([]float64, runs), make([]float64, runs)}
+	bases := [2]int64{s.bestRuns, s.worstRuns}
+	parfor.Do(cfg.jobs(), 2*runs, func(i int) {
+		r, w := i/2, i%2
+		times[w][r] = l.Measure(l.GroveTopo, prog, decs[w].Mapping, JitterOS, bases[w]+int64(r))
+	})
+	row := WorstBestRow{
+		Case:          z.Name,
+		SchedulerSecs: decs[0].SchedulerTime.Seconds() + decs[1].SchedulerTime.Seconds(),
+		Comment:       z.Comment,
+	}
+	row.BestTime, row.BestCI = stats.MeanCI(times[0])
+	row.WorstTime, row.WorstCI = stats.MeanCI(times[1])
+	row.SpeedupPct = (row.WorstTime - row.BestTime) / row.WorstTime * 100
+	return row
+}
+
+// AverageCaseRow is one scheduler's row for one case of an average-case
+// study (tables 2 and 4).
+type AverageCaseRow struct {
+	Case         string
+	Scheduler    string // "CS" or "NCS"
+	Runs         int
+	AvgPredicted float64
+	PredCI       float64
+	HitsPct      float64
+	AvgMeasured  float64
+	MeasCI       float64
+	Predictions  []float64 // per-run full-evaluation predictions (fig. 7)
+}
+
+// AverageCase is an average-case study: per case a CS row then an NCS
+// row, and NCS-vs-CS speedups in case order.
+type AverageCase struct {
+	Rows            []AverageCaseRow
+	ExpectedSpeedup []float64
+	MeasuredSpeedup []float64
+}
+
+// averageCaseSeeds seed one average-case case: the reference anneal, and
+// the first scheduler run and the first measurement (run k adds k).
+type averageCaseSeeds struct{ ref, runs, meas int64 }
+
+// averageCase adds one case of an average-case study to r. A high-effort
+// anneal gives the best predicted time; 100 CS and 100 NCS decisions (at
+// full scale) at effort 6000 are each measured under JitterOS, and a decision hits when it
+// predicts within 0.5 % of the best. Every (scheduler, run) trial derives
+// its seeds from its indices, so the block fans out and the rows are
+// assembled serially after. Each pair joins the accuracy ledger as
+// "<table>/<CS|NCS>".
+func (l *Lab) averageCase(cfg Config, r *AverageCase, table string, eval *core.Evaluator, prog workloads.Program, z zoneSpec, s averageCaseSeeds) {
+	runs := cfg.scaled(100, 10)
+	ref, err := schedule.SimulatedAnnealing(l.zoneRequest(eval, z, s.ref, 24000, false))
+	if err != nil {
+		panic(err)
+	}
+	preds := [2][]float64{make([]float64, runs), make([]float64, runs)}
+	meas := [2][]float64{make([]float64, runs), make([]float64, runs)}
+	parfor.Do(cfg.jobs(), 2*runs, func(i int) {
+		si, k := i/runs, i%runs
+		search := schedule.SimulatedAnnealing
+		if si == 1 {
+			search = schedule.SimulatedAnnealingNoComm
+		}
+		dec, err := search(l.zoneRequest(eval, z, s.runs+int64(k), 6000, false))
+		if err != nil {
+			panic(err)
+		}
+		preds[si][k] = dec.Predicted
+		meas[si][k] = l.Measure(l.GroveTopo, prog, dec.Mapping, JitterOS, s.meas+int64(k))
+	})
+	for si, sched := range []string{"CS", "NCS"} {
+		hits := 0
+		for k := 0; k < runs; k++ {
+			if preds[si][k] <= ref.Predicted*1.005 {
+				hits++
+			}
+			accuracy.Default().ReportPair(accuracy.Prediction{
+				App:       prog.Name,
+				Scheduler: table + "/" + sched,
+				AgeBucket: accuracy.AgeBucket(0),
+				Predicted: preds[si][k],
+			}, meas[si][k])
+		}
+		row := AverageCaseRow{Case: z.Name, Scheduler: sched, Runs: runs, Predictions: preds[si]}
+		row.AvgPredicted, row.PredCI = stats.MeanCI(preds[si])
+		row.HitsPct = float64(hits) / float64(runs) * 100
+		row.AvgMeasured, row.MeasCI = stats.MeanCI(meas[si])
+		r.Rows = append(r.Rows, row)
+		cfg.logf("%s: %s %s hits %.0f%%", table, z.Name, sched, row.HitsPct)
+	}
+	cs, ncs := r.Rows[len(r.Rows)-2], r.Rows[len(r.Rows)-1]
+	r.ExpectedSpeedup = append(r.ExpectedSpeedup, (ncs.AvgPredicted-cs.AvgPredicted)/ncs.AvgPredicted*100)
+	r.MeasuredSpeedup = append(r.MeasuredSpeedup, (ncs.AvgMeasured-cs.AvgMeasured)/ncs.AvgMeasured*100)
 }
 
 // Fig6Zone is one execution-time zone of figure 6.
@@ -137,23 +272,11 @@ func (r *Fig6Result) Render() string {
 	return sb.String()
 }
 
-// Table1Row is one row of table 1 (worst vs best case).
-type Table1Row struct {
-	Case          string
-	WorstTime     float64
-	WorstCI       float64
-	BestTime      float64
-	BestCI        float64
-	SpeedupPct    float64
-	SchedulerSecs float64
-	Comment       string
-}
-
 // Table1Result reproduces table 1: the maximum feasible speedup within each
 // node group, from the measured times of the CS-found best mapping vs. the
 // worst mapping of the group.
 type Table1Result struct {
-	Rows []Table1Row
+	Rows []WorstBestRow
 	// MaxVsRandomPct is the §6.1.1 companion number: best overall vs.
 	// worst overall mapping — the 36.6 % potential speedup against a
 	// random scheduler that may pick any mapping.
@@ -167,68 +290,19 @@ func Table1(l *Lab, cfg Config) *Table1Result {
 	eval := l.Evaluator(l.GroveTopo, prog, high)
 	runs := cfg.scaled(5, 3)
 	res := &Table1Result{}
-	globalBest, globalWorst := 0.0, 0.0
 	for zi, z := range l.luZones() {
-		// The best/worst anneals are independent (distinct seeds), as is
-		// every measurement run (index-derived jitter seeds) — fan them out.
-		var best, worst *schedule.Decision
-		var bestErr, worstErr error
-		parfor.Do(cfg.jobs(), 2, func(i int) {
-			if i == 0 {
-				best, bestErr = schedule.SimulatedAnnealing(l.zoneRequest(eval, z, cfg.Seed+int64(zi), 6000, false))
-			} else {
-				worst, worstErr = schedule.SimulatedAnnealing(l.zoneRequest(eval, z, cfg.Seed+int64(zi)+50, 6000, true))
-			}
-		})
-		if bestErr != nil {
-			panic(bestErr)
-		}
-		if worstErr != nil {
-			panic(worstErr)
-		}
-		bestT := make([]float64, runs)
-		worstT := make([]float64, runs)
-		parfor.Do(cfg.jobs(), 2*runs, func(i int) {
-			r := i / 2
-			if i%2 == 0 {
-				bestT[r] = l.Measure(l.GroveTopo, prog, best.Mapping, JitterOS, cfg.Seed+int64(100*zi+r))
-			} else {
-				worstT[r] = l.Measure(l.GroveTopo, prog, worst.Mapping, JitterOS, cfg.Seed+int64(100*zi+r+9999))
-			}
-		})
-		bm, bci := stats.MeanCI(bestT)
-		wm, wci := stats.MeanCI(worstT)
-		res.Rows = append(res.Rows, Table1Row{
-			Case:          z.Name,
-			WorstTime:     wm,
-			WorstCI:       wci,
-			BestTime:      bm,
-			BestCI:        bci,
-			SpeedupPct:    (wm - bm) / wm * 100,
-			SchedulerSecs: best.SchedulerTime.Seconds() + worst.SchedulerTime.Seconds(),
-			Comment:       zoneComment(zi),
-		})
-		if zi == 0 {
-			globalBest = bm
-		}
-		globalWorst = wm
-		cfg.logf("table1: %s best %.1f worst %.1f", z.Name, bm, wm)
+		s := cfg.Seed + int64(zi)
+		row := l.worstBest(cfg, eval, prog, z, runs,
+			worstBestSeeds{s, s + 50, cfg.Seed + int64(100*zi), cfg.Seed + int64(100*zi) + 9999})
+		res.Rows = append(res.Rows, row)
+		cfg.logf("table1: %s best %.1f worst %.1f", z.Name, row.BestTime, row.WorstTime)
 	}
-	if globalWorst > 0 {
-		res.MaxVsRandomPct = (globalWorst - globalBest) / globalWorst * 100
+	// Best overall (high zone) vs worst overall (low zone).
+	best, worst := res.Rows[0].BestTime, res.Rows[len(res.Rows)-1].WorstTime
+	if worst > 0 {
+		res.MaxVsRandomPct = (worst - best) / worst * 100
 	}
 	return res
-}
-
-func zoneComment(zi int) string {
-	switch zi {
-	case 0:
-		return "High-speed group"
-	case 1:
-		return "Medium-speed group"
-	default:
-		return "Low-speed group"
-	}
 }
 
 // Render formats table 1.
@@ -247,94 +321,20 @@ func (r *Table1Result) Render() string {
 	return sb.String()
 }
 
-// Table2Row is one scheduler's average-case row for one zone.
-type Table2Row struct {
-	Case         string
-	Scheduler    string // "CS" or "NCS"
-	Runs         int
-	AvgPredicted float64
-	PredCI       float64
-	HitsPct      float64
-	AvgMeasured  float64
-	MeasCI       float64
-	Predictions  []float64 // per-run full-evaluation predictions (fig. 7)
-}
-
 // Table2Result reproduces table 2: average-case scheduling. CS hits the
 // minimum-time mappings ≈90 % of the time; NCS, blind to communication,
-// almost never does.
-type Table2Result struct {
-	Rows []Table2Row
-	// ExpectedSpeedup[zone] and MeasuredSpeedup[zone] compare NCS to CS.
-	ExpectedSpeedup []float64
-	MeasuredSpeedup []float64
-}
+// almost never does. The speedups are per zone.
+type Table2Result struct{ AverageCase }
 
 // Table2 runs the average-case scheduling study.
 func Table2(l *Lab, cfg Config) *Table2Result {
 	prog := luProgram()
 	high, _, _ := l.groveGroups()
 	eval := l.Evaluator(l.GroveTopo, prog, high)
-	runs := cfg.scaled(100, 10)
 	res := &Table2Result{}
 	for zi, z := range l.luZones() {
-		// Ground truth best predicted time: a high-effort anneal.
-		ref, err := schedule.SimulatedAnnealing(l.zoneRequest(eval, z, cfg.Seed+77, 24000, false))
-		if err != nil {
-			panic(err)
-		}
-		bestPred := ref.Predicted
-
-		// Every (scheduler, run) trial derives its seeds from its indices, so
-		// the full 2×runs block fans out; rows are assembled serially after.
-		preds := [2][]float64{make([]float64, runs), make([]float64, runs)}
-		meas := [2][]float64{make([]float64, runs), make([]float64, runs)}
-		parfor.Do(cfg.jobs(), 2*runs, func(i int) {
-			si, k := i/runs, i%runs
-			req := l.zoneRequest(eval, z, cfg.Seed+int64(200*zi+k), 6000, false)
-			var dec *schedule.Decision
-			var err error
-			if si == 0 {
-				dec, err = schedule.SimulatedAnnealing(req)
-			} else {
-				dec, err = schedule.SimulatedAnnealingNoComm(req)
-			}
-			if err != nil {
-				panic(err)
-			}
-			preds[si][k] = dec.Predicted
-			meas[si][k] = l.Measure(l.GroveTopo, prog, dec.Mapping, JitterOS,
-				cfg.Seed+int64(300*zi+k))
-		})
-		for si, sched := range []string{"CS", "NCS"} {
-			row := Table2Row{Case: z.Name, Scheduler: sched, Runs: runs}
-			hits := 0
-			for k := 0; k < runs; k++ {
-				if preds[si][k] <= bestPred*1.005 {
-					hits++
-				}
-				// Join scheduler estimates with their measured runs in the
-				// accuracy ledger (serial assembly — safe to report here).
-				accuracy.Default().ReportPair(accuracy.Prediction{
-					App:       prog.Name,
-					Scheduler: "table2/" + sched,
-					AgeBucket: accuracy.AgeBucket(0),
-					Predicted: preds[si][k],
-				}, meas[si][k])
-			}
-			row.AvgPredicted, row.PredCI = stats.MeanCI(preds[si])
-			row.HitsPct = float64(hits) / float64(runs) * 100
-			row.AvgMeasured, row.MeasCI = stats.MeanCI(meas[si])
-			row.Predictions = preds[si]
-			res.Rows = append(res.Rows, row)
-			cfg.logf("table2: %s %s hits %.0f%%", z.Name, sched, row.HitsPct)
-		}
-		cs := res.Rows[len(res.Rows)-2]
-		ncs := res.Rows[len(res.Rows)-1]
-		res.ExpectedSpeedup = append(res.ExpectedSpeedup,
-			(ncs.AvgPredicted-cs.AvgPredicted)/ncs.AvgPredicted*100)
-		res.MeasuredSpeedup = append(res.MeasuredSpeedup,
-			(ncs.AvgMeasured-cs.AvgMeasured)/ncs.AvgMeasured*100)
+		l.averageCase(cfg, &res.AverageCase, "table2", eval, prog, z,
+			averageCaseSeeds{cfg.Seed + 77, cfg.Seed + int64(200*zi), cfg.Seed + int64(300*zi)})
 	}
 	return res
 }

@@ -6,10 +6,6 @@ import (
 
 	"cbes/internal/cluster"
 	"cbes/internal/core"
-	"cbes/internal/monitor"
-	"cbes/internal/parfor"
-	"cbes/internal/schedule"
-	"cbes/internal/stats"
 	"cbes/internal/workloads"
 )
 
@@ -43,107 +39,43 @@ func table4Programs() map[string]bool {
 	}
 }
 
-// intelPool returns the homogeneous Intel subset: 12 dual-PII nodes split
-// across the two federation halves — the "level field" on which only
-// communication placement distinguishes mappings.
-func (l *Lab) intelPool() []int {
-	return l.GroveTopo.NodesByArch(cluster.ArchIntel)
-}
-
 // uncertainThresholdPct is the speedup below which a case is labeled
 // "uncertain" (benefits cancelled by penalties or run too short).
 const uncertainThresholdPct = 2.5
-
-// Table3Row is one row of table 3.
-type Table3Row struct {
-	Case          string
-	WorstTime     float64
-	WorstCI       float64
-	BestTime      float64
-	BestCI        float64
-	SpeedupPct    float64
-	SchedulerSecs float64
-	Uncertain     bool
-	CommFraction  float64
-}
 
 // Table3Result reproduces table 3: worst-vs-best scheduling for the other
 // programs, on a homogeneous node subset so the effect is communication
 // only. The paper finds 5.6–10.8 % maximum speedups, with sweep3d, SAMRAI,
 // Towhee, and HPL(500) exhibiting only questionable potential.
 type Table3Result struct {
-	Rows []Table3Row
+	Rows []WorstBestRow
 }
 
-// otherEvaluator profiles prog on the first 8 Intel nodes and returns its
-// evaluator.
-func (l *Lab) otherEvaluator(prog workloads.Program) *core.Evaluator {
-	pool := l.intelPool()
-	return l.Evaluator(l.GroveTopo, prog, pool[:prog.Ranks])
+// otherCase profiles prog on the first 8 Intel nodes and returns its
+// evaluator and its zone: the homogeneous Intel subset, 12 dual-PII nodes
+// split across the two federation halves — the "level field" on which only
+// communication placement distinguishes mappings.
+func (l *Lab) otherCase(prog workloads.Program) (*core.Evaluator, zoneSpec) {
+	pool := l.GroveTopo.NodesByArch(cluster.ArchIntel)
+	return l.Evaluator(l.GroveTopo, prog, pool[:prog.Ranks]), zoneSpec{Name: prog.Name, Pool: pool}
 }
 
 // Table3 runs the worst-vs-best study for the other programs.
 func Table3(l *Lab, cfg Config) *Table3Result {
 	runs := cfg.scaled(5, 3)
-	pool := l.intelPool()
 	res := &Table3Result{}
 	for pi, prog := range otherCases() {
-		eval := l.otherEvaluator(prog)
-		req := func(seed int64, maximize bool) *schedule.Request {
-			return &schedule.Request{
-				Eval:     eval,
-				Snap:     monitor.IdleSnapshot(l.GroveTopo.NumNodes()),
-				Pool:     pool,
-				Seed:     seed,
-				Effort:   6000,
-				Maximize: maximize,
-			}
-		}
-		var best, worst *schedule.Decision
-		var bestErr, worstErr error
-		parfor.Do(cfg.jobs(), 2, func(i int) {
-			if i == 0 {
-				best, bestErr = schedule.SimulatedAnnealing(req(cfg.Seed+int64(pi), false))
-			} else {
-				worst, worstErr = schedule.SimulatedAnnealing(req(cfg.Seed+int64(pi)+40, true))
-			}
-		})
-		if bestErr != nil {
-			panic(bestErr)
-		}
-		if worstErr != nil {
-			panic(worstErr)
-		}
-		bestT := make([]float64, runs)
-		worstT := make([]float64, runs)
-		parfor.Do(cfg.jobs(), 2*runs, func(i int) {
-			r := i / 2
-			if i%2 == 0 {
-				bestT[r] = l.Measure(l.GroveTopo, prog, best.Mapping, JitterOS, cfg.Seed+int64(500*pi+r))
-			} else {
-				worstT[r] = l.Measure(l.GroveTopo, prog, worst.Mapping, JitterOS, cfg.Seed+int64(500*pi+r+7777))
-			}
-		})
-		bm, bci := stats.MeanCI(bestT)
-		wm, wci := stats.MeanCI(worstT)
-		speedup := (wm - bm) / wm * 100
-		prof := l.Profile(l.GroveTopo, prog, pool[:prog.Ranks])
+		eval, z := l.otherCase(prog)
+		s := cfg.Seed + int64(pi)
+		row := l.worstBest(cfg, eval, prog, z, runs,
+			worstBestSeeds{s, s + 40, cfg.Seed + int64(500*pi), cfg.Seed + int64(500*pi) + 7777})
 		// A case is "uncertain" when the gap is within noise or the run is
 		// too short — §6.2's HPL(1) reasoning: "the short execution
 		// duration exaggerates the differences".
-		uncertain := speedup < uncertainThresholdPct || bm < 10
-		res.Rows = append(res.Rows, Table3Row{
-			Case:          prog.Name,
-			WorstTime:     wm,
-			WorstCI:       wci,
-			BestTime:      bm,
-			BestCI:        bci,
-			SpeedupPct:    speedup,
-			SchedulerSecs: best.SchedulerTime.Seconds() + worst.SchedulerTime.Seconds(),
-			Uncertain:     uncertain,
-			CommFraction:  prof.CommFraction(),
-		})
-		cfg.logf("table3: %s speedup %.1f%%", prog.Name, speedup)
+		row.Uncertain = row.SpeedupPct < uncertainThresholdPct || row.BestTime < 10
+		row.CommFraction = l.Profile(l.GroveTopo, prog, z.Pool[:prog.Ranks]).CommFraction()
+		res.Rows = append(res.Rows, row)
+		cfg.logf("table3: %s speedup %.1f%%", prog.Name, row.SpeedupPct)
 	}
 	return res
 }
@@ -166,96 +98,22 @@ func (r *Table3Result) Render() string {
 	return sb.String()
 }
 
-// Table4Row is one scheduler's average-case row for one program.
-type Table4Row struct {
-	Case         string
-	Scheduler    string
-	Runs         int
-	AvgPredicted float64
-	PredCI       float64
-	HitsPct      float64
-	AvgMeasured  float64
-	MeasCI       float64
-}
-
 // Table4Result reproduces table 4: the average case for the programs with
 // real speedup potential. The paper finds average speedups within ≈10 % of
-// the maxima of table 3.
-type Table4Result struct {
-	Rows            []Table4Row
-	ExpectedSpeedup map[string]float64
-	MeasuredSpeedup map[string]float64
-}
+// the maxima of table 3. The speedups are per program, in otherCases order.
+type Table4Result struct{ AverageCase }
 
 // Table4 runs the average-case study for the retained programs.
 func Table4(l *Lab, cfg Config) *Table4Result {
-	runs := cfg.scaled(100, 10)
-	pool := l.intelPool()
 	keep := table4Programs()
-	res := &Table4Result{
-		ExpectedSpeedup: map[string]float64{},
-		MeasuredSpeedup: map[string]float64{},
-	}
+	res := &Table4Result{}
 	for pi, prog := range otherCases() {
 		if !keep[prog.Name] {
 			continue
 		}
-		eval := l.otherEvaluator(prog)
-		ref, err := schedule.SimulatedAnnealing(&schedule.Request{
-			Eval: eval, Snap: monitor.IdleSnapshot(l.GroveTopo.NumNodes()),
-			Pool: pool, Seed: cfg.Seed + 99, Effort: 24000,
-		})
-		if err != nil {
-			panic(err)
-		}
-		bestPred := ref.Predicted
-
-		// As in Table 2, the full (scheduler × run) block fans out on
-		// index-derived seeds and the rows are assembled serially after.
-		preds := [2][]float64{make([]float64, runs), make([]float64, runs)}
-		meas := [2][]float64{make([]float64, runs), make([]float64, runs)}
-		parfor.Do(cfg.jobs(), 2*runs, func(i int) {
-			si, k := i/runs, i%runs
-			req := &schedule.Request{
-				Eval: eval, Snap: monitor.IdleSnapshot(l.GroveTopo.NumNodes()),
-				Pool: pool, Seed: cfg.Seed + int64(400*pi+k), Effort: 6000,
-			}
-			var dec *schedule.Decision
-			var err error
-			if si == 0 {
-				dec, err = schedule.SimulatedAnnealing(req)
-			} else {
-				dec, err = schedule.SimulatedAnnealingNoComm(req)
-			}
-			if err != nil {
-				panic(err)
-			}
-			preds[si][k] = dec.Predicted
-			meas[si][k] = l.Measure(l.GroveTopo, prog, dec.Mapping, JitterOS,
-				cfg.Seed+int64(600*pi+k))
-		})
-		var csRow, ncsRow Table4Row
-		for si, sched := range []string{"CS", "NCS"} {
-			row := Table4Row{Case: prog.Name, Scheduler: sched, Runs: runs}
-			hits := 0
-			for k := 0; k < runs; k++ {
-				if preds[si][k] <= bestPred*1.005 {
-					hits++
-				}
-			}
-			row.AvgPredicted, row.PredCI = stats.MeanCI(preds[si])
-			row.HitsPct = float64(hits) / float64(runs) * 100
-			row.AvgMeasured, row.MeasCI = stats.MeanCI(meas[si])
-			res.Rows = append(res.Rows, row)
-			if sched == "CS" {
-				csRow = row
-			} else {
-				ncsRow = row
-			}
-		}
-		res.ExpectedSpeedup[prog.Name] = (ncsRow.AvgPredicted - csRow.AvgPredicted) / ncsRow.AvgPredicted * 100
-		res.MeasuredSpeedup[prog.Name] = (ncsRow.AvgMeasured - csRow.AvgMeasured) / ncsRow.AvgMeasured * 100
-		cfg.logf("table4: %s CS hits %.0f%%", prog.Name, csRow.HitsPct)
+		eval, z := l.otherCase(prog)
+		l.averageCase(cfg, &res.AverageCase, "table4", eval, prog, z,
+			averageCaseSeeds{cfg.Seed + 99, cfg.Seed + int64(400*pi), cfg.Seed + int64(600*pi)})
 	}
 	return res
 }
@@ -270,9 +128,9 @@ func (r *Table4Result) Render() string {
 			row.Case, row.Scheduler, row.Runs, row.AvgPredicted, row.PredCI,
 			row.HitsPct, row.AvgMeasured, row.MeasCI)
 	}
-	for name, e := range r.ExpectedSpeedup {
+	for i, e := range r.ExpectedSpeedup {
 		fmt.Fprintf(&sb, "  %-14s expected speedup %.1f%%, measured %.1f%%\n",
-			name, e, r.MeasuredSpeedup[name])
+			r.Rows[2*i].Case, e, r.MeasuredSpeedup[i])
 	}
 	sb.WriteString("  (paper: average speedups 5.2-10.3%, within ~10% of the maxima)\n")
 	return sb.String()
