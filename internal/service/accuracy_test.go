@@ -75,6 +75,31 @@ func TestAccuracyLoopOverRPC(t *testing.T) {
 	}
 }
 
+// TestWideCompareKeepsPendingPredictions: a Compare wider than
+// maxCompareMappings is refused before it registers a prediction, so it
+// cannot push another client's pending prediction out of the ledger.
+func TestWideCompareKeepsPendingPredictions(t *testing.T) {
+	c, prog, _ := startServer(t)
+	mapping := []int{0, 1, 2, 3}
+	ev, err := c.Evaluate(prog.Name, mapping)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	wide := make([][]int, 4096)
+	for i := range wide {
+		wide[i] = mapping
+	}
+	if _, err := c.Compare(prog.Name, wide); err == nil {
+		t.Error("4096-wide Compare succeeded, want error")
+	}
+	if _, err := c.Compare(prog.Name, wide[:maxCompareMappings]); err != nil {
+		t.Errorf("%d-wide Compare: %v", maxCompareMappings, err)
+	}
+	if _, err := c.ReportOutcome(ev.PredictionID, ev.Seconds); err != nil {
+		t.Fatalf("ReportOutcome after wide Compare: %v", err)
+	}
+}
+
 // TestSchedulePredictionIDAndOutcome checks the Schedule path hands out its
 // own ledger entry, distinct from Evaluate's.
 func TestSchedulePredictionIDAndOutcome(t *testing.T) {

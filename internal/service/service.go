@@ -675,6 +675,12 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 	})
 }
 
+// maxCompareMappings caps one Compare's width. Every candidate takes a
+// slot of the accuracy ledger's 4096-slot pending ring, so one request may
+// hold at most 1/16 of it; a 4096-wide batch would expire every pending
+// prediction of every client.
+const maxCompareMappings = 256
+
 // Compare predicts several mappings and selects the fastest. Each
 // candidate is served through the prediction cache individually, so a
 // batch repeated across clients costs one evaluation per novel mapping
@@ -687,12 +693,16 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 // prediction's: core's PredictBrownout scores each candidate on an idle
 // cluster with an O(ranks) sketch that fixes the critical rank for the
 // whole run instead of finding it per segment. No brownout candidate
-// registers with the accuracy ledger.
+// registers with the accuracy ledger. A batch wider than
+// maxCompareMappings is refused before admission.
 func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 	return s.decide("Compare", "compare", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
 		n := len(args.Mappings)
 		if n == 0 {
 			return fmt.Errorf("service: no mappings")
+		}
+		if n > maxCompareMappings {
+			return fmt.Errorf("service: %d mappings, at most %d per Compare", n, maxCompareMappings)
 		}
 		if s.lim != nil {
 			tk, err := s.lim.Acquire(ctx, admission.Expensive)
