@@ -7,8 +7,9 @@
 //	            [-scale 0.25] [-seed 42] [-jobs 0] [-v]
 //	            [-topo fattree:16,torus:16x16x4] [-topo-ranks 256]
 //
-// -scale 1.0 reproduces paper-sized case counts (slow); the default runs a
-// quarter-scale version whose shapes match. Independent trials fan out
+// -scale 1.0 runs the paper's repetition counts (slow), except phase 1,
+// which runs 720 sweep cases against the paper's >16 000; the default runs
+// a quarter-scale version whose shapes match. Independent trials fan out
 // across all cores by default; -jobs limits the worker count (-jobs 1 is
 // the serial reference order, which produces identical results).
 //
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	run := flag.String("run", "all", "experiment to run (comma separated), or 'all'")
-	scale := flag.Float64("scale", 0.25, "case-count scale in (0,1]; 1.0 = paper-sized")
+	scale := flag.Float64("scale", 0.25, "case-count scale in (0,1]; 1.0 = paper repetition counts (phase 1: 720 cases)")
 	seed := flag.Int64("seed", 42, "experiment seed")
 	jobs := flag.Int("jobs", 0, "max parallel trials (0 = all cores, 1 = serial)")
 	verbose := flag.Bool("v", false, "progress output")
@@ -177,7 +178,7 @@ func main() {
 }
 
 // printAccuracySummary reports the predicted-vs-actual ledger the experiment
-// hooks fed while running (fig5, table2 — see internal/accuracy).
+// hooks fed while running (fig5, table2, table4 — see internal/accuracy).
 func printAccuracySummary() {
 	led := accuracy.Default()
 	st := led.Status()
