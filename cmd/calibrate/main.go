@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	calibrate [-cluster grove|centurion] [-db ./cbesdb] [-allpairs] [-v]
+//	calibrate [-cluster spec] [-db ./cbesdb] [-allpairs] [-v]
+//
+// -cluster takes any cluster.FromSpec spec (grove, centurion, fattree:16, ...).
 package main
 
 import (
@@ -20,20 +22,15 @@ import (
 )
 
 func main() {
-	name := flag.String("cluster", "grove", "testbed: grove or centurion")
+	name := flag.String("cluster", "grove", "topology spec: "+cluster.SpecHelp)
 	dir := flag.String("db", "./cbesdb", "CBES database directory")
 	allPairs := flag.Bool("allpairs", false, "full O(N²) calibration instead of path-class representatives")
 	verbose := flag.Bool("v", false, "print the calibrated classes")
 	flag.Parse()
 
-	var topo *cluster.Topology
-	switch *name {
-	case "grove":
-		topo = cluster.NewOrangeGrove()
-	case "centurion":
-		topo = cluster.NewCenturion()
-	default:
-		log.Fatalf("unknown cluster %q (want grove or centurion)", *name)
+	topo, err := cluster.FromSpec(*name)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	store, err := db.Open(*dir)

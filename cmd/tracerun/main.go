@@ -4,8 +4,11 @@
 //
 // Usage:
 //
-//	tracerun [-cluster grove|centurion] -app lu.B.8 [-mapping 0-7]
+//	tracerun [-cluster spec] -app lu.B.8 [-mapping 0-7]
 //	         [-o trace.json] [-width 100] [-load node=avail,...]
+//
+// -cluster takes any cluster.FromSpec spec. A mapping or -load naming a
+// node outside the topology, or a non-finite load, is an error.
 package main
 
 import (
@@ -17,15 +20,13 @@ import (
 	"strings"
 
 	"cbes/internal/cluster"
-	"cbes/internal/des"
 	"cbes/internal/mpisim"
-	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
 func main() {
-	clusterName := flag.String("cluster", "grove", "testbed: grove or centurion")
+	clusterName := flag.String("cluster", "grove", "topology spec: "+cluster.SpecHelp)
 	app := flag.String("app", "lu.B.8", "workload name (see workloads.Lookup)")
 	mappingFlag := flag.String("mapping", "", "node list, e.g. 0-7 (default: first N nodes)")
 	out := flag.String("o", "", "write the trace as JSON to this file")
@@ -33,14 +34,9 @@ func main() {
 	loadFlag := flag.String("load", "", "static background load, e.g. 3=0.5,7=0.8")
 	flag.Parse()
 
-	var topo *cluster.Topology
-	switch *clusterName {
-	case "grove":
-		topo = cluster.NewOrangeGrove()
-	case "centurion":
-		topo = cluster.NewCenturion()
-	default:
-		log.Fatalf("unknown cluster %q", *clusterName)
+	topo, err := cluster.FromSpec(*clusterName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	prog, err := workloads.Lookup(*app)
@@ -63,10 +59,9 @@ func main() {
 		mapping = ids
 	}
 
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
+	var bg vcluster.Background
 	if *loadFlag != "" {
+		bg.Avail = map[int]float64{}
 		for _, part := range strings.Split(*loadFlag, ",") {
 			ns, as, ok := strings.Cut(part, "=")
 			if !ok {
@@ -77,13 +72,16 @@ func main() {
 			if err1 != nil || err2 != nil {
 				log.Fatalf("bad -load entry %q", part)
 			}
-			eng.Schedule(0, func() { vc.SetAvailability(node, avail) })
+			bg.Avail[node] = avail
 		}
 	}
 
 	opts := prog.Options()
 	opts.RecordIntervals = true
-	res := mpisim.Run(vc, net, mapping, prog.Body, opts)
+	res, err := mpisim.RunAlone(topo, bg, mapping, prog.Body, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Print(res.Trace.Summary())
 	fmt.Println()

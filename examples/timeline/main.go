@@ -9,20 +9,19 @@ import (
 	"fmt"
 
 	"cbes/internal/cluster"
-	"cbes/internal/des"
 	"cbes/internal/mpisim"
-	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
 func runWithTimeline(topo *cluster.Topology, prog workloads.Program, mapping []int) *mpisim.Result {
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
 	opts := prog.Options()
 	opts.RecordIntervals = true
-	return mpisim.Run(vc, net, mapping, prog.Body, opts)
+	res, err := mpisim.RunAlone(topo, vcluster.Background{}, mapping, prog.Body, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func main() {

@@ -12,11 +12,9 @@ package bench
 
 import (
 	"cbes/internal/cluster"
-	"cbes/internal/des"
 	"cbes/internal/mpisim"
 	"cbes/internal/netmodel"
 	"cbes/internal/profile"
-	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
@@ -83,19 +81,14 @@ func pingPongBody(size int64, reps int) func(*mpisim.Rank) {
 // loadAvail < 1 the src node is held at that CPU availability (used for
 // coefficient fitting).
 func MeasurePairLatency(topo *cluster.Topology, src, dst int, size int64, reps int, loadAvail float64) float64 {
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
+	var bg vcluster.Background
 	if loadAvail > 0 && loadAvail < 1 {
-		eng.Schedule(0, func() { vc.SetAvailability(src, loadAvail) })
+		bg.Avail = map[int]float64{src: loadAvail}
 	}
-	var mapping []int
-	if src == dst {
-		mapping = []int{src, src}
-	} else {
-		mapping = []int{src, dst}
+	res, err := mpisim.RunAlone(topo, bg, []int{src, dst}, pingPongBody(size, reps), mpisim.Options{AppName: "pingpong"})
+	if err != nil {
+		panic(err)
 	}
-	res := mpisim.Run(vc, net, mapping, pingPongBody(size, reps), mpisim.Options{AppName: "pingpong"})
 	return res.Elapsed.Seconds() / float64(2*reps)
 }
 
@@ -251,12 +244,12 @@ func MeasureArchSpeeds(topo *cluster.Topology, archEff map[cluster.Arch]float64,
 		if len(nodes) == 0 {
 			continue
 		}
-		eng := des.NewEngine()
-		vc := vcluster.New(eng, topo)
-		net := simnet.New(eng, topo)
-		res := mpisim.Run(vc, net, []int{nodes[0]}, func(r *mpisim.Rank) {
+		res, err := mpisim.RunAlone(topo, vcluster.Background{}, []int{nodes[0]}, func(r *mpisim.Rank) {
 			r.Compute(probeRef)
 		}, mpisim.Options{AppName: "speedprobe", ArchEff: archEff})
+		if err != nil {
+			panic(err)
+		}
 		out[a] = probeRef / res.Elapsed.Seconds()
 	}
 	return out
@@ -266,11 +259,11 @@ func MeasureArchSpeeds(topo *cluster.Topology, archEff map[cluster.Arch]float64,
 // analyses the trace, measures prog's per-architecture speeds, and computes
 // the λ factors against the calibrated model.
 func Profile(topo *cluster.Topology, model *netmodel.Model, prog workloads.Program, mapping []int) (*profile.Profile, error) {
-	// Profiling happens off-line on a quiet system, like calibration. The
-	// throwaway engine is torn down afterwards so no process outlives it.
-	eng := des.NewEngine()
-	res := mpisim.Run(vcluster.New(eng, topo), simnet.New(eng, topo), mapping, prog.Body, prog.Options())
-	eng.Shutdown()
+	// Profiling happens off-line on a quiet system, like calibration.
+	res, err := mpisim.RunAlone(topo, vcluster.Background{}, mapping, prog.Body, prog.Options())
+	if err != nil {
+		return nil, err
+	}
 	p, err := profile.FromTrace(res.Trace, topo, MeasureArchSpeeds(topo, prog.ArchEff, 0.5))
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func (r *AblationResult) lambdaStudy(l *Lab, cfg Config) {
 	errOff := make([]float64, n)
 	parfor.Do(cfg.jobs(), n, func(i int) {
 		m := mappings[i]
-		actual := l.Measure(l.GroveTopo, prog, m, JitterNone, 0)
+		actual := l.Measure(l.GroveTopo, prog, m, vcluster.Background{})
 		pOn := predict(evalOn, m, snap)
 		errOn[i] = errPct(pOn, actual)
 

@@ -8,6 +8,7 @@ import (
 	"cbes/internal/monitor"
 	"cbes/internal/parfor"
 	"cbes/internal/stats"
+	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
@@ -80,7 +81,7 @@ func Fig5(l *Lab, cfg Config) *Fig5Result {
 	}
 	parfor.Do(cfg.jobs(), len(cases)*runs, func(k int) {
 		i, r := k/runs, k%runs
-		grid[i][r] = l.Measure(topo, cases[i].prog, mappings[i], JitterOS, cfg.Seed+int64(1000*i+r))
+		grid[i][r] = l.Measure(topo, cases[i].prog, mappings[i], vcluster.Background{Noise: true, Seed: cfg.Seed + int64(1000*i+r)})
 	})
 	for i, tc := range cases {
 		pred := preds[i]

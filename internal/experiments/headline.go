@@ -9,6 +9,7 @@ import (
 	"cbes/internal/parfor"
 	"cbes/internal/schedule"
 	"cbes/internal/stats"
+	"cbes/internal/vcluster"
 )
 
 // HeadlineResult reproduces the §1/§6 headline numbers:
@@ -51,7 +52,7 @@ func Headline(l *Lab, cfg Config) *HeadlineResult {
 	if err != nil {
 		panic(err)
 	}
-	bestTime := l.Measure(l.GroveTopo, prog, best.Mapping, JitterOS, cfg.Seed)
+	bestTime := l.Measure(l.GroveTopo, prog, best.Mapping, vcluster.Background{Noise: true, Seed: cfg.Seed})
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 31))
 	samples := cfg.scaled(40, 10)
@@ -71,7 +72,7 @@ func Headline(l *Lab, cfg Config) *HeadlineResult {
 		if err != nil {
 			panic(err)
 		}
-		times[i] = l.Measure(l.GroveTopo, prog, dec.Mapping, JitterOS, seeds[i].jitter)
+		times[i] = l.Measure(l.GroveTopo, prog, dec.Mapping, vcluster.Background{Noise: true, Seed: seeds[i].jitter})
 	})
 	res.PopulationMean = stats.Mean(times)
 	res.BestTime = bestTime

@@ -16,17 +16,14 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/core"
-	"cbes/internal/des"
 	"cbes/internal/monitor"
 	"cbes/internal/mpisim"
 	"cbes/internal/netmodel"
 	"cbes/internal/profile"
-	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
@@ -169,66 +166,14 @@ func (l *Lab) Evaluator(topo *cluster.Topology, prog workloads.Program, profMapp
 	return e
 }
 
-// JitterLevel selects background-load realism for measurement runs.
-type JitterLevel int
-
-// Jitter levels.
-const (
-	// JitterNone: perfectly quiet cluster.
-	JitterNone JitterLevel = iota
-	// JitterOS: "routine operating system processes" — availability
-	// wanders in [0.97, 1.0]; per §5 this does not invalidate predictions.
-	JitterOS
-)
-
 // Measure runs a program on a fresh instance of the topology under the
-// mapping and returns the actual execution time in seconds. jitterSeed
-// varies the background-load realization between repetitions.
-func (l *Lab) Measure(topo *cluster.Topology, prog workloads.Program, mapping []int, jitter JitterLevel, jitterSeed int64) float64 {
-	res := l.MeasureWithLoad(topo, prog, mapping, jitter, jitterSeed, nil)
-	return res
-}
-
-// engPool recycles DES engines (and their warm event free lists) across
-// measurement trials; engines come back via des.Engine.Reset, which restores
-// the freshly-constructed state.
-var engPool = sync.Pool{New: func() any { return des.NewEngine() }}
-
-// releaseEngine returns a finished engine to the pool.
-func releaseEngine(eng *des.Engine) {
-	eng.Shutdown()
-	eng.Reset()
-	engPool.Put(eng)
-}
-
-// MeasureWithLoad is Measure plus explicit per-node availability overrides
-// applied before the run (used by the phase-3 load-sensitivity study).
-func (l *Lab) MeasureWithLoad(topo *cluster.Topology, prog workloads.Program, mapping []int, jitter JitterLevel, jitterSeed int64, avail map[int]float64) float64 {
-	eng := engPool.Get().(*des.Engine)
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
-	rng := rand.New(rand.NewSource(jitterSeed))
-	for id := 0; id < topo.NumNodes(); id++ {
-		mean, overridden := avail[id]
-		if !overridden {
-			mean = 0.985
-		}
-		switch {
-		case jitter == JitterOS:
-			// The OS-noise walk wanders around the node's base availability
-			// (explicit load overrides shift that base).
-			vc.RandomWalkLoad(id, mean, 0.006, 500*des.Millisecond, rng.Int63())
-			id := id
-			m := mean
-			eng.Schedule(0, func() { vc.SetAvailability(id, m) })
-		case overridden:
-			id := id
-			m := mean
-			eng.Schedule(0, func() { vc.SetAvailability(id, m) })
-		}
+// mapping and background load and returns the actual execution time in
+// seconds.
+func (l *Lab) Measure(topo *cluster.Topology, prog workloads.Program, mapping []int, bg vcluster.Background) float64 {
+	res, err := mpisim.RunAlone(topo, bg, mapping, prog.Body, prog.Options())
+	if err != nil {
+		panic(err)
 	}
-	res := mpisim.Run(vc, net, mapping, prog.Body, prog.Options())
-	releaseEngine(eng)
 	return res.Elapsed.Seconds()
 }
 

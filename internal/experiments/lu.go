@@ -12,6 +12,7 @@ import (
 	"cbes/internal/parfor"
 	"cbes/internal/schedule"
 	"cbes/internal/stats"
+	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
@@ -100,7 +101,7 @@ type WorstBestRow struct {
 type worstBestSeeds struct{ best, worst, bestRuns, worstRuns int64 }
 
 // worstBest is the worst-vs-best study of one zone: a minimizing and a
-// maximizing anneal at effort 6000, then runs paired JitterOS measurements
+// maximizing anneal at effort 6000, then runs paired OS-noise measurements
 // of the two mappings. The anneals and the runs are independent (distinct
 // seeds), so each pair fans out.
 func (l *Lab) worstBest(cfg Config, eval *core.Evaluator, prog workloads.Program, z zoneSpec, runs int, s worstBestSeeds) WorstBestRow {
@@ -119,7 +120,7 @@ func (l *Lab) worstBest(cfg Config, eval *core.Evaluator, prog workloads.Program
 	bases := [2]int64{s.bestRuns, s.worstRuns}
 	parfor.Do(cfg.jobs(), 2*runs, func(i int) {
 		r, w := i/2, i%2
-		times[w][r] = l.Measure(l.GroveTopo, prog, decs[w].Mapping, JitterOS, bases[w]+int64(r))
+		times[w][r] = l.Measure(l.GroveTopo, prog, decs[w].Mapping, vcluster.Background{Noise: true, Seed: bases[w] + int64(r)})
 	})
 	row := WorstBestRow{
 		Case:          z.Name,
@@ -160,7 +161,7 @@ type averageCaseSeeds struct{ ref, runs, meas int64 }
 
 // averageCase adds one case of an average-case study to r. A high-effort
 // anneal gives the best predicted time; 100 CS and 100 NCS decisions (at
-// full scale) at effort 6000 are each measured under JitterOS, and a decision hits when it
+// full scale) at effort 6000 are each measured under OS noise, and a decision hits when it
 // predicts within 0.5 % of the best. Every (scheduler, run) trial derives
 // its seeds from its indices, so the block fans out and the rows are
 // assembled serially after. Each pair joins the accuracy ledger as
@@ -184,7 +185,7 @@ func (l *Lab) averageCase(cfg Config, r *AverageCase, table string, eval *core.E
 			panic(err)
 		}
 		preds[si][k] = dec.Predicted
-		meas[si][k] = l.Measure(l.GroveTopo, prog, dec.Mapping, JitterOS, s.meas+int64(k))
+		meas[si][k] = l.Measure(l.GroveTopo, prog, dec.Mapping, vcluster.Background{Noise: true, Seed: s.meas + int64(k)})
 	})
 	for si, sched := range []string{"CS", "NCS"} {
 		hits := 0
@@ -249,7 +250,7 @@ func Fig6LUZones(l *Lab, cfg Config) *Fig6Result {
 			trials[k].seed = rng.Int63()
 		}
 		parfor.Do(cfg.jobs(), perZone, func(k int) {
-			zone.Times[k] = l.Measure(l.GroveTopo, prog, trials[k].m, JitterOS, trials[k].seed)
+			zone.Times[k] = l.Measure(l.GroveTopo, prog, trials[k].m, vcluster.Background{Noise: true, Seed: trials[k].seed})
 		})
 		zone.Min = stats.Min(zone.Times)
 		zone.Max = stats.Max(zone.Times)

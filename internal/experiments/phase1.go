@@ -10,6 +10,7 @@ import (
 	"cbes/internal/monitor"
 	"cbes/internal/parfor"
 	"cbes/internal/stats"
+	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
@@ -124,7 +125,7 @@ func Phase1Sweep(l *Lab, cfg Config) *Phase1Result {
 				parfor.Do(cfg.jobs(), mappingsPerConfig, func(m int) {
 					c := &cases[m]
 					pred := predict(c.eval, c.mapping, monitor.IdleSnapshot(c.topo.NumNodes()))
-					actual := l.Measure(c.topo, prog, c.mapping, JitterOS, c.seed)
+					actual := l.Measure(c.topo, prog, c.mapping, vcluster.Background{Noise: true, Seed: c.seed})
 					errs[m] = errPct(pred, actual)
 				})
 				for m := 0; m < mappingsPerConfig; m++ {

@@ -7,6 +7,7 @@ import (
 	"cbes/internal/monitor"
 	"cbes/internal/parfor"
 	"cbes/internal/stats"
+	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
@@ -62,8 +63,8 @@ func Phase3LoadSensitivity(l *Lab, cfg Config) *Phase3Result {
 		}
 		parfor.Do(cfg.jobs(), len(loads)*runs, func(i int) {
 			li, r := i/runs, i%runs
-			grid[li][r] = l.MeasureWithLoad(topo, prog, mapping, JitterOS,
-				cfg.Seed+int64(7000*pi+100*loads[li]+r), availByLoad[li])
+			bg := vcluster.Background{Avail: availByLoad[li], Noise: true, Seed: cfg.Seed + int64(7000*pi+100*loads[li]+r)}
+			grid[li][r] = l.Measure(topo, prog, mapping, bg)
 		})
 		for li, loadPct := range loads {
 			times := grid[li]
@@ -84,8 +85,8 @@ func Phase3LoadSensitivity(l *Lab, cfg Config) *Phase3Result {
 		knownPred := predict(eval, mapping, snapshotWithLoad(topo, avail))
 		times := make([]float64, runs)
 		parfor.Do(cfg.jobs(), runs, func(r int) {
-			times[r] = l.MeasureWithLoad(topo, prog, mapping, JitterOS,
-				cfg.Seed+int64(7000*pi+9000+r), avail)
+			bg := vcluster.Background{Avail: avail, Noise: true, Seed: cfg.Seed + int64(7000*pi+9000+r)}
+			times[r] = l.Measure(topo, prog, mapping, bg)
 		})
 		errs := make([]float64, runs)
 		for r, actual := range times {

@@ -326,6 +326,38 @@ func Run(vc *vcluster.Cluster, net *simnet.Network, mapping []int, body func(*Ra
 	return Launch(vc, net, mapping, body, opts).Wait()
 }
 
+// engPool recycles engines (and their warm event free lists) across
+// RunAlone calls; des.Engine.Reset restores the freshly-constructed state.
+var engPool = sync.Pool{New: func() any { return des.NewEngine() }}
+
+// RunAlone runs body once on a fresh instance of topo — its own engine,
+// idle CPUs and network, under background load bg — and tears the instance
+// down. It is the one measurement procedure predictions are checked
+// against. A mapped node outside the topology, or a bg that Apply rejects,
+// is an error.
+func RunAlone(topo *cluster.Topology, bg vcluster.Background, mapping []int, body func(*Rank), opts Options) (*Result, error) {
+	if len(mapping) == 0 {
+		return nil, fmt.Errorf("mpisim: empty mapping")
+	}
+	for i, node := range mapping {
+		if node < 0 || node >= topo.NumNodes() {
+			return nil, fmt.Errorf("mpisim: rank %d mapped to invalid node %d", i, node)
+		}
+	}
+	eng := engPool.Get().(*des.Engine)
+	vc := vcluster.New(eng, topo)
+	net := simnet.New(eng, topo)
+	if err := bg.Apply(vc); err != nil {
+		engPool.Put(eng) // Apply scheduled nothing
+		return nil, err
+	}
+	res := Run(vc, net, mapping, body, opts)
+	eng.Shutdown()
+	eng.Reset()
+	engPool.Put(eng)
+	return res, nil
+}
+
 // ID reports the calling process's rank.
 func (r *Rank) ID() int { return r.id }
 

@@ -1,29 +1,21 @@
 package remap
 
 import (
-	"math/rand"
-
 	"cbes/internal/cluster"
 	"cbes/internal/core"
-	"cbes/internal/des"
 	"cbes/internal/mpisim"
-	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
 	"cbes/internal/workloads"
 )
 
 // ClusterRunner executes segments of an iterative workload on fresh
 // instances of a topology (checkpoint/restart semantics), with an optional
-// static background-load map and OS-noise jitter — the SegmentRunner the
-// Execute loop drives.
+// static background-load map — the SegmentRunner the Execute loop drives.
 type ClusterRunner struct {
 	Topo *cluster.Topology
 	Spec workloads.Iterative
 	// Load maps node ID -> availability applied during every segment.
 	Load map[int]float64
-	// JitterSeed, when non-zero, adds a light OS-noise availability walk
-	// to all nodes.
-	JitterSeed int64
 }
 
 // Iterations reports the workload's total iteration count.
@@ -32,26 +24,11 @@ func (cr *ClusterRunner) Iterations() int { return cr.Spec.Iterations }
 // RunSegment executes iterations [from, to) on the mapping and returns the
 // simulated seconds elapsed.
 func (cr *ClusterRunner) RunSegment(mapping core.Mapping, from, to int) float64 {
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, cr.Topo)
-	net := simnet.New(eng, cr.Topo)
-	if cr.JitterSeed != 0 {
-		rng := rand.New(rand.NewSource(cr.JitterSeed + int64(from)))
-		for id := 0; id < cr.Topo.NumNodes(); id++ {
-			mean, ok := cr.Load[id]
-			if !ok {
-				mean = 0.985
-			}
-			vc.RandomWalkLoad(id, mean, 0.006, 500*des.Millisecond, rng.Int63())
-		}
-	}
-	for node, avail := range cr.Load {
-		node, avail := node, avail
-		eng.Schedule(0, func() { vc.SetAvailability(node, avail) })
-	}
 	prog := cr.Spec.Segment(from, to)
-	res := mpisim.Run(vc, net, mapping, prog.Body, prog.Options())
-	eng.Shutdown()
+	res, err := mpisim.RunAlone(cr.Topo, vcluster.Background{Avail: cr.Load}, mapping, prog.Body, prog.Options())
+	if err != nil {
+		panic(err)
+	}
 	return res.Elapsed.Seconds()
 }
 

@@ -1,6 +1,8 @@
 package vcluster
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"cbes/internal/cluster"
@@ -113,4 +115,49 @@ func (c *Cluster) RandomWalkLoad(id int, mean, volatility float64, interval des.
 			c.SetAvailability(id, avail)
 		}
 	})
+}
+
+// Background is the background load of a fresh cluster instance: static
+// per-node availability overrides, optionally overlaid with §5's "routine
+// operating system processes" — a seeded walk per node in about [0.97, 1.0]
+// around its base (0.985, or its override).
+type Background struct {
+	// Avail maps node ID -> availability, set at time zero.
+	Avail map[int]float64
+	// Noise adds the OS-noise walk to every node, seeded by Seed.
+	Noise bool
+	Seed  int64
+}
+
+// Apply schedules b on c, which must be at time zero. For each node in ID
+// order it spawns the noise walk, then sets the node's availability at time
+// zero. It applies nothing and returns an error if an override names a node
+// outside the topology or a non-finite availability.
+func (b Background) Apply(c *Cluster) error {
+	n := c.Topo.NumNodes()
+	for id, a := range b.Avail {
+		if id < 0 || id >= n {
+			return fmt.Errorf("vcluster: background load on node %d outside [0, %d)", id, n)
+		}
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("vcluster: background availability %v on node %d is not finite", a, id)
+		}
+	}
+	var rng *rand.Rand
+	if b.Noise {
+		rng = rand.New(rand.NewSource(b.Seed))
+	}
+	for id := 0; id < n; id++ {
+		a, overridden := b.Avail[id]
+		if b.Noise {
+			if !overridden {
+				a = 0.985
+			}
+			c.RandomWalkLoad(id, a, 0.006, 500*des.Millisecond, rng.Int63())
+		} else if !overridden {
+			continue
+		}
+		c.Eng.Schedule(0, func() { c.SetAvailability(id, a) })
+	}
+	return nil
 }
