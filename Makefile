@@ -20,12 +20,16 @@ verify: build test
 # (also under -race) without paying for steady-state timing. The harness
 # under benchmark/ is a module of its own, outside ./...: vetting and
 # testing it here makes a core/service signature drift that breaks it
-# fail CI rather than the next benchmark run.
+# fail CI rather than the next benchmark run. A 20 s fuzz of the scorer's
+# Apply/Undo journal runs on every CI pass: the delta path's exactness is
+# the property every scheduler rests on, and the fixed seeds alone cover
+# only a handful of move sequences.
 ci:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 	$(GO) test -race -timeout 45m ./...
+	$(GO) test -run '^$$' -fuzz FuzzEnergyDelta -fuzztime 20s ./internal/core/
 	$(MAKE) stress
 	$(MAKE) bench-quick
 

@@ -28,10 +28,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
 	"cbes/internal/admission"
+	"cbes/internal/cluster"
 	"cbes/internal/obs"
 	"cbes/internal/service"
 )
@@ -40,46 +40,12 @@ type mappingsFlag [][]int
 
 func (m *mappingsFlag) String() string { return fmt.Sprint([][]int(*m)) }
 func (m *mappingsFlag) Set(s string) error {
-	ids, err := parseIDList(s)
+	ids, err := cluster.ParseNodeList(s, cluster.MaxSpecNodes)
 	if err != nil {
 		return err
 	}
 	*m = append(*m, ids)
 	return nil
-}
-
-// parseIDList parses "0,3,5-9" into a node-ID slice.
-func parseIDList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err := strconv.Atoi(lo)
-			if err != nil {
-				return nil, fmt.Errorf("bad range %q", part)
-			}
-			b, err := strconv.Atoi(hi)
-			if err != nil || b < a {
-				return nil, fmt.Errorf("bad range %q", part)
-			}
-			for v := a; v <= b; v++ {
-				out = append(out, v)
-			}
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad id %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty id list %q", s)
-	}
-	return out, nil
 }
 
 func main() {
@@ -209,7 +175,7 @@ func main() {
 		if *app == "" || *pool == "" {
 			log.Fatal("schedule needs -app and -pool")
 		}
-		ids, err := parseIDList(*pool)
+		ids, err := cluster.ParseNodeList(*pool, cluster.MaxSpecNodes)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 )
 
+// TestParseIDList: the -mapping and -pool node lists parse through
+// cluster.ParseNodeList, capped at the largest topology a spec builds.
 func TestParseIDList(t *testing.T) {
 	cases := map[string][]int{
 		"0":          {0},
@@ -15,16 +17,17 @@ func TestParseIDList(t *testing.T) {
 		" 1 , 2 ":    {1, 2},
 	}
 	for in, want := range cases {
-		got, err := parseIDList(in)
-		if err != nil {
+		var m mappingsFlag
+		if err := m.Set(in); err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q = %v, want %v", in, got, want)
+		if !reflect.DeepEqual(m, mappingsFlag{want}) {
+			t.Fatalf("%q = %v, want %v", in, m, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "5-2", "1-", "-3", ","} {
-		if _, err := parseIDList(bad); err == nil {
+	for _, bad := range []string{"", "x", "5-2", "1-", "-3", ",", "0-3000000"} {
+		var m mappingsFlag
+		if err := m.Set(bad); err == nil {
 			t.Fatalf("%q should error", bad)
 		}
 	}

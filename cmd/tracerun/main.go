@@ -49,7 +49,7 @@ func main() {
 		mapping[i] = i
 	}
 	if *mappingFlag != "" {
-		ids, err := parseIDs(*mappingFlag)
+		ids, err := cluster.ParseNodeList(*mappingFlag, prog.Ranks)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -100,32 +100,4 @@ func main() {
 		}
 		fmt.Printf("\ntrace written to %s\n", *out)
 	}
-}
-
-// parseIDs parses "0,3,5-9" into node IDs.
-func parseIDs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || b < a {
-				return nil, fmt.Errorf("bad range %q", part)
-			}
-			for v := a; v <= b; v++ {
-				out = append(out, v)
-			}
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad id %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

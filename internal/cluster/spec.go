@@ -17,9 +17,10 @@ const SpecHelp = "grove|centurion|test, or fattree:<k>, torus:<X>x<Y>[x<Z>], " +
 // sensors, a scheduler's pool, simnet's per-link slots — is O(nodes) or
 // O(links), so a spec must not ask for more than these. A torus has one
 // path class per hop distance, each signature as long as its distance, so
-// its diameter is capped too.
+// its diameter is capped too. No topology FromSpec builds has more than
+// MaxSpecNodes nodes, so it also caps a node list worth parsing.
 const (
-	maxSpecNodes         = 1 << 20
+	MaxSpecNodes         = 1 << 20
 	maxSpecLinks         = 1 << 22
 	maxSpecTorusDiameter = 128
 )
@@ -64,7 +65,7 @@ func FromSpec(spec string) (*Topology, error) {
 		if err != nil || k < 2 || k%2 != 0 {
 			return nil, fmt.Errorf("cluster: fattree spec needs an even radix, e.g. fattree:16 (got %q)", spec)
 		}
-		if _, ok := mulCapped(maxSpecNodes, k, k/2, k/2); !ok { // links = 3 × nodes
+		if _, ok := mulCapped(MaxSpecNodes, k, k/2, k/2); !ok { // links = 3 × nodes
 			return nil, tooLarge(spec)
 		}
 		return NewFatTree(FatTreeSpec{K: k, Archs: archs}), nil
@@ -77,7 +78,7 @@ func FromSpec(spec string) (*Topology, error) {
 		if len(dims) == 3 {
 			ts.Z = dims[2]
 		}
-		_, ok := mulCapped(maxSpecNodes, ts.X, ts.Y, ts.Z) // links <= 4 × nodes
+		_, ok := mulCapped(MaxSpecNodes, ts.X, ts.Y, ts.Z) // links <= 4 × nodes
 		if !ok || ts.X/2+ts.Y/2+ts.Z/2 > maxSpecTorusDiameter {
 			return nil, tooLarge(spec)
 		}
@@ -88,7 +89,7 @@ func FromSpec(spec string) (*Topology, error) {
 			return nil, fmt.Errorf("cluster: dragonfly spec needs PxAxH or PxAxHxG, e.g. dragonfly:4x8x4 (got %q)", spec)
 		}
 		ds := DragonflySpec{P: dims[0], A: dims[1], H: dims[2], Archs: archs}
-		if ds.A > maxSpecNodes || ds.H > maxSpecNodes {
+		if ds.A > MaxSpecNodes || ds.H > MaxSpecNodes {
 			return nil, tooLarge(spec) // and keeps A·H+1 from overflowing
 		}
 		ds.Groups = ds.A*ds.H + 1
@@ -98,7 +99,7 @@ func FromSpec(spec string) (*Topology, error) {
 		if ds.Groups < 2 || ds.Groups > ds.A*ds.H+1 {
 			return nil, fmt.Errorf("cluster: dragonfly groups must be in [2, A*H+1], got %d", ds.Groups)
 		}
-		nodes, okN := mulCapped(maxSpecNodes, ds.Groups, ds.A, ds.P)
+		nodes, okN := mulCapped(MaxSpecNodes, ds.Groups, ds.A, ds.P)
 		local, okL := mulCapped(2*maxSpecLinks, ds.Groups, ds.A, ds.A-1)
 		global, okG := mulCapped(2*maxSpecLinks, ds.Groups, ds.Groups-1)
 		if !okN || !okL || !okG || nodes+local/2+global/2 > maxSpecLinks {
@@ -112,7 +113,7 @@ func FromSpec(spec string) (*Topology, error) {
 
 func tooLarge(spec string) error {
 	return fmt.Errorf("cluster: %q exceeds the spec limits of %d nodes, %d links and a torus diameter of %d",
-		spec, maxSpecNodes, maxSpecLinks, maxSpecTorusDiameter)
+		spec, MaxSpecNodes, maxSpecLinks, maxSpecTorusDiameter)
 }
 
 // parseDims parses "AxBxC"-style dimension lists with an arity range.
@@ -150,4 +151,42 @@ func parseArchList(s string) ([]Arch, error) {
 		}
 	}
 	return archs, nil
+}
+
+// ParseNodeList parses a node list such as "0,3,5-9" into node IDs, in the
+// order written. It refuses an empty list, a malformed ID or range, and a
+// list of more than limit IDs — before it expands the range that would
+// exceed limit, so a range ending near math.MaxInt fails at once.
+func ParseNodeList(s string, limit int) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		lo, hi, isRange := strings.Cut(part, "-")
+		a, err := strconv.Atoi(lo)
+		if !isRange {
+			if err != nil {
+				return nil, fmt.Errorf("cluster: bad node id %q", part)
+			}
+			hi = lo
+		}
+		b, err2 := strconv.Atoi(hi)
+		if err != nil || err2 != nil || b < a {
+			return nil, fmt.Errorf("cluster: bad node range %q", part)
+		}
+		// a >= 0 (a minus sign would have split the part), so b-a cannot
+		// overflow; counting up to it, not past b, cannot wrap.
+		if b-a >= limit-len(out) {
+			return nil, fmt.Errorf("cluster: node list %q has more than %d nodes", s, limit)
+		}
+		for i := 0; i <= b-a; i++ {
+			out = append(out, a+i)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("cluster: empty node list %q", s)
+	}
+	return out, nil
 }

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -36,7 +39,7 @@ func FuzzFromSpec(f *testing.F) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 			t.Fatalf("FromSpec(%q) allocated %d B", spec, alloc)
 		}
-		if topo.NumNodes() > maxSpecNodes || topo.NumLinks() > maxSpecLinks {
+		if topo.NumNodes() > MaxSpecNodes || topo.NumLinks() > maxSpecLinks {
 			t.Fatalf("FromSpec(%q) built %d nodes and %d links, past the caps", spec, topo.NumNodes(), topo.NumLinks())
 		}
 		if err := topo.Validate(); err != nil {
@@ -58,5 +61,46 @@ func TestFromSpecRejectsOversized(t *testing.T) {
 		if _, err := FromSpec(spec); err != nil {
 			t.Errorf("FromSpec(%q) at the limits: %v", spec, err)
 		}
+	}
+}
+
+// TestParseNodeList: lists and ranges parse in the order written, and a
+// list longer than the limit fails before its range is expanded — even
+// one ending at math.MaxInt, where counting up to the end would wrap.
+func TestParseNodeList(t *testing.T) {
+	cases := map[string][]int{
+		"0":          {0},
+		"0,3,5":      {0, 3, 5},
+		"2-5":        {2, 3, 4, 5},
+		"0-2,7,9-10": {0, 1, 2, 7, 9, 10},
+		" 1 , 2 ":    {1, 2},
+		"7,0-1":      {7, 0, 1},
+	}
+	for in, want := range cases {
+		got, err := ParseNodeList(in, 8)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q = %v, want %v", in, got, want)
+		}
+	}
+	if got, err := ParseNodeList("0-7", 8); err != nil || len(got) != 8 {
+		t.Fatalf("a list of exactly the limit: %v, %v", got, err)
+	}
+	maxInt := strconv.Itoa(math.MaxInt)
+	for _, bad := range []string{
+		"", "x", "5-2", "1-", "-3", ",", "1-x", "0-8", "0-3,4-8", "0-7,9",
+		"0-3000000", "0-" + maxInt, maxInt + "-" + maxInt + ",0-" + maxInt,
+	} {
+		if got, err := ParseNodeList(bad, 8); err == nil {
+			t.Fatalf("%q should error, got %d nodes", bad, len(got))
+		}
+	}
+	if _, err := ParseNodeList("0-9223372036854775807", MaxSpecNodes); err == nil {
+		t.Fatal("a range to math.MaxInt was accepted")
+	}
+	if got, err := ParseNodeList(maxInt+"-"+maxInt, 8); err != nil || !reflect.DeepEqual(got, []int{math.MaxInt}) {
+		t.Fatalf("a one-node range at math.MaxInt: %v, %v", got, err)
 	}
 }

@@ -12,22 +12,29 @@
 //     never rebuilds path signatures or hashes map keys — and never
 //     allocates O(nodes²) state on structured topologies;
 //   - one Lc table row per (path class, distinct message size) holding the
-//     curve value and its wire part, and each message group's index among
-//     the distinct sizes, so a latency is a table read plus the load
-//     terms — no curve search;
+//     curve value and its wire part, so a latency is a table read plus the
+//     load terms — no curve search;
+//   - the links: every distinct directed (src rank, dst rank, size) that
+//     an entry with λ ≠ 0 reads, numbered in Θ order of first appearance,
+//     each message group's link ID, and per rank the links it is an
+//     endpoint of;
 //   - per-node resolved compute speeds and CPU counts (no ArchSpeed map
 //     lookups);
 //   - per-rank communication dependents: the profile entries whose Θ term
 //     (eq. 6) reads that rank's node, derived from the send/recv groups.
 //
-// A Scorer then carries the mutable scratch state for one mapping: flat
-// per-(segment,proc) R and C terms, per-node multiplicities, per-segment
-// maxima, and an undo journal. Applying a Move re-scores only the entries
-// whose inputs changed — the moved rank(s), their communication peers
-// (not under IgnoreComm, where every C term is zero), and (for
-// capacity-changing moves) the ranks co-located on the two affected
-// nodes — and rebuilds the total from per-segment maxima, so the running
-// energy is always bit-identical to a fresh full evaluation.
+// A Scorer then carries the mutable scratch state for one mapping: one Lc
+// per link, flat per-(segment,proc) R and C terms, per-node multiplicities,
+// per-segment maxima, and an undo journal. Lc depends only on the link's
+// two nodes, its size and the snapshot, so a full evaluation computes it
+// once per link rather than once per message group at both endpoints and
+// in every segment, and C is a gather-sum over the link values. Applying a
+// Move recomputes the links of the moved rank(s), re-scores only the
+// entries whose inputs changed — the moved rank(s), their communication
+// peers (not under IgnoreComm, where every C term is zero and no link is
+// kept), and (for capacity-changing moves) the ranks co-located on the two
+// affected nodes — and rebuilds the total from per-segment maxima, so the
+// running energy is always bit-identical to a fresh full evaluation.
 //
 // Invariants, checked by TestFastPathEquivalence and FuzzEnergyDelta against
 // oraclePredict — the segment-by-segment walk over Model.Latency that the
@@ -77,14 +84,18 @@ type fastIndex struct {
 	// segOff[s] is the first flat index of segment s (len = segments+1).
 	flat   []*profile.ProcProfile
 	segOff []int
-	// sizeOf holds, for every entry's message groups in the order Θ
-	// accumulates them (receives, then sends), the index of the group's
-	// size among the profile's distinct message sizes; entry f's run
-	// starts at sizeOf[grpOff[f]]. Peers and counts are read from the
-	// profile's own groups: copying them would add 12 B per group to every
-	// evaluator's live heap.
+	// linkOf holds, for the message groups of every entry with λ ≠ 0 in
+	// the order Θ accumulates them (receives, then sends), the ID of the
+	// group's link; entry f's run starts at linkOf[grpOff[f]], and an entry
+	// with λ = 0 has none. Counts are read from the profile's own groups:
+	// copying them would add 8 B per group to every evaluator's live heap.
 	grpOff []int32
-	sizeOf []int32
+	linkOf []int32
+	// links lists every distinct directed link an entry with λ ≠ 0 reads,
+	// in Θ order of first appearance; rankLinks[r] lists, ascending, the
+	// links rank r is an endpoint of (a rank's link to itself once).
+	links     []link
+	rankLinks [][]int32
 	// Lc tables: row id·sizes+k holds class id's Curve.At at distinct size k
 	// (lat) and its wire part At − Base (wire); csend/crecv are the class's
 	// load coefficients. O(classes × sizes); uncalibrated classes keep
@@ -99,6 +110,10 @@ type fastIndex struct {
 	own      [][]int32
 	commDeps [][]int32
 }
+
+// link is one directed (src rank, dst rank, distinct message size) of the
+// profile: Lc of its two mapped nodes at size index k.
+type link struct{ src, dst, k int32 }
 
 func buildFastIndex(e *Evaluator) *fastIndex {
 	n := e.Topo.NumNodes()
@@ -136,13 +151,20 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	ix.flat = make([]*profile.ProcProfile, 0, entries)
 	ix.segOff = make([]int, 1, len(e.Prof.Segments)+1)
 	ix.grpOff = make([]int32, 0, entries)
-	ix.sizeOf = make([]int32, 0, groups)
+	ix.linkOf = make([]int32, 0, groups)
 	sizeIdx := map[int64]int32{}
 	var sizes []int64
-	addGroups := func(f int32, gs []trace.MsgGroup) {
+	linkIdx := map[link]int32{}
+	// addGroups records f as a communication dependent of every peer and,
+	// when f's C term reads them (λ ≠ 0), the link of every group: peer to
+	// rank for receives, rank to peer for sends.
+	addGroups := func(f int32, pp *profile.ProcProfile, gs []trace.MsgGroup, recv bool) {
 		for _, g := range gs {
 			if g.Peer >= 0 && g.Peer < ranks {
 				depSet[g.Peer][f] = struct{}{}
+			}
+			if pp.Lambda == 0 {
+				continue
 			}
 			k, ok := sizeIdx[g.Size]
 			if !ok {
@@ -150,7 +172,17 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				sizeIdx[g.Size] = k
 				sizes = append(sizes, g.Size)
 			}
-			ix.sizeOf = append(ix.sizeOf, k)
+			ln := link{src: int32(pp.Rank), dst: int32(g.Peer), k: k}
+			if recv {
+				ln.src, ln.dst = ln.dst, ln.src
+			}
+			id, ok := linkIdx[ln]
+			if !ok {
+				id = int32(len(ix.links))
+				linkIdx[ln] = id
+				ix.links = append(ix.links, ln)
+			}
+			ix.linkOf = append(ix.linkOf, id)
 		}
 	}
 	for si := range e.Prof.Segments {
@@ -163,11 +195,36 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				ix.own[pp.Rank] = append(ix.own[pp.Rank], f)
 				depSet[pp.Rank][f] = struct{}{}
 			}
-			ix.grpOff = append(ix.grpOff, int32(len(ix.sizeOf)))
-			addGroups(f, pp.Recvs)
-			addGroups(f, pp.Sends)
+			ix.grpOff = append(ix.grpOff, int32(len(ix.linkOf)))
+			addGroups(f, pp, pp.Recvs, true)
+			addGroups(f, pp, pp.Sends, false)
 		}
 		ix.segOff = append(ix.segOff, len(ix.flat))
+	}
+	// A link's ranks lie in [0, ranks): profile.FromTrace and
+	// profile.Decode reject any other rank or peer, and ComputeLambdas
+	// reads mapping[rank] for every group of an entry it gives λ ≠ 0.
+	// Each rank's list is carved from one backing array by its degree, so
+	// the appends below never reallocate.
+	deg := make([]int, ranks)
+	for _, ln := range ix.links {
+		deg[ln.src]++
+		if ln.dst != ln.src {
+			deg[ln.dst]++
+		}
+	}
+	ix.rankLinks = make([][]int32, ranks)
+	backing := make([]int32, 0, 2*len(ix.links))
+	for r, d := range deg {
+		end := len(backing)
+		ix.rankLinks[r] = backing[end : end : end+d]
+		backing = backing[:end+d]
+	}
+	for id, ln := range ix.links {
+		ix.rankLinks[ln.src] = append(ix.rankLinks[ln.src], int32(id))
+		if ln.dst != ln.src {
+			ix.rankLinks[ln.dst] = append(ix.rankLinks[ln.dst], int32(id))
+		}
 	}
 	nc := len(ix.classes)
 	ix.sizes = len(sizes)
@@ -228,12 +285,19 @@ type savedTerm struct {
 	r, c float64
 }
 
+// savedLink is one undo-journal record: the pre-move Lc of one link.
+type savedLink struct {
+	l   int32
+	lat float64
+}
+
 // frame is the undo record of one applied Move.
 type frame struct {
 	mv     Move
 	from   int // origin node(s) needed to invert the move
 	fromB  int
 	noop   bool
+	links  []savedLink
 	terms  []savedTerm
 	segMax []float64
 	total  float64
@@ -254,12 +318,13 @@ type Scorer struct {
 	avail []float64
 	nic   []float64
 
-	m      Mapping   // current mapping (owned)
-	mult   []int     // ranks per node
-	r, c   []float64 // per flat entry
-	segMax []float64
-	total  float64
-	primed bool
+	m       Mapping   // current mapping (owned)
+	mult    []int     // ranks per node
+	linkLat []float64 // Lc per link; untouched under IgnoreComm
+	r, c    []float64 // per flat entry
+	segMax  []float64
+	total   float64
+	primed  bool
 
 	frames []frame
 	depth  int
@@ -286,6 +351,7 @@ func (e *Evaluator) Scorer() *Scorer {
 		ix:        ix,
 		m:         make(Mapping, e.Prof.Ranks),
 		mult:      make([]int, ix.nodes),
+		linkLat:   make([]float64, len(ix.links)),
 		avail:     make([]float64, ix.nodes),
 		nic:       make([]float64, ix.nodes),
 		r:         make([]float64, len(ix.flat)),
@@ -341,6 +407,11 @@ func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err er
 	}
 	for _, n := range s.m {
 		s.mult[n]++
+	}
+	if !s.e.IgnoreComm {
+		for l := range s.ix.links {
+			s.linkLat[l] = s.latency(int32(l))
+		}
 	}
 	for f := range s.ix.flat {
 		s.r[f] = s.computeR(int32(f))
@@ -452,6 +523,10 @@ func (s *Scorer) Apply(mv Move) float64 {
 		// own terms and their communication dependents change.
 		s.beginTouch()
 		if comm {
+			// A link between A and B is recomputed and journaled twice;
+			// Undo's reverse order still restores its first saved value.
+			s.relink(fr, s.ix.rankLinks[mv.A])
+			s.relink(fr, s.ix.rankLinks[mv.B])
 			s.touchList(s.ix.commDeps[mv.A])
 			s.touchList(s.ix.commDeps[mv.B])
 		}
@@ -472,6 +547,7 @@ func (s *Scorer) Apply(mv Move) float64 {
 		s.mult[mv.To]++
 		s.beginTouch()
 		if comm {
+			s.relink(fr, s.ix.rankLinks[mv.Rank])
 			s.touchList(s.ix.commDeps[mv.Rank])
 		}
 		// Multiplicity changed on both nodes: every rank now (or formerly)
@@ -506,6 +582,9 @@ func (s *Scorer) Undo() {
 		s.mult[fr.from]++
 		s.m[fr.mv.Rank] = fr.from
 	}
+	for i := len(fr.links) - 1; i >= 0; i-- {
+		s.linkLat[fr.links[i].l] = fr.links[i].lat
+	}
 	for _, st := range fr.terms {
 		s.r[st.f] = st.r
 		s.c[st.f] = st.c
@@ -532,6 +611,7 @@ func (s *Scorer) pushFrame(mv Move) *frame {
 	s.depth++
 	fr.mv = mv
 	fr.noop = false
+	fr.links = fr.links[:0]
 	fr.terms = fr.terms[:0]
 	fr.segMax = append(fr.segMax[:0], s.segMax...)
 	fr.total = s.total
@@ -558,6 +638,15 @@ func (s *Scorer) touchList(fs []int32) {
 			s.seenEntry[f] = s.epoch
 			s.touched = append(s.touched, f)
 		}
+	}
+}
+
+// relink recomputes the Lc of every listed link from the current mapping,
+// recording the old values in the undo frame.
+func (s *Scorer) relink(fr *frame, ls []int32) {
+	for _, l := range ls {
+		fr.links = append(fr.links, savedLink{l: l, lat: s.linkLat[l]})
+		s.linkLat[l] = s.latency(l)
 	}
 }
 
@@ -646,9 +735,9 @@ func (s *Scorer) computeR(f int32) float64 {
 	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
 }
 
-// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the Lc tables, Lc being
-// the load-adjusted latency estimate of the network model; it accumulates
-// in profile.Theta's order (receives, then sends).
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8), Lc being the load-adjusted
+// latency estimate of the network model read from the scorer's per-link
+// values; it accumulates in profile.Theta's order (receives, then sends).
 func (s *Scorer) computeC(f int32) float64 {
 	if s.e.IgnoreComm {
 		return 0
@@ -657,24 +746,26 @@ func (s *Scorer) computeC(f int32) float64 {
 	if pp.Lambda == 0 {
 		return 0
 	}
-	my := s.m[pp.Rank]
-	k := s.ix.sizeOf[s.ix.grpOff[f]:]
+	l := s.ix.linkOf[s.ix.grpOff[f]:]
 	theta := 0.0
 	for i, g := range pp.Recvs {
-		theta += float64(g.Count) * s.latency(s.m[g.Peer], my, k[i])
+		theta += float64(g.Count) * s.linkLat[l[i]]
 	}
-	k = k[len(pp.Recvs):]
+	l = l[len(pp.Recvs):]
 	for i, g := range pp.Sends {
-		theta += float64(g.Count) * s.latency(my, s.m[g.Peer], k[i])
+		theta += float64(g.Count) * s.linkLat[l[i]]
 	}
 	return theta * pp.Lambda
 }
 
-// latency is Lc(src, dst, size k) read off the class's table row: the same
-// operations in the same order as netmodel.Class.Latency, so every value is
-// bit-identical to the model's, without re-deriving Curve.At per call.
-func (s *Scorer) latency(src, dst int, k int32) float64 {
+// latency is Lc of link li — between its endpoints' current nodes, at its
+// size — read off the class's table row: the same operations in the same
+// order as netmodel.Class.Latency, so every value is bit-identical to the
+// model's, without re-deriving Curve.At per call.
+func (s *Scorer) latency(li int32) float64 {
 	ix := s.ix
+	ln := ix.links[li]
+	src, dst := s.m[ln.src], s.m[ln.dst]
 	var id int
 	if tbl := ix.classTbl; tbl != nil {
 		id = int(tbl[src*ix.nodes+dst])
@@ -685,7 +776,7 @@ func (s *Scorer) latency(src, dst int, k int32) float64 {
 		// Same failure mode as Model.Latency on an uncalibrated pair.
 		panic(fmt.Sprintf("netmodel: no calibration for pair (%d,%d)", src, dst))
 	}
-	row := id*ix.sizes + int(k)
+	row := id*ix.sizes + int(ln.k)
 	l := ix.lat[row]
 	if a := s.avail[src]; a > 0 && a < 1 {
 		l += ix.csend[id] * (1/a - 1)

@@ -383,10 +383,12 @@ func TestCommBlindDeltaMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestUncalibratedClassPanics: a mapping that sends across a path class the
-// model never calibrated fails the way Model.Latency does — a panic naming
-// the pair — even though the kernel reads Lc from its tables.
-func TestUncalibratedClassPanics(t *testing.T) {
+// uncalibratedFixture returns a synthetic evaluator, a copy of its model
+// missing the path class of nodes (0, 1), and a mapping that puts one peer
+// of a communicating (λ ≠ 0) entry on node 1 and every other rank on node
+// 0, so that entry's C term reads the missing class.
+func uncalibratedFixture(t *testing.T) (*Evaluator, *netmodel.Model, Mapping) {
+	t.Helper()
 	eval, _ := syntheticEvaluator(t, 9)
 	var src *profile.ProcProfile
 	var peer int
@@ -407,12 +409,20 @@ func TestUncalibratedClassPanics(t *testing.T) {
 			model.SetClass(sig, c)
 		}
 	}
+	m := make(Mapping, eval.Prof.Ranks)
+	m[peer] = 1 // every other rank, src.Rank included, on node 0
+	return eval, model, m
+}
+
+// TestUncalibratedClassPanics: a mapping that sends across a path class the
+// model never calibrated fails the way Model.Latency does — a panic naming
+// the pair — even though the kernel reads Lc from its tables.
+func TestUncalibratedClassPanics(t *testing.T) {
+	eval, model, m := uncalibratedFixture(t)
 	e, err := NewEvaluator(eval.Topo, model, eval.Prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := make(Mapping, eval.Prof.Ranks)
-	m[peer] = 1 // every other rank, src.Rank included, on node 0
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.HasPrefix(msg, "netmodel: no calibration for pair") {
@@ -421,6 +431,107 @@ func TestUncalibratedClassPanics(t *testing.T) {
 	}()
 	e.Energy(m, monitor.IdleSnapshot(eval.Topo.NumNodes()))
 	t.Fatal("Energy over an uncalibrated class did not panic")
+}
+
+// TestZeroLambdaSkipsUncalibratedPair: an entry with λ = 0 contributes no
+// C term, so its message groups are no links and a mapping where only such
+// entries cross an uncalibrated class evaluates, and matches the oracle,
+// instead of panicking.
+func TestZeroLambdaSkipsUncalibratedPair(t *testing.T) {
+	eval, model, m := uncalibratedFixture(t)
+	prof := *eval.Prof
+	prof.Segments = make([]profile.SegmentProfile, len(eval.Prof.Segments))
+	zeroed := 0
+	for si, seg := range eval.Prof.Segments {
+		prof.Segments[si] = seg
+		prof.Segments[si].Procs = append([]profile.ProcProfile(nil), seg.Procs...)
+		for pi := range prof.Segments[si].Procs {
+			pp := &prof.Segments[si].Procs[pi]
+			for _, gs := range [][]trace.MsgGroup{pp.Sends, pp.Recvs} {
+				for _, g := range gs {
+					if m[g.Peer] != m[pp.Rank] && pp.Lambda != 0 {
+						pp.Lambda = 0
+						zeroed++
+					}
+				}
+			}
+		}
+	}
+	if zeroed == 0 {
+		t.Fatal("no entry crosses the uncalibrated pair")
+	}
+	e, err := NewEvaluator(eval.Topo, model, &prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := monitor.IdleSnapshot(eval.Topo.NumNodes())
+	assertMatchesOracle(t, e, e.Scorer(), m, snap, "λ = 0 across an uncalibrated pair")
+}
+
+// TestSwapUndoRestoresSharedLink: swapping two ranks that message each
+// other recomputes and journals their shared link once per endpoint; Undo
+// must still restore every link, term and maximum bit for bit, as a freshly
+// primed scorer of the original mapping has them.
+func TestSwapUndoRestoresSharedLink(t *testing.T) {
+	eval, rng := syntheticEvaluator(t, 9)
+	ix := eval.fast()
+	shared := -1
+	for l, ln := range ix.links {
+		if ln.src != ln.dst {
+			shared = l
+			break
+		}
+	}
+	if shared < 0 {
+		t.Fatal("fixture has no link between two ranks")
+	}
+	a, b := int(ix.links[shared].src), int(ix.links[shared].dst)
+	n := eval.Topo.NumNodes()
+	snap := randomSnapshot(n, rng)
+	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	m[a], m[b] = 0, 1
+	sc := eval.Scorer()
+	if _, err := sc.Energy(m, snap); err != nil {
+		t.Fatal(err)
+	}
+	sc.Apply(Move{Swap: true, A: a, B: b})
+	if fr := sc.frames[sc.depth-1]; fr.noop || len(fr.links) != len(ix.rankLinks[a])+len(ix.rankLinks[b]) {
+		t.Fatalf("swap journaled %d links, want %d", len(fr.links), len(ix.rankLinks[a])+len(ix.rankLinks[b]))
+	}
+	swapped := eval.Scorer()
+	if _, err := swapped.Energy(sc.Current().Clone(), snap); err != nil {
+		t.Fatal(err)
+	}
+	assertSameScorerState(t, sc, swapped, "after the swap")
+	sc.Undo()
+	fresh := eval.Scorer()
+	if _, err := fresh.Energy(m, snap); err != nil {
+		t.Fatal(err)
+	}
+	assertSameScorerState(t, sc, fresh, "after Undo")
+}
+
+// assertSameScorerState checks two primed scorers hold the same mapping,
+// multiplicities, links, terms, maxima and total, bit for bit.
+func assertSameScorerState(t *testing.T, got, want *Scorer, what string) {
+	t.Helper()
+	floats := func(name string, g, w []float64) {
+		for i := range w {
+			if !same(g[i], w[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", what, name, i, g[i], w[i])
+			}
+		}
+	}
+	if !got.m.Equal(want.m) || !reflect.DeepEqual(got.mult, want.mult) {
+		t.Fatalf("%s: mapping %v, want %v", what, got.m, want.m)
+	}
+	floats("linkLat", got.linkLat, want.linkLat)
+	floats("r", got.r, want.r)
+	floats("c", got.c, want.c)
+	floats("segMax", got.segMax, want.segMax)
+	if !same(got.total, want.total) {
+		t.Fatalf("%s: total %v, want %v", what, got.total, want.total)
+	}
 }
 
 // TestScorerCountsPublishedExactly: Apply, Undo and rescored-term counts
@@ -563,7 +674,9 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 // (healthy, suspect-node, down-node) and whether the communication term is
 // on; the starting and final mappings are checked field by field against
 // the oracle through all three entry points, and every step's running
-// energy against the oracle's total.
+// energy against the oracle's total. A byte of 0xf0 or above undoes the
+// latest Apply while the journal holds one; any other byte and the next
+// one encode a move or a swap.
 func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(2), []byte{0xff, 0x80, 0x01, 0x40, 0x7f})
@@ -571,6 +684,7 @@ func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(4), []byte{9, 200, 31, 7})
 	f.Add(int64(5), []byte{1, 1})
 	f.Add(int64(6), []byte{2, 3, 77, 5, 128, 64})
+	f.Add(int64(7), []byte{0, 1, 0xf3, 6, 9, 3, 4, 0xff, 0xfe, 0xf0, 2, 3})
 	eval, rng := syntheticEvaluator(f, 42)
 	n := eval.Topo.NumNodes()
 	ranks := eval.Prof.Ranks
@@ -592,8 +706,24 @@ func FuzzEnergyDelta(f *testing.F) {
 		if len(moves) > 64 {
 			moves = moves[:64]
 		}
-		for i := 0; i+1 < len(moves); i += 2 {
+		for i := 0; i < len(moves); {
+			if moves[i] >= 0xf0 && sc.depth > 0 {
+				sc.Undo()
+				i++
+				want, err := oraclePredict(e, sc.Current(), snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(sc.EnergyNow(), want.Seconds) {
+					t.Fatalf("undo at byte %d: energy %v != oracle %v", i-1, sc.EnergyNow(), want.Seconds)
+				}
+				continue
+			}
+			if i+1 == len(moves) {
+				break
+			}
 			a, b := int(moves[i]), int(moves[i+1])
+			i += 2
 			var mv Move
 			if a&1 == 0 {
 				mv = Move{Swap: true, A: (a >> 1) % ranks, B: b % ranks}
@@ -606,7 +736,7 @@ func FuzzEnergyDelta(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !same(got, want.Seconds) {
-				t.Fatalf("move %d: delta %v != oracle %v", i/2, got, want.Seconds)
+				t.Fatalf("move at byte %d: delta %v != oracle %v", i-2, got, want.Seconds)
 			}
 		}
 		assertMatchesOracle(t, e, e.Scorer(), sc.Current(), snap, "end")

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cbes/internal/des"
-	"cbes/internal/vcluster"
 )
 
 // TestNoNoiseIsExactlyNoiseless pins the NoNoise sentinel: the zero Config
@@ -23,7 +22,7 @@ func TestNoNoiseIsExactlyNoiseless(t *testing.T) {
 
 	eng, vc, _, mon := newMonEnv(Config{Noise: NoNoise})
 	defer eng.Shutdown()
-	vc.ApplyLoadScript(1, []vcluster.LoadStep{{At: 2 * des.Second, Avail: 0.37}})
+	eng.ScheduleAt(2*des.Second, func() { vc.SetAvailability(1, 0.37) })
 	eng.RunUntil(10 * des.Second)
 	snap := mon.Snapshot()
 	// Noiseless LastValue sensors read ground truth bit-for-bit.

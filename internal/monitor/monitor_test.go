@@ -146,7 +146,7 @@ func newMonEnv(cfg Config) (*des.Engine, *vcluster.Cluster, *simnet.Network, *Sy
 
 func TestSystemMonitorTracksCPULoad(t *testing.T) {
 	eng, vc, _, mon := newMonEnv(Config{Noise: 1e-9})
-	vc.ApplyLoadScript(3, []vcluster.LoadStep{{At: 5 * des.Second, Avail: 0.4}})
+	eng.ScheduleAt(5*des.Second, func() { vc.SetAvailability(3, 0.4) })
 	eng.RunUntil(20 * des.Second)
 	snap := mon.Snapshot()
 	eng.Shutdown()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cbes/internal/des"
-	"cbes/internal/vcluster"
 )
 
 // expectPanic runs fn and fails unless it panics.
@@ -151,7 +150,7 @@ func TestWorldResultAfterWaitIn(t *testing.T) {
 func TestWaitMatchesWaitInResult(t *testing.T) {
 	run := func(viaWaitIn bool) *Result {
 		vc, net := newWorldEnv()
-		vc.ApplyLoadScript(1, []vcluster.LoadStep{{At: 50 * des.Millisecond, Avail: 0.6}})
+		vc.Eng.ScheduleAt(50*des.Millisecond, func() { vc.SetAvailability(1, 0.6) })
 		rng := rand.New(rand.NewSource(11))
 		work := make([]float64, 8)
 		for i := range work {

@@ -88,12 +88,20 @@ func newID() uint64 {
 }
 
 // FormatID renders a trace or span ID the way spans, decision records,
-// and the /debug/trace endpoint spell it: 16 lowercase hex digits.
+// and the /debug/trace endpoint spell it: 16 lowercase hex digits, the
+// same bytes as fmt.Sprintf("%016x", id) without fmt's interface boxing,
+// since every span renders three IDs.
 func FormatID(id uint64) string {
 	if id == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%016x", id)
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
 }
 
 // ParseID parses a FormatID-rendered (or any hex) ID.

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -25,6 +28,18 @@ func TestIDFormatParse(t *testing.T) {
 	back, err := ParseID(s)
 	if err != nil || back != id {
 		t.Fatalf("ParseID(%q) = %d, %v; want %d", s, back, err, id)
+	}
+	// Every nonzero ID spells as fmt's %016x: the edges, then random IDs
+	// of every magnitude (the shift gives short ones leading zeros).
+	ids := []uint64{1, 0xf, 1 << 60, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, 1|rng.Uint64()>>rng.Intn(64))
+	}
+	for _, id := range ids {
+		if got, want := FormatID(id), fmt.Sprintf("%016x", id); got != want {
+			t.Fatalf("FormatID(%#x) = %q, want %q", id, got, want)
+		}
 	}
 	if _, err := ParseID("not-hex"); err == nil {
 		t.Fatal("ParseID accepted garbage")

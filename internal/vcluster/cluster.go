@@ -79,20 +79,6 @@ func (c *Cluster) Down(id int) bool {
 	return cpu != nil && cpu.Down()
 }
 
-// LoadStep is one step of a piecewise-constant background-load script.
-type LoadStep struct {
-	At    des.Time // absolute simulated time
-	Avail float64  // availability from At onwards
-}
-
-// ApplyLoadScript schedules the given availability steps for node id.
-func (c *Cluster) ApplyLoadScript(id int, steps []LoadStep) {
-	for _, s := range steps {
-		s := s
-		c.Eng.ScheduleAt(s.At, func() { c.SetAvailability(id, s.Avail) })
-	}
-}
-
 // RandomWalkLoad drives node id's availability with a mean-reverting random
 // walk sampled every interval: avail' = avail + pull·(mean−avail) + noise.
 // It models the "routine operating-system processes" background of §5 when

@@ -173,12 +173,13 @@ func TestAvailableToNewTask(t *testing.T) {
 	eng.Run()
 }
 
-func TestApplyLoadScript(t *testing.T) {
+// TestScheduledAvailabilitySteps: availability changes scheduled on the
+// engine hold from their instant onwards — the piecewise-constant load the
+// monitor and mpisim tests script the same way.
+func TestScheduledAvailabilitySteps(t *testing.T) {
 	eng, vc := newTestCluster()
-	vc.ApplyLoadScript(0, []LoadStep{
-		{At: des.Second, Avail: 0.7},
-		{At: 2 * des.Second, Avail: 0.3},
-	})
+	eng.ScheduleAt(des.Second, func() { vc.SetAvailability(0, 0.7) })
+	eng.ScheduleAt(2*des.Second, func() { vc.SetAvailability(0, 0.3) })
 	var at1, at2 float64
 	eng.Schedule(des.Second+des.Millisecond, func() { at1 = vc.Availability(0) })
 	eng.Schedule(2*des.Second+des.Millisecond, func() { at2 = vc.Availability(0) })
