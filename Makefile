@@ -23,13 +23,16 @@ verify: build test
 # fail CI rather than the next benchmark run. A 20 s fuzz of the scorer's
 # Apply/Undo journal runs on every CI pass: the delta path's exactness is
 # the property every scheduler rests on, and the fixed seeds alone cover
-# only a handful of move sequences.
+# only a handful of move sequences. A 10 s fuzz of stored profiles follows:
+# building an evaluator divides a stored B by the Θ it derives from stored
+# counts and sizes, so bytes from disk reach a division on every boot.
 ci:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -run '^$$' -fuzz FuzzEnergyDelta -fuzztime 20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProfile -fuzztime 10s ./internal/profile/
 	$(MAKE) stress
 	$(MAKE) bench-quick
 
@@ -66,8 +69,8 @@ faults-smoke:
 
 # Short fuzz passes: the delta-evaluation invariants, topology specs as
 # hostile input (an error or a valid topology, never a panic or a multi-MB
-# build), traces as hostile input (an error or a profile whose λs
-# compute), stored profiles as hostile input (an error or a finite
+# build), traces as hostile input (an error or a profile that builds an
+# evaluator, λs derived, with a finite estimate), stored profiles as hostile input (an error or a finite
 # estimate), stored network models as hostile input (an error or finite,
 # non-negative latencies), and RPC arguments as hostile input (an error or
 # a well-formed reply, never a recovered panic).

@@ -101,7 +101,7 @@ func (s *System) Close() { s.Eng.Shutdown() }
 // the topology and installs the resulting network latency model. It is the
 // once-per-cluster initialization of §2.
 func (s *System) Calibrate(opts bench.Options) *netmodel.Model {
-	s.Model = bench.Calibrate(s.Topo, opts)
+	s.setModel(bench.Calibrate(s.Topo, opts))
 	return s.Model
 }
 
@@ -110,13 +110,22 @@ func (s *System) UseModel(m *netmodel.Model) error {
 	if err := m.Attach(s.Topo); err != nil {
 		return err
 	}
-	s.Model = m
+	s.setModel(m)
 	return nil
+}
+
+// setModel installs m and drops every cached evaluator: each holds the
+// model it was built with and the λs derived from it.
+func (s *System) setModel(m *netmodel.Model) {
+	s.Model = m
+	clear(s.evals)
 }
 
 // Profile runs the program once on an idle instance of the topology under
 // the given mapping, analyses the trace, measures per-architecture speeds,
-// computes the λ factors, and registers the profile under prog.Name.
+// and registers the profile under prog.Name. The profile holds only
+// measurements; the evaluator derives its λ factors from the installed
+// model.
 func (s *System) Profile(prog workloads.Program, mapping []int) (*profile.Profile, error) {
 	if s.Model == nil {
 		return nil, fmt.Errorf("cbes: calibrate before profiling")
@@ -124,7 +133,7 @@ func (s *System) Profile(prog workloads.Program, mapping []int) (*profile.Profil
 	if len(mapping) != prog.Ranks {
 		return nil, fmt.Errorf("cbes: profiling mapping has %d nodes, program needs %d", len(mapping), prog.Ranks)
 	}
-	prof, err := bench.Profile(s.Topo, s.Model, prog, mapping)
+	prof, err := bench.Profile(s.Topo, prog, mapping)
 	if err != nil {
 		return nil, err
 	}

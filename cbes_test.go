@@ -2,6 +2,7 @@ package cbes
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -139,6 +140,48 @@ func TestUseModelRoundTrip(t *testing.T) {
 	defer sys3.Close()
 	if err := sys3.UseModel(model); err == nil {
 		t.Fatal("model should not attach to a different cluster")
+	}
+}
+
+// TestNewModelDropsEvaluators: an evaluator holds its model and the λs
+// derived from it, so installing another model, by UseModel or by
+// Calibrate, must not leave Evaluator serving the old one.
+func TestNewModelDropsEvaluators(t *testing.T) {
+	sys := newSystem(t)
+	defer sys.Close()
+	prog := smallProg()
+	prof := sys.MustProfile(prog, []int{0, 1, 2, 3})
+	m := core.Mapping{0, 4, 1, 5}
+	if _, err := sys.Predict(prog.Name, m); err != nil { // caches the evaluator
+		t.Fatal(err)
+	}
+	other := bench.Calibrate(sys.Topo, bench.Options{Reps: 2, Sizes: []int64{64, 4 << 10}})
+	if err := sys.UseModel(other); err != nil {
+		t.Fatal(err)
+	}
+	e, err := sys.Evaluator(prog.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Model != other {
+		t.Fatal("Evaluator kept the model UseModel replaced")
+	}
+	fresh, err := core.NewEvaluator(sys.Topo, other, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Snapshot()
+	got, err := e.Predict(m, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fresh.Predict(m, snap)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after UseModel: Predict %+v, fresh evaluator %+v", got, want)
+	}
+	calibrated := sys.Calibrate(bench.Options{Reps: 3})
+	if e, err := sys.Evaluator(prog.Name); err != nil || e.Model != calibrated {
+		t.Fatalf("Evaluator after Calibrate: err %v, kept the replaced model %v", err, e.Model != calibrated)
 	}
 }
 

@@ -2,8 +2,9 @@
 // MPI-style ping-pong benchmarks that measure end-to-end internode latency
 // over a range of message sizes and fit the per-path-class no-load latency
 // curves and load coefficients of the network model; and application
-// profiling, which runs the program once, measures its compute-speed
-// ratios across architectures and computes its λ factors.
+// profiling, which runs the program once and measures its compute-speed
+// ratios across architectures (the λ factors of eq. 7 are derived from the
+// profile by package core, against the model it evaluates with).
 //
 // Calibration "must take place on a computation- and communication-free
 // system"; calibration therefore uses a fresh idle virtual cluster per
@@ -256,20 +257,12 @@ func MeasureArchSpeeds(topo *cluster.Topology, archEff map[cluster.Arch]float64,
 }
 
 // Profile runs prog once on an idle instance of topo under mapping,
-// analyses the trace, measures prog's per-architecture speeds, and computes
-// the λ factors against the calibrated model.
-func Profile(topo *cluster.Topology, model *netmodel.Model, prog workloads.Program, mapping []int) (*profile.Profile, error) {
+// analyses the trace, and measures prog's per-architecture speeds.
+func Profile(topo *cluster.Topology, prog workloads.Program, mapping []int) (*profile.Profile, error) {
 	// Profiling happens off-line on a quiet system, like calibration.
 	res, err := mpisim.RunAlone(topo, vcluster.Background{}, mapping, prog.Body, prog.Options())
 	if err != nil {
 		return nil, err
 	}
-	p, err := profile.FromTrace(res.Trace, topo, MeasureArchSpeeds(topo, prog.ArchEff, 0.5))
-	if err != nil {
-		return nil, err
-	}
-	if err := p.ComputeLambdas(model); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return profile.FromTrace(res.Trace, topo, MeasureArchSpeeds(topo, prog.ArchEff, 0.5))
 }

@@ -84,9 +84,6 @@ func pipelineHoldsOn(topo *cluster.Topology) bool {
 	if err != nil {
 		return false
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		return false
-	}
 	eval, err := core.NewEvaluator(topo, model, prof)
 	if err != nil {
 		return false

@@ -12,7 +12,8 @@
 //	λ_i = B_i / Θ_i^profile                                  (eq. 7)
 //	C_i = Θ_i · λ_i                                          (eq. 8)
 //
-// summed over the profile's segments. ACPU_j generalizes the paper's
+// summed over the profile's segments, with λ derived by NewEvaluator from
+// the evaluator's own model. ACPU_j generalizes the paper's
 // per-node availability to co-located ranks: k ranks sharing a node with
 // c processors see their share scaled by min(1, c/k).
 package core
@@ -97,9 +98,10 @@ func (m Mapping) Equal(o Mapping) bool {
 
 // ProcEstimate is the per-process breakdown of a prediction.
 type ProcEstimate struct {
-	Rank int
-	R    float64 // computation contribution (eq. 5), seconds
-	C    float64 // communication contribution (eq. 8), seconds
+	Rank   int
+	R      float64 // computation contribution (eq. 5), seconds
+	C      float64 // communication contribution (eq. 8), seconds
+	Lambda float64 // λ_i of eq. 7, the factor C carries
 }
 
 // Total is R + C.
@@ -156,15 +158,14 @@ type Evaluator struct {
 	Topo  *cluster.Topology
 	Model *netmodel.Model
 	Prof  *profile.Profile
-	// IgnoreComm drops the communication term C_i entirely. This is the
-	// cost function of the NCS baseline scheduler of §6: it can rank
-	// mappings by computation speed but its scores are not execution-time
-	// predictions.
-	IgnoreComm bool
 
-	mu     sync.Mutex // guards lazy fastIx construction
-	fastIx *fastIndex
-	pool   sync.Pool // *Scorer arenas for Energy, Estimate, and Predict
+	// ignoreComm drops the communication term C_i entirely. This is the
+	// cost function of the NCS baseline scheduler of §6 (CommBlind): it
+	// can rank mappings by computation speed but its scores are not
+	// execution-time predictions.
+	ignoreComm bool
+	fastIx     *fastIndex
+	pool       sync.Pool // *Scorer arenas for Energy, Estimate, and Predict
 
 	nominalOnce sync.Once
 	nominal     *monitor.Snapshot // lazily-built brownout view (see PredictBrownout)
@@ -202,17 +203,21 @@ func addWeighted(groups []aggMsg, peer int, size int64, w float64) []aggMsg {
 }
 
 // NewEvaluator builds an evaluator after sanity-checking its inputs. The
-// fast-path lookup tables are precomputed here, so the evaluator can be
-// shared across scheduler workers without further synchronization.
+// fast-path lookup tables, λ of eq. 7 among them, are precomputed here
+// from the profile and this model, so the evaluator can be shared across
+// scheduler workers without further synchronization. Deriving λ reads the
+// model's no-load latency between the profiling mapping's nodes, which
+// panics like Model.NoLoad if the model leaves one of their path classes
+// uncalibrated (Model.Attach refuses such a model).
 func NewEvaluator(topo *cluster.Topology, model *netmodel.Model, prof *profile.Profile) (*Evaluator, error) {
 	if prof.Cluster != topo.Name {
 		return nil, fmt.Errorf("core: profile from cluster %q, topology is %q", prof.Cluster, topo.Name)
 	}
-	if !prof.LambdasReady {
-		return nil, fmt.Errorf("core: profile lambdas not computed; call Profile.ComputeLambdas first")
+	if err := Mapping(prof.Mapping).Validate(topo); err != nil {
+		return nil, fmt.Errorf("core: profiling mapping: %w", err)
 	}
 	e := &Evaluator{Topo: topo, Model: model, Prof: prof}
-	e.fast()
+	e.fastIx = buildFastIndex(e)
 	return e, nil
 }
 
@@ -281,20 +286,18 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 	e.nominalOnce.Do(func() {
 		e.nominal = monitor.IdleSnapshot(e.Topo.NumNodes())
 		aggs := make([]brownoutAgg, e.Prof.Ranks)
-		for si := range e.Prof.Segments {
-			for pi := range e.Prof.Segments[si].Procs {
-				pp := &e.Prof.Segments[si].Procs[pi]
-				a := &aggs[pp.Rank]
-				a.work += (pp.X + pp.O) * pp.ProfSpeed
-				if pp.Lambda == 0 {
-					continue
-				}
-				for _, g := range pp.Sends {
-					a.sends = addWeighted(a.sends, g.Peer, g.Size, pp.Lambda*float64(g.Count))
-				}
-				for _, g := range pp.Recvs {
-					a.recvs = addWeighted(a.recvs, g.Peer, g.Size, pp.Lambda*float64(g.Count))
-				}
+		for f, pp := range e.fastIx.flat {
+			a := &aggs[pp.Rank]
+			a.work += (pp.X + pp.O) * pp.ProfSpeed
+			lam := e.fastIx.lambda[f]
+			if lam == 0 {
+				continue
+			}
+			for _, g := range pp.Sends {
+				a.sends = addWeighted(a.sends, g.Peer, g.Size, lam*float64(g.Count))
+			}
+			for _, g := range pp.Recvs {
+				a.recvs = addWeighted(a.recvs, g.Peer, g.Size, lam*float64(g.Count))
 			}
 		}
 		e.brownAgg = aggs
@@ -316,7 +319,7 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 			}
 		}
 		total := a.work / speed / acpu
-		if !e.IgnoreComm {
+		if !e.ignoreComm {
 			for _, g := range a.sends {
 				total += g.wcount * e.Model.Latency(node, m[g.peer], g.size, e.nominal)
 			}

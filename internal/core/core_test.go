@@ -87,9 +87,6 @@ func newFixtureOn(t *testing.T, topo *cluster.Topology, profMapping []int) *fixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
 	eval, err := NewEvaluator(topo, model, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +205,7 @@ func TestNCSIgnoresCommunication(t *testing.T) {
 	// cross-switch mappings — exactly why it loses to CS in §6.
 	f := newFixtureOn(t, twoSwitchAlphas(), []int{0, 1})
 	snap := monitor.IdleSnapshot(f.topo.NumNodes())
-	ncs := &Evaluator{Topo: f.topo, Model: f.model, Prof: f.prof, IgnoreComm: true}
+	ncs := f.eval.CommBlind()
 	same, _ := ncs.Predict(Mapping{0, 1}, snap)
 	cross, _ := ncs.Predict(Mapping{0, 2}, snap)
 	if math.Abs(same.Seconds-cross.Seconds) > 1e-9 {
@@ -271,10 +268,11 @@ func TestNewEvaluatorChecks(t *testing.T) {
 	if _, err := NewEvaluator(f.topo, f.model, &bad); err == nil {
 		t.Fatal("cluster mismatch should error")
 	}
-	bad2 := *f.prof
-	bad2.LambdasReady = false
-	if _, err := NewEvaluator(f.topo, f.model, &bad2); err == nil {
-		t.Fatal("missing lambdas should error")
+	// λ is derived over the profiling mapping, so its nodes must exist.
+	outside := *f.prof
+	outside.Mapping = []int{0, f.topo.NumNodes()}
+	if _, err := NewEvaluator(f.topo, f.model, &outside); err == nil {
+		t.Fatal("profiling mapping outside the topology should error")
 	}
 }
 
@@ -383,7 +381,6 @@ func BenchmarkPredict(b *testing.B) {
 	res := mpisim.Run(vc, net, []int{0, 1}, appBody, mpisim.Options{AppName: "app"})
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
 	prof, _ := profile.FromTrace(res.Trace, topo, speeds)
-	prof.ComputeLambdas(model)
 	eval, _ := NewEvaluator(topo, model, prof)
 	snap := monitor.IdleSnapshot(topo.NumNodes())
 	b.ResetTimer()

@@ -7,6 +7,10 @@
 //
 // The evaluator precomputes, once per (topology, model, profile) triple:
 //
+//   - λ_i = B_i / Θ_i^profile of eq. 7 for every profile entry: Θ under the
+//     profiling mapping and the model's no-load latencies, the conditions
+//     eq. 7 defines it under. The profile stores only measurements, so λ
+//     always matches the model the evaluator holds;
 //   - network-model classes indexed by interned path-class ID (plus the
 //     topology's flat pair→ID table when it stores one), so the hot loop
 //     never rebuilds path signatures or hashes map keys — and never
@@ -31,7 +35,7 @@
 // in every segment, and C is a gather-sum over the link values. Applying a
 // Move recomputes the links of the moved rank(s), re-scores only the
 // entries whose inputs changed — the moved rank(s), their communication
-// peers (not under IgnoreComm, where every C term is zero and no link is
+// peers (not under ignoreComm, where every C term is zero and no link is
 // kept), and (for capacity-changing moves) the ranks co-located on the two
 // affected nodes — and rebuilds the total from per-segment maxima, so the
 // running energy is always bit-identical to a fresh full evaluation.
@@ -82,8 +86,11 @@ type fastIndex struct {
 	cpus     []int     // per node: CPU count
 	// flat is every segment's ProcProfile in profile order;
 	// segOff[s] is the first flat index of segment s (len = segments+1).
+	// lambda[f] is flat entry f's λ (eq. 7), 0 when its Θ^profile is not
+	// positive.
 	flat   []*profile.ProcProfile
 	segOff []int
+	lambda []float64
 	// linkOf holds, for the message groups of every entry with λ ≠ 0 in
 	// the order Θ accumulates them (receives, then sends), the ID of the
 	// group's link; entry f's run starts at linkOf[grpOff[f]], and an entry
@@ -150,6 +157,7 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	}
 	ix.flat = make([]*profile.ProcProfile, 0, entries)
 	ix.segOff = make([]int, 1, len(e.Prof.Segments)+1)
+	ix.lambda = make([]float64, 0, entries)
 	ix.grpOff = make([]int32, 0, entries)
 	ix.linkOf = make([]int32, 0, groups)
 	sizeIdx := map[int64]int32{}
@@ -163,7 +171,7 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 			if g.Peer >= 0 && g.Peer < ranks {
 				depSet[g.Peer][f] = struct{}{}
 			}
-			if pp.Lambda == 0 {
+			if ix.lambda[f] == 0 {
 				continue
 			}
 			k, ok := sizeIdx[g.Size]
@@ -195,6 +203,11 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				ix.own[pp.Rank] = append(ix.own[pp.Rank], f)
 				depSet[pp.Rank][f] = struct{}{}
 			}
+			lam := 0.0
+			if theta := profile.Theta(pp, e.Prof.Mapping, e.Model.NoLoad); theta > 0 {
+				lam = pp.B / theta
+			}
+			ix.lambda = append(ix.lambda, lam)
 			ix.grpOff = append(ix.grpOff, int32(len(ix.linkOf)))
 			addGroups(f, pp, pp.Recvs, true)
 			addGroups(f, pp, pp.Sends, false)
@@ -202,8 +215,8 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 		ix.segOff = append(ix.segOff, len(ix.flat))
 	}
 	// A link's ranks lie in [0, ranks): profile.FromTrace and
-	// profile.Decode reject any other rank or peer, and ComputeLambdas
-	// reads mapping[rank] for every group of an entry it gives λ ≠ 0.
+	// profile.Decode reject any other rank or peer, and deriving λ above
+	// read mapping[rank] for every group of every entry.
 	// Each rank's list is carved from one backing array by its degree, so
 	// the appends below never reallocate.
 	deg := make([]int, ranks)
@@ -260,23 +273,11 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	return ix
 }
 
-// fast returns the evaluator's precomputed index, building it on first use.
-// NewEvaluator builds the index eagerly, so the lazy path only serves
-// literal-constructed evaluators (tests); it is guarded for concurrent use.
-func (e *Evaluator) fast() *fastIndex {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.fastIx == nil {
-		e.fastIx = buildFastIndex(e)
-	}
-	return e.fastIx
-}
-
 // CommBlind returns an evaluator over the same profile, model, and
 // precomputed index with the communication term disabled — the NCS cost
 // function. The receiver is unaffected.
 func (e *Evaluator) CommBlind() *Evaluator {
-	return &Evaluator{Topo: e.Topo, Model: e.Model, Prof: e.Prof, IgnoreComm: true, fastIx: e.fast()}
+	return &Evaluator{Topo: e.Topo, Model: e.Model, Prof: e.Prof, ignoreComm: true, fastIx: e.fastIx}
 }
 
 // savedTerm is one undo-journal record: the pre-move R and C of one entry.
@@ -320,7 +321,7 @@ type Scorer struct {
 
 	m       Mapping   // current mapping (owned)
 	mult    []int     // ranks per node
-	linkLat []float64 // Lc per link; untouched under IgnoreComm
+	linkLat []float64 // Lc per link; untouched under ignoreComm
 	r, c    []float64 // per flat entry
 	segMax  []float64
 	total   float64
@@ -345,7 +346,7 @@ type Scorer struct {
 // internal arena across Energy/Apply calls, so steady-state evaluation does
 // not allocate.
 func (e *Evaluator) Scorer() *Scorer {
-	ix := e.fast()
+	ix := e.fastIx
 	return &Scorer{
 		e:         e,
 		ix:        ix,
@@ -408,7 +409,7 @@ func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err er
 	for _, n := range s.m {
 		s.mult[n]++
 	}
-	if !s.e.IgnoreComm {
+	if !s.e.ignoreComm {
 		for l := range s.ix.links {
 			s.linkLat[l] = s.latency(int32(l))
 		}
@@ -473,7 +474,7 @@ func (s *Scorer) staleNodes(snap *monitor.Snapshot) []int {
 func (s *Scorer) detail() []SegmentEstimate {
 	procs := make([]ProcEstimate, len(s.ix.flat))
 	for f, pp := range s.ix.flat {
-		procs[f] = ProcEstimate{Rank: pp.Rank, R: s.r[f], C: s.c[f]}
+		procs[f] = ProcEstimate{Rank: pp.Rank, R: s.r[f], C: s.c[f], Lambda: s.ix.lambda[f]}
 	}
 	segs := make([]SegmentEstimate, len(s.segMax))
 	for seg := range segs {
@@ -509,9 +510,9 @@ func (s *Scorer) Apply(mv Move) float64 {
 	}
 	s.nDelta++
 	fr := s.pushFrame(mv)
-	// Under IgnoreComm every C term is zero, so only R terms can change:
+	// Under ignoreComm every C term is zero, so only R terms can change:
 	// the communication dependents are left out of the touch set.
-	comm := !s.e.IgnoreComm
+	comm := !s.e.ignoreComm
 	if mv.Swap {
 		if mv.A == mv.B || s.m[mv.A] == s.m[mv.B] {
 			fr.noop = true
@@ -739,13 +740,14 @@ func (s *Scorer) computeR(f int32) float64 {
 // latency estimate of the network model read from the scorer's per-link
 // values; it accumulates in profile.Theta's order (receives, then sends).
 func (s *Scorer) computeC(f int32) float64 {
-	if s.e.IgnoreComm {
+	if s.e.ignoreComm {
+		return 0
+	}
+	lam := s.ix.lambda[f]
+	if lam == 0 {
 		return 0
 	}
 	pp := s.ix.flat[f]
-	if pp.Lambda == 0 {
-		return 0
-	}
 	l := s.ix.linkOf[s.ix.grpOff[f]:]
 	theta := 0.0
 	for i, g := range pp.Recvs {
@@ -755,7 +757,7 @@ func (s *Scorer) computeC(f int32) float64 {
 	for i, g := range pp.Sends {
 		theta += float64(g.Count) * s.linkLat[l[i]]
 	}
-	return theta * pp.Lambda
+	return theta * lam
 }
 
 // latency is Lc of link li — between its endpoints' current nodes, at its

@@ -88,9 +88,6 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 		}
 		prof.Segments = append(prof.Segments, sp)
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
 	eval, err := NewEvaluator(topo, model, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +197,7 @@ func assertMatchesOracle(t testing.TB, e *Evaluator, sc *Scorer, m Mapping, snap
 			t.Fatalf("%s segment %d: Predict %+v != oracle %+v", what, si, gs, ws)
 		}
 		for pi, wp := range ws.Procs {
-			if gp := gs.Procs[pi]; gp.Rank != wp.Rank || !same(gp.R, wp.R) || !same(gp.C, wp.C) {
+			if gp := gs.Procs[pi]; gp.Rank != wp.Rank || !same(gp.R, wp.R) || !same(gp.C, wp.C) || !same(gp.Lambda, wp.Lambda) {
 				t.Fatalf("%s segment %d proc %d: Predict %+v != oracle %+v", what, si, pi, gp, wp)
 			}
 		}
@@ -236,7 +233,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				snap := sn.snap
 				for trial := 0; trial < 25; trial++ {
 					m := randomValidMapping(e.Prof.Ranks, n, rng)
-					what := fmt.Sprintf("seed %d %s blind=%v trial %d", seed, sn.kind, e.IgnoreComm, trial)
+					what := fmt.Sprintf("seed %d %s blind=%v trial %d", seed, sn.kind, e.ignoreComm, trial)
 					assertMatchesOracle(t, e, sc, m, snap, what)
 				}
 			}
@@ -322,7 +319,7 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 func TestCommBlindFastPath(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 7)
 	blind := eval.CommBlind()
-	if !blind.IgnoreComm || eval.IgnoreComm || blind.fastIx != eval.fastIx {
+	if !blind.ignoreComm || eval.ignoreComm || blind.fastIx != eval.fastIx {
 		t.Fatal("CommBlind flags or index sharing wrong")
 	}
 	n := eval.Topo.NumNodes()
@@ -350,7 +347,7 @@ func randomMove(rng *rand.Rand, ranks, nodes int) Move {
 	return Move{Rank: rng.Intn(ranks), To: rng.Intn(nodes)}
 }
 
-// TestCommBlindDeltaMatchesFresh: under IgnoreComm, Apply re-scores only
+// TestCommBlindDeltaMatchesFresh: under ignoreComm, Apply re-scores only
 // the moved ranks' and the co-located entries, so after any random
 // Apply/Undo/Commit sequence the running NCS energy must still equal a
 // fresh CommBlind evaluation of the current mapping, exactly.
@@ -383,18 +380,33 @@ func TestCommBlindDeltaMatchesFresh(t *testing.T) {
 	}
 }
 
-// uncalibratedFixture returns a synthetic evaluator, a copy of its model
-// missing the path class of nodes (0, 1), and a mapping that puts one peer
-// of a communicating (λ ≠ 0) entry on node 1 and every other rank on node
-// 0, so that entry's C term reads the missing class.
-func uncalibratedFixture(t *testing.T) (*Evaluator, *netmodel.Model, Mapping) {
+// uncalibratedFixture returns an evaluator of a synthetic profile, with
+// every rank profiled on node 0, under a model missing the path class of
+// nodes (0, 1), and a mapping that puts one peer of a communicating (λ ≠ 0)
+// entry on node 1 and every other rank on node 0, so that entry's C term
+// reads the missing class. The profiling mapping crosses only node 0's
+// loopback class, so the evaluator still derives every λ.
+func uncalibratedFixture(t *testing.T) (*Evaluator, Mapping) {
 	t.Helper()
-	eval, _ := syntheticEvaluator(t, 9)
+	full, _ := syntheticEvaluator(t, 9)
+	prof := *full.Prof
+	prof.Mapping = make([]int, prof.Ranks)
+	missing := full.Topo.PathSignature(0, 1)
+	model := netmodel.New(full.Topo)
+	for sig, c := range full.Model.Classes {
+		if sig != missing {
+			model.SetClass(sig, c)
+		}
+	}
+	eval, err := NewEvaluator(full.Topo, model, &prof)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var src *profile.ProcProfile
 	var peer int
-	for _, pp := range eval.fast().flat {
+	for f, pp := range eval.fastIx.flat {
 		for _, g := range pp.Sends {
-			if pp.Lambda != 0 && g.Peer != pp.Rank {
+			if eval.fastIx.lambda[f] != 0 && g.Peer != pp.Rank {
 				src, peer = pp, g.Peer
 			}
 		}
@@ -402,43 +414,32 @@ func uncalibratedFixture(t *testing.T) (*Evaluator, *netmodel.Model, Mapping) {
 	if src == nil {
 		t.Fatal("fixture has no communicating entry")
 	}
-	missing := eval.Topo.PathSignature(0, 1)
-	model := netmodel.New(eval.Topo)
-	for sig, c := range eval.Model.Classes {
-		if sig != missing {
-			model.SetClass(sig, c)
-		}
-	}
-	m := make(Mapping, eval.Prof.Ranks)
+	m := make(Mapping, prof.Ranks)
 	m[peer] = 1 // every other rank, src.Rank included, on node 0
-	return eval, model, m
+	return eval, m
 }
 
 // TestUncalibratedClassPanics: a mapping that sends across a path class the
 // model never calibrated fails the way Model.Latency does — a panic naming
 // the pair — even though the kernel reads Lc from its tables.
 func TestUncalibratedClassPanics(t *testing.T) {
-	eval, model, m := uncalibratedFixture(t)
-	e, err := NewEvaluator(eval.Topo, model, eval.Prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, m := uncalibratedFixture(t)
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.HasPrefix(msg, "netmodel: no calibration for pair") {
 			t.Fatalf("panic %q, want netmodel: no calibration for pair ...", msg)
 		}
 	}()
-	e.Energy(m, monitor.IdleSnapshot(eval.Topo.NumNodes()))
+	e.Energy(m, monitor.IdleSnapshot(e.Topo.NumNodes()))
 	t.Fatal("Energy over an uncalibrated class did not panic")
 }
 
-// TestZeroLambdaSkipsUncalibratedPair: an entry with λ = 0 contributes no
-// C term, so its message groups are no links and a mapping where only such
-// entries cross an uncalibrated class evaluates, and matches the oracle,
-// instead of panicking.
+// TestZeroLambdaSkipsUncalibratedPair: an entry with λ = 0 (here B = 0)
+// contributes no C term, so its message groups are no links and a mapping
+// where only such entries cross an uncalibrated class evaluates, and
+// matches the oracle, instead of panicking.
 func TestZeroLambdaSkipsUncalibratedPair(t *testing.T) {
-	eval, model, m := uncalibratedFixture(t)
+	eval, m := uncalibratedFixture(t)
 	prof := *eval.Prof
 	prof.Segments = make([]profile.SegmentProfile, len(eval.Prof.Segments))
 	zeroed := 0
@@ -449,8 +450,8 @@ func TestZeroLambdaSkipsUncalibratedPair(t *testing.T) {
 			pp := &prof.Segments[si].Procs[pi]
 			for _, gs := range [][]trace.MsgGroup{pp.Sends, pp.Recvs} {
 				for _, g := range gs {
-					if m[g.Peer] != m[pp.Rank] && pp.Lambda != 0 {
-						pp.Lambda = 0
+					if m[g.Peer] != m[pp.Rank] && pp.B != 0 {
+						pp.B = 0
 						zeroed++
 					}
 				}
@@ -460,7 +461,7 @@ func TestZeroLambdaSkipsUncalibratedPair(t *testing.T) {
 	if zeroed == 0 {
 		t.Fatal("no entry crosses the uncalibrated pair")
 	}
-	e, err := NewEvaluator(eval.Topo, model, &prof)
+	e, err := NewEvaluator(eval.Topo, eval.Model, &prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestZeroLambdaSkipsUncalibratedPair(t *testing.T) {
 // primed scorer of the original mapping has them.
 func TestSwapUndoRestoresSharedLink(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 9)
-	ix := eval.fast()
+	ix := eval.fastIx
 	shared := -1
 	for l, ln := range ix.links {
 		if ln.src != ln.dst {

@@ -47,10 +47,10 @@ func oraclePredict(e *Evaluator, m Mapping, snap *monitor.Snapshot) (*Prediction
 		for i := range seg.Procs {
 			pp := &seg.Procs[i]
 			node := m[pp.Rank]
-			est := ProcEstimate{Rank: pp.Rank}
+			est := ProcEstimate{Rank: pp.Rank, Lambda: e.lambdaOf(pp)}
 			est.R = e.computeTerm(pp, node, mult[node], snap)
-			if !e.IgnoreComm {
-				est.C = e.commTerm(pp, m, snap)
+			if !e.ignoreComm {
+				est.C = e.commTerm(pp, est.Lambda, m, snap)
 			}
 			se.Procs = append(se.Procs, est)
 			if t := est.Total(); se.Critical < 0 || t > se.Seconds {
@@ -102,14 +102,25 @@ func (e *Evaluator) computeTerm(pp *profile.ProcProfile, node, coLocated int, sn
 	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
 }
 
+// lambdaOf is λ_i = B_i / Θ_i^profile (eq. 7): Θ under the profiling
+// mapping and the model's no-load latencies, λ = 0 when Θ is not positive.
+// It reads the evaluator's model, not the kernel's precomputed λ.
+func (e *Evaluator) lambdaOf(pp *profile.ProcProfile) float64 {
+	theta := profile.Theta(pp, e.Prof.Mapping, e.Model.NoLoad)
+	if theta <= 0 {
+		return 0
+	}
+	return pp.B / theta
+}
+
 // commTerm is C_i = λ_i · Θ_i (eqs. 6 and 8), with Lc the load-adjusted
 // latency estimate of the network model.
-func (e *Evaluator) commTerm(pp *profile.ProcProfile, m Mapping, snap *monitor.Snapshot) float64 {
-	if pp.Lambda == 0 {
+func (e *Evaluator) commTerm(pp *profile.ProcProfile, lambda float64, m Mapping, snap *monitor.Snapshot) float64 {
+	if lambda == 0 {
 		return 0
 	}
 	theta := profile.Theta(pp, m, func(src, dst int, size int64) float64 {
 		return e.Model.Latency(src, dst, size, snap)
 	})
-	return theta * pp.Lambda
+	return theta * lambda
 }

@@ -69,7 +69,6 @@ func (r *AblationResult) lambdaStudy(l *Lab, cfg Config) {
 		pool[i] = i
 	}
 	evalOn := l.Evaluator(l.GroveTopo, prog, pool[:8])
-	prof := l.Profile(l.GroveTopo, prog, pool[:8])
 	defer l.dropProfiles(prog.Name)
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 11))
@@ -95,13 +94,12 @@ func (r *AblationResult) lambdaStudy(l *Lab, cfg Config) {
 			panic(err)
 		}
 		adj := 0.0
-		for si, seg := range pred.Segments {
+		for _, seg := range pred.Segments {
 			segMax := 0.0
-			for pi, pe := range seg.Procs {
-				lam := prof.Segments[si].Procs[pi].Lambda
+			for _, pe := range seg.Procs {
 				c := pe.C
-				if lam > 0 {
-					c = pe.C / lam
+				if pe.Lambda > 0 {
+					c = pe.C / pe.Lambda
 				}
 				if t := pe.R + c; t > segMax {
 					segMax = t

@@ -138,7 +138,7 @@ func (l *Lab) Profile(topo *cluster.Topology, prog workloads.Program, mapping []
 	if p, ok := l.profiles[key]; ok {
 		return p
 	}
-	p, err := bench.Profile(topo, l.modelFor(topo), prog, mapping)
+	p, err := bench.Profile(topo, prog, mapping)
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 // profiled returns the test topology, its calibrated model and the
-// profile of a 4-rank ring application, λs computed: what cbesd stores.
+// profile of a 4-rank ring application: what cbesd stores.
 func profiled(tb testing.TB) (*cluster.Topology, *netmodel.Model, *profile.Profile) {
 	tb.Helper()
 	topo := cluster.NewTestTopology()
@@ -32,9 +32,6 @@ func profiled(tb testing.TB) (*cluster.Topology, *netmodel.Model, *profile.Profi
 	eng.Shutdown()
 	p, err := profile.FromTrace(res.Trace, topo, bench.MeasureArchSpeeds(topo, prog.ArchEff, 0.1))
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := p.ComputeLambdas(model); err != nil {
 		tb.Fatal(err)
 	}
 	return topo, model, p
@@ -78,10 +75,6 @@ var hostile = []struct {
 	{"negative size", func(p *profile.Profile) { p.Segments[0].Procs[0].Recvs[0].Size = -8 }},
 	{"negative X", func(p *profile.Profile) { p.Segments[0].Procs[0].X = -1 }},
 	{"huge times", func(p *profile.Profile) { p.Segments[0].Procs[0].X, p.Segments[0].Procs[0].O = 1e308, 1e308 }},
-	{"huge lambda", func(p *profile.Profile) {
-		pp := &p.Segments[0].Procs[0]
-		pp.Lambda, pp.Sends[0].Count = 1e308, 1<<40
-	}},
 	{"zero arch speed", func(p *profile.Profile) { p.ArchSpeed[cluster.ArchAlpha] = 0 }},
 	{"denormal arch speed", func(p *profile.Profile) { p.ArchSpeed[cluster.ArchAlpha] = 1e-320 }},
 }
@@ -102,39 +95,65 @@ func TestDecodeRejectsHostileProfile(t *testing.T) {
 	}
 }
 
+// hugeCount sends 2^40 messages from one process: a count that decodes
+// and enters the Θ that eq. 7 divides by when the evaluator derives λ.
+func hugeCount(p *profile.Profile) { p.Segments[0].Procs[0].Sends[0].Count = 1 << 40 }
+
+// loadedSnapshot is a snapshot with uneven CPU and NIC load on n nodes.
+func loadedSnapshot(n int) *monitor.Snapshot {
+	snap := &monitor.Snapshot{AvailCPU: make([]float64, n), NICUtil: make([]float64, n)}
+	for i := range snap.AvailCPU {
+		snap.AvailCPU[i] = 1 - 0.2*float64(i%4)
+		snap.NICUtil[i] = 0.1 * float64(i%3)
+	}
+	return snap
+}
+
+// checkFinite decodes data and, if both Decode and NewEvaluator accept it,
+// fails t unless the estimate and the brownout estimate of a round-robin
+// mapping are finite. It reports whether the profile was evaluated.
+func checkFinite(t *testing.T, topo *cluster.Topology, model *netmodel.Model, data []byte) bool {
+	t.Helper()
+	q, err := profile.Decode(bytes.NewReader(data))
+	if err != nil {
+		return false
+	}
+	e, err := core.NewEvaluator(topo, model, q)
+	if err != nil {
+		return false
+	}
+	n := topo.NumNodes()
+	m := make(core.Mapping, q.Ranks)
+	for r := range m {
+		m[r] = r % n
+	}
+	if est, err := e.Estimate(m, loadedSnapshot(n)); err == nil && (math.IsNaN(est.Seconds) || math.IsInf(est.Seconds, 0)) {
+		t.Fatalf("estimate %v for a decoded profile", est.Seconds)
+	}
+	if pred, err := e.PredictBrownout(m); err == nil && (math.IsNaN(pred.Seconds) || math.IsInf(pred.Seconds, 0)) {
+		t.Fatalf("brownout estimate %v for a decoded profile", pred.Seconds)
+	}
+	return true
+}
+
+// TestHugeCountEstimatesFinite: a stored profile whose process sends 2^40
+// messages decodes, and the λ derived from it gives a finite estimate.
+func TestHugeCountEstimatesFinite(t *testing.T) {
+	topo, model, p := profiled(t)
+	if !checkFinite(t, topo, model, encodeWith(t, p, hugeCount)) {
+		t.Fatal("a profile with a huge message count was refused")
+	}
+}
+
 // FuzzDecodeProfile: any byte string gives a Decode error, an evaluator
 // error, or a finite estimate — never a panic. Seeds are a profile as
-// cbesd stores it plus the hostile edits above.
+// cbesd stores it, the hostile edits above and the huge message count.
 func FuzzDecodeProfile(f *testing.F) {
 	topo, model, p := profiled(f)
 	f.Add(encodeWith(f, p, func(*profile.Profile) {}))
 	for _, tc := range hostile {
 		f.Add(encodeWith(f, p, tc.mutate))
 	}
-	n := topo.NumNodes()
-	snap := &monitor.Snapshot{AvailCPU: make([]float64, n), NICUtil: make([]float64, n)}
-	for i := range snap.AvailCPU {
-		snap.AvailCPU[i] = 1 - 0.2*float64(i%4)
-		snap.NICUtil[i] = 0.1 * float64(i%3)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := profile.Decode(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		e, err := core.NewEvaluator(topo, model, q)
-		if err != nil {
-			return
-		}
-		m := make(core.Mapping, q.Ranks)
-		for r := range m {
-			m[r] = r % n
-		}
-		if est, err := e.Estimate(m, snap); err == nil && (math.IsNaN(est.Seconds) || math.IsInf(est.Seconds, 0)) {
-			t.Fatalf("estimate %v for a decoded profile", est.Seconds)
-		}
-		if pred, err := e.PredictBrownout(m); err == nil && (math.IsNaN(pred.Seconds) || math.IsInf(pred.Seconds, 0)) {
-			t.Fatalf("brownout estimate %v for a decoded profile", pred.Seconds)
-		}
-	})
+	f.Add(encodeWith(f, p, hugeCount))
+	f.Fuzz(func(t *testing.T, data []byte) { checkFinite(t, topo, model, data) })
 }

@@ -2,10 +2,12 @@ package profile_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
+	"cbes/internal/core"
 	"cbes/internal/des"
 	"cbes/internal/mpisim"
 	"cbes/internal/profile"
@@ -16,8 +18,9 @@ import (
 )
 
 // FuzzFromTrace: any byte string that decodes as a trace yields an error
-// from FromTrace or a profile that ComputeLambdas accepts — never a panic.
-// The seed is the encoded trace of LU.A.8 on the test topology.
+// from FromTrace or a profile that builds an evaluator (which derives its
+// λs) with a finite estimate — never a panic. The seed is the encoded
+// trace of LU.A.8 on the test topology.
 func FuzzFromTrace(f *testing.F) {
 	topo := cluster.NewTestTopology()
 	model := bench.Calibrate(topo, bench.Options{Reps: 2, Sizes: []int64{64, 16 << 10}, SkipLoadFit: true})
@@ -49,8 +52,20 @@ func FuzzFromTrace(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := p.ComputeLambdas(model); err != nil {
-			t.Fatalf("ComputeLambdas on an accepted trace: %v", err)
+		e, err := core.NewEvaluator(topo, model, p)
+		if err != nil {
+			t.Fatalf("NewEvaluator on an accepted trace: %v", err)
+		}
+		m := make(core.Mapping, p.Ranks)
+		for r := range m {
+			m[r] = r % topo.NumNodes()
+		}
+		est, err := e.Estimate(m, loadedSnapshot(topo.NumNodes()))
+		if err != nil {
+			t.Fatalf("Estimate on an accepted trace: %v", err)
+		}
+		if math.IsNaN(est.Seconds) || math.IsInf(est.Seconds, 0) {
+			t.Fatalf("estimate %v for an accepted trace", est.Seconds)
 		}
 	})
 }

@@ -3,11 +3,13 @@
 //
 // An application profile is "a summary of an application's behavior" (§2):
 // for every process it records the accumulated own-code time X, the
-// message-passing overhead time O, the blocked time B, the sets of
-// same-size message groups exchanged with every peer, and — once the
-// network model is available — the communication correction factor λ of
-// eq. 7. For heterogeneous clusters it also carries the experimentally
-// measured per-architecture compute-speed ratios.
+// message-passing overhead time O, the blocked time B and the sets of
+// same-size message groups exchanged with every peer. For heterogeneous
+// clusters it also carries the experimentally measured per-architecture
+// compute-speed ratios. A profile holds measurements only: the
+// communication correction factor λ of eq. 7 is a coefficient of the
+// estimator, derived by package core from B, Theta and the network model
+// it evaluates with.
 package profile
 
 import (
@@ -16,7 +18,6 @@ import (
 	"io"
 
 	"cbes/internal/cluster"
-	"cbes/internal/netmodel"
 	"cbes/internal/trace"
 )
 
@@ -29,10 +30,6 @@ type ProcProfile struct {
 	// Sends and Recvs are the same-size message groups (mgS/mgR of eq. 6).
 	Sends []trace.MsgGroup `json:"sends"`
 	Recvs []trace.MsgGroup `json:"recvs"`
-	// Lambda is the correction factor λ_i = B_i / Θ_i^profile (eq. 7),
-	// filled in by ComputeLambdas. Zero when the process does not
-	// communicate.
-	Lambda float64 `json:"lambda"`
 	// ProfNode is the node the process was profiled on; ProfSpeed the
 	// application's measured speed there (Speed_profile of eq. 5).
 	ProfNode  int     `json:"prof_node"`
@@ -56,20 +53,18 @@ type Profile struct {
 	// architecture, relative to the reference (bench.MeasureArchSpeeds).
 	ArchSpeed map[cluster.Arch]float64 `json:"arch_speed"`
 	Segments  []SegmentProfile         `json:"segments"`
-	// LambdasReady records whether ComputeLambdas ran.
-	LambdasReady bool `json:"lambdas_ready"`
 }
 
 // FromTrace analyses an execution trace into a profile. archSpeed carries
 // the measured per-architecture speeds of this application; the profiling
-// node's speed is looked up there. A trace that names a node outside topo
-// or a rank outside the trace, or counts a negative number of messages or
-// bytes, is an error (FuzzFromTrace).
+// node's speed is looked up there. A trace without ranks, one that names a
+// node outside topo or a rank outside the trace, or one that counts a
+// negative number of messages or bytes, is an error (FuzzFromTrace).
 func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Arch]float64) (*Profile, error) {
 	if tr.Cluster != topo.Name {
 		return nil, fmt.Errorf("profile: trace from cluster %q, topology is %q", tr.Cluster, topo.Name)
 	}
-	if len(tr.Mapping) != tr.Ranks {
+	if tr.Ranks < 1 || len(tr.Mapping) != tr.Ranks {
 		return nil, fmt.Errorf("profile: trace of %d ranks maps %d", tr.Ranks, len(tr.Mapping))
 	}
 	nodes := topo.NumNodes()
@@ -158,26 +153,6 @@ func Theta(pp *ProcProfile, mapping []int, lat func(srcNode, dstNode int, size i
 	return theta
 }
 
-// ComputeLambdas fills in λ_i for every process and segment using the
-// profiling mapping and the no-load latency model — the conditions the
-// paper's Θ^profile is defined under (eq. 7). The set Λ is constant and
-// characteristic for the profile.
-func (p *Profile) ComputeLambdas(model *netmodel.Model) error {
-	for si := range p.Segments {
-		for pi := range p.Segments[si].Procs {
-			pp := &p.Segments[si].Procs[pi]
-			theta := Theta(pp, p.Mapping, model.NoLoad)
-			if theta <= 0 {
-				pp.Lambda = 0
-				continue
-			}
-			pp.Lambda = pp.B / theta
-		}
-	}
-	p.LambdasReady = true
-	return nil
-}
-
 // CommFraction reports the fraction of the profiled execution spent on
 // communication (B against X+O+B), aggregated over segments for the
 // critical (slowest) process — the computation-to-communication ratio the
@@ -212,9 +187,10 @@ func (p *Profile) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(p
 // input, so Decode rejects one an evaluation could not index or would sum
 // to infinity (FuzzDecodeProfile): Ranks must equal len(Mapping) and be at
 // least 1, process ranks and message peers must lie in [0, Ranks), message
-// counts and sizes must not be negative, times, λs and profiling speeds
-// must lie in [0, maxValue], and architecture speeds in [minSpeed,
-// maxValue].
+// counts and sizes must not be negative, times and profiling speeds must
+// lie in [0, maxValue], and architecture speeds in [minSpeed, maxValue].
+// A profile stored before λ moved into package core carries "lambda" and
+// "lambdas_ready" keys; Decode ignores them like any unknown key.
 func Decode(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -226,7 +202,7 @@ func Decode(r io.Reader) (*Profile, error) {
 	return &p, nil
 }
 
-// maxValue bounds the seconds, λs and speeds a decoded profile carries;
+// maxValue bounds the seconds and speeds a decoded profile carries;
 // minSpeed bounds an architecture's speed ratio from below.
 const (
 	maxValue = 1e9
@@ -247,7 +223,7 @@ func (p *Profile) validate() error {
 			if pp.Rank < 0 || pp.Rank >= p.Ranks {
 				return fmt.Errorf("segment %q: rank %d outside [0, %d)", seg.Name, pp.Rank, p.Ranks)
 			}
-			for _, v := range [...]float64{pp.X, pp.O, pp.B, pp.Lambda, pp.ProfSpeed} {
+			for _, v := range [...]float64{pp.X, pp.O, pp.B, pp.ProfSpeed} {
 				if !(v >= 0 && v <= maxValue) {
 					return fmt.Errorf("segment %q: rank %d: value %v outside [0, %g]", seg.Name, pp.Rank, v, maxValue)
 				}

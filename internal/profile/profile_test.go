@@ -76,58 +76,6 @@ func TestFromTraceRejectsWrongCluster(t *testing.T) {
 	}
 }
 
-func TestComputeLambdas(t *testing.T) {
-	topo := cluster.NewTestTopology()
-	model := bench.Calibrate(topo, bench.Options{Reps: 5, SkipLoadFit: true})
-	tr := runTestApp(t, topo, []int{0, 1})
-	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
-	p, err := profile.FromTrace(tr, topo, speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
-	if !p.LambdasReady {
-		t.Fatal("LambdasReady not set")
-	}
-	for _, pp := range p.Segments[0].Procs {
-		if pp.Lambda <= 0 {
-			t.Fatalf("rank %d lambda = %v, want > 0 for a communicating app", pp.Rank, pp.Lambda)
-		}
-		// Strict alternation: blocking dominates, so λ should be around 1
-		// (receives wait for the full latency; some overlap with overhead).
-		if pp.Lambda < 0.3 || pp.Lambda > 3 {
-			t.Fatalf("rank %d lambda = %v, implausible for ping-pong", pp.Rank, pp.Lambda)
-		}
-	}
-}
-
-func TestLambdaZeroForNoComm(t *testing.T) {
-	topo := cluster.NewTestTopology()
-	model := bench.Calibrate(topo, bench.Options{Reps: 3, Sizes: []int64{64}, SkipLoadFit: true})
-	eng := des.NewEngine()
-	vc := vcluster.New(eng, topo)
-	net := simnet.New(eng, topo)
-	res := mpisim.Run(vc, net, []int{0, 1}, func(r *mpisim.Rank) { r.Compute(0.1) }, mpisim.Options{})
-	speeds := bench.MeasureArchSpeeds(topo, nil, 0.1)
-	p, err := profile.FromTrace(res.Trace, topo, speeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
-	for _, pp := range p.Segments[0].Procs {
-		if pp.Lambda != 0 {
-			t.Fatalf("lambda = %v for non-communicating process", pp.Lambda)
-		}
-	}
-	if p.CommFraction() != 0 {
-		t.Fatalf("comm fraction = %v", p.CommFraction())
-	}
-}
-
 func TestThetaMappingSensitivity(t *testing.T) {
 	topo := cluster.NewTestTopology()
 	model := bench.Calibrate(topo, bench.Options{Reps: 5, SkipLoadFit: true})
@@ -150,6 +98,17 @@ func TestCommFraction(t *testing.T) {
 	f := p.CommFraction()
 	if f <= 0 || f >= 1 {
 		t.Fatalf("comm fraction = %v, want in (0,1)", f)
+	}
+	// A program that never communicates spends no time blocked.
+	eng := des.NewEngine()
+	res := mpisim.Run(vcluster.New(eng, topo), simnet.New(eng, topo), []int{0, 1}, func(r *mpisim.Rank) { r.Compute(0.1) }, mpisim.Options{})
+	eng.Shutdown()
+	q, err := profile.FromTrace(res.Trace, topo, speeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := q.CommFraction(); f != 0 {
+		t.Fatalf("comm fraction = %v for a non-communicating program", f)
 	}
 }
 

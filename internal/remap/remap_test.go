@@ -77,9 +77,6 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
 	eval, err := core.NewEvaluator(topo, model, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -88,9 +88,6 @@ func TestEndToEndRemapWithRealWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
 	eval, err := core.NewEvaluator(topo, model, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -78,9 +78,6 @@ func newFixtureOn(t *testing.T, topo *cluster.Topology) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.ComputeLambdas(model); err != nil {
-		t.Fatal(err)
-	}
 	eval, err := core.NewEvaluator(topo, model, prof)
 	if err != nil {
 		t.Fatal(err)
