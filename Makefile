@@ -25,7 +25,11 @@ verify: build test
 # the property every scheduler rests on, and the fixed seeds alone cover
 # only a handful of move sequences. A 10 s fuzz of stored profiles follows:
 # building an evaluator divides a stored B by the Θ it derives from stored
-# counts and sizes, so bytes from disk reach a division on every boot.
+# counts and sizes, so bytes from disk reach a division on every boot. A
+# 10 s fuzz of traces closes the pass: FromTrace and NewEvaluator each
+# refuse a profiling node without a measured speed, and FromTrace a process
+# off its mapped node, so its invariant (an accepted trace builds an
+# evaluator, which gives a finite estimate) keeps the two refusals in step.
 ci:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
@@ -33,6 +37,7 @@ ci:
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -run '^$$' -fuzz FuzzEnergyDelta -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProfile -fuzztime 10s ./internal/profile/
+	$(GO) test -run '^$$' -fuzz FuzzFromTrace -fuzztime 10s ./internal/profile/
 	$(MAKE) stress
 	$(MAKE) bench-quick
 
@@ -70,7 +75,7 @@ faults-smoke:
 # Short fuzz passes: the delta-evaluation invariants, topology specs as
 # hostile input (an error or a valid topology, never a panic or a multi-MB
 # build), traces as hostile input (an error or a profile that builds an
-# evaluator, λs derived, with a finite estimate), stored profiles as hostile input (an error or a finite
+# evaluator, λs and Speed_profiles derived, with a finite estimate), stored profiles as hostile input (an error or a finite
 # estimate), stored network models as hostile input (an error or finite,
 # non-negative latencies), and RPC arguments as hostile input (an error or
 # a well-formed reply, never a recovered panic).

@@ -215,19 +215,19 @@ func Run(sys *cbes.System, policy Policy, jobs []Job, seed int64) (*Report, erro
 			results[job.ID].Mapping = mapping.Clone()
 			// Close the predicted-vs-actual loop: register the estimate for
 			// the placed mapping now, join the measured runtime on
-			// completion. Predict and Snapshot are engine-context-safe here
+			// completion. Estimate and Snapshot are engine-context-safe here
 			// (Place may already call Snapshot on this path).
 			if eval, err := sys.Evaluator(job.Prog.Name); err == nil {
 				snap := sys.Snapshot()
-				if pred, err := eval.Predict(mapping, snap); err == nil && pred.Seconds > 0 {
-					results[job.ID].Predicted = pred.Seconds
+				if est, err := eval.Estimate(mapping, snap); err == nil && est.Seconds > 0 {
+					results[job.ID].Predicted = est.Seconds
 					results[job.ID].PredictionID = accuracy.Default().Begin(accuracy.Prediction{
 						App:       job.Prog.Name,
 						Scheduler: "batch/" + policy.Name(),
-						Degraded:  pred.Degraded,
+						Degraded:  est.Degraded,
 						AgeBucket: accuracy.AgeBucket(snap.MaxAge(mapping)),
 						Epoch:     snap.Epoch,
-						Predicted: pred.Seconds,
+						Predicted: est.Seconds,
 					})
 				}
 			}

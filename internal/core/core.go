@@ -127,23 +127,17 @@ type Prediction struct {
 	// StaleNodes lists the mapped nodes that triggered the fallback, in
 	// ascending node order.
 	StaleNodes []int
-	// Brownout reports that the prediction was served from the profile-only
-	// fast path (nominal resource conditions for every node) because the
-	// service was shedding load — a cheaper, explicitly-labeled answer in
-	// the spirit of Degraded, but triggered by overload rather than stale
-	// monitoring data.
-	Brownout bool
 }
 
-// Estimate is the part of a Prediction that service replies read: the
-// total, the first segment's critical rank, and the degraded-mode markers —
-// Prediction minus the per-segment, per-process breakdown.
+// Estimate is what service replies read of a Prediction — the total, the
+// first segment's critical rank and the degraded-mode markers, without the
+// per-segment breakdown — or of the brownout sketch (PredictBrownout).
 type Estimate struct {
 	Seconds    float64 // Σ over segments of S_M, equal to Prediction.Seconds
 	Critical   int     // critical rank of the first segment; -1 when there is none
 	Degraded   bool    // as Prediction.Degraded
 	StaleNodes []int   // as Prediction.StaleNodes
-	Brownout   bool    // as Prediction.Brownout
+	Brownout   bool    // answered by the PredictBrownout sketch, served while shedding load
 }
 
 // Evaluator predicts execution times for mappings of one profiled
@@ -174,7 +168,7 @@ type Evaluator struct {
 
 // brownoutAgg collapses one rank's profile across every segment — the
 // precomputation behind the O(ranks) brownout sketch. work is
-// Σ(X+O)·ProfSpeed (the speed-independent numerator of eq. 5's R term);
+// Σ(X+O)·Speed_profile (the speed-independent numerator of eq. 5's R term);
 // sends/recvs merge the rank's message groups λ-weighted, so one
 // latency lookup per (peer, size) replaces one per segment.
 type brownoutAgg struct {
@@ -202,19 +196,25 @@ func addWeighted(groups []aggMsg, peer int, size int64, w float64) []aggMsg {
 	return append(groups, aggMsg{peer: peer, size: size, wcount: w})
 }
 
-// NewEvaluator builds an evaluator after sanity-checking its inputs. The
-// fast-path lookup tables, λ of eq. 7 among them, are precomputed here
-// from the profile and this model, so the evaluator can be shared across
-// scheduler workers without further synchronization. Deriving λ reads the
-// model's no-load latency between the profiling mapping's nodes, which
-// panics like Model.NoLoad if the model leaves one of their path classes
-// uncalibrated (Model.Attach refuses such a model).
+// NewEvaluator builds an evaluator after sanity-checking its inputs: every
+// profiling node lies in topo, its architecture with a measured speed. The
+// fast-path tables, λ (eq. 7) and Speed_profile (eq. 5) among them, are
+// precomputed here from the profile and this model, so the evaluator can
+// be shared across scheduler workers without further synchronization.
+// Deriving λ reads the model's no-load latency between the profiling
+// mapping's nodes, which panics like Model.NoLoad if the model leaves one
+// of their path classes uncalibrated (Model.Attach refuses such a model).
 func NewEvaluator(topo *cluster.Topology, model *netmodel.Model, prof *profile.Profile) (*Evaluator, error) {
 	if prof.Cluster != topo.Name {
 		return nil, fmt.Errorf("core: profile from cluster %q, topology is %q", prof.Cluster, topo.Name)
 	}
 	if err := Mapping(prof.Mapping).Validate(topo); err != nil {
 		return nil, fmt.Errorf("core: profiling mapping: %w", err)
+	}
+	for r, node := range prof.Mapping {
+		if arch := topo.Node(node).Arch; !(prof.ArchSpeed[arch] > 0) {
+			return nil, fmt.Errorf("core: rank %d profiled on node %d: no measured speed for architecture %q", r, node, arch)
+		}
 	}
 	e := &Evaluator{Topo: topo, Model: model, Prof: prof}
 	e.fastIx = buildFastIndex(e)
@@ -269,27 +269,28 @@ func (e *Evaluator) Predict(m Mapping, snap *monitor.Snapshot) (*Prediction, err
 // data entirely — from a per-rank aggregate of the profile rather than
 // a segment-by-segment walk. It is the brownout fast path the service
 // uses while shedding load, so it MUST be cheap: O(ranks) instead of
-// Predict's O(segments × ranks), or the degraded path would consume the
-// very capacity whose exhaustion triggered it. The answer depends only
-// on the profile and the topology (valid for the process lifetime,
-// cacheable without an epoch), is coarser than Predict — the critical
-// rank is assumed constant across the run, so barrier effects inside
-// segments are lost and no per-segment breakdown is produced — and is
-// explicitly labeled via Prediction.Brownout.
-func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
-	if len(m) != e.Prof.Ranks {
-		return nil, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), e.Prof.Ranks)
+// Estimate's O(segments × ranks), or the degraded path would consume the
+// very capacity whose exhaustion triggered it. It reads speeds off the
+// same tables as Estimate. The answer depends only on the profile and the
+// topology (valid for the process lifetime, cacheable without an epoch),
+// is coarser than Estimate — the critical rank is assumed constant across
+// the run, so barrier effects inside segments are lost and Critical is
+// -1 — and is explicitly labeled via Estimate.Brownout.
+func (e *Evaluator) PredictBrownout(m Mapping) (Estimate, error) {
+	ix := e.fastIx
+	if len(m) != len(ix.profSpeed) {
+		return Estimate{}, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(ix.profSpeed))
 	}
 	if err := m.Validate(e.Topo); err != nil {
-		return nil, err
+		return Estimate{}, err
 	}
 	e.nominalOnce.Do(func() {
 		e.nominal = monitor.IdleSnapshot(e.Topo.NumNodes())
-		aggs := make([]brownoutAgg, e.Prof.Ranks)
-		for f, pp := range e.fastIx.flat {
+		aggs := make([]brownoutAgg, len(ix.profSpeed))
+		for f, pp := range ix.flat {
 			a := &aggs[pp.Rank]
-			a.work += (pp.X + pp.O) * pp.ProfSpeed
-			lam := e.fastIx.lambda[f]
+			a.work += (pp.X + pp.O) * ix.profSpeed[pp.Rank]
+			lam := ix.lambda[f]
 			if lam == 0 {
 				continue
 			}
@@ -303,22 +304,17 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 		e.brownAgg = aggs
 	})
 	mult := m.Multiplicity()
-	pred := &Prediction{Mapping: m.Clone(), Brownout: true}
+	est := Estimate{Critical: -1, Brownout: true}
 	for r := range e.brownAgg {
 		a := &e.brownAgg[r]
 		node := m[r]
-		n := e.Topo.Node(node)
-		speed, ok := e.Prof.ArchSpeed[n.Arch]
-		if !ok || speed <= 0 {
-			speed = n.Speed
-		}
 		acpu := 1.0
 		if co := mult[node]; co > 1 {
-			if share := float64(n.CPUs) / float64(co); share < 1 {
+			if share := float64(ix.cpus[node]) / float64(co); share < 1 {
 				acpu = share
 			}
 		}
-		total := a.work / speed / acpu
+		total := a.work / ix.speed[node] / acpu
 		if !e.ignoreComm {
 			for _, g := range a.sends {
 				total += g.wcount * e.Model.Latency(node, m[g.peer], g.size, e.nominal)
@@ -327,10 +323,10 @@ func (e *Evaluator) PredictBrownout(m Mapping) (*Prediction, error) {
 				total += g.wcount * e.Model.Latency(m[g.peer], node, g.size, e.nominal)
 			}
 		}
-		if total > pred.Seconds {
-			pred.Seconds = total
+		if total > est.Seconds {
+			est.Seconds = total
 		}
 	}
 	metricBrownoutPredicts.Inc()
-	return pred, nil
+	return est, nil
 }

@@ -274,6 +274,18 @@ func TestNewEvaluatorChecks(t *testing.T) {
 	if _, err := NewEvaluator(f.topo, f.model, &outside); err == nil {
 		t.Fatal("profiling mapping outside the topology should error")
 	}
+	// Speed_profile of eq. 5 is the measured speed of the profiling node's
+	// architecture, so that architecture must have one.
+	unmeasured := *f.prof
+	unmeasured.ArchSpeed = map[cluster.Arch]float64{}
+	for a, s := range f.prof.ArchSpeed {
+		if a != f.topo.Node(f.prof.Mapping[1]).Arch {
+			unmeasured.ArchSpeed[a] = s
+		}
+	}
+	if _, err := NewEvaluator(f.topo, f.model, &unmeasured); err == nil {
+		t.Fatal("profiling node without a measured architecture speed should error")
+	}
 }
 
 func TestExplain(t *testing.T) {
@@ -401,8 +413,8 @@ func TestPredictBrownoutSketch(t *testing.T) {
 	if !sketch.Brownout {
 		t.Fatal("brownout prediction not labeled")
 	}
-	if len(sketch.Segments) != 0 {
-		t.Fatalf("brownout sketch carries %d segments, want none (coarse by design)", len(sketch.Segments))
+	if sketch.Critical != -1 {
+		t.Fatalf("brownout sketch names critical rank %d, want none (coarse by design)", sketch.Critical)
 	}
 	if sketch.Seconds <= 0 {
 		t.Fatalf("brownout sketch predicted %v seconds", sketch.Seconds)

@@ -23,7 +23,8 @@
 //     each message group's link ID, and per rank the links it is an
 //     endpoint of;
 //   - per-node resolved compute speeds and CPU counts (no ArchSpeed map
-//     lookups);
+//     lookups), and per rank Speed_profile of eq. 5: the speed at the
+//     rank's profiling node Mapping[r], which the profile does not store;
 //   - per-rank communication dependents: the profile entries whose Θ term
 //     (eq. 6) reads that rank's node, derived from the send/recv groups.
 //
@@ -79,11 +80,12 @@ type fastIndex struct {
 	// O(nodes²)); nil entry = uncalibrated. classTbl is the topology's flat
 	// src·n+dst → class-ID table when it stores one (the 2005 testbeds);
 	// structured topologies leave it nil and resolve IDs algebraically.
-	classes  []*netmodel.Class
-	classTbl []int32
-	topo     *cluster.Topology
-	speed    []float64 // per node: profile speed with nominal fallback
-	cpus     []int     // per node: CPU count
+	classes   []*netmodel.Class
+	classTbl  []int32
+	topo      *cluster.Topology
+	speed     []float64 // per node: profile speed with nominal fallback
+	cpus      []int     // per node: CPU count
+	profSpeed []float64 // per rank: Speed_profile of eq. 5 (len = ranks)
 	// flat is every segment's ProcProfile in profile order;
 	// segOff[s] is the first flat index of segment s (len = segments+1).
 	// lambda[f] is flat entry f's λ (eq. 7), 0 when its Θ^profile is not
@@ -141,7 +143,11 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 		ix.speed[node] = speed
 		ix.cpus[node] = nd.CPUs
 	}
-	ranks := e.Prof.Ranks
+	ranks := len(e.Prof.Mapping)
+	ix.profSpeed = make([]float64, ranks)
+	for r, node := range e.Prof.Mapping {
+		ix.profSpeed[r] = ix.speed[node]
+	}
 	ix.own = make([][]int32, ranks)
 	ix.commDeps = make([][]int32, ranks)
 	depSet := make([]map[int32]struct{}, ranks)
@@ -350,7 +356,7 @@ func (e *Evaluator) Scorer() *Scorer {
 	return &Scorer{
 		e:         e,
 		ix:        ix,
-		m:         make(Mapping, e.Prof.Ranks),
+		m:         make(Mapping, len(ix.profSpeed)),
 		mult:      make([]int, ix.nodes),
 		linkLat:   make([]float64, len(ix.links)),
 		avail:     make([]float64, ix.nodes),
@@ -392,8 +398,8 @@ func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
 // r/c, the per-segment maxima in segMax, and their sum in total. anyStale
 // reports that a mapped node is HealthSuspect (the degraded-mode trigger).
 func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) {
-	if len(m) != s.e.Prof.Ranks {
-		return false, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), s.e.Prof.Ranks)
+	if len(m) != len(s.m) {
+		return false, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(s.m))
 	}
 	if err := m.Validate(s.e.Topo); err != nil {
 		return false, err
@@ -733,7 +739,7 @@ func (s *Scorer) computeR(f int32) float64 {
 	if acpu < 0.01 {
 		acpu = 0.01
 	}
-	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
+	return (pp.X + pp.O) * (s.ix.profSpeed[pp.Rank] / speed) * (1 / acpu)
 }
 
 // computeC is C_i = λ_i · Θ_i (eqs. 6 and 8), Lc being the load-adjusted

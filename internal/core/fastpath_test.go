@@ -52,7 +52,6 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 	prof := &profile.Profile{
 		App:       fmt.Sprintf("syn-%d", seed),
 		Cluster:   topo.Name,
-		Ranks:     ranks,
 		Mapping:   profMap,
 		ArchSpeed: map[cluster.Arch]float64{},
 	}
@@ -67,12 +66,10 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 		sp := profile.SegmentProfile{Name: fmt.Sprintf("seg%d", s)}
 		for r := 0; r < ranks; r++ {
 			pp := profile.ProcProfile{
-				Rank:      r,
-				X:         rng.Float64() * 2,
-				O:         rng.Float64() * 0.2,
-				B:         rng.Float64() * 0.5,
-				ProfNode:  profMap[r],
-				ProfSpeed: prof.ArchSpeed[topo.Node(profMap[r]).Arch],
+				Rank: r,
+				X:    rng.Float64() * 2,
+				O:    rng.Float64() * 0.2,
+				B:    rng.Float64() * 0.5,
 			}
 			for g := rng.Intn(3); g > 0; g-- {
 				pp.Sends = append(pp.Sends, trace.MsgGroup{
@@ -188,7 +185,7 @@ func assertMatchesOracle(t testing.TB, e *Evaluator, sc *Scorer, m Mapping, snap
 		t.Fatalf("%s: Estimate %+v != oracle %+v", what, est, wantEst)
 	}
 	if !pred.Mapping.Equal(want.Mapping) || !same(pred.Seconds, want.Seconds) || pred.Degraded != want.Degraded ||
-		!reflect.DeepEqual(pred.StaleNodes, want.StaleNodes) || pred.Brownout || len(pred.Segments) != len(want.Segments) {
+		!reflect.DeepEqual(pred.StaleNodes, want.StaleNodes) || len(pred.Segments) != len(want.Segments) {
 		t.Fatalf("%s: Predict %+v != oracle %+v", what, pred, want)
 	}
 	for si, ws := range want.Segments {
@@ -232,7 +229,7 @@ func TestFastPathEquivalence(t *testing.T) {
 			for _, sn := range snaps {
 				snap := sn.snap
 				for trial := 0; trial < 25; trial++ {
-					m := randomValidMapping(e.Prof.Ranks, n, rng)
+					m := randomValidMapping(len(e.Prof.Mapping), n, rng)
 					what := fmt.Sprintf("seed %d %s blind=%v trial %d", seed, sn.kind, e.ignoreComm, trial)
 					assertMatchesOracle(t, e, sc, m, snap, what)
 				}
@@ -250,7 +247,7 @@ func TestEstimateDoesNotAllocate(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 5)
 	n := eval.Topo.NumNodes()
 	snap := randomSnapshot(n, rng)
-	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := eval.Estimate(m, snap); err != nil {
 			t.Fatal(err)
@@ -269,7 +266,7 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		eval, rng := syntheticEvaluator(t, 100+seed)
 		n := eval.Topo.NumNodes()
-		ranks := eval.Prof.Ranks
+		ranks := len(eval.Prof.Mapping)
 		snap := randomSnapshot(n, rng)
 		sc := eval.Scorer()
 		m := randomValidMapping(ranks, n, rng)
@@ -326,7 +323,7 @@ func TestCommBlindFastPath(t *testing.T) {
 	snap := randomSnapshot(n, rng)
 	sc := blind.Scorer()
 	for trial := 0; trial < 20; trial++ {
-		m := randomValidMapping(eval.Prof.Ranks, n, rng)
+		m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
 		assertMatchesOracle(t, blind, sc, m, snap, "comm-blind")
 		got := sc.EnergyNow()
 		full, err := eval.Energy(m, snap)
@@ -355,7 +352,7 @@ func TestCommBlindDeltaMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		eval, rng := syntheticEvaluator(t, 200+seed)
 		blind := eval.CommBlind()
-		n, ranks := eval.Topo.NumNodes(), eval.Prof.Ranks
+		n, ranks := eval.Topo.NumNodes(), len(eval.Prof.Mapping)
 		snap := randomSnapshot(n, rng)
 		sc := blind.Scorer()
 		if _, err := sc.Energy(randomValidMapping(ranks, n, rng), snap); err != nil {
@@ -390,7 +387,7 @@ func uncalibratedFixture(t *testing.T) (*Evaluator, Mapping) {
 	t.Helper()
 	full, _ := syntheticEvaluator(t, 9)
 	prof := *full.Prof
-	prof.Mapping = make([]int, prof.Ranks)
+	prof.Mapping = make([]int, len(prof.Mapping))
 	missing := full.Topo.PathSignature(0, 1)
 	model := netmodel.New(full.Topo)
 	for sig, c := range full.Model.Classes {
@@ -414,7 +411,7 @@ func uncalibratedFixture(t *testing.T) (*Evaluator, Mapping) {
 	if src == nil {
 		t.Fatal("fixture has no communicating entry")
 	}
-	m := make(Mapping, prof.Ranks)
+	m := make(Mapping, len(prof.Mapping))
 	m[peer] = 1 // every other rank, src.Rank included, on node 0
 	return eval, m
 }
@@ -489,7 +486,7 @@ func TestSwapUndoRestoresSharedLink(t *testing.T) {
 	a, b := int(ix.links[shared].src), int(ix.links[shared].dst)
 	n := eval.Topo.NumNodes()
 	snap := randomSnapshot(n, rng)
-	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
 	m[a], m[b] = 0, 1
 	sc := eval.Scorer()
 	if _, err := sc.Energy(m, snap); err != nil {
@@ -541,7 +538,7 @@ func assertSameScorerState(t *testing.T, got, want *Scorer, what string) {
 // counting concurrently, as parallel SA restarts do.
 func TestScorerCountsPublishedExactly(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 21)
-	n, ranks := eval.Topo.NumNodes(), eval.Prof.Ranks
+	n, ranks := eval.Topo.NumNodes(), len(eval.Prof.Mapping)
 	snap := randomSnapshot(n, rng)
 	series := []*obs.Counter{metricEnergyDelta, metricUndos, metricDeltaTouched}
 	var before [3]uint64
@@ -601,10 +598,10 @@ func TestScorerRejectsInvalid(t *testing.T) {
 	_ = rng
 	sc := eval.Scorer()
 	snap := monitor.IdleSnapshot(eval.Topo.NumNodes())
-	if _, err := sc.Energy(make(Mapping, eval.Prof.Ranks+1), snap); err == nil {
+	if _, err := sc.Energy(make(Mapping, len(eval.Prof.Mapping)+1), snap); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
-	bad := make(Mapping, eval.Prof.Ranks)
+	bad := make(Mapping, len(eval.Prof.Mapping))
 	bad[0] = 9999
 	if _, err := sc.Energy(bad, snap); err == nil {
 		t.Fatal("invalid node accepted")
@@ -628,7 +625,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 	ms := make([]Mapping, 64)
 	want := make([]float64, len(ms))
 	for i := range ms {
-		ms[i] = randomValidMapping(eval.Prof.Ranks, n, rng)
+		ms[i] = randomValidMapping(len(eval.Prof.Mapping), n, rng)
 		p, err := oraclePredict(eval, ms[i], snap)
 		if err != nil {
 			t.Fatal(err)
@@ -688,7 +685,7 @@ func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(7), []byte{0, 1, 0xf3, 6, 9, 3, 4, 0xff, 0xfe, 0xf0, 2, 3})
 	eval, rng := syntheticEvaluator(f, 42)
 	n := eval.Topo.NumNodes()
-	ranks := eval.Prof.Ranks
+	ranks := len(eval.Prof.Mapping)
 	snaps := []*monitor.Snapshot{
 		randomSnapshot(n, rng),
 		randomHealth(randomSnapshot(n, rng), rng, false),
@@ -756,7 +753,7 @@ func BenchmarkScorerEnergyFatTree5k(b *testing.B) {
 	eval, rng := syntheticEvaluatorOn(b, topo, 1)
 	n := topo.NumNodes()
 	snap := randomSnapshot(n, rng)
-	m := randomValidMapping(eval.Prof.Ranks, n, rng)
+	m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
 	sc := eval.Scorer()
 	b.ReportAllocs()
 	b.ResetTimer()

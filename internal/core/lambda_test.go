@@ -63,10 +63,12 @@ func TestDerivedLambdaZeroForNoComm(t *testing.T) {
 	}
 }
 
-// withStoredLambdas re-encodes a profile's JSON with the "lambda" and
-// "lambdas_ready" keys a profile stored before λ moved into core carries,
-// setting every λ to lambda.
-func withStoredLambdas(t *testing.T, p *profile.Profile, lambda float64) []byte {
+// withOldKeys re-encodes a profile's JSON with the keys a profile stored
+// before core derived λ and Speed_profile carries: "lambdas_ready" and
+// "ranks" at the top, and per process "lambda", "prof_node" and
+// "prof_speed". ranks and prof_node hold what such a profile held;
+// every λ is set to lambda and every profiling speed to speed.
+func withOldKeys(t *testing.T, p *profile.Profile, lambda, speed float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.Encode(&buf); err != nil {
@@ -77,9 +79,13 @@ func withStoredLambdas(t *testing.T, p *profile.Profile, lambda float64) []byte 
 		t.Fatal(err)
 	}
 	doc["lambdas_ready"] = true
+	doc["ranks"] = len(p.Mapping)
 	for _, seg := range doc["segments"].([]any) {
 		for _, proc := range seg.(map[string]any)["procs"].([]any) {
-			proc.(map[string]any)["lambda"] = lambda
+			pp := proc.(map[string]any)
+			pp["lambda"] = lambda
+			pp["prof_node"] = p.Mapping[int(pp["rank"].(float64))]
+			pp["prof_speed"] = speed
 		}
 	}
 	data, err := json.Marshal(doc)
@@ -89,15 +95,18 @@ func withStoredLambdas(t *testing.T, p *profile.Profile, lambda float64) []byte 
 	return data
 }
 
-// TestStoredProfileWithLambdasDecodes: a profile stored with λ keys still
-// decodes, and its λ is derived afresh rather than read: even a stored λ
-// that no model would give leaves Estimate and Predict bit-identical to
-// those of the profile it was stored from.
+// TestStoredProfileWithLambdasDecodes: a profile stored with λ, rank-count
+// and profiling-node keys still decodes, and its λ and Speed_profile are
+// derived afresh rather than read: even a stored λ and profiling speed
+// that no measurement would give leave Estimate and Predict bit-identical
+// to those of the profile it was stored from.
 func TestStoredProfileWithLambdasDecodes(t *testing.T) {
 	f := newFixture(t, []int{0, 1})
-	data := withStoredLambdas(t, f.prof, 1e6)
-	if !bytes.Contains(data, []byte(`"lambdas_ready":true`)) || !bytes.Contains(data, []byte(`"lambda":1000000`)) {
-		t.Fatalf("fixture lacks the stored λ keys: %s", data)
+	data := withOldKeys(t, f.prof, 1e6, 1e6)
+	for _, key := range []string{`"lambdas_ready":true`, `"lambda":1000000`, `"ranks":2`, `"prof_node":1`, `"prof_speed":1000000`} {
+		if !bytes.Contains(data, []byte(key)) {
+			t.Fatalf("fixture lacks the stored key %s: %s", key, data)
+		}
 	}
 	stored, err := profile.Decode(bytes.NewReader(data))
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 
 // oraclePredict evaluates mapping m under snap the way Predict used to.
 func oraclePredict(e *Evaluator, m Mapping, snap *monitor.Snapshot) (*Prediction, error) {
-	if len(m) != e.Prof.Ranks {
-		return nil, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), e.Prof.Ranks)
+	if len(m) != len(e.Prof.Mapping) {
+		return nil, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(e.Prof.Mapping))
 	}
 	if err := m.Validate(e.Topo); err != nil {
 		return nil, err
@@ -80,7 +80,8 @@ func degradedSnapshot(snap *monitor.Snapshot) *monitor.Snapshot {
 	return c
 }
 
-// computeTerm is R_i of eq. 5.
+// computeTerm is R_i of eq. 5, Speed_profile_i being the measured speed of
+// the architecture of rank i's profiling node.
 func (e *Evaluator) computeTerm(pp *profile.ProcProfile, node, coLocated int, snap *monitor.Snapshot) float64 {
 	n := e.Topo.Node(node)
 	speed, ok := e.Prof.ArchSpeed[n.Arch]
@@ -99,7 +100,8 @@ func (e *Evaluator) computeTerm(pp *profile.ProcProfile, node, coLocated int, sn
 	if acpu < 0.01 {
 		acpu = 0.01
 	}
-	return (pp.X + pp.O) * (pp.ProfSpeed / speed) * (1 / acpu)
+	profSpeed := e.Prof.ArchSpeed[e.Topo.Node(e.Prof.Mapping[pp.Rank]).Arch]
+	return (pp.X + pp.O) * (profSpeed / speed) * (1 / acpu)
 }
 
 // lambdaOf is λ_i = B_i / Θ_i^profile (eq. 7): Θ under the profiling

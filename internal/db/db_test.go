@@ -50,7 +50,6 @@ func TestProfileRoundTripAndList(t *testing.T) {
 		p := &profile.Profile{
 			App:     app,
 			Cluster: "orange-grove",
-			Ranks:   8,
 			Mapping: []int{0, 1, 2, 3, 4, 5, 6, 7},
 			ArchSpeed: map[cluster.Arch]float64{
 				cluster.ArchAlpha: 1.0,
@@ -96,7 +95,7 @@ func TestLoadMissing(t *testing.T) {
 
 func TestSanitizeKeepsFilesInsideStore(t *testing.T) {
 	s, _ := Open(t.TempDir())
-	p := &profile.Profile{App: "../../evil", Cluster: "c", Ranks: 1, Mapping: []int{0}}
+	p := &profile.Profile{App: "../../evil", Cluster: "c", Mapping: []int{0}}
 	if err := s.SaveProfile(p); err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +112,10 @@ func TestSanitizeKeepsFilesInsideStore(t *testing.T) {
 
 func TestAtomicOverwrite(t *testing.T) {
 	s, _ := Open(t.TempDir())
-	p := &profile.Profile{App: "a", Cluster: "c", Ranks: 1, Mapping: []int{0}}
+	p := &profile.Profile{App: "a", Cluster: "c", Mapping: []int{0}}
 	if err := s.SaveProfile(p); err != nil {
 		t.Fatal(err)
 	}
-	p.Ranks = 2
 	p.Mapping = []int{0, 1}
 	if err := s.SaveProfile(p); err != nil {
 		t.Fatal(err)
@@ -126,7 +124,7 @@ func TestAtomicOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ranks != 2 {
+	if len(got.Mapping) != 2 {
 		t.Fatalf("overwrite lost update: %+v", got)
 	}
 }

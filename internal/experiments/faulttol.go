@@ -170,7 +170,7 @@ func FaultTolerance(l *Lab, cfg Config) *FaultTolResult {
 			row.RSPred = stats.Mean(rsPreds)
 			row.RSPenaltyPct = (row.RSPred - row.CSPred) / row.CSPred * 100
 			penalties = append(penalties, row.RSPenaltyPct)
-			if p, err := eval.Predict(csDec.Mapping, snap); err == nil && p.Degraded {
+			if est, err := eval.Estimate(csDec.Mapping, snap); err == nil && est.Degraded {
 				row.CSDegraded = true
 				res.DegradedSteps++
 			}

@@ -189,11 +189,11 @@ func snapshotWithLoad(topo *cluster.Topology, avail map[int]float64) *monitor.Sn
 
 // predict evaluates a mapping under an idle snapshot.
 func predict(e *core.Evaluator, m []int, snap *monitor.Snapshot) float64 {
-	p, err := e.Predict(core.Mapping(m), snap)
+	est, err := e.Estimate(core.Mapping(m), snap)
 	if err != nil {
 		panic(err)
 	}
-	return p.Seconds
+	return est.Seconds
 }
 
 // errPct is the prediction error percentage relative to the actual time.

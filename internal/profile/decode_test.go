@@ -2,6 +2,7 @@ package profile_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -58,8 +59,8 @@ func encodeWith(tb testing.TB, p *profile.Profile, mutate func(*profile.Profile)
 
 // hostile edits a stored profile the way a corrupt or hand-edited file
 // would. Each one used to decode; most then panicked an evaluation (peer
-// and rank out of range), exhausted memory building its tables (ranks) or
-// made its estimate infinite (huge values, a denormal speed).
+// and rank out of range, an empty mapping) or made its estimate infinite
+// (huge values, a denormal speed).
 var hostile = []struct {
 	name   string
 	mutate func(*profile.Profile)
@@ -68,8 +69,7 @@ var hostile = []struct {
 	{"peer -1", func(p *profile.Profile) { p.Segments[0].Procs[0].Recvs[0].Peer = -1 }},
 	{"rank 17 of 4", func(p *profile.Profile) { p.Segments[0].Procs[1].Rank = 17 }},
 	{"rank -1", func(p *profile.Profile) { p.Segments[0].Procs[1].Rank = -1 }},
-	{"ranks 1<<40", func(p *profile.Profile) { p.Ranks = 1 << 40 }},
-	{"ranks 0", func(p *profile.Profile) { p.Ranks, p.Mapping = 0, nil }},
+	{"mapping empty", func(p *profile.Profile) { p.Mapping = nil }},
 	{"mapping short", func(p *profile.Profile) { p.Mapping = p.Mapping[:3] }},
 	{"negative count", func(p *profile.Profile) { p.Segments[0].Procs[0].Sends[0].Count = -3 }},
 	{"negative size", func(p *profile.Profile) { p.Segments[0].Procs[0].Recvs[0].Size = -8 }},
@@ -85,7 +85,7 @@ func TestDecodeRejectsHostileProfile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := encodeWith(t, p, tc.mutate)
 			if q, err := profile.Decode(bytes.NewReader(data)); err == nil {
-				t.Fatalf("decoded a hostile profile: ranks %d, mapping %v", q.Ranks, q.Mapping)
+				t.Fatalf("decoded a hostile profile: mapping %v", q.Mapping)
 			}
 		})
 	}
@@ -123,15 +123,15 @@ func checkFinite(t *testing.T, topo *cluster.Topology, model *netmodel.Model, da
 		return false
 	}
 	n := topo.NumNodes()
-	m := make(core.Mapping, q.Ranks)
+	m := make(core.Mapping, len(q.Mapping))
 	for r := range m {
 		m[r] = r % n
 	}
 	if est, err := e.Estimate(m, loadedSnapshot(n)); err == nil && (math.IsNaN(est.Seconds) || math.IsInf(est.Seconds, 0)) {
 		t.Fatalf("estimate %v for a decoded profile", est.Seconds)
 	}
-	if pred, err := e.PredictBrownout(m); err == nil && (math.IsNaN(pred.Seconds) || math.IsInf(pred.Seconds, 0)) {
-		t.Fatalf("brownout estimate %v for a decoded profile", pred.Seconds)
+	if est, err := e.PredictBrownout(m); err == nil && (math.IsNaN(est.Seconds) || math.IsInf(est.Seconds, 0)) {
+		t.Fatalf("brownout estimate %v for a decoded profile", est.Seconds)
 	}
 	return true
 }
@@ -145,9 +145,47 @@ func TestHugeCountEstimatesFinite(t *testing.T) {
 	}
 }
 
+// forgedRanks is a stored profile in the format written before core
+// derived the rank count and Speed_profile: a "ranks" key, here forged to
+// 2^40, and per process "prof_node" and "prof_speed" keys naming a node
+// outside the topology and a zero speed. Decode ignores all three.
+func forgedRanks(tb testing.TB, p *profile.Profile) []byte {
+	tb.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(encodeWith(tb, p, func(*profile.Profile) {}), &doc); err != nil {
+		tb.Fatal(err)
+	}
+	doc["ranks"] = 1 << 40
+	for _, seg := range doc["segments"].([]any) {
+		for _, proc := range seg.(map[string]any)["procs"].([]any) {
+			proc.(map[string]any)["prof_node"], proc.(map[string]any)["prof_speed"] = 99, 0
+		}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestOldFormatKeysIgnored: a profile stored with a forged rank count and
+// per-process profiling nodes and speeds decodes and evaluates, because
+// the rank count is len(Mapping) and core derives Speed_profile.
+func TestOldFormatKeysIgnored(t *testing.T) {
+	topo, model, p := profiled(t)
+	data := forgedRanks(t, p)
+	if !bytes.Contains(data, []byte(`"ranks":1099511627776`)) || !bytes.Contains(data, []byte(`"prof_node":99`)) {
+		t.Fatalf("fixture lacks the forged keys: %s", data)
+	}
+	if !checkFinite(t, topo, model, data) {
+		t.Fatal("an old-format profile was refused")
+	}
+}
+
 // FuzzDecodeProfile: any byte string gives a Decode error, an evaluator
 // error, or a finite estimate — never a panic. Seeds are a profile as
-// cbesd stores it, the hostile edits above and the huge message count.
+// cbesd stores it, the hostile edits above, the huge message count and
+// an old-format profile with forged keys.
 func FuzzDecodeProfile(f *testing.F) {
 	topo, model, p := profiled(f)
 	f.Add(encodeWith(f, p, func(*profile.Profile) {}))
@@ -155,5 +193,6 @@ func FuzzDecodeProfile(f *testing.F) {
 		f.Add(encodeWith(f, p, tc.mutate))
 	}
 	f.Add(encodeWith(f, p, hugeCount))
+	f.Add(forgedRanks(f, p))
 	f.Fuzz(func(t *testing.T, data []byte) { checkFinite(t, topo, model, data) })
 }

@@ -19,8 +19,10 @@ import (
 
 // FuzzFromTrace: any byte string that decodes as a trace yields an error
 // from FromTrace or a profile that builds an evaluator (which derives its
-// λs) with a finite estimate — never a panic. The seed is the encoded
-// trace of LU.A.8 on the test topology.
+// λs and Speed_profiles) with a finite estimate — never a panic. The seeds
+// are the encoded trace of LU.A.8 on the test topology and hostile traces:
+// a node outside the topology or the mapping, a peer outside the ranks, a
+// negative size, a short mapping, and a process off its mapped node.
 func FuzzFromTrace(f *testing.F) {
 	topo := cluster.NewTestTopology()
 	model := bench.Calibrate(topo, bench.Options{Reps: 2, Sizes: []int64{64, 16 << 10}, SkipLoadFit: true})
@@ -40,6 +42,7 @@ func FuzzFromTrace(f *testing.F) {
 		`{"cluster":"testnet","ranks":2,"mapping":[0,1],"segments":[{"procs":[{"rank":0,"node":0,"sends":[{"peer":2,"size":8,"count":1}]}]}]}`,
 		`{"cluster":"testnet","ranks":2,"mapping":[0,1],"segments":[{"procs":[{"rank":0,"node":0,"recvs":[{"peer":1,"size":-8,"count":1}]}]}]}`,
 		`{"cluster":"testnet","ranks":3,"mapping":[0,1],"segments":[]}`,
+		`{"cluster":"testnet","ranks":2,"mapping":[0,1],"segments":[{"procs":[{"rank":0,"node":4}]}]}`,
 	} {
 		f.Add([]byte(hostile))
 	}
@@ -56,7 +59,7 @@ func FuzzFromTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewEvaluator on an accepted trace: %v", err)
 		}
-		m := make(core.Mapping, p.Ranks)
+		m := make(core.Mapping, len(p.Mapping))
 		for r := range m {
 			m[r] = r % topo.NumNodes()
 		}

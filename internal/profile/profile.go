@@ -6,10 +6,10 @@
 // message-passing overhead time O, the blocked time B and the sets of
 // same-size message groups exchanged with every peer. For heterogeneous
 // clusters it also carries the experimentally measured per-architecture
-// compute-speed ratios. A profile holds measurements only: the
-// communication correction factor λ of eq. 7 is a coefficient of the
-// estimator, derived by package core from B, Theta and the network model
-// it evaluates with.
+// compute-speed ratios and the profiling mapping. A profile holds each
+// measurement once; package core derives the estimator's coefficients:
+// λ of eq. 7 from B, Theta and its network model, and Speed_profile of
+// eq. 5 as the measured speed of rank i's profiling node Mapping[i].
 package profile
 
 import (
@@ -21,7 +21,8 @@ import (
 	"cbes/internal/trace"
 )
 
-// ProcProfile summarises one process within one segment.
+// ProcProfile summarises one process within one segment: what was
+// measured of rank Rank. The node it ran on is the profile's Mapping[Rank].
 type ProcProfile struct {
 	Rank int     `json:"rank"`
 	X    float64 `json:"x"` // s executing own code
@@ -30,10 +31,6 @@ type ProcProfile struct {
 	// Sends and Recvs are the same-size message groups (mgS/mgR of eq. 6).
 	Sends []trace.MsgGroup `json:"sends"`
 	Recvs []trace.MsgGroup `json:"recvs"`
-	// ProfNode is the node the process was profiled on; ProfSpeed the
-	// application's measured speed there (Speed_profile of eq. 5).
-	ProfNode  int     `json:"prof_node"`
-	ProfSpeed float64 `json:"prof_speed"`
 }
 
 // SegmentProfile is the profile of one application phase.
@@ -46,8 +43,8 @@ type SegmentProfile struct {
 type Profile struct {
 	App     string `json:"app"`
 	Cluster string `json:"cluster"`
-	Ranks   int    `json:"ranks"`
-	// Mapping is the rank->node assignment used while profiling.
+	// Mapping is the rank->node assignment used while profiling; its
+	// length is the application's rank count.
 	Mapping []int `json:"mapping"`
 	// ArchSpeed holds the application's measured compute speed on each
 	// architecture, relative to the reference (bench.MeasureArchSpeeds).
@@ -56,10 +53,12 @@ type Profile struct {
 }
 
 // FromTrace analyses an execution trace into a profile. archSpeed carries
-// the measured per-architecture speeds of this application; the profiling
-// node's speed is looked up there. A trace without ranks, one that names a
-// node outside topo or a rank outside the trace, or one that counts a
-// negative number of messages or bytes, is an error (FuzzFromTrace).
+// the measured per-architecture speeds of this application, and every
+// profiling node's architecture must have one. A trace without ranks, one
+// that names a node outside topo or a rank outside the trace, a process
+// record on another node than the mapping gives its rank, or one that
+// counts a negative number of messages or bytes, is an error
+// (FuzzFromTrace).
 func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Arch]float64) (*Profile, error) {
 	if tr.Cluster != topo.Name {
 		return nil, fmt.Errorf("profile: trace from cluster %q, topology is %q", tr.Cluster, topo.Name)
@@ -67,16 +66,17 @@ func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Ar
 	if tr.Ranks < 1 || len(tr.Mapping) != tr.Ranks {
 		return nil, fmt.Errorf("profile: trace of %d ranks maps %d", tr.Ranks, len(tr.Mapping))
 	}
-	nodes := topo.NumNodes()
 	for rank, node := range tr.Mapping {
-		if node < 0 || node >= nodes {
+		if node < 0 || node >= topo.NumNodes() {
 			return nil, fmt.Errorf("profile: rank %d mapped to node %d, outside the topology", rank, node)
+		}
+		if arch := topo.Node(node).Arch; !(archSpeed[arch] > 0) {
+			return nil, fmt.Errorf("profile: rank %d on node %d: no measured speed for architecture %q", rank, node, arch)
 		}
 	}
 	p := &Profile{
 		App:       tr.App,
 		Cluster:   tr.Cluster,
-		Ranks:     tr.Ranks,
 		Mapping:   append([]int(nil), tr.Mapping...),
 		ArchSpeed: map[cluster.Arch]float64{},
 	}
@@ -86,23 +86,16 @@ func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Ar
 	for _, seg := range tr.Segments {
 		sp := SegmentProfile{Name: seg.Name}
 		for _, pt := range seg.Procs {
-			if err := checkProc(&pt, tr.Ranks, nodes); err != nil {
+			if err := checkProc(&pt, tr.Mapping); err != nil {
 				return nil, fmt.Errorf("profile: segment %q: %w", seg.Name, err)
 			}
-			arch := topo.Node(pt.Node).Arch
-			speed, ok := p.ArchSpeed[arch]
-			if !ok {
-				return nil, fmt.Errorf("profile: no measured speed for architecture %q", arch)
-			}
 			sp.Procs = append(sp.Procs, ProcProfile{
-				Rank:      pt.Rank,
-				X:         pt.Run.Seconds(),
-				O:         pt.Overhead.Seconds(),
-				B:         pt.Blocked.Seconds(),
-				Sends:     append([]trace.MsgGroup(nil), pt.Sends...),
-				Recvs:     append([]trace.MsgGroup(nil), pt.Recvs...),
-				ProfNode:  pt.Node,
-				ProfSpeed: speed,
+				Rank:  pt.Rank,
+				X:     pt.Run.Seconds(),
+				O:     pt.Overhead.Seconds(),
+				B:     pt.Blocked.Seconds(),
+				Sends: append([]trace.MsgGroup(nil), pt.Sends...),
+				Recvs: append([]trace.MsgGroup(nil), pt.Recvs...),
 			})
 		}
 		p.Segments = append(p.Segments, sp)
@@ -111,15 +104,16 @@ func FromTrace(tr *trace.Trace, topo *cluster.Topology, archSpeed map[cluster.Ar
 }
 
 // checkProc rejects a process record that would index outside the
-// topology or the mapping, or count backwards.
-func checkProc(pt *trace.ProcTrace, ranks, nodes int) error {
-	if pt.Rank < 0 || pt.Rank >= ranks {
-		return fmt.Errorf("rank %d outside [0, %d)", pt.Rank, ranks)
+// mapping, ran on another node than the mapping gives its rank, or counts
+// backwards.
+func checkProc(pt *trace.ProcTrace, mapping []int) error {
+	if pt.Rank < 0 || pt.Rank >= len(mapping) {
+		return fmt.Errorf("rank %d outside [0, %d)", pt.Rank, len(mapping))
 	}
-	if pt.Node < 0 || pt.Node >= nodes {
-		return fmt.Errorf("rank %d on node %d, outside the topology", pt.Rank, pt.Node)
+	if pt.Node != mapping[pt.Rank] {
+		return fmt.Errorf("rank %d on node %d, mapped to node %d", pt.Rank, pt.Node, mapping[pt.Rank])
 	}
-	return checkGroups(pt.Rank, ranks, pt.Sends, pt.Recvs)
+	return checkGroups(pt.Rank, len(mapping), pt.Sends, pt.Recvs)
 }
 
 // checkGroups rejects a message group whose peer lies outside [0, ranks)
@@ -185,12 +179,13 @@ func (p *Profile) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(p
 
 // Decode reads a profile written by Encode. A stored profile is outside
 // input, so Decode rejects one an evaluation could not index or would sum
-// to infinity (FuzzDecodeProfile): Ranks must equal len(Mapping) and be at
-// least 1, process ranks and message peers must lie in [0, Ranks), message
-// counts and sizes must not be negative, times and profiling speeds must
-// lie in [0, maxValue], and architecture speeds in [minSpeed, maxValue].
-// A profile stored before λ moved into package core carries "lambda" and
-// "lambdas_ready" keys; Decode ignores them like any unknown key.
+// to infinity (FuzzDecodeProfile): the mapping must not be empty, process
+// ranks and message peers must lie in [0, len(Mapping)), message counts
+// and sizes must not be negative, times must lie in [0, maxValue], and
+// architecture speeds in [minSpeed, maxValue]. A profile stored before
+// package core derived λ and Speed_profile carries "lambda",
+// "lambdas_ready", "ranks", "prof_node" and "prof_speed" keys; Decode
+// ignores them like any unknown key.
 func Decode(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -210,8 +205,9 @@ const (
 )
 
 func (p *Profile) validate() error {
-	if p.Ranks < 1 || p.Ranks != len(p.Mapping) {
-		return fmt.Errorf("%d ranks with a mapping of %d", p.Ranks, len(p.Mapping))
+	ranks := len(p.Mapping)
+	if ranks == 0 {
+		return fmt.Errorf("empty mapping")
 	}
 	for arch, s := range p.ArchSpeed {
 		if !(s >= minSpeed && s <= maxValue) {
@@ -220,15 +216,15 @@ func (p *Profile) validate() error {
 	}
 	for _, seg := range p.Segments {
 		for _, pp := range seg.Procs {
-			if pp.Rank < 0 || pp.Rank >= p.Ranks {
-				return fmt.Errorf("segment %q: rank %d outside [0, %d)", seg.Name, pp.Rank, p.Ranks)
+			if pp.Rank < 0 || pp.Rank >= ranks {
+				return fmt.Errorf("segment %q: rank %d outside [0, %d)", seg.Name, pp.Rank, ranks)
 			}
-			for _, v := range [...]float64{pp.X, pp.O, pp.B, pp.ProfSpeed} {
+			for _, v := range [...]float64{pp.X, pp.O, pp.B} {
 				if !(v >= 0 && v <= maxValue) {
 					return fmt.Errorf("segment %q: rank %d: value %v outside [0, %g]", seg.Name, pp.Rank, v, maxValue)
 				}
 			}
-			if err := checkGroups(pp.Rank, p.Ranks, pp.Sends, pp.Recvs); err != nil {
+			if err := checkGroups(pp.Rank, ranks, pp.Sends, pp.Recvs); err != nil {
 				return fmt.Errorf("segment %q: %w", seg.Name, err)
 			}
 		}

@@ -45,7 +45,7 @@ func TestFromTraceBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.App != "profiled" || p.Ranks != 2 {
+	if p.App != "profiled" || len(p.Mapping) != 2 || p.Mapping[1] != 1 {
 		t.Fatalf("header: %+v", p)
 	}
 	pp := p.Segments[0].Procs[0]
@@ -59,8 +59,22 @@ func TestFromTraceBasics(t *testing.T) {
 	if len(pp.Sends) != 1 || pp.Sends[0].Count != 10 || pp.Sends[0].Size != 4096 {
 		t.Fatalf("send groups: %+v", pp.Sends)
 	}
-	if pp.ProfNode != 0 || math.Abs(pp.ProfSpeed-1.0) > 1e-6 {
-		t.Fatalf("prof node/speed: %+v", pp)
+	if math.Abs(p.ArchSpeed[cluster.ArchAlpha]-1.0) > 1e-6 {
+		t.Fatalf("alpha speed %v, want ≈1", p.ArchSpeed[cluster.ArchAlpha])
+	}
+}
+
+// TestFromTraceRejectsMisplacedProcess: a process record on another node
+// than the trace's mapping gives its rank is an error. Accepting it would
+// leave the profile with two profiling nodes for one rank: the record's,
+// and the mapping's that λ and Speed_profile are derived on.
+func TestFromTraceRejectsMisplacedProcess(t *testing.T) {
+	topo := cluster.NewTestTopology()
+	tr := runTestApp(t, topo, []int{0, 1})
+	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
+	tr.Segments[0].Procs[0].Node = 4 // an Intel node; the mapping says Alpha node 0
+	if _, err := profile.FromTrace(tr, topo, speeds); err == nil {
+		t.Fatal("a process record off its mapped node was accepted")
 	}
 }
 
@@ -70,9 +84,12 @@ func TestFromTraceRejectsWrongCluster(t *testing.T) {
 	if _, err := profile.FromTrace(tr, cluster.NewOrangeGrove(), map[cluster.Arch]float64{}); err == nil {
 		t.Fatal("expected cluster mismatch error")
 	}
-	// Missing arch speed must error too.
+	// Missing arch speed must error too, as must a zero one.
 	if _, err := profile.FromTrace(tr, topo, map[cluster.Arch]float64{}); err == nil {
 		t.Fatal("expected missing arch speed error")
+	}
+	if _, err := profile.FromTrace(tr, topo, map[cluster.Arch]float64{cluster.ArchAlpha: 0}); err == nil {
+		t.Fatal("expected zero arch speed error")
 	}
 }
 

@@ -74,10 +74,10 @@ func (a *Advisor) Evaluate(current core.Mapping, remaining float64, snap *monito
 	}
 	cur := math.Inf(1)
 	evacuate := false
-	curPred, err := a.Eval.Predict(current, snap)
+	curEst, err := a.Eval.Estimate(current, snap)
 	switch {
 	case err == nil:
-		cur = curPred.Seconds * remaining
+		cur = curEst.Seconds * remaining
 	case errors.Is(err, core.ErrNodeDown):
 		evacuate = true
 	default:

@@ -162,7 +162,7 @@ func (r *Request) effort() int {
 	return 4000
 }
 
-func (r *Request) ranks() int { return r.Eval.Prof.Ranks }
+func (r *Request) ranks() int { return len(r.Eval.Prof.Mapping) }
 
 func (r *Request) validate() error {
 	if r.Eval == nil || r.Snap == nil {
@@ -307,11 +307,11 @@ func proposeMove(req *Request, m core.Mapping, load func(node int) int, rng *ran
 
 // predictFull evaluates a mapping with the full CBES operation.
 func predictFull(req *Request, m core.Mapping) float64 {
-	p, err := req.Eval.Predict(m, req.Snap)
+	est, err := req.Eval.Estimate(m, req.Snap)
 	if err != nil {
 		panic(fmt.Sprintf("schedule: predict: %v", err))
 	}
-	return p.Seconds
+	return est.Seconds
 }
 
 // Random is the RS scheduler: an arbitrary valid mapping, no evaluation.

@@ -200,11 +200,10 @@ func (s *Server) brownoutEstimate(ctx context.Context, eval *core.Evaluator, app
 		return core.Estimate{}, aerr
 	}
 	defer s.lim.Release(tk)
-	pred, err := eval.PredictBrownout(m)
+	est, err := eval.PredictBrownout(m)
 	if err != nil {
 		return core.Estimate{}, err
 	}
-	est := core.Estimate{Seconds: pred.Seconds, Critical: -1, Brownout: true}
 	s.brown.put(key, est)
 	return est, nil
 }
