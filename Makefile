@@ -26,18 +26,25 @@ verify: build test
 # only a handful of move sequences. A 10 s fuzz of stored profiles follows:
 # building an evaluator divides a stored B by the Θ it derives from stored
 # counts and sizes, so bytes from disk reach a division on every boot. A
-# 10 s fuzz of traces closes the pass: FromTrace and NewEvaluator each
-# refuse a profiling node without a measured speed, and FromTrace a process
-# off its mapped node, so its invariant (an accepted trace builds an
-# evaluator, which gives a finite estimate) keeps the two refusals in step.
+# 10 s fuzz of traces comes next: FromTrace and NewEvaluator each refuse a
+# profiling node without a measured speed, and FromTrace a process off its
+# mapped node, so its invariant (an accepted trace builds an evaluator,
+# which gives a finite estimate) keeps the two refusals in step. A 10 s
+# fuzz of the RPC handlers closes the pass: Evaluate and Compare share one
+# admission, brownout and ledger path, and every served prediction ID must
+# join its outcome. The fuzz steps skip minimizing new inputs
+# (-fuzzminimizetime 0): the seeds are whole encoded profiles and traces,
+# and Go's default minute of minimizing each new input ate the steps' time
+# budget, leaving them stalled at 0 execs/s.
 ci:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 	$(GO) test -race -timeout 45m ./...
-	$(GO) test -run '^$$' -fuzz FuzzEnergyDelta -fuzztime 20s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeProfile -fuzztime 10s ./internal/profile/
-	$(GO) test -run '^$$' -fuzz FuzzFromTrace -fuzztime 10s ./internal/profile/
+	$(GO) test -run '^$$' -fuzz FuzzEnergyDelta -fuzztime 20s -fuzzminimizetime 0 ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProfile -fuzztime 10s -fuzzminimizetime 0 ./internal/profile/
+	$(GO) test -run '^$$' -fuzz FuzzFromTrace -fuzztime 10s -fuzzminimizetime 0 ./internal/profile/
+	$(GO) test -run '^$$' -fuzz FuzzHandlers -fuzztime 10s -fuzzminimizetime 0 ./internal/service/
 	$(MAKE) stress
 	$(MAKE) bench-quick
 

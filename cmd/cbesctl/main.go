@@ -16,10 +16,11 @@
 // schedule) print the request's trace ID; feed it to the daemon's
 // /debug/trace?id=... endpoint for the causal flame view, or to
 // `cbesctl decisions -trace ...` for the matching flight-recorder
-// record. They also print a prediction ID (predid): once the mapping has
-// actually run, `cbesctl report -id PREDID -actual SECONDS` joins the
-// measured runtime back to the prediction, and `cbesctl accuracy` shows
-// the resulting calibration statistics and drift verdict.
+// record. They also print a prediction ID (predid; compare prints the
+// best mapping's): once the mapping has actually run, `cbesctl report
+// -id PREDID -actual SECONDS` joins the measured runtime back to the
+// prediction, and `cbesctl accuracy` shows the resulting calibration
+// statistics and drift verdict.
 package main
 
 import (
@@ -30,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	"cbes/internal/admission"
 	"cbes/internal/cluster"
 	"cbes/internal/obs"
 	"cbes/internal/service"
@@ -95,9 +95,6 @@ func main() {
 	if *deadline > 0 {
 		c.SetCallTimeout(*deadline)
 	}
-	// A retry budget keeps a scripted cbesctl loop from multiplying the
-	// offered load against an already-overloaded daemon.
-	c.SetRetryBudget(admission.NewRetryBudget(0))
 
 	switch verb {
 	case "status":
@@ -150,22 +147,21 @@ func main() {
 			log.Fatal(err)
 		}
 		for i, s := range r.Seconds {
-			marker := " "
+			marker, id := " ", ""
 			if i == r.Best {
 				marker = "*"
+				if r.PredictionID != "" {
+					id = "  predid=" + r.PredictionID
+				}
 			}
 			note := ""
 			if i < len(r.Degraded) && r.Degraded[i] {
 				note = fmt.Sprintf("  [degraded: stale nodes %v]", r.StaleNodes[i])
 			}
-			id := ""
-			if i < len(r.PredictionIDs) && r.PredictionIDs[i] != "" {
-				id = "  predid=" + r.PredictionIDs[i]
-			}
 			fmt.Printf("%s mapping %v: %.3fs%s%s\n", marker, mappings[i], s, id, note)
 		}
 		if r.Brownout {
-			fmt.Println("BROWNOUT: server is shedding load; batch answered from the profile-only fast path (nominal conditions, no predids)")
+			fmt.Println("BROWNOUT: server is shedding load; batch answered from the profile-only fast path (nominal conditions, no predid)")
 		}
 		if r.TraceID != "" {
 			fmt.Printf("trace: %s\n", r.TraceID)

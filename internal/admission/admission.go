@@ -1,8 +1,7 @@
 // Package admission implements adaptive overload protection for the
 // service tier (DESIGN.md §15): a gradient/AIMD concurrency limiter fed
 // by observed request latency, with two cost classes and priority
-// shedding, plus the client-side retry budget that keeps retrying
-// callers from amplifying an overload.
+// shedding.
 //
 // The limiter's contract is deliberately small: Acquire reserves one
 // concurrency slot for a request (or refuses it), Release returns the
@@ -69,8 +68,8 @@ var (
 // ErrShed is returned when the limiter refuses a request: the limit is
 // reached and the request's class does not queue (or its queue is
 // full). The condition is transient but load-driven — clients should
-// retry only within their retry budget and back off hard. The "cbes:"
-// code prefix survives net/rpc error flattening (DESIGN.md §15).
+// back off hard before retrying. The "cbes:" code prefix survives
+// net/rpc error flattening (DESIGN.md §15).
 var ErrShed = errors.New("cbes:shed: admission limiter shed this request (server overloaded)")
 
 // Class is a request cost class.

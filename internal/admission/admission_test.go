@@ -248,30 +248,3 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 		t.Fatalf("inflight after churn = %d, want 0", got)
 	}
 }
-
-func TestRetryBudgetDrainsAndRefills(t *testing.T) {
-	b := NewRetryBudget(0.5)
-	allowed := 0
-	for b.Allow() {
-		allowed++
-		if allowed > 100 {
-			t.Fatal("budget never drained")
-		}
-	}
-	if allowed != 10 {
-		t.Fatalf("initial budget allowed %d retries, want 10", allowed)
-	}
-	b.Earn()
-	b.Earn() // 2 × 0.5 = 1 token
-	if !b.Allow() {
-		t.Fatal("budget should allow one retry after two successes")
-	}
-	if b.Allow() {
-		t.Fatal("budget should be empty again")
-	}
-	var nilB *RetryBudget
-	if !nilB.Allow() {
-		t.Fatal("nil budget must always allow")
-	}
-	nilB.Earn() // must not panic
-}

@@ -100,6 +100,35 @@ func TestWideCompareKeepsPendingPredictions(t *testing.T) {
 	}
 }
 
+// TestComparesKeepPendingEvaluate: a Compare registers one prediction,
+// its best candidate's, so sixteen 256-wide Compares (4 096 candidates,
+// the size of the ledger's pending ring) leave an earlier Evaluate's
+// prediction joinable.
+func TestComparesKeepPendingEvaluate(t *testing.T) {
+	c, prog, _ := startServer(t)
+	mapping := []int{0, 1, 2, 3}
+	ev, err := c.Evaluate(prog.Name, mapping)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	wide := make([][]int, maxCompareMappings)
+	for i := range wide {
+		wide[i] = []int{i % 4, (i + 1) % 4, (i + 2) % 4, (i + 3) % 4}
+	}
+	for i := 0; i < 16; i++ {
+		r, err := c.Compare(prog.Name, wide)
+		if err != nil {
+			t.Fatalf("Compare %d: %v", i, err)
+		}
+		if r.PredictionID == "" || r.PredictionID == ev.PredictionID {
+			t.Fatalf("Compare %d: PredictionID %q, want a fresh ledger key", i, r.PredictionID)
+		}
+	}
+	if _, err := c.ReportOutcome(ev.PredictionID, ev.Seconds); err != nil {
+		t.Fatalf("ReportOutcome after sixteen wide Compares: %v", err)
+	}
+}
+
 // TestSchedulePredictionIDAndOutcome checks the Schedule path hands out its
 // own ledger entry, distinct from Evaluate's.
 func TestSchedulePredictionIDAndOutcome(t *testing.T) {

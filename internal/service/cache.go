@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/binary"
-	"errors"
 	"sync"
 
 	"cbes/internal/admission"
@@ -132,55 +131,35 @@ func predKey(app string, mapping []int, epoch uint64) string {
 	return string(buf)
 }
 
-// estimate serves one prediction through the cache: a hit returns the
-// cached estimate, a miss evaluates and fills; hit reports which happened
-// (feeding the decision record's cache outcome). The caller supplies the
-// view so the epoch in the key matches the snapshot being evaluated
-// against, and a context whose active span parents the lookup/evaluation
-// spans. With the cache disabled (nil) every call is a miss.
-//
-// admit puts admission control on the compute path (DESIGN.md §15): a hit
-// is served without touching the limiter — the cached answer IS the full
-// answer, so the cheap class degenerates to free — while a miss must win
-// an expensive-class slot before evaluating. shed=true (with no estimate
-// and no error) reports that the limiter refused the compute; the caller
-// falls back to the brownout path. Callers that already hold a slot for
-// the whole request (Compare, Schedule) pass admit=false.
-func (s *Server) estimate(ctx context.Context, v *view, app string, eval *core.Evaluator, m core.Mapping, admit bool) (est core.Estimate, hit, shed bool, err error) {
-	span, ctx := obs.StartSpan(ctx, "cache.lookup")
-	key := ""
+// lookup is the read path's one probe of the epoch cache: it looks
+// mapping m up under a cache.lookup span and books exactly one hit or
+// miss, returning the key a miss is filled at. The caller supplies the
+// view, so the epoch in the key matches the snapshot a miss is evaluated
+// against. With the cache disabled (nil) every lookup misses.
+func (s *Server) lookup(ctx context.Context, v *view, app string, m []int) (est core.Estimate, key string, hit bool) {
+	span, _ := obs.StartSpan(ctx, "cache.lookup")
 	if s.cache != nil {
 		key = predKey(app, m, v.epoch)
-		if est, hit = s.cache.get(key); hit {
-			span.Attr("hit", true).End()
-			return est, true, false, nil
-		}
+		est, hit = s.cache.get(key)
 	}
-	span.Attr("hit", false)
-	if admit && s.lim != nil {
-		tk, aerr := s.lim.Acquire(ctx, admission.Expensive)
-		if aerr != nil {
-			span.Attr("shed", true).End()
-			if errors.Is(aerr, admission.ErrShed) {
-				return core.Estimate{}, false, true, nil
-			}
-			return core.Estimate{}, false, false, aerr
-		}
-		defer s.lim.Release(tk)
-	}
-	pspan, _ := obs.StartSpan(ctx, "core.predict")
-	est, err = eval.Estimate(m, v.snap)
+	span.Attr("hit", hit).End()
+	return est, key, hit
+}
+
+// compute evaluates a mapping the cache missed under a core.predict span
+// and fills the cache at key. The caller holds the admission slot the
+// compute needs.
+func (s *Server) compute(ctx context.Context, v *view, eval *core.Evaluator, m []int, key string) (core.Estimate, error) {
+	span, _ := obs.StartSpan(ctx, "core.predict")
+	est, err := eval.Estimate(core.Mapping(m), v.snap)
+	span.Error(err).End()
 	if err != nil {
-		pspan.Error(err).End()
-		span.Error(err).End()
-		return core.Estimate{}, false, false, err
+		return core.Estimate{}, err
 	}
-	pspan.End()
 	if s.cache != nil {
 		s.cache.put(key, est)
 	}
-	span.End()
-	return est, false, false, nil
+	return est, nil
 }
 
 // brownoutEstimate serves one profile-only brownout prediction through

@@ -11,19 +11,12 @@ import (
 	"sync"
 	"time"
 
-	"cbes/internal/admission"
 	"cbes/internal/obs"
 )
 
-// Client-side resilience counters: retries spent, and retries suppressed
-// by an empty retry budget.
-var (
-	clientRetries = obs.Default().Counter(
-		"cbes_client_retries_total", "Client-side retries of transient RPC failures.")
-	clientBudgetExhausted = obs.Default().Counter(
-		"cbes_client_retry_budget_exhausted_total",
-		"Client retries suppressed because the retry budget was empty.")
-)
+// clientRetries counts the client's resends of transient failures.
+var clientRetries = obs.Default().Counter(
+	"cbes_client_retries_total", "Client-side retries of transient RPC failures.")
 
 // traceCarrier is what Client.call stamps: any args struct embedding
 // TraceMeta implements it via the promoted pointer method.
@@ -83,10 +76,6 @@ type Client struct {
 	// (now + callTimeout) propagated in TraceMeta; the whole retry loop
 	// shares one budget. Zero (the default) propagates no deadline.
 	callTimeout time.Duration
-	// budget, when non-nil, bounds retry amplification (see
-	// admission.RetryBudget). Nil (the default) leaves retries bounded
-	// only by RetryPolicy.Max.
-	budget *admission.RetryBudget
 }
 
 // Dial connects to a CBES server with the default timeout.
@@ -135,13 +124,6 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.retry = p.withDefaults()
 }
 
-// retryPolicy snapshots the current retry policy.
-func (c *Client) retryPolicy() RetryPolicy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry
-}
-
 // SetCallTimeout sets the per-call deadline budget: every subsequent
 // call stamps now+d as an absolute deadline into its TraceMeta (the
 // server abandons work past it) and the client's own retry loop stops
@@ -153,21 +135,12 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 	c.callTimeout = d
 }
 
-// SetRetryBudget installs a retry budget shared by all calls through
-// this client: retries spend tokens, successes earn fractional tokens
-// back, so under persistent overload the retry rate decays to the earn
-// ratio instead of multiplying offered load. Nil removes the budget.
-func (c *Client) SetRetryBudget(b *admission.RetryBudget) {
+// settings snapshots the retry policy and call timeout for one call, so
+// every attempt of it reads one coherent pair.
+func (c *Client) settings() (RetryPolicy, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.budget = b
-}
-
-// resilience snapshots the overload-protection knobs for one call.
-func (c *Client) resilience() (time.Duration, *admission.RetryBudget) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.callTimeout, c.budget
+	return c.retry, c.callTimeout
 }
 
 // Close terminates the connection.
@@ -245,10 +218,9 @@ func connError(err error) bool {
 // lost reply leaves the outcome unknown and a resend would double-apply
 // it. When a call timeout is set the absolute deadline is stamped ONCE
 // and shared by every retry — queue time and earlier attempts count
-// against it, so retries cannot stretch a caller's latency budget. The
-// retry budget gates each resend.
+// against it, so retries cannot stretch a caller's latency budget.
 func (c *Client) call(method string, args, reply any, idempotent bool) (err error) {
-	callTimeout, budget := c.resilience()
+	retry, callTimeout := c.settings()
 	// One client-side span covers the whole retry loop; its context rides
 	// the wire in the args' TraceMeta, so the server-side rpc.* span (and
 	// everything under it — cache, search, anneal restarts) joins THIS
@@ -266,13 +238,7 @@ func (c *Client) call(method string, args, reply any, idempotent bool) (err erro
 		}
 	}
 	attempts := 0
-	defer func() {
-		span.Attr("attempts", attempts).Error(err).End()
-		if err == nil {
-			budget.Earn()
-		}
-	}()
-	retry := c.retryPolicy() // one coherent policy for the whole call
+	defer func() { span.Attr("attempts", attempts).Error(err).End() }()
 	for attempt := 0; ; attempt++ {
 		attempts = attempt + 1
 		rc := c.conn()
@@ -282,10 +248,6 @@ func (c *Client) call(method string, args, reply any, idempotent bool) (err erro
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return err // budget exhausted: surface the last real error
-		}
-		if !budget.Allow() {
-			clientBudgetExhausted.Inc()
-			return err
 		}
 		clientRetries.Inc()
 		if connError(err) {

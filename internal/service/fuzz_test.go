@@ -75,15 +75,17 @@ func FuzzHandlers(f *testing.F) {
 			}
 		}
 
-		id := "p-fuzz"
-		if reportServed && ev.PredictionID != "" {
-			id = ev.PredictionID
-		}
-		var out ReportOutcomeReply
-		err = s.ReportOutcome(&ReportOutcomeArgs{PredictionID: id, ActualSeconds: actual}, &out)
-		check("ReportOutcome", err)
-		if err == nil && (out.Actual != actual || !(actual > 0) || math.IsInf(actual, 0)) {
-			t.Fatalf("ReportOutcome(%q, %v) = %+v", id, actual, out)
+		for _, served := range []string{ev.PredictionID, cmp.PredictionID} {
+			id := "p-fuzz"
+			if reportServed && served != "" {
+				id = served
+			}
+			var out ReportOutcomeReply
+			err = s.ReportOutcome(&ReportOutcomeArgs{PredictionID: id, ActualSeconds: actual}, &out)
+			check("ReportOutcome", err)
+			if err == nil && (out.Actual != actual || !(actual > 0) || math.IsInf(actual, 0)) {
+				t.Fatalf("ReportOutcome(%q, %v) = %+v", id, actual, out)
+			}
 		}
 
 		if advance >= 0 && advance < 1e10 {

@@ -127,7 +127,7 @@ func TestEvaluateBrownoutUnderShed(t *testing.T) {
 }
 
 // A shed Compare browns out as a batch: every candidate answered from
-// the profile-only path, labeled, with no prediction IDs.
+// the profile-only path, labeled, with no prediction ID.
 func TestCompareBrownoutUnderShed(t *testing.T) {
 	srv, prog, _ := newLocalServer(t)
 	lim := tinyLimiter()
@@ -153,12 +153,50 @@ func TestCompareBrownoutUnderShed(t *testing.T) {
 	if reply.Best != 0 {
 		t.Fatalf("best = %d, want 0 (Alpha mapping)", reply.Best)
 	}
-	if len(reply.PredictionIDs) != 0 {
-		t.Fatalf("brownout compare carries prediction IDs %v", reply.PredictionIDs)
+	if reply.PredictionID != "" {
+		t.Fatalf("brownout compare carries PredictionID %q", reply.PredictionID)
 	}
 	recs := srv.rec.Decisions(obs.DecisionQuery{Kind: "compare", App: prog.Name, N: 1})
 	if len(recs) != 1 || !recs[0].Shed || !recs[0].Brownout {
 		t.Fatalf("decision record = %+v, want Shed && Brownout", recs)
+	}
+}
+
+// Cached answers are full answers: with the only expensive slot held, a
+// Compare whose candidates are all in the epoch cache is served in full,
+// not browned out, and registers its best candidate with the ledger.
+func TestCachedCompareServedWhileShed(t *testing.T) {
+	srv, prog, _ := newLocalServer(t)
+	lim := tinyLimiter()
+	srv.SetAdmission(lim)
+	args := &CompareArgs{App: prog.Name, Mappings: [][]int{{4, 5, 6, 7}, {0, 1, 2, 3}}}
+	var warm CompareReply
+	if err := srv.Compare(args, &warm); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := lim.Acquire(context.Background(), admission.Expensive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lim.Release(tk)
+
+	var reply CompareReply
+	if err := srv.Compare(args, &reply); err != nil {
+		t.Fatalf("cached Compare under shed: %v", err)
+	}
+	if reply.Brownout {
+		t.Fatal("an all-hit Compare browned out")
+	}
+	if reply.Best != warm.Best || reply.Seconds[0] != warm.Seconds[0] || reply.Seconds[1] != warm.Seconds[1] {
+		t.Fatalf("cached reply %v best %d, want the full answer %v best %d", reply.Seconds, reply.Best, warm.Seconds, warm.Best)
+	}
+	recs := srv.rec.Decisions(obs.DecisionQuery{Kind: "compare", App: prog.Name, N: 1})
+	if len(recs) != 1 || recs[0].Shed || recs[0].CacheHits != 2 || recs[0].PredictionID != reply.PredictionID {
+		t.Fatalf("decision record = %+v, want two hits, no shed, PredictionID %q", recs, reply.PredictionID)
+	}
+	var out ReportOutcomeReply
+	if err := srv.ReportOutcome(&ReportOutcomeArgs{PredictionID: reply.PredictionID, ActualSeconds: reply.Seconds[reply.Best]}, &out); err != nil {
+		t.Fatalf("ReportOutcome(%q): %v", reply.PredictionID, err)
 	}
 }
 

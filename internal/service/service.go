@@ -85,8 +85,8 @@ var ErrBusy = errors.New(codeBusy + ": server busy (engine lock timeout)")
 
 // ErrShed is returned when the admission limiter refused the request and
 // no brownout answer was possible. Transient but load-driven: clients
-// retry only within their retry budget. Aliased from internal/admission
-// so both packages flatten to the same wire code.
+// retry it with backoff. Aliased from internal/admission so both packages
+// flatten to the same wire code.
 var ErrShed = admission.ErrShed
 
 // ErrDeadlineExceeded is returned (wrapped) when the caller's propagated
@@ -314,11 +314,11 @@ type CompareReply struct {
 	StaleNodes [][]int
 	// Brownout reports that the whole batch was answered from the
 	// profile-only fast path because the server was shedding load
-	// (see EvaluateReply.Brownout); PredictionIDs stay empty.
+	// (see EvaluateReply.Brownout); PredictionID stays empty.
 	Brownout bool
-	// PredictionIDs[i] is mapping i's accuracy-ledger key, aligned with
-	// Seconds — report whichever candidate actually ran.
-	PredictionIDs []string
+	// PredictionID is the Best candidate's accuracy-ledger key — the one
+	// prediction of the batch the caller is expected to run and report.
+	PredictionID string
 	// ErrBand* describe the winning candidate's calibration bucket (see
 	// EvaluateReply).
 	ErrBandLowPct  float64
@@ -610,46 +610,100 @@ func (s *Server) decide(method, kind, app string, meta TraceMeta, body func(ctx 
 	})
 }
 
-// Evaluate predicts the execution time of one mapping. Lock-free: served
-// from the published view through the prediction cache.
-func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
-	return s.decide("Evaluate", "evaluate", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
-		m := core.Mapping(args.Mapping)
-		est, hit, shed, err := s.estimate(ctx, v, args.App, eval, m, true)
-		d.CacheLookups = 1
+// serve answers one decision over its candidate mappings — Compare's
+// batch, or Evaluate's one mapping — under the service's one admission
+// and brownout rule (fill). ests[i] receives candidate i's estimate, and
+// best indexes the fastest. That one prediction, the one the caller acts
+// on, registers with the accuracy ledger (id, with its bucket's band),
+// unless the batch browned out. serve fills the decision record but for
+// its degraded markers, which the caller copies from its reply.
+func (s *Server) serve(ctx context.Context, v *view, eval *core.Evaluator, app string, ms [][]int, ests []core.Estimate, d *obs.Decision) (best int, id string, band accuracy.Band, err error) {
+	if err := s.fill(ctx, v, eval, app, ms, ests, d); err != nil {
+		return 0, "", accuracy.Band{}, err
+	}
+	best = fastest(ests)
+	d.Mapping, d.Predicted = ms[best], ests[best].Seconds
+	if d.Brownout {
+		return best, "", accuracy.Band{}, nil // never registered: its bias would feed calibration
+	}
+	id, k := s.beginPrediction(ctx, v, d.TraceID, app, "", ms[best], ests[best].Seconds, ests[best].Degraded)
+	d.PredictionID = id
+	return best, id, s.led.BandFor(k), nil
+}
+
+// fill is the service's one admission and brownout rule (DESIGN.md §15).
+// Every candidate is looked up in the epoch cache, and a batch that hits
+// throughout takes no admission slot: a cached answer is the full answer.
+// The first miss takes one expensive-class slot, which covers computing
+// every miss of the batch (per-candidate slots would let a wide Compare
+// starve everyone else). When the limiter sheds that slot the whole batch
+// browns out instead, cached candidates included, so every candidate is
+// ranked by the same profile-only sketch: a labeled, cheaper answer
+// instead of a rejection.
+func (s *Server) fill(ctx context.Context, v *view, eval *core.Evaluator, app string, ms [][]int, ests []core.Estimate, d *obs.Decision) error {
+	admitted := s.lim == nil
+	for i, m := range ms {
+		est, key, hit := s.lookup(ctx, v, app, m)
+		d.CacheLookups++
 		if hit {
-			d.CacheHits = 1
+			ests[i] = est
+			d.CacheHits++
+			continue
 		}
+		if !admitted {
+			tk, err := s.lim.Acquire(ctx, admission.Expensive)
+			if errors.Is(err, admission.ErrShed) {
+				return s.brownout(ctx, eval, app, ms, ests, d)
+			}
+			if err != nil {
+				return err
+			}
+			defer s.lim.Release(tk) // once: the batch's one slot
+			admitted = true
+		}
+		est, err := s.compute(ctx, v, eval, m, key)
 		if err != nil {
 			return err
 		}
-		if shed {
-			// Brownout: the limiter refused the full-service compute, so
-			// answer from the profile-only fast path — a labeled cheaper
-			// answer instead of a rejection (DESIGN.md §15).
-			d.Shed = true
-			if est, err = s.brownoutEstimate(ctx, eval, args.App, m); err != nil {
-				return err
-			}
-			d.Brownout = true
-			brownoutServed.Inc()
+		ests[i] = est
+	}
+	return nil
+}
+
+// brownout answers a shed batch from the profile-only fast path.
+func (s *Server) brownout(ctx context.Context, eval *core.Evaluator, app string, ms [][]int, ests []core.Estimate, d *obs.Decision) error {
+	d.Shed = true
+	obs.SpanFromContext(ctx).Attr("shed", true)
+	for i, m := range ms {
+		est, err := s.brownoutEstimate(ctx, eval, app, m)
+		if err != nil {
+			return err
 		}
+		ests[i] = est
+	}
+	d.Brownout = true
+	brownoutServed.Inc()
+	return nil
+}
+
+// Evaluate predicts the execution time of one mapping: a one-candidate
+// serve. Lock-free: served from the published view through the
+// prediction cache.
+func (s *Server) Evaluate(args *EvaluateArgs, reply *EvaluateReply) error {
+	return s.decide("Evaluate", "evaluate", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
+		var est [1]core.Estimate
+		_, id, band, err := s.serve(ctx, v, eval, args.App, [][]int{args.Mapping}, est[:], d)
+		if err != nil {
+			return err
+		}
+		e := est[0]
 		reply.TraceID = d.TraceID
-		reply.Seconds = est.Seconds
-		if est.Critical >= 0 { // the brownout sketch names no critical rank
-			reply.Critical = est.Critical
-		}
-		reply.Brownout = est.Brownout
-		d.Mapping = args.Mapping
-		d.Predicted = est.Seconds
-		if est.Brownout {
-			return nil // never registered with the ledger: its bias would feed calibration
-		}
-		fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
-		id, k := s.beginPrediction(ctx, v, d.TraceID, args.App, "", args.Mapping, est.Seconds, est.Degraded)
+		reply.Seconds = e.Seconds
+		reply.Critical = max(e.Critical, 0) // the brownout sketch names no critical rank (-1)
+		reply.Brownout = d.Brownout
 		reply.PredictionID = id
-		fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-		d.PredictionID = id
+		fillDegraded(e, &reply.Degraded, &reply.StaleNodes)
+		fillBand(band, &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
 		d.Degraded, d.StaleNodes = reply.Degraded, reply.StaleNodes
 		return nil
 	})
@@ -675,26 +729,19 @@ func (s *Server) Explain(args *ExplainArgs, reply *ExplainReply) error {
 	})
 }
 
-// maxCompareMappings caps one Compare's width. Every candidate takes a
-// slot of the accuracy ledger's 4096-slot pending ring, so one request may
-// hold at most 1/16 of it; a 4096-wide batch would expire every pending
-// prediction of every client.
+// maxCompareMappings caps one Compare's width. A batch's misses are
+// computed under one admission slot, so the cap bounds the compute one
+// request holds a slot for.
 const maxCompareMappings = 256
 
-// Compare predicts several mappings and selects the fastest. Each
-// candidate is served through the prediction cache individually, so a
-// batch repeated across clients costs one evaluation per novel mapping
-// per epoch. One expensive-class admission slot covers the whole batch
-// (per-candidate slots would let a wide Compare starve everyone else);
-// when the limiter sheds it, the batch browns out instead: every
-// candidate is predicted by the profile-only fast path (cache-assisted,
-// computed under the cheap admission lane) and the reply is labeled
-// Brownout. The ranking is still useful but coarser than a degraded
+// Compare predicts several mappings and selects the fastest, through the
+// same serve as Evaluate: a batch repeated across clients costs one
+// evaluation per novel mapping per epoch, and a shed batch browns out as a
+// whole. The brownout ranking is still useful but coarser than a degraded
 // prediction's: core's PredictBrownout scores each candidate on an idle
 // cluster with an O(ranks) sketch that fixes the critical rank for the
-// whole run instead of finding it per segment. No brownout candidate
-// registers with the accuracy ledger. A batch wider than
-// maxCompareMappings is refused before admission.
+// whole run instead of finding it per segment. A batch wider than
+// maxCompareMappings is refused before any lookup.
 func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 	return s.decide("Compare", "compare", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
 		n := len(args.Mappings)
@@ -704,60 +751,23 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 		if n > maxCompareMappings {
 			return fmt.Errorf("service: %d mappings, at most %d per Compare", n, maxCompareMappings)
 		}
-		if s.lim != nil {
-			tk, err := s.lim.Acquire(ctx, admission.Expensive)
-			switch {
-			case errors.Is(err, admission.ErrShed):
-				d.Shed = true
-			case err != nil:
-				return err
-			default:
-				defer s.lim.Release(tk)
-			}
+		ests := make([]core.Estimate, n)
+		best, id, band, err := s.serve(ctx, v, eval, args.App, args.Mappings, ests, d)
+		if err != nil {
+			return err
 		}
+		reply.TraceID = d.TraceID
 		reply.Seconds = make([]float64, n)
 		reply.Degraded = make([]bool, n)
 		reply.StaleNodes = make([][]int, n)
-		var keys []accuracy.Key
-		if !d.Shed {
-			reply.PredictionIDs = make([]string, n)
-			keys = make([]accuracy.Key, n)
+		for i, e := range ests {
+			reply.Seconds[i] = e.Seconds
+			fillDegraded(e, &reply.Degraded[i], &reply.StaleNodes[i])
 		}
-		for i, m := range args.Mappings {
-			var est core.Estimate
-			var err error
-			if d.Shed {
-				est, err = s.brownoutEstimate(ctx, eval, args.App, core.Mapping(m))
-			} else {
-				var hit bool
-				est, hit, _, err = s.estimate(ctx, v, args.App, eval, core.Mapping(m), false)
-				d.CacheLookups++
-				if hit {
-					d.CacheHits++
-				}
-			}
-			if err != nil {
-				return err
-			}
-			reply.Seconds[i] = est.Seconds
-			if !d.Shed {
-				fillDegraded(est, &reply.Degraded[i], &reply.StaleNodes[i])
-				reply.PredictionIDs[i], keys[i] = s.beginPrediction(ctx, v, d.TraceID, args.App, "", m, est.Seconds, est.Degraded)
-			}
-		}
-		best := fastest(reply.Seconds)
-		reply.TraceID = d.TraceID
 		reply.Best = best
-		reply.Brownout = d.Shed
-		d.Mapping = args.Mappings[best]
-		d.Predicted = reply.Seconds[best]
-		if d.Shed {
-			d.Brownout = true
-			brownoutServed.Inc()
-			return nil
-		}
-		fillBand(s.led.BandFor(keys[best]), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-		d.PredictionID = reply.PredictionIDs[best]
+		reply.Brownout = d.Brownout
+		reply.PredictionID = id
+		fillBand(band, &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
 		d.Degraded, d.StaleNodes = reply.Degraded[best], reply.StaleNodes[best]
 		return nil
 	})
@@ -766,10 +776,10 @@ func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 // fastest returns the index of the smallest prediction. It skips NaNs: a
 // NaN prediction (corrupt profile or model) must never win by making
 // every comparison false. When every candidate is NaN it falls back to 0.
-func fastest(seconds []float64) int {
+func fastest(ests []core.Estimate) int {
 	best := -1
-	for i, x := range seconds {
-		if !math.IsNaN(x) && (best < 0 || x < seconds[best]) {
+	for i, e := range ests {
+		if !math.IsNaN(e.Seconds) && (best < 0 || e.Seconds < ests[best].Seconds) {
 			best = i
 		}
 	}
@@ -847,10 +857,11 @@ func scheduleKey(epoch uint64, args *ScheduleArgs) string {
 // mapping. Admission sits inside the flight: followers ride the leader's
 // slot for free (a joined search costs nothing extra), and a shed leader
 // propagates ErrShed to every waiting follower. The search scores through
-// its own Scorers and never fills the cache, so the closing lookup misses
-// unless an earlier request evaluated the same mapping in this epoch; the
-// miss costs one allocation-free Estimate, taken under the slot already
-// held. d is the leader's decision record.
+// its own Scorers and never fills the cache, so the closing lookup of the
+// chosen mapping's degraded markers misses unless an earlier request
+// evaluated the same mapping in this epoch; the miss costs one
+// allocation-free Estimate, computed under the slot already held. d is the
+// leader's decision record.
 func (s *Server) search(ctx context.Context, v *view, eval *core.Evaluator, args *ScheduleArgs, d *obs.Decision) (*ScheduleReply, error) {
 	if s.lim != nil {
 		tk, err := s.lim.Acquire(ctx, admission.Expensive)
@@ -870,12 +881,15 @@ func (s *Server) search(ctx context.Context, v *view, eval *core.Evaluator, args
 		Evaluations:     dec.Evaluations,
 		SchedulerMicros: dec.SchedulerTime.Microseconds(),
 	}
-	if est, hit, _, err := s.estimate(ctx, v, args.App, eval, dec.Mapping, false); err == nil {
+	est, key, hit := s.lookup(ctx, v, args.App, dec.Mapping)
+	d.CacheLookups = 1
+	if hit {
+		d.CacheHits = 1
+	} else {
+		est, err = s.compute(ctx, v, eval, dec.Mapping, key)
+	}
+	if err == nil {
 		fillDegraded(est, &r.Degraded, &r.StaleNodes)
-		d.CacheLookups = 1
-		if hit {
-			d.CacheHits = 1
-		}
 	}
 	return r, nil
 }
