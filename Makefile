@@ -11,9 +11,10 @@ test:
 # Tier-1 verification (ROADMAP.md): everything must build and pass.
 verify: build test
 
-# CI target: vet plus the full suite under the race detector — the fast
-# path shares evaluators across scheduler workers and the experiment lab
-# fans trials across cores, so racy regressions must fail loudly. The
+# CI target: a gofmt check (a file gofmt would rewrite fails the pass),
+# then vet plus the full suite under the race detector — the fast path
+# shares evaluators across scheduler workers and the experiment lab fans
+# trials across cores, so racy regressions must fail loudly. The
 # suite includes cmd/cbesd's TestDaemon, which builds cbesd and cbesctl
 # and drives a real daemon end to end (observability loop, 8x overload,
 # SIGTERM). The one-iteration bench pass exercises the benchmark bodies
@@ -32,11 +33,13 @@ verify: build test
 # which gives a finite estimate) keeps the two refusals in step. A 10 s
 # fuzz of the RPC handlers closes the pass: Evaluate and Compare share one
 # admission, brownout and ledger path, and every served prediction ID must
-# join its outcome. The fuzz steps skip minimizing new inputs
-# (-fuzzminimizetime 0): the seeds are whole encoded profiles and traces,
-# and Go's default minute of minimizing each new input ate the steps' time
-# budget, leaving them stalled at 0 execs/s.
+# join its outcome; the read-outs take the fuzzed strings as filters, and
+# Decisions parses its trace filter from them. The fuzz steps skip
+# minimizing new inputs (-fuzzminimizetime 0): the seeds are whole encoded
+# profiles and traces, and Go's default minute of minimizing each new
+# input ate the steps' time budget, leaving them stalled at 0 execs/s.
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
@@ -84,8 +87,9 @@ faults-smoke:
 # build), traces as hostile input (an error or a profile that builds an
 # evaluator, λs and Speed_profiles derived, with a finite estimate), stored profiles as hostile input (an error or a finite
 # estimate), stored network models as hostile input (an error or finite,
-# non-negative latencies), and RPC arguments as hostile input (an error or
-# a well-formed reply, never a recovered panic).
+# non-negative latencies), and RPC arguments, the read-outs' filters
+# included, as hostile input (an error or a well-formed reply, never a
+# recovered panic).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnergyDelta -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzFromSpec -fuzztime 30s ./internal/cluster/

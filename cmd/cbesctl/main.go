@@ -7,7 +7,7 @@
 //	cbesctl [-addr ...] compare  -app lu.B.8 -mapping 0,1,2,3,4,5,6,7 -mapping 20,21,...
 //	cbesctl [-addr ...] schedule -app lu.B.8 -alg cs -pool 0-7,10-21 [-seed 1] [-effort N]
 //	cbesctl [-addr ...] advance  -seconds 30
-//	cbesctl [-addr ...] metrics  [-format prom|json] [-json] [-prefix cbes_accuracy]
+//	cbesctl [-addr ...] metrics  [-prefix cbes_accuracy]
 //	cbesctl [-addr ...] decisions [-n 20] [-kind schedule] [-app lu.B.8] [-trace HEXID]
 //	cbesctl [-addr ...] report   -id PREDID -actual 61.3
 //	cbesctl [-addr ...] accuracy [-app lu.B.8] [-sched cs] [-samples 10]
@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -67,12 +66,10 @@ func main() {
 	effort := sub.Int("effort", 0, "schedule: search-effort cap in energy evaluations (0 = server default)")
 	seconds := sub.Float64("seconds", 10, "simulated seconds to advance")
 	explain := sub.Bool("explain", false, "evaluate: show the per-process R/C breakdown")
-	format := sub.String("format", "prom", "metrics format: prom (Prometheus text) or json")
 	n := sub.Int("n", 20, "decisions: max records to fetch (0 for all resident)")
 	kind := sub.String("kind", "", "decisions: filter by kind (schedule, evaluate, explain, compare, outcome)")
 	traceID := sub.String("trace", "", "decisions: filter by hex trace id")
 	prefix := sub.String("prefix", "", "metrics: only emit families whose name starts with this prefix")
-	jsonOut := sub.Bool("json", false, "metrics: shorthand for -format json")
 	predID := sub.String("id", "", "report: prediction ID to join the outcome to")
 	actual := sub.Float64("actual", 0, "report: measured runtime in seconds")
 	sched := sub.String("sched", "", "accuracy: filter buckets by scheduler name")
@@ -209,28 +206,11 @@ func main() {
 			printDecision(d)
 		}
 	case "metrics":
-		if *jsonOut {
-			*format = service.FormatJSON
-		}
-		r, err := c.Metrics(*format)
+		r, err := c.Metrics()
 		if err != nil {
 			log.Fatal(err)
 		}
-		text := r.Text
-		if *prefix != "" {
-			if *format == service.FormatJSON {
-				text, err = filterMetricsJSON(text, *prefix)
-				if err != nil {
-					log.Fatal(err)
-				}
-			} else {
-				text = filterMetricsProm(text, *prefix)
-			}
-		}
-		fmt.Print(text)
-		if !strings.HasSuffix(text, "\n") {
-			fmt.Println()
-		}
+		fmt.Print(filterMetricsProm(r.Text, *prefix))
 	case "report":
 		if *predID == "" || *actual <= 0 {
 			log.Fatal("report needs -id and a positive -actual (seconds)")
@@ -321,25 +301,6 @@ func filterMetricsProm(text, prefix string) string {
 		}
 	}
 	return b.String()
-}
-
-// filterMetricsJSON keeps only the top-level keys with the prefix in an
-// expvar-style JSON metrics snapshot.
-func filterMetricsJSON(text, prefix string) (string, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(text), &m); err != nil {
-		return "", fmt.Errorf("metrics json: %w", err)
-	}
-	for k := range m {
-		if !strings.HasPrefix(k, prefix) {
-			delete(m, k)
-		}
-	}
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
 }
 
 // printDecision renders one flight-recorder record in a compact

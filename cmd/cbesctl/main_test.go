@@ -2,7 +2,6 @@ package main
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -54,19 +53,5 @@ func TestFilterMetricsProm(t *testing.T) {
 	}
 	if out := filterMetricsProm(text, "nope"); out != "" {
 		t.Errorf("unmatched prefix kept %q", out)
-	}
-}
-
-func TestFilterMetricsJSON(t *testing.T) {
-	text := `{"cbes_accuracy_joined_total": 3, "cbes_rpc_requests_total": {"Evaluate": 12}}`
-	got, err := filterMetricsJSON(text, "cbes_accuracy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(got, "cbes_accuracy_joined_total") || strings.Contains(got, "cbes_rpc") {
-		t.Errorf("filtered JSON = %s", got)
-	}
-	if _, err := filterMetricsJSON("not json", "x"); err == nil {
-		t.Error("invalid JSON should error")
 	}
 }

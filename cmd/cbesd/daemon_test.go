@@ -25,10 +25,12 @@ import (
 // listener on an ephemeral port, and drives two legs against it:
 //
 //   - obs: a schedule request through cbesctl whose trace ID resolves
-//     through /debug/trace, /debug/spans and the decision flight
-//     recorder; the predicted-vs-actual loop (report → accuracy →
-//     /debug/accuracy JSON and CSV) and a run of biased outcomes that
-//     flips the drift alarm; and the core /metrics series, non-zero.
+//     through /debug/trace, /debug/spans and `cbesctl decisions`; the
+//     predicted-vs-actual loop (report → `cbesctl accuracy`, whose
+//     -samples 0 listing holds the joined pair) and a run of biased
+//     outcomes that flips the drift alarm; the core /metrics series,
+//     non-zero, with every family's help text; and no route left for
+//     the read-outs that are RPC-only.
 //   - overload: the overload lab's open-loop load generator offers 8x
 //     the probed capacity of a many-phase app for 3s with 250ms
 //     deadlines; goodput must hold a floor, and /metrics must show the
@@ -123,15 +125,15 @@ func (d *daemon) obsLeg(t *testing.T) {
 		t.Error("/debug/spans?name=schedule.decision returned no schedule.decision span")
 	}
 
-	// Decision flight recorder, over RPC and HTTP.
-	dec := d.ctl(t, "decisions", "-trace", traceID)
-	for _, want := range []string{"trace=" + traceID, "alg=cs", "epoch=", "mapping="} {
-		if !strings.Contains(dec, want) {
-			t.Errorf("cbesctl decisions -trace %s lacks %q:\n%s", traceID, want, dec)
+	// Decision flight recorder, over RPC. The trace filter takes any hex
+	// spelling of the ID.
+	for _, spelling := range []string{traceID, strings.ToUpper(traceID)} {
+		dec := d.ctl(t, "decisions", "-trace", spelling)
+		for _, want := range []string{"trace=" + traceID, "alg=cs", "epoch=", "mapping="} {
+			if !strings.Contains(dec, want) {
+				t.Errorf("cbesctl decisions -trace %s lacks %q:\n%s", spelling, want, dec)
+			}
 		}
-	}
-	if !strings.Contains(d.get(t, "/debug/decisions?trace="+traceID), `"`+traceID+`"`) {
-		t.Errorf("/debug/decisions has no record for trace %s", traceID)
 	}
 
 	// Accuracy ledger: schedule → report outcome → stats.
@@ -146,15 +148,13 @@ func (d *daemon) obsLeg(t *testing.T) {
 	if !strings.Contains(acc, "calibration : OK") {
 		t.Errorf("accuracy not calibrated after one accurate outcome:\n%s", acc)
 	}
-	if !strings.Contains(d.get(t, "/debug/accuracy"), `"`+predID+`"`) {
-		t.Errorf("/debug/accuracy has no sample for %s", predID)
-	}
-	csv := d.get(t, "/debug/accuracy?format=csv")
-	if !strings.HasPrefix(csv, "prediction_id,app") {
-		t.Errorf("accuracy CSV header malformed:\n%s", csv)
-	}
-	if !strings.Contains("\n"+csv, "\n"+predID+",") {
-		t.Errorf("accuracy CSV has no row for %s", predID)
+	// Every resident pair is listed with its predicted and actual seconds.
+	all := d.ctl(t, "accuracy", "-samples", "0")
+	wantActual := "actual=" + strconv.FormatFloat(seconds(t, actual), 'f', 3, 64) + "s"
+	for i, want := range map[int]string{3: "predicted=" + field(t, sched, "predicted", 2), 4: wantActual} {
+		if got := field(t, all, predID, i); got != want {
+			t.Errorf("accuracy -samples 0 lists %s with %s, want %s", predID, got, want)
+		}
 	}
 	accMetrics := d.ctl(t, "metrics", "-prefix", "cbes_accuracy")
 	if !strings.Contains(accMetrics, "cbes_accuracy_joined_total") {
@@ -195,8 +195,14 @@ func (d *daemon) obsLeg(t *testing.T) {
 		`cbes_accuracy_joined_total`,
 		`cbes_accuracy_abs_err_ratio_bucket`,
 	)
-	if !strings.Contains(d.ctl(t, "metrics", "-format", "json"), "cbes_rpc_requests_total") {
-		t.Error("cbesctl metrics -format json lacks the RPC counters")
+	if !strings.Contains(d.ctl(t, "metrics"), `cbes_rpc_requests_total{method="Metrics"}`) {
+		t.Error("cbesctl metrics lacks the RPC counters of its own method")
+	}
+	requireHelp(t, metrics)
+	for _, path := range []string{"/debug/vars", "/debug/decisions", "/debug/accuracy"} {
+		if code := d.status(t, path); code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, code)
+		}
 	}
 }
 
@@ -325,6 +331,17 @@ func (d *daemon) ctl(t *testing.T, args ...string) string {
 	return string(out)
 }
 
+// status fetches a debug-endpoint path and returns its status code.
+func (d *daemon) status(t *testing.T, path string) int {
+	t.Helper()
+	resp, err := http.Get(d.debugURL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // get fetches a debug-endpoint path; anything but 200 fails the test.
 func (d *daemon) get(t *testing.T, path string) string {
 	t.Helper()
@@ -364,6 +381,25 @@ func seconds(t *testing.T, s string) float64 {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// requireHelp checks that every family the exposition declares with
+// # TYPE also carries a non-empty # HELP line.
+func requireHelp(t *testing.T, metrics string) {
+	t.Helper()
+	help := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# HELP (\S+) \S`).FindAllStringSubmatch(metrics, -1) {
+		help[m[1]] = true
+	}
+	types := regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(metrics, -1)
+	if len(types) == 0 {
+		t.Error("/metrics declares no families")
+	}
+	for _, m := range types {
+		if !help[m[1]] {
+			t.Errorf("metric family %s has no help text", m[1])
+		}
+	}
 }
 
 // requireNonzero checks that each series pattern matches at least one

@@ -8,19 +8,20 @@
 //	cbesd [-listen 127.0.0.1:7411] [-cluster grove|centurion|test] [-db ./cbesdb]
 //	      [-apps lu.B.8,aztec.8,...] [-debug-listen 127.0.0.1:7412]
 //	      [-span-log spans.jsonl] [-max-clients 64] [-drain-timeout 5s]
-//	      [-request-timeout 30s] [-cache-size 4096] [-max-inflight N]
+//	      [-request-timeout 30s] [-max-inflight N]
 //	      [-admission-target 500ms] [-fault-crashes N] [-fault-degrades N]
 //	      [-fault-drops N] [-fault-stalls N] [-fault-seed S] [-fault-horizon 5m]
 //
 // With -debug-listen set, the daemon also serves an HTTP observability
-// endpoint: /metrics (Prometheus text exposition), /debug/vars (expvar
-// JSON), /debug/spans (recent traced spans), /debug/accuracy (the
-// predicted-vs-actual calibration ledger, JSON or ?format=csv), /healthz
-// (liveness), /readyz (readiness — 503 while the monitored cluster has
-// down nodes; 200 with a warning line under calibration drift or
-// sustained admission shedding), and the standard /debug/pprof profiles.
-// The same metrics are available over RPC via `cbesctl metrics`, so the
-// control plane can scrape without HTTP.
+// endpoint: /metrics (Prometheus text exposition), /debug/spans (recent
+// traced spans), /debug/trace (one trace tree as Chrome trace-event
+// JSON), /healthz (liveness), /readyz (readiness — 503 while the
+// monitored cluster has down nodes; 200 with a warning line under
+// calibration drift or sustained admission shedding), and the standard
+// /debug/pprof profiles. The same metrics text is served over RPC
+// (`cbesctl metrics`), so the control plane can scrape without HTTP;
+// decision records and the accuracy ledger are read over RPC only
+// (`cbesctl decisions`, `cbesctl accuracy`).
 //
 // Overload protection (DESIGN.md §15) is on by default: an adaptive
 // limiter bounds concurrently computing requests (-max-inflight pins the
@@ -81,7 +82,7 @@ func main() {
 // log.Fatal in main would skip them.
 func run() error {
 	listen := flag.String("listen", "127.0.0.1:7411", "address to serve RPC on")
-	debugListen := flag.String("debug-listen", "", "address for the HTTP debug endpoint (/metrics, /healthz, /readyz, pprof); empty disables")
+	debugListen := flag.String("debug-listen", "", "address for the HTTP debug endpoint (/metrics, /debug/spans, /debug/trace, /healthz, /readyz, /debug/pprof); empty disables")
 	spanLog := flag.String("span-log", "", "append traced spans as JSONL to this file; empty disables")
 	traceSample := flag.Int("trace-sample", 1, "head-sample 1 trace in N (1 keeps all; errored or slow spans are kept regardless)")
 	traceSlow := flag.Duration("trace-slow", 0, "tail-keep cutoff: spans at least this slow always record (0 selects the 100ms default)")
@@ -91,7 +92,6 @@ func run() error {
 	maxClients := flag.Int("max-clients", 64, "maximum concurrently served RPC connections")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "shutdown budget for draining in-flight requests")
 	requestTimeout := flag.Duration("request-timeout", service.DefaultRequestTimeout, "per-request engine-lock queueing bound (busy error on expiry)")
-	cacheSize := flag.Int("cache-size", service.DefaultCacheSize, "prediction-cache entries (negative disables caching)")
 	maxInflight := flag.Int("max-inflight", 0, "admission limit on concurrently computing requests (0 adaptive, negative disables admission control)")
 	admissionTarget := flag.Duration("admission-target", 500*time.Millisecond, "p99 latency the adaptive admission limiter steers toward")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the injected fault schedule")
@@ -110,7 +110,7 @@ func run() error {
 	// Topology-shape gauges: exported before serving starts so operators
 	// can see at a glance how large the simulated fabric is and whether
 	// routes are table-backed (the 2005 testbeds) or computed algebraically
-	// (structured 1k/5k topologies). Visible via /debug/vars and /metrics.
+	// (structured 1k/5k topologies). Visible via /metrics and `cbesctl metrics`.
 	reg := obs.Default()
 	reg.Gauge("cbes_topology_nodes", "Nodes in the simulated topology").Set(float64(topo.NumNodes()))
 	reg.Gauge("cbes_topology_switches", "Switches in the simulated topology").Set(float64(topo.NumSwitches()))
@@ -222,7 +222,7 @@ func run() error {
 		})
 	}
 
-	// Debug HTTP endpoint: metrics, expvar, spans, health, pprof.
+	// Debug HTTP endpoint: metrics, spans, traces, health, pprof.
 	var debugSrv *http.Server
 	if *debugListen != "" {
 		dl, err := net.Listen("tcp", *debugListen)
@@ -231,15 +231,13 @@ func run() error {
 			return err
 		}
 		probes := &probes{sys: sys, lim: lim}
-		mux := obs.DebugMux(obs.Default(), obs.DefaultTracer(), obs.DefaultRecorder(), probes.live, probes.ready)
-		mux.Handle("/debug/accuracy", accuracy.Handler(accuracy.Default()))
-		debugSrv = &http.Server{Handler: mux}
+		debugSrv = &http.Server{Handler: obs.DebugMux(obs.Default(), obs.DefaultTracer(), probes.live, probes.ready)}
 		go func() {
 			if err := debugSrv.Serve(dl); err != nil && err != http.ErrServerClosed {
 				log.Printf("cbesd: debug endpoint: %v", err)
 			}
 		}()
-		log.Printf("cbesd: debug endpoint on http://%s (/metrics /debug/vars /debug/spans /debug/trace /debug/decisions /debug/accuracy /healthz /readyz /debug/pprof)", dl.Addr())
+		log.Printf("cbesd: debug endpoint on http://%s (/metrics /debug/spans /debug/trace /healthz /readyz /debug/pprof)", dl.Addr())
 	}
 
 	fmt.Printf("cbesd: serving %s (%d nodes) on %s, apps: %s\n",
@@ -254,7 +252,6 @@ func run() error {
 			MaxClients:       *maxClients,
 			DrainTimeout:     *drainTimeout,
 			RequestTimeout:   *requestTimeout,
-			CacheSize:        *cacheSize,
 			Limiter:          lim,
 			DisableAdmission: lim == nil,
 		})

@@ -8,9 +8,9 @@
 // histograms) keyed by (app, scheduler, degraded flag, snapshot-age
 // bucket), plus a drift detector that compares a sliding window of
 // recent errors against the long-run baseline. Consumers: the Accuracy
-// RPC / `cbesctl accuracy` / `/debug/accuracy`, the cbes_calibration_ok
-// gauge and /readyz warning, and the empirical error band annotated onto
-// Prediction replies. ROADMAP item 12 (ENB / loss probability) reads its
+// RPC / `cbesctl accuracy`, the cbes_calibration_ok gauge and /readyz
+// warning, and the empirical error band annotated onto Prediction
+// replies. ROADMAP item 12 (ENB / loss probability) reads its
 // measured error distribution from here instead of assuming one.
 //
 // The paper's premise is that the service's estimates are trustworthy;

@@ -1,14 +1,10 @@
 package accuracy
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -300,49 +296,5 @@ func TestConcurrentBeginReport(t *testing.T) {
 	}
 	if st.Unmatched > st.Expired {
 		t.Fatalf("unmatched=%d > expired=%d: every miss must come from eviction", st.Unmatched, st.Expired)
-	}
-}
-
-func TestHandlerJSONAndCSV(t *testing.T) {
-	l := New(Config{})
-	id := l.Begin(Prediction{App: "lu", Scheduler: "cs", Predicted: 100, AgeBucket: "<1s"})
-	if _, err := l.Report(id, 80); err != nil {
-		t.Fatal(err)
-	}
-
-	rr := httptest.NewRecorder()
-	Handler(l).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/accuracy", nil))
-	if rr.Code != 200 {
-		t.Fatalf("JSON status %d", rr.Code)
-	}
-	var doc struct {
-		Status  Status
-		Buckets []BucketStats
-		Samples []Sample
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Status.Joined != 1 || len(doc.Buckets) != 1 || len(doc.Samples) != 1 {
-		t.Fatalf("JSON doc: %+v", doc)
-	}
-
-	rr = httptest.NewRecorder()
-	Handler(l).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/accuracy?format=csv", nil))
-	rows, err := csv.NewReader(rr.Body).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0][0] != "prediction_id" {
-		t.Fatalf("CSV rows: %v", rows)
-	}
-	if rows[1][0] != id || rows[1][5] != "100" || rows[1][6] != "80" {
-		t.Fatalf("CSV pair row: %v", rows[1])
-	}
-
-	rr = httptest.NewRecorder()
-	Handler(l).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/accuracy?n=zap", nil))
-	if rr.Code != 400 || !strings.Contains(rr.Body.String(), "bad n") {
-		t.Fatalf("bad n: %d %q", rr.Code, rr.Body.String())
 	}
 }

@@ -226,7 +226,7 @@ func (t *Topology) LinkName(id int) string {
 
 // RouteMemoryMode names the routing storage strategy: "table" for the
 // precomputed all-pairs table, "algebraic" for on-demand coordinate
-// routing (exported as a /debug/vars gauge by cbesd).
+// routing (exported as a /metrics gauge by cbesd).
 func (t *Topology) RouteMemoryMode() string {
 	if t.alg != nil {
 		return "algebraic"

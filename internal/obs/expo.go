@@ -1,11 +1,9 @@
-// Metric exposition: Prometheus text format (for /metrics and scraping
-// tools), an expvar-compatible JSON snapshot (for /debug/vars and the
+// Metric exposition in the Prometheus text format (for /metrics and the
 // Metrics RPC), and the debug HTTP mux cbesd mounts.
 package obs
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +11,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WritePrometheus renders every family in the Prometheus text exposition
@@ -78,15 +75,16 @@ func labelString(names, values []string, le string) string {
 	return b.String()
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+// The escapers are built once: a strings.Replacer costs far more to build
+// than to apply, and a scrape escapes every label of every line.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // formatFloat renders a float the way Prometheus expects (shortest
 // round-trippable form, +Inf/-Inf/NaN spelled out).
@@ -100,63 +98,6 @@ func formatFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Snapshot returns the registry as a plain JSON-marshalable tree:
-// metric name → value (counter/gauge) or → {count, sum, buckets} for
-// histograms; labeled families map label-set → value. This is the
-// payload of /debug/vars and the Metrics RPC's JSON format.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	for _, f := range r.sortedFamilies() {
-		children := f.sortedChildren()
-		render := func(c *child) any {
-			switch f.kind {
-			case KindCounter:
-				return c.counter.Value()
-			case KindGauge:
-				return c.gauge.Value()
-			default:
-				buckets := map[string]uint64{}
-				cum := uint64(0)
-				for i, b := range c.hist.bounds {
-					cum += c.hist.counts[i].Load()
-					buckets[formatFloat(b)] = cum
-				}
-				buckets["+Inf"] = c.hist.Count()
-				return map[string]any{
-					"count":   c.hist.Count(),
-					"sum":     c.hist.Sum(),
-					"buckets": buckets,
-				}
-			}
-		}
-		if len(f.labels) == 0 {
-			if len(children) > 0 {
-				out[f.name] = render(children[0])
-			}
-			continue
-		}
-		m := map[string]any{}
-		for _, c := range children {
-			key := strings.Join(c.labelValues, ",")
-			m[key] = render(c)
-		}
-		out[f.name] = m
-	}
-	return out
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar publishes the registry under the expvar name "cbes", so
-// the standard /debug/vars handler (and anything else walking expvar)
-// sees the full metric tree next to memstats and cmdline. Idempotent —
-// expvar panics on duplicate names, so only the first call publishes.
-func PublishExpvar(r *Registry) {
-	publishOnce.Do(func() {
-		expvar.Publish("cbes", expvar.Func(func() any { return r.Snapshot() }))
-	})
 }
 
 // Handler serves the registry in Prometheus text format.
@@ -214,26 +155,24 @@ func probeHandler(check func() error) http.HandlerFunc {
 
 // DebugMux builds the debug-endpoint mux cbesd serves on -debug-listen:
 //
-//	/metrics         — Prometheus text exposition of reg
-//	/debug/vars      — expvar JSON (reg published as "cbes")
-//	/debug/spans     — recent spans of tr as a JSON array (?n=, ?name=, ?trace=)
-//	/debug/trace     — one trace tree as Chrome trace-event JSON (?id=)
-//	/debug/decisions — flight-recorder decision records (?n=, ?kind=, ?app=, ?trace=)
-//	/healthz         — liveness probe; live() == nil ⇒ 200 "ok"
-//	/readyz          — readiness probe; ready() == nil ⇒ 200 "ok"
-//	/debug/pprof     — the standard runtime profiles
+//	/metrics     — Prometheus text exposition of reg
+//	/debug/spans — recent spans of tr as a JSON array (?n=, ?name=, ?trace=)
+//	/debug/trace — one trace tree as Chrome trace-event JSON (?id=)
+//	/healthz     — liveness probe; live() == nil ⇒ 200 "ok"
+//	/readyz      — readiness probe; ready() == nil ⇒ 200 "ok"
+//	/debug/pprof — the standard runtime profiles
 //
-// Liveness answers "is the process able to serve at all" (restart it if
-// not); readiness answers "should traffic be routed here right now" — a
-// daemon serving a degraded cluster view stays live but goes unready. A
-// nil ready falls back to live, so single-probe callers keep the old
-// one-check behaviour on both paths; live, tr, and rec may also be nil
-// (always-healthy, no span/trace/decision endpoints).
-func DebugMux(reg *Registry, tr *Tracer, rec *Recorder, live, ready func() error) *http.ServeMux {
-	PublishExpvar(reg)
+// Decision records and the accuracy ledger have no route here: they are
+// read over the Decisions and Accuracy RPCs, which every deployment
+// serves. Liveness answers "is the process able to serve at all" (restart
+// it if not); readiness answers "should traffic be routed here right now"
+// — a daemon serving a degraded cluster view stays live but goes unready.
+// A nil ready falls back to live, so single-probe callers keep the old
+// one-check behaviour on both paths; live and tr may also be nil
+// (always-healthy, no span/trace endpoints).
+func DebugMux(reg *Registry, tr *Tracer, live, ready func() error) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(reg))
-	mux.Handle("/debug/vars", expvar.Handler())
 	if ready == nil {
 		ready = live
 	}
@@ -242,9 +181,6 @@ func DebugMux(reg *Registry, tr *Tracer, rec *Recorder, live, ready func() error
 	if tr != nil {
 		mux.Handle("/debug/spans", SpanHandler(tr))
 		mux.Handle("/debug/trace", TraceHandler(tr))
-	}
-	if rec != nil {
-		mux.Handle("/debug/decisions", DecisionHandler(rec))
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

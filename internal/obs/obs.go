@@ -1,7 +1,7 @@
 // Package obs is the CBES observability layer: a dependency-free metrics
 // registry (atomic counters, gauges, and fixed log-scale-bucket
-// histograms, optionally split by labels) with Prometheus text-exposition
-// and expvar JSON output, plus a lightweight span tracer
+// histograms, optionally split by labels) with Prometheus text
+// exposition, plus a lightweight span tracer
 // (see trace.go) that records timed, attributed events to an in-memory
 // ring buffer and an optional JSONL sink.
 //

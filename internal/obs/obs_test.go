@@ -98,6 +98,17 @@ func TestVecLabels(t *testing.T) {
 	if !strings.Contains(buf.String(), `lat_seconds_bucket{method="Evaluate",le="1"} 1`) {
 		t.Fatalf("labeled histogram exposition wrong:\n%s", buf.String())
 	}
+
+	// Label values escape backslash, quote and newline; help text escapes
+	// backslash and newline.
+	r.CounterVec("esc_total", "a\\b\nc", "k").With("x\"y\\z\n").Inc()
+	buf.Reset()
+	r.WritePrometheus(&buf)
+	for _, want := range []string{`# HELP esc_total a\\b\nc`, `esc_total{k="x\"y\\z\n"} 1`} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Fatalf("escaped exposition lacks %s:\n%s", want, buf.String())
+		}
+	}
 }
 
 func TestKindMismatchPanics(t *testing.T) {
@@ -148,31 +159,6 @@ func TestLogBuckets(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "").Add(7)
-	r.CounterVec("b_total", "", "k").With("x").Add(3)
-	r.Histogram("c_seconds", "", []float64{1}).Observe(0.5)
-	raw, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["a_total"].(float64) != 7 {
-		t.Fatalf("snapshot a_total = %v", back["a_total"])
-	}
-	if back["b_total"].(map[string]any)["x"].(float64) != 3 {
-		t.Fatalf("snapshot b_total = %v", back["b_total"])
-	}
-	hist := back["c_seconds"].(map[string]any)
-	if hist["count"].(float64) != 1 {
-		t.Fatalf("snapshot c_seconds = %v", hist)
-	}
-}
-
 func TestTracerRingAndSink(t *testing.T) {
 	var sink bytes.Buffer
 	tr := NewTracer(4)
@@ -209,7 +195,7 @@ func TestDebugMux(t *testing.T) {
 	r.Counter("cbes_test_total", "").Inc()
 	tr := NewTracer(8)
 	tr.Start("boot").End()
-	mux := DebugMux(r, tr, nil, nil, nil)
+	mux := DebugMux(r, tr, nil, nil)
 
 	get := func(path string) (int, string) {
 		rec := httptest.NewRecorder()
@@ -225,16 +211,20 @@ func TestDebugMux(t *testing.T) {
 	if code, body := get("/readyz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/readyz: %d %q", code, body)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "cmdline") {
-		t.Fatalf("/debug/vars: %d\n%s", code, body)
-	}
 	if code, body := get("/debug/spans"); code != 200 || !strings.Contains(body, "boot") {
 		t.Fatalf("/debug/spans: %d\n%s", code, body)
+	}
+	// Metrics are Prometheus text only, and decision records are read
+	// over the RPC only: neither has a second route here.
+	for _, gone := range []string{"/debug/vars", "/debug/decisions"} {
+		if code, _ := get(gone); code != 404 {
+			t.Fatalf("%s: %d, want 404", gone, code)
+		}
 	}
 }
 
 func TestDebugMuxUnhealthy(t *testing.T) {
-	mux := DebugMux(NewRegistry(), nil, nil, func() error { return errTest }, nil)
+	mux := DebugMux(NewRegistry(), nil, func() error { return errTest }, nil)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
@@ -252,7 +242,7 @@ func TestDebugMuxUnhealthy(t *testing.T) {
 // degraded daemon answers 200 on /healthz and 503 on /readyz.
 func TestDebugMuxSplitProbes(t *testing.T) {
 	degraded := true
-	mux := DebugMux(NewRegistry(), nil, nil,
+	mux := DebugMux(NewRegistry(), nil,
 		func() error { return nil },
 		func() error {
 			if degraded {

@@ -4,22 +4,19 @@
 // service say that" — which epoch of monitored state it saw, whether
 // the answer came from the cache or a coalesced in-flight search, which
 // nodes were degraded, what the search actually chose and for how much.
-// Records are queryable over the Decisions RPC, `cbesctl decisions`,
-// and /debug/decisions, and every record carries its trace ID so the
-// full causal tree is one /debug/trace?id=... away.
+// Records are queryable over the Decisions RPC and `cbesctl decisions`,
+// and every record carries its trace ID so the full causal tree is one
+// /debug/trace?id=... away.
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
 
 // Decision is one recorded prediction/scheduling decision. Fields are
-// exported for gob (the Decisions RPC) and tagged for JSON
-// (/debug/decisions); zero-valued optionals are elided.
+// exported for gob (the Decisions RPC) and tagged for JSON; zero-valued
+// optionals are elided.
 type Decision struct {
 	Time    time.Time `json:"time"`
 	TraceID string    `json:"trace,omitempty"`
@@ -178,34 +175,4 @@ func (r *Recorder) Decisions(q DecisionQuery) []Decision {
 		}
 	}
 	return out
-}
-
-// DecisionHandler serves the flight recorder as a JSON array (newest
-// first) — the /debug/decisions endpoint. Query filters: ?n=K,
-// ?kind=schedule, ?app=NAME, ?trace=HEXID.
-func DecisionHandler(r *Recorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		qv := req.URL.Query()
-		q := DecisionQuery{Kind: qv.Get("kind"), App: qv.Get("app")}
-		if tid := qv.Get("trace"); tid != "" {
-			id, err := ParseID(tid)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			q.TraceID = FormatID(id)
-		}
-		if ns := qv.Get("n"); ns != "" {
-			n, err := strconv.Atoi(ns)
-			if err != nil || n < 0 {
-				http.Error(w, "obs: bad n "+strconv.Quote(ns), http.StatusBadRequest)
-				return
-			}
-			q.N = n
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Decisions(q)) //nolint:errcheck // best-effort debug endpoint
-	})
 }

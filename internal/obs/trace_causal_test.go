@@ -325,38 +325,26 @@ func TestTraceHandler(t *testing.T) {
 	}
 }
 
-func TestDecisionHandlerFilters(t *testing.T) {
+// TestDecisionQueryFilters pins the flight recorder's query: kind, app
+// and trace filters match exactly, and N bounds the newest-first result.
+func TestDecisionQueryFilters(t *testing.T) {
 	r := NewRecorder(8)
 	r.Record(Decision{Kind: "schedule", App: "a", TraceID: FormatID(11)})
 	r.Record(Decision{Kind: "evaluate", App: "b", TraceID: FormatID(12)})
 
-	get := func(url string) (int, []Decision) {
-		rec := httptest.NewRecorder()
-		DecisionHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		var ds []Decision
-		if rec.Code == 200 {
-			if err := json.Unmarshal(rec.Body.Bytes(), &ds); err != nil {
-				t.Fatalf("%s: bad JSON: %v", url, err)
-			}
-		}
-		return rec.Code, ds
+	if ds := r.Decisions(DecisionQuery{}); len(ds) != 2 {
+		t.Fatalf("unfiltered: n=%d", len(ds))
 	}
-	if code, ds := get("/debug/decisions"); code != 200 || len(ds) != 2 {
-		t.Fatalf("unfiltered: code=%d n=%d", code, len(ds))
-	}
-	if _, ds := get("/debug/decisions?kind=schedule"); len(ds) != 1 || ds[0].App != "a" {
+	if ds := r.Decisions(DecisionQuery{Kind: "schedule"}); len(ds) != 1 || ds[0].App != "a" {
 		t.Fatalf("kind filter: %+v", ds)
 	}
-	if _, ds := get("/debug/decisions?trace=" + FormatID(12)); len(ds) != 1 || ds[0].Kind != "evaluate" {
+	if ds := r.Decisions(DecisionQuery{App: "b"}); len(ds) != 1 || ds[0].Kind != "evaluate" {
+		t.Fatalf("app filter: %+v", ds)
+	}
+	if ds := r.Decisions(DecisionQuery{TraceID: FormatID(12)}); len(ds) != 1 || ds[0].Kind != "evaluate" {
 		t.Fatalf("trace filter: %+v", ds)
 	}
-	if _, ds := get("/debug/decisions?n=1"); len(ds) != 1 || ds[0].Kind != "evaluate" {
+	if ds := r.Decisions(DecisionQuery{N: 1}); len(ds) != 1 || ds[0].Kind != "evaluate" {
 		t.Fatalf("n bound (newest first): %+v", ds)
-	}
-	if code, _ := get("/debug/decisions?n=-1"); code != 400 {
-		t.Fatalf("bad n: code=%d", code)
-	}
-	if code, _ := get("/debug/decisions?trace=zz"); code != 400 {
-		t.Fatalf("bad trace: code=%d", code)
 	}
 }

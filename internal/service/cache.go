@@ -24,9 +24,8 @@ var (
 		"cbes_predcache_entries", "Prediction-cache entries currently resident.")
 )
 
-// DefaultCacheSize bounds the prediction cache when ServeOptions leaves
-// CacheSize zero.
-const DefaultCacheSize = 4096
+// cacheSize bounds the prediction cache and the brownout cache.
+const cacheSize = 4096
 
 // predCache is a bounded LRU cache of core.Estimate — what a reply reads
 // of a prediction, not its per-process breakdown — keyed by (application,
@@ -38,7 +37,6 @@ const DefaultCacheSize = 4096
 // across requests; callers must copy it before handing it on.
 type predCache struct {
 	mu  sync.Mutex
-	cap int
 	ll  *list.List // front = most recently used; values are *cacheEntry
 	byK map[string]*list.Element
 	// silent suppresses the cache metrics — the brownout cache shares
@@ -52,18 +50,15 @@ type cacheEntry struct {
 	est core.Estimate
 }
 
-// newPredCache builds a cache bounded to capacity entries (min 1).
-func newPredCache(capacity int) *predCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &predCache{cap: capacity, ll: list.New(), byK: map[string]*list.Element{}}
+// newPredCache builds an empty cache bounded to cacheSize entries.
+func newPredCache() *predCache {
+	return &predCache{ll: list.New(), byK: map[string]*list.Element{}}
 }
 
 // newBrownCache builds a metric-silent cache for brownout predictions
 // (keyed with predKey(app, m, 0) — epoch-less, see Server.brown).
-func newBrownCache(capacity int) *predCache {
-	c := newPredCache(capacity)
+func newBrownCache() *predCache {
+	c := newPredCache()
 	c.silent = true
 	return c
 }
@@ -97,7 +92,7 @@ func (c *predCache) put(key string, est core.Estimate) {
 		return
 	}
 	c.byK[key] = c.ll.PushFront(&cacheEntry{key: key, est: est})
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > cacheSize {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
 		delete(c.byK, tail.Value.(*cacheEntry).key)
@@ -135,13 +130,11 @@ func predKey(app string, mapping []int, epoch uint64) string {
 // mapping m up under a cache.lookup span and books exactly one hit or
 // miss, returning the key a miss is filled at. The caller supplies the
 // view, so the epoch in the key matches the snapshot a miss is evaluated
-// against. With the cache disabled (nil) every lookup misses.
+// against.
 func (s *Server) lookup(ctx context.Context, v *view, app string, m []int) (est core.Estimate, key string, hit bool) {
 	span, _ := obs.StartSpan(ctx, "cache.lookup")
-	if s.cache != nil {
-		key = predKey(app, m, v.epoch)
-		est, hit = s.cache.get(key)
-	}
+	key = predKey(app, m, v.epoch)
+	est, hit = s.cache.get(key)
 	span.Attr("hit", hit).End()
 	return est, key, hit
 }
@@ -156,9 +149,7 @@ func (s *Server) compute(ctx context.Context, v *view, eval *core.Evaluator, m [
 	if err != nil {
 		return core.Estimate{}, err
 	}
-	if s.cache != nil {
-		s.cache.put(key, est)
-	}
+	s.cache.put(key, est)
 	return est, nil
 }
 

@@ -41,7 +41,7 @@ func TestCacheFootprint(t *testing.T) {
 	srv := NewServer(sys)
 
 	// Distinct mappings: the base-8 digits of i place the first four ranks.
-	mappings := make([][]int, DefaultCacheSize)
+	mappings := make([][]int, cacheSize)
 	for i := range mappings {
 		mappings[i] = []int{i & 7, i >> 3 & 7, i >> 6 & 7, i >> 9 & 7, 4, 5, 6, 7}
 	}
@@ -60,19 +60,20 @@ func TestCacheFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	// One pass with the cache off fills everything else a request feeds —
-	// the decision ring, the accuracy ledger's pending set — to its bound.
-	srv.cache = nil
+	// One pass into a throwaway cache fills everything else a request
+	// feeds — the decision ring, the accuracy ledger's pending set — to
+	// its bound.
+	srv.cache = newPredCache()
 	evaluateAll()
-	srv.cache = newPredCache(DefaultCacheSize)
+	srv.cache = newPredCache()
 	before := heap()
 	evaluateAll()
 	after := heap()
-	if n := srv.cache.len(); n != DefaultCacheSize {
-		t.Fatalf("cache holds %d entries, want %d", n, DefaultCacheSize)
+	if n := srv.cache.len(); n != cacheSize {
+		t.Fatalf("cache holds %d entries, want %d", n, cacheSize)
 	}
 	grown := int64(after) - int64(before)
-	t.Logf("live heap grew %.2f MB over %d cached estimates", float64(grown)/(1<<20), DefaultCacheSize)
+	t.Logf("live heap grew %.2f MB over %d cached estimates", float64(grown)/(1<<20), cacheSize)
 	if grown > 2<<20 {
 		t.Fatalf("a full cache grew the live heap by %.2f MB, want <= 2 MB", float64(grown)/(1<<20))
 	}

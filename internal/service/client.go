@@ -345,10 +345,9 @@ func (c *Client) Accuracy(app, scheduler string, samples int) (*AccuracyReply, e
 	return &reply, err
 }
 
-// Metrics fetches the server's metrics in the given format ("" or
-// FormatPrometheus for text exposition, FormatJSON for JSON).
-func (c *Client) Metrics(format string) (*MetricsReply, error) {
+// Metrics fetches the server's metrics in the Prometheus text format.
+func (c *Client) Metrics() (*MetricsReply, error) {
 	var reply MetricsReply
-	err := c.call("Metrics", &MetricsArgs{Format: format}, &reply, true)
+	err := c.call("Metrics", &MetricsArgs{}, &reply, true)
 	return &reply, err
 }

@@ -5,14 +5,19 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"cbes/internal/obs"
 )
 
 // FuzzHandlers feeds hostile arguments straight to the RPC handlers: node
 // lists that are out of range, negative or duplicated, empty pools and
 // empty Compares, unknown apps and algorithms, non-finite or negative
-// outcomes and advances. Every call must return an error or a
-// well-formed reply, and never a recovered panic. Advance is fuzzed only
-// over steps it must reject, since a long legal advance is slow by design.
+// outcomes and advances. The read-outs take the fuzzed strings too:
+// Decisions the algorithm as kind and as trace filter (a trace filter is
+// parsed), Accuracy the app and algorithm as filters, and Metrics. Every
+// call must return an error or a well-formed reply, and never a recovered
+// panic. Advance is fuzzed only over steps it must reject, since a long
+// legal advance is slow by design.
 func FuzzHandlers(f *testing.F) {
 	sys, prog := newSys(f)
 	s := NewServer(sys)
@@ -86,6 +91,51 @@ func FuzzHandlers(f *testing.F) {
 			if err == nil && (out.Actual != actual || !(actual > 0) || math.IsInf(actual, 0)) {
 				t.Fatalf("ReportOutcome(%q, %v) = %+v", id, actual, out)
 			}
+		}
+
+		var dec DecisionsReply
+		err = s.Decisions(&DecisionsArgs{N: int(width), Kind: alg}, &dec)
+		check("Decisions", err)
+		if err == nil && ((width > 0 && len(dec.Decisions) > int(width)) || uint64(len(dec.Decisions)) > dec.Total) {
+			t.Fatalf("Decisions(n=%d, kind=%q) = %d records of %d", width, alg, len(dec.Decisions), dec.Total)
+		}
+		for _, d := range dec.Decisions {
+			if alg != "" && d.Kind != alg {
+				t.Fatalf("Decisions(kind=%q) returned a %q record", alg, d.Kind)
+			}
+		}
+		dec = DecisionsReply{}
+		err = s.Decisions(&DecisionsArgs{TraceID: alg}, &dec)
+		check("Decisions", err)
+		if err == nil && alg != "" {
+			id, perr := obs.ParseID(alg)
+			if perr != nil || id == 0 {
+				t.Fatalf("Decisions accepted trace filter %q", alg)
+			}
+			for _, d := range dec.Decisions {
+				if d.TraceID != obs.FormatID(id) {
+					t.Fatalf("Decisions(trace=%q) returned trace %q", alg, d.TraceID)
+				}
+			}
+		}
+
+		var acc AccuracyReply
+		err = s.Accuracy(&AccuracyArgs{App: app, Scheduler: alg, Samples: int(width)}, &acc)
+		check("Accuracy", err)
+		if err == nil && width > 0 && len(acc.Samples) > int(width) {
+			t.Fatalf("Accuracy(samples=%d) = %d samples", width, len(acc.Samples))
+		}
+		for _, b := range acc.Buckets {
+			if (app != "" && b.App != app) || (alg != "" && b.Scheduler != alg) {
+				t.Fatalf("Accuracy(app=%q, sched=%q) returned bucket %+v", app, alg, b)
+			}
+		}
+
+		var met MetricsReply
+		err = s.Metrics(&MetricsArgs{}, &met)
+		check("Metrics", err)
+		if err == nil && !strings.Contains(met.Text, "# TYPE cbes_rpc_requests_total counter") {
+			t.Fatal("Metrics returned no Prometheus text")
 		}
 
 		if advance >= 0 && advance < 1e10 {

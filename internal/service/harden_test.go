@@ -419,7 +419,7 @@ func TestSoakShutdownMidFlight(t *testing.T) {
 				case 1:
 					_, err = c.Schedule(prog.Name, "rs", pool, int64(n))
 				default:
-					_, err = c.Metrics("")
+					_, err = c.Metrics()
 				}
 				if err != nil {
 					// Mid-shutdown failures must look like transport loss,

@@ -6,9 +6,7 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -27,9 +25,9 @@ import (
 	"cbes/internal/obs"
 )
 
-// RPC observability: every exported method but Metrics runs through
-// intercept, which maintains per-method request/error counters and
-// latency histograms plus a cluster-wide in-flight gauge. Method names
+// RPC observability: every exported method runs through intercept,
+// which maintains per-method request/error counters and latency
+// histograms plus a cluster-wide in-flight gauge. Method names
 // are a fixed set, so label cardinality is bounded.
 var (
 	rpcRequests = obs.Default().CounterVec(
@@ -114,9 +112,9 @@ func IsDeadlineExceeded(err error) bool {
 }
 
 // TraceMeta carries the caller's span context across the net/rpc wire.
-// Embedded in every args struct so gob moves it transparently — older
-// clients simply send the zero value, and the server mints a fresh
-// trace instead of adopting one. The typed Client stamps it from its
+// Embedded in every args struct but MetricsArgs (see there) so gob moves
+// it transparently — older clients simply send the zero value, and the
+// server mints a fresh trace instead of adopting one. The typed Client stamps it from its
 // own rpc.client.* span, so one trace tree covers client retry loop →
 // server interceptor → cache → search.
 type TraceMeta struct {
@@ -373,7 +371,7 @@ type DecisionsArgs struct {
 	N       int
 	Kind    string // "schedule", "evaluate", "explain", "compare"
 	App     string
-	TraceID string // hex, as echoed in replies
+	TraceID string // hex trace ID as echoed in replies; any case, padding optional
 }
 
 // DecisionsReply carries matching records (newest first) and the
@@ -425,18 +423,13 @@ type AccuracyReply struct {
 	Samples []accuracy.Sample
 }
 
-// Metrics formats accepted by the Metrics RPC.
-const (
-	FormatPrometheus = "prom" // Prometheus text exposition (the default)
-	FormatJSON       = "json" // expvar-style JSON snapshot
-)
+// MetricsArgs asks for a metrics scrape. It carries no TraceMeta, so the
+// server mints each scrape's trace. It stays an empty struct for the wire:
+// gob decodes an older client's struct{ Format string } into it, but not
+// into a struct whose only field is TraceMeta ("no fields matched").
+type MetricsArgs struct{}
 
-// MetricsArgs selects the exposition format.
-type MetricsArgs struct {
-	Format string // FormatPrometheus (default) or FormatJSON
-}
-
-// MetricsReply carries the rendered metrics.
+// MetricsReply carries the metrics in the Prometheus text format.
 type MetricsReply struct {
 	Text string
 }
@@ -479,7 +472,7 @@ const DefaultRequestTimeout = 30 * time.Second
 // Compare, Schedule, Status — run lock-free against the immutable
 // published view; only Advance (and view republication) holds the
 // engine lock, because only it drives the single-threaded simulation
-// engine. Metrics reads atomics and bypasses both paths.
+// engine.
 type Server struct {
 	sys *cbes.System
 	// lock is the engine serialization lock (writers only). A 1-slot
@@ -495,7 +488,7 @@ type Server struct {
 	// view is the epoch-stamped immutable state the read path runs
 	// against; the writer republishes it after every mutation.
 	view atomic.Pointer[view]
-	// cache memoizes predictions by (app, mapping, epoch); nil disables.
+	// cache memoizes predictions by (app, mapping, epoch).
 	cache *predCache
 	// flights coalesces concurrent identical Schedule requests.
 	flights flightGroup
@@ -523,10 +516,10 @@ func NewServer(sys *cbes.System) *Server {
 		sys:     sys,
 		lock:    make(chan struct{}, 1),
 		timeout: DefaultRequestTimeout,
-		cache:   newPredCache(DefaultCacheSize),
+		cache:   newPredCache(),
 		rec:     obs.DefaultRecorder(),
 		led:     accuracy.Default(),
-		brown:   newBrownCache(DefaultCacheSize),
+		brown:   newBrownCache(),
 	}
 	s.refreshView()
 	return s
@@ -937,12 +930,21 @@ func (s *Server) Advance(args *AdvanceArgs, reply *AdvanceReply) error {
 
 // Decisions queries the decision flight recorder: the most recent
 // matching records, newest first (DESIGN.md §11). Lock-free like the
-// other reads — the recorder has its own short-held mutex.
+// other reads — the recorder has its own short-held mutex. A trace
+// filter is any hex spelling of a trace ID (upper case, unpadded), which
+// is normalised to the 16-digit form replies and records carry; one that
+// is not a trace ID is refused rather than left to match nothing.
 func (s *Server) Decisions(args *DecisionsArgs, reply *DecisionsReply) error {
 	return s.intercept("Decisions", args.TraceMeta, false, func(_ context.Context) error {
-		reply.Decisions = s.rec.Decisions(obs.DecisionQuery{
-			N: args.N, Kind: args.Kind, App: args.App, TraceID: args.TraceID,
-		})
+		q := obs.DecisionQuery{N: args.N, Kind: args.Kind, App: args.App}
+		if args.TraceID != "" {
+			id, err := obs.ParseID(args.TraceID)
+			if err != nil || id == 0 {
+				return fmt.Errorf("service: Decisions: bad trace id %q", args.TraceID)
+			}
+			q.TraceID = obs.FormatID(id)
+		}
+		reply.Decisions = s.rec.Decisions(q)
 		reply.Total = s.rec.Total()
 		return nil
 	})
@@ -993,37 +995,15 @@ func (s *Server) Accuracy(args *AccuracyArgs, reply *AccuracyReply) error {
 	})
 }
 
-// Metrics renders the process metrics registry. It is the one method
-// outside intercept: the registry is atomic, and a scrape opens no span
-// and books only its request count, latency and errors.
-func (s *Server) Metrics(args *MetricsArgs, reply *MetricsReply) error {
-	rpcInflight.Add(1)
-	s.inflight.Add(1)
-	defer rpcInflight.Add(-1)
-	defer s.inflight.Add(-1)
-	start := time.Now()
-	defer func() {
-		rpcRequests.With("Metrics").Inc()
-		rpcSeconds.With("Metrics").Observe(time.Since(start).Seconds())
-	}()
-	switch args.Format {
-	case "", FormatPrometheus:
-		var buf bytes.Buffer
-		obs.Default().WritePrometheus(&buf)
-		reply.Text = buf.String()
-	case FormatJSON:
-		raw, err := json.MarshalIndent(obs.Default().Snapshot(), "", "  ")
-		if err != nil {
-			rpcErrors.With("Metrics").Inc()
-			return err
-		}
-		reply.Text = string(raw)
-	default:
-		rpcErrors.With("Metrics").Inc()
-		return fmt.Errorf("service: unknown metrics format %q (want %q or %q)",
-			args.Format, FormatPrometheus, FormatJSON)
-	}
-	return nil
+// Metrics renders the process metrics registry in the Prometheus text
+// format. The registry is atomic, so a scrape takes no lock.
+func (s *Server) Metrics(_ *MetricsArgs, reply *MetricsReply) error {
+	return s.intercept("Metrics", TraceMeta{}, false, func(_ context.Context) error {
+		var b strings.Builder
+		obs.Default().WritePrometheus(&b)
+		reply.Text = b.String()
+		return nil
+	})
 }
 
 // ServeOptions tunes ServeWith. The zero value selects sane defaults.
@@ -1037,9 +1017,6 @@ type ServeOptions struct {
 	// RequestTimeout bounds engine-lock queueing per request (ErrBusy on
 	// expiry). Default DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// CacheSize bounds the prediction cache: 0 selects DefaultCacheSize,
-	// negative disables caching.
-	CacheSize int
 	// DisableAdmission turns off the limiter and brownout mode — every
 	// request is admitted for full service. The unprotected control for
 	// overload experiments.
@@ -1084,11 +1061,6 @@ func ServeWith(sys *cbes.System, l net.Listener, opts ServeOptions) error {
 	opts = opts.withDefaults()
 	impl := NewServer(sys)
 	impl.timeout = opts.RequestTimeout
-	if opts.CacheSize < 0 {
-		impl.cache = nil
-	} else if opts.CacheSize > 0 {
-		impl.cache = newPredCache(opts.CacheSize)
-	}
 	if !opts.DisableAdmission {
 		lim := opts.Limiter
 		if lim == nil {

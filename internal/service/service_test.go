@@ -1,9 +1,9 @@
 package service
 
 import (
-	"encoding/json"
 	"math"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +12,7 @@ import (
 	"cbes"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
+	"cbes/internal/obs"
 	"cbes/internal/workloads"
 )
 
@@ -165,13 +166,12 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := c.Evaluate(prog.Name, []int{0, 1}); err == nil {
 		t.Fatal("wrong-arity mapping should error")
 	}
-	if _, err := c.Metrics("xml"); err == nil || !strings.Contains(err.Error(), "unknown metrics format") {
-		t.Fatalf("bad metrics format: err = %v", err)
-	}
 }
 
 // TestMetricsOverRPC drives traffic through the service and then checks
-// the Metrics RPC reports it in both exposition formats.
+// the Metrics RPC reports it in the Prometheus text format. A scrape runs
+// through intercept like every other method: the first one is booked in
+// the second's request counter, and each mints a root trace of its own.
 func TestMetricsOverRPC(t *testing.T) {
 	c, prog, sys := startServer(t)
 	if _, err := c.Evaluate(prog.Name, []int{0, 1, 2, 3}); err != nil {
@@ -180,15 +180,17 @@ func TestMetricsOverRPC(t *testing.T) {
 	if _, err := c.Schedule(prog.Name, "cs", sys.Pool(cluster.ArchAlpha, cluster.ArchIntel), 1); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Metrics("")
+	if _, err := c.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`cbes_rpc_requests_total{method="Evaluate"}`,
 		`cbes_rpc_seconds_bucket{method="Schedule",le="+Inf"}`,
+		`cbes_rpc_seconds_bucket{method="Metrics",le="+Inf"}`,
 		"cbes_core_energy_evals_total",
-		"cbes_core_delta_evals_total",
 		"cbes_sa_acceptance_rate",
 		"cbes_monitor_snapshot_age_seconds",
 		"cbes_schedule_requests_total",
@@ -197,20 +199,53 @@ func TestMetricsOverRPC(t *testing.T) {
 			t.Fatalf("prometheus exposition missing %q", want)
 		}
 	}
-	j, err := c.Metrics("json")
-	if err != nil {
+	for _, series := range []string{
+		`cbes_rpc_requests_total{method="Evaluate"}`,
+		`cbes_rpc_requests_total{method="Metrics"}`,
+		"cbes_core_delta_evals_total",
+	} {
+		if v := sampleValue(t, r.Text, series); v < 1 {
+			t.Fatalf("%s = %v, want >= 1", series, v)
+		}
+	}
+	roots := 0
+	for _, sp := range obs.DefaultTracer().Spans() {
+		if sp.Name == "rpc.Metrics" && sp.Trace != "" && sp.Parent == "" {
+			roots++
+		}
+	}
+	if roots < 2 {
+		t.Fatalf("%d root rpc.Metrics spans, want one per scrape", roots)
+	}
+}
+
+// sampleValue returns the value of one exposition sample line.
+func sampleValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s sample in the exposition", series)
+	return 0
+}
+
+// An older client sends Metrics args of the shape struct{ Format string },
+// here asking for the JSON format that no longer exists. Gob still decodes
+// them, and the answer is the Prometheus text.
+func TestMetricsOldClientArgs(t *testing.T) {
+	c, _, _ := startServer(t)
+	var reply MetricsReply
+	if err := c.conn().Call(RPCName+".Metrics", &struct{ Format string }{"json"}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	var tree map[string]any
-	if err := json.Unmarshal([]byte(j.Text), &tree); err != nil {
-		t.Fatalf("metrics JSON does not parse: %v", err)
-	}
-	rpcByMethod, ok := tree["cbes_rpc_requests_total"].(map[string]any)
-	if !ok || rpcByMethod["Evaluate"].(float64) < 1 {
-		t.Fatalf("JSON metrics missing per-method RPC counts: %v", tree["cbes_rpc_requests_total"])
-	}
-	if tree["cbes_core_delta_evals_total"].(float64) == 0 {
-		t.Fatal("delta evaluations not counted")
+	if !strings.Contains(reply.Text, "# TYPE cbes_rpc_requests_total counter") {
+		t.Fatalf("old-shape Metrics args got no Prometheus text:\n%s", reply.Text)
 	}
 }
 
@@ -231,18 +266,14 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			format := ""
-			if i%2 == 1 {
-				format = "json"
-			}
-			r, err := c.Metrics(format)
+			r, err := c.Metrics()
 			if err == nil && r.Text == "" {
 				err = errEmptyScrape
 			}
 			errs <- err
-		}(i)
+		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -203,3 +203,35 @@ func TestServerMintsWhenClientSilent(t *testing.T) {
 		}
 	}
 }
+
+// The Decisions RPC's trace filter takes any hex spelling of a trace ID —
+// upper case, or without its leading zeros — and refuses a string that is
+// not a trace ID rather than let it match nothing. The evaluate runs under
+// a caller trace whose ID has leading zero digits and hex letters, so both
+// alternative spellings differ from the one records carry.
+func TestDecisionsTraceFilterNormalises(t *testing.T) {
+	c, prog, _ := startServer(t)
+	meta := freshTrace()
+	meta.TraceID = meta.TraceID>>16 | 0xab<<40
+	var ev EvaluateReply
+	if err := c.conn().Call(RPCName+".Evaluate", &EvaluateArgs{TraceMeta: meta, App: prog.Name, Mapping: []int{0, 1, 2, 3}}, &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.TraceID != obs.FormatID(meta.TraceID) {
+		t.Fatalf("reply trace %q, want the caller's %s", ev.TraceID, obs.FormatID(meta.TraceID))
+	}
+	for _, spelling := range []string{strings.ToUpper(ev.TraceID), strings.TrimLeft(ev.TraceID, "0")} {
+		dr, err := c.Decisions(0, "", "", spelling)
+		if err != nil {
+			t.Fatalf("trace filter %q: %v", spelling, err)
+		}
+		if len(dr.Decisions) != 1 || dr.Decisions[0].TraceID != ev.TraceID {
+			t.Fatalf("trace filter %q matched %+v, want the evaluate record of %s", spelling, dr.Decisions, ev.TraceID)
+		}
+	}
+	for _, bad := range []string{"zz", "0"} {
+		if dr, err := c.Decisions(0, "", "", bad); err == nil || !strings.Contains(err.Error(), "bad trace id") {
+			t.Fatalf("trace filter %q: %d records, err %v; want a bad trace id error", bad, len(dr.Decisions), err)
+		}
+	}
+}
