@@ -317,6 +317,33 @@ func BenchmarkEnergyDelta(b *testing.B) {
 	})
 }
 
+// BenchmarkEstimatePhased measures the service's cache-miss evaluation on
+// the svc_* workloads' application: Estimate of Phased(60,8) on the test
+// topology, 61 segments repeating one ring exchange. The kernel benches
+// above run single-segment profiles, so only this one sees the work a
+// segmented profile shares across segments.
+func BenchmarkEstimatePhased(b *testing.B) {
+	sys := cbes.NewSystem(cluster.NewTestTopology(), cbes.Config{})
+	defer sys.Close()
+	sys.Calibrate(bench.Options{})
+	prog := workloads.Phased(60, 8)
+	mapping := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	sys.MustProfile(prog, mapping)
+	eval, err := sys.Evaluator(prog.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := monitor.IdleSnapshot(sys.Topo.NumNodes())
+	m := core.Mapping{7, 6, 5, 4, 3, 2, 1, 0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval.Estimate(m, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // saThroughput times full SA scheduling decisions and reports energy
 // evaluations per second of wall time.
 func saThroughput(b *testing.B, run func(seed int64) int) {

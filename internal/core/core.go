@@ -287,18 +287,23 @@ func (e *Evaluator) PredictBrownout(m Mapping) (Estimate, error) {
 	e.nominalOnce.Do(func() {
 		e.nominal = monitor.IdleSnapshot(e.Topo.NumNodes())
 		aggs := make([]brownoutAgg, len(ix.profSpeed))
-		for f, pp := range ix.flat {
-			a := &aggs[pp.Rank]
-			a.work += (pp.X + pp.O) * ix.profSpeed[pp.Rank]
-			lam := ix.lambda[f]
-			if lam == 0 {
-				continue
-			}
-			for _, g := range pp.Sends {
-				a.sends = addWeighted(a.sends, g.Peer, g.Size, lam*float64(g.Count))
-			}
-			for _, g := range pp.Recvs {
-				a.recvs = addWeighted(a.recvs, g.Peer, g.Size, lam*float64(g.Count))
+		f := 0
+		for _, seg := range e.Prof.Segments {
+			for i := range seg.Procs {
+				pp := &seg.Procs[i]
+				a := &aggs[pp.Rank]
+				a.work += ix.work[f] * ix.profSpeed[pp.Rank]
+				lam := ix.lambda[f]
+				f++
+				if lam == 0 {
+					continue
+				}
+				for _, g := range pp.Sends {
+					a.sends = addWeighted(a.sends, g.Peer, g.Size, lam*float64(g.Count))
+				}
+				for _, g := range pp.Recvs {
+					a.recvs = addWeighted(a.recvs, g.Peer, g.Size, lam*float64(g.Count))
+				}
 			}
 		}
 		e.brownAgg = aggs

@@ -74,13 +74,18 @@ func twoSwitchAlphas() *cluster.Topology {
 }
 
 func newFixtureOn(t *testing.T, topo *cluster.Topology, profMapping []int) *fixture {
+	return newFixtureWith(t, topo, profMapping, appBody)
+}
+
+// newFixtureWith is newFixtureOn for the application body.
+func newFixtureWith(t *testing.T, topo *cluster.Topology, profMapping []int, body func(*mpisim.Rank)) *fixture {
 	t.Helper()
 	model := bench.Calibrate(topo, bench.Options{Reps: 5})
 
 	eng := des.NewEngine()
 	vc := vcluster.New(eng, topo)
 	net := simnet.New(eng, topo)
-	res := mpisim.Run(vc, net, profMapping, appBody, mpisim.Options{AppName: "app"})
+	res := mpisim.Run(vc, net, profMapping, body, mpisim.Options{AppName: "app"})
 
 	speeds := bench.MeasureArchSpeeds(topo, nil, 0.2)
 	prof, err := profile.FromTrace(res.Trace, topo, speeds)
@@ -91,7 +96,7 @@ func newFixtureOn(t *testing.T, topo *cluster.Topology, profMapping []int) *fixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{topo: topo, model: model, prof: prof, eval: eval, body: appBody}
+	return &fixture{topo: topo, model: model, prof: prof, eval: eval, body: body}
 }
 
 func TestPredictSameMappingIdle(t *testing.T) {

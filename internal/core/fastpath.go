@@ -20,8 +20,13 @@
 //     load terms — no curve search;
 //   - the links: every distinct directed (src rank, dst rank, size) that
 //     an entry with λ ≠ 0 reads, numbered in Θ order of first appearance,
-//     each message group's link ID, and per rank the links it is an
-//     endpoint of;
+//     and per rank the links it is an endpoint of;
+//   - the Θ rows: every distinct ordered list of (link, count) an entry
+//     with λ ≠ 0 sums for eq. 6, receives then sends, and each entry's row
+//     ID. Eq. 6 reads the mapping only through the links, so a segmented
+//     profile repeating the same exchange in every segment holds one row
+//     per rank and exchange shape, not one per (segment, rank) entry;
+//   - per entry its rank and X+O, the numerator of eq. 5;
 //   - per-node resolved compute speeds and CPU counts (no ArchSpeed map
 //     lookups), and per rank Speed_profile of eq. 5: the speed at the
 //     rank's profiling node Mapping[r], which the profile does not store;
@@ -29,17 +34,19 @@
 //     (eq. 6) reads that rank's node, derived from the send/recv groups.
 //
 // A Scorer then carries the mutable scratch state for one mapping: one Lc
-// per link, flat per-(segment,proc) R and C terms, per-node multiplicities,
-// per-segment maxima, and an undo journal. Lc depends only on the link's
-// two nodes, its size and the snapshot, so a full evaluation computes it
-// once per link rather than once per message group at both endpoints and
-// in every segment, and C is a gather-sum over the link values. Applying a
-// Move recomputes the links of the moved rank(s), re-scores only the
-// entries whose inputs changed — the moved rank(s), their communication
-// peers (not under ignoreComm, where every C term is zero and no link is
-// kept), and (for capacity-changing moves) the ranks co-located on the two
-// affected nodes — and rebuilds the total from per-segment maxima, so the
-// running energy is always bit-identical to a fresh full evaluation.
+// per link, one Θ per row, flat per-(segment,proc) R and C terms,
+// per-node multiplicities, per-segment maxima, and an undo journal. Lc
+// depends only on the link's two nodes, its size and the snapshot, so a
+// full evaluation computes it once per link rather than once per message
+// group at both endpoints and in every segment; Θ depends only on the
+// links, so it is summed once per row, and eq. 5's speed and ACPU factors
+// once per rank. Applying a Move recomputes the links of the moved
+// rank(s), re-scores only the entries whose inputs changed — the moved
+// rank(s), their communication peers (not under ignoreComm, where every C
+// term is zero and no link is kept), and (for capacity-changing moves) the
+// ranks co-located on the two affected nodes — summing each touched row's
+// Θ once, and rebuilds the total from per-segment maxima, so the running
+// energy is always bit-identical to a fresh full evaluation.
 //
 // Invariants, checked by TestFastPathEquivalence and FuzzEnergyDelta against
 // oraclePredict — the segment-by-segment walk over Model.Latency that the
@@ -52,6 +59,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cbes/internal/cluster"
@@ -86,20 +94,23 @@ type fastIndex struct {
 	speed     []float64 // per node: profile speed with nominal fallback
 	cpus      []int     // per node: CPU count
 	profSpeed []float64 // per rank: Speed_profile of eq. 5 (len = ranks)
-	// flat is every segment's ProcProfile in profile order;
+	// Flat entries are every segment's processes in profile order;
 	// segOff[s] is the first flat index of segment s (len = segments+1).
-	// lambda[f] is flat entry f's λ (eq. 7), 0 when its Θ^profile is not
-	// positive.
-	flat   []*profile.ProcProfile
+	// Per flat entry f: rankOf[f] its rank, work[f] its X+O, lambda[f] its
+	// λ (eq. 7, 0 when its Θ^profile is not positive) and rowOf[f] its Θ
+	// row, -1 when λ = 0.
 	segOff []int
+	rankOf []int32
+	work   []float64
 	lambda []float64
-	// linkOf holds, for the message groups of every entry with λ ≠ 0 in
-	// the order Θ accumulates them (receives, then sends), the ID of the
-	// group's link; entry f's run starts at linkOf[grpOff[f]], and an entry
-	// with λ = 0 has none. Counts are read from the profile's own groups:
-	// copying them would add 8 B per group to every evaluator's live heap.
-	grpOff []int32
-	linkOf []int32
+	rowOf  []int32
+	// Θ rows: row i sums rowCount[j]·Lc(rowLink[j]) over j in
+	// [rowOff[i], rowOff[i+1]), in the order Θ accumulates an entry's
+	// groups (receives, then sends). Rows are interned on that exact
+	// sequence, so entries sharing a row share its Θ bit for bit.
+	rowOff   []int32
+	rowLink  []int32
+	rowCount []float64
 	// links lists every distinct directed link an entry with λ ≠ 0 reads,
 	// in Θ order of first appearance; rankLinks[r] lists, ascending, the
 	// links rank r is an endpoint of (a rank's link to itself once).
@@ -154,24 +165,27 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	for r := range depSet {
 		depSet[r] = map[int32]struct{}{}
 	}
-	entries, groups := 0, 0
+	entries := 0
 	for _, seg := range e.Prof.Segments {
 		entries += len(seg.Procs)
-		for i := range seg.Procs {
-			groups += len(seg.Procs[i].Recvs) + len(seg.Procs[i].Sends)
-		}
 	}
-	ix.flat = make([]*profile.ProcProfile, 0, entries)
 	ix.segOff = make([]int, 1, len(e.Prof.Segments)+1)
+	ix.rankOf = make([]int32, 0, entries)
+	ix.work = make([]float64, 0, entries)
 	ix.lambda = make([]float64, 0, entries)
-	ix.grpOff = make([]int32, 0, entries)
-	ix.linkOf = make([]int32, 0, groups)
+	ix.rowOf = make([]int32, 0, entries)
+	ix.rowOff = []int32{0}
 	sizeIdx := map[int64]int32{}
 	var sizes []int64
 	linkIdx := map[link]int32{}
+	// rowIdx interns rows on key, the encoded (link ID, count) sequence of
+	// the entry being built, whose terms addGroups appends to the row
+	// table's tail.
+	rowIdx := map[string]int32{}
+	var key []byte
 	// addGroups records f as a communication dependent of every peer and,
-	// when f's C term reads them (λ ≠ 0), the link of every group: peer to
-	// rank for receives, rank to peer for sends.
+	// when f's C term reads them (λ ≠ 0), the link and count of every
+	// group: peer to rank for receives, rank to peer for sends.
 	addGroups := func(f int32, pp *profile.ProcProfile, gs []trace.MsgGroup, recv bool) {
 		for _, g := range gs {
 			if g.Peer >= 0 && g.Peer < ranks {
@@ -196,15 +210,19 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				linkIdx[ln] = id
 				ix.links = append(ix.links, ln)
 			}
-			ix.linkOf = append(ix.linkOf, id)
+			ix.rowLink = append(ix.rowLink, id)
+			ix.rowCount = append(ix.rowCount, float64(g.Count))
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+			key = binary.LittleEndian.AppendUint64(key, uint64(g.Count))
 		}
 	}
 	for si := range e.Prof.Segments {
 		seg := &e.Prof.Segments[si]
 		for pi := range seg.Procs {
 			pp := &seg.Procs[pi]
-			f := int32(len(ix.flat))
-			ix.flat = append(ix.flat, pp)
+			f := int32(len(ix.rankOf))
+			ix.rankOf = append(ix.rankOf, int32(pp.Rank))
+			ix.work = append(ix.work, pp.X+pp.O)
 			if pp.Rank >= 0 && pp.Rank < ranks {
 				ix.own[pp.Rank] = append(ix.own[pp.Rank], f)
 				depSet[pp.Rank][f] = struct{}{}
@@ -214,11 +232,24 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 				lam = pp.B / theta
 			}
 			ix.lambda = append(ix.lambda, lam)
-			ix.grpOff = append(ix.grpOff, int32(len(ix.linkOf)))
+			start := len(ix.rowLink)
+			key = key[:0]
 			addGroups(f, pp, pp.Recvs, true)
 			addGroups(f, pp, pp.Sends, false)
+			row := int32(-1)
+			if lam != 0 {
+				var seen bool
+				if row, seen = rowIdx[string(key)]; seen {
+					ix.rowLink, ix.rowCount = ix.rowLink[:start], ix.rowCount[:start]
+				} else {
+					row = int32(len(ix.rowOff) - 1)
+					rowIdx[string(key)] = row
+					ix.rowOff = append(ix.rowOff, int32(len(ix.rowLink)))
+				}
+			}
+			ix.rowOf = append(ix.rowOf, row)
 		}
-		ix.segOff = append(ix.segOff, len(ix.flat))
+		ix.segOff = append(ix.segOff, len(ix.rankOf))
 	}
 	// A link's ranks lie in [0, ranks): profile.FromTrace and
 	// profile.Decode reject any other rank or peer, and deriving λ above
@@ -328,17 +359,23 @@ type Scorer struct {
 	m       Mapping   // current mapping (owned)
 	mult    []int     // ranks per node
 	linkLat []float64 // Lc per link; untouched under ignoreComm
+	theta   []float64 // Θ per row; untouched under ignoreComm, never journaled
 	r, c    []float64 // per flat entry
 	segMax  []float64
 	total   float64
 	primed  bool
 
+	// rfac/rinv hold prime's eq. 5 factors per rank (rankFactors).
+	rfac, rinv []float64
+
 	frames []frame
 	depth  int
 
-	// epoch-stamped scratch for deduplicating touched entries/segments.
+	// epoch-stamped scratch for deduplicating touched entries/segments and
+	// summing a touched row's Θ once per Apply.
 	seenEntry []uint32
 	seenSeg   []uint32
+	seenRow   []uint32
 	epoch     uint32
 	touched   []int32
 
@@ -353,19 +390,24 @@ type Scorer struct {
 // not allocate.
 func (e *Evaluator) Scorer() *Scorer {
 	ix := e.fastIx
+	ranks, entries, rows := len(ix.profSpeed), len(ix.rankOf), len(ix.rowOff)-1
 	return &Scorer{
 		e:         e,
 		ix:        ix,
-		m:         make(Mapping, len(ix.profSpeed)),
+		m:         make(Mapping, ranks),
 		mult:      make([]int, ix.nodes),
 		linkLat:   make([]float64, len(ix.links)),
+		theta:     make([]float64, rows),
 		avail:     make([]float64, ix.nodes),
 		nic:       make([]float64, ix.nodes),
-		r:         make([]float64, len(ix.flat)),
-		c:         make([]float64, len(ix.flat)),
+		r:         make([]float64, entries),
+		c:         make([]float64, entries),
 		segMax:    make([]float64, len(ix.segOff)-1),
-		seenEntry: make([]uint32, len(ix.flat)),
+		rfac:      make([]float64, ranks),
+		rinv:      make([]float64, ranks),
+		seenEntry: make([]uint32, entries),
 		seenSeg:   make([]uint32, len(ix.segOff)-1),
+		seenRow:   make([]uint32, rows),
 	}
 }
 
@@ -397,6 +439,9 @@ func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
 // validates m, loads snap, and scores every entry, leaving the terms in
 // r/c, the per-segment maxima in segMax, and their sum in total. anyStale
 // reports that a mapped node is HealthSuspect (the degraded-mode trigger).
+// Each link's Lc, each row's Θ and each rank's eq. 5 factors are computed
+// once; one pass over the entries then multiplies them out and takes each
+// segment's maximum with segmentPeak's strictly-greater (first-wins) scan.
 func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) {
 	if len(m) != len(s.m) {
 		return false, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(s.m))
@@ -415,17 +460,33 @@ func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err er
 	for _, n := range s.m {
 		s.mult[n]++
 	}
-	if !s.e.ignoreComm {
-		for l := range s.ix.links {
+	ix, comm := s.ix, !s.e.ignoreComm
+	if comm {
+		for l := range ix.links {
 			s.linkLat[l] = s.latency(int32(l))
 		}
+		for row := range s.theta {
+			s.theta[row] = s.rowTheta(row)
+		}
 	}
-	for f := range s.ix.flat {
-		s.r[f] = s.computeR(int32(f))
-		s.c[f] = s.computeC(int32(f))
+	for r := range s.rfac {
+		s.rfac[r], s.rinv[r] = s.rankFactors(r)
 	}
 	for seg := range s.segMax {
-		s.segMax[seg] = s.segmentMax(seg)
+		lo, hi := ix.segOff[seg], ix.segOff[seg+1]
+		max := 0.0
+		for f := lo; f < hi; f++ {
+			rk := ix.rankOf[f]
+			r, c := ix.work[f]*s.rfac[rk]*s.rinv[rk], 0.0
+			if row := ix.rowOf[f]; comm && row >= 0 {
+				c = s.theta[row] * ix.lambda[f]
+			}
+			s.r[f], s.c[f] = r, c
+			if t := r + c; f == lo || t > max {
+				max = t
+			}
+		}
+		s.segMax[seg] = max
 	}
 	s.total = s.sumSegments()
 	s.depth = 0
@@ -460,7 +521,7 @@ func (s *Scorer) critical(seg int) int {
 	if at < 0 {
 		return -1
 	}
-	return s.ix.flat[at].Rank
+	return int(s.ix.rankOf[at])
 }
 
 // staleNodes lists the HealthSuspect nodes of snap that the primed mapping
@@ -478,9 +539,9 @@ func (s *Scorer) staleNodes(snap *monitor.Snapshot) []int {
 // detail copies the primed state out as Prediction.Segments: one
 // []ProcEstimate backing array sliced per segment.
 func (s *Scorer) detail() []SegmentEstimate {
-	procs := make([]ProcEstimate, len(s.ix.flat))
-	for f, pp := range s.ix.flat {
-		procs[f] = ProcEstimate{Rank: pp.Rank, R: s.r[f], C: s.c[f], Lambda: s.ix.lambda[f]}
+	procs := make([]ProcEstimate, len(s.ix.rankOf))
+	for f, rk := range s.ix.rankOf {
+		procs[f] = ProcEstimate{Rank: int(rk), R: s.r[f], C: s.c[f], Lambda: s.ix.lambda[f]}
 	}
 	segs := make([]SegmentEstimate, len(s.segMax))
 	for seg := range segs {
@@ -634,6 +695,9 @@ func (s *Scorer) beginTouch() {
 		for i := range s.seenSeg {
 			s.seenSeg[i] = 0
 		}
+		for i := range s.seenRow {
+			s.seenRow[i] = 0
+		}
 		s.epoch = 1
 	}
 	s.touched = s.touched[:0]
@@ -672,7 +736,7 @@ func (s *Scorer) rescoreTouched(fr *frame) {
 	}
 	for seg := range s.segMax {
 		if s.seenSeg[seg] == s.epoch {
-			s.segMax[seg] = s.segmentMax(seg)
+			_, s.segMax[seg] = s.segmentPeak(seg)
 		}
 	}
 	s.total = s.sumSegments()
@@ -693,15 +757,10 @@ func (s *Scorer) segmentOf(f int32) int {
 	return lo
 }
 
-// segmentMax is S_M of eq. 4 for one segment (0 for one without entries).
-func (s *Scorer) segmentMax(seg int) float64 {
-	_, max := s.segmentPeak(seg)
-	return max
-}
-
 // segmentPeak scans one segment's totals in entry order with a
 // strictly-greater selection, so the first entry wins ties; it returns the
-// flat index of the winner and its total, or (-1, 0) without entries.
+// flat index of the winner and its total, S_M of eq. 4, or (-1, 0)
+// without entries.
 func (s *Scorer) segmentPeak(seg int) (at int, max float64) {
 	lo, hi := s.ix.segOff[seg], s.ix.segOff[seg+1]
 	if lo == hi {
@@ -726,9 +785,15 @@ func (s *Scorer) sumSegments() float64 {
 
 // computeR is R_i of eq. 5 on precomputed tables.
 func (s *Scorer) computeR(f int32) float64 {
-	pp := s.ix.flat[f]
-	node := s.m[pp.Rank]
-	speed := s.ix.speed[node]
+	fac, inv := s.rankFactors(int(s.ix.rankOf[f]))
+	return s.ix.work[f] * fac * inv
+}
+
+// rankFactors returns eq. 5's two factors for rank r on its current node:
+// Speed_profile/Speed_j and 1/ACPU_j, ACPU_j scaled by the node's CPU
+// share among its co-located ranks and floored at 0.01.
+func (s *Scorer) rankFactors(r int) (fac, inv float64) {
+	node := s.m[r]
 	acpu := s.avail[node]
 	if co := s.mult[node]; co > 1 {
 		share := float64(s.ix.cpus[node]) / float64(co)
@@ -739,31 +804,36 @@ func (s *Scorer) computeR(f int32) float64 {
 	if acpu < 0.01 {
 		acpu = 0.01
 	}
-	return (pp.X + pp.O) * (s.ix.profSpeed[pp.Rank] / speed) * (1 / acpu)
+	return s.ix.profSpeed[r] / s.ix.speed[node], 1 / acpu
 }
 
-// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8), Lc being the load-adjusted
-// latency estimate of the network model read from the scorer's per-link
-// values; it accumulates in profile.Theta's order (receives, then sends).
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) for rescoreTouched: the
+// entry's row Θ, summed from the current links on the row's first read of
+// this Apply and reused by every other entry sharing the row.
 func (s *Scorer) computeC(f int32) float64 {
-	if s.e.ignoreComm {
+	row := s.ix.rowOf[f]
+	if s.e.ignoreComm || row < 0 {
 		return 0
 	}
-	lam := s.ix.lambda[f]
-	if lam == 0 {
-		return 0
+	if s.seenRow[row] != s.epoch {
+		s.seenRow[row] = s.epoch
+		s.theta[row] = s.rowTheta(int(row))
 	}
-	pp := s.ix.flat[f]
-	l := s.ix.linkOf[s.ix.grpOff[f]:]
+	return s.theta[row] * s.ix.lambda[f]
+}
+
+// rowTheta is Θ of eq. 6 for one row, Lc being the load-adjusted latency
+// estimate of the network model read from the scorer's per-link values;
+// it accumulates in profile.Theta's order (receives, then sends).
+func (s *Scorer) rowTheta(row int) float64 {
+	ix := s.ix
+	lo, hi := ix.rowOff[row], ix.rowOff[row+1]
+	links, counts := ix.rowLink[lo:hi], ix.rowCount[lo:hi]
 	theta := 0.0
-	for i, g := range pp.Recvs {
-		theta += float64(g.Count) * s.linkLat[l[i]]
+	for j, l := range links {
+		theta += counts[j] * s.linkLat[l]
 	}
-	l = l[len(pp.Recvs):]
-	for i, g := range pp.Sends {
-		theta += float64(g.Count) * s.linkLat[l[i]]
-	}
-	return theta * lam
+	return theta
 }
 
 // latency is Lc of link li — between its endpoints' current nodes, at its

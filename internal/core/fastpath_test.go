@@ -17,6 +17,7 @@ import (
 	"cbes/internal/profile"
 	"cbes/internal/raceflag"
 	"cbes/internal/trace"
+	"cbes/internal/workloads"
 )
 
 // syntheticEvaluator builds an evaluator over a random topology with a
@@ -64,12 +65,25 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 	segs := 1 + rng.Intn(3)
 	for s := 0; s < segs; s++ {
 		sp := profile.SegmentProfile{Name: fmt.Sprintf("seg%d", s)}
+		// With probability ½ a later segment repeats an earlier one's
+		// message groups with fresh compute terms, as a phased profile
+		// repeats its exchange every iteration, so entries of different
+		// segments share Θ rows.
+		var repeat []profile.ProcProfile
+		if s > 0 && rng.Intn(2) == 0 {
+			repeat = prof.Segments[rng.Intn(s)].Procs
+		}
 		for r := 0; r < ranks; r++ {
 			pp := profile.ProcProfile{
 				Rank: r,
 				X:    rng.Float64() * 2,
 				O:    rng.Float64() * 0.2,
 				B:    rng.Float64() * 0.5,
+			}
+			if repeat != nil {
+				pp.Sends, pp.Recvs = repeat[r].Sends, repeat[r].Recvs
+				sp.Procs = append(sp.Procs, pp)
+				continue
 			}
 			for g := rng.Intn(3); g > 0; g-- {
 				pp.Sends = append(pp.Sends, trace.MsgGroup{
@@ -90,6 +104,18 @@ func syntheticEvaluatorOn(t testing.TB, topo *cluster.Topology, seed int64) (*Ev
 		t.Fatal(err)
 	}
 	return eval, rng
+}
+
+// sharedRows counts the entries of e whose Θ row an earlier entry already
+// uses: the Θ sums a full evaluation saves by sharing rows.
+func sharedRows(e *Evaluator) int {
+	n := 0
+	for _, row := range e.fastIx.rowOf {
+		if row >= 0 {
+			n++
+		}
+	}
+	return n - (len(e.fastIx.rowOff) - 1)
 }
 
 // randomMsgSize draws a message size from 1 B to 32 kB: below the first
@@ -210,11 +236,13 @@ func TestFastPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shared := 0
 	for seed := int64(0); seed < 13; seed++ {
 		eval, rng := syntheticEvaluator(t, seed)
 		if seed == 12 {
 			eval, rng = syntheticEvaluatorOn(t, fat, seed)
 		}
+		shared += sharedRows(eval)
 		n := eval.Topo.NumNodes()
 		snaps := []struct {
 			kind string
@@ -236,24 +264,69 @@ func TestFastPathEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if shared == 0 {
+		t.Fatal("no fixture shares a Θ row across segments")
+	}
 }
 
 // TestEstimateDoesNotAllocate: the service's miss path pays no allocation
-// for an evaluation on a healthy snapshot.
+// for an evaluation on a healthy snapshot, on a synthetic profile and on a
+// segmented one whose segments repeat one exchange.
 func TestEstimateDoesNotAllocate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	eval, rng := syntheticEvaluator(t, 5)
-	n := eval.Topo.NumNodes()
-	snap := randomSnapshot(n, rng)
-	m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := eval.Estimate(m, snap); err != nil {
-			t.Fatal(err)
+	syn, rng := syntheticEvaluator(t, 5)
+	phased := newFixtureWith(t, cluster.NewTestTopology(), []int{0, 1, 2, 3}, workloads.Phased(12, 4).Body).eval
+	if sharedRows(phased) == 0 {
+		t.Fatal("Phased(12,4) shares no Θ row")
+	}
+	for _, eval := range []*Evaluator{syn, phased} {
+		n := eval.Topo.NumNodes()
+		snap := randomSnapshot(n, rng)
+		m := randomValidMapping(len(eval.Prof.Mapping), n, rng)
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := eval.Estimate(m, snap); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s: Estimate allocates %v times per call on a healthy snapshot, want 0", eval.Prof.App, avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("Estimate allocates %v times per call on a healthy snapshot, want 0", avg)
+	}
+}
+
+// TestEstimateMatchesOracleOnPhased: on a recorded Phased(12,4) profile,
+// whose thirteen segments repeat one ring exchange and so share their Θ
+// rows, Estimate and Predict equal the oracle on healthy and suspect-node
+// snapshots, and so does the running energy of 200 random Apply/Undo
+// steps.
+func TestEstimateMatchesOracleOnPhased(t *testing.T) {
+	eval := newFixtureWith(t, cluster.NewTestTopology(), []int{0, 1, 2, 3}, workloads.Phased(12, 4).Body).eval
+	if sharedRows(eval) == 0 {
+		t.Fatal("Phased(12,4) shares no Θ row")
+	}
+	rng := rand.New(rand.NewSource(12))
+	n, ranks := eval.Topo.NumNodes(), len(eval.Prof.Mapping)
+	for _, snap := range []*monitor.Snapshot{randomSnapshot(n, rng), randomHealth(randomSnapshot(n, rng), rng, false)} {
+		sc := eval.Scorer()
+		for trial := 0; trial < 10; trial++ {
+			assertMatchesOracle(t, eval, sc, randomValidMapping(ranks, n, rng), snap, fmt.Sprintf("trial %d", trial))
+		}
+		for step := 0; step < 200; step++ {
+			got := sc.Apply(randomMove(rng, ranks, n))
+			if rng.Intn(3) == 0 {
+				sc.Undo()
+				got = sc.EnergyNow()
+			}
+			want, err := oraclePredict(eval, sc.Current(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(got, want.Seconds) {
+				t.Fatalf("step %d: delta %v != oracle %v", step, got, want.Seconds)
+			}
+		}
+		assertMatchesOracle(t, eval, eval.Scorer(), sc.Current().Clone(), snap, "after the walk")
 	}
 }
 
@@ -263,8 +336,10 @@ func TestEstimateDoesNotAllocate(t *testing.T) {
 // Undo restores the previous energy exactly, and that unwinding the whole
 // journal returns to the initial state.
 func TestEnergyDeltaNoDrift(t *testing.T) {
+	shared := 0
 	for seed := int64(0); seed < 8; seed++ {
 		eval, rng := syntheticEvaluator(t, 100+seed)
+		shared += sharedRows(eval)
 		n := eval.Topo.NumNodes()
 		ranks := len(eval.Prof.Mapping)
 		snap := randomSnapshot(n, rng)
@@ -307,6 +382,9 @@ func TestEnergyDeltaNoDrift(t *testing.T) {
 		if !sc.Current().Equal(m) {
 			t.Fatalf("seed %d: unwound mapping %v != initial %v", seed, sc.Current(), m)
 		}
+	}
+	if shared == 0 {
+		t.Fatal("no fixture shares a Θ row across segments")
 	}
 }
 
@@ -400,12 +478,16 @@ func uncalibratedFixture(t *testing.T) (*Evaluator, Mapping) {
 		t.Fatal(err)
 	}
 	var src *profile.ProcProfile
-	var peer int
-	for f, pp := range eval.fastIx.flat {
-		for _, g := range pp.Sends {
-			if eval.fastIx.lambda[f] != 0 && g.Peer != pp.Rank {
-				src, peer = pp, g.Peer
+	var peer, f int
+	for si := range eval.Prof.Segments {
+		for pi := range eval.Prof.Segments[si].Procs {
+			pp := &eval.Prof.Segments[si].Procs[pi]
+			for _, g := range pp.Sends {
+				if eval.fastIx.lambda[f] != 0 && g.Peer != pp.Rank {
+					src, peer = pp, g.Peer
+				}
 			}
+			f++
 		}
 	}
 	if src == nil {
@@ -668,7 +750,8 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 }
 
 // FuzzEnergyDelta drives the evaluator with fuzz-derived mappings and move
-// sequences on a fixed synthetic fixture. mapSeed also picks the snapshot
+// sequences on a fixed synthetic fixture: seven ranks over three segments,
+// one repeating another's message groups, so Θ rows are shared. mapSeed also picks the snapshot
 // (healthy, suspect-node, down-node) and whether the communication term is
 // on; the starting and final mappings are checked field by field against
 // the oracle through all three entry points, and every step's running
@@ -683,7 +766,10 @@ func FuzzEnergyDelta(f *testing.F) {
 	f.Add(int64(5), []byte{1, 1})
 	f.Add(int64(6), []byte{2, 3, 77, 5, 128, 64})
 	f.Add(int64(7), []byte{0, 1, 0xf3, 6, 9, 3, 4, 0xff, 0xfe, 0xf0, 2, 3})
-	eval, rng := syntheticEvaluator(f, 42)
+	eval, rng := syntheticEvaluator(f, 3)
+	if sharedRows(eval) == 0 {
+		f.Fatal("fixture shares no Θ row")
+	}
 	n := eval.Topo.NumNodes()
 	ranks := len(eval.Prof.Mapping)
 	snaps := []*monitor.Snapshot{

@@ -16,63 +16,92 @@ import (
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4): HELP/TYPE headers, one line per child, and for
 // histograms the cumulative `_bucket{le=...}` series plus `_sum` and
-// `_count`.
+// `_count`. The exposition is rendered into one buffer and written with
+// one call; each child's label block is built once for all its lines, and
+// each histogram's le values once for all its children.
 func (r *Registry) WritePrometheus(w io.Writer) {
+	var b, labels []byte
+	var les []string
 	for _, f := range r.sortedFamilies() {
 		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+			b = append(b, "# HELP "...)
+			b = append(b, f.name...)
+			b = append(b, ' ')
+			b = append(b, escapeHelp(f.help)...)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		for _, c := range f.sortedChildren() {
-			base := labelString(f.labels, c.labelValues, "")
-			switch f.kind {
-			case KindCounter:
-				fmt.Fprintf(w, "%s%s %d\n", f.name, base, c.counter.Value())
-			case KindGauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, base, formatFloat(c.gauge.Value()))
-			case KindHistogram:
-				cum := uint64(0)
-				for i, b := range c.hist.bounds {
-					cum += c.hist.counts[i].Load()
-					fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-						labelString(f.labels, c.labelValues, formatFloat(b)), cum)
-				}
-				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-					labelString(f.labels, c.labelValues, "+Inf"), c.hist.Count())
-				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, formatFloat(c.hist.Sum()))
-				fmt.Fprintf(w, "%s_count%s %d\n", f.name, base, c.hist.Count())
+		b = append(b, "# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.kind.String()...)
+		b = append(b, '\n')
+		if f.kind == KindHistogram {
+			les = les[:0]
+			for _, bound := range f.bounds {
+				les = append(les, formatFloat(bound))
 			}
 		}
+		for _, c := range f.sortedChildren() {
+			labels = labels[:0]
+			for i, n := range f.labels {
+				if i > 0 {
+					labels = append(labels, ',')
+				}
+				labels = append(labels, n...)
+				labels = append(labels, `="`...)
+				labels = append(labels, escapeLabel(c.labelValues[i])...)
+				labels = append(labels, '"')
+			}
+			switch f.kind {
+			case KindCounter:
+				b = appendSeries(b, f.name, "", labels, "")
+				b = strconv.AppendUint(b, c.counter.Value(), 10)
+			case KindGauge:
+				b = appendSeries(b, f.name, "", labels, "")
+				b = append(b, formatFloat(c.gauge.Value())...)
+			case KindHistogram:
+				cum := uint64(0)
+				for i, le := range les {
+					cum += c.hist.counts[i].Load()
+					b = appendSeries(b, f.name, "_bucket", labels, le)
+					b = strconv.AppendUint(b, cum, 10)
+					b = append(b, '\n')
+				}
+				b = appendSeries(b, f.name, "_bucket", labels, "+Inf")
+				b = strconv.AppendUint(b, c.hist.Count(), 10)
+				b = append(b, '\n')
+				b = appendSeries(b, f.name, "_sum", labels, "")
+				b = append(b, formatFloat(c.hist.Sum())...)
+				b = append(b, '\n')
+				b = appendSeries(b, f.name, "_count", labels, "")
+				b = strconv.AppendUint(b, c.hist.Count(), 10)
+			}
+			b = append(b, '\n')
+		}
 	}
+	w.Write(b)
 }
 
-// labelString renders {k="v",...}; le, when non-empty, is appended as the
-// histogram bucket bound label. Returns "" for no labels at all.
-func labelString(names, values []string, le string) string {
-	if len(names) == 0 && le == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
+// appendSeries appends a sample line's series and the space before its
+// value: name, suffix, then the label block {labels} — with le="..."
+// last when le is non-empty — or no block at all when both are empty.
+func appendSeries(b []byte, name, suffix string, labels []byte, le string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) > 0 || le != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		if le != "" {
+			if len(labels) > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `le="`...)
+			b = append(b, le...)
+			b = append(b, '"')
 		}
-		b.WriteString(n)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
+		b = append(b, '}')
 	}
-	if le != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="`)
-		b.WriteString(le)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, ' ')
 }
 
 // The escapers are built once: a strings.Replacer costs far more to build
