@@ -26,8 +26,8 @@ verify: build test
 # the property every scheduler rests on, and the fixed seeds alone cover
 # only a handful of move sequences. Its fixture repeats one segment's
 # message groups in another, so the step also covers Θ rows shared across
-# segments and summed once per Apply. A 10 s fuzz of stored profiles follows:
-# building an evaluator divides a stored B by the Θ it derives from stored
+# segments, and Apply/Undo moves that touch them. A 10 s fuzz of stored
+# profiles follows: building an evaluator divides a stored B by the Θ it derives from stored
 # counts and sizes, so bytes from disk reach a division on every boot. A
 # 10 s fuzz of traces comes next: FromTrace and NewEvaluator each refuse a
 # profiling node without a measured speed, and FromTrace a process off its

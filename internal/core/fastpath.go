@@ -44,9 +44,9 @@
 // rank(s), re-scores only the entries whose inputs changed — the moved
 // rank(s), their communication peers (not under ignoreComm, where every C
 // term is zero and no link is kept), and (for capacity-changing moves) the
-// ranks co-located on the two affected nodes — summing each touched row's
-// Θ once, and rebuilds the total from per-segment maxima, so the running
-// energy is always bit-identical to a fresh full evaluation.
+// ranks co-located on the two affected nodes — and rebuilds the total from
+// per-segment maxima, so the running energy is always bit-identical to a
+// fresh full evaluation.
 //
 // Invariants, checked by TestFastPathEquivalence and FuzzEnergyDelta against
 // oraclePredict — the segment-by-segment walk over Model.Latency that the
@@ -359,7 +359,7 @@ type Scorer struct {
 	m       Mapping   // current mapping (owned)
 	mult    []int     // ranks per node
 	linkLat []float64 // Lc per link; untouched under ignoreComm
-	theta   []float64 // Θ per row; untouched under ignoreComm, never journaled
+	theta   []float64 // Θ per row, prime's scratch; untouched under ignoreComm
 	r, c    []float64 // per flat entry
 	segMax  []float64
 	total   float64
@@ -371,11 +371,9 @@ type Scorer struct {
 	frames []frame
 	depth  int
 
-	// epoch-stamped scratch for deduplicating touched entries/segments and
-	// summing a touched row's Θ once per Apply.
+	// epoch-stamped scratch for deduplicating touched entries/segments.
 	seenEntry []uint32
 	seenSeg   []uint32
-	seenRow   []uint32
 	epoch     uint32
 	touched   []int32
 
@@ -407,7 +405,6 @@ func (e *Evaluator) Scorer() *Scorer {
 		rinv:      make([]float64, ranks),
 		seenEntry: make([]uint32, entries),
 		seenSeg:   make([]uint32, len(ix.segOff)-1),
-		seenRow:   make([]uint32, rows),
 	}
 }
 
@@ -440,8 +437,7 @@ func (s *Scorer) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
 // r/c, the per-segment maxima in segMax, and their sum in total. anyStale
 // reports that a mapped node is HealthSuspect (the degraded-mode trigger).
 // Each link's Lc, each row's Θ and each rank's eq. 5 factors are computed
-// once; one pass over the entries then multiplies them out and takes each
-// segment's maximum with segmentPeak's strictly-greater (first-wins) scan.
+// once; one pass over the entries then multiplies them out.
 func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err error) {
 	if len(m) != len(s.m) {
 		return false, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(s.m))
@@ -472,21 +468,14 @@ func (s *Scorer) prime(m Mapping, snap *monitor.Snapshot) (anyStale bool, err er
 	for r := range s.rfac {
 		s.rfac[r], s.rinv[r] = s.rankFactors(r)
 	}
-	for seg := range s.segMax {
-		lo, hi := ix.segOff[seg], ix.segOff[seg+1]
-		max := 0.0
-		for f := lo; f < hi; f++ {
-			rk := ix.rankOf[f]
-			r, c := ix.work[f]*s.rfac[rk]*s.rinv[rk], 0.0
-			if row := ix.rowOf[f]; comm && row >= 0 {
-				c = s.theta[row] * ix.lambda[f]
-			}
-			s.r[f], s.c[f] = r, c
-			if t := r + c; f == lo || t > max {
-				max = t
-			}
+	for f, rk := range ix.rankOf {
+		s.r[f], s.c[f] = ix.work[f]*s.rfac[rk]*s.rinv[rk], 0
+		if row := ix.rowOf[f]; comm && row >= 0 {
+			s.c[f] = s.theta[row] * ix.lambda[f]
 		}
-		s.segMax[seg] = max
+	}
+	for seg := range s.segMax {
+		_, s.segMax[seg] = s.segmentPeak(seg)
 	}
 	s.total = s.sumSegments()
 	s.depth = 0
@@ -695,9 +684,6 @@ func (s *Scorer) beginTouch() {
 		for i := range s.seenSeg {
 			s.seenSeg[i] = 0
 		}
-		for i := range s.seenRow {
-			s.seenRow[i] = 0
-		}
 		s.epoch = 1
 	}
 	s.touched = s.touched[:0]
@@ -807,19 +793,14 @@ func (s *Scorer) rankFactors(r int) (fac, inv float64) {
 	return s.ix.profSpeed[r] / s.ix.speed[node], 1 / acpu
 }
 
-// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) for rescoreTouched: the
-// entry's row Θ, summed from the current links on the row's first read of
-// this Apply and reused by every other entry sharing the row.
+// computeC is C_i = λ_i · Θ_i (eqs. 6 and 8) on the entry's row, summed
+// from the current links.
 func (s *Scorer) computeC(f int32) float64 {
 	row := s.ix.rowOf[f]
 	if s.e.ignoreComm || row < 0 {
 		return 0
 	}
-	if s.seenRow[row] != s.epoch {
-		s.seenRow[row] = s.epoch
-		s.theta[row] = s.rowTheta(int(row))
-	}
-	return s.theta[row] * s.ix.lambda[f]
+	return s.rowTheta(int(row)) * s.ix.lambda[f]
 }
 
 // rowTheta is Θ of eq. 6 for one row, Lc being the load-adjusted latency
