@@ -11,6 +11,7 @@ package cbes_test
 // cmd/experiments, not by these benchmarks.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -341,6 +342,28 @@ func BenchmarkEstimatePhased(b *testing.B) {
 		if _, err := eval.Estimate(m, snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewEvaluatorPhased measures building an evaluator from a
+// recorded Phased(segments, 8) profile on the test topology — the index
+// NewEvaluator precomputes once per (model, profile) pair — at the svc_*
+// workloads' 60 segments and the overload experiment's 3 000.
+func BenchmarkNewEvaluatorPhased(b *testing.B) {
+	for _, segs := range []int{60, 3000} {
+		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
+			sys := cbes.NewSystem(cluster.NewTestTopology(), cbes.Config{})
+			defer sys.Close()
+			model := sys.Calibrate(bench.Options{})
+			prof := sys.MustProfile(workloads.Phased(segs, 8), []int{0, 1, 2, 3, 4, 5, 6, 7})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewEvaluator(sys.Topo, model, prof); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -131,22 +131,22 @@ type Prediction struct {
 
 // Estimate is what service replies read of a Prediction — the total, the
 // first segment's critical rank and the degraded-mode markers, without the
-// per-segment breakdown — or of the brownout sketch (PredictBrownout).
+// per-segment breakdown — or PredictBrownout's whole-run estimate.
 type Estimate struct {
 	Seconds    float64 // Σ over segments of S_M, equal to Prediction.Seconds
 	Critical   int     // critical rank of the first segment; -1 when there is none
 	Degraded   bool    // as Prediction.Degraded
 	StaleNodes []int   // as Prediction.StaleNodes
-	Brownout   bool    // answered by the PredictBrownout sketch, served while shedding load
+	Brownout   bool    // answered by PredictBrownout, served while shedding load
 }
 
 // Evaluator predicts execution times for mappings of one profiled
 // application on one calibrated cluster. It is the core CBES module that
 // serves mapping-comparison requests.
 //
-// An Evaluator is safe for concurrent use: Predict, Estimate, and Energy may
-// be called from multiple goroutines, and each Scorer drawn from it carries
-// its own scratch state. Do not copy an Evaluator after first use (derive
+// An Evaluator is safe for concurrent use: Predict, Estimate,
+// PredictBrownout and Energy may be called from multiple goroutines, and
+// each Scorer drawn from it carries its own scratch state. Do not copy an Evaluator after first use (derive
 // the NCS variant with CommBlind instead).
 type Evaluator struct {
 	Topo  *cluster.Topology
@@ -159,41 +159,15 @@ type Evaluator struct {
 	// execution-time predictions.
 	ignoreComm bool
 	fastIx     *fastIndex
-	pool       sync.Pool // *Scorer arenas for Energy, Estimate, and Predict
+	pool       sync.Pool // *Scorer arenas on fastIx for Energy, Estimate, and Predict
 
-	nominalOnce sync.Once
-	nominal     *monitor.Snapshot // lazily-built brownout view (see PredictBrownout)
-	brownAgg    []brownoutAgg     // lazily-built per-rank profile aggregate
-}
-
-// brownoutAgg collapses one rank's profile across every segment — the
-// precomputation behind the O(ranks) brownout sketch. work is
-// Σ(X+O)·Speed_profile (the speed-independent numerator of eq. 5's R term);
-// sends/recvs merge the rank's message groups λ-weighted, so one
-// latency lookup per (peer, size) replaces one per segment.
-type brownoutAgg struct {
-	work  float64
-	sends []aggMsg
-	recvs []aggMsg
-}
-
-// aggMsg is a λ-weighted message-group aggregate: wcount · lat(size)
-// approximates Σ_segments λ·Count·lat(size) for one peer.
-type aggMsg struct {
-	peer   int
-	size   int64
-	wcount float64
-}
-
-// addWeighted merges λ·Count for one message group into the aggregate.
-func addWeighted(groups []aggMsg, peer int, size int64, w float64) []aggMsg {
-	for i := range groups {
-		if groups[i].peer == peer && groups[i].size == size {
-			groups[i].wcount += w
-			return groups
-		}
-	}
-	return append(groups, aggMsg{peer: peer, size: size, wcount: w})
+	// PredictBrownout's state, built on its first call: the rank-collapsed
+	// index (fastIndex.collapse), the idle snapshot it is evaluated
+	// against, and the *Scorer arenas on that index.
+	brownOnce sync.Once
+	brownIx   *fastIndex
+	idle      *monitor.Snapshot
+	brownPool sync.Pool
 }
 
 // NewEvaluator builds an evaluator after sanity-checking its inputs: every
@@ -227,7 +201,7 @@ func NewEvaluator(topo *cluster.Topology, model *netmodel.Model, prof *profile.P
 // does not allocate.
 func (e *Evaluator) Estimate(m Mapping, snap *monitor.Snapshot) (Estimate, error) {
 	defer observePredict(time.Now())
-	s := e.pooledScorer()
+	s := e.pooledScorer(&e.pool, e.fastIx)
 	defer e.pool.Put(s)
 	anyStale, err := s.prime(m, snap)
 	if err != nil {
@@ -250,7 +224,7 @@ func (e *Evaluator) Estimate(m Mapping, snap *monitor.Snapshot) (Estimate, error
 // a detail pass that copies the scorer's terms out.
 func (e *Evaluator) Predict(m Mapping, snap *monitor.Snapshot) (*Prediction, error) {
 	defer observePredict(time.Now())
-	s := e.pooledScorer()
+	s := e.pooledScorer(&e.pool, e.fastIx)
 	defer e.pool.Put(s)
 	anyStale, err := s.prime(m, snap)
 	if err != nil {
@@ -266,72 +240,28 @@ func (e *Evaluator) Predict(m Mapping, snap *monitor.Snapshot) (*Prediction, err
 
 // PredictBrownout estimates mapping m against nominal resource
 // conditions — full CPU availability and idle NICs, ignoring monitoring
-// data entirely — from a per-rank aggregate of the profile rather than
-// a segment-by-segment walk. It is the brownout fast path the service
-// uses while shedding load, so it MUST be cheap: O(ranks) instead of
-// Estimate's O(segments × ranks), or the degraded path would consume the
-// very capacity whose exhaustion triggered it. It reads speeds off the
-// same tables as Estimate. The answer depends only on the profile and the
-// topology (valid for the process lifetime, cacheable without an epoch),
-// is coarser than Estimate — the critical rank is assumed constant across
-// the run, so barrier effects inside segments are lost and Critical is
-// -1 — and is explicitly labeled via Estimate.Brownout.
+// data entirely — by the kernel's full evaluation on the rank-collapsed
+// index: one segment holding one entry per rank, each the rank's whole run
+// (fastIndex.collapse). It is the brownout fast path the service uses
+// while shedding load, so it MUST be cheap: O(nodes + ranks + links)
+// whatever the segment count, against Estimate's O(segments × ranks), or
+// the degraded path would consume the very capacity whose exhaustion
+// triggered it. The answer depends only on the profile and the topology
+// (valid for the process lifetime, cacheable without an epoch). It takes
+// one critical rank for the whole run, so barrier effects inside segments
+// are lost: it never exceeds Estimate on an idle snapshot (up to rounding),
+// its Critical is -1, and it is labeled via Estimate.Brownout. It does not
+// allocate.
 func (e *Evaluator) PredictBrownout(m Mapping) (Estimate, error) {
-	ix := e.fastIx
-	if len(m) != len(ix.profSpeed) {
-		return Estimate{}, fmt.Errorf("core: mapping has %d ranks, profile has %d", len(m), len(ix.profSpeed))
-	}
-	if err := m.Validate(e.Topo); err != nil {
+	e.brownOnce.Do(func() {
+		e.brownIx = e.fastIx.collapse()
+		e.idle = monitor.IdleSnapshot(e.Topo.NumNodes())
+	})
+	s := e.pooledScorer(&e.brownPool, e.brownIx)
+	defer e.brownPool.Put(s)
+	if _, err := s.prime(m, e.idle); err != nil {
 		return Estimate{}, err
 	}
-	e.nominalOnce.Do(func() {
-		e.nominal = monitor.IdleSnapshot(e.Topo.NumNodes())
-		aggs := make([]brownoutAgg, len(ix.profSpeed))
-		f := 0
-		for _, seg := range e.Prof.Segments {
-			for i := range seg.Procs {
-				pp := &seg.Procs[i]
-				a := &aggs[pp.Rank]
-				a.work += ix.work[f] * ix.profSpeed[pp.Rank]
-				lam := ix.lambda[f]
-				f++
-				if lam == 0 {
-					continue
-				}
-				for _, g := range pp.Sends {
-					a.sends = addWeighted(a.sends, g.Peer, g.Size, lam*float64(g.Count))
-				}
-				for _, g := range pp.Recvs {
-					a.recvs = addWeighted(a.recvs, g.Peer, g.Size, lam*float64(g.Count))
-				}
-			}
-		}
-		e.brownAgg = aggs
-	})
-	mult := m.Multiplicity()
-	est := Estimate{Critical: -1, Brownout: true}
-	for r := range e.brownAgg {
-		a := &e.brownAgg[r]
-		node := m[r]
-		acpu := 1.0
-		if co := mult[node]; co > 1 {
-			if share := float64(ix.cpus[node]) / float64(co); share < 1 {
-				acpu = share
-			}
-		}
-		total := a.work / ix.speed[node] / acpu
-		if !e.ignoreComm {
-			for _, g := range a.sends {
-				total += g.wcount * e.Model.Latency(node, m[g.peer], g.size, e.nominal)
-			}
-			for _, g := range a.recvs {
-				total += g.wcount * e.Model.Latency(m[g.peer], node, g.size, e.nominal)
-			}
-		}
-		if total > est.Seconds {
-			est.Seconds = total
-		}
-	}
 	metricBrownoutPredicts.Inc()
-	return est, nil
+	return Estimate{Seconds: s.total, Critical: -1, Brownout: true}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"cbes/internal/profile"
 	"cbes/internal/simnet"
 	"cbes/internal/vcluster"
+	"cbes/internal/workloads"
 )
 
 // fixture builds a calibrated evaluator for a small communicating app on
@@ -408,35 +410,33 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// TestPredictBrownoutSketch: PredictBrownout equals oracleBrownout, the
+// rank-by-rank sum over segments of the oracle's terms on the idle
+// snapshot, stays at or below Estimate there, and is labeled — on recorded
+// profiles (one of them phased), on synthetic profiles whose segments
+// share Θ rows, with every rank on one node as well as on random
+// mappings, and comm-blind.
 func TestPredictBrownoutSketch(t *testing.T) {
 	f := newFixture(t, []int{0, 1})
-	m := Mapping{2, 3}
-	sketch, err := f.eval.PredictBrownout(m)
-	if err != nil {
-		t.Fatal(err)
+	assertBrownoutMatchesOracle(t, f.eval, Mapping{2, 3}, "fixture")
+	assertBrownoutMatchesOracle(t, f.eval, Mapping{2, 2}, "fixture co-located")
+	phased := newFixtureWith(t, cluster.NewTestTopology(), []int{0, 1, 2, 3}, workloads.Phased(12, 4).Body).eval
+	assertBrownoutMatchesOracle(t, phased, Mapping{3, 1, 1, 0}, "Phased(12,4)")
+	shared := 0
+	for seed := int64(0); seed < 13; seed++ {
+		eval, rng := syntheticEvaluator(t, seed)
+		shared += sharedRows(eval)
+		n, ranks := eval.Topo.NumNodes(), len(eval.Prof.Mapping)
+		for _, e := range []*Evaluator{eval, eval.CommBlind()} {
+			what := fmt.Sprintf("seed %d blind=%v", seed, e.ignoreComm)
+			assertBrownoutMatchesOracle(t, e, make(Mapping, ranks), what+" all on node 0")
+			for trial := 0; trial < 20; trial++ {
+				assertBrownoutMatchesOracle(t, e, randomValidMapping(ranks, n, rng), fmt.Sprintf("%s trial %d", what, trial))
+			}
+		}
 	}
-	if !sketch.Brownout {
-		t.Fatal("brownout prediction not labeled")
-	}
-	if sketch.Critical != -1 {
-		t.Fatalf("brownout sketch names critical rank %d, want none (coarse by design)", sketch.Critical)
-	}
-	if sketch.Seconds <= 0 {
-		t.Fatalf("brownout sketch predicted %v seconds", sketch.Seconds)
-	}
-	// The sketch assumes one critical rank for the whole run, so it can
-	// never exceed the full nominal-conditions prediction (sum of
-	// per-segment maxima ≥ max of per-rank sums) — but it should stay in
-	// its ballpark.
-	full, err := f.eval.Predict(m, monitor.IdleSnapshot(f.topo.NumNodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sketch.Seconds > full.Seconds*1.0001 {
-		t.Fatalf("sketch %v exceeds full nominal prediction %v", sketch.Seconds, full.Seconds)
-	}
-	if sketch.Seconds < full.Seconds/4 {
-		t.Fatalf("sketch %v implausibly far below full prediction %v", sketch.Seconds, full.Seconds)
+	if shared == 0 {
+		t.Fatal("no synthetic profile shares a Θ row")
 	}
 }
 

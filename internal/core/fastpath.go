@@ -3,7 +3,8 @@
 // delta-evaluation of typed moves (Scorer.Apply/Undo), the throughput engine
 // behind the CS/NCS/GA schedulers; Evaluator.Estimate and Evaluator.Predict
 // are the same evaluation on a pooled scorer, Predict followed by a detail
-// pass that copies the per-process terms out.
+// pass that copies the per-process terms out, and Evaluator.PredictBrownout
+// is it on the rank-collapsed index against an idle snapshot.
 //
 // The evaluator precomputes, once per (topology, model, profile) triple:
 //
@@ -31,7 +32,11 @@
 //     lookups), and per rank Speed_profile of eq. 5: the speed at the
 //     rank's profiling node Mapping[r], which the profile does not store;
 //   - per-rank communication dependents: the profile entries whose Θ term
-//     (eq. 6) reads that rank's node, derived from the send/recv groups.
+//     (eq. 6) reads that rank's node, derived from the send/recv groups;
+//   - on the first PredictBrownout, the rank-collapsed index: one segment
+//     of one entry per rank, its work the rank's Σ X+O over segments, its
+//     λ 1, and its Θ row the rank's Σ λ·count per link, sharing every
+//     table above that the mapping and snapshot enter through.
 //
 // A Scorer then carries the mutable scratch state for one mapping: one Lc
 // per link, one Θ per row, flat per-(segment,proc) R and C terms,
@@ -48,19 +53,21 @@
 // per-segment maxima, so the running energy is always bit-identical to a
 // fresh full evaluation.
 //
-// Invariants, checked by TestFastPathEquivalence and FuzzEnergyDelta against
-// oraclePredict — the segment-by-segment walk over Model.Latency that the
+// Invariants, checked by TestFastPathEquivalence, TestPredictBrownoutSketch
+// and FuzzEnergyDelta against oraclePredict — the segment-by-segment walk over Model.Latency that the
 // kernel replaced, kept in oracle_test.go as an independent reference:
 //
 //	Energy(m, snap), Estimate(m, snap), Predict(m, snap)
 //	                            == oraclePredict(m, snap)     (every field, exactly)
 //	Scorer.Apply(mv); EnergyNow == Energy(moved m, snap)      (exactly)
 //	Scorer.Undo() restores the pre-Apply state                (exactly)
+//	PredictBrownout(m) == oracleBrownout(m)                   (relative 1e-12)
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"cbes/internal/cluster"
 	"cbes/internal/monitor"
@@ -161,9 +168,13 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	}
 	ix.own = make([][]int32, ranks)
 	ix.commDeps = make([][]int32, ranks)
-	depSet := make([]map[int32]struct{}, ranks)
-	for r := range depSet {
-		depSet[r] = map[int32]struct{}{}
+	// addDep records f as a communication dependent of rank r. Entries are
+	// numbered in increasing order, so skipping a repeat of a list's last
+	// element keeps every list sorted and deduplicated.
+	addDep := func(r int, f int32) {
+		if deps := ix.commDeps[r]; len(deps) == 0 || deps[len(deps)-1] != f {
+			ix.commDeps[r] = append(deps, f)
+		}
 	}
 	entries := 0
 	for _, seg := range e.Prof.Segments {
@@ -189,7 +200,7 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 	addGroups := func(f int32, pp *profile.ProcProfile, gs []trace.MsgGroup, recv bool) {
 		for _, g := range gs {
 			if g.Peer >= 0 && g.Peer < ranks {
-				depSet[g.Peer][f] = struct{}{}
+				addDep(g.Peer, f)
 			}
 			if ix.lambda[f] == 0 {
 				continue
@@ -225,7 +236,7 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 			ix.work = append(ix.work, pp.X+pp.O)
 			if pp.Rank >= 0 && pp.Rank < ranks {
 				ix.own[pp.Rank] = append(ix.own[pp.Rank], f)
-				depSet[pp.Rank][f] = struct{}{}
+				addDep(pp.Rank, f)
 			}
 			lam := 0.0
 			if theta := profile.Theta(pp, e.Prof.Mapping, e.Model.NoLoad); theta > 0 {
@@ -293,21 +304,51 @@ func buildFastIndex(e *Evaluator) *fastIndex {
 			ix.wire[id*len(sizes)+k] = at - c.Curve.Base()
 		}
 	}
-	for r := 0; r < ranks; r++ {
-		deps := make([]int32, 0, len(depSet[r]))
-		for f := range depSet[r] {
-			deps = append(deps, f)
-		}
-		// Sort for deterministic iteration (map order is random).
-		for i := 1; i < len(deps); i++ {
-			for j := i; j > 0 && deps[j] < deps[j-1]; j-- {
-				deps[j], deps[j-1] = deps[j-1], deps[j]
-			}
-		}
-		ix.commDeps[r] = deps
-	}
 	metricEvaluators.Inc()
 	return ix
+}
+
+// collapse derives the rank-collapsed index PredictBrownout evaluates: one
+// segment holding one entry per rank, whose work is the rank's X+O summed
+// over its entries, whose λ is 1, and whose Θ row holds per link the
+// rank's Σ λ_f·count, links in order of first appearance. R and C are
+// linear in work and count, so the entry's total is the rank's Σ_s (R + C)
+// and the segment's peak max_r Σ_s, which never exceeds the full
+// evaluation's Σ_s max_r. The links, Lc tables, speeds and CPU counts are
+// ix's own. Apply is not supported on it (no own or commDeps lists).
+func (ix *fastIndex) collapse() *fastIndex {
+	ranks := len(ix.profSpeed)
+	cx := *ix
+	cx.segOff = []int{0, ranks}
+	cx.rankOf = make([]int32, ranks)
+	cx.work = make([]float64, ranks)
+	cx.lambda = make([]float64, ranks)
+	cx.rowOf = make([]int32, ranks)
+	cx.rowOff = make([]int32, 1, ranks+1)
+	cx.rowLink, cx.rowCount = nil, nil
+	cx.own, cx.commDeps = nil, nil
+	term := map[int32]int{} // link → its term in the rank's row
+	for r, fs := range ix.own {
+		clear(term)
+		cx.rankOf[r], cx.lambda[r], cx.rowOf[r] = int32(r), 1, int32(r)
+		for _, f := range fs {
+			cx.work[r] += ix.work[f]
+			if row := ix.rowOf[f]; row >= 0 {
+				for j := ix.rowOff[row]; j < ix.rowOff[row+1]; j++ {
+					l, w := ix.rowLink[j], ix.lambda[f]*ix.rowCount[j]
+					if k, ok := term[l]; ok {
+						cx.rowCount[k] += w
+						continue
+					}
+					term[l] = len(cx.rowLink)
+					cx.rowLink = append(cx.rowLink, l)
+					cx.rowCount = append(cx.rowCount, w)
+				}
+			}
+		}
+		cx.rowOff = append(cx.rowOff, int32(len(cx.rowLink)))
+	}
+	return &cx
 }
 
 // CommBlind returns an evaluator over the same profile, model, and
@@ -386,8 +427,11 @@ type Scorer struct {
 // Scorer returns a fresh scorer for this evaluator. The scorer reuses its
 // internal arena across Energy/Apply calls, so steady-state evaluation does
 // not allocate.
-func (e *Evaluator) Scorer() *Scorer {
-	ix := e.fastIx
+func (e *Evaluator) Scorer() *Scorer { return e.scorerOn(e.fastIx) }
+
+// scorerOn returns a fresh scorer of e over ix: e.fastIx, or the
+// rank-collapsed index behind PredictBrownout.
+func (e *Evaluator) scorerOn(ix *fastIndex) *Scorer {
 	ranks, entries, rows := len(ix.profSpeed), len(ix.rankOf), len(ix.rowOff)-1
 	return &Scorer{
 		e:         e,
@@ -853,17 +897,17 @@ func (s *Scorer) latency(li int32) float64 {
 // the total, without allocating. The evaluator stays shareable — concurrent
 // callers draw distinct scorers from the pool.
 func (e *Evaluator) Energy(m Mapping, snap *monitor.Snapshot) (float64, error) {
-	s := e.pooledScorer()
+	s := e.pooledScorer(&e.pool, e.fastIx)
 	en, err := s.Energy(m, snap)
 	e.pool.Put(s)
 	return en, err
 }
 
-// pooledScorer draws a scratch scorer from the evaluator's pool; the caller
-// returns it with e.pool.Put.
-func (e *Evaluator) pooledScorer() *Scorer {
-	if s, _ := e.pool.Get().(*Scorer); s != nil {
+// pooledScorer draws a scratch scorer over ix from pool, which holds only
+// scorers over ix; the caller returns it with pool.Put.
+func (e *Evaluator) pooledScorer(pool *sync.Pool, ix *fastIndex) *Scorer {
+	if s, _ := pool.Get().(*Scorer); s != nil {
 		return s
 	}
-	return e.Scorer()
+	return e.scorerOn(ix)
 }

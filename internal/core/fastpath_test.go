@@ -178,6 +178,41 @@ func randomHealth(snap *monitor.Snapshot, rng *rand.Rand, withDown bool) *monito
 // same is bit-for-bit float equality, NaN matching NaN.
 func same(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
+// nearlyEqual reports whether a and b agree to within rel of the larger.
+func nearlyEqual(a, b, rel float64) bool {
+	return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// assertBrownoutMatchesOracle checks PredictBrownout for one valid mapping:
+// labeled Brownout with Critical -1, equal to oracleBrownout at relative
+// 1e-12 (the kernel sums a rank's segments before multiplying out, the
+// oracle after), and no greater than Estimate on the idle snapshot beyond
+// that rounding.
+func assertBrownoutMatchesOracle(t testing.TB, e *Evaluator, m Mapping, what string) {
+	t.Helper()
+	got, err := e.PredictBrownout(m)
+	if err != nil {
+		t.Fatalf("%s: PredictBrownout: %v", what, err)
+	}
+	if !got.Brownout || got.Critical != -1 || got.Degraded || got.StaleNodes != nil {
+		t.Fatalf("%s: brownout estimate %+v, want labeled Brownout with Critical -1", what, got)
+	}
+	want, err := oracleBrownout(e, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nearlyEqual(got.Seconds, want, 1e-12) {
+		t.Fatalf("%s: brownout %v != oracle %v", what, got.Seconds, want)
+	}
+	est, err := e.Estimate(m, monitor.IdleSnapshot(e.Topo.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seconds > est.Seconds*(1+1e-12) {
+		t.Fatalf("%s: brownout %v exceeds Estimate %v on the idle snapshot", what, got.Seconds, est.Seconds)
+	}
+}
+
 // assertMatchesOracle checks the production entry points — Energy on sc
 // and pooled, Estimate, and Predict — against oraclePredict for one mapping:
 // every field exactly, or the same error.
@@ -291,6 +326,13 @@ func TestEstimateDoesNotAllocate(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Fatalf("%s: Estimate allocates %v times per call on a healthy snapshot, want 0", eval.Prof.App, avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := eval.PredictBrownout(m); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s: PredictBrownout allocates %v times per call, want 0", eval.Prof.App, avg)
 		}
 	}
 }
@@ -699,13 +741,13 @@ func TestScorerRejectsInvalid(t *testing.T) {
 // TestEvaluatorConcurrentUse hammers a shared evaluator from several
 // goroutines mixing Predict, Estimate, pooled Energy, and per-goroutine scorers — the
 // shareability contract the parallel schedulers rely on (meaningful under
-// -race).
+// -race) — and PredictBrownout, whose index the first caller builds.
 func TestEvaluatorConcurrentUse(t *testing.T) {
 	eval, rng := syntheticEvaluator(t, 11)
 	n := eval.Topo.NumNodes()
 	snap := randomSnapshot(n, rng)
 	ms := make([]Mapping, 64)
-	want := make([]float64, len(ms))
+	want, brown := make([]float64, len(ms)), make([]float64, len(ms))
 	for i := range ms {
 		ms[i] = randomValidMapping(len(eval.Prof.Mapping), n, rng)
 		p, err := oraclePredict(eval, ms[i], snap)
@@ -713,6 +755,9 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = p.Seconds
+		if brown[i], err = oracleBrownout(eval, ms[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -741,6 +786,10 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 				}
 				if err != nil || got != want[i] {
 					t.Errorf("worker %d mapping %d: got %v err %v, want %v", w, i, got, err, want[i])
+					return
+				}
+				if b, err := eval.PredictBrownout(m); err != nil || !nearlyEqual(b.Seconds, brown[i], 1e-12) {
+					t.Errorf("worker %d mapping %d: brownout %v err %v, want %v", w, i, b.Seconds, err, brown[i])
 					return
 				}
 			}
@@ -787,6 +836,7 @@ func FuzzEnergyDelta(f *testing.F) {
 		if _, _, down := snap.HealthCounts(); down > 0 {
 			return // Apply does not re-check health: schedulers filter down nodes from the pool
 		}
+		assertBrownoutMatchesOracle(t, e, m, "start")
 		if len(moves) > 64 {
 			moves = moves[:64]
 		}

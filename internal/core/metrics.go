@@ -20,7 +20,7 @@ var (
 
 	// Scorer kernel (full evaluation, then Apply/Undo — the scheduler hot loop).
 	metricEnergyFull = obs.Default().Counter(
-		"cbes_core_energy_evals_total", "Full Scorer evaluations (Energy, Estimate, Predict).")
+		"cbes_core_energy_evals_total", "Full Scorer evaluations (Energy, Estimate, Predict, PredictBrownout).")
 	metricEnergyDelta = obs.Default().Counter(
 		"cbes_core_delta_evals_total", "Incremental Scorer.Apply delta evaluations.")
 	metricUndos = obs.Default().Counter(

@@ -64,6 +64,29 @@ func oraclePredict(e *Evaluator, m Mapping, snap *monitor.Snapshot) (*Prediction
 	return pred, nil
 }
 
+// oracleBrownout is what PredictBrownout estimates, summed the long way:
+// the largest over ranks of the rank's R+C summed over segments, read off
+// oraclePredict on the idle snapshot.
+func oracleBrownout(e *Evaluator, m Mapping) (float64, error) {
+	pred, err := oraclePredict(e, m, monitor.IdleSnapshot(e.Topo.NumNodes()))
+	if err != nil {
+		return 0, err
+	}
+	perRank := make([]float64, len(m))
+	for _, seg := range pred.Segments {
+		for _, p := range seg.Procs {
+			perRank[p.Rank] += p.Total()
+		}
+	}
+	peak := 0.0
+	for _, t := range perRank {
+		if t > peak {
+			peak = t
+		}
+	}
+	return peak, nil
+}
+
 // degradedSnapshot substitutes profile-only fallback values for every
 // stale (HealthSuspect) node of snap: nominal CPU availability and an idle
 // NIC, i.e. the prediction degrades to what the profile alone supports

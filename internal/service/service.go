@@ -732,8 +732,9 @@ const maxCompareMappings = 256
 // evaluation per novel mapping per epoch, and a shed batch browns out as a
 // whole. The brownout ranking is still useful but coarser than a degraded
 // prediction's: core's PredictBrownout scores each candidate on an idle
-// cluster with an O(ranks) sketch that fixes the critical rank for the
-// whole run instead of finding it per segment. A batch wider than
+// cluster with the evaluation kernel over one whole-run entry per rank,
+// so it fixes the critical rank for the whole run instead of finding it
+// per segment. A batch wider than
 // maxCompareMappings is refused before any lookup.
 func (s *Server) Compare(args *CompareArgs, reply *CompareReply) error {
 	return s.decide("Compare", "compare", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
