@@ -85,8 +85,8 @@ faults-smoke:
 		./internal/remap/ ./internal/service/ ./internal/obs/
 
 # Short fuzz passes: the delta-evaluation invariants, topology specs as
-# hostile input (an error or a valid topology, never a panic or a multi-MB
-# build), traces as hostile input (an error or a profile that builds an
+# hostile input (an error, for a torus or dragonfly spec too, or a valid
+# testbed or fat tree, never a panic or a multi-MB build), traces as hostile input (an error or a profile that builds an
 # evaluator, λs and Speed_profiles derived, with a finite estimate), stored profiles as hostile input (an error or a finite
 # estimate), stored network models as hostile input (an error or finite,
 # non-negative latencies), and RPC arguments, the read-outs' filters

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	experiments [-run all|phase1|fig5|phase3|fig6|table1|table2|fig7|table3|table4|headline|ablations|faulttol|toposcale|overload]
-//	            [-scale 0.25] [-seed 42] [-jobs 0] [-v]
-//	            [-topo fattree:16,torus:16x16x4] [-topo-ranks 256]
+//	experiments [-run all|phase1|fig5|phase3|fig6|table1|table2|fig7|table3|table4|headline|ablations|faulttol|overload]
+//	            [-scale 0.25] [-seed 42] [-jobs 0] [-v] [-csv dir]
 //
 // -scale 1.0 runs the paper's repetition counts (slow), except phase 1,
 // which runs 720 sweep cases against the paper's >16 000; the default runs
@@ -13,16 +12,17 @@
 // across all cores by default; -jobs limits the worker count (-jobs 1 is
 // the serial reference order, which produces identical results).
 //
-// toposcale is not part of the paper reproduction and only runs when named
-// explicitly (never under -run all): it builds each -topo spec, reports
-// construction time, route-memory mode, and interned path-class count, and
-// drives a seeded halo workload to compare simulated vs wall-clock time.
+// -run takes a comma-separated list; a name that is not an experiment (or
+// all) is an error, so a typo never silently drops a table. overload is not
+// part of the paper reproduction and only runs when named explicitly
+// (never under -run all).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,9 +37,6 @@ func main() {
 	jobs := flag.Int("jobs", 0, "max parallel trials (0 = all cores, 1 = serial)")
 	verbose := flag.Bool("v", false, "progress output")
 	csvDir := flag.String("csv", "", "also export results as CSV into this directory")
-	topoSpecs := flag.String("topo", "fattree:16,torus:16x16x4,dragonfly:4x8x4,fattree:28",
-		"comma-separated topology specs for -run toposcale")
-	topoRanks := flag.Int("topo-ranks", 256, "ranks for the toposcale workload")
 	flag.Parse()
 
 	cfg := experiments.Config{Seed: *seed, Scale: *scale, Jobs: *jobs, Verbose: *verbose}
@@ -48,10 +45,13 @@ func main() {
 		want[strings.TrimSpace(name)] = true
 	}
 	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
+	// overload characterizes the service tier's admission control, not
+	// the paper; it only runs when named explicitly, so -run all stays a
+	// pure paper reproduction.
+	selected := func(name string) bool { return want[name] || (all && name != "overload") }
 
 	start := time.Now()
-	lab := experiments.NewLab(cfg)
+	var lab *experiments.Lab // calibrated once the -run list is known to be valid
 
 	type exp struct {
 		name string
@@ -120,26 +120,7 @@ func main() {
 			keep(r)
 			return r.Render()
 		}},
-	}
-
-	// toposcale characterizes the simulator, not the paper; it only runs
-	// when named explicitly, so -run all stays a pure paper reproduction.
-	if want["toposcale"] {
-		list = append(list, exp{"toposcale", func() string {
-			r, err := experiments.TopoScale(strings.Split(*topoSpecs, ","), *topoRanks, *seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "toposcale: %v\n", err)
-				os.Exit(1)
-			}
-			keep(r)
-			return r.Render()
-		}})
-	}
-
-	// overload characterizes the service tier's admission control, not
-	// the paper; like toposcale it only runs when named explicitly.
-	if want["overload"] {
-		list = append(list, exp{"overload", func() string {
+		{"overload", func() string {
 			r, err := experiments.Overload(cfg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "overload: %v\n", err)
@@ -147,8 +128,19 @@ func main() {
 			}
 			keep(r)
 			return r.Render()
-		}})
+		}},
 	}
+
+	names := make([]string, len(list))
+	for i, e := range list {
+		names[i] = e.name
+	}
+	if bad := unknownExperiments(*run, names); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment(s) %s (want all or %s)\n",
+			strings.Join(bad, ","), strings.Join(names, "|"))
+		os.Exit(2)
+	}
+	lab = experiments.NewLab(cfg)
 
 	ran := 0
 	for _, e := range list {
@@ -175,6 +167,20 @@ func main() {
 	printAccuracySummary()
 	fmt.Printf("total: %d experiment(s) in %.1fs (scale %.2f, seed %d)\n",
 		ran, time.Since(start).Seconds(), *scale, *seed)
+}
+
+// unknownExperiments returns the names in the comma-separated run list that
+// are neither "all" nor one of known, in the order written. Empty entries
+// name nothing and are skipped.
+func unknownExperiments(run string, known []string) []string {
+	var bad []string
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		if name != "" && name != "all" && !slices.Contains(known, name) {
+			bad = append(bad, name)
+		}
+	}
+	return bad
 }
 
 // printAccuracySummary reports the predicted-vs-actual ledger the experiment

@@ -5,28 +5,20 @@ import (
 	"testing"
 )
 
-// smallStructured returns the ≤64-node structured instances the property
-// tests sweep.
+// smallStructured returns the ≤64-node fat trees the property tests
+// sweep.
 var smallStructured = func() map[string]*Topology {
 	mixed := []Arch{ArchAlpha, ArchIntel, ArchSPARC}
 	return map[string]*Topology{
-		"fattree-k2":    NewFatTree(FatTreeSpec{K: 2, Archs: mixed}),
-		"fattree-k4":    NewFatTree(FatTreeSpec{K: 4, Archs: mixed}),
-		"fattree-k6":    NewFatTree(FatTreeSpec{K: 6}), // 54 nodes, uniform arch
-		"torus-4x4":     NewTorus(TorusSpec{X: 4, Y: 4, Archs: mixed}),
-		"torus-5x3":     NewTorus(TorusSpec{X: 5, Y: 3, Archs: mixed}),
-		"torus-2x2x2":   NewTorus(TorusSpec{X: 2, Y: 2, Z: 2, Archs: mixed}),
-		"torus-3x3x3":   NewTorus(TorusSpec{X: 3, Y: 3, Z: 3, Archs: mixed}),
-		"torus-1x4":     NewTorus(TorusSpec{X: 1, Y: 4}),
-		"dfly-p2a3h1":   NewDragonfly(DragonflySpec{P: 2, A: 3, H: 1, Archs: mixed}), // 4 groups, 24 nodes
-		"dfly-p1a4h1":   NewDragonfly(DragonflySpec{P: 1, A: 4, H: 1}),               // 5 groups, 20 nodes
-		"dfly-p2a2h2g3": NewDragonfly(DragonflySpec{P: 2, A: 2, H: 2, Groups: 3, Archs: mixed}),
+		"fattree-k2": NewFatTree(FatTreeSpec{K: 2, Archs: mixed}),
+		"fattree-k4": NewFatTree(FatTreeSpec{K: 4, Archs: mixed}),
+		"fattree-k6": NewFatTree(FatTreeSpec{K: 6}), // 54 nodes, uniform arch
 	}
 }()
 
 // bfsDistances computes single-source shortest link counts over the
-// node+switch fabric graph — the reference the algebraic routers must
-// match (fat tree, torus) or bound (dragonfly minimal routing).
+// node+switch fabric graph — the reference the algebraic routes must
+// match.
 func bfsDistances(t *Topology, src int) []int {
 	nv := t.NumNodes() + t.NumSwitches()
 	adj := make([][]int, nv)
@@ -88,14 +80,10 @@ func TestAlgebraicPathsWellFormed(t *testing.T) {
 }
 
 // TestAlgebraicRoutesMatchBFS pins the acceptance property: on small
-// instances, fat-tree and torus algebraic routes are exactly as long as
-// BFS shortest paths over the link graph. Dragonfly minimal routing is a
-// policy rather than shortest-path, so it is checked as an upper bound
-// within one hop of BFS (the slack only materializes on rare gateway
-// coincidences).
+// instances, fat-tree algebraic routes are exactly as long as BFS
+// shortest paths over the link graph.
 func TestAlgebraicRoutesMatchBFS(t *testing.T) {
 	for name, topo := range smallStructured {
-		exact := !strings.HasPrefix(topo.Name, "dragonfly")
 		n := topo.NumNodes()
 		for i := 0; i < n; i++ {
 			dist := bfsDistances(topo, i)
@@ -103,12 +91,8 @@ func TestAlgebraicRoutesMatchBFS(t *testing.T) {
 				if dist[j] < 0 {
 					t.Fatalf("%s: node %d unreachable from %d", name, j, i)
 				}
-				got := topo.Hops(i, j)
-				if exact && got != dist[j] {
+				if got := topo.Hops(i, j); got != dist[j] {
 					t.Fatalf("%s: Hops(%d,%d) = %d, BFS shortest = %d", name, i, j, got, dist[j])
-				}
-				if !exact && (got < dist[j] || got > dist[j]+1) {
-					t.Fatalf("%s: dragonfly Hops(%d,%d) = %d, BFS shortest = %d", name, i, j, got, dist[j])
 				}
 			}
 		}
@@ -196,49 +180,6 @@ func TestFatTreeShape(t *testing.T) {
 	}
 }
 
-func TestTorusShape(t *testing.T) {
-	topo := NewTorus(TorusSpec{X: 4, Y: 4, Z: 4})
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := topo.NumNodes(); got != 64 {
-		t.Fatalf("4x4x4 torus has %d nodes, want 64", got)
-	}
-	// 3 dimensions × 64 ring links + 64 NICs.
-	if got := topo.NumLinks(); got != 64+3*64 {
-		t.Fatalf("4x4x4 torus has %d links, want %d", got, 64+3*64)
-	}
-	// Antipodal pair: 2+2+2 ring hops + 2 NIC hops.
-	src := 0
-	dst := (2*4+2)*4 + 2 // coords (2,2,2)
-	if got := topo.Hops(src, dst); got != 8 {
-		t.Fatalf("antipodal hops %d, want 8", got)
-	}
-}
-
-func TestDragonflyShape(t *testing.T) {
-	// Canonical p=2 a=4 h=2: g = 9 groups, 72 nodes, 36 routers.
-	topo := NewDragonfly(DragonflySpec{P: 2, A: 4, H: 2})
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := topo.NumNodes(); got != 72 {
-		t.Fatalf("dragonfly has %d nodes, want 72", got)
-	}
-	if got := topo.NumSwitches(); got != 36 {
-		t.Fatalf("dragonfly has %d routers, want 36", got)
-	}
-	// 72 NIC + 9 groups × C(4,2) local + C(9,2) global.
-	want := 72 + 9*6 + 36
-	if got := topo.NumLinks(); got != want {
-		t.Fatalf("dragonfly has %d links, want %d", got, want)
-	}
-	// Same router: 2 hops.
-	if got := topo.Hops(0, 1); got != 2 {
-		t.Fatalf("same-router hops %d, want 2", got)
-	}
-}
-
 func TestPrecomputedIndexes(t *testing.T) {
 	for name, topo := range map[string]*Topology{
 		"grove":   NewOrangeGrove(),
@@ -296,15 +237,11 @@ func TestPrecomputedIndexes(t *testing.T) {
 
 func TestFromSpec(t *testing.T) {
 	for spec, wantNodes := range map[string]int{
-		"grove":             28,
-		"centurion":         128,
-		"test":              8,
-		"fattree:4":         16,
-		"fattree:16@alpha":  1024,
-		"torus:4x4":         16,
-		"torus:3x3x3":       27,
-		"dragonfly:2x3x1":   24,
-		"dragonfly:1x4x1x3": 12,
+		"grove":            28,
+		"centurion":        128,
+		"test":             8,
+		"fattree:4":        16,
+		"fattree:16@alpha": 1024,
 	} {
 		topo, err := FromSpec(spec)
 		if err != nil {
@@ -324,9 +261,15 @@ func TestFromSpec(t *testing.T) {
 	if got := len(mix.Archs()); got != 3 {
 		t.Fatalf("arch mix has %d architectures, want 3", got)
 	}
-	for _, bad := range []string{"", "fattree", "fattree:3", "torus:4", "torus:0x4", "dragonfly:4", "dragonfly:1x1x1x9", "ring:8", "fattree:4@vax"} {
+	for _, bad := range []string{"", "fattree", "fattree:3", "fattree:4@vax"} {
 		if _, err := FromSpec(bad); err == nil {
 			t.Fatalf("FromSpec(%q) should fail", bad)
+		}
+	}
+	// A topology kind FromSpec does not build is an unknown-spec error.
+	for _, gone := range []string{"torus:4x4", "dragonfly:2x3x1", "ring:8"} {
+		if _, err := FromSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown topology spec") {
+			t.Fatalf("FromSpec(%q) = %v, want an unknown topology spec error", gone, err)
 		}
 	}
 }

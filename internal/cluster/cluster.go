@@ -120,11 +120,10 @@ const (
 // It comes in two flavours. Small irregular topologies (the 2005
 // testbeds, Builder-assembled test fabrics) store their node, switch and
 // link records and a precomputed all-pairs route table — O(N²·hops)
-// memory, fine below a few hundred nodes. The structured builders
-// (NewFatTree, NewTorus, NewDragonfly) install an algebraic router
-// instead: records, names and paths are computed on demand from
-// coordinates, so a 5k-node fat tree stores no per-node, per-link or
-// per-pair state at all.
+// memory, fine below a few hundred nodes. NewFatTree installs an
+// algebraic router instead: records, names and paths are computed on
+// demand from coordinates, so a 5k-node fat tree stores no per-node,
+// per-link or per-pair state at all.
 //
 // Either way, every ordered pair belongs to an interned path class: a
 // dense integer ID (ClassID) whose signature string (ClassSignature) is
@@ -133,9 +132,9 @@ const (
 type Topology struct {
 	Name string
 	// alg computes records, names, routes and class IDs arithmetically
-	// from coordinates (structured topologies only; nil for Builder
-	// topologies, which fill the fields after classSigs instead).
-	alg algRouter
+	// from coordinates (fat trees only; nil for Builder topologies, which
+	// fill the fields after classSigs instead).
+	alg *fatTreeRouter
 	// classSigs[id] is the signature string of path class id, for both
 	// flavours.
 	classSigs []string
@@ -156,7 +155,7 @@ type Topology struct {
 // NumNodes reports the number of nodes.
 func (t *Topology) NumNodes() int {
 	if t.alg != nil {
-		return t.alg.numNodes()
+		return t.alg.n
 	}
 	return len(t.nodes)
 }
@@ -346,8 +345,8 @@ func (t *Topology) nodesWhere(keep func(Node) bool) []int {
 }
 
 // EdgeLink returns the ID of the link connecting node id to its edge
-// switch (its NIC cable), or -1 if the node has no link. Every structured
-// builder numbers a node's NIC link with the node's own ID.
+// switch (its NIC cable), or -1 if the node has no link. The fat tree
+// numbers a node's NIC link with the node's own ID.
 func (t *Topology) EdgeLink(node int) int {
 	if t.alg != nil {
 		return node

@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"cbes/internal/des"
 )
 
-// Modern bandwidth constants in bytes/second, for the structured
-// topologies (the 2005 testbeds keep their Fast Ethernet constants).
+// Modern bandwidth constants in bytes/second, for the fat tree (the 2005
+// testbeds keep their Fast Ethernet constants).
 const (
 	BandwidthGigE    = 1e9 / 8  // 1 Gb/s node NIC
 	BandwidthTenGigE = 10e9 / 8 // 10 Gb/s fabric uplink
@@ -59,17 +60,21 @@ func (s *FatTreeSpec) defaults() {
 // hashing would: the aggregation index is dst mod h and the core port is
 // dst's edge position in its pod, so traffic to distinct destinations on
 // one edge switch fans over all h aggs.
+//
+// A path class is a route shape and the two end architectures: with A
+// distinct architectures its ID is (shape·A + arch(src))·A + arch(dst).
 type fatTreeRouter struct {
-	nicLayout
-	h      int // k/2
-	eaBase int // first edge–agg link ID (== n)
+	n      int // node count, and so the first edge–agg link ID
+	h      int // k/2, the nodes per edge switch
 	acBase int // first agg–core link ID
-	upBW   float64
+	ai     *archIndexer
+	nicBW  float64 // node NIC links
+	nicLat des.Time
+	upBW   float64 // edge–agg and agg–core links
 	upLat  des.Time
-	grid   shapeGrid
 }
 
-// Fat-tree route shapes (shape 0 is loopback by shapeGrid convention).
+// Fat-tree route shapes.
 const (
 	ftShapeLoop     = 0 // src == dst
 	ftShapeSameEdge = 1 // 2 links through the shared edge switch
@@ -101,8 +106,8 @@ func (r *fatTreeRouter) appendPath(buf []int, src, dst int) []int {
 		return append(buf, src, dst)
 	}
 	a := dst % h // aggregation index chosen per destination
-	eaS := r.eaBase + se*h + a
-	eaD := r.eaBase + de*h + a
+	eaS := r.n + se*h + a
+	eaD := r.n + de*h + a
 	sp, dp := se/h, de/h // pods
 	if sp == dp {
 		return append(buf, src, eaS, eaD, dst)
@@ -118,7 +123,8 @@ func (r *fatTreeRouter) hops(src, dst int) int {
 }
 
 func (r *fatTreeRouter) classID(src, dst int) int {
-	return r.grid.id(r.shape(src, dst), src, dst)
+	a := len(r.ai.archs)
+	return (r.shape(src, dst)*a+r.ai.index(src))*a + r.ai.index(dst)
 }
 
 // edges is the switch count of one tier (k·h; the core tier has h²).
@@ -127,6 +133,11 @@ func (r *fatTreeRouter) edges() int { return 2 * r.h * r.h }
 func (r *fatTreeRouter) numSwitches() int { return 2*r.edges() + r.h*r.h }
 
 func (r *fatTreeRouter) numLinks() int { return r.acBase + r.n }
+
+func (r *fatTreeRouter) node(id int) Node {
+	info := r.ai.info[r.ai.index(id)]
+	return Node{ID: id, Arch: info.Arch, Switch: id / r.h, Speed: info.Speed, CPUs: info.CPUs}
+}
 
 func (r *fatTreeRouter) sw(id int) Switch {
 	class := "ftree-core"
@@ -143,10 +154,11 @@ func (r *fatTreeRouter) link(id int) Link {
 	h, kh := r.h, r.edges()
 	var a, b int
 	switch {
-	case id < r.eaBase:
-		return r.nicLink(id)
+	case id < r.n: // node id's cable to its edge switch
+		return Link{ID: id, A: Device{DevNode, id}, B: Device{DevSwitch, id / h},
+			Bandwidth: r.nicBW, Latency: r.nicLat}
 	case id < r.acBase:
-		i := id - r.eaBase // (p·h+e)·h + a
+		i := id - r.n // (p·h+e)·h + a
 		edge := i / h
 		a, b = edge, kh+edge/h*h+i%h
 	default:
@@ -162,14 +174,77 @@ func (r *fatTreeRouter) nodeName(id int) string { return fmt.Sprintf("ft-n%04d",
 func (r *fatTreeRouter) linkName(id int) string {
 	h := r.h
 	switch {
-	case id < r.eaBase:
+	case id < r.n:
 		return fmt.Sprintf("ft-n%04d<->edge%d", id, id/h)
 	case id < r.acBase:
-		i := id - r.eaBase
+		i := id - r.n
 		return fmt.Sprintf("ft-ea-p%d-e%d-a%d", i/h/h, i/h%h, i%h)
 	}
 	i := id - r.acBase
 	return fmt.Sprintf("ft-ac-p%d-a%d-j%d", i/h/h, i/h%h, i%h)
+}
+
+// interior appends a route shape's signature between its end
+// architectures to w.
+func (r *fatTreeRouter) interior(w *sigWriter, shape int) {
+	switch shape {
+	case ftShapeSameEdge:
+		w.hopSwitch(r.nicBW, "ftree-edge")
+	case ftShapeSamePod:
+		w.hopSwitch(r.nicBW, "ftree-edge")
+		w.hopSwitch(r.upBW, "ftree-agg")
+		w.hopSwitch(r.upBW, "ftree-edge")
+	case ftShapeCrossPod:
+		w.hopSwitch(r.nicBW, "ftree-edge")
+		w.hopSwitch(r.upBW, "ftree-agg")
+		w.hopSwitch(r.upBW, "ftree-core")
+		w.hopSwitch(r.upBW, "ftree-agg")
+		w.hopSwitch(r.upBW, "ftree-edge")
+	}
+	w.hopNode(r.nicBW)
+}
+
+// signatures builds the signature table indexed by classID. Each shape's
+// interior is spelled once and the table is copied into a single buffer
+// of exactly its size, so a build allocates a few kB whatever k is.
+func (r *fatTreeRouter) signatures() []string {
+	archs := r.ai.archs
+	a := len(archs)
+	var mids sigWriter
+	var ends [ftShapes]int
+	for shape := 1; shape < ftShapes; shape++ {
+		r.interior(&mids, shape)
+		ends[shape] = mids.sb.Len()
+	}
+	interiors := mids.sb.String()
+	archBytes := 0
+	for _, arch := range archs {
+		archBytes += len(arch)
+	}
+	var w strings.Builder
+	w.Grow(len("loop|")*a + archBytes + // the loopback diagonal
+		a*a*(len(interiors)+ftShapes-1) + 2*a*archBytes*(ftShapes-1))
+	spelled := func(from int) string { return w.String()[from:] }
+	sigs := make([]string, ftShapes*a*a)
+	for si, arch := range archs {
+		from := w.Len()
+		w.WriteString(loopSignature(arch))
+		sigs[si*a+si] = spelled(from) // off-diagonal loop slots cover no pairs; leave them ""
+	}
+	for shape := 1; shape < ftShapes; shape++ {
+		mid := interiors[ends[shape-1]:ends[shape]]
+		for si, src := range archs {
+			for di, dst := range archs {
+				from := w.Len()
+				w.WriteString(string(src))
+				w.WriteString(mid)
+				w.WriteByte('|')
+				w.WriteString(string(dst))
+				sigs[(shape*a+si)*a+di] = spelled(from)
+			}
+		}
+	}
+	return sigs
 }
 
 // NewFatTree builds a k-ary fat tree whose records and routes are
@@ -182,30 +257,10 @@ func NewFatTree(spec FatTreeSpec) *Topology {
 	k := spec.K
 	h := k / 2
 	n := k * h * h
-	ai := newArchIndexer(spec.Archs)
 	r := &fatTreeRouter{
-		nicLayout: nicLayout{n: n, perSwitch: h, ai: ai, bandwidth: spec.NodeBandwidth, latency: spec.NodeLatency},
-		h:         h, eaBase: n, acBase: 2 * n,
+		n: n, h: h, acBase: 2 * n, ai: newArchIndexer(spec.Archs),
+		nicBW: spec.NodeBandwidth, nicLat: spec.NodeLatency,
 		upBW: spec.UpBandwidth, upLat: spec.UpLatency,
-		grid: shapeGrid{ai: ai, shapes: ftShapes},
 	}
-	t := &Topology{Name: fmt.Sprintf("fattree-k%d", k), alg: r}
-	t.classSigs = r.grid.signatures(func(w *sigWriter, shape int) {
-		switch shape {
-		case ftShapeSameEdge:
-			w.hopSwitch(spec.NodeBandwidth, "ftree-edge")
-		case ftShapeSamePod:
-			w.hopSwitch(spec.NodeBandwidth, "ftree-edge")
-			w.hopSwitch(spec.UpBandwidth, "ftree-agg")
-			w.hopSwitch(spec.UpBandwidth, "ftree-edge")
-		case ftShapeCrossPod:
-			w.hopSwitch(spec.NodeBandwidth, "ftree-edge")
-			w.hopSwitch(spec.UpBandwidth, "ftree-agg")
-			w.hopSwitch(spec.UpBandwidth, "ftree-core")
-			w.hopSwitch(spec.UpBandwidth, "ftree-agg")
-			w.hopSwitch(spec.UpBandwidth, "ftree-edge")
-		}
-		w.hopNode(spec.NodeBandwidth)
-	})
-	return t
+	return &Topology{Name: fmt.Sprintf("fattree-k%d", k), alg: r, classSigs: r.signatures()}
 }

@@ -10,8 +10,8 @@ import (
 	"cbes/internal/des"
 )
 
-// The structured builders once stored every record and spelled every name
-// with fmt.Sprintf while laying out their tables. These tests rebuild those
+// The fat-tree builder once stored every record and spelled every name
+// with fmt.Sprintf while laying out its tables. These tests rebuild those
 // spellings and records from the documented ID arithmetic and require the
 // coordinate-computed ones to equal them.
 
@@ -57,55 +57,6 @@ func TestFatTreeNamesKeepFmtSpelling(t *testing.T) {
 	checkTopologyNames(t, topo, nodes, links)
 }
 
-func TestTorusNamesKeepFmtSpelling(t *testing.T) {
-	const X, Y, Z = 3, 2, 4 // a 2-ring has one link, a 3- or 4-ring one per position
-	var nodes, links []string
-	for x := 0; x < X; x++ {
-		for y := 0; y < Y; y++ {
-			for z := 0; z < Z; z++ {
-				id := (x*Y+y)*Z + z
-				nodes = append(nodes, fmt.Sprintf("tor-n%04d", id))
-				links = append(links, fmt.Sprintf("tor-n%04d<->sw", id))
-			}
-		}
-	}
-	ring := func(format string, count, a, b int) {
-		for i := 0; i < count; i++ {
-			for aa := 0; aa < a; aa++ {
-				for bb := 0; bb < b; bb++ {
-					links = append(links, fmt.Sprintf(format, i, aa, bb))
-				}
-			}
-		}
-	}
-	ring("tor-x%d-y%d-z%d", ringLinks(X), Y, Z)
-	ring("tor-y%d-x%d-z%d", ringLinks(Y), X, Z)
-	ring("tor-z%d-x%d-y%d", ringLinks(Z), X, Y)
-	checkTopologyNames(t, NewTorus(TorusSpec{X: X, Y: Y, Z: Z}), nodes, links)
-}
-
-func TestDragonflyNamesKeepFmtSpelling(t *testing.T) {
-	const p, a, h, g = 2, 3, 1, 4
-	var nodes, links []string
-	for id := 0; id < g*a*p; id++ {
-		nodes = append(nodes, fmt.Sprintf("df-n%04d", id))
-		links = append(links, fmt.Sprintf("df-n%04d<->r%d", id, id/p))
-	}
-	for gi := 0; gi < g; gi++ {
-		for i := 0; i < a; i++ {
-			for j := i + 1; j < a; j++ {
-				links = append(links, fmt.Sprintf("df-local-g%d-%d-%d", gi, i, j))
-			}
-		}
-	}
-	for gi := 0; gi < g; gi++ {
-		for gj := gi + 1; gj < g; gj++ {
-			links = append(links, fmt.Sprintf("df-global-g%d-g%d", gi, gj))
-		}
-	}
-	checkTopologyNames(t, NewDragonfly(DragonflySpec{P: p, A: a, H: h, Groups: g}), nodes, links)
-}
-
 // TestNameDigits covers the zero-padding widths no small topology reaches,
 // on a 128 000-node fat tree that costs nothing to build.
 func TestNameDigits(t *testing.T) {
@@ -138,18 +89,14 @@ func TestNameDigits(t *testing.T) {
 	}
 }
 
-// TestBuildBudget: a structured build stores no per-node, per-link or
+// TestBuildBudget: a fat-tree build stores no per-node, per-link or
 // per-switch state, so a 5k-node build costs what its class signatures
-// cost — the fat tree once allocated 2.2 MB in 2 288 allocations. The
-// signature table grows with classes, not nodes: a torus has one shape
-// per hop distance, so it is held to the budget with the single
-// architecture its build benchmark uses (three would be 243 classes).
+// cost — it once allocated 2.2 MB in 2 288 allocations. The signature
+// table grows with classes (route shapes × architectures²), not nodes.
 func TestBuildBudget(t *testing.T) {
 	mixed := []Arch{ArchAlpha, ArchIntel, ArchSPARC}
 	for name, build := range map[string]func() *Topology{
-		"fattree-k28":     func() *Topology { return NewFatTree(FatTreeSpec{K: 28, Archs: mixed}) },
-		"torus-16x18x19":  func() *Topology { return NewTorus(TorusSpec{X: 16, Y: 18, Z: 19}) },
-		"dragonfly-8x8x8": func() *Topology { return NewDragonfly(DragonflySpec{P: 8, A: 8, H: 8, Archs: mixed}) },
+		"fattree-k28": func() *Topology { return NewFatTree(FatTreeSpec{K: 28, Archs: mixed}) },
 	} {
 		if n := build().NumNodes(); n < 4000 {
 			t.Fatalf("%s: %d nodes, want a 5k-class build", name, n)
@@ -170,8 +117,8 @@ func TestBuildBudget(t *testing.T) {
 	}
 }
 
-// tables is a structured topology laid out the way the builders once
-// stored it: every record, and every node and link name, in ID order.
+// tables is a fat tree laid out the way its builder once stored it: every
+// record, and every node and link name, in ID order.
 type tables struct {
 	nodes                []Node
 	switches             []Switch
@@ -243,83 +190,6 @@ func oracleFatTree(spec FatTreeSpec) *tables {
 	return tb
 }
 
-// oracleTorus is NewTorus's table loop before records were computed.
-func oracleTorus(spec TorusSpec) *tables {
-	spec.defaults()
-	X, Y, Z := spec.X, spec.Y, spec.Z
-	ai := newArchIndexer(spec.Archs)
-	tb := &tables{}
-	sw := func(x, y, z int) int { return (x*Y+y)*Z + z }
-	for id := 0; id < X*Y*Z; id++ {
-		tb.sw(7, "torus")
-		tb.node(fmt.Sprintf("tor-n%04d", id), DefaultArchInfo(ai.arch(id)), id)
-		tb.link(fmt.Sprintf("tor-n%04d<->sw", id), Device{DevNode, id}, Device{DevSwitch, id},
-			spec.NodeBandwidth, spec.NodeLatency)
-	}
-	ring := func(lo, hi int, name string) {
-		tb.link(name, Device{DevSwitch, lo}, Device{DevSwitch, hi}, spec.LinkBandwidth, spec.LinkLatency)
-	}
-	for i := 0; i < ringLinks(X); i++ {
-		for yy := 0; yy < Y; yy++ {
-			for zz := 0; zz < Z; zz++ {
-				ring(sw(i, yy, zz), sw((i+1)%X, yy, zz), fmt.Sprintf("tor-x%d-y%d-z%d", i, yy, zz))
-			}
-		}
-	}
-	for i := 0; i < ringLinks(Y); i++ {
-		for xx := 0; xx < X; xx++ {
-			for zz := 0; zz < Z; zz++ {
-				ring(sw(xx, i, zz), sw(xx, (i+1)%Y, zz), fmt.Sprintf("tor-y%d-x%d-z%d", i, xx, zz))
-			}
-		}
-	}
-	for i := 0; i < ringLinks(Z); i++ {
-		for xx := 0; xx < X; xx++ {
-			for yy := 0; yy < Y; yy++ {
-				ring(sw(xx, yy, i), sw(xx, yy, (i+1)%Z), fmt.Sprintf("tor-z%d-x%d-y%d", i, xx, yy))
-			}
-		}
-	}
-	return tb
-}
-
-// oracleDragonfly is NewDragonfly's table loop before records were
-// computed.
-func oracleDragonfly(spec DragonflySpec) *tables {
-	spec.defaults()
-	p, a, h, g := spec.P, spec.A, spec.H, spec.Groups
-	ai := newArchIndexer(spec.Archs)
-	r := &dragonflyRouter{h: h}
-	tb := &tables{}
-	for gi := 0; gi < g; gi++ {
-		for ri := 0; ri < a; ri++ {
-			tb.sw(p+a-1+h, "dfly")
-		}
-	}
-	for id := 0; id < g*a*p; id++ {
-		sw := id / p
-		tb.node(fmt.Sprintf("df-n%04d", id), DefaultArchInfo(ai.arch(id)), sw)
-		tb.link(fmt.Sprintf("df-n%04d<->r%d", id, sw), Device{DevNode, id}, Device{DevSwitch, sw},
-			spec.NodeBandwidth, spec.NodeLatency)
-	}
-	for gi := 0; gi < g; gi++ {
-		for i := 0; i < a; i++ {
-			for j := i + 1; j < a; j++ {
-				tb.link(fmt.Sprintf("df-local-g%d-%d-%d", gi, i, j), Device{DevSwitch, gi*a + i}, Device{DevSwitch, gi*a + j},
-					spec.LocalBandwidth, spec.LocalLatency)
-			}
-		}
-	}
-	for gi := 0; gi < g; gi++ {
-		for gj := gi + 1; gj < g; gj++ {
-			tb.link(fmt.Sprintf("df-global-g%d-g%d", gi, gj),
-				Device{DevSwitch, gi*a + r.gateway(gi, gj)}, Device{DevSwitch, gj*a + r.gateway(gj, gi)},
-				spec.GlobalBandwidth, spec.GlobalLatency)
-		}
-	}
-	return tb
-}
-
 // sameTables reports the first record or name where topo departs from the
 // oracle's tables, or "".
 func sameTables(topo *Topology, want *tables) string {
@@ -345,10 +215,10 @@ func sameTables(topo *Topology, want *tables) string {
 	return ""
 }
 
-// TestQuickRecordsMatchTableLoops: on random small fat trees, tori and
-// dragonflies (random architecture patterns included), every computed
-// record and name equals what the table-building loops produced, and
-// EdgeLink agrees with the records.
+// TestQuickRecordsMatchTableLoops: on random small fat trees (random
+// architecture patterns included), every computed record and name equals
+// what the table-building loop produced, and EdgeLink agrees with the
+// records.
 func TestQuickRecordsMatchTableLoops(t *testing.T) {
 	all := []Arch{ArchAlpha, ArchIntel, ArchSPARC, ArchRef}
 	prop := func(seed int64) bool {
@@ -357,21 +227,9 @@ func TestQuickRecordsMatchTableLoops(t *testing.T) {
 		for i := rng.Intn(4); i > 0; i-- {
 			archs = append(archs, all[rng.Intn(len(all))])
 		}
-		var topo *Topology
-		var want *tables
-		switch rng.Intn(3) {
-		case 0:
-			spec := FatTreeSpec{K: 2 * (1 + rng.Intn(4)), Archs: archs}
-			topo, want = NewFatTree(spec), oracleFatTree(spec)
-		case 1:
-			spec := TorusSpec{X: 1 + rng.Intn(5), Y: 1 + rng.Intn(5), Z: rng.Intn(4), Archs: archs}
-			topo, want = NewTorus(spec), oracleTorus(spec)
-		default:
-			spec := DragonflySpec{P: 1 + rng.Intn(3), A: 1 + rng.Intn(5), H: 1 + rng.Intn(3), Archs: archs}
-			spec.Groups = 2 + rng.Intn(spec.A*spec.H)
-			topo, want = NewDragonfly(spec), oracleDragonfly(spec)
-		}
-		if diff := sameTables(topo, want); diff != "" {
+		spec := FatTreeSpec{K: 2 * (1 + rng.Intn(4)), Archs: archs}
+		topo := NewFatTree(spec)
+		if diff := sameTables(topo, oracleFatTree(spec)); diff != "" {
 			t.Log(diff)
 			return false
 		}

@@ -29,17 +29,6 @@ func BenchmarkTopologyBuild5k(b *testing.B) {
 	}
 }
 
-// BenchmarkTopologyBuildTorus5k builds a 16×18×19 torus (5472 nodes).
-func BenchmarkTopologyBuildTorus5k(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		topo := NewTorus(TorusSpec{X: 16, Y: 18, Z: 19})
-		if topo.NumNodes() != 5472 {
-			b.Fatal("wrong node count")
-		}
-	}
-}
-
 // TestBuild5kNoRouteTable pins the memory claim directly: a 5k-node
 // structured build must not materialize per-pair state.
 func TestBuild5kNoRouteTable(t *testing.T) {

@@ -12,6 +12,8 @@ import (
 // FuzzFromSpec: any spec string yields an error or a topology that passes
 // Validate — never a panic, and never a build that allocates more than a
 // few MB (records are computed, so only the class signatures cost memory).
+// The torus and dragonfly seeds name kinds FromSpec does not build, so
+// they must be rejected.
 func FuzzFromSpec(f *testing.F) {
 	for _, seed := range []string{
 		"grove", "test", "fattree:4", "fattree:16@alpha,intel", "torus:3x3x3@sparc,ref,alpha,intel",
@@ -22,7 +24,7 @@ func FuzzFromSpec(f *testing.F) {
 		"torus:128x128@alpha,intel,sparc,ref", "torus:85x85x85",
 		"dragonfly:1x2000000x2000000", "dragonfly:1x2x4611686018427387904x3",
 		"dragonfly:4611686018427387904x2x1", "dragonfly:1x1048576x1x2",
-		// Malformed dimensions and architecture lists.
+		// Malformed sizes and architecture lists.
 		"torus:0x4", "torus:-3x4", "torus:4x4x4x4", "dragonfly:1x1x1x9", "fattree:+4",
 		"fattree:4@", "fattree:4@vax", "torus:4x4@alpha,,intel", "fattree:4@alpha@intel", "@alpha", "",
 	} {
@@ -49,15 +51,12 @@ func FuzzFromSpec(f *testing.F) {
 }
 
 func TestFromSpecRejectsOversized(t *testing.T) {
-	for _, spec := range []string{
-		"fattree:100000", "fattree:162", "torus:1024x1025", "torus:258x2", "dragonfly:1x2000000x2000000",
-		"dragonfly:1x2x4611686018427387904x3", "dragonfly:64x64x64",
-	} {
+	for _, spec := range []string{"fattree:100000", "fattree:162"} {
 		if _, err := FromSpec(spec); err == nil || !strings.Contains(err.Error(), "exceeds the spec limits") {
 			t.Errorf("FromSpec(%q) = %v, want a size-limit error", spec, err)
 		}
 	}
-	for _, spec := range []string{"fattree:160", "torus:85x85x85", "torus:128x128x1", "dragonfly:1x2x1048576x3"} {
+	for _, spec := range []string{"fattree:160"} {
 		if _, err := FromSpec(spec); err != nil {
 			t.Errorf("FromSpec(%q) at the limits: %v", spec, err)
 		}

@@ -24,7 +24,7 @@ type Halo2DConfig struct {
 // it has no class scaling or architecture efficiencies — it exists to
 // drive many-node topologies with a regular nearest-neighbor pattern whose
 // cost is dominated by the fabric, which is what the 1k/5k fat-tree
-// benchmarks and the toposcale experiment measure.
+// benchmarks measure.
 func Halo2D(cfg Halo2DConfig) Program {
 	if cfg.Ranks < 2 {
 		cfg.Ranks = 2
