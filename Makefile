@@ -58,13 +58,15 @@ ci:
 # process-wide coroutine list that engines on different goroutines share,
 # mpisim worlds that panic, deadlock and reuse engines, SA
 # restarts on the worker pool (parallel ≡ serial, a panicking restart,
-# cancellation and deadlines), and the service's drain and shutdown. A
-# race that shows once in several runs shows here.
+# cancellation and deadlines), the service's drain and shutdown, and
+# identical Schedule requests searching side by side on one evaluator,
+# each under its own deadline. A race that shows once in several runs
+# shows here.
 stress:
 	$(GO) test -race -count=20 -run 'Proc|Shutdown|Kill|Coroutine|EventOrderGolden|Signal|Spawn|Sleep|Reset' ./internal/des/
 	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|WorldResultAfterWaitIn' ./internal/mpisim/
 	$(GO) test -race -count=20 -run 'Parallelism|Panic|Cancel|Deadline' ./internal/schedule/
-	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart' ./internal/service/
+	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart|IdenticalSchedulesDeterministic|ScheduleKeepsOwnDeadline' ./internal/service/
 
 # Smoke-run the benchmark bodies once under the race detector. This is a
 # correctness gate (pooled events + parallel trials must be race-clean on

@@ -315,9 +315,6 @@ func printDecision(d obs.Decision) {
 	if d.CacheLookups > 0 {
 		fmt.Printf("  cache: %d/%d hit\n", d.CacheHits, d.CacheLookups)
 	}
-	if d.Coalesced {
-		fmt.Printf("  coalesced: joined in-flight search of trace %s\n", orDash(d.LeaderTraceID))
-	}
 	if len(d.Mapping) > 0 {
 		fmt.Printf("  mapping=%v predicted=%.3fs\n", d.Mapping, d.Predicted)
 	}

@@ -2,8 +2,8 @@
 // per prediction or scheduling decision the service makes. Spans answer
 // "where did the time go"; a decision record answers "why did the
 // service say that" — which epoch of monitored state it saw, whether
-// the answer came from the cache or a coalesced in-flight search, which
-// nodes were degraded, what the search actually chose and for how much.
+// the answer came from the cache, which nodes were degraded, what the
+// request's own search chose and for how much.
 // Records are queryable over the Decisions RPC and `cbesctl decisions`,
 // and every record carries its trace ID so the full causal tree is one
 // /debug/trace?id=... away.
@@ -35,11 +35,6 @@ type Decision struct {
 	// lookups).
 	CacheHits    int `json:"cache_hits"`
 	CacheLookups int `json:"cache_lookups"`
-	// Coalesced marks a schedule request served by joining another
-	// request's in-flight search; LeaderTraceID names the trace that ran
-	// the search it joined.
-	Coalesced     bool   `json:"coalesced,omitempty"`
-	LeaderTraceID string `json:"leader_trace,omitempty"`
 	// Degraded/StaleNodes mirror the prediction's degraded-mode markers.
 	Degraded   bool  `json:"degraded,omitempty"`
 	StaleNodes []int `json:"stale_nodes,omitempty"`

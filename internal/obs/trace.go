@@ -237,33 +237,23 @@ func (t *Tracer) StartAt(name string, start time.Time) *ActiveSpan {
 // own tracer was disabled but who still minted a trace ID) joins the
 // trace as a root-like span.
 func (t *Tracer) StartRemote(name string, parent SpanContext) *ActiveSpan {
-	return t.StartRemoteAt(name, parent, time.Now())
-}
-
-// StartRemoteAt is StartRemote with an explicit start time.
-func (t *Tracer) StartRemoteAt(name string, parent SpanContext, start time.Time) *ActiveSpan {
 	if t == nil {
 		return nil
 	}
 	if !parent.Valid() {
-		return t.startSpan(name, start, SpanContext{TraceID: newID()}, 0)
+		return t.startSpan(name, time.Now(), SpanContext{TraceID: newID()}, 0)
 	}
-	return t.startSpan(name, start, SpanContext{TraceID: parent.TraceID}, parent.SpanID)
+	return t.startSpan(name, time.Now(), SpanContext{TraceID: parent.TraceID}, parent.SpanID)
 }
 
 // StartChild opens a child span in the receiver's trace. Safe on a nil
 // span (returns nil). Safe to call from multiple goroutines on the same
 // parent — the parent's identity is immutable after creation.
 func (s *ActiveSpan) StartChild(name string) *ActiveSpan {
-	return s.StartChildAt(name, time.Now())
-}
-
-// StartChildAt is StartChild with an explicit start time.
-func (s *ActiveSpan) StartChildAt(name string, start time.Time) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	child := s.t.startSpan(name, start, SpanContext{TraceID: s.sc.TraceID}, s.sc.SpanID)
+	child := s.t.startSpan(name, time.Now(), SpanContext{TraceID: s.sc.TraceID}, s.sc.SpanID)
 	child.sampled = s.sampled // inherit: one head decision per trace
 	return child
 }

@@ -152,6 +152,14 @@ type Request struct {
 	Constraint func(core.Mapping) bool
 }
 
+// MaxEffort bounds Request.Effort. Effort is remote input (the Schedule
+// RPC passes it through), and SA sizes its restart fan from it before any
+// deadline check, one result slot per saRestartCap evaluations: effort
+// 1<<42 would ask for ~49 GB before the search starts. At the cap the fan
+// is 20 000 slots (~1 MB), and the cap is twice the largest effort any
+// caller uses.
+const MaxEffort = 100_000_000
+
 // constraintPenalty dominates any realistic execution-time energy.
 const constraintPenalty = 1e9
 
@@ -167,6 +175,9 @@ func (r *Request) ranks() int { return len(r.Eval.Prof.Mapping) }
 func (r *Request) validate() error {
 	if r.Eval == nil || r.Snap == nil {
 		return fmt.Errorf("schedule: request needs Eval and Snap")
+	}
+	if r.Effort > MaxEffort {
+		return fmt.Errorf("schedule: effort %d exceeds the maximum %d", r.Effort, MaxEffort)
 	}
 	if len(r.Pool) == 0 {
 		return fmt.Errorf("schedule: empty node pool")

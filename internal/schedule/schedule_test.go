@@ -552,6 +552,24 @@ func TestRequestValidation(t *testing.T) {
 			}
 		}
 	}
+	// An effort past MaxEffort is refused before any search state is
+	// sized from it: at 1<<42, SA's restart fan alone would ask for ~49 GB.
+	for _, effort := range []int{MaxEffort + 1, 1 << 42} {
+		for name, run := range map[string]func(*Request) (*Decision, error){
+			"rs": Random, "cs": SimulatedAnnealing, "ncs": SimulatedAnnealingNoComm, "ga": Genetic, "exhaustive": Exhaustive,
+		} {
+			req := f.request(allNodes(f), 1)
+			req.Effort = effort
+			if _, err := run(req); err == nil || !strings.Contains(err.Error(), "effort") {
+				t.Fatalf("%s: effort %d: err = %v, want the effort cap", name, effort, err)
+			}
+		}
+	}
+	req := f.request(allNodes(f), 1)
+	req.Effort = MaxEffort
+	if err := req.validate(); err != nil {
+		t.Fatalf("effort at the cap refused: %v", err)
+	}
 }
 
 func BenchmarkCS(b *testing.B) {

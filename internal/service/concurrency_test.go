@@ -2,12 +2,14 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"cbes"
+	"cbes/internal/admission"
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/des"
@@ -169,80 +171,13 @@ func TestNoOpAdvanceKeepsCacheWarm(t *testing.T) {
 	}
 }
 
-// flightGroup: followers arriving while a call is in flight must block
-// and share the leader's result; the key is released once it completes.
-func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	leaderIn := make(chan struct{})
-
-	type res struct {
-		val    any
-		joined bool
-	}
-	results := make(chan res, 5)
-	go func() {
-		val, joined, _ := g.do(nil, "k", func() (any, error) {
-			close(leaderIn)
-			<-release
-			return 42, nil
-		})
-		results <- res{val, joined}
-	}()
-	<-leaderIn
-	for i := 0; i < 4; i++ {
-		go func() {
-			val, joined, _ := g.do(nil, "k", func() (any, error) { return -1, nil })
-			results <- res{val, joined}
-		}()
-	}
-	// Wait for all four followers to register on the flight before
-	// releasing the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		n := 0
-		if c, ok := g.m["k"]; ok {
-			n = c.shared
-		}
-		g.mu.Unlock()
-		if n == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("followers joined = %d, want 4", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-
-	joins := 0
-	for i := 0; i < 5; i++ {
-		r := <-results
-		if r.val != 42 {
-			t.Fatalf("result = %v, want the leader's 42", r.val)
-		}
-		if r.joined {
-			joins++
-		}
-	}
-	if joins != 4 {
-		t.Fatalf("joined count = %d, want 4", joins)
-	}
-	// The key must be free again: a fresh call runs its own fn.
-	val, joined, _ := g.do(nil, "k", func() (any, error) { return 7, nil })
-	if joined || val != 7 {
-		t.Fatalf("post-flight call: val=%v joined=%v, want fresh 7", val, joined)
-	}
-}
-
-// Identical concurrent Schedule requests must coalesce into one search
-// and all receive the same decision — scheduling is deterministic in
-// (app, algorithm, pool, seed, epoch), so sharing is sound.
-func TestScheduleCoalescing(t *testing.T) {
+// Identical concurrent Schedule requests each run their own search and
+// still receive bit-identical decisions: scheduling is deterministic in
+// (app, algorithm, pool, seed, effort, epoch). Each keeps its own
+// prediction ID, decision record and schedule.decision span, so every
+// reply is explained by its own trace.
+func TestIdenticalSchedulesDeterministic(t *testing.T) {
 	s, prog, _ := newLocalServer(t)
-	coalesced := obs.Default().Counter("cbes_schedule_coalesced_total", "")
-	before := coalesced.Value()
 
 	const n = 6
 	args := ScheduleArgs{App: prog.Name, Algorithm: "cs", Pool: []int{0, 1, 2, 3, 4, 5, 6, 7}, Seed: 42}
@@ -261,37 +196,75 @@ func TestScheduleCoalescing(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	for i := 0; i < n; i++ {
+	ids := map[string]bool{}
+	for i, r := range replies {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !reflect.DeepEqual(replies[i].Mapping, replies[0].Mapping) || replies[i].Predicted != replies[0].Predicted {
-			t.Fatalf("decision %d diverged: %v (%.6f) vs %v (%.6f)",
-				i, replies[i].Mapping, replies[i].Predicted, replies[0].Mapping, replies[0].Predicted)
+		if !reflect.DeepEqual(r.Mapping, replies[0].Mapping) || math.Float64bits(r.Predicted) != math.Float64bits(replies[0].Predicted) {
+			t.Fatalf("decision %d diverged: %v (%v) vs %v (%v)",
+				i, r.Mapping, r.Predicted, replies[0].Mapping, replies[0].Predicted)
+		}
+		if r.PredictionID == "" || ids[r.PredictionID] {
+			t.Fatalf("reply %d prediction ID %q is empty or shared", i, r.PredictionID)
+		}
+		ids[r.PredictionID] = true
+		recs := s.rec.Decisions(obs.DecisionQuery{TraceID: r.TraceID})
+		if len(recs) != 1 {
+			t.Fatalf("trace %s left %d decision records, want 1", r.TraceID, len(recs))
+		}
+		if d := recs[0]; d.PredictionID != r.PredictionID || !reflect.DeepEqual(d.Mapping, r.Mapping) || d.Evaluations != r.Evaluations {
+			t.Fatalf("trace %s record %+v does not match its reply %+v", r.TraceID, d, r)
+		}
+		id, err := obs.ParseID(r.TraceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searches := 0
+		for _, sp := range obs.DefaultTracer().TraceSpans(id) {
+			if sp.Name == "schedule.decision" {
+				searches++
+			}
+		}
+		if searches != 1 {
+			t.Fatalf("trace %s holds %d schedule.decision spans, want its own one", r.TraceID, searches)
 		}
 	}
-	if coalesced.Value() == before {
-		t.Fatal("no Schedule request coalesced despite simultaneous identical requests")
+}
+
+// A Schedule runs under its own deadline, even beside an identical
+// request: while one search with a 20ms deadline is under way, an
+// identical request with a 2min deadline must return its mapping rather
+// than the first request's deadline error.
+func TestScheduleKeepsOwnDeadline(t *testing.T) {
+	s, prog, _ := newLocalServer(t)
+	lim := admission.New(admission.Config{Initial: 2, Min: 2, Max: 2, MaxQueue: -1})
+	s.SetAdmission(lim)
+	// 500k evaluations take ~50ms on a 2-vCPU Xeon VM, ~1.6s under the
+	// race detector.
+	args := func(deadline time.Duration) *ScheduleArgs {
+		a := &ScheduleArgs{App: prog.Name, Algorithm: "cs", Pool: []int{0, 1, 2, 3, 4, 5, 6, 7}, Seed: 5, Effort: 500_000}
+		a.setDeadline(time.Now().Add(deadline))
+		return a
 	}
-	// Every coalesced follower must leave a flight-recorder record that
-	// owns its trace but names the leader's — the forensic link between
-	// "what this client was told" and "which search actually ran".
-	joins := int(coalesced.Value() - before)
-	var followers int
-	for _, d := range obs.DefaultRecorder().Decisions(obs.DecisionQuery{Kind: "schedule", App: prog.Name}) {
-		if !d.Coalesced || d.Seed != 42 {
-			continue
-		}
-		followers++
-		if d.LeaderTraceID == "" || d.LeaderTraceID == d.TraceID {
-			t.Fatalf("coalesced record does not name a distinct leader trace: %+v", d)
-		}
-		if !reflect.DeepEqual(d.Mapping, replies[0].Mapping) {
-			t.Fatalf("coalesced record mapping %v diverged from decision %v", d.Mapping, replies[0].Mapping)
+	shortDone := make(chan error, 1)
+	go func() { shortDone <- s.Schedule(args(20*time.Millisecond), &ScheduleReply{}) }()
+	for end := time.Now().Add(10 * time.Second); lim.Inflight() < 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(end) {
+			t.Fatal("the short-deadline search never took its slot")
 		}
 	}
-	if followers < joins {
-		t.Fatalf("flight recorder has %d coalesced records, counter says %d joins", followers, joins)
+	var reply ScheduleReply
+	if err := s.Schedule(args(2*time.Minute), &reply); err != nil {
+		t.Fatalf("long-deadline Schedule: %v", err)
+	}
+	if len(reply.Mapping) != 4 || reply.Evaluations != 500_000 {
+		t.Fatalf("long-deadline reply = %+v, want a 4-rank mapping from 500000 evaluations", reply)
+	}
+	if err := <-shortDone; err == nil {
+		t.Log("the short request's search finished inside its 20ms deadline: no overlap exercised")
+	} else if !IsDeadlineExceeded(err) {
+		t.Fatalf("short-deadline Schedule: err = %v, want deadline exceeded", err)
 	}
 }
 

@@ -310,9 +310,9 @@ func TestClientDeadlinePropagatesOverWire(t *testing.T) {
 }
 
 // Drain under overload: while the limiter sheds, closing the listener
-// must let the in-flight singleflight leader finish and return its
-// decision, the shed requests must fail fast with ErrShed (not hang on
-// the accept semaphore), and ServeWith must return. Run under -race.
+// must let the in-flight search finish and return its decision, the shed
+// requests must fail fast with ErrShed (not hang on the accept
+// semaphore), and ServeWith must return. Run under -race.
 func TestDrainUnderOverloadSheds(t *testing.T) {
 	sys, prog := newSys(t)
 	lim := tinyLimiter()
@@ -325,31 +325,31 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 		serveDone <- ServeWith(sys, l, ServeOptions{Limiter: lim, DrainTimeout: 30 * time.Second})
 	}()
 
-	// Leader: a long search that holds the only expensive slot. 500k
+	// A long search that holds the only expensive slot. 500k
 	// evaluations is ~0.5s unracing — long enough to overlap the drain,
 	// short enough to finish well inside the drain budget.
-	leaderC, err := Dial(l.Addr().String())
+	longC, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leaderC.Close()
-	type leadRes struct {
+	defer longC.Close()
+	type longRes struct {
 		reply *ScheduleReply
 		err   error
 	}
-	leaderDone := make(chan leadRes, 1)
+	longDone := make(chan longRes, 1)
 	go func() {
-		r, err := leaderC.ScheduleEffort(prog.Name, "cs", []int{0, 1, 2, 3}, 1, 500_000)
-		leaderDone <- leadRes{r, err}
+		r, err := longC.ScheduleEffort(prog.Name, "cs", []int{0, 1, 2, 3}, 1, 500_000)
+		longDone <- longRes{r, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for lim.Inflight() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("leader never acquired the expensive slot")
+			t.Fatal("the long search never acquired the expensive slot")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Park a ticket in the brownout lane: even after the leader finishes,
+	// Park a ticket in the brownout lane: even after the long search ends,
 	// every further expensive acquire sheds deterministically.
 	tkCheap, err := lim.Acquire(context.Background(), admission.Cheap)
 	if err != nil {
@@ -357,8 +357,8 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 	}
 	defer lim.Release(tkCheap)
 
-	// Followers on distinct keys: each must be refused with ErrShed
-	// promptly, not hang on a queue or the accept semaphore.
+	// Later searches: each must be refused with ErrShed promptly, not
+	// hang on a queue or the accept semaphore.
 	shedErrs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(seed int64) {
@@ -377,25 +377,25 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 		select {
 		case err := <-shedErrs:
 			if !IsShed(err) {
-				t.Fatalf("follower err = %v, want shed", err)
+				t.Fatalf("later search err = %v, want shed", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("shed follower hung")
+			t.Fatal("shed search hung")
 		}
 	}
 
-	// Begin draining while the leader is (still) mid-search.
+	// Begin draining while the long search is (still) under way.
 	l.Close()
 	select {
-	case r := <-leaderDone:
+	case r := <-longDone:
 		if r.err != nil {
-			t.Fatalf("in-flight leader lost to the drain: %v", r.err)
+			t.Fatalf("in-flight search lost to the drain: %v", r.err)
 		}
 		if len(r.reply.Mapping) == 0 {
-			t.Fatalf("leader reply = %+v, want a mapping", r.reply)
+			t.Fatalf("long search reply = %+v, want a mapping", r.reply)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("leader never completed under drain")
+		t.Fatal("long search never completed under drain")
 	}
 	select {
 	case err := <-serveDone:

@@ -52,9 +52,6 @@ var (
 	// isolates them so saturation is visible on its own.
 	rpcBusySeconds = obs.Default().Histogram(
 		"cbes_rpc_busy_seconds", "Queue time of requests rejected with the busy error.", nil)
-	scheduleCoalesced = obs.Default().Counter(
-		"cbes_schedule_coalesced_total",
-		"Schedule requests served by joining an identical in-flight request instead of searching again.")
 	rpcDeadlineExceeded = obs.Default().Counter(
 		"cbes_rpc_deadline_exceeded_total",
 		"Requests abandoned because the caller's propagated deadline expired server-side.")
@@ -340,9 +337,8 @@ type ScheduleArgs struct {
 
 // ScheduleReply carries the chosen mapping.
 type ScheduleReply struct {
-	// TraceID is the hex trace ID of the server-side causal tree for THIS
-	// request. A coalesced follower reports its own trace here; the trace
-	// that ran the shared search is in its decision record's LeaderTraceID.
+	// TraceID is the hex trace ID of the server-side causal tree for this
+	// request, the one its search ran under.
 	TraceID     string
 	Mapping     []int
 	Predicted   float64
@@ -490,8 +486,6 @@ type Server struct {
 	view atomic.Pointer[view]
 	// cache memoizes predictions by (app, mapping, epoch).
 	cache *predCache
-	// flights coalesces concurrent identical Schedule requests.
-	flights flightGroup
 	// rec is the decision flight recorder (DESIGN.md §11).
 	rec *obs.Recorder
 	// led is the prediction-accuracy ledger every served prediction
@@ -781,111 +775,57 @@ func fastest(ests []core.Estimate) int {
 }
 
 // Schedule finds a mapping with the requested algorithm. Lock-free, and
-// coalesced: concurrent requests with identical (app, algorithm, pool,
-// seed) against the same epoch share one search — scheduling is
-// deterministic in those inputs, so every follower receives the leader's
-// decision, verbatim. Leader and followers then take the same path: each
-// registers its own ledger entry (a join is one-shot, and each may run
-// and report the mapping independently) and leaves its own decision
-// record, failures included.
+// one request is one search: it runs under this request's own deadline,
+// admission slot, span and decision record, so its reply quotes only the
+// search it paid for. The search is deterministic in (app, algorithm,
+// pool, seed, effort, epoch), so identical requests receive identical
+// mappings. It scores through its own Scorers and never fills the cache,
+// so the closing lookup of the chosen mapping's degraded markers misses
+// unless an earlier request evaluated the same mapping in this epoch; the
+// miss costs one allocation-free Estimate, computed under the slot the
+// search holds.
 func (s *Server) Schedule(args *ScheduleArgs, reply *ScheduleReply) error {
 	return s.decide("Schedule", "schedule", args.App, args.TraceMeta, func(ctx context.Context, v *view, eval *core.Evaluator, d *obs.Decision) error {
 		d.Algorithm, d.Seed = args.Algorithm, args.Seed
-		val, joined, err := s.flights.do(ctx, scheduleKey(v.epoch, args), func() (any, error) {
-			return s.search(ctx, v, eval, args, d)
-		})
-		if joined {
-			scheduleCoalesced.Inc()
-			d.Coalesced = true
+		if s.lim != nil {
+			tk, err := s.lim.Acquire(ctx, admission.Expensive)
+			if err != nil {
+				// Schedule has no brownout: a mapping nobody searched for
+				// is not a cheaper answer, it is a wrong one. The record
+				// says why this request got no mapping.
+				d.Shed = IsShed(err)
+				return err
+			}
+			defer s.lim.Release(tk)
 		}
+		dec, err := cbes.ScheduleOnCtxEffort(ctx, eval, v.snap, cbes.Algorithm(args.Algorithm), args.Pool, args.Seed, args.Effort)
 		if err != nil {
-			// Schedule has no brownout: a mapping nobody searched for is
-			// not a cheaper answer, it is a wrong one. The record says
-			// why this request got no mapping.
-			d.Shed = IsShed(err)
 			return err
 		}
-		*reply = *val.(*ScheduleReply) // shared backing arrays, read-only
-		if joined {
-			// The follower's causal story is its own: its trace shows a
-			// coalesced join, and its decision record names the leader's
-			// trace — the one the shared search actually ran under.
-			d.LeaderTraceID = reply.TraceID
-			reply.TraceID = d.TraceID
-			obs.SpanFromContext(ctx).
-				Attr("coalesced", true).
-				Attr("leader_trace", d.LeaderTraceID)
+		est, key, hit := s.lookup(ctx, v, args.App, dec.Mapping)
+		d.CacheLookups = 1
+		if hit {
+			d.CacheHits = 1
+		} else {
+			est, err = s.compute(ctx, v, eval, dec.Mapping, key)
 		}
-		id, k := s.beginPrediction(ctx, v, d.TraceID, args.App, args.Algorithm, reply.Mapping, reply.Predicted, reply.Degraded)
+		if err == nil {
+			fillDegraded(est, &reply.Degraded, &reply.StaleNodes)
+		}
+		id, k := s.beginPrediction(ctx, v, d.TraceID, args.App, args.Algorithm, dec.Mapping, dec.Predicted, reply.Degraded)
+		reply.TraceID = d.TraceID
+		reply.Mapping = dec.Mapping
+		reply.Predicted = dec.Predicted
+		reply.Evaluations = dec.Evaluations
+		reply.SchedulerMicros = dec.SchedulerTime.Microseconds()
 		reply.PredictionID = id
 		fillBand(s.led.BandFor(k), &reply.ErrBandLowPct, &reply.ErrBandHighPct, &reply.ErrBandSamples)
-		d.Mapping = reply.Mapping
-		d.Predicted = reply.Predicted
-		d.Evaluations = reply.Evaluations
-		d.SchedulerMicros = reply.SchedulerMicros
+		d.Mapping, d.Predicted = reply.Mapping, reply.Predicted
+		d.Evaluations, d.SchedulerMicros = reply.Evaluations, reply.SchedulerMicros
 		d.PredictionID = id
 		d.Degraded, d.StaleNodes = reply.Degraded, reply.StaleNodes
 		return nil
 	})
-}
-
-// scheduleKey builds the Schedule coalescing key. The epoch is part of
-// it: two identical requests straddling a state transition must not
-// share a decision.
-func scheduleKey(epoch uint64, args *ScheduleArgs) string {
-	var sb strings.Builder
-	sb.Grow(len(args.App) + len(args.Algorithm) + 12*len(args.Pool) + 24)
-	sb.WriteString(args.App)
-	sb.WriteByte(0)
-	sb.WriteString(args.Algorithm)
-	fmt.Fprintf(&sb, "\x00%d\x00%d\x00%d\x00", args.Seed, epoch, args.Effort)
-	for _, n := range args.Pool {
-		fmt.Fprintf(&sb, "%d,", n)
-	}
-	return sb.String()
-}
-
-// search is a Schedule flight's leader: it runs one scheduling search
-// against the view and returns the decision every member of the flight
-// shares, including the degraded-prediction markers of the chosen
-// mapping. Admission sits inside the flight: followers ride the leader's
-// slot for free (a joined search costs nothing extra), and a shed leader
-// propagates ErrShed to every waiting follower. The search scores through
-// its own Scorers and never fills the cache, so the closing lookup of the
-// chosen mapping's degraded markers misses unless an earlier request
-// evaluated the same mapping in this epoch; the miss costs one
-// allocation-free Estimate, computed under the slot already held. d is the
-// leader's decision record.
-func (s *Server) search(ctx context.Context, v *view, eval *core.Evaluator, args *ScheduleArgs, d *obs.Decision) (*ScheduleReply, error) {
-	if s.lim != nil {
-		tk, err := s.lim.Acquire(ctx, admission.Expensive)
-		if err != nil {
-			return nil, err
-		}
-		defer s.lim.Release(tk)
-	}
-	dec, err := cbes.ScheduleOnCtxEffort(ctx, eval, v.snap, cbes.Algorithm(args.Algorithm), args.Pool, args.Seed, args.Effort)
-	if err != nil {
-		return nil, err
-	}
-	r := &ScheduleReply{
-		TraceID:         d.TraceID,
-		Mapping:         []int(dec.Mapping),
-		Predicted:       dec.Predicted,
-		Evaluations:     dec.Evaluations,
-		SchedulerMicros: dec.SchedulerTime.Microseconds(),
-	}
-	est, key, hit := s.lookup(ctx, v, args.App, dec.Mapping)
-	d.CacheLookups = 1
-	if hit {
-		d.CacheHits = 1
-	} else {
-		est, err = s.compute(ctx, v, eval, dec.Mapping, key)
-	}
-	if err == nil {
-		fillDegraded(est, &r.Degraded, &r.StaleNodes)
-	}
-	return r, nil
 }
 
 // Status reports the service and cluster state from the published view.

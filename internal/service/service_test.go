@@ -13,6 +13,7 @@ import (
 	"cbes/internal/bench"
 	"cbes/internal/cluster"
 	"cbes/internal/obs"
+	"cbes/internal/schedule"
 	"cbes/internal/workloads"
 )
 
@@ -140,6 +141,21 @@ func TestScheduleOverRPC(t *testing.T) {
 	}
 	if _, err := c.Schedule(prog.Name, "quantum", pool, 3); err == nil {
 		t.Fatal("unknown algorithm should error")
+	}
+}
+
+// An effort past schedule.MaxEffort is refused before the search starts:
+// the Schedule fails, and no evaluation is booked for it.
+func TestScheduleRefusesEffortPastCap(t *testing.T) {
+	c, prog, sys := startServer(t)
+	evals := obs.Default().CounterVec("cbes_schedule_evals_total", "", "alg").With("cs")
+	before := evals.Value()
+	_, err := c.ScheduleEffort(prog.Name, "cs", sys.Pool(cluster.ArchAlpha, cluster.ArchIntel), 3, schedule.MaxEffort+1)
+	if err == nil || !strings.Contains(err.Error(), "effort") {
+		t.Fatalf("err = %v, want the effort cap", err)
+	}
+	if got := evals.Value(); got != before {
+		t.Fatalf("cbes_schedule_evals_total{alg=cs} moved %d -> %d on a refused request", before, got)
 	}
 }
 

@@ -102,9 +102,9 @@ func TestScheduleTraceTreeAndDecisionRecord(t *testing.T) {
 }
 
 // Decision records capture failures too (forensics wants the denials),
-// and the Decisions RPC filters by kind and app. That holds for coalesced
-// Schedule followers as well: one whose leader fails, and one whose own
-// deadline expires while it waits, each leave exactly one record.
+// and the Decisions RPC filters by kind and app. Two identical Schedules
+// whose deadlines expire mid-search each fail on their own deadline and
+// each leave exactly one record of it.
 func TestDecisionRecordsFailures(t *testing.T) {
 	c, prog, sys := startServer(t)
 	if _, err := c.Evaluate("no-such-app", []int{0}); err == nil {
@@ -121,59 +121,33 @@ func TestDecisionRecordsFailures(t *testing.T) {
 		t.Fatalf("record error = %q, want the unknown-app complaint", dr.Decisions[0].Err)
 	}
 
-	// The leader's search far outlasts its 1s deadline, so it fails with
-	// a deadline error, not a shed.
+	// Each search far outlasts its deadline, so it fails with a deadline
+	// error, not a shed.
 	s := NewServer(sys)
 	schedule := func(deadline time.Duration) (uint64, chan error) {
 		args := &ScheduleArgs{
 			TraceMeta: freshTrace(),
 			App:       prog.Name, Algorithm: "cs", Pool: []int{0, 1, 2, 3, 4, 5, 6, 7}, Seed: 9, Effort: 50_000_000,
 		}
-		if deadline > 0 {
-			args.setDeadline(time.Now().Add(deadline))
-		}
+		args.setDeadline(time.Now().Add(deadline))
 		done := make(chan error, 1)
 		go func() { done <- s.Schedule(args, &ScheduleReply{}) }()
 		return args.TraceID, done
 	}
-	joined := func(n int) {
-		t.Helper()
-		for end := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			s.flights.mu.Lock()
-			shared := -1
-			for _, f := range s.flights.m {
-				shared = f.shared
-			}
-			s.flights.mu.Unlock()
-			if shared >= n {
-				return
-			}
-			if time.Now().After(end) {
-				t.Fatalf("%d followers joined the flight, want %d", shared, n)
-			}
-		}
-	}
-	leader, leaderDone := schedule(time.Second)
-	joined(0)
-	orphan, orphanDone := schedule(0)                            // shares the leader's failure
-	impatient, impatientDone := schedule(200 * time.Millisecond) // gives up first
-	joined(2)
-	for _, done := range []chan error{leaderDone, orphanDone, impatientDone} {
+	patient, patientDone := schedule(time.Second)
+	impatient, impatientDone := schedule(200 * time.Millisecond)
+	for _, done := range []chan error{patientDone, impatientDone} {
 		if err := <-done; !IsDeadlineExceeded(err) {
 			t.Fatalf("err = %v, want deadline exceeded", err)
 		}
 	}
-	for _, tc := range []struct {
-		trace     uint64
-		coalesced bool
-	}{{leader, false}, {orphan, true}, {impatient, true}} {
-		recs := s.rec.Decisions(obs.DecisionQuery{TraceID: obs.FormatID(tc.trace)})
+	for _, trace := range []uint64{patient, impatient} {
+		recs := s.rec.Decisions(obs.DecisionQuery{TraceID: obs.FormatID(trace)})
 		if len(recs) != 1 {
-			t.Fatalf("trace %x left %d decision records, want 1", tc.trace, len(recs))
+			t.Fatalf("trace %x left %d decision records, want 1", trace, len(recs))
 		}
-		d := recs[0]
-		if d.Kind != "schedule" || d.Coalesced != tc.coalesced || d.Shed || !strings.Contains(d.Err, "deadline") {
-			t.Fatalf("trace %x: record %+v, want a coalesced=%v deadline failure", tc.trace, d, tc.coalesced)
+		if d := recs[0]; d.Kind != "schedule" || d.Shed || !strings.Contains(d.Err, "deadline") {
+			t.Fatalf("trace %x: record %+v, want a deadline failure", trace, d)
 		}
 	}
 }
