@@ -121,7 +121,8 @@ type Request struct {
 	Pool []int
 	// Seed drives scheduler randomness.
 	Seed int64
-	// Effort caps search effort: total energy evaluations (default 4000).
+	// Effort caps search effort: total energy evaluations (default 4000,
+	// at most MaxEffort).
 	// SA distributes it exactly across restarts and never exceeds it. GA
 	// stops after its fixed 60 generations of 40, so it spends at most
 	// 2 440 evaluations and leaves any effort beyond that unused.

@@ -329,9 +329,10 @@ type ScheduleArgs struct {
 	Pool      []int
 	Seed      int64
 	// Effort caps the search's energy evaluations; 0 selects the server
-	// default. The cost/benefit knob: a caller in a hurry (or paying for
-	// estimating service by the evaluation) bounds the search it buys.
-	// Older clients send 0 via gob and keep the default.
+	// default, and one above schedule.MaxEffort is refused. The
+	// cost/benefit knob: a caller in a hurry (or paying for estimating
+	// service by the evaluation) bounds the search it buys. Older
+	// clients send 0 via gob and keep the default.
 	Effort int
 }
 
