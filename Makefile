@@ -60,13 +60,15 @@ ci:
 # restarts on the worker pool (parallel ≡ serial, a panicking restart,
 # cancellation and deadlines), the service's drain and shutdown, and
 # identical Schedule requests searching side by side on one evaluator,
-# each under its own deadline. A race that shows once in several runs
-# shows here.
+# each under its own deadline, and the accuracy ledger's ID-indexed
+# pending ring under concurrent Begin, Report and eviction. A race that
+# shows once in several runs shows here.
 stress:
 	$(GO) test -race -count=20 -run 'Proc|Shutdown|Kill|Coroutine|EventOrderGolden|Signal|Spawn|Sleep|Reset' ./internal/des/
 	$(GO) test -race -count=20 -run 'Panics|Deadlock|WorldReuse|ConcurrentWorlds|WorldResultAfterWaitIn' ./internal/mpisim/
 	$(GO) test -race -count=20 -run 'Parallelism|Panic|Cancel|Deadline' ./internal/schedule/
 	$(GO) test -race -count=20 -run 'Soak|Drain|ServeCleanClose|RecoversProcessPanic|RetriesAcrossServerRestart|IdenticalSchedulesDeterministic|ScheduleKeepsOwnDeadline' ./internal/service/
+	$(GO) test -race -count=20 -run 'ConcurrentBeginReport' ./internal/accuracy/
 
 # Smoke-run the benchmark bodies once under the race detector. This is a
 # correctness gate (pooled events + parallel trials must be race-clean on

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cbes/internal/obs"
@@ -33,7 +32,8 @@ import (
 // Prediction is one served estimate awaiting its measured outcome.
 type Prediction struct {
 	// ID is the stable join key carried on the RPC reply and in the
-	// decision record. Begin assigns one when empty.
+	// decision record: "p" and the ledger's sequence number in lower-case
+	// hex. Begin and ReportPair assign it; a caller's value is ignored.
 	ID string
 	// App names the profiled application the estimate was for.
 	App string
@@ -51,10 +51,12 @@ type Prediction struct {
 	Epoch uint64
 	// Predicted is the estimated execution time in seconds.
 	Predicted float64
-	// TraceID links back to the request's trace tree (hex spelling).
+	// TraceID links back to the request's trace tree, spelled as
+	// obs.FormatID spells it. The ledger keeps the number, so a spelling
+	// obs.ParseID refuses reads back as "".
 	TraceID string
 	// At is when the prediction was served (Begin stamps time.Now if
-	// zero).
+	// zero). The ledger keeps it as Unix nanoseconds.
 	At time.Time
 }
 
@@ -175,8 +177,11 @@ var ErrBuckets = obs.LogBuckets(1e-4, 10)
 // jitter: a window MAPE below this never trips the factor rule.
 const driftNoiseFloorPct = 1.0
 
-// bucket accumulates one Key's calibration state.
+// bucket is one interned calibration Key and its statistics. Begin
+// interns the key; the histograms come with the key's first join, so a
+// key that only ever had predictions served carries none.
 type bucket struct {
+	Key
 	n         int
 	sumSigned float64 // Σ signed relative error (ratio)
 	sumAbs    float64 // Σ |relative error|
@@ -240,32 +245,112 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// record is one prediction as the ledger keeps it: a pending entry in
+// the eviction ring, or the prediction half of a joined sample. It holds
+// no pointers — its strings live once each in the key table — so
+// neither ring costs the garbage collector a scan.
+type record struct {
+	seq       uint64 // the ID's number (the ID reads p<hex seq>); 0 in a free slot
+	trace     uint64 // trace ID; 0 for none
+	epoch     uint64
+	at        int64   // served at, Unix nanoseconds
+	predicted float64 // seconds
+	key       uint32  // index into Ledger.buckets
+}
+
+// joined is a record with its measured outcome.
+type joined struct {
+	record
+	actual   float64 // seconds
+	joinedAt int64   // Unix nanoseconds
+}
+
+// newRecord converts p to a record, all but its sequence number and key.
+func newRecord(p Prediction) record {
+	at := p.At
+	if at.IsZero() {
+		at = time.Now()
+	}
+	var trace uint64
+	if p.TraceID != "" {
+		trace, _ = obs.ParseID(p.TraceID) // an unparsable spelling is kept as none
+	}
+	return record{trace: trace, epoch: p.Epoch, at: at.UnixNano(), predicted: p.Predicted}
+}
+
+// sample builds the exported Sample of j, whose calibration key is k.
+func (j joined) sample(k Key) Sample {
+	signed := (j.predicted - j.actual) / j.actual
+	return Sample{
+		Prediction: Prediction{
+			ID: formatID(j.seq), App: k.App, Scheduler: k.Scheduler, Degraded: k.Degraded,
+			AgeBucket: k.AgeBucket, Epoch: j.epoch, Predicted: j.predicted,
+			TraceID: obs.FormatID(j.trace), At: time.Unix(0, j.at),
+		},
+		Actual:       j.actual,
+		SignedErrPct: signed * 100,
+		AbsErrPct:    math.Abs(signed) * 100,
+		JoinedAt:     time.Unix(0, j.joinedAt),
+	}
+}
+
+// formatID spells a sequence number as a prediction ID: "p" and the
+// number in lower-case hex without leading zeros.
+func formatID(seq uint64) string {
+	var b [17]byte
+	b[0] = 'p'
+	return string(strconv.AppendUint(b[:1], seq, 16))
+}
+
+// parseID reverses formatID, and accepts only its exact spelling: no
+// upper case, sign, leading zero or seventeenth digit, so an ID joins
+// only as Begin returned it.
+func parseID(id string) (seq uint64, ok bool) {
+	if len(id) < 2 || len(id) > 17 || id[0] != 'p' || id[1] == '0' {
+		return 0, false
+	}
+	for i := 1; i < len(id); i++ {
+		switch c := id[i]; {
+		case '0' <= c && c <= '9':
+			seq = seq<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			seq = seq<<4 | uint64(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return seq, true
+}
+
 // Ledger joins predictions with outcomes and maintains the calibration
 // statistics. All methods are safe for concurrent use; the critical
-// sections are small (map ops plus a handful of float updates) so Begin
-// on the service hot path costs about as much as a prediction-cache
-// probe.
+// sections are small (a key-table lookup, one ring slot and a handful of
+// float updates) so Begin on the service hot path costs about as much
+// as a prediction-cache probe.
 type Ledger struct {
-	seq atomic.Uint64
-
 	mu sync.Mutex
-	// ring holds the pending predictions in admission order (the eviction
-	// ring; a free slot has an empty ID); pending maps each pending ID to
-	// its slot. Begin rebuilds pending once per turn of the ring: Go's map
-	// keeps deleted keys' slots and grows to make room, so an index
-	// churned forever creeps to several times its live size. Both are
-	// allocated at full size by the first Begin, and samples by the first
-	// join, so a process that never records a prediction carries none of
-	// them.
-	ring     []Prediction
-	ringNext int
-	pending  map[string]int32
+	// seq is the last sequence number taken, by Begin or ReportPair, and
+	// lastBegin the last one Begin took. ring holds the pending
+	// predictions, each in slot seq mod pendingCap. Begin takes the first
+	// number past seq that lands on the slot after lastBegin's, so the
+	// ring fills and evicts in Begin order however many numbers ReportPair
+	// took in between, and Report finds an ID's slot from its number
+	// alone. pending counts the live slots. ring is allocated by the first
+	// Begin, and samples by the first join, so a process that never
+	// records a prediction carries neither.
+	seq, lastBegin uint64
+	ring           []record
+	pending        int
 
-	samples  []Sample // joined-pair ring for the CSV export
+	samples  []joined // joined-pair ring for the CSV export
 	sampNext int
 	sampN    int
 
-	buckets map[Key]*bucket
+	// keys interns every calibration Key a prediction carried to its
+	// index in buckets. Keys are few: registered apps × schedulers ×
+	// degraded or not × age buckets.
+	keys    map[Key]uint32
+	buckets []bucket
 
 	// Drift detector: sliding window of recent |relative errors| vs the
 	// cumulative baseline of everything before the window.
@@ -288,9 +373,9 @@ type Ledger struct {
 // New builds a ledger.
 func New(Config) *Ledger {
 	return &Ledger{
-		buckets: map[Key]*bucket{},
-		window:  make([]float64, driftWindow),
-		ok:      true,
+		keys:   map[Key]uint32{},
+		window: make([]float64, driftWindow),
+		ok:     true,
 	}
 }
 
@@ -326,53 +411,50 @@ var defaultLedger = func() *Ledger {
 // remap executor, and experiments all feed.
 func Default() *Ledger { return defaultLedger }
 
-func (l *Ledger) nextID() string {
-	return "p" + strconv.FormatUint(l.seq.Add(1), 16)
+// internLocked returns p's calibration key's index in l.buckets, adding
+// the key on first sight. Caller holds l.mu.
+func (l *Ledger) internLocked(p Prediction) uint32 {
+	k := Key{App: p.App, Scheduler: p.Scheduler, Degraded: p.Degraded, AgeBucket: p.AgeBucket}
+	i, ok := l.keys[k]
+	if !ok {
+		i = uint32(len(l.buckets))
+		l.buckets = append(l.buckets, bucket{Key: k})
+		l.keys[k] = i
+	}
+	return i
 }
 
-// Begin registers a served prediction and returns its ID (assigning one
-// if p.ID is empty). The prediction waits in the bounded pending store
+// Begin registers a served prediction and returns the ID it assigns
+// (p.ID is ignored). The prediction waits in the bounded pending store
 // until an outcome is reported for it or it is evicted by newer entries.
 func (l *Ledger) Begin(p Prediction) string {
-	if p.At.IsZero() {
-		p.At = time.Now()
-	}
-	if p.ID == "" {
-		p.ID = l.nextID()
-	}
+	r := newRecord(p)
 	l.mu.Lock()
 	if l.ring == nil {
-		l.ring = make([]Prediction, pendingCap)
-		l.pending = make(map[string]int32, pendingCap)
+		l.ring = make([]record, pendingCap)
 	}
-	if old := l.ring[l.ringNext].ID; old != "" {
-		delete(l.pending, old)
+	r.key = l.internLocked(p)
+	r.seq = l.seq + 1
+	r.seq += (l.lastBegin + 1 - r.seq) % pendingCap
+	l.seq, l.lastBegin = r.seq, r.seq
+	slot := &l.ring[r.seq%pendingCap]
+	if slot.seq != 0 {
 		l.expired++
 		if l == defaultLedger {
 			mExpired.Inc()
 		}
+	} else {
+		l.pending++
 	}
-	if j, dup := l.pending[p.ID]; dup {
-		l.ring[j] = Prediction{} // a re-issued ID replaces its pending prediction
-	}
-	l.ring[l.ringNext] = p
-	l.pending[p.ID] = int32(l.ringNext)
-	if l.ringNext = (l.ringNext + 1) % len(l.ring); l.ringNext == 0 {
-		clear(l.pending)
-		for j := range l.ring {
-			if id := l.ring[j].ID; id != "" {
-				l.pending[id] = int32(j)
-			}
-		}
-	}
+	*slot = r
 	l.predictions++
-	pendingN := len(l.pending)
+	pendingN := l.pending
 	l.mu.Unlock()
 	if l == defaultLedger {
 		mPredictions.Inc()
 		mPending.Set(float64(pendingN))
 	}
-	return p.ID
+	return formatID(r.seq)
 }
 
 // ErrUnknownID reports an outcome that matched no pending prediction —
@@ -383,36 +465,30 @@ var ErrUnknownID = errors.New("accuracy: unknown or expired prediction id")
 // with the given ID and folds the error into the calibration statistics.
 func (l *Ledger) Report(id string, actualSeconds float64) (Sample, error) {
 	if !(actualSeconds > 0) || math.IsInf(actualSeconds, 0) {
-		l.mu.Lock()
-		l.outcomes++
-		l.unmatched++
-		l.mu.Unlock()
-		if l == defaultLedger {
-			mOutcomes.Inc()
-			mUnmatched.Inc()
-		}
+		l.miss()
 		return Sample{}, fmt.Errorf("accuracy: actual seconds must be positive and finite, got %v", actualSeconds)
 	}
+	seq, ok := parseID(id)
 	l.mu.Lock()
-	j, live := l.pending[id]
-	if !live {
-		l.outcomes++
-		l.unmatched++
+	var slot *record
+	if ok && l.ring != nil {
+		slot = &l.ring[seq%pendingCap]
+	}
+	if slot == nil || slot.seq != seq {
 		l.mu.Unlock()
-		if l == defaultLedger {
-			mOutcomes.Inc()
-			mUnmatched.Inc()
-		}
+		l.miss()
 		return Sample{}, fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
-	p := l.ring[j]
-	l.ring[j] = Prediction{}
-	delete(l.pending, id)
+	r := *slot
+	*slot = record{}
+	l.pending--
 	l.outcomes++
-	s := l.joinLocked(p, actualSeconds)
-	pendingN := len(l.pending)
+	j := l.joinLocked(r, actualSeconds)
+	k := l.buckets[r.key].Key
+	pendingN := l.pending
 	okNow := l.ok
 	l.mu.Unlock()
+	s := j.sample(k)
 	if l == defaultLedger {
 		mOutcomes.Inc()
 		mJoined.Inc()
@@ -423,27 +499,40 @@ func (l *Ledger) Report(id string, actualSeconds float64) (Sample, error) {
 	return s, nil
 }
 
+// miss counts an outcome that joined nothing.
+func (l *Ledger) miss() {
+	l.mu.Lock()
+	l.outcomes++
+	l.unmatched++
+	l.mu.Unlock()
+	if l == defaultLedger {
+		mOutcomes.Inc()
+		mUnmatched.Inc()
+	}
+}
+
 // ReportPair registers a prediction and its outcome in one call — the
 // in-process hook for executors (batch, remap, experiments) that hold
-// both sides already. Invalid inputs (non-positive predicted or actual)
-// are dropped with a zero Sample.
+// both sides already. It assigns the ID as Begin does (p.ID is ignored).
+// Invalid inputs (non-positive predicted or actual) are dropped with a
+// zero Sample.
 func (l *Ledger) ReportPair(p Prediction, actualSeconds float64) Sample {
 	if !(actualSeconds > 0) || !(p.Predicted > 0) ||
 		math.IsInf(actualSeconds, 0) || math.IsInf(p.Predicted, 0) {
 		return Sample{}
 	}
-	if p.At.IsZero() {
-		p.At = time.Now()
-	}
-	if p.ID == "" {
-		p.ID = l.nextID()
-	}
+	r := newRecord(p)
 	l.mu.Lock()
+	r.key = l.internLocked(p)
+	l.seq++
+	r.seq = l.seq
 	l.predictions++
 	l.outcomes++
-	s := l.joinLocked(p, actualSeconds)
+	j := l.joinLocked(r, actualSeconds)
+	k := l.buckets[r.key].Key
 	okNow := l.ok
 	l.mu.Unlock()
+	s := j.sample(k)
 	if l == defaultLedger {
 		mPredictions.Inc()
 		mOutcomes.Inc()
@@ -462,39 +551,29 @@ func setCalibrationGauge(ok bool) {
 	}
 }
 
-// joinLocked folds one joined pair into the per-bucket statistics and
-// the drift detector. Caller holds l.mu.
-func (l *Ledger) joinLocked(p Prediction, actual float64) Sample {
-	signed := (p.Predicted - actual) / actual
+// joinLocked folds one joined pair into the sample ring, its bucket's
+// statistics and the drift detector. Caller holds l.mu.
+func (l *Ledger) joinLocked(r record, actual float64) joined {
+	signed := (r.predicted - actual) / actual
 	abs := math.Abs(signed)
-	s := Sample{
-		Prediction:   p,
-		Actual:       actual,
-		SignedErrPct: signed * 100,
-		AbsErrPct:    abs * 100,
-		JoinedAt:     time.Now(),
-	}
+	j := joined{record: r, actual: actual, joinedAt: time.Now().UnixNano()}
 
 	// Sample ring (CSV export), overwrite-oldest.
 	if l.samples == nil {
-		l.samples = make([]Sample, sampleCap)
+		l.samples = make([]joined, sampleCap)
 	}
-	l.samples[l.sampNext] = s
+	l.samples[l.sampNext] = j
 	l.sampNext = (l.sampNext + 1) % len(l.samples)
 	if l.sampN < len(l.samples) {
 		l.sampN++
 	}
 
 	// Per-bucket calibration stats.
-	k := Key{App: p.App, Scheduler: p.Scheduler, Degraded: p.Degraded, AgeBucket: p.AgeBucket}
-	b := l.buckets[k]
-	if b == nil {
-		b = &bucket{
-			absH:   obs.NewHistogram(ErrBuckets),
-			overH:  obs.NewHistogram(ErrBuckets),
-			underH: obs.NewHistogram(ErrBuckets),
-		}
-		l.buckets[k] = b
+	b := &l.buckets[r.key]
+	if b.absH == nil {
+		b.absH = obs.NewHistogram(ErrBuckets)
+		b.overH = obs.NewHistogram(ErrBuckets)
+		b.underH = obs.NewHistogram(ErrBuckets)
 	}
 	b.n++
 	b.sumSigned += signed
@@ -522,7 +601,7 @@ func (l *Ledger) joinLocked(p Prediction, actual float64) Sample {
 	l.totalSigned += signed
 	l.joined++
 	l.ok = !l.driftedLocked()
-	return s
+	return j
 }
 
 // driftedLocked evaluates the drift rule. Caller holds l.mu.
@@ -560,7 +639,7 @@ func (l *Ledger) Status() Status {
 		Joined:        l.joined,
 		Unmatched:     l.unmatched,
 		Expired:       l.expired,
-		Pending:       len(l.pending),
+		Pending:       l.pending,
 		WindowN:       l.winN,
 		CalibrationOK: l.ok,
 	}
@@ -590,15 +669,19 @@ func (l *Ledger) Stats(q StatsQuery) []BucketStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]BucketStats, 0, len(l.buckets))
-	for k, b := range l.buckets {
-		if q.App != "" && k.App != q.App {
+	for i := range l.buckets {
+		b := &l.buckets[i]
+		if b.n == 0 {
 			continue
 		}
-		if q.Scheduler != "" && k.Scheduler != q.Scheduler {
+		if q.App != "" && b.App != q.App {
+			continue
+		}
+		if q.Scheduler != "" && b.Scheduler != q.Scheduler {
 			continue
 		}
 		bs := BucketStats{
-			Key:     k,
+			Key:     b.Key,
 			Count:   b.n,
 			BiasPct: b.sumSigned / float64(b.n) * 100,
 			MAPEPct: b.sumAbs / float64(b.n) * 100,
@@ -632,8 +715,12 @@ func (l *Ledger) Stats(q StatsQuery) []BucketStats {
 func (l *Ledger) BandFor(k Key) Band {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b := l.buckets[k]
-	if b == nil || b.n < minBandSamples {
+	i, ok := l.keys[k]
+	if !ok {
+		return Band{}
+	}
+	b := &l.buckets[i]
+	if b.n < minBandSamples {
 		return Band{}
 	}
 	lo, hi := b.band()
@@ -650,7 +737,8 @@ func (l *Ledger) Samples(n int) []Sample {
 	}
 	out := make([]Sample, 0, n)
 	for i := 1; i <= n; i++ {
-		out = append(out, l.samples[(l.sampNext-i+len(l.samples))%len(l.samples)])
+		j := l.samples[(l.sampNext-i+len(l.samples))%len(l.samples)]
+		out = append(out, j.sample(l.buckets[j.key].Key))
 	}
 	return out
 }

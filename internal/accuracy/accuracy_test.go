@@ -5,19 +5,30 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"cbes/internal/obs"
 )
 
 func TestBeginReportJoins(t *testing.T) {
 	l := New(Config{})
-	id := l.Begin(Prediction{App: "lu", Scheduler: "cs", Predicted: 100, AgeBucket: "<1s"})
+	p := Prediction{App: "lu", Scheduler: "cs", Predicted: 100, AgeBucket: "<1s", Epoch: 7,
+		TraceID: obs.FormatID(0xabc), At: time.Unix(1e9, 5)}
+	id := l.Begin(p)
 	if id == "" {
 		t.Fatal("Begin returned empty id")
 	}
 	s, err := l.Report(id, 80) // predicted 100, actual 80 → over-prediction
 	if err != nil {
 		t.Fatal(err)
+	}
+	p.ID = id
+	if s.Prediction != p || s.Actual != 80 || s.JoinedAt.IsZero() {
+		t.Fatalf("joined %+v, want %+v", s, p)
 	}
 	if math.Abs(s.SignedErrPct-25) > 1e-9 {
 		t.Fatalf("signed err = %v, want +25 (over-prediction positive)", s.SignedErrPct)
@@ -56,11 +67,35 @@ func TestReportUnknownAndInvalid(t *testing.T) {
 	}
 }
 
+// TestPendingEviction: the pending ring keeps exactly the newest
+// pendingCap Begin entries, oldest-first, however many sequence numbers
+// ReportPair takes between the Begins (one stretch takes more than a
+// ring's worth), and no two IDs the ledger hands out are equal.
 func TestPendingEviction(t *testing.T) {
 	l := New(Config{})
 	ids := make([]string, pendingCap+2)
+	pairs := 0
+	seen := map[string]bool{}
 	for i := range ids {
 		ids[i] = l.Begin(Prediction{App: "lu", Predicted: 10})
+		n := i % 3
+		if i == pendingCap/2 {
+			n = pendingCap + 5
+		}
+		for k := 0; k < n; k++ {
+			s := l.ReportPair(Prediction{App: "lu", Scheduler: "pair", Predicted: 10}, 10)
+			if seen[s.ID] {
+				t.Fatalf("ReportPair reissued ID %s", s.ID)
+			}
+			seen[s.ID] = true
+			pairs++
+		}
+	}
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("Begin reissued ID %s", id)
+		}
+		seen[id] = true
 	}
 	// The two oldest must have been evicted and counted.
 	for _, id := range ids[:2] {
@@ -73,48 +108,113 @@ func TestPendingEviction(t *testing.T) {
 			t.Fatalf("resident id %s: %v", id, err)
 		}
 	}
-	if st := l.Status(); st.Expired != 2 || st.Joined != pendingCap {
-		t.Fatalf("expired=%d joined=%d, want 2/%d", st.Expired, st.Joined, pendingCap)
+	if st := l.Status(); st.Expired != 2 || st.Joined != uint64(pendingCap+pairs) || st.Pending != 0 {
+		t.Fatalf("expired=%d joined=%d pending=%d, want 2/%d/0", st.Expired, st.Joined, st.Pending, pendingCap+pairs)
 	}
 }
 
-// TestPendingReissuedID: Begin with an ID that is still pending replaces
-// that prediction; the ID joins once, and evicting the replaced slot later
-// neither drops the new prediction nor counts an expiry.
+// TestPendingReissuedID: Begin assigns its own ID even when the caller
+// sets one, so the caller's ID never joins and two Begins never share an
+// ID.
 func TestPendingReissuedID(t *testing.T) {
 	l := New(Config{})
-	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 10})
-	l.Begin(Prediction{ID: "x", App: "lu", Predicted: 20})
-	for i := 0; i < pendingCap-1; i++ { // the last one reuses the first slot
-		l.Begin(Prediction{App: "lu", Predicted: 10})
+	a := l.Begin(Prediction{ID: "x", App: "lu", Predicted: 10})
+	b := l.Begin(Prediction{ID: "x", App: "lu", Predicted: 20})
+	if a == "x" || b == "x" || a == b {
+		t.Fatalf("Begin returned %q and %q for a caller's ID \"x\"", a, b)
 	}
-	s, err := l.Report("x", 20)
-	if err != nil || s.Predicted != 20 {
-		t.Fatalf("re-issued id joined %+v, %v; want the second prediction", s, err)
+	if _, err := l.Report("x", 20); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("the caller's ID joined (err=%v)", err)
 	}
-	if st := l.Status(); st.Expired != 0 || st.Pending != pendingCap-1 {
-		t.Fatalf("expired=%d pending=%d, want 0/%d", st.Expired, st.Pending, pendingCap-1)
+	for id, want := range map[string]float64{a: 10, b: 20} {
+		if s, err := l.Report(id, 20); err != nil || s.ID != id || s.Predicted != want {
+			t.Fatalf("Report(%s) = %+v, %v; want predicted %v", id, s, err, want)
+		}
+	}
+	if st := l.Status(); st.Expired != 0 || st.Pending != 0 || st.Joined != 2 {
+		t.Fatalf("status %+v, want 2 joined and nothing pending or expired", st)
 	}
 }
 
-// TestPendingFootprintFlat: the pending store's memory does not grow with
-// the number of predictions that have passed through it. (Go's map keeps
-// deleted keys' slots until it grows; the ledger rebuilds its index once
-// per turn of the ring.)
-func TestPendingFootprintFlat(t *testing.T) {
+// TestReportHostileIDs: Report parses the ID an RPC caller sends, so
+// every spelling but the one Begin returned must miss — counted as
+// unmatched, joining nothing and leaving the pending entry in place.
+func TestReportHostileIDs(t *testing.T) {
 	l := New(Config{})
-	heapAfter := func(n int) uint64 {
-		for i := 0; i < n; i++ {
-			l.Begin(Prediction{App: "lu", Predicted: 10})
+	live := l.Begin(Prediction{App: "lu", Predicted: 10})
+	if live != "p1" {
+		t.Fatalf("first ID = %q, want p1", live)
+	}
+	for _, id := range []string{
+		"", "p", "p0", "P1", "p-1", "p+1", "p1x", " p1", "p01", "p1 ",
+		"p10000000000000001",                       // 17 hex digits
+		"p" + strings.Repeat("f", 17),              // past uint64
+		"p" + strconv.FormatUint(1+pendingCap, 16), // live's slot, never issued
+	} {
+		before := l.Status()
+		if _, err := l.Report(id, 10); !errors.Is(err, ErrUnknownID) {
+			t.Fatalf("Report(%q) err = %v, want ErrUnknownID", id, err)
 		}
+		st := l.Status()
+		if st.Unmatched != before.Unmatched+1 || st.Joined != 0 || st.Pending != 1 {
+			t.Fatalf("Report(%q) left %+v", id, st)
+		}
+	}
+	// An ID whose slot the ring has since reused misses; the slot's
+	// new occupant joins.
+	old := l.Begin(Prediction{App: "lu", Predicted: 20})
+	var reuser string
+	for i := 0; i < pendingCap; i++ {
+		reuser = l.Begin(Prediction{App: "lu", Predicted: 30})
+	}
+	if _, err := l.Report(old, 10); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("Report of overwritten %s err = %v, want ErrUnknownID", old, err)
+	}
+	if s, err := l.Report(reuser, 10); err != nil || s.Predicted != 30 {
+		t.Fatalf("Report(%s) = %+v, %v", reuser, s, err)
+	}
+	if st := l.Status(); st.Joined != 1 || st.Expired != 2 {
+		t.Fatalf("status %+v, want 1 joined and 2 expired", st)
+	}
+}
+
+// TestBeginAllocs: on a calibration key it has seen, Begin allocates only
+// the ID it returns.
+func TestBeginAllocs(t *testing.T) {
+	l := New(Config{})
+	p := Prediction{App: "lu", Scheduler: "cs", AgeBucket: "<1s", Predicted: 10, TraceID: obs.FormatID(0xabc)}
+	for i := 0; i < 256; i++ { // interns the key; later IDs are all three digits
+		l.Begin(p)
+	}
+	if n := testing.AllocsPerRun(1000, func() { l.Begin(p) }); n > 1 {
+		t.Fatalf("Begin allocates %v times, want at most 1", n)
+	}
+}
+
+// TestPendingFootprintFlat: the pending store retains at most 64 B per
+// entry, and its memory does not grow with the number of predictions
+// that have passed through it.
+func TestPendingFootprintFlat(t *testing.T) {
+	heap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
+	}
+	empty := heap()
+	l := New(Config{})
+	heapAfter := func(n int) int64 {
+		for i := 0; i < n; i++ {
+			l.Begin(Prediction{App: "lu", Predicted: 10})
+		}
+		return heap()
 	}
 	warm := heapAfter(100_000)
-	churned := heapAfter(1_900_000) // the parent's map had grown by half by now
+	churned := heapAfter(1_900_000)
 	runtime.KeepAlive(l)
+	if per := (warm - empty) / pendingCap; per > 64 {
+		t.Fatalf("%d B retained per pending entry, want at most 64", per)
+	}
 	if churned > warm+256<<10 {
 		t.Fatalf("heap %d kB after 2M predictions, %d kB after 100k", churned>>10, warm>>10)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 // FuzzHandlers feeds hostile arguments straight to the RPC handlers: node
 // lists that are out of range, negative or duplicated, empty pools and
 // empty Compares, unknown apps and algorithms, non-finite or negative
-// outcomes and advances. The read-outs take the fuzzed strings too:
+// outcomes and advances, and outcome reports under hostile prediction
+// IDs (a joined report's ID must be spelled as the ledger spells IDs,
+// "p" and lower-case hex without leading zeros). The read-outs take the
+// fuzzed strings too:
 // Decisions the algorithm as kind and as trace filter (a trace filter is
 // parsed), Accuracy the app and algorithm as filters, and Metrics. Every
 // call must return an error or a well-formed reply, and never a recovered
@@ -22,14 +26,16 @@ func FuzzHandlers(f *testing.F) {
 	sys, prog := newSys(f)
 	s := NewServer(sys)
 	const known = "<app>" // stands for the profiled app's name
-	f.Add(known, []byte{0, 1, 2, 3}, uint8(2), "cs", []byte{0, 1, 2, 3, 4, 5, 6, 7}, 1.0, math.NaN(), true)
-	f.Add(known, []byte{0, 1, 2, 200}, uint8(1), "ncs", []byte{0, 1, 2, 3, 99}, -1.0, -1.0, true)
-	f.Add(known, []byte{0xff, 1, 2, 3}, uint8(3), "ga", []byte{0xfe, 0, 1, 2, 3}, math.NaN(), math.Inf(1), true)
-	f.Add(known, []byte{1, 1, 1, 1}, uint8(1), "rs", []byte{1, 1, 1, 1}, math.Inf(1), math.Inf(-1), true)
-	f.Add(known, []byte{0, 1, 2}, uint8(0), "cs", []byte{}, 0.0, 1e300, false)
-	f.Add(known, []byte{}, uint8(0), "quantum", []byte{0, 1}, 2.5, math.MaxFloat64, false)
-	f.Add("ghost", []byte{0, 1, 2, 3}, uint8(2), "", []byte{0, 1, 2, 3}, 1.0, 1e10, false)
-	f.Fuzz(func(t *testing.T, app string, nodes []byte, width uint8, alg string, pool []byte, actual, advance float64, reportServed bool) {
+	f.Add(known, []byte{0, 1, 2, 3}, uint8(2), "cs", []byte{0, 1, 2, 3, 4, 5, 6, 7}, 1.0, math.NaN(), "p-fuzz", true)
+	f.Add(known, []byte{0, 1, 2, 200}, uint8(1), "ncs", []byte{0, 1, 2, 3, 99}, -1.0, -1.0, "p-fuzz", true)
+	f.Add(known, []byte{0xff, 1, 2, 3}, uint8(3), "ga", []byte{0xfe, 0, 1, 2, 3}, math.NaN(), math.Inf(1), "p-fuzz", true)
+	f.Add(known, []byte{1, 1, 1, 1}, uint8(1), "rs", []byte{1, 1, 1, 1}, math.Inf(1), math.Inf(-1), "p-fuzz", true)
+	f.Add(known, []byte{0, 1, 2}, uint8(0), "cs", []byte{}, 0.0, 1e300, "p-fuzz", false)
+	f.Add(known, []byte{}, uint8(0), "quantum", []byte{0, 1}, 2.5, math.MaxFloat64, "p-fuzz", false)
+	f.Add("ghost", []byte{0, 1, 2, 3}, uint8(2), "", []byte{0, 1, 2, 3}, 1.0, 1e10, "p-fuzz", false)
+	f.Add(known, []byte{0, 1, 2, 3}, uint8(1), "cs", []byte{0, 1, 2, 3}, 1.0, math.NaN(), "p01", false)
+	f.Add(known, []byte{3, 2, 1, 0}, uint8(2), "rs", []byte{0, 1, 2, 3}, 2.0, math.NaN(), "p10000000000000001", false)
+	f.Fuzz(func(t *testing.T, app string, nodes []byte, width uint8, alg string, pool []byte, actual, advance float64, outcomeID string, reportServed bool) {
 		if app == known {
 			app = prog.Name
 		}
@@ -81,14 +87,14 @@ func FuzzHandlers(f *testing.F) {
 		}
 
 		for _, served := range []string{ev.PredictionID, cmp.PredictionID} {
-			id := "p-fuzz"
+			id := outcomeID
 			if reportServed && served != "" {
 				id = served
 			}
 			var out ReportOutcomeReply
 			err = s.ReportOutcome(&ReportOutcomeArgs{PredictionID: id, ActualSeconds: actual}, &out)
 			check("ReportOutcome", err)
-			if err == nil && (out.Actual != actual || !(actual > 0) || math.IsInf(actual, 0)) {
+			if err == nil && (out.Actual != actual || !(actual > 0) || math.IsInf(actual, 0) || !canonicalID(id)) {
 				t.Fatalf("ReportOutcome(%q, %v) = %+v", id, actual, out)
 			}
 		}
@@ -158,4 +164,11 @@ func signedNodes(b []byte) []int {
 		out[i] = int(int8(x))
 	}
 	return out
+}
+
+// canonicalID reports whether id is spelled as the accuracy ledger
+// spells prediction IDs.
+func canonicalID(id string) bool {
+	seq, err := strconv.ParseUint(strings.TrimPrefix(id, "p"), 16, 64)
+	return err == nil && id == "p"+strconv.FormatUint(seq, 16)
 }

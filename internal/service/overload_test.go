@@ -11,6 +11,7 @@ import (
 
 	"cbes/internal/admission"
 	"cbes/internal/obs"
+	"cbes/internal/raceflag"
 )
 
 // The stable "cbes:" error-code convention must survive net/rpc's
@@ -325,9 +326,14 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 		serveDone <- ServeWith(sys, l, ServeOptions{Limiter: lim, DrainTimeout: 30 * time.Second})
 	}()
 
-	// A long search that holds the only expensive slot. 500k
-	// evaluations is ~0.5s unracing — long enough to overlap the drain,
-	// short enough to finish well inside the drain budget.
+	// A long search that holds the only expensive slot, sized to outlast
+	// the shed phase below by far and still finish well inside the drain
+	// budget: on a 2-vCPU Xeon VM 500k evaluations take ~0.12 s unraced
+	// and ~1.8 s under -race, so the unraced search runs 8M (~1.6 s).
+	effort := 8_000_000
+	if raceflag.Enabled {
+		effort = 500_000
+	}
 	longC, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +345,7 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 	}
 	longDone := make(chan longRes, 1)
 	go func() {
-		r, err := longC.ScheduleEffort(prog.Name, "cs", []int{0, 1, 2, 3}, 1, 500_000)
+		r, err := longC.ScheduleEffort(prog.Name, "cs", []int{0, 1, 2, 3}, 1, effort)
 		longDone <- longRes{r, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -384,7 +390,17 @@ func TestDrainUnderOverloadSheds(t *testing.T) {
 		}
 	}
 
-	// Begin draining while the long search is (still) under way.
+	// Begin draining while the long search is still under way: it must
+	// not have answered yet, and its slot plus the parked cheap ticket
+	// must still be held.
+	select {
+	case r := <-longDone:
+		t.Fatalf("the long search ended before the drain began (err %v): size it up", r.err)
+	default:
+	}
+	if n := lim.Inflight(); n < 2 {
+		t.Fatalf("%d admission slots held at the drain, want the long search's and the cheap ticket", n)
+	}
 	l.Close()
 	select {
 	case r := <-longDone:
